@@ -32,9 +32,13 @@ type Database struct {
 	eng   *interp.Engine
 	guard relation.EpochGuard
 
-	// facts accumulates every fact applied so far, by relation, for the
-	// full-recompute fallback. Mutated only under the writer side.
-	facts map[string][]tuple.Tuple
+	// facts is the shadow EDB: per declared relation, the set of facts
+	// applied and not since deleted, for the full-recompute fallback and the
+	// snapshot payload. Each set is one of the engine's own B-tree relations:
+	// re-applying a fact stores nothing, a delete is one lookup, and
+	// enumeration is sorted, so a snapshot's bytes depend on the set alone.
+	// Mutated only under the writer side (accumulate).
+	facts map[string]*relation.Relation
 
 	closed bool
 	// broken marks a database whose engine hit a runtime error mid-apply
@@ -129,11 +133,16 @@ func (p *Program) Open(opts ...Option) (*Database, error) {
 		prog:           p,
 		eng:            eng,
 		shards:         cfg.Shards,
-		facts:          map[string][]tuple.Tuple{},
+		facts:          map[string]*relation.Relation{},
 		fallbackCounts: map[string]uint64{},
 		obs:            o.obs,
 		traced:         eng.Telemetry().Tracing(),
 		pst:            pst,
+	}
+	for _, rd := range p.ram.Relations {
+		if !rd.Aux {
+			db.facts[rd.Name] = relation.New(rd.Name, relation.BTree, rd.Arity, nil)
+		}
 	}
 	if pst != nil {
 		if err := pst.recover(db); err != nil {
@@ -422,69 +431,114 @@ func (db *Database) applyLocked(b *Batch) (obsv.Outcome, error) {
 			return obsv.OutError, db.fail(err)
 		}
 	}
-	// Record the batch into the accumulated fact set.
-	for _, f := range b.ins {
-		db.facts[f.rel] = append(db.facts[f.rel], f.t)
-	}
-	for _, f := range b.dels {
-		ts := db.facts[f.rel]
-		kept := ts[:0]
-		for _, t := range ts {
-			if !tuple.Equal(t, f.t) {
-				kept = append(kept, t)
-			}
-		}
-		db.facts[f.rel] = kept
+	if err := db.accumulate(b.ins, b.dels); err != nil {
+		return obsv.OutError, db.fail(err)
 	}
 	db.applies++
-	if db.shards > 0 {
+	out, reason := db.classify(b)
+	var err error
+	switch out {
+	case obsv.OutIncremental:
+		err = db.insertAndUpdate(b.ins)
+	case obsv.OutIncrementalDelete:
+		err = db.applyDelta(b)
+	default:
+		db.fallbackReason = reason
+		db.fallbackCounts[reason]++
+		err = db.recompute()
+	}
+	if err != nil {
+		return obsv.OutError, err
+	}
+	if out != obsv.OutFallback {
+		db.incremental++
+	}
+	return out, nil
+}
+
+// classify is the one place that decides how a batch reaches the new
+// fixpoint — the update entry point (OutIncremental), update then delete
+// (OutIncrementalDelete), or a full recomputation from the shadow EDB
+// (OutFallback) — and, for the last, why the incremental path was lost.
+// Stats().FallbackReason, the per-reason fallback counts and the request
+// outcome all come from its result. Insert-only batches need the update
+// entry point; batches with deletions also need the delete entry point and
+// may only retract input relations.
+func (db *Database) classify(b *Batch) (obsv.Outcome, string) {
+	reason := ""
+	switch {
+	case db.shards > 0:
 		// The update/delete entry points are generated for serial
 		// unsharded evaluation; a sharded database keeps its speed on the
 		// recompute path instead, which reuses the shard-parallel main
 		// program. Stats records the trade.
-		return db.fallback(fallbackSharded)
-	}
-	if len(b.dels) == 0 {
+		reason = fallbackSharded
+	case len(b.dels) == 0:
 		if db.eng.Incremental() {
-			return db.applyIncremental(b)
+			return obsv.OutIncremental, ""
 		}
-		return db.fallback(db.eng.NoUpdateReason())
+		reason = db.eng.NoUpdateReason()
+	case !db.eng.Deletable():
+		reason = db.eng.NoDeleteReason()
+	default:
+		for _, f := range b.dels {
+			// Staging already resolved every relation name.
+			if decl, _ := db.prog.decl(f.rel); decl == nil || !decl.Input {
+				return obsv.OutFallback, fmt.Sprintf("batch deletes tuples of %q, which is not an input relation", f.rel)
+			}
+		}
+		return obsv.OutIncrementalDelete, ""
 	}
-	if !db.eng.Deletable() {
-		return db.fallback(db.eng.NoDeleteReason())
+	if reason == "" {
+		reason = "program has no incremental entry point"
 	}
-	for _, f := range b.dels {
-		decl, err := db.prog.decl(f.rel)
+	return obsv.OutFallback, reason
+}
+
+// accumulate folds a batch (live, replayed from the WAL, or read back from a
+// snapshot) into the shadow EDB; deletions apply after insertions. Live
+// batches were checked at staging; for facts read back from disk this is
+// where a relation or arity the program does not declare is refused.
+func (db *Database) accumulate(ins, dels []batchFact) error {
+	set := func(f batchFact) (*relation.Relation, error) {
+		s := db.facts[f.rel]
+		if s == nil || s.Arity() != len(f.t) {
+			return nil, fmt.Errorf("sti: fact %s/%d does not match the program", f.rel, len(f.t))
+		}
+		return s, nil
+	}
+	for _, f := range ins {
+		s, err := set(f)
 		if err != nil {
-			return obsv.OutError, db.fail(err)
+			return err
 		}
-		if !decl.Input {
-			return db.fallback(fmt.Sprintf("batch deletes tuples of %q, which is not an input relation", f.rel))
-		}
+		s.Insert(f.t)
 	}
-	return db.applyDelta(b)
+	for _, f := range dels {
+		s, err := set(f)
+		if err != nil {
+			return err
+		}
+		s.Delete(f.t)
+	}
+	return nil
+}
+
+// scanAll copies out the tuples of a shadow-EDB set, in sorted order.
+func scanAll(s *relation.Relation) []tuple.Tuple {
+	out := make([]tuple.Tuple, 0, s.Size())
+	for it := s.Scan(); ; {
+		t, ok := it.Next()
+		if !ok {
+			return out
+		}
+		out = append(out, tuple.Clone(t))
+	}
 }
 
 // fallbackSharded is the FallbackReason recorded by every Apply on a
 // sharded database.
 const fallbackSharded = "sharded database: incremental entry points run unsharded, batches recompute with the shard-parallel main program"
-
-// fallback runs a full recomputation and records why the incremental path
-// was lost.
-func (db *Database) fallback(reason string) (obsv.Outcome, error) {
-	if reason == "" {
-		reason = "program has no incremental entry point"
-	}
-	db.fallbackReason = reason
-	if db.fallbackCounts == nil {
-		db.fallbackCounts = map[string]uint64{}
-	}
-	db.fallbackCounts[reason]++
-	if err := db.recompute(); err != nil {
-		return obsv.OutError, err
-	}
-	return obsv.OutFallback, nil
-}
 
 // groupByRel splits batch facts per relation, preserving batch order both
 // across relations (first appearance) and within each relation.
@@ -497,14 +551,6 @@ func groupByRel(facts []batchFact) (order []string, grouped map[string][]tuple.T
 		grouped[f.rel] = append(grouped[f.rel], f.t)
 	}
 	return order, grouped
-}
-
-func (db *Database) applyIncremental(b *Batch) (obsv.Outcome, error) {
-	if err := db.insertAndUpdate(b.ins); err != nil {
-		return obsv.OutError, err
-	}
-	db.incremental++
-	return obsv.OutIncremental, nil
 }
 
 // insertAndUpdate stages fresh tuples into the base relations and their
@@ -531,16 +577,16 @@ func (db *Database) insertAndUpdate(ins []batchFact) error {
 // within a batch), then the staged retractions run through the delete
 // program, which computes exactly the derived tuples losing their last
 // support and removes them together with the retracted facts.
-func (db *Database) applyDelta(b *Batch) (obsv.Outcome, error) {
+func (db *Database) applyDelta(b *Batch) error {
 	if err := db.insertAndUpdate(b.ins); err != nil {
-		return obsv.OutError, err
+		return err
 	}
 	order, staged := groupByRel(b.dels)
 	total := 0
 	for _, name := range order {
 		n, err := db.eng.DeleteFacts(name, staged[name])
 		if err != nil {
-			return obsv.OutError, db.fail(err)
+			return db.fail(err)
 		}
 		total += n
 	}
@@ -548,11 +594,10 @@ func (db *Database) applyDelta(b *Batch) (obsv.Outcome, error) {
 	// program only runs when at least one retraction took hold.
 	if total > 0 {
 		if err := db.eng.EvalDelete(); err != nil {
-			return obsv.OutError, db.fail(err)
+			return db.fail(err)
 		}
 	}
-	db.incremental++
-	return obsv.OutIncrementalDelete, nil
+	return nil
 }
 
 // recompute rebuilds the fixpoint from scratch: clear everything, replay
@@ -564,8 +609,8 @@ func (db *Database) recompute() error {
 		if rd.Aux {
 			continue
 		}
-		if ts := db.facts[rd.Name]; len(ts) > 0 {
-			if _, err := db.eng.InsertFacts(rd.Name, ts); err != nil {
+		if s := db.facts[rd.Name]; !s.Empty() {
+			if _, err := db.eng.InsertFacts(rd.Name, scanAll(s)); err != nil {
 				return db.fail(err)
 			}
 		}

@@ -366,3 +366,67 @@ reach(x, z) :- reach(x, y), edge(y, z).
 	defer db2.Close()
 	check(db2, "reopened")
 }
+
+// TestShadowEDBSetSemantics: the shadow EDB is a set. Re-applying one fact
+// any number of times stores it once — the snapshot payload stays the size
+// one apply produced, in memory and on disk — deleting it returns to the
+// empty payload, and a crash after the re-inserts recovers byte-identically.
+func TestShadowEDBSetSemantics(t *testing.T) {
+	dir := t.TempDir()
+	db, err := MustParse(persistSrc).Open(WithPersistenceConfig(PersistenceConfig{Dir: dir, SnapshotEvery: 1}))
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	snapSize := func() (mem int, disk int64) {
+		t.Helper()
+		snaps, err := filepath.Glob(filepath.Join(dir, "snap-*.snap"))
+		if err != nil || len(snaps) != 1 {
+			t.Fatalf("want one snapshot file, got %v (%v)", snaps, err)
+		}
+		fi, err := os.Stat(snaps[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(db.pst.encodeSnapshot(db)), fi.Size()
+	}
+	apply := func(b *Batch) {
+		t.Helper()
+		if err := db.Apply(b); err != nil {
+			t.Fatalf("apply: %v", err)
+		}
+	}
+	// Intern every symbol first (n01 is queryAll's probe) so only the fact
+	// count can move the size.
+	apply(db.NewBatch().Add("edge", "a", "b").Add("edge", "n01", "n01").
+		Delete("edge", "a", "b").Delete("edge", "n01", "n01"))
+	emptyMem, emptyDisk := snapSize()
+	apply(db.NewBatch().Add("edge", "a", "b"))
+	oneMem, oneDisk := snapSize()
+	if oneMem <= emptyMem {
+		t.Fatalf("one fact encodes to %d bytes, empty EDB to %d", oneMem, emptyMem)
+	}
+	for i := 0; i < 100; i++ {
+		apply(db.NewBatch().Add("edge", "a", "b"))
+	}
+	if mem, disk := snapSize(); mem != oneMem || disk != oneDisk {
+		t.Fatalf("after 100 re-inserts the snapshot is %d bytes (%d on disk), one apply made %d (%d)", mem, disk, oneMem, oneDisk)
+	}
+	want := queryAll(t, db)
+	db.abandon()
+
+	db, err = MustParse(persistSrc).Open(WithPersistenceConfig(PersistenceConfig{Dir: dir, SnapshotEvery: 1}))
+	if err != nil {
+		t.Fatalf("reopen after crash: %v", err)
+	}
+	defer db.Close()
+	if mem, disk := snapSize(); mem != oneMem || disk != oneDisk {
+		t.Fatalf("recovered snapshot is %d bytes (%d on disk), want %d (%d)", mem, disk, oneMem, oneDisk)
+	}
+	if got := queryAll(t, db); got != want {
+		t.Fatalf("crash-recovered output differs:\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+	apply(db.NewBatch().Delete("edge", "a", "b"))
+	if mem, disk := snapSize(); mem != emptyMem || disk != emptyDisk {
+		t.Fatalf("after the delete the snapshot is %d bytes (%d on disk), empty is %d (%d)", mem, disk, emptyMem, emptyDisk)
+	}
+}

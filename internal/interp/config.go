@@ -77,11 +77,13 @@ type Config struct {
 	// barriers. 0 disables sharding; 1 builds the degenerate single-shard
 	// wrappers (useful to test the routing path); values above 1 raise
 	// Workers to match so worker i evaluates shard i. Sharded relations
-	// keep static dispatch through the sharded specialized opcodes
-	// (specialized_shard.go), which bind one concrete tree per shard and
-	// route by partition hash; only the instructions without a sharded
-	// form (choice, aggregates) drop to the dynamic adapter. Sharding is
-	// disabled under Legacy and Provenance.
+	// keep static dispatch through the same specialized opcodes as
+	// unsharded ones (specialized.go): a node binds one concrete tree per
+	// shard and routes by partition hash when its bound prefix covers the
+	// key, the unsharded relation being the one-tree case. Only the
+	// order-sensitive instructions (choice, aggregates) drop to the dynamic
+	// adapter under sharding. Sharding is disabled under Legacy and
+	// Provenance.
 	Shards int
 	// Tier is the storage-tier policy hook. When non-nil, eligible input
 	// relations (non-aux, arity > 0, not eqrel, not legacy, not sharded)

@@ -368,9 +368,6 @@ func (ex *executor) execute(n *inode, ctx *context) value.Value {
 	if v, handled := ex.execSpecialized(n, ctx); handled {
 		return v
 	}
-	if v, handled := ex.execSharded(n, ctx); handled {
-		return v
-	}
 	panic(fmt.Sprintf("interp: unknown opcode %d", n.op))
 }
 

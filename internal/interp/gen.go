@@ -103,21 +103,11 @@ func (g *generator) genStatement(s ram.Statement) *inode {
 	}
 }
 
-// scanOpcode picks the (possibly specialized) opcode for a scan-like
-// instruction over rel.
+// scanOpcode picks the (possibly specialized) opcode for an instruction over
+// rel. Sharding does not enter: a specialized body works over the store slice
+// bindSearch (or the Project case) hands it, one store or many.
 func (g *generator) scanOpcode(generic opcode, rel *relation.Relation) opcode {
 	if !g.cfg.StaticDispatch {
-		return generic
-	}
-	if rel.Sharded() {
-		// Sharded relations have no single concrete tree, but they have one
-		// per shard: the sharded specialized forms bind the per-shard slice
-		// and route by partition hash (specialized_shard.go). Instructions
-		// without a sharded form (choice, aggregates) stay on the dynamic
-		// adapter, whose merge preserves sorted enumeration order.
-		if sp, ok := shardedOp(generic, rel.Rep(), rel.Arity()); ok {
-			return sp
-		}
 		return generic
 	}
 	switch rel.Rep() {
@@ -151,16 +141,28 @@ func (g *generator) scanOpcode(generic opcode, rel *relation.Relation) opcode {
 	return generic
 }
 
-// bindScanImpls binds the concrete store(s) of a scan-like node: the single
-// impl for unsharded indexes, or the per-shard impl slice plus the encoded
-// partition-key position (inode.b) for sharded ones.
-func (g *generator) bindScanImpls(n *inode, idx relation.Index) {
-	if subs, keyEnc := relation.ShardImpls(idx); subs != nil {
-		n.impls = subs
-		n.b = int32(keyEnc)
-		return
+// orderedOpcode is scanOpcode for the order-sensitive instructions (choice
+// picks the first match, aggregates fold floats in enumeration order). It
+// holds the one sharding exception of instruction selection: shard-by-shard
+// enumeration is not sorted, so under sharding these stay on the dynamic
+// adapter, whose k-way merge is.
+func (g *generator) orderedOpcode(generic opcode, rel *relation.Relation) opcode {
+	if rel.Sharded() {
+		return generic
 	}
-	n.impls = []any{relation.Impl(idx)}
+	return g.scanOpcode(generic, rel)
+}
+
+// bindSearch binds the concrete stores a search node (n.prefix already set)
+// visits, and makes it route by partition hash exactly when more than one
+// shard exists and the bound prefix covers the partition key.
+func (g *generator) bindSearch(n *inode, idx relation.Index) {
+	var keyEnc int
+	n.impls, keyEnc = relation.Impls(idx)
+	n.shards = 1
+	if len(n.impls) > 1 && keyEnc < int(n.prefix) {
+		n.shards, n.shardKey = int32(len(n.impls)), int32(keyEnc)
+	}
 }
 
 func (g *generator) genOperation(o ram.Operation) *inode {
@@ -190,7 +192,7 @@ func (g *generator) genOperation(o ram.Operation) *inode {
 			tupleID: int32(o.TupleID),
 			shadow:  o,
 		}
-		g.bindScanImpls(n, idx)
+		g.bindSearch(n, idx)
 		g.widths[n.tupleID] = n.arity
 		g.prems[n.tupleID] = int32(o.Rel.BaseID)
 		g.bindCoords(n.tupleID, idx.Order(), n)
@@ -221,8 +223,8 @@ func (g *generator) genOperation(o ram.Operation) *inode {
 			tupleID: int32(o.TupleID),
 			shadow:  o,
 		}
-		g.bindScanImpls(n, idx)
 		n.children, n.prefix = g.genPattern(o.Pattern, idx.Order())
+		g.bindSearch(n, idx)
 		g.applySuper(n)
 		g.widths[n.tupleID] = n.arity
 		g.prems[n.tupleID] = int32(o.Rel.BaseID)
@@ -234,17 +236,11 @@ func (g *generator) genOperation(o ram.Operation) *inode {
 		g.pendingParallel = false
 		rel := g.relation(o.Rel)
 		idx := rel.Primary()
-		op := opChoice
-		if g.cfg.StaticDispatch && !rel.Sharded() && rel.Rep() == relation.BTree {
-			if sp, ok := specializedOp(opChoice, rel.Arity()); ok {
-				op = sp
-			}
-		}
 		n := &inode{
-			op: op, rel: rel, idx: idx, order: idx.Order(),
+			op: g.orderedOpcode(opChoice, rel), rel: rel, idx: idx, order: idx.Order(),
 			arity: int32(rel.Arity()), tupleID: int32(o.TupleID), shadow: o,
 		}
-		n.impls = []any{relation.Impl(idx)}
+		n.impls, _ = relation.Impls(idx)
 		g.widths[n.tupleID] = n.arity
 		g.prems[n.tupleID] = int32(o.Rel.BaseID)
 		g.bindCoords(n.tupleID, idx.Order(), n)
@@ -258,17 +254,11 @@ func (g *generator) genOperation(o ram.Operation) *inode {
 		g.pendingParallel = false
 		rel := g.relation(o.Rel)
 		idx := rel.Index(o.IndexID)
-		op := opIndexChoice
-		if g.cfg.StaticDispatch && !rel.Sharded() && rel.Rep() == relation.BTree {
-			if sp, ok := specializedOp(opIndexChoice, rel.Arity()); ok {
-				op = sp
-			}
-		}
 		n := &inode{
-			op: op, rel: rel, idx: idx, order: idx.Order(),
+			op: g.orderedOpcode(opIndexChoice, rel), rel: rel, idx: idx, order: idx.Order(),
 			arity: int32(rel.Arity()), tupleID: int32(o.TupleID), shadow: o,
 		}
-		n.impls = []any{relation.Impl(idx)}
+		n.impls, _ = relation.Impls(idx)
 		n.children, n.prefix = g.genPattern(o.Pattern, idx.Order())
 		g.applySuper(n)
 		g.widths[n.tupleID] = n.arity
@@ -322,16 +312,11 @@ func (g *generator) genOperation(o ram.Operation) *inode {
 			rstats: rel.Stats(),
 			shadow: o,
 		}
+		n.shardKey = int32(rel.ShardKeyCol())
 		for i := 0; i < rel.NumIndexes(); i++ {
-			if subs, _ := relation.ShardImpls(rel.Index(i)); subs != nil {
-				// Sharded insert: impls is index-major (index i's shard s at
-				// i*shards+s), with the source key column in n.b so the
-				// instruction routes each tuple with one hash.
-				n.impls = append(n.impls, subs...)
-				n.b = int32(rel.ShardKeyCol())
-			} else {
-				n.impls = append(n.impls, relation.Impl(rel.Index(i)))
-			}
+			stores, _ := relation.Impls(rel.Index(i))
+			n.impls = append(n.impls, stores...)
+			n.shards = int32(len(stores))
 			n.orders = append(n.orders, rel.Index(i).Order())
 		}
 		for _, e := range o.Exprs {
@@ -353,18 +338,12 @@ func (g *generator) genOperation(o ram.Operation) *inode {
 		if o.IndexID >= 0 {
 			generic = opIndexAggregate
 		}
-		op := generic
-		if g.cfg.StaticDispatch && !rel.Sharded() && rel.Rep() == relation.BTree {
-			if sp, ok := specializedOp(generic, rel.Arity()); ok {
-				op = sp
-			}
-		}
 		n := &inode{
-			op: op, rel: rel, idx: idx, order: idx.Order(),
+			op: g.orderedOpcode(generic, rel), rel: rel, idx: idx, order: idx.Order(),
 			arity: int32(rel.Arity()), tupleID: int32(o.TupleID),
 			a: int32(o.Kind), b: int32(o.Type), shadow: o,
 		}
-		n.impls = []any{relation.Impl(idx)}
+		n.impls, _ = relation.Impls(idx)
 		n.children, n.prefix = g.genPattern(o.Pattern, idx.Order())
 		g.applySuper(n)
 		w := n.arity
@@ -497,8 +476,8 @@ func (g *generator) genCond(c ram.Condition) *inode {
 			order: idx.Order(), arity: int32(rel.Arity()),
 			baseID: int32(c.Rel.BaseID), shadow: c,
 		}
-		g.bindScanImpls(n, idx)
 		n.children, n.prefix = g.genPattern(c.Pattern, idx.Order())
+		g.bindSearch(n, idx)
 		g.applySuper(n)
 		if g.negDepth == 0 && n.prefix == n.arity && n.arity > 0 {
 			g.premExists = append(g.premExists, n)

@@ -98,10 +98,19 @@ type inode struct {
 	rel2   *relation.Relation // second relation (swap, merge/subtract source)
 	rel3   *relation.Relation // third relation (count-merge fresh, count-delete gone)
 	idx    relation.Index     // chosen index (dynamic path)
-	impls  []any              // concrete stores for the static path
-	orders []tuple.Order      // per-impl index orders (inserts)
+	impls  []any              // concrete stores for the static path, see shards
+	orders []tuple.Order      // per-index orders (inserts)
 	order  tuple.Order        // chosen index order (scans/exists)
 	decode bool               // wrap scans with a decoding iterator
+
+	// impls holds one store per shard (one in all when unsharded): the chosen
+	// index's for searches, every index's for inserts, index-major (index i's
+	// shard s at impls[i*shards+s]). shards > 1 makes the instruction route by
+	// partition hash of the value at shardKey — a source column of the built
+	// tuple for inserts, an encoded position of the bound prefix for searches.
+	// The generator leaves shards at 1 for unsharded relations and for
+	// searches whose prefix misses the key, which then visit all of impls.
+	shards, shardKey int32
 
 	tupleID int32
 	prefix  int32 // bound prefix length (encoded coordinates)

@@ -6,6 +6,8 @@ import (
 	"runtime"
 	"testing"
 
+	"sti/internal/ram"
+	"sti/internal/ramopt"
 	"sti/internal/tuple"
 	"sti/internal/value"
 )
@@ -81,24 +83,47 @@ func requireSame(t *testing.T, label string, want, got *Engine, rels ...string) 
 // interpreter. The single-shard case proves the degenerate wrapper (routing
 // machinery engaged, one partition) changes nothing.
 func TestShardedMatchesUnsharded(t *testing.T) {
-	rels := []string{"path", "node", "unreached"}
-	for _, rep := range []string{"btree", "brie"} {
-		src := shardTCSrc(rep)
-		for name, edges := range shardGraphs(48, 7) {
-			facts := map[string][]tuple.Tuple{"edge": edges}
-			want, _ := run(t, src, facts, DefaultConfig())
-			for _, shards := range []int{1, 2, 4} {
-				cfg := DefaultConfig()
-				cfg.Shards = shards
-				got, _ := run(t, src, facts, cfg)
-				requireSame(t, fmt.Sprintf("%s/%s/shards=%d", rep, name, shards), want, got, rels...)
-				for _, r := range rels {
-					rel := got.Relation(r)
-					if !rel.Sharded() || rel.ShardCount() != shards {
-						t.Fatalf("%s/%s: relation %s not sharded into %d", rep, name, r, shards)
+	programs := []struct {
+		src  func(rep string) string
+		rels []string
+	}{
+		{shardTCSrc, []string{"path", "node", "unreached"}},
+		// hop is arity 3 with secondary indexes that do not lead with its
+		// shard key: searches on them visit every shard, and its inserts
+		// fill several orders of the index-major store slice.
+		{shardShapeSrc, []string{"hop", "viaMid", "viaEnd", "lone", "has", "deg", "cross"}},
+	}
+	for _, prog := range programs {
+		rels := prog.rels
+		for _, rep := range []string{"btree", "brie"} {
+			src := prog.src(rep)
+			for name, edges := range shardGraphs(48, 7) {
+				facts := map[string][]tuple.Tuple{"edge": edges}
+				want, _ := run(t, src, facts, DefaultConfig())
+				for _, shards := range []int{1, 2, 4} {
+					cfg := DefaultConfig()
+					cfg.Shards = shards
+					got, _ := run(t, src, facts, cfg)
+					requireSame(t, fmt.Sprintf("%s/%s/shards=%d", rep, name, shards), want, got, rels...)
+					for _, r := range rels {
+						rel := got.Relation(r)
+						if !rel.Sharded() || rel.ShardCount() != shards {
+							t.Fatalf("%s/%s: relation %s not sharded into %d", rep, name, r, shards)
+						}
+						if err := rel.CheckShardLocal(); err != nil {
+							t.Fatalf("%s/%s/shards=%d: %v", rep, name, shards, err)
+						}
 					}
-					if err := rel.CheckShardLocal(); err != nil {
-						t.Fatalf("%s/%s/shards=%d: %v", rep, name, shards, err)
+					if hop := got.Relation("hop"); hop != nil {
+						offKey := 0
+						for i := 0; i < hop.NumIndexes(); i++ {
+							if hop.Index(i).Order()[0] != hop.ShardKeyCol() {
+								offKey++
+							}
+						}
+						if hop.NumIndexes() < 2 || offKey == 0 {
+							t.Fatalf("hop: %d indexes, %d not led by the shard key; want >= 2 and >= 1", hop.NumIndexes(), offKey)
+						}
 					}
 				}
 			}
@@ -229,5 +254,112 @@ func TestShardMergeTelemetry(t *testing.T) {
 	}
 	if rep.Parallel.ShardMaxSkew < 1 {
 		t.Fatalf("ShardMaxSkew = %v, want >= 1", rep.Parallel.ShardMaxSkew)
+	}
+}
+
+// shardShapeSrc exercises every scan-family instruction: full scans, index
+// scans on several orders of an arity-3 relation (not all led by its shard
+// key), existence checks, aggregates, and — after ramopt — choices. The
+// second hop rule starts from an index scan, so it is never partitioned and
+// its inserts go straight to the trees instead of a staging buffer.
+func shardShapeSrc(rep string) string {
+	return fmt.Sprintf(`
+.decl edge(x:number, y:number) %[1]s
+.decl hop(x:number, y:number, z:number) %[1]s
+.decl viaMid(y:number, x:number) %[1]s
+.decl viaEnd(z:number, x:number) %[1]s
+.decl lone(x:number) %[1]s
+.decl has(x:number) %[1]s
+.decl deg(x:number, n:number) %[1]s
+.decl cross(x:number, y:number) %[1]s
+.input edge
+cross(x, y) :- lone(x), has(y).
+hop(x, y, z) :- edge(x, y), edge(y, z).
+hop(y, 0, z) :- edge(0, y), edge(y, z).
+viaMid(y, x) :- edge(_, y), hop(x, y, _).
+viaEnd(z, x) :- edge(_, z), hop(x, _, z).
+lone(x) :- edge(x, _), !hop(x, _, _).
+has(x) :- edge(x, _), hop(_, x, _).
+deg(x, n) :- edge(x, _), n = count : { hop(x, _, _) }.
+`, rep)
+}
+
+// treeOps collects every node of the generated trees that accesses a
+// relation's indexes, with its opcode, in generation order.
+func treeOps(e *Engine) (ops []opcode, nodes []*inode) {
+	var walk func(n *inode)
+	walk = func(n *inode) {
+		if n == nil {
+			return
+		}
+		if n.rel != nil && n.idx != nil || n.orders != nil {
+			ops, nodes = append(ops, n.op), append(nodes, n)
+		}
+		for _, c := range n.children {
+			walk(c)
+		}
+		walk(n.cond)
+		walk(n.target)
+		walk(n.nested)
+	}
+	for _, root := range []*inode{e.rootLoad, e.rootEval, e.rootStore} {
+		walk(root)
+	}
+	return ops, nodes
+}
+
+// TestShardedTreeShape: there is one static instruction family. Sharding a
+// relation changes the stores a node binds, never its opcode — except for
+// the order-sensitive instructions (choice, aggregate), which take the
+// dynamic opcodes over sharded relations.
+func TestShardedTreeShape(t *testing.T) {
+	ordered := map[opcode]bool{opChoice: true, opIndexChoice: true, opAggregate: true, opIndexAggregate: true}
+	for _, rep := range []string{"btree", "brie"} {
+		for _, shards := range []int{1, 2, 4} {
+			build := func(shards int) *Engine {
+				rp, st := compileSrc(t, shardShapeSrc(rep))
+				ramopt.Optimize(rp, st, ramopt.All())
+				cfg := DefaultConfig()
+				cfg.Shards = shards
+				// Same worker count on both sides: the partitioned outermost
+				// scans are dynamic either way.
+				cfg.Workers = 4
+				return New(rp, st, cfg)
+			}
+			wantOps, wantNodes := treeOps(build(0))
+			gotOps, gotNodes := treeOps(build(shards))
+			if len(wantOps) != len(gotOps) || len(wantOps) == 0 {
+				t.Fatalf("%s/shards=%d: %d relational nodes, unsharded has %d", rep, shards, len(gotOps), len(wantOps))
+			}
+			seen := map[string]int{}
+			for i, n := range gotNodes {
+				kind := fmt.Sprintf("%T", n.shadow)
+				label := fmt.Sprintf("%s/shards=%d node %d (%s over %s)", rep, shards, i, kind, n.rel.Name)
+				if want := fmt.Sprintf("%T", wantNodes[i].shadow); kind != want {
+					t.Fatalf("%s: unsharded tree has %s here", label, want)
+				}
+				switch n.shadow.(type) {
+				case *ram.Choice, *ram.IndexChoice, *ram.Aggregate:
+					if n.rel.Sharded() {
+						if !ordered[n.op] {
+							t.Fatalf("%s: order-sensitive node carries static opcode %d", label, n.op)
+						}
+						seen["ordered"]++
+						continue
+					}
+				}
+				if n.op != wantOps[i] {
+					t.Fatalf("%s: opcode %d, unsharded %d", label, n.op, wantOps[i])
+				}
+				if n.rel.Sharded() && n.op >= opInsertEq {
+					seen[kind]++
+				}
+			}
+			for _, kind := range []string{"ordered", "*ram.Project", "*ram.Scan", "*ram.IndexScan", "*ram.ExistenceCheck"} {
+				if seen[kind] == 0 {
+					t.Fatalf("%s/shards=%d: no %s node over a sharded relation on the static path (saw %v)", rep, shards, kind, seen)
+				}
+			}
+		}
 	}
 }

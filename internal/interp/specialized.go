@@ -15,24 +15,57 @@ import (
 // generated dispatch in specialized_gen.go. Each helper type-asserts the
 // concrete structure once, then runs with stack-allocated fixed-size tuples,
 // concrete iterators, and no interface dispatch on the per-tuple path.
+//
+// One family serves unsharded and hash-sharded relations alike: every node
+// carries the slice of concrete stores it may touch (inode.impls), and the
+// tree generator decides whether the instruction routes by partition hash
+// (inode.shards > 1). An unsharded relation is the one-store case — no hash,
+// no division, one predictable branch per instruction. A sharded search whose
+// bound prefix covers the partition key visits the owning shard only;
+// otherwise it visits the shards back to back. Shard order (rather than
+// globally sorted order) is observationally equivalent for scans and
+// existence checks; the order-sensitive instructions (choice, aggregate) stay
+// on the dynamic adapter under sharding (generator.orderedOpcode).
 
 type toKeyFn[K btree.Key[K]] func(tuple.Tuple) K
 
 type fromKeyFn[K btree.Key[K]] func(K, tuple.Tuple)
 
+// insertShard returns the shard owning the freshly built source tuple src:
+// shard 0 without hashing unless the node routes (n.shards > 1).
+func (n *inode) insertShard(src []value.Value) int {
+	if n.shards <= 1 {
+		return 0
+	}
+	return relation.ShardOf(src[n.shardKey], int(n.shards))
+}
+
+// searchImpls returns the stores a search with bound prefix pat visits: all
+// of n.impls (the one tree of an unsharded relation) unless the node routes,
+// in which case only the shard owning pat's partition key can hold matches.
+func (n *inode) searchImpls(pat []value.Value) []any {
+	if n.shards <= 1 {
+		return n.impls
+	}
+	sh := relation.ShardOf(pat[n.shardKey], int(n.shards))
+	return n.impls[sh : sh+1]
+}
+
 // evalInsertBT inserts a freshly built source tuple into every B-tree index
-// of the relation. Under a staged query the source tuple goes to the
-// worker-local buffer instead; the merge encodes per index.
+// of the relation (the owning shard of each, see inode.impls). Under a staged
+// query the source tuple goes to the worker-local buffer instead; the merge
+// encodes per index.
 func evalInsertBT[K btree.Key[K]](ex *executor, n *inode, ctx *context, toKey toKeyFn[K], _ fromKeyFn[K]) value.Value {
 	var src, enc [relation.MaxArity]value.Value
 	ex.fillTuple(n, ctx, src[:n.arity])
 	if ex.stageInsert(n, ctx, src[:n.arity]) {
 		return 0
 	}
+	stride, sh := int(n.shards), n.insertShard(src[:])
 	added := false
-	for i, impl := range n.impls {
-		n.orders[i].Encode(enc[:n.arity], src[:n.arity])
-		if impl.(*btree.Tree[K]).Insert(toKey(enc[:n.arity])) && i == 0 {
+	for i, ord := range n.orders {
+		ord.Encode(enc[:n.arity], src[:n.arity])
+		if n.impls[i*stride+sh].(*btree.Tree[K]).Insert(toKey(enc[:n.arity])) && i == 0 {
 			added = true
 		}
 	}
@@ -45,14 +78,8 @@ func evalInsertBT[K btree.Key[K]](ex *executor, n *inode, ctx *context, toKey to
 	return 0
 }
 
-// btRange prepares the concrete range iterator of a prefix search.
-func btRange[K btree.Key[K]](n *inode, pat []value.Value, toKey toKeyFn[K]) btree.Iter[K] {
-	return btRangeTree(n.impls[0].(*btree.Tree[K]), n, pat, toKey)
-}
-
-// btRangeTree is btRange against an explicit tree, shared with the sharded
-// instruction forms (which pick the tree by partition hash first).
-func btRangeTree[K btree.Key[K]](tree *btree.Tree[K], n *inode, pat []value.Value, toKey toKeyFn[K]) btree.Iter[K] {
+// btRange prepares the concrete range iterator of a prefix search on tree.
+func btRange[K btree.Key[K]](tree *btree.Tree[K], n *inode, pat []value.Value, toKey toKeyFn[K]) btree.Iter[K] {
 	if n.prefix == 0 {
 		return tree.Iter()
 	}
@@ -67,19 +94,25 @@ func btRangeTree[K btree.Key[K]](tree *btree.Tree[K], n *inode, pat []value.Valu
 }
 
 func evalExistsBT[K btree.Key[K]](ex *executor, n *inode, ctx *context, toKey toKeyFn[K], _ fromKeyFn[K]) value.Value {
-	tree := n.impls[0].(*btree.Tree[K])
 	var pat [relation.MaxArity]value.Value
 	ex.fillTuple(n, ctx, pat[:n.prefix])
-	switch {
-	case n.prefix == n.arity:
-		return boolVal(tree.Contains(toKey(pat[:n.arity])))
-	case n.prefix == 0:
-		return boolVal(tree.Size() > 0)
-	default:
-		it := btRange[K](n, pat[:n.prefix], toKey)
-		_, ok := it.Next()
-		return boolVal(ok)
+	for _, impl := range n.searchImpls(pat[:]) {
+		tree := impl.(*btree.Tree[K])
+		var found bool
+		switch {
+		case n.prefix == n.arity:
+			found = tree.Contains(toKey(pat[:n.arity]))
+		case n.prefix == 0:
+			found = tree.Size() > 0
+		default:
+			it := btRange(tree, n, pat[:n.prefix], toKey)
+			_, found = it.Next()
+		}
+		if found {
+			return 1
+		}
 	}
+	return 0
 }
 
 // bindKey writes key k into the context slot for n.tupleID, decoding to
@@ -95,12 +128,13 @@ func bindKey[K btree.Key[K]](n *inode, ctx *context, k K, fromKey fromKeyFn[K]) 
 	fromKey(k, slot)
 }
 
-func evalScanBT[K btree.Key[K]](ex *executor, n *inode, ctx *context, _ toKeyFn[K], fromKey fromKeyFn[K]) value.Value {
-	it := n.impls[0].(*btree.Tree[K]).Iter()
+// scanBT runs a scan body over one tree's iterator: the per-tuple loop of
+// every B-tree scan and index scan, once per store the instruction visits.
+func scanBT[K btree.Key[K]](ex *executor, n *inode, ctx *context, it btree.Iter[K], fromKey fromKeyFn[K]) {
 	for {
 		k, ok := it.Next()
 		if !ok {
-			return 0
+			return
 		}
 		bindKey(n, ctx, k, fromKey)
 		ex.countIter(ctx)
@@ -108,19 +142,20 @@ func evalScanBT[K btree.Key[K]](ex *executor, n *inode, ctx *context, _ toKeyFn[
 	}
 }
 
+func evalScanBT[K btree.Key[K]](ex *executor, n *inode, ctx *context, _ toKeyFn[K], fromKey fromKeyFn[K]) value.Value {
+	for _, impl := range n.impls {
+		scanBT(ex, n, ctx, impl.(*btree.Tree[K]).Iter(), fromKey)
+	}
+	return 0
+}
+
 func evalIndexScanBT[K btree.Key[K]](ex *executor, n *inode, ctx *context, toKey toKeyFn[K], fromKey fromKeyFn[K]) value.Value {
 	var pat [relation.MaxArity]value.Value
 	ex.fillTuple(n, ctx, pat[:n.prefix])
-	it := btRange[K](n, pat[:n.prefix], toKey)
-	for {
-		k, ok := it.Next()
-		if !ok {
-			return 0
-		}
-		bindKey(n, ctx, k, fromKey)
-		ex.countIter(ctx)
-		ex.eval(n.nested, ctx)
+	for _, impl := range n.searchImpls(pat[:]) {
+		scanBT(ex, n, ctx, btRange(impl.(*btree.Tree[K]), n, pat[:n.prefix], toKey), fromKey)
 	}
+	return 0
 }
 
 func evalChoiceBT[K btree.Key[K]](ex *executor, n *inode, ctx *context, _ toKeyFn[K], fromKey fromKeyFn[K]) value.Value {
@@ -142,7 +177,7 @@ func evalChoiceBT[K btree.Key[K]](ex *executor, n *inode, ctx *context, _ toKeyF
 func evalIndexChoiceBT[K btree.Key[K]](ex *executor, n *inode, ctx *context, toKey toKeyFn[K], fromKey fromKeyFn[K]) value.Value {
 	var pat [relation.MaxArity]value.Value
 	ex.fillTuple(n, ctx, pat[:n.prefix])
-	it := btRange[K](n, pat[:n.prefix], toKey)
+	it := btRange(n.impls[0].(*btree.Tree[K]), n, pat[:n.prefix], toKey)
 	for {
 		k, ok := it.Next()
 		if !ok {
@@ -191,7 +226,7 @@ func evalAggregateBT[K btree.Key[K]](ex *executor, n *inode, ctx *context, _ toK
 func evalIndexAggregateBT[K btree.Key[K]](ex *executor, n *inode, ctx *context, toKey toKeyFn[K], fromKey fromKeyFn[K]) value.Value {
 	var pat [relation.MaxArity]value.Value
 	ex.fillTuple(n, ctx, pat[:n.prefix])
-	return aggBT(ex, n, ctx, btRange[K](n, pat[:n.prefix], toKey), fromKey)
+	return aggBT(ex, n, ctx, btRange(n.impls[0].(*btree.Tree[K]), n, pat[:n.prefix], toKey), fromKey)
 }
 
 // execNonGeneric handles the handwritten specialized instructions for the
@@ -266,10 +301,11 @@ func (ex *executor) execNonGeneric(n *inode, ctx *context) (value.Value, bool) {
 		if ex.stageInsert(n, ctx, src[:n.arity]) {
 			return 0, true
 		}
+		stride, sh := int(n.shards), n.insertShard(src[:])
 		added := false
-		for i, impl := range n.impls {
-			n.orders[i].Encode(enc[:n.arity], src[:n.arity])
-			if impl.(*brie.Trie).Insert(enc[:n.arity]) && i == 0 {
+		for i, ord := range n.orders {
+			ord.Encode(enc[:n.arity], src[:n.arity])
+			if n.impls[i*stride+sh].(*brie.Trie).Insert(enc[:n.arity]) && i == 0 {
 				added = true
 			}
 		}
@@ -279,32 +315,37 @@ func (ex *executor) execNonGeneric(n *inode, ctx *context) (value.Value, bool) {
 		}
 		return 0, true
 	case opScanBrie, opIndexScanBrie:
-		trie := n.impls[0].(*brie.Trie)
 		var pat [relation.MaxArity]value.Value
 		ex.fillTuple(n, ctx, pat[:n.prefix])
-		it := trie.Prefix(pat[:n.prefix])
 		slot := ctx.tuples[n.tupleID]
-		for {
-			t, ok := it.Next()
-			if !ok {
-				return 0, true
+		for _, impl := range n.searchImpls(pat[:]) {
+			it := impl.(*brie.Trie).Prefix(pat[:n.prefix])
+			for {
+				t, ok := it.Next()
+				if !ok {
+					break
+				}
+				if n.decode {
+					n.order.Decode(slot, t)
+				} else {
+					copy(slot, t)
+				}
+				ex.countIter(ctx)
+				ex.eval(n.nested, ctx)
 			}
-			if n.decode {
-				n.order.Decode(slot, t)
-			} else {
-				copy(slot, t)
-			}
-			ex.countIter(ctx)
-			ex.eval(n.nested, ctx)
 		}
+		return 0, true
 	case opExistsBrie:
-		trie := n.impls[0].(*brie.Trie)
 		var pat [relation.MaxArity]value.Value
 		ex.fillTuple(n, ctx, pat[:n.prefix])
-		if n.prefix == n.arity {
-			return boolVal(trie.Contains(pat[:n.arity])), true
+		for _, impl := range n.searchImpls(pat[:]) {
+			trie := impl.(*brie.Trie)
+			if n.prefix == n.arity && trie.Contains(pat[:n.arity]) ||
+				n.prefix < n.arity && trie.HasPrefix(pat[:n.prefix]) {
+				return 1, true
+			}
 		}
-		return boolVal(trie.HasPrefix(pat[:n.prefix])), true
+		return 0, true
 	}
 	return 0, false
 }

@@ -147,7 +147,9 @@ func TestOptimizeStatsReportShrink(t *testing.T) {
 
 // TestPassesPreserveIOOnBenchSuites: for every Table 1 and Small-scale
 // suite workload, the fully optimized program produces byte-identical IO
-// (stored tuples and printed sizes) to the unoptimized one.
+// (stored tuples and printed sizes) to the unoptimized one. Workloads share
+// nothing (each side compiles its own program and symbol table once and only
+// reads the workload's facts), so they run in parallel.
 func TestPassesPreserveIOOnBenchSuites(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bench suite comparison in -short mode")
@@ -156,6 +158,7 @@ func TestPassesPreserveIOOnBenchSuites(t *testing.T) {
 	for _, w := range workloads {
 		w := w
 		t.Run(w.FullName(), func(t *testing.T) {
+			t.Parallel()
 			plain, stPlain, err := w.Compile()
 			if err != nil {
 				t.Fatalf("compile: %v", err)

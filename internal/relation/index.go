@@ -149,8 +149,23 @@ type Index interface {
 	attachOps(*metrics.IndexOps)
 }
 
-// Impl returns the concrete specialized data structure behind idx, for use
-// by the interpreter's generated specialized instructions.
+// Impls returns the concrete specialized data structures behind idx for the
+// interpreter's specialized instructions — one per shard, so a single one for
+// an unsharded index — and the encoded position of the partition key the
+// shards are hashed on (-1 when unsharded).
+func Impls(idx Index) (stores []any, keyEnc int) {
+	s, ok := idx.(*shardedIndex)
+	if !ok {
+		return []any{idx.impl()}, -1
+	}
+	for _, sub := range s.subs {
+		stores = append(stores, sub.impl())
+	}
+	return stores, s.keyEnc
+}
+
+// Impl is Impls for the backends that never shard (closure compiler,
+// synthesized programs): the one store of an unsharded index.
 func Impl(idx Index) any { return idx.impl() }
 
 // BufferSize is the batch width of the buffered iterator (paper §3).

@@ -78,9 +78,7 @@ func (s *shardedIndex) Rep() Rep           { return s.subs[0].Rep() }
 func (s *shardedIndex) Order() tuple.Order { return s.order }
 
 // impl returns the wrapper itself: there is no single concrete tree behind a
-// sharded index, so the generated static instructions never specialize over
-// one (the instruction selector forces generic opcodes for sharded
-// relations).
+// sharded index. Impls hands out the per-shard trees instead.
 func (s *shardedIndex) impl() any { return s }
 
 // attachOps installs the same counter block on every shard; the counters are
@@ -417,22 +415,6 @@ func (r *Relation) InsertAllSharded(bufs []*StagingBuffer) (added int, routed []
 		r.stats.CountBulk(attempted, added)
 	}
 	return added, routed, exchanged
-}
-
-// ShardImpls exposes the per-shard concrete stores of a sharded index plus
-// the encoded position of its partition key, for the interpreter's sharded
-// specialized instructions (which bind one concrete tree per shard and route
-// by partition hash at runtime). Returns (nil, -1) for unsharded indexes.
-func ShardImpls(idx Index) ([]any, int) {
-	s, ok := idx.(*shardedIndex)
-	if !ok {
-		return nil, -1
-	}
-	impls := make([]any, len(s.subs))
-	for i, sub := range s.subs {
-		impls[i] = sub.impl()
-	}
-	return impls, s.keyEnc
 }
 
 // CheckShardLocal verifies the shard-local-writes invariant at runtime:

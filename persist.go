@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"sti/internal/relation"
 	"sti/internal/store"
 	"sti/internal/tuple"
 	"sti/internal/value"
@@ -322,23 +323,22 @@ func (pst *persistence) encodeSnapshot(db *Database) []byte {
 	for _, s := range syms {
 		putStr(&b, s)
 	}
-	names := make([]string, 0, len(db.facts))
+	var sets []*relation.Relation
 	for _, rd := range db.prog.ram.Relations {
-		if !rd.Aux && len(db.facts[rd.Name]) > 0 {
-			names = append(names, rd.Name)
+		if s := db.facts[rd.Name]; s != nil && !s.Empty() {
+			sets = append(sets, s)
 		}
 	}
-	putU32(&b, uint32(len(names)))
-	for _, name := range names {
-		ts := db.facts[name]
-		putStr(&b, name)
-		arity := 0
-		if len(ts) > 0 {
-			arity = len(ts[0])
-		}
-		putU32(&b, uint32(arity))
-		putU32(&b, uint32(len(ts)))
-		for _, t := range ts {
+	putU32(&b, uint32(len(sets)))
+	for _, s := range sets {
+		putStr(&b, s.Name)
+		putU32(&b, uint32(s.Arity()))
+		putU32(&b, uint32(s.Size()))
+		for it := s.Scan(); ; {
+			t, ok := it.Next()
+			if !ok {
+				break
+			}
 			for _, w := range t {
 				putU32(&b, uint32(w))
 			}
@@ -386,7 +386,6 @@ func (pst *persistence) restoreSnapshot(db *Database, payload []byte) error {
 		if arity < 0 || arity > 64 || count < 0 {
 			return fmt.Errorf("relation %s: implausible arity %d / count %d", name, arity, count)
 		}
-		ts := make([]tuple.Tuple, 0, count)
 		flat := make([]value.Value, count*arity)
 		for j := range flat {
 			flat[j] = value.Value(r.u32())
@@ -394,10 +393,13 @@ func (pst *persistence) restoreSnapshot(db *Database, payload []byte) error {
 		if r.err != nil {
 			return r.err
 		}
-		for j := 0; j < count; j++ {
-			ts = append(ts, flat[j*arity:(j+1)*arity:(j+1)*arity])
+		ins := make([]batchFact, count)
+		for j := range ins {
+			ins[j] = batchFact{rel: name, t: flat[j*arity : (j+1)*arity : (j+1)*arity]}
 		}
-		db.facts[name] = ts
+		if err := db.accumulate(ins, nil); err != nil {
+			return err
+		}
 	}
 	return r.err
 }
@@ -476,20 +478,7 @@ func (pst *persistence) replayRecord(db *Database, rec []byte) error {
 	if err != nil {
 		return err
 	}
-	for _, f := range ins {
-		db.facts[f.rel] = append(db.facts[f.rel], f.t)
-	}
-	for _, f := range dels {
-		ts := db.facts[f.rel]
-		kept := ts[:0]
-		for _, t := range ts {
-			if !tuple.Equal(t, f.t) {
-				kept = append(kept, t)
-			}
-		}
-		db.facts[f.rel] = kept
-	}
-	return nil
+	return db.accumulate(ins, dels)
 }
 
 func readFacts(r *reader) ([]batchFact, error) {
