@@ -1,7 +1,7 @@
 // Package interp implements the Soufflé Tree Interpreter (STI), the paper's
 // core contribution (§3): a recursive tree interpreter over RAM programs
 // that uses de-specialized relational data structures (internal/relation)
-// and four interpreter optimizations (§4):
+// and five interpreter optimizations (§4, §5.2):
 //
 //  1. static access and instruction generation — opcodes specialized per
 //     {structure × arity} bind the concrete B-tree type statically
@@ -14,10 +14,15 @@
 //     overhead);
 //  4. super-instructions — constant and tuple-element sub-expressions of
 //     inserts, scans, and existence checks are folded into their parent
-//     instruction, eliminating their dispatches.
+//     instruction, eliminating their dispatches;
+//  5. condition fusion — every constraint-only condition (and every maximal
+//     constraint-only part of a mixed one) is built into one stateless
+//     closure at tree-generation time (fuse.go), generalizing the
+//     hand-crafted super-instruction of the §5.2 case study: one dispatch
+//     per condition instead of one per sub-expression.
 //
 // Each optimization is independently switchable so the paper's ablation
-// experiments (Figs 18, 19 and §5.5) can be reproduced. The Legacy mode
+// experiments (Figs 16, 18, 19 and §5.5) can be reproduced. The Legacy mode
 // reproduces the pre-STI interpreter (§5.1): relations stored in
 // runtime-comparator B-trees with no specialization at all.
 package interp
@@ -44,12 +49,18 @@ type Config struct {
 	// through heap-allocated boxes, modelling the fixed per-dispatch
 	// overhead the paper removes with its lambda trick.
 	LeanDispatch bool
-	// FusedFilters enables the "hand-crafted super-instructions" of the
-	// paper's §5.2 case study: a filter whose condition is a pure
-	// conjunction of constraints is compiled into a single closure at
-	// tree-generation time, so the whole condition costs one dispatch
-	// instead of one per sub-expression. Off by default — the paper
-	// treats this as a manual remedy, not a standard optimization.
+	// FusedFilters turns on condition fusion, the paper's §5.2 "hand-crafted
+	// super-instruction" generalized: a condition that probes no relation
+	// (And/Not/Constraint over constants, tuple elements and intrinsics) is
+	// built into a single closure at tree-generation time, so it costs one
+	// dispatch instead of one per sub-expression. It covers filters (a chain
+	// of pure filters collapses into one node, which a specialized B-tree
+	// scan directly above evaluates inside its own tuple loop), the
+	// conditions of choices and aggregates, and the constraint part of a
+	// conjunction that also holds existence checks. The closures are
+	// stateless, so the switch is honoured under Workers > 1, Shards and
+	// Provenance alike. On in DefaultConfig; FusedFilters=false is the
+	// paper's STI and the baseline of Fig 16.
 	FusedFilters bool
 	// Legacy switches relation storage to runtime-comparator B-trees (the
 	// legacy interpreter of §5.1). Implies dynamic dispatch and runtime
@@ -63,7 +74,9 @@ type Config struct {
 	// Provenance records the first derivation of every tuple so that
 	// Engine.Explain can reconstruct proof trees — the debugging workflow
 	// that motivates interpreters in the paper's §1. Provenance implies the
-	// dynamic-adapter path, runtime reordering, and serial execution.
+	// dynamic-adapter path, runtime reordering, and serial execution. It does
+	// not touch FusedFilters: constraints are not premises, and the existence
+	// checks that are stay ordinary nodes.
 	Provenance bool
 	// Workers sets the parallelism degree for the outermost scans of rule
 	// evaluations (paper §3: thread-local context copies per worker).
@@ -106,6 +119,7 @@ func DefaultConfig() Config {
 		SuperInstructions: true,
 		StaticReordering:  true,
 		LeanDispatch:      true,
+		FusedFilters:      true,
 	}
 }
 
@@ -141,15 +155,9 @@ func (c Config) normalize() Config {
 	if c.Workers < c.Shards {
 		c.Workers = c.Shards
 	}
-	if c.Workers > 1 {
-		// Fused filter closures keep per-closure scratch state and are not
-		// safe to share across workers.
-		c.FusedFilters = false
-	}
 	if c.Provenance {
 		c.StaticDispatch = false
 		c.StaticReordering = false
-		c.FusedFilters = false
 		c.Workers = 1
 		c.Shards = 0
 	}

@@ -9,6 +9,7 @@ import (
 	"sti/internal/ram"
 	"sti/internal/relation"
 	"sti/internal/rtl"
+	"sti/internal/symtab"
 	"sti/internal/tuple"
 	"sti/internal/value"
 )
@@ -344,6 +345,8 @@ func (ex *executor) execute(n *inode, ctx *context) value.Value {
 			return 1
 		}
 		return 0
+	case opFusedCond:
+		return boolVal(n.fused(ctx.tuples))
 	case opConstraint:
 		l := ex.eval(n.children[0], ctx)
 		r := ex.eval(n.children[1], ctx)
@@ -676,44 +679,42 @@ func compare(op ram.CmpOp, typ value.Type, l, r value.Value) bool {
 }
 
 func (ex *executor) evalIntrinsic(n *inode, ctx *context) value.Value {
-	op := ram.IntrinsicOp(n.a)
-	typ := value.Type(n.b)
-	st := ex.eng.st
+	var buf [4]value.Value
+	args := buf[:0]
+	for _, ch := range n.children {
+		args = append(args, ex.eval(ch, ctx))
+	}
+	return applyIntrinsic(ex.eng.st, ram.IntrinsicOp(n.a), value.Type(n.b), args)
+}
+
+// applyIntrinsic applies a functor to its evaluated arguments; the dispatched
+// and the fused (fuse.go) evaluation share it.
+func applyIntrinsic(st *symtab.Table, op ram.IntrinsicOp, typ value.Type, a []value.Value) value.Value {
 	switch op {
 	case ram.OpNeg:
-		return rtl.Neg(typ, ex.eval(n.children[0], ctx))
+		return rtl.Neg(typ, a[0])
 	case ram.OpBNot:
-		return rtl.BNot(typ, ex.eval(n.children[0], ctx))
+		return rtl.BNot(typ, a[0])
 	case ram.OpLNot:
-		return rtl.LNot(ex.eval(n.children[0], ctx))
+		return rtl.LNot(a[0])
 	case ram.OpCat:
-		args := make([]value.Value, len(n.children))
-		for i, ch := range n.children {
-			args[i] = ex.eval(ch, ctx)
-		}
-		return rtl.Cat(st, args...)
+		return rtl.Cat(st, a...)
 	case ram.OpStrlen:
-		return rtl.Strlen(st, ex.eval(n.children[0], ctx))
+		return rtl.Strlen(st, a[0])
 	case ram.OpSubstr:
-		return rtl.Substr(st,
-			ex.eval(n.children[0], ctx),
-			ex.eval(n.children[1], ctx),
-			ex.eval(n.children[2], ctx))
+		return rtl.Substr(st, a[0], a[1], a[2])
 	case ram.OpOrd:
-		return ex.eval(n.children[0], ctx)
+		return a[0]
 	case ram.OpToNumber:
-		return rtl.ToNumber(st, ex.eval(n.children[0], ctx))
+		return rtl.ToNumber(st, a[0])
 	case ram.OpToString:
-		return rtl.ToString(st, ex.eval(n.children[0], ctx))
+		return rtl.ToString(st, a[0])
 	case ram.OpMin, ram.OpMax:
-		acc := ex.eval(n.children[0], ctx)
-		for _, ch := range n.children[1:] {
-			acc = rtl.Arith(op, typ, acc, ex.eval(ch, ctx))
+		acc := a[0]
+		for _, v := range a[1:] {
+			acc = rtl.Arith(op, typ, acc, v)
 		}
 		return acc
-	default:
-		l := ex.eval(n.children[0], ctx)
-		r := ex.eval(n.children[1], ctx)
-		return rtl.Arith(op, typ, l, r)
 	}
+	return rtl.Arith(op, typ, a[0], a[1])
 }

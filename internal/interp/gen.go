@@ -3,7 +3,6 @@ package interp
 import (
 	"fmt"
 
-	"sti/internal/compile"
 	"sti/internal/metrics"
 	"sti/internal/ram"
 	"sti/internal/relation"
@@ -206,6 +205,7 @@ func (g *generator) genOperation(o ram.Operation) *inode {
 		} else {
 			n.nested = g.genOperation(o.Nested)
 		}
+		g.foldFilter(n)
 		return n
 
 	case *ram.IndexScan:
@@ -230,6 +230,7 @@ func (g *generator) genOperation(o ram.Operation) *inode {
 		g.prems[n.tupleID] = int32(o.Rel.BaseID)
 		g.bindCoords(n.tupleID, idx.Order(), n)
 		n.nested = g.genOperation(o.Nested)
+		g.foldFilter(n)
 		return n
 
 	case *ram.Choice:
@@ -270,25 +271,14 @@ func (g *generator) genOperation(o ram.Operation) *inode {
 		return n
 
 	case *ram.Filter:
-		if g.cfg.FusedFilters {
-			// Collapse a chain of nested filters into one condition, so the
-			// hand-crafted super-instruction covers the whole filter
-			// cascade of a rule in a single dispatch (paper §5.2).
-			if compile.Fusible(o.Cond) {
-				cond := ram.Condition(o.Cond)
-				inner := o.Nested
-				for {
-					f, ok := inner.(*ram.Filter)
-					if !ok || !compile.Fusible(f.Cond) {
-						break
-					}
-					cond = &ram.And{L: cond, R: f.Cond}
-					inner = f.Nested
-				}
-				if fn, ok := compile.CompileCondition(cond, g.eng.st, g.coords); ok {
-					return &inode{op: opFusedFilter, fused: fn, nested: g.genOperation(inner), shadow: o}
-				}
+		if g.cfg.FusedFilters && pure(o.Cond) {
+			// Collapse a cascade of nested pure filters into one condition, so
+			// a rule's whole filter chain costs a single dispatch (§5.2).
+			conds, inner := []ram.Condition{o.Cond}, o.Nested
+			for f, ok := inner.(*ram.Filter); ok && pure(f.Cond); f, ok = inner.(*ram.Filter) {
+				conds, inner = append(conds, f.Cond), f.Nested
 			}
+			return &inode{op: opFusedFilter, fused: g.fuse(conds...), nested: g.genOperation(inner), shadow: o}
 		}
 		return &inode{op: opFilter, cond: g.genCond(o.Cond), nested: g.genOperation(o.Nested), shadow: o}
 
@@ -366,6 +356,16 @@ func (g *generator) genOperation(o ram.Operation) *inode {
 
 	default:
 		panic(fmt.Sprintf("interp: unknown RAM operation %T", o))
+	}
+}
+
+// foldFilter folds a fused-filter child into the specialized B-tree scan n,
+// whose tuple loop (scanBT) then evaluates the closure itself: the §4.4
+// fold-child-into-parent idea applied to the filter, saving the last
+// per-tuple dispatch of a scan-filter nest.
+func (g *generator) foldFilter(n *inode) {
+	if f := n.nested; n.op >= opSpecializedBase && f.op == opFusedFilter {
+		n.fused, n.nested = f.fused, f.nested
 	}
 }
 
@@ -457,10 +457,41 @@ func (g *generator) applySuper(n *inode) {
 	}
 }
 
+// genCond generates a condition. With fusion on, every maximal run of
+// constraint-only conjuncts becomes one fused node (fuse.go); relation probes
+// stay ordinary nodes and the evaluation order is kept.
 func (g *generator) genCond(c ram.Condition) *inode {
+	if !g.cfg.FusedFilters {
+		return g.genCond1(c)
+	}
+	var out *inode
+	leaves := conjuncts(c, nil)
+	for i := 0; i < len(leaves); {
+		j := i
+		for j < len(leaves) && pure(leaves[j]) {
+			j++
+		}
+		var n *inode
+		if j > i {
+			n = &inode{op: opFusedCond, fused: g.fuse(leaves[i:j]...)}
+			i = j
+		} else {
+			n = g.genCond1(leaves[i])
+			i++
+		}
+		if out == nil {
+			out = n
+		} else {
+			out = &inode{op: opAnd, children: []*inode{out, n}}
+		}
+	}
+	return out
+}
+
+func (g *generator) genCond1(c ram.Condition) *inode {
 	switch c := c.(type) {
 	case *ram.And:
-		return &inode{op: opAnd, children: []*inode{g.genCond(c.L), g.genCond(c.R)}, shadow: c}
+		return &inode{op: opAnd, children: []*inode{g.genCond1(c.L), g.genCond1(c.R)}, shadow: c}
 	case *ram.Not:
 		g.negDepth++
 		inner := g.genCond(c.C)

@@ -456,20 +456,19 @@ out(y) :- n(x), y = 10 / x.
 	}
 }
 
-// configs enumerates the full optimization lattice plus legacy and the
-// hand-crafted fused-filter mode.
+// configs enumerates the full lattice of the five ablation switches, plus
+// legacy.
 func configs() map[string]Config {
-	fused := DefaultConfig()
-	fused.FusedFilters = true
-	out := map[string]Config{"legacy": LegacyConfig(), "fused": fused}
-	for i := 0; i < 16; i++ {
+	out := map[string]Config{"legacy": LegacyConfig()}
+	for i := 0; i < 32; i++ {
 		c := Config{
 			StaticDispatch:    i&1 != 0,
 			SuperInstructions: i&2 != 0,
 			StaticReordering:  i&4 != 0,
 			LeanDispatch:      i&8 != 0,
+			FusedFilters:      i&16 != 0,
 		}
-		out[fmt.Sprintf("sd%v_si%v_sr%v_ld%v", c.StaticDispatch, c.SuperInstructions, c.StaticReordering, c.LeanDispatch)] = c
+		out[fmt.Sprintf("sd%v_si%v_sr%v_ld%v_ff%v", c.StaticDispatch, c.SuperInstructions, c.StaticReordering, c.LeanDispatch, c.FusedFilters)] = c
 	}
 	return out
 }

@@ -52,8 +52,10 @@ const (
 	opTupleElement
 	opIntrinsic
 
-	// opFusedFilter is a filter whose condition was compiled to a single
-	// closure (hand-crafted super-instruction, §5.2).
+	// Condition fusion (§5.2, fuse.go): opFusedCond is a constraint-only
+	// condition built into one closure; opFusedFilter is a filter whose whole
+	// condition is one, saving the filter-to-condition dispatch too.
+	opFusedCond
 	opFusedFilter
 
 	// handwritten specialized forms for the non-generic structures
@@ -136,8 +138,8 @@ type inode struct {
 	tupleElems []tupleEntry
 	generics   []genEntry
 
-	// fused is the hand-crafted super-instruction body of a fused filter
-	// (paper §5.2): the whole condition in one dispatch.
+	// fused is the body of a fused condition or filter (paper §5.2): the
+	// whole condition in one dispatch. Stateless, so worker contexts share it.
 	fused func([]tuple.Tuple) bool
 
 	// immediates

@@ -119,3 +119,50 @@ func TestProvenanceMatchesPlainResults(t *testing.T) {
 		}
 	}
 }
+
+// TestProvenanceKeepsFusion: provenance mode no longer switches condition
+// fusion off — constraints are not premises, and the existence checks that
+// are stay ordinary nodes — so the proofs are the same with and without it.
+func TestProvenanceKeepsFusion(t *testing.T) {
+	src := `
+.decl n(x:number)
+.decl ok(x:number)
+.decl out(x:number, y:number)
+.input n
+.input ok
+out(x, y) :- n(x), n(y), y > x, (y - x) % 3 = 0, ok(y), x != 4.
+`
+	facts := map[string][]tuple.Tuple{}
+	for i := 0; i < 12; i++ {
+		facts["n"] = append(facts["n"], tuple.Tuple{value.Value(i)})
+		if i%2 == 1 {
+			facts["ok"] = append(facts["ok"], tuple.Tuple{value.Value(i)})
+		}
+	}
+	fused := DefaultConfig()
+	fused.Provenance = true
+	if !fused.normalize().FusedFilters {
+		t.Fatal("provenance mode still disables condition fusion")
+	}
+	unfused := fused
+	unfused.FusedFilters = false
+	a, _ := run(t, src, facts, fused)
+	b, _ := run(t, src, facts, unfused)
+	outs := tuplesOf(t, a, "out")
+	if len(outs) == 0 || len(outs) != len(tuplesOf(t, b, "out")) {
+		t.Fatalf("results differ: %d vs %d", len(outs), len(tuplesOf(t, b, "out")))
+	}
+	for _, tp := range outs {
+		pa, err := a.Explain("out", tp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pb, err := b.Explain("out", tp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pa.String() != pb.String() || len(pa.Premises) != 3 {
+			t.Fatalf("proof of %v differs or lacks a premise:\nfused:\n%sunfused:\n%s", tp, pa, pb)
+		}
+	}
+}

@@ -131,6 +131,7 @@ func bindKey[K btree.Key[K]](n *inode, ctx *context, k K, fromKey fromKeyFn[K]) 
 // scanBT runs a scan body over one tree's iterator: the per-tuple loop of
 // every B-tree scan and index scan, once per store the instruction visits.
 func scanBT[K btree.Key[K]](ex *executor, n *inode, ctx *context, it btree.Iter[K], fromKey fromKeyFn[K]) {
+	fused := n.fused // a fused filter folded into this scan (generator.foldFilter)
 	for {
 		k, ok := it.Next()
 		if !ok {
@@ -138,6 +139,9 @@ func scanBT[K btree.Key[K]](ex *executor, n *inode, ctx *context, it btree.Iter[
 		}
 		bindKey(n, ctx, k, fromKey)
 		ex.countIter(ctx)
+		if fused != nil && !fused(ctx.tuples) {
+			continue
+		}
 		ex.eval(n.nested, ctx)
 	}
 }

@@ -14,14 +14,13 @@ import (
 	"testing"
 
 	"sti/internal/ast2ram"
-	"sti/internal/compile"
+	"sti/internal/interp"
 	"sti/internal/parser"
 	"sti/internal/ram"
 	"sti/internal/ram/verify"
 	"sti/internal/ramopt"
 	"sti/internal/sema"
 	"sti/internal/symtab"
-	"sti/internal/tuple"
 )
 
 // fixtureSrcs mirrors the translation fixtures of internal/ast2ram's tests
@@ -179,67 +178,21 @@ func translate(t *testing.T, src string) (*ram.Program, *symtab.Table) {
 	return prog, st
 }
 
-// fuseAll compiles every fusible condition in the program the way the
-// interpreter's FusedFilters mode does, with every bound tuple in identity
-// coordinates, and checks that fusion accepts them and leaves the program
-// intact (the post-call verify in the caller catches mutations).
+// fuseAll generates the interpreter tree of the program under the default
+// configuration with the verifier armed: condition fusion is a normal
+// tree-generation step there (interp/fuse.go), and in debug mode it checks
+// every condition it fuses against the tuples in scope and panics on a
+// violation. The post-call verify in the caller catches mutations of the
+// program itself.
 func fuseAll(t *testing.T, prog *ram.Program, st *symtab.Table) {
 	t.Helper()
-	var walk func(o ram.Operation, coords map[int32]tuple.Order)
-	fuse := func(cond ram.Condition, coords map[int32]tuple.Order) {
-		if cond == nil || !compile.Fusible(cond) {
-			return
+	was := verify.Debugging()
+	verify.SetDebug(true)
+	defer verify.SetDebug(was)
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("tree generation with fusion: %v", r)
 		}
-		if _, ok := compile.CompileCondition(cond, st, coords); !ok {
-			t.Fatalf("fusible condition rejected by CompileCondition: %s", ram.CondString(cond))
-		}
-	}
-	bind := func(coords map[int32]tuple.Order, tid, arity int) map[int32]tuple.Order {
-		n := make(map[int32]tuple.Order, len(coords)+1)
-		for k, v := range coords {
-			n[k] = v
-		}
-		n[int32(tid)] = tuple.Identity(arity)
-		return n
-	}
-	walk = func(o ram.Operation, coords map[int32]tuple.Order) {
-		switch o := o.(type) {
-		case *ram.Scan:
-			walk(o.Nested, bind(coords, o.TupleID, o.Rel.Arity))
-		case *ram.IndexScan:
-			walk(o.Nested, bind(coords, o.TupleID, o.Rel.Arity))
-		case *ram.Choice:
-			inner := bind(coords, o.TupleID, o.Rel.Arity)
-			fuse(o.Cond, inner)
-			walk(o.Nested, inner)
-		case *ram.IndexChoice:
-			inner := bind(coords, o.TupleID, o.Rel.Arity)
-			fuse(o.Cond, inner)
-			walk(o.Nested, inner)
-		case *ram.Filter:
-			fuse(o.Cond, coords)
-			walk(o.Nested, coords)
-		case *ram.Aggregate:
-			inner := bind(coords, o.TupleID, o.Rel.Arity)
-			fuse(o.Cond, inner)
-			walk(o.Nested, bind(coords, o.TupleID, 1))
-		case *ram.Project:
-		}
-	}
-	var stmts func(s ram.Statement)
-	stmts = func(s ram.Statement) {
-		switch s := s.(type) {
-		case *ram.Sequence:
-			for _, st := range s.Stmts {
-				stmts(st)
-			}
-		case *ram.Loop:
-			stmts(s.Body)
-		case *ram.LogTimer:
-			stmts(s.Stmt)
-		case *ram.Query:
-			walk(s.Root, map[int32]tuple.Order{})
-		}
-	}
-	stmts(prog.Main)
+	}()
+	interp.New(prog, st, interp.DefaultConfig())
 }

@@ -177,10 +177,11 @@ func Condition(cond ram.Condition, arities map[int]int) []Diag {
 }
 
 // FusedCondition verifies a condition at the condition-fusion boundary
-// (compile.CompileCondition). There the tuple scope is *partial*: the
-// caller's coords only cover tuples stored in non-identity index orders,
-// so reads of tuples absent from arities are legal and only structural
-// rules and known element bounds are enforced.
+// (the interpreter's generator.fuse, interp/fuse.go). The scope there is
+// what tree generation has bound so far — arities carries those tuples'
+// widths — and is treated as *partial*: reads of tuples absent from arities
+// are legal and only structural rules and known element bounds are
+// enforced, so a caller may pass any subset of the bound tuples.
 func FusedCondition(cond ram.Condition, arities map[int]int) []Diag {
 	return condition(cond, arities, true)
 }

@@ -468,9 +468,9 @@ func TestFusedConditionPartialScope(t *testing.T) {
 			R: &ram.Constant{Val: 0},
 		},
 	}
-	// Fusion sees a sparse scope (only non-identity orders are recorded),
-	// so a missing slot is not an error — but a known slot still has its
-	// element reads bounds-checked.
+	// The fusion boundary treats its scope as partial (a caller may pass any
+	// subset of the bound tuples), so a missing slot is not an error — but a
+	// known slot still has its element reads bounds-checked.
 	diags := FusedCondition(cond, map[int]int{0: 2})
 	if len(diags) != 1 || diags[0].Rule != RuleElemBounds {
 		t.Fatalf("diags = %v, want exactly one %s", diags, RuleElemBounds)
