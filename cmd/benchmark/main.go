@@ -14,7 +14,7 @@
 //	benchmark -fig delete      incremental deletion vs recompute fallback
 //	benchmark -fig obsv        observability layer overhead (plain vs
 //	                           WithObservability on the same request stream)
-//	benchmark -fig persist     durable tier overhead and cold-restart
+//	benchmark -fig persist     durability overhead and cold-restart
 //	                           recovery (memory vs WithPersistence)
 //	benchmark -table 1         first-run compile+execute ratios (Table 1)
 //	benchmark -all             everything

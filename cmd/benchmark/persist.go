@@ -13,7 +13,7 @@ import (
 // runPersist measures what durability costs and what it buys: the same
 // apply+query stream as the obsv workload runs against a plain in-memory
 // database and one opened WithPersistence (WAL on every apply, periodic
-// checkpoints, the durable index tier live), and after each persistent run
+// checkpoints; relations built as in memory), and after each persistent run
 // a cold restart times recovery — reopening the data directory until the
 // database answers queries again. Three records come out:
 //
@@ -25,7 +25,7 @@ import (
 // same fixpoint sizes as the memory run (it shares obsvStream).
 func runPersist(scale bench.Scale, repeats int, w io.Writer) ([]bench.BenchRecord, error) {
 	shape := obsvShapeAt(scale)
-	fmt.Fprintf(w, "durable tier overhead (scale=%s; %d base edges, %d batches of %d edges + %d queries each, checkpoint every %d applies)\n",
+	fmt.Fprintf(w, "durability overhead (scale=%s; %d base edges, %d batches of %d edges + %d queries each, checkpoint every %d applies)\n",
 		scale, shape.components*(shape.chainLen-1), shape.batches, shape.batchSize, shape.queries, persistSnapshotEvery)
 	fmt.Fprintf(w, "%-14s %12s %10s %8s\n", "variant", "wall", "tuples", "ratio")
 

@@ -54,7 +54,7 @@ func cmdServe(args []string) {
 	jobs := fs.Int("j", 1, "parallel workers for rule evaluation")
 	optimize := fs.Bool("O", false, "run RAM optimization passes (applies to initial evaluation only)")
 	httpAddr := fs.String("http", "", "also serve HTTP on this address (/apply, /query, /stats, /metrics, /healthz, /readyz, /debug/vars)")
-	dataDir := fs.String("data", "", "durable data directory (WAL + snapshots + segment store); created if missing, recovered if present")
+	dataDir := fs.String("data", "", "durable data directory (WAL + snapshots); created if missing, recovered if present")
 	snapEvery := fs.Int("snapshot-every", 0, "checkpoint after this many applies (0 = default cadence, negative = checkpoint only on open and close; needs -data)")
 	fsync := fs.Bool("fsync", false, "fsync the WAL after every apply (durable against power loss, slower; needs -data)")
 	logFormat := fs.String("log-format", "text", "structured log encoding: text | json")
@@ -95,9 +95,8 @@ func cmdServe(args []string) {
 	}
 	defer db.Close()
 	if p := db.Stats().Persist; p != nil {
-		logger.Info("durable tier open", "dir", p.Dir, "generation", p.Generation,
-			"recovered", p.Recovered, "recovered_wal_records", p.RecoveredRecords,
-			"tables", p.Tables, "gated", len(p.Gated))
+		logger.Info("data directory open", "dir", p.Dir, "generation", p.Generation,
+			"recovered", p.Recovered, "recovered_wal_records", p.RecoveredRecords)
 	}
 
 	var srv *http.Server

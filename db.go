@@ -79,9 +79,9 @@ type Database struct {
 	// shard-parallel main program.
 	shards int
 
-	// pst is the durable tier (nil unless opened WithPersistence): the
-	// segment store behind eligible input relations plus the WAL/snapshot
-	// protocol that makes Apply batches survive restarts (persist.go).
+	// pst is the durability state (nil unless opened WithPersistence): the
+	// WAL/snapshot protocol that makes Apply batches survive restarts
+	// (persist.go). It changes nothing about how relations are built.
 	pst *persistence
 }
 
@@ -120,12 +120,11 @@ func (p *Program) Open(opts ...Option) (*Database, error) {
 		if pst, err = openPersistence(p, *o.persist); err != nil {
 			return nil, err
 		}
-		cfg.Tier = dbTier{p: pst}
 	}
 	eng := interp.New(p.ram, p.st, cfg)
 	if err := eng.Load(interp.NewMemIO()); err != nil {
 		if pst != nil {
-			pst.st.Close()
+			pst.lock.Release()
 		}
 		return nil, err
 	}
@@ -887,9 +886,8 @@ type DBStats struct {
 	// and in-flight counters. Published through the expvar sti.db blob by
 	// sti serve.
 	Requests *obsv.Snapshot `json:"requests,omitempty"`
-	// Persist summarizes the durable tier when the database was opened
-	// WithPersistence: WAL/snapshot generations and counters, segment-store
-	// shape, and the relations gated off the persistent tier with reasons.
+	// Persist summarizes durability when the database was opened
+	// WithPersistence: WAL/snapshot generations and counters.
 	Persist *PersistStats `json:"persist,omitempty"`
 }
 

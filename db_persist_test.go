@@ -21,15 +21,10 @@ path(x, y) :- edge(x, y).
 path(x, z) :- path(x, y), edge(y, z).
 `
 
-// tinyPersist keeps segments and checkpoints small so short tests cross
-// flush, compaction, and checkpoint boundaries.
+// tinyPersist checkpoints every third apply so short tests cross
+// checkpoint boundaries.
 func tinyPersist(dir string) Option {
-	return WithPersistenceConfig(PersistenceConfig{
-		Dir:           dir,
-		SnapshotEvery: 3,
-		FlushKeys:     16,
-		MaxSegments:   2,
-	})
+	return WithPersistenceConfig(PersistenceConfig{Dir: dir, SnapshotEvery: 3})
 }
 
 // applyScript drives the same pseudo-random batch sequence (inserts and
@@ -78,9 +73,11 @@ func queryAll(t *testing.T, db *Database) string {
 }
 
 // TestPersistMatchesMemory is the acceptance property: a persistent
-// database answers every query byte-identically to an in-memory database
-// fed the same batches, across Close/reopen, and across a simulated crash
-// (WAL present, no clean final snapshot).
+// database is an in-memory database plus a WAL. It generates the same
+// opcodes for every relational node (main, update and delete trees) and
+// answers every query byte-identically to an in-memory database fed the
+// same batches, across Close/reopen, and across a simulated crash (WAL
+// present, no clean final snapshot).
 func TestPersistMatchesMemory(t *testing.T) {
 	dir := t.TempDir()
 	const seed, batches = 99, 10
@@ -107,8 +104,9 @@ func TestPersistMatchesMemory(t *testing.T) {
 	if st.Persist == nil {
 		t.Fatal("Stats().Persist is nil on a persistent database")
 	}
-	if st.Persist.LiveKeys == 0 || st.Persist.Tables == 0 {
-		t.Fatalf("durable tier unused: %+v", st.Persist)
+	wantOps, gotOps := mem.eng.RelationalOps(), db1.eng.RelationalOps()
+	if len(wantOps) == 0 || fmt.Sprint(gotOps) != fmt.Sprint(wantOps) {
+		t.Fatalf("durable database generated different opcodes:\n got %v\nwant %v", gotOps, wantOps)
 	}
 	if st.Persist.Snapshots == 0 {
 		t.Fatal("no checkpoints taken despite SnapshotEvery=3")
@@ -159,9 +157,9 @@ func TestPersistMatchesMemory(t *testing.T) {
 	}
 }
 
-// TestPersistIncrementalPathSurvives checks that the persistent tier rides
+// TestPersistIncrementalPathSurvives checks that a durable database rides
 // the incremental update/delete entry points (not permanent recompute
-// fallback), and that delete propagation works on durable tables.
+// fallback).
 func TestPersistIncrementalPathSurvives(t *testing.T) {
 	db, err := MustParse(persistSrc).Open(tinyPersist(t.TempDir()))
 	if err != nil {
@@ -187,39 +185,100 @@ func TestPersistIncrementalPathSurvives(t *testing.T) {
 	}
 }
 
-// TestPersistGatesEqrel verifies an input eqrel relation is kept on the
-// in-memory tier with a recorded reason, while the database still works.
-func TestPersistGatesEqrel(t *testing.T) {
+// TestPersistEveryRepresentation: durability does not depend on how a
+// relation is stored. Eqrel and nullary input relations, the legacy
+// comparator store and hash-sharded relations all survive a clean reopen
+// and a crash byte-identically to an in-memory database.
+func TestPersistEveryRepresentation(t *testing.T) {
 	src := `
 .decl same(x:number, y:number) eqrel
 .decl edge(x:number, y:number)
+.decl on()
 .decl out(x:number, y:number)
 .input same
 .input edge
+.input on
 .output out
-out(x, y) :- same(x, y), edge(x, y).
+out(x, y) :- on(), same(x, z), edge(z, y).
 `
-	db, err := MustParse(src).Open(tinyPersist(t.TempDir()))
-	if err != nil {
-		t.Fatalf("open: %v", err)
+	script := func(t *testing.T, db *Database, from, to int) {
+		t.Helper()
+		for i := from; i < to; i++ {
+			b := db.NewBatch().Add("same", i, i+1).Add("edge", i+1, 10*i).Add("edge", i, 7)
+			if i == 1 {
+				b.Add("on")
+			}
+			if i%3 == 2 {
+				b.Delete("edge", i-1, 7)
+			}
+			if err := db.Apply(b); err != nil {
+				t.Fatalf("apply %d: %v", i, err)
+			}
+		}
 	}
-	defer db.Close()
-	if err := db.Apply(db.NewBatch().Add("same", 1, 2).Add("edge", 1, 2)); err != nil {
-		t.Fatalf("apply: %v", err)
+	render := func(t *testing.T, db *Database) string {
+		t.Helper()
+		var sb strings.Builder
+		for _, rel := range []string{"same", "edge", "on", "out"} {
+			rows, err := db.Query(rel)
+			if err != nil {
+				t.Fatalf("query %s: %v", rel, err)
+			}
+			fmt.Fprintf(&sb, "%s %d %v\n", rel, len(rows), rows)
+		}
+		return sb.String()
 	}
-	st := db.Stats()
-	if st.Persist == nil {
-		t.Fatal("no persist stats")
-	}
-	reason, gated := st.Persist.Gated["same"]
-	if !gated || !strings.Contains(reason, "eqrel") {
-		t.Fatalf("eqrel relation not gated: %+v", st.Persist.Gated)
-	}
-	if _, gated := st.Persist.Gated["edge"]; gated {
-		t.Fatalf("plain input relation gated: %+v", st.Persist.Gated)
-	}
-	if n, _ := db.Size("out"); n != 1 {
-		t.Fatalf("out size = %d, want 1", n)
+	for _, c := range []struct {
+		name string
+		opts []Option
+	}{
+		{"default", nil},
+		{"legacy", []Option{WithLegacyInterpreter()}},
+		{"shards2", []Option{WithShards(2)}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			open := func(durable bool) *Database {
+				t.Helper()
+				opts := c.opts
+				if durable {
+					opts = append(opts[:len(opts):len(opts)], tinyPersist(dir))
+				}
+				db, err := MustParse(src).Open(opts...)
+				if err != nil {
+					t.Fatalf("open: %v", err)
+				}
+				return db
+			}
+			mem := open(false)
+			defer mem.Close()
+			script(t, mem, 0, 8)
+			db := open(true)
+			script(t, db, 0, 8)
+			if got, want := render(t, db), render(t, mem); got != want {
+				t.Fatalf("live:\n got %s\nwant %s", got, want)
+			}
+			if err := db.Close(); err != nil {
+				t.Fatalf("close: %v", err)
+			}
+
+			db = open(true)
+			if got, want := render(t, db), render(t, mem); got != want {
+				t.Fatalf("clean reopen:\n got %s\nwant %s", got, want)
+			}
+			script(t, mem, 8, 13)
+			script(t, db, 8, 13) // 5 applies past a SnapshotEvery=3 checkpoint: a WAL tail remains
+			db.abandon()
+
+			db = open(true)
+			defer db.Close()
+			if st := db.Stats(); st.Persist.RecoveredRecords == 0 {
+				t.Fatal("crash reopen replayed no WAL records")
+			}
+			if got, want := render(t, db), render(t, mem); got != want {
+				t.Fatalf("crash reopen:\n got %s\nwant %s", got, want)
+			}
+		})
 	}
 }
 
@@ -250,6 +309,40 @@ func TestPersistDirLock(t *testing.T) {
 	defer db.Close()
 	if _, err := MustParse(persistSrc).Open(WithPersistence(dir)); err == nil {
 		t.Fatal("second database opened a locked data directory")
+	}
+}
+
+// TestPersistOpensOldLayout: a data directory written when input relations
+// lived in a segment store has a tables/ subtree. It was only ever a cache:
+// the directory opens, recovers byte-identically, and the subtree is gone.
+func TestPersistOpensOldLayout(t *testing.T) {
+	dir := t.TempDir()
+	db, err := MustParse(persistSrc).Open(tinyPersist(dir))
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	applyScript(t, db, 7, 5) // 5 applies at SnapshotEvery=3: snapshot + WAL tail
+	want := queryAll(t, db)
+	db.abandon()
+
+	seg := filepath.Join(dir, "tables", "edge.0", "000001.seg")
+	if err := os.MkdirAll(filepath.Dir(seg), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(seg, []byte("stale segment"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	db, err = MustParse(persistSrc).Open(tinyPersist(dir))
+	if err != nil {
+		t.Fatalf("open old layout: %v", err)
+	}
+	defer db.Close()
+	if got := queryAll(t, db); got != want {
+		t.Fatalf("old-layout recovery differs:\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "tables")); !os.IsNotExist(err) {
+		t.Fatalf("stale tables/ still present (stat err %v)", err)
 	}
 }
 
@@ -300,10 +393,12 @@ func TestPersistTornWALTail(t *testing.T) {
 	}
 }
 
-// TestPersistLargerBatchesCrossSegments pushes enough tuples through tiny
-// segment settings to force flushes and compactions, then validates against
-// an in-memory reference.
-func TestPersistLargerBatchesCrossSegments(t *testing.T) {
+// TestPersistSnapshotCadence: large batches under a short checkpoint
+// cadence, then a crash between two checkpoints. Checkpoints happen on open
+// and after every SnapshotEvery applies, the WAL holds exactly the applies
+// since the last one, and recovery (snapshot + that tail) matches an
+// in-memory reference.
+func TestPersistSnapshotCadence(t *testing.T) {
 	src := `
 .decl edge(x:number, y:number)
 .decl reach(x:number, y:number)
@@ -313,9 +408,8 @@ reach(x, y) :- edge(x, y).
 reach(x, z) :- reach(x, y), edge(y, z).
 `
 	dir := t.TempDir()
-	db, err := MustParse(src).Open(WithPersistenceConfig(PersistenceConfig{
-		Dir: dir, SnapshotEvery: 2, FlushKeys: 32, MaxSegments: 2,
-	}))
+	cfg := WithPersistenceConfig(PersistenceConfig{Dir: dir, SnapshotEvery: 2})
+	db, err := MustParse(src).Open(cfg)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -323,7 +417,7 @@ reach(x, z) :- reach(x, y), edge(y, z).
 	defer mem.Close()
 
 	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 6; i++ {
+	for i := 0; i < 5; i++ {
 		bp, bm := db.NewBatch(), mem.NewBatch()
 		for j := 0; j < 200; j++ {
 			x, y := rng.Intn(60), rng.Intn(60)
@@ -354,17 +448,21 @@ reach(x, z) :- reach(x, y), edge(y, z).
 		}
 	}
 	check(db, "live")
-	if st := db.Stats(); st.Persist.Flushes == 0 {
-		t.Fatalf("no segment flushes despite FlushKeys=32: %+v", st.Persist)
+	// One checkpoint on open, one after applies 2 and 4; apply 5 is WAL only.
+	if p := db.Stats().Persist; p.Snapshots != 3 || p.Generation != 3 || p.SinceSnapshot != 1 || p.WALRecords != 1 {
+		t.Fatalf("after 5 applies at SnapshotEvery=2: %+v", p)
 	}
-	db.Close()
+	db.abandon()
 
-	db2, err := MustParse(src).Open(WithPersistence(dir))
+	db2, err := MustParse(src).Open(cfg)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer db2.Close()
-	check(db2, "reopened")
+	if p := db2.Stats().Persist; p.RecoveredRecords != 1 {
+		t.Fatalf("crash reopen replayed %d WAL records, want 1", p.RecoveredRecords)
+	}
+	check(db2, "crash-reopened")
 }
 
 // TestShadowEDBSetSemantics: the shadow EDB is a set. Re-applying one fact

@@ -29,7 +29,6 @@ package interp
 
 import (
 	"sti/internal/metrics"
-	"sti/internal/relation"
 )
 
 // Config selects the interpreter variant.
@@ -98,13 +97,6 @@ type Config struct {
 	// adapter under sharding. Sharding is disabled under Legacy and
 	// Provenance.
 	Shards int
-	// Tier is the storage-tier policy hook. When non-nil, eligible input
-	// relations (non-aux, arity > 0, not eqrel, not legacy, not sharded)
-	// are built on the persistent tier's durable tables instead of the
-	// in-memory portfolio; ineligible input relations are reported through
-	// Tier.Gate so the db layer can record why they stayed hot. nil keeps
-	// every relation in memory.
-	Tier relation.Tier
 	// Metrics attaches a telemetry collector: per-relation and per-index
 	// counters, fixpoint convergence curves, parallel-scan statistics, and
 	// (when the collector has tracing enabled) span events. nil disables all

@@ -183,9 +183,6 @@ func buildRelation(rd *ram.Relation, cfg Config) *relation.Relation {
 	if len(orders) == 0 {
 		orders = []tuple.Order{tuple.Identity(rd.Arity)}
 	}
-	if rel := tieredRelation(rd, cfg, orders); rel != nil {
-		return rel
-	}
 	if shardable(rd, cfg) {
 		rel := relation.NewSharded(rd.Name, rep, rd.Arity, orders, cfg.Shards, rd.ShardCol())
 		if rd.Counting {
@@ -198,38 +195,6 @@ func buildRelation(rd *ram.Relation, cfg Config) *relation.Relation {
 		rel.EnableCounting()
 	}
 	return rel
-}
-
-// tieredRelation consults the storage-tier policy (Config.Tier) for the
-// declaration. Only base input relations are candidates: auxiliary and
-// derived relations are recomputed from the EDB on recovery, so persisting
-// them buys nothing and would put swap-heavy delta traffic on disk.
-// Ineligible *input* relations are reported through Tier.Gate so operators
-// can see why they stayed in memory. Returns nil when the relation should
-// use the in-memory portfolio.
-func tieredRelation(rd *ram.Relation, cfg Config, orders []tuple.Order) *relation.Relation {
-	if cfg.Tier == nil || rd.Aux || !rd.Input {
-		return nil
-	}
-	switch {
-	case rd.Arity == 0:
-		cfg.Tier.Gate(rd.Name, "nullary relation")
-	case rd.Rep == ram.RepEqRel:
-		cfg.Tier.Gate(rd.Name, "eqrel: union-find has no persistent form")
-	case cfg.Legacy:
-		cfg.Tier.Gate(rd.Name, "legacy comparator store keeps its own layout")
-	case shardable(rd, cfg):
-		cfg.Tier.Gate(rd.Name, "sharded: hash partitions stay in memory")
-	default:
-		if rel := relation.NewPersistent(rd.Name, rd.Arity, orders, cfg.Tier); rel != nil {
-			if rd.Counting {
-				rel.EnableCounting()
-			}
-			return rel
-		}
-		cfg.Tier.Gate(rd.Name, "tier declined")
-	}
-	return nil
 }
 
 // shardable reports whether the declaration gets hash-partitioned indexes
@@ -684,6 +649,38 @@ func (e *Engine) scanRange(name string, lo, hi value.Value) ([]tuple.Tuple, erro
 			out = append(out, tuple.Clone(t))
 		}
 	}
+}
+
+// walkRelational calls fn on every generated node that accesses a
+// relation's indexes, tree by tree in generation order (update and delete
+// trees once their first batch has generated them).
+func (e *Engine) walkRelational(fn func(*inode)) {
+	var walk func(n *inode)
+	walk = func(n *inode) {
+		if n == nil {
+			return
+		}
+		if n.rel != nil && n.idx != nil || n.orders != nil {
+			fn(n)
+		}
+		for _, c := range n.children {
+			walk(c)
+		}
+		walk(n.cond)
+		walk(n.target)
+		walk(n.nested)
+	}
+	for _, root := range []*inode{e.rootLoad, e.rootEval, e.rootStore, e.rootUpdate, e.rootDelete} {
+		walk(root)
+	}
+}
+
+// RelationalOps returns the opcode of every node walkRelational visits. Two
+// engines over one program dispatch the same instructions exactly when these
+// agree; tests compare configurations with it.
+func (e *Engine) RelationalOps() (ops []uint16) {
+	e.walkRelational(func(n *inode) { ops = append(ops, uint16(n.op)) })
+	return ops
 }
 
 // Telemetry returns the engine's attached collector (nil unless

@@ -69,6 +69,43 @@ func spill(ctx *context) {
 	ctx.pad[7]++
 }
 
+// execQuery runs one rule version in a fresh context. It is a method of its
+// own so that its conditional defer stays out of execute: a defer anywhere in
+// the dispatch loop makes every instruction return through deferreturn.
+func (ex *executor) execQuery(n *inode) value.Value {
+	qctx := newContext(n.widths)
+	if n.staged {
+		qctx.stage = make([]*relation.StagingBuffer, len(ex.eng.rels))
+	}
+	if ex.prov != nil {
+		prevQ := ex.curQ
+		ex.curQ = n
+		defer func() { ex.curQ = prevQ }()
+	}
+	qspan := ex.tel.Begin()
+	if ex.profile {
+		start := time.Now()
+		ex.eval(n.nested, qctx)
+		ex.flushStage(qctx)
+		rp := &ex.prof.rules[n.ruleID]
+		rp.RuleID = int(n.ruleID)
+		rp.Label = n.label
+		rp.Time += time.Since(start)
+		rp.Iterations += qctx.stats.iters
+		rp.Dispatches += qctx.stats.dispatches
+		rp.Inserts += qctx.stats.inserts
+		rp.Attempts += qctx.stats.attempts
+		ex.prof.dispatches += qctx.stats.dispatches
+		ex.prof.super += qctx.stats.super
+		ex.tel.End(qspan, "query", n.label)
+		return 0
+	}
+	ex.eval(n.nested, qctx)
+	ex.flushStage(qctx)
+	ex.tel.End(qspan, "query", n.label)
+	return 0
+}
+
 func (ex *executor) execute(n *inode, ctx *context) value.Value {
 	switch n.op {
 	// --- statements ---
@@ -100,37 +137,7 @@ func (ex *executor) execute(n *inode, ctx *context) value.Value {
 		}
 		return 0
 	case opQuery:
-		qctx := newContext(n.widths)
-		if n.staged {
-			qctx.stage = make([]*relation.StagingBuffer, len(ex.eng.rels))
-		}
-		if ex.prov != nil {
-			prevQ := ex.curQ
-			ex.curQ = n
-			defer func() { ex.curQ = prevQ }()
-		}
-		qspan := ex.tel.Begin()
-		if ex.profile {
-			start := time.Now()
-			ex.eval(n.nested, qctx)
-			ex.flushStage(qctx)
-			rp := &ex.prof.rules[n.ruleID]
-			rp.RuleID = int(n.ruleID)
-			rp.Label = n.label
-			rp.Time += time.Since(start)
-			rp.Iterations += qctx.stats.iters
-			rp.Dispatches += qctx.stats.dispatches
-			rp.Inserts += qctx.stats.inserts
-			rp.Attempts += qctx.stats.attempts
-			ex.prof.dispatches += qctx.stats.dispatches
-			ex.prof.super += qctx.stats.super
-			ex.tel.End(qspan, "query", n.label)
-			return 0
-		}
-		ex.eval(n.nested, qctx)
-		ex.flushStage(qctx)
-		ex.tel.End(qspan, "query", n.label)
-		return 0
+		return ex.execQuery(n)
 	case opClear:
 		n.rel.Clear()
 		return 0

@@ -287,24 +287,7 @@ deg(x, n) :- edge(x, _), n = count : { hop(x, _, _) }.
 // treeOps collects every node of the generated trees that accesses a
 // relation's indexes, with its opcode, in generation order.
 func treeOps(e *Engine) (ops []opcode, nodes []*inode) {
-	var walk func(n *inode)
-	walk = func(n *inode) {
-		if n == nil {
-			return
-		}
-		if n.rel != nil && n.idx != nil || n.orders != nil {
-			ops, nodes = append(ops, n.op), append(nodes, n)
-		}
-		for _, c := range n.children {
-			walk(c)
-		}
-		walk(n.cond)
-		walk(n.target)
-		walk(n.nested)
-	}
-	for _, root := range []*inode{e.rootLoad, e.rootEval, e.rootStore} {
-		walk(root)
-	}
+	e.walkRelational(func(n *inode) { ops, nodes = append(ops, n.op), append(nodes, n) })
 	return ops, nodes
 }
 

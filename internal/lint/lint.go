@@ -12,10 +12,6 @@
 //	input-and-derived      rules derive an .input relation (loses the
 //	                       incremental delete path: retraction cannot
 //	                       attribute tuples to EDB vs rules)
-//	persist-gated          an .input relation whose representation cannot
-//	                       live on the durable tier (eqrel has no
-//	                       persistent union-find): under -data it silently
-//	                       stays memory-resident, rebuilt on every restart
 //
 // The groundedness rule reuses the checker's semantics via the exported
 // sema.GroundVars helpers, so lint and sema never disagree about what is
@@ -69,7 +65,6 @@ func Check(path string, prog *ast.Program) []Diagnostic {
 	c.unreachableRules()
 	c.negationInRecursion()
 	c.inputAndDerived()
-	c.persistGated()
 	sort.SliceStable(c.diags, func(i, j int) bool {
 		a, b := c.diags[i], c.diags[j]
 		if a.Line != b.Line {
@@ -368,24 +363,6 @@ func (c *checker) inputAndDerived() {
 		warned[name] = true
 		c.add(cl.Pos, "input-and-derived", Warning,
 			"relation %s is both .input and derived by rules; retraction cannot attribute its tuples, forcing the recompute fallback on every delete batch", name)
-	}
-}
-
-// persistGated: the durable tier (sti serve -data, WithPersistence) backs
-// eligible .input relations with on-disk tables, but an eqrel
-// representation has no persistent form — the union-find holds implicit
-// pairs that never materialize as keys. Such a relation is valid and
-// correct under persistence, yet it silently stays memory-resident and is
-// rebuilt from the WAL and snapshots on every restart (the runtime records
-// the same decision in db.Stats().Persist.Gated). Flagging it at lint time
-// surfaces the durability gap before the first restart does.
-func (c *checker) persistGated() {
-	inputs := c.directives(ast.DirInput)
-	for _, d := range c.prog.Decls {
-		if d.Rep == ast.RepEqRel && inputs[d.Name] {
-			c.add(d.Pos, "persist-gated", Warning,
-				"input relation %s is declared eqrel, which has no persistent form; under a durable data directory it stays in memory and is rebuilt on every restart", d.Name)
-		}
 	}
 }
 

@@ -69,7 +69,6 @@ func TestCorpusSeededDefects(t *testing.T) {
 		}},
 		{"negation_in_recursion.dl", []at{{10, 19, "negation-in-recursion"}}},
 		{"input_and_derived.dl", []at{{14, 1, "input-and-derived"}}},
-		{"persist_gated.dl", []at{{8, 1, "persist-gated"}}},
 	}
 	for _, c := range cases {
 		t.Run(c.file, func(t *testing.T) {
@@ -91,7 +90,6 @@ func TestCorpusFilesFireOnlyTheirOwnKind(t *testing.T) {
 		"unreachable_rule.dl":      "unreachable-rule",
 		"negation_in_recursion.dl": "negation-in-recursion",
 		"input_and_derived.dl":     "input-and-derived",
-		"persist_gated.dl":         "persist-gated",
 	}
 	entries, err := os.ReadDir(corpusDir)
 	if err != nil {

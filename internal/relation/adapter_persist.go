@@ -9,8 +9,9 @@ import (
 	"sti/internal/value"
 )
 
-// persistAdapter is the dynamic adapter over a durable store.Table: the
-// sixth representation of the portfolio. Tuples are re-encoded to the
+// persistAdapter is the dynamic adapter over a store.Table: a sixth
+// representation kept as an exhibit of the seam (see Tier for why it is
+// still here and what may use it). Tuples are re-encoded to the
 // index's lexicographic order like every other adapter, then serialized
 // with the order-preserving byte codec (internal/tuple), so the table's
 // byte-comparison searches implement exactly the adapter contract:

@@ -38,11 +38,11 @@ const (
 	Brie
 	EqRel
 	Legacy // B-tree with a runtime-comparator (the legacy interpreter's store, §5.1)
-	// Persist is the durable tier (internal/store): an LSM table keyed by
-	// the order-preserving byte codec. It has no specialized static
-	// instructions — every access crosses the dynamic adapter, which is
-	// exactly what de-specialization buys: a sixth representation slots into
-	// the portfolio with zero interpreter changes.
+	// Persist is an LSM table (internal/store) keyed by the order-preserving
+	// byte codec: a sixth representation that slots in with zero interpreter
+	// changes because every access crosses the dynamic adapter. It is an
+	// exhibit measured by perfbench, not a production tier — no engine
+	// configuration builds it (see Tier).
 	Persist
 )
 

@@ -33,8 +33,6 @@ func (tt *testTier) Table(rel string, idx int, order tuple.Order) *store.Table {
 	return tab
 }
 
-func (tt *testTier) Gate(rel, reason string) {}
-
 func collect(t *testing.T, it Iterator, arity int) []tuple.Tuple {
 	t.Helper()
 	var out []tuple.Tuple

@@ -5,25 +5,22 @@ import (
 	"sti/internal/tuple"
 )
 
-// Tier is the storage-tier policy hook: the engine consults it when
-// building each relation to decide whether the relation's indexes live in
-// the in-memory portfolio (hot tier) or on durable tables (persistent
-// tier). The db layer implements it over an open store.Store and records
-// gating decisions for observability.
+// Tier hands out the store tables behind NewPersistent's indexes.
+//
+// Exhibit, not a production path: no sti command builds a persistent
+// relation. A durable database is WAL + snapshot over the ordinary
+// adapters (see the root package's persist.go); this seam, persistAdapter
+// and internal/store's table stack remain because perfbench's
+// relation.persist_* and store.table_* probes measure them, and are
+// covered by persist_test.go.
 type Tier interface {
-	// Table returns the durable table backing index idx of relation rel, or
-	// nil to keep that relation in memory. Implementations must return
-	// tables keyed at tuple.KeySize(len(order)) bytes.
+	// Table returns the table backing index idx of relation rel, keyed at
+	// tuple.KeySize(len(order)) bytes, or nil to decline.
 	Table(rel string, idx int, order tuple.Order) *store.Table
-	// Gate records that rel was kept in memory for the given reason; called
-	// once per gated input relation so operators can see why a relation did
-	// not persist.
-	Gate(rel string, reason string)
 }
 
-// NewPersistent creates a relation whose indexes are durable tables from
-// tier. It returns nil when the tier declines any index, in which case the
-// caller falls back to the in-memory portfolio.
+// NewPersistent creates a relation whose indexes are store tables from
+// tier. It returns nil when the tier declines any index.
 func NewPersistent(name string, arity int, orders []tuple.Order, tier Tier) *Relation {
 	if arity == 0 || arity > MaxArity {
 		return nil

@@ -1,14 +1,17 @@
-// Package store implements the persistent tier behind the de-specialization
-// seam: an embedded, single-process, append-only tuple store. Each relation
-// order maps to a Table — an LSM-style stack of one in-memory memtable over
-// immutable sorted segment runs, keyed by the order-preserving fixed-width
-// encoding from internal/tuple, so point lookups, prefix scans, and range
-// partitioning all run as byte comparisons directly on mapped files.
+// Package store holds the two halves of the durable layer.
 //
-// The store holds only the *indexes* (a rebuildable cache, wiped on open);
-// durability itself comes from the write-ahead log and snapshot files the
-// db layer maintains with the CreateWAL/ReplayWAL and WriteSnapshot/
-// ReadSnapshot helpers in this package.
+// The production half is small: LockDir (one process per data directory),
+// the CRC-framed write-ahead log (wal.go) and atomic snapshot files
+// (snapshot.go). A durable database is WAL + snapshot over the ordinary
+// in-memory relations; nothing else here is on any sti command's path.
+//
+// The other half is a §3 exhibit: Store/Table, an embedded LSM-style stack
+// of one memtable over immutable sorted segment runs keyed by the
+// order-preserving encoding from internal/tuple, which relation.NewPersistent
+// wraps as a sixth Index adapter. It shows that a disk-backed representation
+// slots in behind the de-specialized seam, and it stays only because
+// perfbench's store.table_*, store.compactions, store.write_amp and
+// relation.persist_* probes measure it: it goes once those probes do.
 package store
 
 import (
@@ -19,11 +22,58 @@ import (
 	"sync/atomic"
 )
 
-// Options tune a store. Zero values select the defaults.
+// TablesDir is the subdirectory an exhibit Store keeps its segment files in.
+// A database's data directory may carry one from an older layout; it only
+// ever held a rebuildable cache, so LockDir removes it.
+const TablesDir = "tables"
+
+// LockName is the advisory lock file guarding a data directory.
+const LockName = "LOCK"
+
+// DirLock is the exclusive advisory lock on a data directory. It dies with
+// the process, so a crash needs no stale-lock cleanup.
+type DirLock struct{ f *os.File }
+
+// LockDir creates dir if needed, takes its lock (failing when another process
+// holds it), and sweeps what a crash or an older layout left behind: *.tmp
+// files from an interrupted snapshot write and a stale tables/ cache.
+func LockDir(dir string) (*DirLock, error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, err
+	}
+	f, err := os.OpenFile(filepath.Join(dir, LockName), os.O_CREATE|os.O_RDWR, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	if err := lockFile(f); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("store: data dir %s is locked by another process: %w", dir, err)
+	}
+	l := &DirLock{f: f}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		l.Release()
+		return nil, err
+	}
+	for _, e := range ents {
+		if e.Name() == TablesDir || filepath.Ext(e.Name()) == ".tmp" {
+			if err := os.RemoveAll(filepath.Join(dir, e.Name())); err != nil {
+				l.Release()
+				return nil, err
+			}
+		}
+	}
+	return l, nil
+}
+
+// Release drops the lock.
+func (l *DirLock) Release() error {
+	unlockFile(l.f)
+	return l.f.Close()
+}
+
+// Options tune an exhibit Store. Zero values select the defaults.
 type Options struct {
-	// Fsync forces every WAL append to stable storage (see CreateWAL; the
-	// store records the choice so tables and the db layer agree).
-	Fsync bool
 	// FlushKeys is the memtable size (in keys) that triggers a segment
 	// flush. Default 32768.
 	FlushKeys int
@@ -42,11 +92,11 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Store owns one data directory's table cache and its background compactor.
+// Store owns one directory's tables and their background compactor.
 type Store struct {
 	dir  string
 	opts Options
-	lock *os.File
+	lock *DirLock
 
 	mu     sync.Mutex
 	tables map[string]*Table
@@ -60,51 +110,20 @@ type Store struct {
 	fsyncs      atomic.Int64
 }
 
-// TablesDir is the subdirectory holding segment files. It is a cache: the
-// db layer rebuilds every table from snapshot + WAL on open, so the whole
-// subtree is wiped each time a store opens.
-const TablesDir = "tables"
-
-// LockName is the advisory lock file guarding a data directory.
-const LockName = "LOCK"
-
-// Open prepares dir for use: creates it, takes the exclusive directory
-// lock, clears the table cache, and starts the compactor.
+// Open locks dir, starts from an empty tables/ and starts the compactor.
 func Open(dir string, opts Options) (*Store, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	lf, err := os.OpenFile(filepath.Join(dir, LockName), os.O_CREATE|os.O_RDWR, 0o644)
+	lock, err := LockDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	if err := lockFile(lf); err != nil {
-		lf.Close()
-		return nil, fmt.Errorf("store: data dir %s is locked by another process: %w", dir, err)
-	}
-	td := filepath.Join(dir, TablesDir)
-	if err := os.RemoveAll(td); err != nil {
-		unlockFile(lf)
-		lf.Close()
+	if err := os.MkdirAll(filepath.Join(dir, TablesDir), 0o755); err != nil {
+		lock.Release()
 		return nil, err
-	}
-	if err := os.MkdirAll(td, 0o755); err != nil {
-		unlockFile(lf)
-		lf.Close()
-		return nil, err
-	}
-	// A crash during snapshot write can leave a temp file behind.
-	if ents, err := os.ReadDir(dir); err == nil {
-		for _, e := range ents {
-			if filepath.Ext(e.Name()) == ".tmp" {
-				os.Remove(filepath.Join(dir, e.Name()))
-			}
-		}
 	}
 	s := &Store{
 		dir:       dir,
 		opts:      opts.withDefaults(),
-		lock:      lf,
+		lock:      lock,
 		tables:    map[string]*Table{},
 		compactCh: make(chan *Table, 128),
 	}
@@ -112,12 +131,6 @@ func Open(dir string, opts Options) (*Store, error) {
 	go s.compactor()
 	return s, nil
 }
-
-// Dir returns the data directory the store was opened on.
-func (s *Store) Dir() string { return s.dir }
-
-// Options returns the effective (defaulted) options.
-func (s *Store) Options() Options { return s.opts }
 
 // Table returns the named table, creating its directory on first use. Names
 // must be unique per (relation, order); the relation layer derives them.
@@ -196,8 +209,7 @@ func (s *Store) Stats() Stats {
 }
 
 // Close stops the compactor, unmaps every table, and releases the directory
-// lock. Tables are not flushed: their contents are a cache the next open
-// rebuilds.
+// lock. Tables are not flushed: the next Open starts empty.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -214,6 +226,5 @@ func (s *Store) Close() error {
 	}
 	s.tables = map[string]*Table{}
 	s.mu.Unlock()
-	unlockFile(s.lock)
-	return s.lock.Close()
+	return s.lock.Release()
 }

@@ -176,8 +176,7 @@ func TestCompactionConverges(t *testing.T) {
 	for _, tb := range s.tables {
 		tb.close()
 	}
-	unlockFile(s.lock)
-	s.lock.Close()
+	s.lock.Release()
 }
 
 func TestDirLockExcludesSecondOpen(t *testing.T) {

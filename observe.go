@@ -156,8 +156,8 @@ func (db *Database) registerObsvMetrics() {
 		})
 }
 
-// registerPersistMetrics wires the durable tier's counters into the scrape
-// path: WAL traffic, checkpoint cadence, and segment-store shape.
+// registerPersistMetrics wires the durability counters into the scrape
+// path: WAL traffic and checkpoint cadence.
 func (db *Database) registerPersistMetrics() {
 	obs := db.obs
 	persist := func(read func(*PersistStats) float64) func() float64 {
@@ -182,29 +182,6 @@ func (db *Database) registerPersistMetrics() {
 	obs.Register(obsv.KindGauge, "sti_persist_applies_since_snapshot",
 		"Applies since the last checkpoint (the WAL replay a crash would pay).",
 		persist(func(p *PersistStats) float64 { return float64(p.SinceSnapshot) }))
-	obs.Register(obsv.KindGauge, "sti_persist_segments",
-		"On-disk segment runs across all durable tables.",
-		persist(func(p *PersistStats) float64 { return float64(p.Segments) }))
-	obs.Register(obsv.KindGauge, "sti_persist_live_keys",
-		"Live keys across all durable tables.",
-		persist(func(p *PersistStats) float64 { return float64(p.LiveKeys) }))
-	obs.Register(obsv.KindCounter, "sti_persist_flushes_total",
-		"Memtable flushes to segment files.",
-		persist(func(p *PersistStats) float64 { return float64(p.Flushes) }))
-	obs.Register(obsv.KindCounter, "sti_persist_compactions_total",
-		"Background segment compactions completed.",
-		persist(func(p *PersistStats) float64 { return float64(p.Compactions) }))
-	obs.RegisterVec(obsv.KindGauge, "sti_persist_gated",
-		"Input relations kept on the in-memory tier, by relation (value is 1; the reason is in Stats).", "rel",
-		func() map[string]float64 {
-			s := db.Snapshot()
-			defer s.Release()
-			out := make(map[string]float64, len(db.pst.gates))
-			for rel := range db.pst.gates {
-				out[rel] = 1
-			}
-			return out
-		})
 }
 
 // snapshotCounter adapts a plain counter read into a scrape source that

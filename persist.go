@@ -17,14 +17,14 @@ import (
 	"sti/internal/value"
 )
 
-// Durability protocol of a resident database (the persistent tier's db
-// layer). A data directory holds:
+// Durability protocol of a resident database. A durable database builds
+// every relation exactly as an in-memory one does (same adapters, same static
+// opcodes); durability comes only from the files below. A data directory holds:
 //
 //	MANIFEST            program identity (source hash); refuses foreign programs
 //	LOCK                flock(2) guard; dies with the process
 //	snap-<g>.snap       checkpoint g: full symbol table + accumulated EDB
 //	wal-<g>.log         batches applied after checkpoint g, one record each
-//	tables/             the persistent tier's segment cache (rebuilt on open)
 //
 // Every Apply appends its batch to the WAL before any state changes, so the
 // WAL-after-snapshot suffix always reconstructs the EDB. Checkpoints rotate
@@ -40,7 +40,7 @@ import (
 // uninterrupted one — including the index order of query results, which
 // sorts by those ordinals.
 
-// PersistenceConfig tunes the durable tier of a resident database.
+// PersistenceConfig tunes the durability of a resident database.
 type PersistenceConfig struct {
 	// Dir is the data directory (created if absent). One process at a time;
 	// guarded by an advisory lock that dies with the process.
@@ -53,10 +53,6 @@ type PersistenceConfig struct {
 	// Off by default: appends are flushed to the OS (surviving process
 	// crashes, not power loss), and checkpoints always fsync.
 	Fsync bool
-	// FlushKeys and MaxSegments tune the segment store (0 means default;
-	// see store.Options). Mainly for tests that want tiny segments.
-	FlushKeys   int
-	MaxSegments int
 }
 
 func (c PersistenceConfig) withDefaults() PersistenceConfig {
@@ -67,9 +63,8 @@ func (c PersistenceConfig) withDefaults() PersistenceConfig {
 }
 
 // WithPersistence opens the database on a durable data directory with
-// default tuning: eligible input relations live on the persistent tier,
-// every Apply is write-ahead logged, and restarts recover the EDB from
-// snapshot + WAL and recompute the fixpoint.
+// default tuning: every Apply is write-ahead logged, and restarts recover
+// the EDB from snapshot + WAL and recompute the fixpoint.
 func WithPersistence(dir string) Option {
 	return WithPersistenceConfig(PersistenceConfig{Dir: dir})
 }
@@ -83,7 +78,7 @@ func WithPersistenceConfig(cfg PersistenceConfig) Option {
 // mutated under the database writer lock.
 type persistence struct {
 	cfg    PersistenceConfig
-	st     *store.Store
+	lock   *store.DirLock
 	wal    *store.WAL
 	gen    uint64 // generation of the current snapshot/WAL pair
 	symLen int    // symbols already covered by snapshot + logged records
@@ -92,26 +87,6 @@ type persistence struct {
 	snapshots        uint64
 	recovered        bool // last Open replayed state from disk
 	recoveredRecords int  // WAL records replayed by the last Open
-	gates            map[string]string
-}
-
-// dbTier implements relation.Tier over the open store: every eligible
-// relation index gets a durable table named <rel>.<index>; gating decisions
-// are recorded for Stats.
-type dbTier struct{ p *persistence }
-
-func (t dbTier) Table(rel string, idx int, order tuple.Order) *store.Table {
-	tab, err := t.p.st.Table(fmt.Sprintf("%s.%d", rel, idx), tuple.KeySize(len(order)))
-	if err != nil {
-		return nil
-	}
-	return tab
-}
-
-func (t dbTier) Gate(rel, reason string) {
-	if _, dup := t.p.gates[rel]; !dup {
-		t.p.gates[rel] = reason
-	}
 }
 
 // manifest pins a data directory to one program.
@@ -122,15 +97,11 @@ type manifest struct {
 
 const manifestName = "MANIFEST"
 
-// openPersistence opens the store, verifies (or writes) the manifest, and
-// returns the tier hook for engine construction.
+// openPersistence locks the data directory and verifies (or writes) the
+// manifest.
 func openPersistence(p *Program, cfg PersistenceConfig) (*persistence, error) {
 	cfg = cfg.withDefaults()
-	st, err := store.Open(cfg.Dir, store.Options{
-		Fsync:       cfg.Fsync,
-		FlushKeys:   cfg.FlushKeys,
-		MaxSegments: cfg.MaxSegments,
-	})
+	lock, err := store.LockDir(cfg.Dir)
 	if err != nil {
 		return nil, err
 	}
@@ -138,22 +109,22 @@ func openPersistence(p *Program, cfg PersistenceConfig) (*persistence, error) {
 	if raw, err := os.ReadFile(mPath); err == nil {
 		var m manifest
 		if err := json.Unmarshal(raw, &m); err != nil {
-			st.Close()
+			lock.Release()
 			return nil, fmt.Errorf("sti: corrupt %s: %v", mPath, err)
 		}
 		if m.Program != p.hash {
-			st.Close()
+			lock.Release()
 			return nil, fmt.Errorf("sti: data directory %s belongs to a different program (manifest %s, program %s)",
 				cfg.Dir, short(m.Program), short(p.hash))
 		}
 	} else {
 		raw, _ := json.Marshal(manifest{Version: 1, Program: p.hash})
 		if err := os.WriteFile(mPath, raw, 0o644); err != nil {
-			st.Close()
+			lock.Release()
 			return nil, err
 		}
 	}
-	return &persistence{cfg: cfg, st: st, gates: map[string]string{}}, nil
+	return &persistence{cfg: cfg, lock: lock}, nil
 }
 
 func short(h string) string {
@@ -290,7 +261,7 @@ func (pst *persistence) shutdown(db *Database) error {
 		}
 		pst.wal = nil
 	}
-	if e := pst.st.Close(); err == nil {
+	if e := pst.lock.Release(); err == nil {
 		err = e
 	}
 	return err
@@ -304,7 +275,7 @@ func (pst *persistence) abandon() {
 		pst.wal.Abandon()
 		pst.wal = nil
 	}
-	pst.st.Close()
+	pst.lock.Release()
 }
 
 // --- snapshot codec ---
@@ -554,7 +525,7 @@ func (r *reader) str() string {
 
 // --- stats ---
 
-// PersistStats summarizes the durable tier for DBStats.
+// PersistStats summarizes the durability layer for DBStats.
 type PersistStats struct {
 	Dir        string `json:"dir"`
 	Generation uint64 `json:"generation"`
@@ -569,20 +540,9 @@ type PersistStats struct {
 	WALSyncs      int64  `json:"wal_syncs"`
 	Snapshots     uint64 `json:"snapshots"`
 	SinceSnapshot int    `json:"applies_since_snapshot"`
-
-	Tables      int   `json:"tables"`
-	Segments    int   `json:"segments"`
-	LiveKeys    int   `json:"live_keys"`
-	Flushes     int64 `json:"flushes"`
-	Compactions int64 `json:"compactions"`
-
-	// Gated maps each input relation kept on the in-memory tier to the
-	// reason it could not persist (eqrel, nullary, sharded, ...).
-	Gated map[string]string `json:"gated,omitempty"`
 }
 
 func (pst *persistence) stats() *PersistStats {
-	st := pst.st.Stats()
 	out := &PersistStats{
 		Dir:              pst.cfg.Dir,
 		Generation:       pst.gen,
@@ -590,22 +550,11 @@ func (pst *persistence) stats() *PersistStats {
 		RecoveredRecords: pst.recoveredRecords,
 		Snapshots:        pst.snapshots,
 		SinceSnapshot:    pst.sinceSnap,
-		Tables:           st.Tables,
-		Segments:         st.Segments,
-		LiveKeys:         st.LiveKeys,
-		Flushes:          st.Flushes,
-		Compactions:      st.Compactions,
 	}
 	if pst.wal != nil {
 		out.WALRecords = pst.wal.Records()
 		out.WALBytes = pst.wal.Bytes()
 		out.WALSyncs = pst.wal.Syncs()
-	}
-	if len(pst.gates) > 0 {
-		out.Gated = make(map[string]string, len(pst.gates))
-		for rel, reason := range pst.gates {
-			out.Gated[rel] = reason
-		}
 	}
 	return out
 }
