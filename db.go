@@ -94,26 +94,16 @@ type Database struct {
 // restarted database resumes at its last applied batch, even after a
 // crash), and the recovered state is checkpointed before Open returns.
 func (p *Program) Open(opts ...Option) (*Database, error) {
-	var o runOptions
-	o.cfg = interp.DefaultConfig()
-	for _, opt := range opts {
-		opt(&o)
-	}
+	o := resolveOptions(opts)
 	if o.backend == Compiled {
 		return nil, errors.New("sti: resident databases require the interpreter backend")
 	}
-	if o.provenance || o.cfg.Provenance {
+	cfg := o.interpConfig()
+	if cfg.Provenance {
 		return nil, errors.New("sti: resident databases do not support provenance")
 	}
-	cfg := o.cfg
+	// WithProfiling is a one-shot option; a resident database does not profile.
 	cfg.Profile = false
-	cfg.Provenance = false
-	if o.workers > 0 {
-		cfg.Workers = o.workers
-	}
-	if o.shards > 0 {
-		cfg.Shards = o.shards
-	}
 	var pst *persistence
 	if o.persist != nil {
 		var err error

@@ -5,8 +5,11 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"sti/internal/interp"
 )
 
 // persistSrc is the durability fixture: a symbol-typed recursive program, so
@@ -235,6 +238,7 @@ out(x, y) :- on(), same(x, z), edge(z, y).
 		{"default", nil},
 		{"legacy", []Option{WithLegacyInterpreter()}},
 		{"shards2", []Option{WithShards(2)}},
+		{"dynamic-workers2", []Option{WithInterpreterConfig(interp.DynamicAdapterConfig()), WithWorkers(2), WithProfiling()}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -252,6 +256,13 @@ out(x, y) :- on(), same(x, z), edge(z, y).
 			}
 			mem := open(false)
 			defer mem.Close()
+			// One option resolution: Open's engine has the tree of the engine
+			// Run and RunDir build, interp.New over runOptions.interpConfig.
+			o := resolveOptions(c.opts)
+			oneShot := interp.New(mem.prog.ram, mem.prog.st, o.interpConfig())
+			if got, want := mem.eng.RelationalOps(), oneShot.RelationalOps(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("Open built %d relational opcodes %v, a one-shot run builds %d %v", len(got), got, len(want), want)
+			}
 			script(t, mem, 0, 8)
 			db := open(true)
 			script(t, db, 0, 8)

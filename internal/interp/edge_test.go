@@ -5,7 +5,10 @@ import (
 	"strings"
 	"testing"
 
+	"sti/internal/ram"
+	"sti/internal/ram/verify"
 	"sti/internal/relation"
+	"sti/internal/symtab"
 	"sti/internal/tuple"
 	"sti/internal/value"
 )
@@ -193,5 +196,49 @@ func TestEmptyInputRelations(t *testing.T) {
 		if r.Iterations != 0 {
 			t.Fatalf("rule %q iterated %d times over empty inputs", r.Label, r.Iterations)
 		}
+	}
+}
+
+// TestSubtractNeedsDeleter: a SUBTRACT whose target cannot delete tuples is
+// refused when its tree is generated — by New for Main, by the first
+// EvalDelete for the delete program — with an error naming the relation and
+// its representation; nothing is left to panic per tuple. The RAM verifier
+// has the same rule (delete-target) and is switched off here so the
+// generator's own refusal is what is observed.
+func TestSubtractNeedsDeleter(t *testing.T) {
+	defer verify.SetDebug(verify.Debugging())
+	verify.SetDebug(false)
+	eq := func(id int, name string) *ram.Relation {
+		return &ram.Relation{ID: id, BaseID: id, Name: name, Arity: 2, Rep: ram.RepEqRel}
+	}
+	same, gone := eq(0, "same"), eq(1, "gone")
+	subtract := &ram.Subtract{Dst: same, Src: gone}
+	wantRefusal := func(err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "same") || !strings.Contains(err.Error(), "eqrel") {
+			t.Fatalf("error = %v, want a refusal naming relation same and eqrel", err)
+		}
+	}
+
+	inMain := &ram.Program{Relations: []*ram.Relation{same, gone}, Main: &ram.Sequence{Stmts: []ram.Statement{subtract}}}
+	wantRefusal(New(inMain, symtab.New(), DefaultConfig()).Run(nil))
+
+	inDelete := &ram.Program{Relations: []*ram.Relation{same, gone}, Main: &ram.Sequence{}, Delete: subtract}
+	eng := New(inDelete, symtab.New(), DefaultConfig())
+	if err := eng.Run(nil); err != nil {
+		t.Fatalf("Run of a program whose Main deletes nothing: %v", err)
+	}
+	wantRefusal(eng.EvalDelete())
+	// The program is ill-formed for this engine: nothing runs afterwards.
+	wantRefusal(eng.Store(nil))
+
+	// The same statement over B-tree relations generates and runs.
+	same.Rep, gone.Rep = ram.RepBTree, ram.RepBTree
+	eng = New(inDelete, symtab.New(), DefaultConfig())
+	if err := eng.Run(nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.EvalDelete(); err != nil {
+		t.Fatalf("SUBTRACT over btree relations: %v", err)
 	}
 }

@@ -251,8 +251,13 @@ func (e *Engine) NoDeleteReason() string { return e.prog.NoDeleteReason }
 
 // execTree evaluates one generated tree, converting RuntimeError panics
 // into errors. A nil root is a no-op; nil io runs against a fresh
-// in-memory handler.
+// in-memory handler. Once the generator has refused a statement (see
+// generator.err) the RAM program is known to be ill-formed for this engine's
+// relations, and no tree runs.
 func (e *Engine) execTree(io IOHandler, root *inode) (err error) {
+	if e.gen.err != nil {
+		return e.gen.err
+	}
 	if root == nil {
 		return nil
 	}

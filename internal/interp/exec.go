@@ -433,7 +433,7 @@ func (ex *executor) sampleDeltas(n *inode) {
 // into the relations after the barrier. Runtime errors from workers are
 // re-raised after all workers finish.
 func (ex *executor) parallelScan(n *inode, ctx *context) {
-	iters := n.idx.PartitionScan(ex.workers)
+	iters := n.part.PartitionScan(ex.workers)
 	if len(iters) == 1 {
 		// Degenerate partitioning (store too small or unsupported): same
 		// loop as a worker runs, on the caller's context.

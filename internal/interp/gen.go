@@ -36,6 +36,9 @@ type generator struct {
 	// sawParallel records that the current query generated a partitioned
 	// scan, so the query node must allocate and merge staging buffers.
 	sawParallel bool
+	// err is the first refusal: a statement needing a capability its target
+	// relation lacks. Engine.execTree reports it instead of running anything.
+	err error
 }
 
 func (g *generator) relation(r *ram.Relation) *relation.Relation {
@@ -88,7 +91,11 @@ func (g *generator) genStatement(s ram.Statement) *inode {
 	case *ram.Merge:
 		return &inode{op: opMerge, rel: g.relation(s.Dst), rel2: g.relation(s.Src), shadow: s}
 	case *ram.Subtract:
-		return &inode{op: opSubtract, rel: g.relation(s.Dst), rel2: g.relation(s.Src), shadow: s}
+		dst := g.relation(s.Dst)
+		if !dst.Deletable() && g.err == nil {
+			g.err = fmt.Errorf("interp: SUBTRACT %s FROM %s: %v relations cannot delete tuples", s.Src.Name, dst.Name, dst.Rep())
+		}
+		return &inode{op: opSubtract, rel: dst, rel2: g.relation(s.Src), shadow: s}
 	case *ram.CountMerge:
 		return &inode{op: opCountMerge, rel: g.relation(s.Dst), rel2: g.relation(s.Src), rel3: g.relation(s.Fresh), shadow: s}
 	case *ram.CountDelete:
@@ -196,6 +203,7 @@ func (g *generator) genOperation(o ram.Operation) *inode {
 		g.prems[n.tupleID] = int32(o.Rel.BaseID)
 		g.bindCoords(n.tupleID, idx.Order(), n)
 		if par {
+			n.part = relation.PartitionerOf(idx)
 			// Everything nested runs on worker goroutines: inserts must
 			// stage into worker-local buffers (merged at the scan barrier).
 			g.sawParallel = true

@@ -169,7 +169,8 @@ type inode struct {
 	// off), for the specialized insert paths that bypass Relation.Insert.
 	rstats *metrics.RelationStats
 
-	shadow any // source RAM node (static info), the paper's sPtr
+	part   relation.Partitioner // idx's scan split or the fallback, bound when par
+	shadow any                  // source RAM node (static info), the paper's sPtr
 }
 
 // opStats are the profiling counters of one context. They live in the

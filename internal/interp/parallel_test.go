@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"sti/internal/relation"
 	"sti/internal/tuple"
 	"sti/internal/value"
 )
@@ -257,7 +258,7 @@ func TestPartitionScanCoverage(t *testing.T) {
 	idx := eng.Relation("edge").Primary()
 	for _, parts := range [][]int{{2}, {4}, {7}} {
 		seen := map[[2]value.Value]bool{}
-		iters := idx.PartitionScan(parts[0])
+		iters := relation.PartitionerOf(idx).PartitionScan(parts[0])
 		for _, it := range iters {
 			for {
 				tp, ok := it.Next()

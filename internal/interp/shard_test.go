@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"sti/internal/metrics"
 	"sti/internal/ram"
 	"sti/internal/ramopt"
 	"sti/internal/tuple"
@@ -254,6 +255,30 @@ func TestShardMergeTelemetry(t *testing.T) {
 	}
 	if rep.Parallel.ShardMaxSkew < 1 {
 		t.Fatalf("ShardMaxSkew = %v, want >= 1", rep.Parallel.ShardMaxSkew)
+	}
+
+	// Index counters under sharding (DESIGN.md §3): the counting wrapper
+	// sits on each sub-index, so an operation routed by the shard key counts
+	// once, as unsharded, and a full scan, which fans out, once per shard.
+	ops := func(shards int) map[string]metrics.IndexOpsView {
+		cfg := DynamicAdapterConfig()
+		cfg.Shards = shards
+		_, rep := runWithTelemetry(t, src, facts, cfg)
+		out := map[string]metrics.IndexOpsView{}
+		for _, name := range []string{"edge", "path", "node"} {
+			out[name] = relReport(t, rep, name).Indexes[0]
+		}
+		return out
+	}
+	flat, sharded := ops(0), ops(4)
+	for name, f := range flat {
+		s := sharded[name]
+		if s.Inserts != f.Inserts || s.Fresh != f.Fresh || s.Lookups != f.Lookups || s.RangeScans != f.RangeScans {
+			t.Errorf("%s: routed operations counted %+v under 4 shards, %+v unsharded", name, s, f)
+		}
+		if f.Scans == 0 || s.Scans != 4*f.Scans {
+			t.Errorf("%s: %d scans under 4 shards, want 4 x the unsharded %d", name, s.Scans, f.Scans)
+		}
 	}
 }
 

@@ -137,4 +137,24 @@ func TestBrokenDeletePrograms(t *testing.T) {
 		cd.Dst = edge // EDB relations maintain no support counts
 		assertRule(t, prog, verify.RuleCountShape)
 	})
+
+	// The union-find has no per-pair removal: the final SUBTRACT pass and
+	// count propagation must never take tuples out of an eqrel relation.
+	t.Run("subtract-from-eqrel", func(t *testing.T) {
+		prog, _ := translate(t, deletableTC)
+		findRel(t, prog, func(r *ram.Relation) bool { return r.Output }).Rep = ram.RepEqRel
+		assertRule(t, prog, verify.RuleDeleteTarget)
+	})
+
+	t.Run("count-delete-from-eqrel", func(t *testing.T) {
+		prog, _ := translate(t, deletableFlat)
+		out := findRel(t, prog, func(r *ram.Relation) bool { return r.Output })
+		out.Rep = ram.RepEqRel
+		// Leave only the count propagation targeting out.
+		prog.Delete = findStmt(t, prog.Delete, func(s ram.Statement) bool {
+			cd, ok := s.(*ram.CountDelete)
+			return ok && cd.Dst == out
+		})
+		assertRule(t, prog, verify.RuleDeleteTarget)
+	})
 }

@@ -40,6 +40,7 @@ const (
 	RuleNilNode        = "nil-node"        // required child node is nil
 	RuleSwapShape      = "swap-shape"      // Swap operands have identical signatures
 	RuleMergeShape     = "merge-shape"     // Merge operands agree in arity and types
+	RuleDeleteTarget   = "delete-target"   // SUBTRACT / COUNT-DELETE never shrink an eqrel relation
 	RuleIOFlag         = "io-flag"         // IO statements match the relation's io flags
 	RuleIODup          = "io-dup"          // a relation is loaded/stored at most once
 	RuleTupleSlot      = "tuple-slot"      // binder TupleIDs fit the query's slot count
@@ -441,6 +442,9 @@ func (c *checker) stmt(s ram.Statement, inLoop bool) {
 		if okD && okS && (s.Dst.Arity != s.Src.Arity || !sameTypes(s.Dst, s.Src)) {
 			c.addf(s, RuleMergeShape, "SUBTRACT %s FROM %s with mismatched signatures (arity %d vs %d)", s.Src.Name, s.Dst.Name, s.Src.Arity, s.Dst.Arity)
 		}
+		if okD {
+			c.deleteTarget(s, s.Dst, "SUBTRACT")
+		}
 		// SUBTRACT is the one statement allowed to shrink non-scratch
 		// relations (the phase-B removal pass and del := del - red), so it
 		// is exempt from delete-write-targets and the ordering rule.
@@ -462,6 +466,7 @@ func (c *checker) stmt(s ram.Statement, inLoop bool) {
 		okS := c.relDeclared(s, s.Src, "COUNT-DELETE")
 		okG := c.relDeclared(s, s.Gone, "COUNT-DELETE")
 		if okD && okS && okG {
+			c.deleteTarget(s, s.Dst, "COUNT-DELETE")
 			c.countShape(s, "COUNT-DELETE", s.Dst, s.Src)
 			if s.Gone.Kind != ram.AuxDel {
 				c.addf(s, RuleCountShape, "COUNT-DELETE from %s reports dead tuples to %s (kind %s), want a del tracker", s.Dst.Name, s.Gone.Name, s.Gone.Kind)
@@ -704,6 +709,15 @@ func (c *checker) countShape(node any, what string, dst, src *ram.Relation) {
 }
 
 // delFamily reports whether kind belongs to the overdeletion scratch space.
+// deleteTarget is the static side of the interpreter's generation-time
+// refusal: the union-find behind an eqrel has no per-pair removal, so no
+// statement may take tuples out of one.
+func (c *checker) deleteTarget(node any, rel *ram.Relation, what string) {
+	if rel.Rep == ram.RepEqRel {
+		c.addf(node, RuleDeleteTarget, "%s removes tuples from %s, an eqrel relation, which cannot delete", what, rel.Name)
+	}
+}
+
 func delFamily(k ram.AuxKind) bool {
 	return k == ram.AuxDel || k == ram.AuxDelDelta || k == ram.AuxDelNew
 }

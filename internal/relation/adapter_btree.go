@@ -1,10 +1,7 @@
 package relation
 
 import (
-	"fmt"
-
 	"sti/internal/btree"
-	"sti/internal/metrics"
 	"sti/internal/tuple"
 	"sti/internal/value"
 )
@@ -19,7 +16,6 @@ type btreeAdapter[K btree.Key[K]] struct {
 	arity   int
 	toKey   func(tuple.Tuple) K
 	fromKey func(K, tuple.Tuple)
-	ops     *metrics.IndexOps
 }
 
 func newBTreeAdapter[K btree.Key[K]](order tuple.Order, toKey func(tuple.Tuple) K, fromKey func(K, tuple.Tuple)) *btreeAdapter[K] {
@@ -32,13 +28,10 @@ func newBTreeAdapter[K btree.Key[K]](order tuple.Order, toKey func(tuple.Tuple) 
 	}
 }
 
-func (a *btreeAdapter[K]) Arity() int                      { return a.arity }
-func (a *btreeAdapter[K]) Rep() Rep                        { return BTree }
-func (a *btreeAdapter[K]) Order() tuple.Order              { return a.order }
-func (a *btreeAdapter[K]) Size() int                       { return a.tree.Size() }
-func (a *btreeAdapter[K]) Clear()                          { a.tree.Clear() }
-func (a *btreeAdapter[K]) impl() any                       { return a.tree }
-func (a *btreeAdapter[K]) attachOps(ops *metrics.IndexOps) { a.ops = ops }
+func (a *btreeAdapter[K]) Order() tuple.Order { return a.order }
+func (a *btreeAdapter[K]) Size() int          { return a.tree.Size() }
+func (a *btreeAdapter[K]) Clear()             { a.tree.Clear() }
+func (a *btreeAdapter[K]) impl() any          { return a.tree }
 
 func (a *btreeAdapter[K]) encode(t tuple.Tuple) K {
 	var enc [MaxArity]value.Value
@@ -46,16 +39,9 @@ func (a *btreeAdapter[K]) encode(t tuple.Tuple) K {
 	return a.toKey(enc[:a.arity])
 }
 
-func (a *btreeAdapter[K]) Insert(t tuple.Tuple) bool {
-	added := a.tree.Insert(a.encode(t))
-	if a.ops != nil {
-		a.ops.Inserts.Add(1)
-		if added {
-			a.ops.Fresh.Add(1)
-		}
-	}
-	return added
-}
+func (a *btreeAdapter[K]) Insert(t tuple.Tuple) bool   { return a.tree.Insert(a.encode(t)) }
+func (a *btreeAdapter[K]) Delete(t tuple.Tuple) bool   { return a.tree.Remove(a.encode(t)) }
+func (a *btreeAdapter[K]) Contains(t tuple.Tuple) bool { return a.tree.Contains(a.encode(t)) }
 
 // bulkBatch is how many encoded keys an InsertAll accumulates on the stack
 // before handing them to the tree's bulk entry point.
@@ -75,47 +61,20 @@ func (a *btreeAdapter[K]) InsertAll(flat []value.Value, count int) int {
 		}
 	}
 	added += a.tree.InsertAll(keys[:kn])
-	if a.ops != nil {
-		a.ops.Inserts.Add(uint64(count))
-		a.ops.Fresh.Add(uint64(added))
-	}
 	return added
 }
 
-func (a *btreeAdapter[K]) Contains(t tuple.Tuple) bool {
-	if a.ops != nil {
-		a.ops.Lookups.Add(1)
-	}
-	return a.tree.Contains(a.encode(t))
-}
-
 func (a *btreeAdapter[K]) ContainsEncoded(t tuple.Tuple) bool {
-	if a.ops != nil {
-		a.ops.Lookups.Add(1)
-	}
 	return a.tree.Contains(a.toKey(t))
 }
 
-func (a *btreeAdapter[K]) SwapContents(other Index) {
-	o, ok := other.(*btreeAdapter[K])
-	if !ok || !orderEq(a.order, o.order) {
-		panic(fmt.Sprintf("relation: swap of incompatible indexes (%v/%d and %v/%d)",
-			a.Rep(), a.arity, other.Rep(), other.Arity()))
-	}
-	a.tree.Swap(o.tree)
-}
+func (a *btreeAdapter[K]) SwapContents(other Index) { a.tree.Swap(swapPeer(a, other).tree) }
 
 func (a *btreeAdapter[K]) Scan() Iterator {
-	if a.ops != nil {
-		a.ops.Scans.Add(1)
-	}
 	return newBuffered(&btreeBatch[K]{it: a.tree.Iter(), fromKey: a.fromKey}, a.arity)
 }
 
 func (a *btreeAdapter[K]) PrefixScan(pattern tuple.Tuple, k int) Iterator {
-	if a.ops != nil {
-		a.ops.RangeScans.Add(1)
-	}
 	lo, hi := prefixBounds(pattern, k, a.arity)
 	return newBuffered(&btreeBatch[K]{
 		it:      a.tree.Range(a.toKey(lo), a.toKey(hi)),
@@ -124,9 +83,6 @@ func (a *btreeAdapter[K]) PrefixScan(pattern tuple.Tuple, k int) Iterator {
 }
 
 func (a *btreeAdapter[K]) AnyMatch(pattern tuple.Tuple, k int) bool {
-	if a.ops != nil {
-		a.ops.Probes.Add(1)
-	}
 	if k == 0 {
 		return a.tree.Size() > 0
 	}
@@ -139,9 +95,6 @@ func (a *btreeAdapter[K]) AnyMatch(pattern tuple.Tuple, k int) bool {
 // PartitionScan splits the full scan at tree separator keys into up to n
 // disjoint, collectively exhaustive ranges for parallel evaluation.
 func (a *btreeAdapter[K]) PartitionScan(n int) []Iterator {
-	if a.ops != nil {
-		a.ops.Partitions.Add(1)
-	}
 	seps := a.tree.SeparatorKeys(n)
 	if len(seps) == 0 {
 		return []Iterator{a.Scan()}
@@ -193,16 +146,4 @@ func prefixBounds(pattern tuple.Tuple, k, arity int) (lo, hi tuple.Tuple) {
 		hi[i] = ^value.Value(0)
 	}
 	return lo, hi
-}
-
-func orderEq(a, b tuple.Order) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -1,10 +1,7 @@
 package relation
 
 import (
-	"fmt"
-
 	"sti/internal/dyntree"
-	"sti/internal/metrics"
 	"sti/internal/tuple"
 	"sti/internal/value"
 )
@@ -16,82 +13,34 @@ import (
 type legacyAdapter struct {
 	tree  *dyntree.Tree
 	order tuple.Order
-	ops   *metrics.IndexOps
 }
 
 func newLegacyAdapter(order tuple.Order) *legacyAdapter {
 	return &legacyAdapter{tree: dyntree.New(dyntree.OrderCmp(order)), order: order}
 }
 
-func (a *legacyAdapter) Arity() int                      { return len(a.order) }
-func (a *legacyAdapter) Rep() Rep                        { return Legacy }
-func (a *legacyAdapter) Order() tuple.Order              { return a.order }
-func (a *legacyAdapter) Size() int                       { return a.tree.Size() }
-func (a *legacyAdapter) Clear()                          { a.tree.Clear() }
-func (a *legacyAdapter) impl() any                       { return a.tree }
-func (a *legacyAdapter) attachOps(ops *metrics.IndexOps) { a.ops = ops }
+func (a *legacyAdapter) Order() tuple.Order { return a.order }
+func (a *legacyAdapter) Size() int          { return a.tree.Size() }
+func (a *legacyAdapter) Clear()             { a.tree.Clear() }
+func (a *legacyAdapter) impl() any          { return a.tree }
 
-func (a *legacyAdapter) Insert(t tuple.Tuple) bool {
-	added := a.tree.Insert(t)
-	if a.ops != nil {
-		a.ops.Inserts.Add(1)
-		if added {
-			a.ops.Fresh.Add(1)
-		}
-	}
-	return added
-}
-
-func (a *legacyAdapter) InsertAll(flat []value.Value, count int) int {
-	arity := len(a.order)
-	added := 0
-	for i := 0; i < count; i++ {
-		if a.tree.Insert(flat[i*arity : (i+1)*arity]) {
-			added++
-		}
-	}
-	if a.ops != nil {
-		a.ops.Inserts.Add(uint64(count))
-		a.ops.Fresh.Add(uint64(added))
-	}
-	return added
-}
-
-func (a *legacyAdapter) Contains(t tuple.Tuple) bool {
-	if a.ops != nil {
-		a.ops.Lookups.Add(1)
-	}
-	return a.tree.Contains(t)
-}
+func (a *legacyAdapter) Insert(t tuple.Tuple) bool   { return a.tree.Insert(t) }
+func (a *legacyAdapter) Delete(t tuple.Tuple) bool   { return a.tree.Remove(t) }
+func (a *legacyAdapter) Contains(t tuple.Tuple) bool { return a.tree.Contains(t) }
 
 func (a *legacyAdapter) ContainsEncoded(t tuple.Tuple) bool {
-	if a.ops != nil {
-		a.ops.Lookups.Add(1)
-	}
 	var src [MaxArity]value.Value
 	a.order.Decode(src[:len(a.order)], t)
 	return a.tree.Contains(src[:len(a.order)])
 }
 
-func (a *legacyAdapter) SwapContents(other Index) {
-	o, ok := other.(*legacyAdapter)
-	if !ok || !orderEq(a.order, o.order) {
-		panic(fmt.Sprintf("relation: swap of incompatible indexes (%v and %v)", a.Rep(), other.Rep()))
-	}
-	a.tree.Swap(o.tree)
-}
+func (a *legacyAdapter) SwapContents(other Index) { a.tree.Swap(swapPeer(a, other).tree) }
 
 func (a *legacyAdapter) Scan() Iterator {
-	if a.ops != nil {
-		a.ops.Scans.Add(1)
-	}
 	return &legacyIter{it: a.tree.Iter(), order: a.order, out: make(tuple.Tuple, len(a.order))}
 }
 
 func (a *legacyAdapter) PrefixScan(pattern tuple.Tuple, k int) Iterator {
-	if a.ops != nil {
-		a.ops.RangeScans.Add(1)
-	}
 	arity := len(a.order)
 	lo := make(tuple.Tuple, arity)
 	hi := make(tuple.Tuple, arity)
@@ -107,22 +56,12 @@ func (a *legacyAdapter) PrefixScan(pattern tuple.Tuple, k int) Iterator {
 }
 
 func (a *legacyAdapter) AnyMatch(pattern tuple.Tuple, k int) bool {
-	if a.ops != nil {
-		a.ops.Probes.Add(1)
-	}
 	if k == 0 {
 		return a.tree.Size() > 0
 	}
 	it := a.PrefixScan(pattern, k)
 	_, ok := it.Next()
 	return ok
-}
-
-func (a *legacyAdapter) PartitionScan(n int) []Iterator {
-	if a.ops != nil {
-		a.ops.Partitions.Add(1)
-	}
-	return []Iterator{a.Scan()}
 }
 
 // legacyIter re-encodes stored source-order tuples into the encoded view on

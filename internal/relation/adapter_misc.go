@@ -1,11 +1,8 @@
 package relation
 
 import (
-	"fmt"
-
 	"sti/internal/brie"
 	"sti/internal/eqrel"
-	"sti/internal/metrics"
 	"sti/internal/tuple"
 	"sti/internal/value"
 )
@@ -18,20 +15,16 @@ import (
 type brieAdapter struct {
 	trie  *brie.Trie
 	order tuple.Order
-	ops   *metrics.IndexOps
 }
 
 func newBrieAdapter(order tuple.Order) *brieAdapter {
 	return &brieAdapter{trie: brie.New(len(order)), order: order}
 }
 
-func (a *brieAdapter) Arity() int                      { return a.trie.Arity() }
-func (a *brieAdapter) Rep() Rep                        { return Brie }
-func (a *brieAdapter) Order() tuple.Order              { return a.order }
-func (a *brieAdapter) Size() int                       { return a.trie.Size() }
-func (a *brieAdapter) Clear()                          { a.trie.Clear() }
-func (a *brieAdapter) impl() any                       { return a.trie }
-func (a *brieAdapter) attachOps(ops *metrics.IndexOps) { a.ops = ops }
+func (a *brieAdapter) Order() tuple.Order { return a.order }
+func (a *brieAdapter) Size() int          { return a.trie.Size() }
+func (a *brieAdapter) Clear()             { a.trie.Clear() }
+func (a *brieAdapter) impl() any          { return a.trie }
 
 func (a *brieAdapter) encode(t tuple.Tuple) tuple.Tuple {
 	if a.order.IsIdentity() {
@@ -40,86 +33,39 @@ func (a *brieAdapter) encode(t tuple.Tuple) tuple.Tuple {
 	return a.order.Encoded(t)
 }
 
-func (a *brieAdapter) Insert(t tuple.Tuple) bool {
-	added := a.trie.Insert(a.encode(t))
-	if a.ops != nil {
-		a.ops.Inserts.Add(1)
-		if added {
-			a.ops.Fresh.Add(1)
-		}
-	}
-	return added
-}
+func (a *brieAdapter) Insert(t tuple.Tuple) bool          { return a.trie.Insert(a.encode(t)) }
+func (a *brieAdapter) Delete(t tuple.Tuple) bool          { return a.trie.Remove(a.encode(t)) }
+func (a *brieAdapter) Contains(t tuple.Tuple) bool        { return a.trie.Contains(a.encode(t)) }
+func (a *brieAdapter) ContainsEncoded(t tuple.Tuple) bool { return a.trie.Contains(t) }
 
 func (a *brieAdapter) InsertAll(flat []value.Value, count int) int {
 	arity := a.trie.Arity()
-	added := 0
 	if a.order.IsIdentity() {
-		added = a.trie.InsertAll(flat[:count*arity])
-	} else {
-		var enc [MaxArity]value.Value
-		for i := 0; i < count; i++ {
-			a.order.Encode(enc[:arity], flat[i*arity:(i+1)*arity])
-			if a.trie.Insert(enc[:arity]) {
-				added++
-			}
-		}
+		return a.trie.InsertAll(flat[:count*arity])
 	}
-	if a.ops != nil {
-		a.ops.Inserts.Add(uint64(count))
-		a.ops.Fresh.Add(uint64(added))
+	var enc [MaxArity]value.Value
+	added := 0
+	for i := 0; i < count; i++ {
+		a.order.Encode(enc[:arity], flat[i*arity:(i+1)*arity])
+		if a.trie.Insert(enc[:arity]) {
+			added++
+		}
 	}
 	return added
 }
 
-func (a *brieAdapter) Contains(t tuple.Tuple) bool {
-	if a.ops != nil {
-		a.ops.Lookups.Add(1)
-	}
-	return a.trie.Contains(a.encode(t))
-}
-
-func (a *brieAdapter) ContainsEncoded(t tuple.Tuple) bool {
-	if a.ops != nil {
-		a.ops.Lookups.Add(1)
-	}
-	return a.trie.Contains(t)
-}
-
-func (a *brieAdapter) SwapContents(other Index) {
-	o, ok := other.(*brieAdapter)
-	if !ok || !orderEq(a.order, o.order) {
-		panic(fmt.Sprintf("relation: swap of incompatible indexes (%v and %v)", a.Rep(), other.Rep()))
-	}
-	a.trie.Swap(o.trie)
-}
+func (a *brieAdapter) SwapContents(other Index) { a.trie.Swap(swapPeer(a, other).trie) }
 
 func (a *brieAdapter) Scan() Iterator {
-	if a.ops != nil {
-		a.ops.Scans.Add(1)
-	}
-	return newBuffered(&brieBatch{it: a.trie.Iter()}, a.Arity())
+	return newBuffered(&brieBatch{it: a.trie.Iter()}, a.trie.Arity())
 }
 
 func (a *brieAdapter) PrefixScan(pattern tuple.Tuple, k int) Iterator {
-	if a.ops != nil {
-		a.ops.RangeScans.Add(1)
-	}
-	return newBuffered(&brieBatch{it: a.trie.Prefix(pattern[:k])}, a.Arity())
+	return newBuffered(&brieBatch{it: a.trie.Prefix(pattern[:k])}, a.trie.Arity())
 }
 
 func (a *brieAdapter) AnyMatch(pattern tuple.Tuple, k int) bool {
-	if a.ops != nil {
-		a.ops.Probes.Add(1)
-	}
 	return a.trie.HasPrefix(pattern[:k])
-}
-
-func (a *brieAdapter) PartitionScan(n int) []Iterator {
-	if a.ops != nil {
-		a.ops.Partitions.Add(1)
-	}
-	return []Iterator{a.Scan()}
 }
 
 type brieBatch struct {
@@ -144,7 +90,6 @@ func (s *brieBatch) nextBatch(dst []tuple.Tuple) int {
 // internal/eqrel already enumerate lexicographically.
 type eqrelAdapter struct {
 	rel *eqrel.Rel
-	ops *metrics.IndexOps
 }
 
 func newEqrelAdapter(order tuple.Order) *eqrelAdapter {
@@ -154,67 +99,27 @@ func newEqrelAdapter(order tuple.Order) *eqrelAdapter {
 	return &eqrelAdapter{rel: eqrel.New()}
 }
 
-func (a *eqrelAdapter) Arity() int                      { return 2 }
-func (a *eqrelAdapter) Rep() Rep                        { return EqRel }
-func (a *eqrelAdapter) Order() tuple.Order              { return tuple.Identity(2) }
-func (a *eqrelAdapter) Size() int                       { return a.rel.Size() }
-func (a *eqrelAdapter) Clear()                          { a.rel.Clear() }
-func (a *eqrelAdapter) impl() any                       { return a.rel }
-func (a *eqrelAdapter) attachOps(ops *metrics.IndexOps) { a.ops = ops }
+func (a *eqrelAdapter) Order() tuple.Order { return tuple.Identity(2) }
+func (a *eqrelAdapter) Size() int          { return a.rel.Size() }
+func (a *eqrelAdapter) Clear()             { a.rel.Clear() }
+func (a *eqrelAdapter) impl() any          { return a.rel }
 
-func (a *eqrelAdapter) Insert(t tuple.Tuple) bool {
-	added := a.rel.Insert(t[0], t[1])
-	if a.ops != nil {
-		a.ops.Inserts.Add(1)
-		if added {
-			a.ops.Fresh.Add(1)
-		}
-	}
-	return added
-}
+func (a *eqrelAdapter) Insert(t tuple.Tuple) bool          { return a.rel.Insert(t[0], t[1]) }
+func (a *eqrelAdapter) Contains(t tuple.Tuple) bool        { return a.rel.Contains(t[0], t[1]) }
+func (a *eqrelAdapter) ContainsEncoded(t tuple.Tuple) bool { return a.rel.Contains(t[0], t[1]) }
 
 func (a *eqrelAdapter) InsertAll(flat []value.Value, count int) int {
-	added := a.rel.InsertPairs(flat[:count*2])
-	if a.ops != nil {
-		a.ops.Inserts.Add(uint64(count))
-		a.ops.Fresh.Add(uint64(added))
-	}
-	return added
-}
-
-func (a *eqrelAdapter) Contains(t tuple.Tuple) bool {
-	if a.ops != nil {
-		a.ops.Lookups.Add(1)
-	}
-	return a.rel.Contains(t[0], t[1])
-}
-
-func (a *eqrelAdapter) ContainsEncoded(t tuple.Tuple) bool {
-	if a.ops != nil {
-		a.ops.Lookups.Add(1)
-	}
-	return a.rel.Contains(t[0], t[1])
+	return a.rel.InsertPairs(flat[:count*2])
 }
 
 func (a *eqrelAdapter) SwapContents(other Index) {
-	o, ok := other.(*eqrelAdapter)
-	if !ok {
-		panic(fmt.Sprintf("relation: swap of incompatible indexes (%v and %v)", a.Rep(), other.Rep()))
-	}
+	o := swapPeer(a, other)
 	a.rel, o.rel = o.rel, a.rel
 }
 
-func (a *eqrelAdapter) Scan() Iterator {
-	if a.ops != nil {
-		a.ops.Scans.Add(1)
-	}
-	return a.rel.Iter()
-}
+func (a *eqrelAdapter) Scan() Iterator { return a.rel.Iter() }
 
 func (a *eqrelAdapter) PrefixScan(pattern tuple.Tuple, k int) Iterator {
-	if a.ops != nil {
-		a.ops.RangeScans.Add(1)
-	}
 	switch k {
 	case 0:
 		return a.rel.Iter()
@@ -229,9 +134,6 @@ func (a *eqrelAdapter) PrefixScan(pattern tuple.Tuple, k int) Iterator {
 }
 
 func (a *eqrelAdapter) AnyMatch(pattern tuple.Tuple, k int) bool {
-	if a.ops != nil {
-		a.ops.Probes.Add(1)
-	}
 	switch k {
 	case 0:
 		return a.rel.Size() > 0
@@ -240,13 +142,6 @@ func (a *eqrelAdapter) AnyMatch(pattern tuple.Tuple, k int) bool {
 	default:
 		return a.rel.Contains(pattern[0], pattern[1])
 	}
-}
-
-func (a *eqrelAdapter) PartitionScan(n int) []Iterator {
-	if a.ops != nil {
-		a.ops.Partitions.Add(1)
-	}
-	return []Iterator{a.Scan()}
 }
 
 // singleIter yields exactly one tuple.
@@ -269,14 +164,9 @@ func (s *singleIter) Next() (tuple.Tuple, bool) {
 // single empty tuple. Nullary relations act as propositional flags.
 type nullaryAdapter struct {
 	set bool
-	rep Rep
-	ops *metrics.IndexOps
 }
 
-func (a *nullaryAdapter) Arity() int                      { return 0 }
-func (a *nullaryAdapter) Rep() Rep                        { return a.rep }
-func (a *nullaryAdapter) Order() tuple.Order              { return tuple.Order{} }
-func (a *nullaryAdapter) attachOps(ops *metrics.IndexOps) { a.ops = ops }
+func (a *nullaryAdapter) Order() tuple.Order { return tuple.Order{} }
 func (a *nullaryAdapter) Size() int {
 	if a.set {
 		return 1
@@ -289,47 +179,20 @@ func (a *nullaryAdapter) impl() any { return a }
 func (a *nullaryAdapter) Insert(tuple.Tuple) bool {
 	added := !a.set
 	a.set = true
-	if a.ops != nil {
-		a.ops.Inserts.Add(1)
-		if added {
-			a.ops.Fresh.Add(1)
-		}
-	}
 	return added
 }
 
-func (a *nullaryAdapter) InsertAll(flat []value.Value, count int) int {
-	added := 0
-	if count > 0 && !a.set {
-		a.set = true
-		added = 1
-	}
-	if a.ops != nil {
-		a.ops.Inserts.Add(uint64(count))
-		a.ops.Fresh.Add(uint64(added))
-	}
-	return added
+func (a *nullaryAdapter) Delete(tuple.Tuple) bool {
+	was := a.set
+	a.set = false
+	return was
 }
 
-func (a *nullaryAdapter) Contains(tuple.Tuple) bool {
-	if a.ops != nil {
-		a.ops.Lookups.Add(1)
-	}
-	return a.set
-}
-
-func (a *nullaryAdapter) ContainsEncoded(tuple.Tuple) bool {
-	if a.ops != nil {
-		a.ops.Lookups.Add(1)
-	}
-	return a.set
-}
+func (a *nullaryAdapter) Contains(tuple.Tuple) bool        { return a.set }
+func (a *nullaryAdapter) ContainsEncoded(tuple.Tuple) bool { return a.set }
 
 func (a *nullaryAdapter) SwapContents(other Index) {
-	o, ok := other.(*nullaryAdapter)
-	if !ok {
-		panic(fmt.Sprintf("relation: swap of incompatible indexes (%v and %v)", a.Rep(), other.Rep()))
-	}
+	o := swapPeer(a, other)
 	a.set, o.set = o.set, a.set
 }
 
@@ -343,5 +206,3 @@ func (a *nullaryAdapter) Scan() Iterator {
 func (a *nullaryAdapter) PrefixScan(pattern tuple.Tuple, k int) Iterator { return a.Scan() }
 
 func (a *nullaryAdapter) AnyMatch(pattern tuple.Tuple, k int) bool { return a.set }
-
-func (a *nullaryAdapter) PartitionScan(n int) []Iterator { return []Iterator{a.Scan()} }

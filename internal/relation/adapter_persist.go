@@ -3,7 +3,6 @@ package relation
 import (
 	"fmt"
 
-	"sti/internal/metrics"
 	"sti/internal/store"
 	"sti/internal/tuple"
 	"sti/internal/value"
@@ -25,20 +24,16 @@ type persistAdapter struct {
 	tab   *store.Table
 	order tuple.Order
 	arity int
-	ops   *metrics.IndexOps
 }
 
 func newPersistAdapter(tab *store.Table, order tuple.Order) *persistAdapter {
 	return &persistAdapter{tab: tab, order: order, arity: len(order)}
 }
 
-func (a *persistAdapter) Arity() int                      { return a.arity }
-func (a *persistAdapter) Rep() Rep                        { return Persist }
-func (a *persistAdapter) Order() tuple.Order              { return a.order }
-func (a *persistAdapter) Size() int                       { return a.tab.Len() }
-func (a *persistAdapter) Clear()                          { a.tab.Clear() }
-func (a *persistAdapter) impl() any                       { return a.tab }
-func (a *persistAdapter) attachOps(ops *metrics.IndexOps) { a.ops = ops }
+func (a *persistAdapter) Order() tuple.Order { return a.order }
+func (a *persistAdapter) Size() int          { return a.tab.Len() }
+func (a *persistAdapter) Clear()             { a.tab.Clear() }
+func (a *persistAdapter) impl() any          { return a.tab }
 
 // persistKeyMax bounds the stack buffer for encoded keys.
 const persistKeyMax = MaxArity * tuple.KeyWidth
@@ -52,29 +47,7 @@ func (a *persistAdapter) encode(buf []byte, t tuple.Tuple) []byte {
 
 func (a *persistAdapter) Insert(t tuple.Tuple) bool {
 	var buf [persistKeyMax]byte
-	added := a.tab.Insert(a.encode(buf[:], t))
-	if a.ops != nil {
-		a.ops.Inserts.Add(1)
-		if added {
-			a.ops.Fresh.Add(1)
-		}
-	}
-	return added
-}
-
-func (a *persistAdapter) InsertAll(flat []value.Value, count int) int {
-	var buf [persistKeyMax]byte
-	added := 0
-	for i := 0; i < count; i++ {
-		if a.tab.Insert(a.encode(buf[:], flat[i*a.arity:(i+1)*a.arity])) {
-			added++
-		}
-	}
-	if a.ops != nil {
-		a.ops.Inserts.Add(uint64(count))
-		a.ops.Fresh.Add(uint64(added))
-	}
-	return added
+	return a.tab.Insert(a.encode(buf[:], t))
 }
 
 func (a *persistAdapter) Delete(t tuple.Tuple) bool {
@@ -83,17 +56,11 @@ func (a *persistAdapter) Delete(t tuple.Tuple) bool {
 }
 
 func (a *persistAdapter) Contains(t tuple.Tuple) bool {
-	if a.ops != nil {
-		a.ops.Lookups.Add(1)
-	}
 	var buf [persistKeyMax]byte
 	return a.tab.Contains(a.encode(buf[:], t))
 }
 
 func (a *persistAdapter) ContainsEncoded(t tuple.Tuple) bool {
-	if a.ops != nil {
-		a.ops.Lookups.Add(1)
-	}
 	var buf [persistKeyMax]byte
 	return a.tab.Contains(tuple.AppendKey(buf[:0], t))
 }
@@ -102,21 +69,14 @@ func (a *persistAdapter) ContainsEncoded(t tuple.Tuple) bool {
 // during evaluation, and the tier policy keeps those in memory, so a swap
 // reaching a persistent index is an engine bug.
 func (a *persistAdapter) SwapContents(other Index) {
-	panic(fmt.Sprintf("relation: SwapContents on persistent index (table %s, other %v/%d)",
-		a.tab.Name(), other.Rep(), other.Arity()))
+	panic(fmt.Sprintf("relation: SwapContents on persistent index (table %s)", a.tab.Name()))
 }
 
 func (a *persistAdapter) Scan() Iterator {
-	if a.ops != nil {
-		a.ops.Scans.Add(1)
-	}
 	return newBuffered(&persistBatch{cur: a.tab.Range(nil, nil)}, a.arity)
 }
 
 func (a *persistAdapter) PrefixScan(pattern tuple.Tuple, k int) Iterator {
-	if a.ops != nil {
-		a.ops.RangeScans.Add(1)
-	}
 	if k == 0 {
 		return newBuffered(&persistBatch{cur: a.tab.Range(nil, nil)}, a.arity)
 	}
@@ -125,9 +85,6 @@ func (a *persistAdapter) PrefixScan(pattern tuple.Tuple, k int) Iterator {
 }
 
 func (a *persistAdapter) AnyMatch(pattern tuple.Tuple, k int) bool {
-	if a.ops != nil {
-		a.ops.Probes.Add(1)
-	}
 	if k == 0 {
 		return a.tab.Len() > 0
 	}
@@ -139,9 +96,6 @@ func (a *persistAdapter) AnyMatch(pattern tuple.Tuple, k int) bool {
 // PartitionScan splits the keyspace at sampled separator keys into up to n
 // disjoint, collectively exhaustive ranges.
 func (a *persistAdapter) PartitionScan(n int) []Iterator {
-	if a.ops != nil {
-		a.ops.Partitions.Add(1)
-	}
 	seps := a.tab.SampleKeys(n)
 	if len(seps) == 0 {
 		return []Iterator{a.Scan()}

@@ -94,12 +94,13 @@ func (r *Relation) RangeCounts(fn func(t tuple.Tuple, n int32)) {
 }
 
 // Delete removes a source-order tuple from every index and drops its support
-// entry, reporting whether the primary index contained it.
+// entry, reporting whether the primary index contained it. The relation must
+// be Deletable.
 func (r *Relation) Delete(t tuple.Tuple) bool {
-	removed := r.indexes[0].Delete(t)
+	removed := r.del[0].Delete(t)
 	if removed {
-		for _, idx := range r.indexes[1:] {
-			idx.Delete(t)
+		for _, d := range r.del[1:] {
+			d.Delete(t)
 		}
 		if r.stats != nil {
 			r.stats.CountDelete()

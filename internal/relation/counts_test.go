@@ -12,7 +12,10 @@ import (
 // hits and misses, size accounting, and iteration after retraction.
 func TestIndexDeleteContract(t *testing.T) {
 	for _, rep := range allReps {
-		idx := NewIndex(rep, tuple.Identity(2))
+		idx := NewIndex(rep, tuple.Identity(2)).(interface {
+			Index
+			Deleter
+		})
 		rng := rand.New(rand.NewSource(7))
 		model := map[[2]value.Value]bool{}
 		for step := 0; step < 5000; step++ {
@@ -42,7 +45,10 @@ func TestIndexDeleteContract(t *testing.T) {
 }
 
 func TestNullaryDelete(t *testing.T) {
-	idx := NewIndex(BTree, tuple.Identity(0))
+	idx := NewIndex(BTree, tuple.Identity(0)).(interface {
+		Index
+		Deleter
+	})
 	if idx.Delete(tuple.Tuple{}) {
 		t.Fatal("delete from empty nullary reported a hit")
 	}

@@ -23,8 +23,8 @@ package relation
 
 import (
 	"fmt"
+	"slices"
 
-	"sti/internal/metrics"
 	"sti/internal/tuple"
 	"sti/internal/value"
 )
@@ -84,14 +84,29 @@ type batcher interface {
 }
 
 // Index is the dynamic adapter interface over a de-specialized data
-// structure (paper Fig 7). Tuples cross this interface in *encoded* (index)
-// order; callers that need source order decode with Order().Decode, or avoid
-// decoding entirely via static reordering (§4.2).
+// structure (paper Fig 7): the core every store in the portfolio has and every
+// per-tuple dynamic opcode calls. Tuples cross this interface in *encoded*
+// (index) order; callers that need source order decode with Order().Decode, or
+// avoid decoding entirely via static reordering (§4.2). The tuple width is
+// len(Order()); the representation is a fact of the Relation, not of its
+// indexes.
+//
+// What only some stores can do is not here but in the capabilities below.
+// Nothing on the interface is telemetry: counting is countedIndex, a wrapper
+// Relation.AttachMetrics installs only when a collector is attached.
+//
+//	              BulkInserter     Deleter        Partitioner
+//	btree         tree bulk load   yes            separator keys
+//	brie          trie bulk load   yes            -
+//	eqrel         pair bulk load   -              -
+//	nullary       -                yes            -
+//	legacy        -                yes            -
+//	persist       -                yes            sampled keys
+//	shardedIndex  one per shard    yes            shard boundaries
+//	countedIndex  as wrapped       iff wrapped    as wrapped
+//	without it    loop on Insert   SUBTRACT is    one partition:
+//	                               refused        the full scan
 type Index interface {
-	// Arity is the tuple width.
-	Arity() int
-	// Rep is the backing implementation.
-	Rep() Rep
 	// Order is the lexicographic order this index maintains, as a
 	// permutation from source positions to encoded positions.
 	Order() tuple.Order
@@ -99,18 +114,6 @@ type Index interface {
 	// Insert adds a tuple given in source order, reporting whether it was
 	// newly added.
 	Insert(t tuple.Tuple) bool
-	// InsertAll bulk-inserts count source-order tuples packed back to back
-	// in flat (len(flat) == count*Arity()), reporting how many were newly
-	// added. It is the merge entry point of the staging-buffer path: one
-	// dynamic dispatch covers the whole batch instead of one per tuple.
-	InsertAll(flat []value.Value, count int) int
-	// Delete removes a tuple given in source order, reporting whether it was
-	// present. It is the retraction entry point of delete propagation and
-	// runs only between scans (under the engine's write section), so
-	// implementations may restructure freely; iterators obtained before a
-	// Delete are invalidated. EqRel indexes cannot delete (the union-find
-	// has no per-pair removal) and panic; translation gates them out.
-	Delete(t tuple.Tuple) bool
 	// Contains tests membership of a tuple given in source order.
 	Contains(t tuple.Tuple) bool
 	// ContainsEncoded tests membership of a tuple given in encoded order.
@@ -120,8 +123,8 @@ type Index interface {
 	// Clear removes all tuples.
 	Clear()
 	// SwapContents exchanges the stored tuples with another index of the
-	// same representation, arity, and order. It panics otherwise: swapping
-	// mismatched indexes is an engine bug, not a user error.
+	// same structure and order. It panics otherwise: swapping mismatched
+	// indexes is an engine bug, not a user error.
 	SwapContents(other Index)
 
 	// Scan enumerates all tuples in encoded lexicographic order.
@@ -132,21 +135,83 @@ type Index interface {
 	// AnyMatch reports whether at least one tuple matches the first k
 	// encoded elements of pattern (k == 0 means "relation non-empty").
 	AnyMatch(pattern tuple.Tuple, k int) bool
-	// PartitionScan splits a full scan into up to n independent iterators
-	// covering disjoint, collectively exhaustive tuple ranges, for parallel
-	// evaluation.
-	PartitionScan(n int) []Iterator
 
 	// impl exposes the concrete specialized structure (e.g. a
 	// *btree.Tree[Tup3]) to the generated static instructions.
 	impl() any
+}
 
-	// attachOps installs telemetry counters on the adapter. nil (the
-	// default) disables counting; every adapter operation then pays one nil
-	// check and nothing else. Counters only observe traffic that crosses
-	// the dynamic adapter — the interpreter's static instructions bypass
-	// the adapter (and its counters) by design.
-	attachOps(*metrics.IndexOps)
+// The capabilities are looked up once — when a Relation is built, when the
+// tree generator binds a node — never inside a per-tuple loop.
+
+// BulkInserter is the capability of stores with a bulk load cheaper than
+// repeated Insert: the merge entry point of the staging-buffer path, one
+// dynamic dispatch for a whole batch.
+type BulkInserter interface {
+	// InsertAll inserts count source-order tuples packed back to back in
+	// flat (len(flat) == count*arity), reporting how many were newly added.
+	InsertAll(flat []value.Value, count int) int
+}
+
+// Deleter is the capability of stores that can remove single tuples. The
+// union-find behind eqrel has no per-pair removal, so it lacks it; the tree
+// generator refuses a SUBTRACT whose target does (Relation.Deletable).
+type Deleter interface {
+	// Delete removes a tuple given in source order, reporting whether it was
+	// present. It runs only between scans (under the engine's write
+	// section), so implementations may restructure freely; iterators
+	// obtained before a Delete are invalidated.
+	Delete(t tuple.Tuple) bool
+}
+
+// Partitioner is the capability of stores that can split a full scan for
+// parallel evaluation.
+type Partitioner interface {
+	// PartitionScan returns up to n iterators covering disjoint,
+	// collectively exhaustive tuple ranges.
+	PartitionScan(n int) []Iterator
+}
+
+// bulkInserterOf is idx's own bulk load, or the one loop-insert fallback.
+func bulkInserterOf(idx Index) BulkInserter {
+	if b, ok := idx.(BulkInserter); ok {
+		return b
+	}
+	return loopInserter{idx}
+}
+
+type loopInserter struct{ Index }
+
+func (l loopInserter) InsertAll(flat []value.Value, count int) int {
+	arity, added := len(l.Order()), 0
+	for i := 0; i < count; i++ {
+		if l.Insert(flat[i*arity : (i+1)*arity]) {
+			added++
+		}
+	}
+	return added
+}
+
+// PartitionerOf is idx's own scan split, or the one single-partition fallback.
+func PartitionerOf(idx Index) Partitioner {
+	if p, ok := idx.(Partitioner); ok {
+		return p
+	}
+	return singlePartition{idx}
+}
+
+type singlePartition struct{ Index }
+
+func (s singlePartition) PartitionScan(int) []Iterator { return []Iterator{s.Scan()} }
+
+// swapPeer returns other as an index of a's own structure and order, the only
+// kind SwapContents accepts.
+func swapPeer[T Index](a T, other Index) T {
+	o, ok := other.(T)
+	if !ok || !slices.Equal(a.Order(), o.Order()) {
+		panic(fmt.Sprintf("relation: swap of incompatible indexes (%T %v and %T %v)", a, a.Order(), other, other.Order()))
+	}
+	return o
 }
 
 // Impls returns the concrete specialized data structures behind idx for the

@@ -20,7 +20,7 @@ func hotPathAllocs(r *Relation) (insert, contains float64) {
 // Telemetry must be free when enabled and invisible when disabled: the
 // counting paths (plain increments and atomic adds on pre-allocated blocks)
 // add zero allocations over the untelemetered baseline, and the disabled
-// path is a single nil check.
+// path is the bare adapter plus one nil check on the relation's stats.
 func TestTelemetryHotPathAllocs(t *testing.T) {
 	orders := []tuple.Order{{0, 1}, {1, 0}}
 	baseIns, baseCon := hotPathAllocs(New("edge", BTree, 2, orders))
@@ -81,8 +81,48 @@ func TestAdapterCounters(t *testing.T) {
 	}
 }
 
-// Counters work for every representation the factory can build.
+// Counters work for every implementer, and the wrapper is transparent: the
+// contract script passes through a countedIndex and every operation it calls
+// is counted once. Under sharding the wrappers sit on the sub-indexes, so an
+// operation routed by the shard key still counts once and one that fans out
+// counts once per shard it reaches.
 func TestAdapterCountersAllReps(t *testing.T) {
+	for _, im := range implementers() {
+		order, src := tuple.Identity(2), []tuple.Tuple{{5, 1}, {3, 2}, {4, 1}, {3, 9}, {5, 1}, {9, 3}, {3, 2}, {7, 7}}
+		if im.name == "nullary" {
+			order, src = tuple.Order{}, []tuple.Tuple{{}, {}}
+		}
+		t.Run(im.name, func(t *testing.T) {
+			ops := &metrics.IndexOps{}
+			want, nparts := coreScript(t, counted(im.mk(t, order), ops), order, src)
+			got := ops.View()
+			if got.Inserts != want.Inserts || got.Fresh != want.Fresh || got.Lookups != want.Lookups {
+				t.Errorf("routed operations: counted %+v, script called %+v", got, want)
+			}
+			// A partition request answered with one partition is a full
+			// scan and counts as one too.
+			wantScans := want.Scans
+			if nparts == 1 {
+				wantScans++
+			}
+			n := uint64(1)
+			if im.shards > 0 {
+				// A sharded index partitions along its shards by itself:
+				// no sub-index sees the request, each is scanned instead.
+				n = uint64(im.shards)
+				wantScans, want.Partitions = n*want.Scans+uint64(nparts), 0
+			}
+			if got.Scans != wantScans || got.Partitions != want.Partitions {
+				t.Errorf("scans/partitions: counted %d/%d, want %d/%d", got.Scans, got.Partitions, wantScans, want.Partitions)
+			}
+			if got.RangeScans < want.RangeScans || got.RangeScans > n*want.RangeScans ||
+				got.Probes < want.Probes || got.Probes > n*want.Probes {
+				t.Errorf("searches: counted %+v, script called %+v on %d shards", got, want, n)
+			}
+		})
+	}
+
+	// The relation-level counters agree with the primary index's.
 	for _, rep := range []Rep{BTree, Brie, EqRel, Legacy} {
 		c := metrics.New()
 		r := New("r", rep, 2, []tuple.Order{{0, 1}})
@@ -96,6 +136,9 @@ func TestAdapterCountersAllReps(t *testing.T) {
 		}
 		if rs.Inserts != 1 || rs.DedupHits != 1 {
 			t.Errorf("%v: relation ins=%d dup=%d, want 1 and 1", rep, rs.Inserts, rs.DedupHits)
+		}
+		if r.Deletable() != (rep != EqRel) {
+			t.Errorf("%v: Deletable() = %v with telemetry attached", rep, r.Deletable())
 		}
 	}
 }

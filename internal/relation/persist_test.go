@@ -72,8 +72,8 @@ func TestPersistMatchesBTree(t *testing.T) {
 	}
 	pi := p.Primary()
 	bi := NewIndex(BTree, order)
-	if pi.Rep() != Persist || pi.Rep().String() != "persist" {
-		t.Fatalf("Rep = %v", pi.Rep())
+	if p.Rep() != Persist || p.Rep().String() != "persist" {
+		t.Fatalf("Rep = %v", p.Rep())
 	}
 
 	rng := rand.New(rand.NewSource(42))
@@ -100,7 +100,7 @@ func TestPersistMatchesBTree(t *testing.T) {
 			}
 		}
 		var part []tuple.Tuple
-		for _, it := range pi.PartitionScan(4) {
+		for _, it := range PartitionerOf(pi).PartitionScan(4) {
 			part = append(part, collect(t, it, arity)...)
 		}
 		if !tuplesEq(part, collect(t, bi.Scan(), arity)) {
@@ -112,7 +112,7 @@ func TestPersistMatchesBTree(t *testing.T) {
 		tu := randT()
 		switch rng.Intn(5) {
 		case 0:
-			if pi.Delete(tu) != bi.Delete(tu) {
+			if pi.(Deleter).Delete(tu) != bi.(Deleter).Delete(tu) {
 				t.Fatalf("step %d: Delete(%v) disagrees", step, tu)
 			}
 		case 1:
@@ -141,7 +141,7 @@ func TestPersistMatchesBTree(t *testing.T) {
 	for i := 0; i < bulk; i++ {
 		flat = append(flat, randT()...)
 	}
-	if pa, ba := pi.InsertAll(flat, bulk), bi.InsertAll(flat, bulk); pa != ba {
+	if pa, ba := bulkInserterOf(pi).InsertAll(flat, bulk), bulkInserterOf(bi).InsertAll(flat, bulk); pa != ba {
 		t.Fatalf("InsertAll added %d != %d", pa, ba)
 	}
 	checkScans(-2)

@@ -11,9 +11,15 @@
 // wrapper holding one concrete adapter per hash partition of a single key
 // column. Key-bound operations route to the owning shard; key-unbound
 // enumerations run an order-preserving k-way merge, so a sharded relation
-// is observationally identical to an unsharded one. Relations also carry
-// the support-count sidecar for counting-based incremental deletion
-// (counts.go) and per-relation telemetry hooks (internal/metrics).
+// is observationally identical to an unsharded one. counted.go provides the
+// other wrapper, countedIndex: the one place index operations are counted,
+// built only when a telemetry collector is attached (internal/metrics).
+// Relations also carry the support-count sidecar for counting-based
+// incremental deletion (counts.go).
+//
+// Index is a small core; what only some stores can do (bulk load, delete,
+// split a scan) is a capability a Relation looks up once when it is built
+// (index.go has the table).
 package relation
 
 import (
@@ -33,7 +39,12 @@ type Relation struct {
 	arity   int
 	rep     Rep
 	indexes []Index
-	stats   *metrics.RelationStats
+	// bulk and del are the indexes' capabilities, looked up once by bind:
+	// bulk[i] is index i's bulk load or the loop fallback; del holds every
+	// index's Deleter, or is nil when some index has none.
+	bulk  []BulkInserter
+	del   []Deleter
+	stats *metrics.RelationStats
 	// counts is the support-count sidecar for counting-based deletion
 	// (counts.go); nil for ordinary set-semantics relations.
 	counts map[countKey]int32
@@ -47,24 +58,50 @@ type Relation struct {
 // have length arity; at least one order is required (the primary). EqRel
 // relations are restricted to a single natural-order index.
 func New(name string, rep Rep, arity int, orders []tuple.Order) *Relation {
-	if len(orders) == 0 {
-		orders = []tuple.Order{tuple.Identity(arity)}
-	}
 	r := &Relation{Name: name, arity: arity, rep: rep}
-	for _, o := range orders {
-		if len(o) != arity {
-			panic(fmt.Sprintf("relation %s: order %v does not match arity %d", name, o, arity))
-		}
-		r.indexes = append(r.indexes, NewIndex(rep, o))
+	return r.build(orders, func(o tuple.Order) Index { return NewIndex(rep, o) })
+}
+
+// build gives r one index per order, made by mk (one natural-order index
+// when no order is given), and binds their capabilities.
+func (r *Relation) build(orders []tuple.Order, mk func(tuple.Order) Index) *Relation {
+	if len(orders) == 0 {
+		orders = []tuple.Order{tuple.Identity(r.arity)}
 	}
+	for _, o := range orders {
+		if len(o) != r.arity {
+			panic(fmt.Sprintf("relation %s: order %v does not match arity %d", r.Name, o, r.arity))
+		}
+		r.indexes = append(r.indexes, mk(o))
+	}
+	r.bind()
 	return r
 }
+
+// bind looks up the indexes' capabilities: at construction, and again when
+// AttachMetrics has wrapped the indexes.
+func (r *Relation) bind() {
+	r.bulk, r.del = r.bulk[:0], r.del[:0]
+	for _, idx := range r.indexes {
+		r.bulk = append(r.bulk, bulkInserterOf(idx))
+		if d, ok := idx.(Deleter); ok {
+			r.del = append(r.del, d)
+		}
+	}
+	if len(r.del) < len(r.indexes) {
+		r.del = nil
+	}
+}
+
+// Deletable reports whether Delete is available: every index has the Deleter
+// capability (eqrel relations do not).
+func (r *Relation) Deletable() bool { return r.del != nil }
 
 // NewIndex builds a single de-specialized index: the factory entry point of
 // the paper's Fig 7, dispatching on representation and arity.
 func NewIndex(rep Rep, order tuple.Order) Index {
 	if len(order) == 0 {
-		return &nullaryAdapter{rep: rep}
+		return &nullaryAdapter{}
 	}
 	if len(order) > MaxArity {
 		panic(fmt.Sprintf("relation: arity %d exceeds the pre-instantiated maximum %d", len(order), MaxArity))
@@ -84,19 +121,20 @@ func NewIndex(rep Rep, order tuple.Order) Index {
 }
 
 // AttachMetrics installs telemetry counters: relation-level insert/dedup
-// stats plus one IndexOps block per index (rs.Ops must have one entry per
-// index, as allocated by Collector.BindRelation). A nil rs detaches nothing
-// and keeps telemetry disabled.
+// stats, and a countedIndex around every index counting into rs.Ops (one
+// entry per index, as allocated by Collector.BindRelation). Call it at most
+// once, before anything binds the relation's indexes (the tree generator
+// does). A nil rs keeps telemetry off: no wrapper exists and the indexes are
+// the bare adapters.
 func (r *Relation) AttachMetrics(rs *metrics.RelationStats) {
 	if rs == nil {
 		return
 	}
 	r.stats = rs
 	for i, idx := range r.indexes {
-		if i < len(rs.Ops) {
-			idx.attachOps(rs.Ops[i])
-		}
+		r.indexes[i] = counted(idx, rs.Ops[i])
 	}
+	r.bind()
 }
 
 // Stats returns the attached telemetry block, or nil when telemetry is off.

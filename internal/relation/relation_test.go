@@ -6,6 +6,10 @@ import (
 	"sort"
 	"testing"
 
+	"sti/internal/btree"
+	"sti/internal/eqrel"
+	"sti/internal/metrics"
+	"sti/internal/store"
 	"sti/internal/tuple"
 	"sti/internal/value"
 )
@@ -24,12 +28,208 @@ func drain(it Iterator) []tuple.Tuple {
 // reps to exercise uniformly in adapter contract tests.
 var allReps = []Rep{BTree, Brie, Legacy}
 
+// implementer builds one kind of Index for the contract tests, or nil when
+// the kind cannot maintain the order (eqrel is binary and natural-ordered,
+// nullary has no columns, everything else has at least one).
+type implementer struct {
+	name   string
+	shards int // sub-indexes of a shardedIndex, 0 for everything else
+	mk     func(t *testing.T, order tuple.Order) Index
+}
+
+// implementers lists everything that implements Index: the five reps,
+// persist, and shardedIndex at 1 and 3 shards.
+func implementers() []implementer {
+	wide := func(mk func(*testing.T, tuple.Order) Index) func(*testing.T, tuple.Order) Index {
+		return func(t *testing.T, order tuple.Order) Index {
+			if len(order) == 0 {
+				return nil
+			}
+			return mk(t, order)
+		}
+	}
+	ofRep := func(rep Rep) func(*testing.T, tuple.Order) Index {
+		return wide(func(_ *testing.T, order tuple.Order) Index { return NewIndex(rep, order) })
+	}
+	sharded := func(n int) func(*testing.T, tuple.Order) Index {
+		return wide(func(_ *testing.T, order tuple.Order) Index { return newShardedIndex(BTree, order, n, 0) })
+	}
+	return []implementer{
+		{"btree", 0, ofRep(BTree)},
+		{"brie", 0, ofRep(Brie)},
+		{"legacy", 0, ofRep(Legacy)},
+		{"eqrel", 0, func(_ *testing.T, order tuple.Order) Index {
+			if len(order) != 2 || !order.IsIdentity() {
+				return nil
+			}
+			return NewIndex(EqRel, order)
+		}},
+		{"nullary", 0, func(_ *testing.T, order tuple.Order) Index {
+			if len(order) != 0 {
+				return nil
+			}
+			return NewIndex(BTree, order)
+		}},
+		{"persist", 0, wide(func(t *testing.T, order tuple.Order) Index {
+			tier := newTestTier(t, store.Options{FlushKeys: 64, MaxSegments: 2})
+			return NewPersistent("r", len(order), []tuple.Order{order}, tier).Primary()
+		})},
+		{"sharded1", 1, sharded(1)},
+		{"sharded3", 3, sharded(3)},
+	}
+}
+
+// refSet is the map-backed reference of the contract script: a set of
+// encoded tuples. With eq set it is closed under equivalence after every
+// insert, which is what an eqrel index stores.
+type refSet struct {
+	set map[countKey]bool
+	eq  bool
+}
+
+func (r *refSet) insert(enc tuple.Tuple) bool {
+	before := len(r.set)
+	var k countKey
+	copy(k[:], enc)
+	r.set[k] = true
+	for grew := r.eq; grew; {
+		grew = false
+		add := func(a, b value.Value) {
+			if k := (countKey{a, b}); !r.set[k] {
+				r.set[k], grew = true, true
+			}
+		}
+		for p := range r.set {
+			add(p[1], p[0])
+			add(p[0], p[0])
+			for q := range r.set {
+				if p[1] == q[0] {
+					add(p[0], q[1])
+				}
+			}
+		}
+	}
+	return len(r.set) > before
+}
+
+// prefix lists, in encoded order, the members matching pattern[:k].
+func (r *refSet) prefix(pattern tuple.Tuple, k, arity int) []tuple.Tuple {
+	var out []tuple.Tuple
+	for m := range r.set {
+		if tuple.Compare(m[:k], pattern[:k]) == 0 {
+			out = append(out, tuple.Clone(m[:arity]))
+		}
+	}
+	sortTuples(out)
+	return out
+}
+
+// coreScript drives idx through the whole Index core and, through the
+// package-level helpers, the bulk-insert and partition capabilities or their
+// fallbacks, checking every observable against a refSet. The first half of
+// src goes in by Insert, the second by one bulk InsertAll. It returns how
+// often it called each kind of operation and how many partitions its one
+// partition request got, for the counter tests.
+func coreScript(t *testing.T, idx Index, order tuple.Order, src []tuple.Tuple) (calls metrics.IndexOpsView, nparts int) {
+	t.Helper()
+	arity := len(order)
+	_, eq := idx.impl().(*eqrel.Rel)
+	ref := &refSet{set: map[countKey]bool{}, eq: eq}
+
+	half := len(src) / 2
+	for _, s := range src[:half] {
+		calls.Inserts++
+		want := ref.insert(order.Encoded(s))
+		if want {
+			calls.Fresh++
+		}
+		if got := idx.Insert(s); got != want {
+			t.Fatalf("Insert(%v) = %v, reference says %v", s, got, want)
+		}
+	}
+	var flat []value.Value
+	fresh := 0
+	for _, s := range src[half:] {
+		flat = append(flat, s...)
+		if ref.insert(order.Encoded(s)) {
+			fresh++
+		}
+	}
+	calls.Inserts += uint64(len(src) - half)
+	calls.Fresh += uint64(fresh)
+	if got := bulkInserterOf(idx).InsertAll(flat, len(src)-half); got != fresh {
+		t.Fatalf("InsertAll added %d, reference says %d", got, fresh)
+	}
+
+	all := ref.prefix(nil, 0, arity)
+	if idx.Size() != len(all) {
+		t.Fatalf("Size = %d, reference has %d", idx.Size(), len(all))
+	}
+	calls.Scans++
+	if got := drain(idx.Scan()); !tuplesEq(got, all) {
+		t.Fatalf("Scan = %v, want %v", got, all)
+	}
+	// A partitioned scan enumerates the same tuples once each; only their
+	// order across partitions is the store's business.
+	calls.Partitions++
+	var parts []tuple.Tuple
+	for _, it := range PartitionerOf(idx).PartitionScan(4) {
+		nparts++
+		parts = append(parts, drain(it)...)
+	}
+	sortTuples(parts)
+	if !tuplesEq(parts, all) {
+		t.Fatalf("PartitionScan enumerated %v, want %v", parts, all)
+	}
+
+	probes := append([]tuple.Tuple{}, src[:min(len(src), 4)]...)
+	absent := make(tuple.Tuple, arity)
+	for i := range absent {
+		absent[i] = 1000
+	}
+	probes = append(probes, absent)
+	for _, s := range probes {
+		enc := order.Encoded(s)
+		want := len(ref.prefix(enc, arity, arity)) > 0
+		calls.Lookups += 2
+		if idx.Contains(s) != want || idx.ContainsEncoded(enc) != want {
+			t.Fatalf("Contains(%v)/ContainsEncoded(%v) disagree with reference %v", s, enc, want)
+		}
+		for k := 0; k <= arity; k++ {
+			want := ref.prefix(enc, k, arity)
+			calls.RangeScans++
+			if got := drain(idx.PrefixScan(enc, k)); !tuplesEq(got, want) {
+				t.Fatalf("PrefixScan(%v, %d) = %v, want %v", enc, k, got, want)
+			}
+			calls.Probes++
+			if idx.AnyMatch(enc, k) != (len(want) > 0) {
+				t.Fatalf("AnyMatch(%v, %d) disagrees with reference", enc, k)
+			}
+		}
+	}
+	// Encoded tuples decode back to source tuples the index contains.
+	calls.Scans++
+	for _, s := range drain(NewDecoder(idx.Scan(), order)) {
+		calls.Lookups++
+		if !idx.Contains(s) {
+			t.Fatalf("decoded scan yielded %v, which Contains denies", s)
+		}
+	}
+
+	idx.Clear()
+	calls.Probes++
+	if idx.Size() != 0 || idx.AnyMatch(absent, 0) {
+		t.Fatal("Clear left tuples behind")
+	}
+	return calls, nparts
+}
+
 func TestFactoryArities(t *testing.T) {
 	for _, rep := range allReps {
 		for arity := 1; arity <= MaxArity; arity++ {
 			idx := NewIndex(rep, tuple.Identity(arity))
-			if idx.Arity() != arity {
-				t.Fatalf("%v arity %d: got %d", rep, arity, idx.Arity())
+			if len(idx.Order()) != arity {
+				t.Fatalf("%v arity %d: got %d", rep, arity, len(idx.Order()))
 			}
 			tup := make(tuple.Tuple, arity)
 			for i := range tup {
@@ -59,7 +259,7 @@ func TestFactoryArityOverflowPanics(t *testing.T) {
 
 func TestNullary(t *testing.T) {
 	idx := NewIndex(BTree, tuple.Order{})
-	if idx.Arity() != 0 || idx.Size() != 0 {
+	if len(idx.Order()) != 0 || idx.Size() != 0 {
 		t.Fatal("bad empty nullary index")
 	}
 	if idx.Contains(tuple.Tuple{}) {
@@ -78,40 +278,28 @@ func TestNullary(t *testing.T) {
 	}
 }
 
-// TestEncodedOrderContract: Scan yields tuples in encoded lexicographic
-// order, and encoded tuples decode back to the inserted source tuples.
+// TestEncodedOrderContract: every implementer keeps the core contract — Scan
+// yields tuples in encoded lexicographic order, and encoded tuples decode back
+// to the inserted source tuples — for a reversed order, the natural order
+// (which admits eqrel) and the empty order (nullary).
 func TestEncodedOrderContract(t *testing.T) {
-	order := tuple.Order{1, 0}
-	for _, rep := range allReps {
-		t.Run(rep.String(), func(t *testing.T) {
-			idx := NewIndex(rep, order)
-			src := []tuple.Tuple{{5, 1}, {3, 2}, {4, 1}, {3, 9}}
-			for _, s := range src {
-				idx.Insert(s)
+	for _, tc := range []struct {
+		order tuple.Order
+		src   []tuple.Tuple
+	}{
+		{tuple.Order{1, 0}, []tuple.Tuple{{5, 1}, {3, 2}, {4, 1}, {3, 9}, {5, 1}, {9, 3}}},
+		{tuple.Identity(2), []tuple.Tuple{{5, 1}, {3, 2}, {4, 1}, {3, 9}, {5, 1}, {9, 3}}},
+		{tuple.Order{}, []tuple.Tuple{{}, {}}},
+	} {
+		for _, im := range implementers() {
+			idx := im.mk(t, tc.order)
+			if idx == nil {
+				continue
 			}
-			enc := drain(idx.Scan())
-			if len(enc) != len(src) {
-				t.Fatalf("scan %d tuples", len(enc))
-			}
-			for i := 1; i < len(enc); i++ {
-				if tuple.Compare(enc[i-1], enc[i]) >= 0 {
-					t.Fatalf("encoded scan out of order: %v then %v", enc[i-1], enc[i])
-				}
-			}
-			// Decode and compare as sets.
-			dec := drain(NewDecoder(idx.Scan(), order))
-			want := make([]tuple.Tuple, len(src))
-			for i, s := range src {
-				want[i] = tuple.Clone(s)
-			}
-			sortTuples(dec)
-			sortTuples(want)
-			for i := range want {
-				if tuple.Compare(dec[i], want[i]) != 0 {
-					t.Fatalf("decoded set mismatch: got %v want %v", dec, want)
-				}
-			}
-		})
+			t.Run(fmt.Sprintf("%s%v", im.name, tc.order), func(t *testing.T) {
+				coreScript(t, idx, tc.order, tc.src)
+			})
+		}
 	}
 }
 
@@ -120,7 +308,8 @@ func sortTuples(ts []tuple.Tuple) {
 }
 
 // TestPrefixScanAllReps: prefix scans return exactly the matching tuples,
-// in encoded order, for every representation and a non-trivial order.
+// in encoded order, for every implementer and a non-trivial order, at a size
+// that crosses iterator buffers, tree nodes and persist segments.
 func TestPrefixScanAllReps(t *testing.T) {
 	order := tuple.Order{2, 0, 1}
 	rng := rand.New(rand.NewSource(21))
@@ -130,43 +319,12 @@ func TestPrefixScanAllReps(t *testing.T) {
 			value.Value(rng.Intn(8)), value.Value(rng.Intn(8)), value.Value(rng.Intn(8)),
 		})
 	}
-	for _, rep := range allReps {
-		t.Run(rep.String(), func(t *testing.T) {
-			idx := NewIndex(rep, order)
-			model := map[[3]value.Value]bool{}
-			for _, s := range src {
-				idx.Insert(s)
-				model[[3]value.Value{s[0], s[1], s[2]}] = true
-			}
-			for k := 0; k <= 3; k++ {
-				pattern := tuple.Tuple{4, 2, 7} // encoded pattern
-				got := drain(idx.PrefixScan(pattern, k))
-				// Reference: filter the model in encoded space.
-				var want []tuple.Tuple
-				for m := range model {
-					enc := order.Encoded(tuple.Tuple{m[0], m[1], m[2]})
-					match := true
-					for i := 0; i < k; i++ {
-						if enc[i] != pattern[i] {
-							match = false
-							break
-						}
-					}
-					if match {
-						want = append(want, enc)
-					}
-				}
-				sortTuples(want)
-				if len(got) != len(want) {
-					t.Fatalf("k=%d: got %d want %d", k, len(got), len(want))
-				}
-				for i := range want {
-					if tuple.Compare(got[i], want[i]) != 0 {
-						t.Fatalf("k=%d position %d: got %v want %v", k, i, got[i], want[i])
-					}
-				}
-			}
-		})
+	for _, im := range implementers() {
+		idx := im.mk(t, order)
+		if idx == nil {
+			continue
+		}
+		t.Run(im.name, func(t *testing.T) { coreScript(t, idx, order, src) })
 	}
 }
 
@@ -317,10 +475,25 @@ func TestContainsEncoded(t *testing.T) {
 	}
 }
 
+// The static path reaches the concrete tree, also through the telemetry
+// wrapper: counting never stands between a specialized opcode and its store.
 func TestImplExposesConcreteTree(t *testing.T) {
 	idx := NewIndex(BTree, tuple.Identity(3))
-	if _, ok := Impl(idx).(interface{ Size() int }); !ok {
+	tree, ok := Impl(idx).(*btree.Tree[Tup3])
+	if !ok {
 		t.Fatalf("Impl returned %T", Impl(idx))
+	}
+	if got := Impl(counted(idx, &metrics.IndexOps{})); got != any(tree) {
+		t.Fatalf("Impl through countedIndex returned %T, want the wrapped tree", got)
+	}
+	stores, keyEnc := Impls(counted(newShardedIndex(BTree, tuple.Identity(3), 2, 0), &metrics.IndexOps{}))
+	if len(stores) != 2 || keyEnc != 0 {
+		t.Fatalf("Impls of a counted sharded index: %d stores, key %d", len(stores), keyEnc)
+	}
+	for _, st := range stores {
+		if _, ok := st.(*btree.Tree[Tup3]); !ok {
+			t.Fatalf("shard store is %T", st)
+		}
 	}
 }
 

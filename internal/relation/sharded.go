@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"sti/internal/metrics"
 	"sti/internal/tuple"
 	"sti/internal/value"
 )
@@ -35,11 +34,20 @@ func ShardOf(v value.Value, n int) int {
 	return int(uint32(v) * shardHashMul % uint32(n))
 }
 
+// shardStore is what a sharded index keeps per shard: a B-tree or brie
+// adapter, bare or counted, all of which bulk-load and delete. Nothing else
+// shards.
+type shardStore interface {
+	Index
+	BulkInserter
+	Deleter
+}
+
 // shardedIndex implements Index over n sub-adapters of identical
 // representation and order. Tuples are placed by ShardOf of their key
 // column; sub-adapter i holds exactly the tuples whose key hashes to i.
 type shardedIndex struct {
-	subs  []Index
+	subs  []shardStore
 	order tuple.Order
 	// key is the shard key as a source-coordinate column; keyEnc is the same
 	// column's position in encoded order (order[keyEnc] == key), used to
@@ -68,29 +76,19 @@ func newShardedIndex(rep Rep, order tuple.Order, n, key int) *shardedIndex {
 		panic(fmt.Sprintf("relation: order %v does not place shard key %d", order, key))
 	}
 	for i := 0; i < n; i++ {
-		s.subs = append(s.subs, NewIndex(rep, order))
+		s.subs = append(s.subs, NewIndex(rep, order).(shardStore))
 	}
 	return s
 }
 
-func (s *shardedIndex) Arity() int         { return len(s.order) }
-func (s *shardedIndex) Rep() Rep           { return s.subs[0].Rep() }
 func (s *shardedIndex) Order() tuple.Order { return s.order }
 
 // impl returns the wrapper itself: there is no single concrete tree behind a
 // sharded index. Impls hands out the per-shard trees instead.
 func (s *shardedIndex) impl() any { return s }
 
-// attachOps installs the same counter block on every shard; the counters are
-// atomic, so per-shard traffic aggregates into one per-index view.
-func (s *shardedIndex) attachOps(ops *metrics.IndexOps) {
-	for _, sub := range s.subs {
-		sub.attachOps(ops)
-	}
-}
-
 // shard returns the owning sub-index of a source-order tuple.
-func (s *shardedIndex) shard(t tuple.Tuple) Index {
+func (s *shardedIndex) shard(t tuple.Tuple) shardStore {
 	return s.subs[ShardOf(t[s.key], len(s.subs))]
 }
 
@@ -140,9 +138,9 @@ func (s *shardedIndex) Clear() {
 }
 
 func (s *shardedIndex) SwapContents(other Index) {
-	o, ok := other.(*shardedIndex)
-	if !ok || len(o.subs) != len(s.subs) || o.key != s.key || !orderEq(o.order, s.order) {
-		panic(fmt.Sprintf("relation: swap of incompatible sharded indexes (%v and %v)", s.Rep(), other.Rep()))
+	o := swapPeer(s, other)
+	if len(o.subs) != len(s.subs) || o.key != s.key {
+		panic(fmt.Sprintf("relation: swap of sharded indexes partitioned %d-way on column %d and %d-way on %d", len(s.subs), s.key, len(o.subs), o.key))
 	}
 	for i := range s.subs {
 		s.subs[i].SwapContents(o.subs[i])
@@ -281,22 +279,14 @@ func (c *chainIter) Next() (tuple.Tuple, bool) {
 
 // NewSharded creates a relation whose indexes are each hash-partitioned into
 // the given number of shards on the given source column. Orders follow the
-// same rules as New. EqRel and nullary relations cannot shard.
+// same rules as New. Only B-tree and brie relations of at least one column
+// shard.
 func NewSharded(name string, rep Rep, arity int, orders []tuple.Order, shards, key int) *Relation {
-	if arity == 0 || rep == EqRel {
+	if arity == 0 || rep != BTree && rep != Brie {
 		panic(fmt.Sprintf("relation %s: %v/arity-%d relations cannot shard", name, rep, arity))
 	}
-	if len(orders) == 0 {
-		orders = []tuple.Order{tuple.Identity(arity)}
-	}
 	r := &Relation{Name: name, arity: arity, rep: rep, shards: shards, shardKey: key}
-	for _, o := range orders {
-		if len(o) != arity {
-			panic(fmt.Sprintf("relation %s: order %v does not match arity %d", name, o, arity))
-		}
-		r.indexes = append(r.indexes, newShardedIndex(rep, o, shards, key))
-	}
-	return r
+	return r.build(orders, func(o tuple.Order) Index { return newShardedIndex(rep, o, shards, key) })
 }
 
 // Sharded reports whether the relation's indexes are hash-partitioned.

@@ -100,12 +100,12 @@ func (r *Relation) InsertAll(bufs ...*StagingBuffer) int {
 	if !collect || added == 0 {
 		return added
 	}
-	secondaries := r.indexes[1:]
+	secondaries := r.bulk[1:]
 	if added >= parallelMergeMin && len(secondaries) > 1 {
 		var wg sync.WaitGroup
 		for _, idx := range secondaries {
 			wg.Add(1)
-			go func(idx Index) {
+			go func(idx BulkInserter) {
 				defer wg.Done()
 				idx.InsertAll(fresh, added)
 			}(idx)

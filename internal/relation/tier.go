@@ -36,5 +36,6 @@ func NewPersistent(name string, arity int, orders []tuple.Order, tier Tier) *Rel
 		}
 		r.indexes = append(r.indexes, newPersistAdapter(tab, o))
 	}
+	r.bind()
 	return r
 }

@@ -37,7 +37,6 @@ type Option func(*runOptions)
 type runOptions struct {
 	backend    Backend
 	cfg        InterpreterConfig
-	cfgSet     bool
 	profile    bool
 	provenance bool
 	workers    int
@@ -58,12 +57,12 @@ func WithBackend(b Backend) Option {
 // WithInterpreterConfig overrides the interpreter configuration (default:
 // all optimizations enabled).
 func WithInterpreterConfig(cfg InterpreterConfig) Option {
-	return func(o *runOptions) { o.cfg = cfg; o.cfgSet = true }
+	return func(o *runOptions) { o.cfg = cfg }
 }
 
 // WithLegacyInterpreter selects the pre-STI legacy interpreter (§5.1).
 func WithLegacyInterpreter() Option {
-	return func(o *runOptions) { o.cfg = interp.LegacyConfig(); o.cfgSet = true }
+	return func(o *runOptions) { o.cfg = interp.LegacyConfig() }
 }
 
 // WithProfiling enables the built-in profiler (interpreter backend only).
@@ -88,6 +87,32 @@ func WithShards(n int) Option {
 	return func(o *runOptions) { o.shards = n }
 }
 
+// resolveOptions applies opts over the defaults (every optimization on).
+func resolveOptions(opts []Option) runOptions {
+	o := runOptions{cfg: interp.DefaultConfig()}
+	for _, opt := range opts {
+		opt(&o)
+	}
+	return o
+}
+
+// interpConfig is the interpreter configuration the options select: the base
+// configuration with the WithProfiling / WithProvenance / WithWorkers /
+// WithShards overrides merged in. Run, RunDir and Open all build their
+// engine from it.
+func (o *runOptions) interpConfig() InterpreterConfig {
+	cfg := o.cfg
+	cfg.Profile = cfg.Profile || o.profile
+	cfg.Provenance = cfg.Provenance || o.provenance
+	if o.workers > 0 {
+		cfg.Workers = o.workers
+	}
+	if o.shards > 0 {
+		cfg.Shards = o.shards
+	}
+	return cfg
+}
+
 // Result holds the relations of a completed run.
 type Result struct {
 	prog    *Program
@@ -98,13 +123,7 @@ type Result struct {
 
 // Run executes the program on the given input (nil for none).
 func (p *Program) Run(in *Input, opts ...Option) (*Result, error) {
-	var o runOptions
-	if !o.cfgSet {
-		o.cfg = interp.DefaultConfig()
-	}
-	for _, opt := range opts {
-		opt(&o)
-	}
+	o := resolveOptions(opts)
 	if in != nil && in.err != nil {
 		return nil, in.err
 	}
@@ -131,15 +150,7 @@ func (p *Program) Run(in *Input, opts ...Option) (*Result, error) {
 			res.tuples[rd.Name] = ts
 		}
 	default:
-		cfg := o.cfg
-		cfg.Profile = cfg.Profile || o.profile
-		cfg.Provenance = cfg.Provenance || o.provenance
-		if o.workers > 0 {
-			cfg.Workers = o.workers
-		}
-		if o.shards > 0 {
-			cfg.Shards = o.shards
-		}
+		cfg := o.interpConfig()
 		eng := interp.New(p.ram, p.st, cfg)
 		if err := eng.Run(io); err != nil {
 			return nil, err
@@ -166,24 +177,12 @@ func (p *Program) Run(in *Input, opts ...Option) (*Result, error) {
 // writing <rel>.csv files to outDir (the Soufflé file convention), using
 // the interpreter backend.
 func (p *Program) RunDir(inDir, outDir string, opts ...Option) error {
-	var o runOptions
-	o.cfg = interp.DefaultConfig()
-	for _, opt := range opts {
-		opt(&o)
-	}
+	o := resolveOptions(opts)
 	io := &interp.DirIO{InputDir: inDir, OutputDir: outDir, Symbols: p.st}
 	if o.backend == Compiled {
 		return compile.New(p.ram, p.st).Run(io)
 	}
-	cfg := o.cfg
-	cfg.Profile = cfg.Profile || o.profile
-	if o.workers > 0 {
-		cfg.Workers = o.workers
-	}
-	if o.shards > 0 {
-		cfg.Shards = o.shards
-	}
-	return interp.New(p.ram, p.st, cfg).Run(io)
+	return interp.New(p.ram, p.st, o.interpConfig()).Run(io)
 }
 
 // Size reports the number of tuples in a relation after the run.

@@ -5,8 +5,9 @@
 // A Datalog program is parsed, analyzed, and translated to the RAM
 // intermediate representation, then executed by one of three backends:
 //
-//   - the tree interpreter (the paper's contribution) with its four
-//     optimizations individually switchable,
+//   - the tree interpreter (the paper's contribution) with its five
+//     optimizations — the paper's four and §5.2's condition fusion —
+//     individually switchable,
 //   - a closure-compiled engine (the "synthesized" performance baseline),
 //   - a true synthesizer emitting standalone specialized Go source.
 //
