@@ -2,132 +2,46 @@ package main
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 
-	"sti/internal/interp"
-	"sti/internal/ram"
-	"sti/internal/symtab"
-	"sti/internal/tuple"
-	"sti/internal/value"
+	"sti"
 )
 
-// printExplanation parses a tuple specification like `path(1,3)` or
-// `Violation("exec")`, asks the engine for its derivation, and prints the
-// proof tree with symbols resolved.
-func printExplanation(eng *interp.Engine, prog *ram.Program, st *symtab.Table, spec string) error {
-	name, t, err := parseTupleSpec(prog, st, spec)
+// printExplanation prints the derivation of a tuple given as `path(1,3)` or
+// `Violation("exec")`. The fields go to the root package verbatim, which
+// parses them by attribute type with the fact-file conventions.
+func printExplanation(res *sti.Result, spec string) error {
+	open := strings.IndexByte(spec, '(')
+	if open < 0 || !strings.HasSuffix(spec, ")") {
+		return fmt.Errorf("bad tuple spec %q (want name(v1,...,vn))", spec)
+	}
+	proof, err := res.ExplainText(strings.TrimSpace(spec[:open]), splitFields(spec[open+1:len(spec)-1]))
 	if err != nil {
 		return err
 	}
-	proof, err := eng.Explain(name, t)
-	if err != nil {
-		return err
-	}
-	printProof(prog, st, proof, 0)
+	fmt.Print(proof)
 	return nil
 }
 
-func parseTupleSpec(prog *ram.Program, st *symtab.Table, spec string) (string, tuple.Tuple, error) {
-	open := strings.IndexByte(spec, '(')
-	if open < 0 || !strings.HasSuffix(spec, ")") {
-		return "", nil, fmt.Errorf("bad tuple spec %q (want name(v1,...,vn))", spec)
+// splitFields splits a spec body on the commas outside double-quoted
+// symbols (a backslash escapes the next character inside quotes) and trims
+// blanks around each field. An empty body is a nullary tuple.
+func splitFields(body string) []string {
+	if strings.TrimSpace(body) == "" {
+		return nil
 	}
-	name := strings.TrimSpace(spec[:open])
-	var decl *ram.Relation
-	for _, r := range prog.Relations {
-		if r.Name == name && !r.Aux {
-			decl = r
-			break
-		}
-	}
-	if decl == nil {
-		return "", nil, fmt.Errorf("unknown relation %q", name)
-	}
-	body := spec[open+1 : len(spec)-1]
 	var fields []string
-	if strings.TrimSpace(body) != "" {
-		fields = strings.Split(body, ",")
-	}
-	if len(fields) != decl.Arity {
-		return "", nil, fmt.Errorf("relation %s has arity %d, spec has %d values", name, decl.Arity, len(fields))
-	}
-	t := make(tuple.Tuple, decl.Arity)
-	for i, f := range fields {
-		f = strings.TrimSpace(f)
-		v, err := parseSpecValue(st, decl.Types[i], f)
-		if err != nil {
-			return "", nil, fmt.Errorf("%s argument %d: %v", name, i, err)
-		}
-		t[i] = v
-	}
-	return name, t, nil
-}
-
-func parseSpecValue(st *symtab.Table, ty value.Type, s string) (value.Value, error) {
-	switch ty {
-	case value.Symbol:
-		s = strings.Trim(s, `"`)
-		v, ok := st.Lookup(s)
-		if !ok {
-			return 0, fmt.Errorf("symbol %q never occurs in the database", s)
-		}
-		return v, nil
-	case value.Number:
-		n, err := strconv.ParseInt(s, 10, 32)
-		if err != nil {
-			return 0, fmt.Errorf("bad number %q", s)
-		}
-		return value.FromInt(int32(n)), nil
-	case value.Unsigned:
-		n, err := strconv.ParseUint(s, 10, 32)
-		if err != nil {
-			return 0, fmt.Errorf("bad unsigned %q", s)
-		}
-		return value.Value(n), nil
-	default:
-		f, err := strconv.ParseFloat(s, 32)
-		if err != nil {
-			return 0, fmt.Errorf("bad float %q", s)
-		}
-		return value.FromFloat(float32(f)), nil
-	}
-}
-
-func printProof(prog *ram.Program, st *symtab.Table, p *interp.Proof, depth int) {
-	var decl *ram.Relation
-	for _, r := range prog.Relations {
-		if r.Name == p.Relation && !r.Aux {
-			decl = r
-			break
+	start, quoted := 0, false
+	for i := 0; i < len(body); i++ {
+		switch c := body[i]; {
+		case quoted && c == '\\':
+			i++
+		case c == '"':
+			quoted = !quoted
+		case c == ',' && !quoted:
+			fields = append(fields, strings.TrimSpace(body[start:i]))
+			start = i + 1
 		}
 	}
-	fmt.Printf("%s%s(", strings.Repeat("  ", depth), p.Relation)
-	for i, v := range p.Tuple {
-		if i > 0 {
-			fmt.Print(", ")
-		}
-		if decl != nil {
-			switch decl.Types[i] {
-			case value.Symbol:
-				fmt.Printf("%q", st.Resolve(v))
-			case value.Number:
-				fmt.Print(value.AsInt(v))
-			case value.Float:
-				fmt.Print(value.AsFloat(v))
-			default:
-				fmt.Print(v)
-			}
-		} else {
-			fmt.Print(v)
-		}
-	}
-	if p.Rule == "" {
-		fmt.Println(")  [fact]")
-	} else {
-		fmt.Printf(")  [%s]\n", p.Rule)
-	}
-	for _, prem := range p.Premises {
-		printProof(prog, st, prem, depth+1)
-	}
+	return append(fields, strings.TrimSpace(body[start:]))
 }

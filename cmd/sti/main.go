@@ -31,23 +31,18 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"time"
 
-	"sti/internal/ast2ram"
-	"sti/internal/codegen"
-	"sti/internal/compile"
+	"sti"
 	"sti/internal/interp"
-	"sti/internal/parser"
-	"sti/internal/ram"
 	"sti/internal/ram/verify"
-	"sti/internal/ramopt"
-	"sti/internal/sema"
-	"sti/internal/symtab"
 )
 
 func main() {
@@ -119,33 +114,24 @@ func usage() {
 }
 
 func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "sti:", err)
+	// The root package's errors already carry the "sti: " prefix.
+	fmt.Fprintln(os.Stderr, "sti:", strings.TrimPrefix(err.Error(), "sti: "))
 	os.Exit(1)
 }
 
-// load compiles a source file to RAM.
-func load(path string) (*ram.Program, *symtab.Table) {
+// parseFile runs a source file through the compilation pipeline. Every
+// subcommand that executes or prints a program starts here; sti.Parse is
+// the only place the stages are chained.
+func parseFile(path string) *sti.Program {
 	src, err := os.ReadFile(path)
 	if err != nil {
 		fatal(err)
 	}
-	astProg, err := parser.Parse(string(src))
+	prog, err := sti.Parse(string(src))
 	if err != nil {
 		fatal(fmt.Errorf("%s:%v", path, err))
 	}
-	semProg, errs := sema.Analyze(astProg)
-	if len(errs) > 0 {
-		for _, e := range errs {
-			fmt.Fprintf(os.Stderr, "sti: %s:%v\n", path, e)
-		}
-		os.Exit(1)
-	}
-	st := symtab.New()
-	ramProg, err := ast2ram.Translate(semProg, st)
-	if err != nil {
-		fatal(err)
-	}
-	return ramProg, st
+	return prog
 }
 
 func cmdRun(args []string) {
@@ -160,49 +146,50 @@ func cmdRun(args []string) {
 	timing := fs.Bool("time", false, "print wall-clock time")
 	jobs := fs.Int("j", 1, "parallel workers for rule evaluation")
 	shards := fs.Int("shards", 0, "hash-partition relations into N shards (shard-parallel fixpoint; interp backend)")
-	optimize := fs.Bool("O", false, "run RAM optimization passes (fold constants, fuse filters, choices)")
 	explain := fs.String("explain", "", "after the run, print the derivation of a tuple, e.g. 'path(1,3)'")
 	debug := debugFlag(fs)
 	file := parseWithFile(fs, args, "usage: sti run program.dl [flags]")
 	applyDebug(*debug)
-	prog, st := load(file)
-	if *optimize {
-		ramopt.Optimize(prog, st, ramopt.All())
-	}
-	io := &interp.DirIO{InputDir: *facts, OutputDir: *out, Symbols: st, W: os.Stdout}
+	prog := parseFile(file)
 
-	start := time.Now()
+	opts := []sti.Option{sti.WithWorkers(*jobs), sti.WithShards(*shards)}
 	switch *backend {
 	case "compiled":
-		if err := compile.New(prog, st).Run(io); err != nil {
-			fatal(err)
-		}
-	case "interp", "legacy":
+		opts = append(opts, sti.WithBackend(sti.Compiled))
+	case "legacy":
+		opts = append(opts, sti.WithLegacyInterpreter())
+	case "interp":
 		cfg := interp.DefaultConfig()
-		if *backend == "legacy" {
-			cfg = interp.LegacyConfig()
-		}
-		cfg.SuperInstructions = cfg.SuperInstructions && !*noSuper
-		cfg.StaticDispatch = cfg.StaticDispatch && !*noStatic
-		cfg.StaticReordering = cfg.StaticReordering && !*noReorder
-		cfg.Profile = *profile
-		cfg.Workers = *jobs
-		cfg.Shards = *shards
-		cfg.Provenance = *explain != ""
-		eng := interp.New(prog, st, cfg)
-		if err := eng.Run(io); err != nil {
-			fatal(err)
-		}
-		if *profile {
-			fmt.Print(eng.Profile().String())
-		}
-		if *explain != "" {
-			if err := printExplanation(eng, prog, st, *explain); err != nil {
-				fatal(err)
-			}
-		}
+		cfg.SuperInstructions = !*noSuper
+		cfg.StaticDispatch = !*noStatic
+		cfg.StaticReordering = !*noReorder
+		opts = append(opts, sti.WithInterpreterConfig(cfg))
 	default:
 		fatal(fmt.Errorf("unknown backend %q", *backend))
+	}
+	if *profile {
+		opts = append(opts, sti.WithProfiling())
+	}
+	if *explain != "" {
+		opts = append(opts, sti.WithProvenance())
+	}
+
+	start := time.Now()
+	res, err := prog.RunDir(*facts, *out, opts...)
+	if err != nil {
+		fatal(err)
+	}
+	if *profile {
+		p := res.Profile()
+		if p == nil {
+			fatal(errors.New("no profile: -profile needs the interpreter backend"))
+		}
+		fmt.Print(p.String())
+	}
+	if *explain != "" {
+		if err := printExplanation(res, *explain); err != nil {
+			fatal(err)
+		}
 	}
 	if *timing {
 		fmt.Fprintf(os.Stderr, "total time: %v\n", time.Since(start))
@@ -214,23 +201,17 @@ func cmdRAM(args []string) {
 	debug := debugFlag(fs)
 	file := parseWithFile(fs, args, "usage: sti ram program.dl")
 	applyDebug(*debug)
-	prog, _ := load(file)
-	fmt.Print(prog.String())
+	fmt.Print(parseFile(file).RAM())
 }
 
 func cmdEmit(args []string) {
 	fs := flag.NewFlagSet("emit", flag.ExitOnError)
 	out := fs.String("o", "", "output directory for main.go (default: print to stdout)")
 	build := fs.Bool("build", false, "also compile the emitted program (requires running inside the sti module)")
-	optimize := fs.Bool("O", false, "run RAM optimization passes before emitting")
 	debug := debugFlag(fs)
 	file := parseWithFile(fs, args, "usage: sti emit program.dl [-o dir] [-build]")
 	applyDebug(*debug)
-	prog, st := load(file)
-	if *optimize {
-		ramopt.Optimize(prog, st, ramopt.All())
-	}
-	src, err := codegen.Emit(prog, st)
+	src, err := parseFile(file).EmitGo()
 	if err != nil {
 		fatal(err)
 	}
@@ -247,14 +228,11 @@ func cmdEmit(args []string) {
 	}
 	fmt.Fprintf(os.Stderr, "wrote %s\n", path)
 	if *build {
-		root, err := os.Getwd()
-		if err != nil {
-			fatal(err)
+		bin := filepath.Join(*out, "prog")
+		start := time.Now()
+		if msg, err := exec.Command("go", "build", "-o", bin, path).CombinedOutput(); err != nil {
+			fatal(fmt.Errorf("go build failed: %v\n%s", err, msg))
 		}
-		bin, elapsed, err := codegen.Build(root, *out)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "built %s in %v\n", bin, elapsed)
+		fmt.Fprintf(os.Stderr, "built %s in %v\n", bin, time.Since(start))
 	}
 }

@@ -10,9 +10,9 @@ import (
 	"os"
 	"time"
 
+	"sti"
 	"sti/internal/interp"
 	"sti/internal/metrics"
-	"sti/internal/ramopt"
 )
 
 // profileFile is the JSON envelope of `sti profile -json`: the per-rule
@@ -41,16 +41,12 @@ func cmdProfile(args []string) {
 	traceCap := fs.Int("trace-cap", 0, fmt.Sprintf("max recorded trace events (default %d)", metrics.DefaultTraceCap))
 	httpAddr := fs.String("http", "", "serve expvar and net/http/pprof on this address during the run, e.g. :6060")
 	jobs := fs.Int("j", 1, "parallel workers for rule evaluation")
-	optimize := fs.Bool("O", false, "run RAM optimization passes before executing")
 	quiet := fs.Bool("q", false, "suppress the human-readable summary on stderr")
 	debug := debugFlag(fs)
 	file := parseWithFile(fs, args, "usage: sti profile program.dl [-json out.json] [-trace out.trace.json] [flags]")
 	applyDebug(*debug)
 
-	prog, st := load(file)
-	if *optimize {
-		ramopt.Optimize(prog, st, ramopt.All())
-	}
+	prog := parseFile(file)
 
 	tel := metrics.New()
 	if *traceOut != "" {
@@ -70,15 +66,14 @@ func cmdProfile(args []string) {
 		}()
 	}
 
-	io := &interp.DirIO{InputDir: *facts, OutputDir: *out, Symbols: st, W: os.Stdout}
 	start := time.Now()
-	eng := interp.New(prog, st, cfg)
-	if err := eng.Run(io); err != nil {
+	res, err := prog.RunDir(*facts, *out, sti.WithInterpreterConfig(cfg))
+	if err != nil {
 		fatal(err)
 	}
 	wall := time.Since(start)
 
-	profile := eng.Profile()
+	profile := res.Profile()
 	if !*quiet {
 		fmt.Fprint(os.Stderr, profile.String())
 		fmt.Fprint(os.Stderr, profile.Telemetry.String())

@@ -52,7 +52,6 @@ import (
 func cmdServe(args []string) {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	jobs := fs.Int("j", 1, "parallel workers for rule evaluation")
-	optimize := fs.Bool("O", false, "run RAM optimization passes (applies to initial evaluation only)")
 	httpAddr := fs.String("http", "", "also serve HTTP on this address (/apply, /query, /stats, /metrics, /healthz, /readyz, /debug/vars)")
 	dataDir := fs.String("data", "", "durable data directory (WAL + snapshots); created if missing, recovered if present")
 	snapEvery := fs.Int("snapshot-every", 0, "checkpoint after this many applies (0 = default cadence, negative = checkpoint only on open and close; needs -data)")
@@ -61,21 +60,11 @@ func cmdServe(args []string) {
 	logLevel := fs.String("log-level", "info", "minimum log level: debug | info | warn | error (debug includes per-request access records)")
 	slow := fs.Duration("slow", time.Second, "log requests slower than this with the engine profile (0 disables)")
 	debug := debugFlag(fs)
-	file := parseWithFile(fs, args, "usage: sti serve program.dl [-j N] [-O] [-http addr] [-data dir] [-snapshot-every N] [-fsync] [-log-format text|json] [-log-level info] [-slow 1s]")
+	file := parseWithFile(fs, args, "usage: sti serve program.dl [-j N] [-http addr] [-data dir] [-snapshot-every N] [-fsync] [-log-format text|json] [-log-level info] [-slow 1s]")
 	applyDebug(*debug)
 
 	logger := newLogger(*logFormat, *logLevel)
-	src, err := os.ReadFile(file)
-	if err != nil {
-		fatal(err)
-	}
-	prog, err := sti.Parse(string(src))
-	if err != nil {
-		fatal(fmt.Errorf("%s:%v", file, err))
-	}
-	if *optimize {
-		prog.Optimize()
-	}
+	prog := parseFile(file)
 	opts := []sti.Option{
 		sti.WithWorkers(*jobs),
 		sti.WithObservability(sti.ObservabilityConfig{Logger: logger, SlowRequest: *slow}),

@@ -196,7 +196,7 @@ func statusFor(db *sti.Database, err error) int {
 		return http.StatusBadRequest
 	}
 	if ready := db.Ready(); ready != nil {
-		if strings.Contains(ready.Error(), "closed") {
+		if errors.Is(ready, sti.ErrClosed) {
 			return http.StatusServiceUnavailable
 		}
 		return http.StatusInternalServerError

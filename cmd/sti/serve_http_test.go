@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -182,9 +183,61 @@ func TestServeHTTPHealthAndReady(t *testing.T) {
 	if !strings.Contains(string(body), `"status":"unready"`) {
 		t.Fatalf("/readyz after close = %s", body)
 	}
-	// A closed database maps request errors to 503, not 400.
-	if resp, _ := get(t, srv, "/query?rel=path"); resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("/query after close = %d, want 503", resp.StatusCode)
+}
+
+// TestServeHTTPStatusByDatabaseState: request errors on a closed database
+// are 503 (shutting down, retry elsewhere), on a broken one — the engine
+// failed mid-apply — 500; neither is blamed on the client.
+func TestServeHTTPStatusByDatabaseState(t *testing.T) {
+	const divSrc = `
+.decl in(x:number, y:number)
+.decl q(z:number)
+.input in
+.output q
+q(x / y) :- in(x, y).
+`
+	for _, c := range []struct {
+		name string
+		src  string
+		mar  func(t *testing.T, db *sti.Database, srv *httptest.Server)
+		want int
+	}{
+		{"closed", serveTC, func(t *testing.T, db *sti.Database, _ *httptest.Server) {
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}, http.StatusServiceUnavailable},
+		{"broken", divSrc, func(t *testing.T, _ *sti.Database, srv *httptest.Server) {
+			// Division by zero fails the engine mid-apply: that apply, and
+			// every request after it, is a server error.
+			if resp, body := post(t, srv, "/apply", "+in\t1\t0\n"); resp.StatusCode != http.StatusInternalServerError {
+				t.Fatalf("breaking /apply = %d %s, want 500", resp.StatusCode, body)
+			}
+		}, http.StatusInternalServerError},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			db, err := sti.MustParse(c.src).Open(sti.WithObservability(sti.ObservabilityConfig{}))
+			if err != nil {
+				t.Fatalf("open: %v", err)
+			}
+			defer db.Close()
+			srv := httptest.NewServer(serveMux(db))
+			defer srv.Close()
+			c.mar(t, db, srv)
+			if ready := db.Ready(); (c.name == "closed") != errors.Is(ready, sti.ErrClosed) {
+				t.Fatalf("Ready() = %v", ready)
+			}
+			rel := sti.MustParse(c.src).Relations()[0]
+			if resp, body := get(t, srv, "/query?rel="+rel); resp.StatusCode != c.want {
+				t.Fatalf("/query = %d %s, want %d", resp.StatusCode, body, c.want)
+			}
+			if resp, body := post(t, srv, "/apply", "+"+rel+"\t1\t2\n"); resp.StatusCode != c.want {
+				t.Fatalf("/apply = %d %s, want %d", resp.StatusCode, body, c.want)
+			}
+			if resp, _ := get(t, srv, "/readyz"); resp.StatusCode != http.StatusServiceUnavailable {
+				t.Fatalf("/readyz = %d, want 503", resp.StatusCode)
+			}
+		})
 	}
 }
 

@@ -17,12 +17,13 @@ import (
 	"sti/internal/symtab"
 )
 
-// cmdVet parses, analyzes, and translates one or more Datalog programs and
-// runs the RAM verifier over the result — without executing anything. It
-// accepts .dl files, Go files with embedded Datalog (backtick literals
-// containing ".decl", the examples/ convention), and directories, which
-// are walked for both. A trailing /... on a directory is accepted and
-// ignored, matching go tool path spelling.
+// cmdVet parses, analyzes, translates, and optimizes one or more Datalog
+// programs and runs the RAM verifier after the translation and again after
+// the optimizer — without executing anything. It accepts .dl files, Go
+// files with embedded Datalog (backtick literals containing ".decl", the
+// examples/ convention), and directories, which are walked for both. A
+// trailing /... on a directory is accepted and ignored, matching go tool
+// path spelling.
 //
 // Vet shares the findings pipeline with sti lint: frontend errors and
 // verifier diagnostics print as path-located findings (or a JSON array
@@ -30,14 +31,13 @@ import (
 // internal error such as an unreadable path.
 func cmdVet(args []string) {
 	fs := flag.NewFlagSet("vet", flag.ExitOnError)
-	optimize := fs.Bool("O", false, "also verify the program after RAM optimization passes")
 	verbose := fs.Bool("v", false, "report every checked program, not only failures")
 	jsonOut := fs.Bool("json", false, "print findings as a JSON array on stdout")
 	if err := fs.Parse(args); err != nil {
 		os.Exit(2)
 	}
 	if fs.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "usage: sti vet [-O] [-v] [-json] path...   (\".dl\" files, Go files with embedded programs, or directories)")
+		fmt.Fprintln(os.Stderr, "usage: sti vet [-v] [-json] path...   (\".dl\" files, Go files with embedded programs, or directories)")
 		fs.PrintDefaults()
 		os.Exit(2)
 	}
@@ -52,9 +52,9 @@ func cmdVet(args []string) {
 	}
 	var all []finding
 	for _, src := range sources {
-		fnds, stats := vetOne(src, *optimize)
+		fnds, stats := vetOne(src)
 		if len(fnds) == 0 && *verbose && !*jsonOut {
-			if *optimize && stats.Changed() {
+			if stats.Changed() {
 				fmt.Printf("%s: ok (optimized: %s)\n", src.name, stats)
 			} else {
 				fmt.Printf("%s: ok\n", src.name)
@@ -70,10 +70,16 @@ type vetSource struct {
 	text string
 }
 
-// vetOne runs one program through the frontend and the verifier, and —
-// with optimize — through the RAM optimizer and the verifier again,
-// reporting the optimizer's program shrink for -v.
-func vetOne(src vetSource, optimize bool) ([]finding, ramopt.Stats) {
+// vetOne runs one program through the frontend and the verifier, then
+// through the RAM optimizer and the verifier again, reporting the
+// optimizer's program shrink for -v.
+//
+// Named exception to "sti.Parse is the only code that chains the stages":
+// vet attributes each verifier diagnostic to the stage that produced the
+// ill-formed program (translate vs optimize), so it must stop between them,
+// and it runs the full pass set — ramopt.All(), dead code elimination
+// included — so the one pass no product path executes is still verified.
+func vetOne(src vetSource) ([]finding, ramopt.Stats) {
 	var stats ramopt.Stats
 	astProg, err := parser.Parse(src.text)
 	if err != nil {
@@ -89,7 +95,7 @@ func vetOne(src vetSource, optimize bool) ([]finding, ramopt.Stats) {
 		return []finding{frontendFinding(src, err)}, stats
 	}
 	out := collectDiags(prog, src.name, "translate")
-	if optimize && len(out) == 0 {
+	if len(out) == 0 {
 		stats = ramopt.OptimizeStats(prog, st, ramopt.All())
 		out = append(out, collectDiags(prog, src.name, "optimize")...)
 	}

@@ -207,7 +207,9 @@ func (db *Database) fail(err error) error {
 	return err
 }
 
-var errClosed = errors.New("sti: database is closed")
+// ErrClosed is returned by Ready and by every operation on a database after
+// Close; test for it with errors.Is.
+var ErrClosed = errors.New("sti: database is closed")
 
 // --- batches ---
 
@@ -297,23 +299,10 @@ func (b *Batch) encode(name string, values []any) (batchFact, bool) {
 	if b.err != nil {
 		return batchFact{}, false
 	}
-	decl, err := b.db.prog.decl(name)
+	t, err := b.db.prog.encodeTuple(name, values)
 	if err != nil {
 		b.err = err
 		return batchFact{}, false
-	}
-	if len(values) != decl.Arity {
-		b.err = fmt.Errorf("sti: relation %s has arity %d, got %d values", name, decl.Arity, len(values))
-		return batchFact{}, false
-	}
-	t := make(tuple.Tuple, decl.Arity)
-	for i, v := range values {
-		w, err := b.db.prog.encode(decl.Types[i], v)
-		if err != nil {
-			b.err = fmt.Errorf("sti: %s argument %d: %v", name, i, err)
-			return batchFact{}, false
-		}
-		t[i] = w
 	}
 	return batchFact{rel: name, t: t}, true
 }
@@ -322,25 +311,14 @@ func (b *Batch) encodeText(name string, fields []string) (batchFact, bool) {
 	if b.err != nil {
 		return batchFact{}, false
 	}
-	decl, err := b.db.prog.decl(name)
+	t, off, err := b.db.prog.parseTuple(name, fields)
 	if err != nil {
-		b.err = b.textErr(name, 0, err)
-		return batchFact{}, false
-	}
-	if len(fields) != decl.Arity {
-		b.err = b.textErr(name, 0, fmt.Errorf("%d fields, want %d", len(fields), decl.Arity))
-		return batchFact{}, false
-	}
-	t := make(tuple.Tuple, decl.Arity)
-	col := b.pos.colBase
-	for i, f := range fields {
-		v, err := eio.ParseField(f, decl.Types[i], b.db.prog.st)
-		if err != nil {
-			b.err = b.textErr(name, col, err)
-			return batchFact{}, false
+		col := 0 // a whole-row problem
+		if off >= 0 {
+			col = b.pos.colBase + off
 		}
-		t[i] = v
-		col += len(f) + 1
+		b.err = b.textErr(name, col, err)
+		return batchFact{}, false
 	}
 	return batchFact{rel: name, t: t}, true
 }
@@ -407,7 +385,7 @@ func (db *Database) Apply(b *Batch) error {
 // user-visible error.
 func (db *Database) applyLocked(b *Batch) (obsv.Outcome, error) {
 	if db.closed {
-		return obsv.OutError, errClosed
+		return obsv.OutError, ErrClosed
 	}
 	if db.broken != nil {
 		return obsv.OutError, db.broken
@@ -643,7 +621,7 @@ func (s *Snapshot) check() error {
 		return errors.New("sti: snapshot already released")
 	}
 	if s.db.closed {
-		return errClosed
+		return ErrClosed
 	}
 	if s.db.broken != nil {
 		return s.db.broken

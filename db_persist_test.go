@@ -256,10 +256,17 @@ out(x, y) :- on(), same(x, z), edge(z, y).
 			}
 			mem := open(false)
 			defer mem.Close()
-			// One option resolution: Open's engine has the tree of the engine
-			// Run and RunDir build, interp.New over runOptions.interpConfig.
-			o := resolveOptions(c.opts)
-			oneShot := interp.New(mem.prog.ram, mem.prog.st, o.interpConfig())
+			// One option resolution: Open's engine has the tree of the
+			// engine a one-shot RunDir builds from the same options.
+			facts := t.TempDir()
+			for _, rel := range []string{"same", "edge", "on"} {
+				writeFile(t, filepath.Join(facts, rel+".facts"), "")
+			}
+			res, err := mem.prog.RunDir(facts, facts, c.opts...)
+			if err != nil {
+				t.Fatalf("RunDir: %v", err)
+			}
+			oneShot := res.eng
 			if got, want := mem.eng.RelationalOps(), oneShot.RelationalOps(); !reflect.DeepEqual(got, want) {
 				t.Fatalf("Open built %d relational opcodes %v, a one-shot run builds %d %v", len(got), got, len(want), want)
 			}

@@ -83,6 +83,11 @@ func Suites(scale Scale) []*Workload {
 }
 
 // Compile builds the RAM program for a workload.
+//
+// Named exception to "sti.Parse is the only code that chains the stages":
+// the paper's figures measure the unoptimized translation, so the harness
+// stops before ramopt and the Fig 15/16/18/19, §5.5 and Table 1 numbers in
+// EXPERIMENTS.md keep meaning what they meant.
 func (w *Workload) Compile() (*ram.Program, *symtab.Table, error) {
 	astProg, err := parser.Parse(w.Src)
 	if err != nil {

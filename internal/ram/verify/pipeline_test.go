@@ -79,16 +79,14 @@ out(x + 1, "c") :- out(x, _), x < 3 + 4.
 `,
 }
 
-// optimizerConfigs enumerates the single passes plus the full pipeline.
+// optimizerConfigs are the optimizer's two pass sets. The verifier is armed
+// while they run, so ramopt re-verifies after every single pass and a
+// failure's stage names it ("ramopt/fuse-filters"); no per-pass rows are
+// needed to localise a broken rewrite.
 var optimizerConfigs = []struct {
 	name string
 	opts ramopt.Options
 }{
-	{"fold", ramopt.Options{FoldConstants: true}},
-	{"fuse-filters", ramopt.Options{FuseFilters: true}},
-	{"choices", ramopt.Options{Choices: true}},
-	{"dead-code", ramopt.Options{DeadCode: true}},
-	{"prune-indexes", ramopt.Options{PruneIndexes: true}},
 	{"queryable", ramopt.Queryable()},
 	{"all", ramopt.All()},
 }
@@ -101,11 +99,15 @@ func TestPipelineInvariants(t *testing.T) {
 				if err := verify.Check(prog, "ast2ram"); err != nil {
 					t.Fatalf("after translate: %v", err)
 				}
-				ramopt.Optimize(prog, st, cfg.opts)
+				armed(t, "ramopt "+cfg.name, func() { ramopt.Optimize(prog, st, cfg.opts) })
 				if err := verify.Check(prog, "ramopt/"+cfg.name); err != nil {
 					t.Fatalf("after ramopt %s: %v", cfg.name, err)
 				}
-				fuseAll(t, prog, st)
+				// Condition fusion is a normal tree-generation step
+				// (interp/fuse.go); armed, it checks every condition it
+				// fuses against the tuples in scope. The verify below
+				// catches mutations of the program itself.
+				armed(t, "tree generation with fusion", func() { interp.New(prog, st, interp.DefaultConfig()) })
 				if err := verify.Check(prog, "fuse/"+cfg.name); err != nil {
 					t.Fatalf("after fusion under ramopt %s: %v", cfg.name, err)
 				}
@@ -178,21 +180,18 @@ func translate(t *testing.T, src string) (*ram.Program, *symtab.Table) {
 	return prog, st
 }
 
-// fuseAll generates the interpreter tree of the program under the default
-// configuration with the verifier armed: condition fusion is a normal
-// tree-generation step there (interp/fuse.go), and in debug mode it checks
-// every condition it fuses against the tuples in scope and panics on a
-// violation. The post-call verify in the caller catches mutations of the
-// program itself.
-func fuseAll(t *testing.T, prog *ram.Program, st *symtab.Table) {
+// armed runs fn with the verifier in debug mode — where the pipeline stages
+// check their own output and panic with a *verify.Error naming the stage —
+// and turns such a panic into a test failure.
+func armed(t *testing.T, what string, fn func()) {
 	t.Helper()
 	was := verify.Debugging()
 	verify.SetDebug(true)
 	defer verify.SetDebug(was)
 	defer func() {
 		if r := recover(); r != nil {
-			t.Fatalf("tree generation with fusion: %v", r)
+			t.Fatalf("%s: %v", what, r)
 		}
 	}()
-	interp.New(prog, st, interp.DefaultConfig())
+	fn()
 }

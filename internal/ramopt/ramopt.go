@@ -1,10 +1,11 @@
-// Package ramopt implements optional RAM-to-RAM optimization passes, the
-// kind of pre-runtime optimization the paper locates at the RAM level (§2).
-// All passes preserve the program's least fixpoint exactly; they are opt-in
-// (the benchmark figures measure the unoptimized translation, matching the
-// paper's setup).
+// Package ramopt implements the RAM-to-RAM optimization stage, the
+// pre-runtime optimization the paper locates at the RAM level (§2, Fig 3).
+// All passes preserve the program's least fixpoint exactly. The stage is a
+// fixed part of the product pipeline: sti.Parse always ends with
+// Optimize(..., Queryable()). (internal/bench alone runs the unoptimized
+// translation, matching the paper's measurement setup.)
 //
-// Passes:
+// Passes, in pipeline order:
 //
 //   - constant folding: intrinsic sub-expressions over constants are
 //     evaluated at optimization time (including string functors through the
@@ -21,12 +22,13 @@
 //   - index pruning: secondary index orders no search uses are dropped,
 //     respecting swap groups (see pruneindex.go).
 //
-// The first three are peephole passes over Main; the last two are
+// The first three are peephole rewrites of Main; the last two are
 // analysis-gated whole-program passes that rewrite Main and Update
 // together. Dead code elimination assumes IO statements are the only
-// observable outputs — callers that keep relations queryable after the run
-// (the embedding API, resident databases) must use Queryable() instead of
-// All().
+// observable outputs. Every product path keeps relations queryable after
+// the run (sti.Result, Explain, Database), so the product pass set is
+// Queryable(); All() is used by `sti vet` and the perfbench probe only, and
+// dead code elimination has no product caller.
 package ramopt
 
 import (
@@ -39,33 +41,40 @@ import (
 	"sti/internal/value"
 )
 
-// Options selects passes.
+// Options is the pass set. It has exactly two values, All and Queryable;
+// individual passes are not selectable.
 type Options struct {
-	FoldConstants bool
-	FuseFilters   bool
-	Choices       bool
-	// DeadCode removes statements and relations that cannot reach an IO
-	// sink. Only sound when IO is the program's sole observable interface.
-	DeadCode bool
-	// PruneIndexes drops secondary index orders no search uses.
-	PruneIndexes bool
+	// deadCode includes dead code elimination, which is only sound when IO
+	// is the program's sole observable interface.
+	deadCode bool
 }
 
-// All enables every pass, including dead code elimination — appropriate
-// when the program's outputs are exactly its IO statements (the CLI -O
-// paths).
-func All() Options {
-	return Options{FoldConstants: true, FuseFilters: true, Choices: true, DeadCode: true, PruneIndexes: true}
+// All is every pass, including dead code elimination — appropriate only
+// when the program's outputs are exactly its IO statements.
+func All() Options { return Options{deadCode: true} }
+
+// Queryable is every pass that preserves the queryability of all relations:
+// everything except dead code elimination. It is the set the product
+// pipeline (sti.Parse) runs.
+func Queryable() Options { return Options{} }
+
+// pass is one stage of the optimizer pipeline.
+type pass struct {
+	name string
+	// ioOnly marks a pass that assumes IO statements are the only
+	// observable outputs; Queryable skips it.
+	ioOnly bool
+	run    func(*ram.Program, *symtab.Table)
 }
 
-// Queryable enables every pass that preserves the queryability of all
-// relations: everything except dead code elimination. Embedders that read
-// arbitrary relations after the run (sti.Result, resident databases) must
-// use this set.
-func Queryable() Options {
-	o := All()
-	o.DeadCode = false
-	return o
+// passes is the pipeline, in order. The three peephole rewrites share one
+// tree walk (optimizer) parameterized by the rewrite it applies.
+var passes = []pass{
+	{name: "fold-constants", run: optimizer{foldConstants: true}.run},
+	{name: "fuse-filters", run: optimizer{fuseFilters: true}.run},
+	{name: "choices", run: optimizer{choices: true}.run},
+	{name: "dead-code", ioOnly: true, run: func(p *ram.Program, _ *symtab.Table) { deadCode(p) }},
+	{name: "prune-indexes", run: func(p *ram.Program, _ *symtab.Table) { pruneIndexes(p) }},
 }
 
 // Stats reports the program shrink achieved by the analysis-gated passes.
@@ -90,37 +99,36 @@ func (s Stats) String() string {
 }
 
 // Optimize rewrites the program in place. In ramverify debug mode the
-// rewritten program is re-verified and a violated invariant panics with a
-// *verify.Error naming the offending node — an optimizer bug is a
+// program is re-verified after every pass and a violated invariant panics
+// with a *verify.Error whose stage names the pass ("ramopt/fuse-filters")
+// and whose excerpt marks the offending node — an optimizer bug is a
 // programming error, not a user error.
 func Optimize(p *ram.Program, st *symtab.Table, opts Options) {
 	OptimizeStats(p, st, opts)
 }
 
 // OptimizeStats is Optimize returning the before/after program shrink, for
-// callers that report it (sti vet -O).
+// callers that report it (sti vet).
 func OptimizeStats(p *ram.Program, st *symtab.Table, opts Options) Stats {
 	s := Stats{
 		StatementsBefore: countStmts(p),
 		IndexesBefore:    countIndexes(p),
 		RelationsBefore:  len(p.Relations),
 	}
-	o := &optimizer{st: st, opts: opts}
-	p.Main = o.stmt(p.Main)
-	if opts.DeadCode {
-		deadCode(p)
-	}
-	if opts.PruneIndexes {
-		pruneIndexes(p)
+	for _, ps := range passes {
+		if ps.ioOnly && !opts.deadCode {
+			continue
+		}
+		ps.run(p, st)
+		if verify.Debugging() {
+			if err := verify.Check(p, "ramopt/"+ps.name); err != nil {
+				panic(err)
+			}
+		}
 	}
 	s.StatementsAfter = countStmts(p)
 	s.IndexesAfter = countIndexes(p)
 	s.RelationsAfter = len(p.Relations)
-	if verify.Debugging() {
-		if err := verify.Check(p, "ramopt"); err != nil {
-			panic(err)
-		}
-	}
 	return s
 }
 
@@ -163,9 +171,18 @@ func countIndexes(p *ram.Program) int {
 	return n
 }
 
+// optimizer is the shared peephole walk; exactly one rewrite is enabled per
+// pass.
 type optimizer struct {
-	st   *symtab.Table
-	opts Options
+	st                                  *symtab.Table
+	foldConstants, fuseFilters, choices bool
+}
+
+// run applies the rewrite to Main. The receiver is a per-call copy, so
+// concurrent Optimize calls share nothing.
+func (o optimizer) run(p *ram.Program, st *symtab.Table) {
+	o.st = st
+	p.Main = o.stmt(p.Main)
 }
 
 func (o *optimizer) stmt(s ram.Statement) ram.Statement {
@@ -196,7 +213,7 @@ func (o *optimizer) op(op ram.Operation) ram.Operation {
 	switch op := op.(type) {
 	case *ram.Scan:
 		op.Nested = o.op(op.Nested)
-		if o.opts.Choices {
+		if o.choices {
 			if cond, inner, ok := o.choiceBody(op.TupleID, op.Nested); ok {
 				return &ram.Choice{Rel: op.Rel, Cond: cond, TupleID: op.TupleID, Nested: inner}
 			}
@@ -205,7 +222,7 @@ func (o *optimizer) op(op ram.Operation) ram.Operation {
 	case *ram.IndexScan:
 		o.foldPattern(op.Pattern)
 		op.Nested = o.op(op.Nested)
-		if o.opts.Choices {
+		if o.choices {
 			if cond, inner, ok := o.choiceBody(op.TupleID, op.Nested); ok {
 				return &ram.IndexChoice{
 					Rel: op.Rel, IndexID: op.IndexID, Pattern: op.Pattern,
@@ -226,7 +243,7 @@ func (o *optimizer) op(op ram.Operation) ram.Operation {
 	case *ram.Filter:
 		op.Cond = o.cond(op.Cond)
 		op.Nested = o.op(op.Nested)
-		if o.opts.FuseFilters {
+		if o.fuseFilters {
 			if inner, ok := op.Nested.(*ram.Filter); ok {
 				return o.op(&ram.Filter{
 					Cond:   &ram.And{L: op.Cond, R: inner.Cond},
@@ -285,85 +302,12 @@ func (o *optimizer) choiceBody(tid int, nested ram.Operation) (ram.Condition, ra
 	if proj.Rel != nil && proj.Rel.Counting {
 		return nil, nil, false
 	}
-	if opReadsTuple(proj, tid) {
-		return nil, nil, false
+	for _, e := range proj.Exprs {
+		if readsTuple(e, tid) {
+			return nil, nil, false
+		}
 	}
 	return cond, proj, true
-}
-
-// opReadsTuple reports whether any expression under op reads tuple tid.
-func opReadsTuple(op ram.Operation, tid int) bool {
-	found := false
-	walkOpExprs(op, func(e ram.Expr) {
-		if readsTuple(e, tid) {
-			found = true
-		}
-	})
-	return found
-}
-
-func walkOpExprs(op ram.Operation, fn func(ram.Expr)) {
-	switch op := op.(type) {
-	case *ram.Project:
-		for _, e := range op.Exprs {
-			fn(e)
-		}
-	case *ram.Filter:
-		walkCondExprs(op.Cond, fn)
-		walkOpExprs(op.Nested, fn)
-	case *ram.Scan:
-		walkOpExprs(op.Nested, fn)
-	case *ram.IndexScan:
-		for _, e := range op.Pattern {
-			if e != nil {
-				fn(e)
-			}
-		}
-		walkOpExprs(op.Nested, fn)
-	case *ram.Choice:
-		walkCondExprs(op.Cond, fn)
-		walkOpExprs(op.Nested, fn)
-	case *ram.IndexChoice:
-		for _, e := range op.Pattern {
-			if e != nil {
-				fn(e)
-			}
-		}
-		walkCondExprs(op.Cond, fn)
-		walkOpExprs(op.Nested, fn)
-	case *ram.Aggregate:
-		for _, e := range op.Pattern {
-			if e != nil {
-				fn(e)
-			}
-		}
-		if op.Cond != nil {
-			walkCondExprs(op.Cond, fn)
-		}
-		if op.Target != nil {
-			fn(op.Target)
-		}
-		walkOpExprs(op.Nested, fn)
-	}
-}
-
-func walkCondExprs(c ram.Condition, fn func(ram.Expr)) {
-	switch c := c.(type) {
-	case *ram.And:
-		walkCondExprs(c.L, fn)
-		walkCondExprs(c.R, fn)
-	case *ram.Not:
-		walkCondExprs(c.C, fn)
-	case *ram.ExistenceCheck:
-		for _, e := range c.Pattern {
-			if e != nil {
-				fn(e)
-			}
-		}
-	case *ram.Constraint:
-		fn(c.L)
-		fn(c.R)
-	}
 }
 
 func readsTuple(e ram.Expr, tid int) bool {
@@ -424,7 +368,7 @@ func (o *optimizer) expr(e ram.Expr) ram.Expr {
 			allConst = false
 		}
 	}
-	if !o.opts.FoldConstants || !allConst || !foldable(in.Op) {
+	if !o.foldConstants || !allConst || !foldable(in.Op) {
 		return in
 	}
 	args := make([]value.Value, len(in.Args))

@@ -58,7 +58,7 @@ func (db *Database) Phase() string {
 // snapshots keep serving the previous epoch.
 func (db *Database) Ready() error {
 	if db.stClosed.Load() {
-		return errClosed
+		return ErrClosed
 	}
 	if db.stBroken.Load() {
 		return errors.New("sti: database is broken: the engine failed mid-apply and may hold a partial fixpoint")

@@ -6,10 +6,11 @@ import (
 
 	"sti/internal/codegen"
 	"sti/internal/compile"
+	"sti/internal/eio"
 	"sti/internal/interp"
 	"sti/internal/obsv"
 	"sti/internal/ram"
-	"sti/internal/symtab"
+	"sti/internal/relation"
 	"sti/internal/tuple"
 )
 
@@ -113,131 +114,111 @@ func (o *runOptions) interpConfig() InterpreterConfig {
 	return cfg
 }
 
-// Result holds the relations of a completed run.
+// Result is a handle on a completed run: relations are read from the
+// finished backend on demand.
 type Result struct {
-	prog    *Program
-	tuples  map[string][]tuple.Tuple
-	profile *Profile
-	eng     *interp.Engine // retained for Explain (provenance runs only)
+	prog *Program
+	// rel looks a runtime relation up by name in the finished backend.
+	rel func(name string) *relation.Relation
+	eng *interp.Engine // nil on the compiled backend
+	// provenance records that eng ran with WithProvenance, so Explain works.
+	provenance bool
 }
 
 // Run executes the program on the given input (nil for none).
 func (p *Program) Run(in *Input, opts ...Option) (*Result, error) {
-	o := resolveOptions(opts)
-	if in != nil && in.err != nil {
+	if in == nil {
+		return p.run(interp.NewMemIO(), opts)
+	}
+	if in.err != nil {
 		return nil, in.err
 	}
-	io := interp.NewMemIO()
-	if in != nil {
-		io = in.mem
-	}
+	return p.run(in.mem, opts)
+}
 
-	res := &Result{prog: p, tuples: map[string][]tuple.Tuple{}}
-	switch o.backend {
-	case Compiled:
+// RunDir executes the program reading <rel>.facts files from inDir and
+// writing <rel>.csv files to outDir (the Soufflé file convention);
+// .printsize lines go to standard output.
+func (p *Program) RunDir(inDir, outDir string, opts ...Option) (*Result, error) {
+	return p.run(&interp.DirIO{InputDir: inDir, OutputDir: outDir, Symbols: p.st}, opts)
+}
+
+// run is the one place a one-shot backend is built and executed.
+func (p *Program) run(io eio.Handler, opts []Option) (*Result, error) {
+	o := resolveOptions(opts)
+	res := &Result{prog: p}
+	var err error
+	if o.backend == Compiled {
 		m := compile.New(p.ram, p.st)
-		if err := m.Run(io); err != nil {
-			return nil, err
-		}
-		for _, rd := range p.ram.Relations {
-			if rd.Aux {
-				continue
-			}
-			ts, err := m.Tuples(rd.Name)
-			if err != nil {
-				return nil, err
-			}
-			res.tuples[rd.Name] = ts
-		}
-	default:
+		res.rel, err = m.Relation, m.Run(io)
+	} else {
 		cfg := o.interpConfig()
-		eng := interp.New(p.ram, p.st, cfg)
-		if err := eng.Run(io); err != nil {
-			return nil, err
-		}
-		if cfg.Provenance {
-			res.eng = eng
-		}
-		for _, rd := range p.ram.Relations {
-			if rd.Aux {
-				continue
-			}
-			ts, err := eng.Tuples(rd.Name)
-			if err != nil {
-				return nil, err
-			}
-			res.tuples[rd.Name] = ts
-		}
-		res.profile = eng.Profile()
+		res.eng, res.provenance = interp.New(p.ram, p.st, cfg), cfg.Provenance
+		res.rel, err = res.eng.Relation, res.eng.Run(io)
+	}
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }
 
-// RunDir executes the program reading <rel>.facts files from inDir and
-// writing <rel>.csv files to outDir (the Soufflé file convention), using
-// the interpreter backend.
-func (p *Program) RunDir(inDir, outDir string, opts ...Option) error {
-	o := resolveOptions(opts)
-	io := &interp.DirIO{InputDir: inDir, OutputDir: outDir, Symbols: p.st}
-	if o.backend == Compiled {
-		return compile.New(p.ram, p.st).Run(io)
+// relation resolves a declared (non-auxiliary) relation of the finished run.
+func (r *Result) relation(name string) (*ram.Relation, *relation.Relation) {
+	decl, err := r.prog.decl(name)
+	if err != nil {
+		return nil, nil
 	}
-	return interp.New(p.ram, p.st, o.interpConfig()).Run(io)
+	return decl, r.rel(name)
 }
 
 // Size reports the number of tuples in a relation after the run.
-func (r *Result) Size(name string) int { return len(r.tuples[name]) }
+func (r *Result) Size(name string) int {
+	if _, rel := r.relation(name); rel != nil {
+		return rel.Size()
+	}
+	return 0
+}
 
 // Contains reports whether the relation holds the given tuple (values
 // converted like Input.Add).
 func (r *Result) Contains(name string, values ...any) bool {
-	decl, err := r.prog.decl(name)
-	if err != nil || len(values) != decl.Arity {
-		return false
-	}
-	probe := make(tuple.Tuple, decl.Arity)
-	for i, v := range values {
-		w, err := r.prog.encode(decl.Types[i], v)
-		if err != nil {
-			return false
-		}
-		probe[i] = w
-	}
-	for _, t := range r.tuples[name] {
-		if tuple.Equal(t, probe) {
-			return true
-		}
-	}
-	return false
+	probe, err := r.prog.encodeTuple(name, values)
+	return err == nil && r.rel(name).Contains(probe)
 }
 
 // Rows returns a relation's tuples decoded to Go values (int32, uint32,
-// float32, or string per attribute type).
+// float32, or string per attribute type), in primary-index order.
 func (r *Result) Rows(name string) [][]any {
-	decl, err := r.prog.decl(name)
-	if err != nil {
+	decl, rel := r.relation(name)
+	if rel == nil {
 		return nil
 	}
-	out := make([][]any, 0, len(r.tuples[name]))
-	for _, t := range r.tuples[name] {
+	out := make([][]any, 0, rel.Size())
+	for it := rel.Scan(); ; {
+		t, ok := it.Next()
+		if !ok {
+			return out
+		}
 		row := make([]any, len(t))
 		for i, w := range t {
 			row[i] = r.prog.decode(decl.Types[i], w)
 		}
 		out = append(out, row)
 	}
-	return out
 }
 
 // Profile returns the interpreter's profiling report (nil unless
 // WithProfiling was used with the interpreter backend).
-func (r *Result) Profile() *Profile { return r.profile }
-
-// codegenEmit indirection keeps sti.go free of the codegen import cycle
-// concerns and makes the dependency explicit.
-func codegenEmit(rp *ram.Program, st *symtab.Table) ([]byte, error) {
-	return codegen.Emit(rp, st)
+func (r *Result) Profile() *Profile {
+	if r.eng == nil {
+		return nil
+	}
+	return r.eng.Profile()
 }
+
+// EmitGo emits the synthesized standalone Go source for the program (see
+// internal/codegen for the toolchain workflow).
+func (p *Program) EmitGo() ([]byte, error) { return codegen.Emit(p.ram, p.st) }
 
 // WithProvenance records every tuple's first derivation so the result can
 // explain how tuples were derived (interpreter backend only; implies the
@@ -279,25 +260,30 @@ func (p *ProofNode) render(b *strings.Builder, depth int) {
 }
 
 // Explain reconstructs the derivation of a tuple (values converted like
-// Input.Add). The run must have used WithProvenance.
+// Input.Add). The run must have used WithProvenance on the interpreter
+// backend.
 func (r *Result) Explain(name string, values ...any) (*ProofNode, error) {
-	if r.eng == nil {
-		return nil, fmt.Errorf("sti: run without WithProvenance cannot explain")
-	}
-	decl, err := r.prog.decl(name)
+	t, err := r.prog.encodeTuple(name, values)
 	if err != nil {
 		return nil, err
 	}
-	if len(values) != decl.Arity {
-		return nil, fmt.Errorf("sti: relation %s has arity %d, got %d values", name, decl.Arity, len(values))
+	return r.explain(name, t)
+}
+
+// ExplainText is Explain with text fields, parsed by attribute type with the
+// fact-file conventions (quoted symbols allowed). It backs `sti run
+// -explain`.
+func (r *Result) ExplainText(name string, fields []string) (*ProofNode, error) {
+	t, _, err := r.prog.parseTuple(name, fields)
+	if err != nil {
+		return nil, fmt.Errorf("sti: relation %s: %v", name, err)
 	}
-	t := make(tuple.Tuple, decl.Arity)
-	for i, v := range values {
-		w, err := r.prog.encode(decl.Types[i], v)
-		if err != nil {
-			return nil, err
-		}
-		t[i] = w
+	return r.explain(name, t)
+}
+
+func (r *Result) explain(name string, t tuple.Tuple) (*ProofNode, error) {
+	if !r.provenance {
+		return nil, fmt.Errorf("sti: run without WithProvenance cannot explain")
 	}
 	proof, err := r.eng.Explain(name, t)
 	if err != nil {

@@ -63,7 +63,11 @@ type Program struct {
 	hash string
 }
 
-// Parse parses, semantically checks, and translates a Datalog program.
+// Parse runs the whole compilation pipeline — parse, semantic analysis,
+// translation to RAM, RAM optimization — and is the only product code that
+// chains those stages. The optimizer always runs with the Queryable pass
+// set: every way of running a Program (Result, Explain, Database) keeps all
+// relations observable, so dead code elimination is never applied.
 func Parse(source string) (*Program, error) {
 	astProg, err := parser.Parse(source)
 	if err != nil {
@@ -82,16 +86,8 @@ func Parse(source string) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
+	ramopt.Optimize(ramProg, st, ramopt.Queryable())
 	return &Program{sem: semProg, ram: ramProg, st: st, hash: programHash(source)}, nil
-}
-
-// Optimize runs the RAM optimization passes (constant folding, filter
-// fusion, choice conversion, index pruning) on the program in place and
-// returns it. Dead code elimination is deliberately excluded: Result keeps
-// every relation queryable after Run, so no relation is dead here.
-func (p *Program) Optimize() *Program {
-	ramopt.Optimize(p.ram, p.st, ramopt.Queryable())
-	return p
 }
 
 // MustParse is Parse that panics on error, for examples and tests.
@@ -103,14 +99,9 @@ func MustParse(source string) *Program {
 	return p
 }
 
-// RAM renders the program's RAM intermediate representation.
+// RAM renders the program's RAM intermediate representation — the optimized
+// program every backend executes.
 func (p *Program) RAM() string { return p.ram.String() }
-
-// EmitGo emits the synthesized standalone Go source for the program (see
-// internal/codegen for the toolchain workflow).
-func (p *Program) EmitGo() ([]byte, error) {
-	return codegenEmit(p.ram, p.st)
-}
 
 // Relations lists the program's declared (non-auxiliary) relation names in
 // declaration order.
@@ -158,23 +149,10 @@ func (in *Input) Add(name string, values ...any) *Input {
 	if in.err != nil {
 		return in
 	}
-	decl, err := in.prog.decl(name)
+	t, err := in.prog.encodeTuple(name, values)
 	if err != nil {
 		in.err = err
 		return in
-	}
-	if len(values) != decl.Arity {
-		in.err = fmt.Errorf("sti: relation %s has arity %d, got %d values", name, decl.Arity, len(values))
-		return in
-	}
-	t := make(tuple.Tuple, decl.Arity)
-	for i, v := range values {
-		w, err := in.prog.encode(decl.Types[i], v)
-		if err != nil {
-			in.err = fmt.Errorf("sti: %s argument %d: %v", name, i, err)
-			return in
-		}
-		t[i] = w
 	}
 	in.mem.Facts[name] = append(in.mem.Facts[name], t)
 	return in
@@ -182,6 +160,47 @@ func (in *Input) Add(name string, values ...any) *Input {
 
 // Err returns the first conversion error, if any.
 func (in *Input) Err() error { return in.err }
+
+// encodeTuple converts Go values to one tuple of the named relation.
+func (p *Program) encodeTuple(name string, values []any) (tuple.Tuple, error) {
+	decl, err := p.decl(name)
+	if err != nil {
+		return nil, err
+	}
+	if len(values) != decl.Arity {
+		return nil, fmt.Errorf("sti: relation %s has arity %d, got %d values", name, decl.Arity, len(values))
+	}
+	t := make(tuple.Tuple, decl.Arity)
+	for i, v := range values {
+		if t[i], err = p.encode(decl.Types[i], v); err != nil {
+			return nil, fmt.Errorf("sti: %s argument %d: %v", name, i, err)
+		}
+	}
+	return t, nil
+}
+
+// parseTuple converts text fields to one tuple of the named relation, by
+// attribute type with the fact-file conventions (quoted symbols allowed).
+// On failure off is the byte offset of the offending field within the
+// tab-joined row, or -1 when the row as a whole is wrong (unknown relation,
+// field count).
+func (p *Program) parseTuple(name string, fields []string) (t tuple.Tuple, off int, err error) {
+	decl, err := p.decl(name)
+	if err != nil {
+		return nil, -1, err
+	}
+	if len(fields) != decl.Arity {
+		return nil, -1, fmt.Errorf("%d fields, want %d", len(fields), decl.Arity)
+	}
+	t = make(tuple.Tuple, decl.Arity)
+	for i, f := range fields {
+		if t[i], err = eio.ParseField(f, decl.Types[i], p.st); err != nil {
+			return nil, off, err
+		}
+		off += len(f) + 1
+	}
+	return t, 0, nil
+}
 
 func (p *Program) encode(ty value.Type, v any) (value.Value, error) {
 	switch ty {

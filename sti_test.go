@@ -1,6 +1,7 @@
 package sti
 
 import (
+	"os"
 	"strings"
 	"testing"
 )
@@ -166,23 +167,29 @@ func TestRunDir(t *testing.T) {
 	dir := t.TempDir()
 	writeFile(t, dir+"/edge.facts", "1\t2\n2\t3\n")
 	prog := MustParse(tcSource)
-	if err := prog.RunDir(dir, dir); err != nil {
-		t.Fatal(err)
-	}
-	data := readFile(t, dir+"/path.csv")
-	if data != "1\t2\n1\t3\n2\t3\n" {
-		t.Fatalf("path.csv = %q", data)
-	}
-	// Compiled backend through the same path.
-	if err := prog.RunDir(dir, dir, WithBackend(Compiled)); err != nil {
-		t.Fatal(err)
+	// Both backends write the files and hand back the same Result handle
+	// Run does.
+	for _, opts := range [][]Option{nil, {WithBackend(Compiled)}} {
+		res, err := prog.RunDir(dir, dir, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if data := readFile(t, dir+"/path.csv"); data != "1\t2\n1\t3\n2\t3\n" {
+			t.Fatalf("path.csv = %q", data)
+		}
+		if res.Size("path") != 3 || !res.Contains("path", 1, 3) || res.Contains("path", 3, 1) {
+			t.Fatalf("result: size %d, rows %v", res.Size("path"), res.Rows("path"))
+		}
+		if err := os.Remove(dir + "/path.csv"); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
-func TestOptimizeAndWorkers(t *testing.T) {
+func TestPipelineOptimizesAndWorkers(t *testing.T) {
 	// The negation keeps the program non-deletable: choice conversion is
 	// suppressed for counting targets, and this test wants the choice.
-	srcOpt := `
+	prog := MustParse(`
 .decl e(x:number, y:number)
 .decl node(x:number)
 .decl skip(x:number)
@@ -191,34 +198,27 @@ func TestOptimizeAndWorkers(t *testing.T) {
 .input node
 .input skip
 out(x) :- node(x), e(x, y), y > 2 + 3, !skip(x).
-`
-	plain := MustParse(srcOpt)
-	opt := MustParse(srcOpt).Optimize()
-	if !strings.Contains(opt.RAM(), "CHOICE") {
-		t.Fatalf("Optimize did not introduce a choice:\n%s", opt.RAM())
+`)
+	// RAM optimization is a fixed stage of Parse, not a mode.
+	if !strings.Contains(prog.RAM(), "CHOICE") {
+		t.Fatalf("Parse did not introduce a choice:\n%s", prog.RAM())
 	}
-	mk := func(p *Program) *Input {
-		in := p.NewInput()
-		for i := 0; i < 30; i++ {
-			in.Add("e", i, i%9)
-			in.Add("node", i)
-		}
-		return in
+	in := prog.NewInput()
+	for i := 0; i < 30; i++ {
+		in.Add("e", i, i%9)
+		in.Add("node", i)
 	}
-	a, err := plain.Run(mk(plain))
+	a, err := prog.Run(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := opt.Run(mk(opt))
+	b, err := prog.Run(in, WithWorkers(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := opt.Run(mk(opt), WithWorkers(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Size("out") != b.Size("out") || a.Size("out") != c.Size("out") {
-		t.Fatalf("sizes diverge: %d %d %d", a.Size("out"), b.Size("out"), c.Size("out"))
+	// y = i%9 > 5 holds for i%9 in {6,7,8}: 9 of the 30 nodes.
+	if a.Size("out") != 9 || b.Size("out") != 9 {
+		t.Fatalf("sizes: %d serial, %d with 4 workers, want 9", a.Size("out"), b.Size("out"))
 	}
 }
 
