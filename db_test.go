@@ -102,10 +102,22 @@ func randomEdges(n, nodes int, seed int64) [][2]int {
 	return out
 }
 
+// checkIncremental asserts every batch so far took the incremental path.
+func checkIncremental(t *testing.T, db *Database, tag string) {
+	t.Helper()
+	if st := db.Stats(); st.AppliesIncremental != st.Applies || st.Recomputes != 0 {
+		t.Fatalf("%s: every batch should be incremental: %+v", tag, st)
+	}
+}
+
+// residentWorkers is the parallel axis of the resident property tests: the
+// serial engine and the paper's §3 workers, which keep the incremental path.
+var residentWorkers = []int{1, 2}
+
 // TestIncrementalEquivalence is the core property test: applying edge
 // batches to a resident database must yield exactly the relation a
 // from-scratch Run on the union of the batches yields, after every batch,
-// across representations and workload shapes.
+// across representations, workload shapes and worker counts.
 func TestIncrementalEquivalence(t *testing.T) {
 	workloads := map[string][][2]int{
 		"chain":  chainEdges(30),
@@ -115,29 +127,31 @@ func TestIncrementalEquivalence(t *testing.T) {
 	for _, rep := range []string{"btree", "brie", "eqrel"} {
 		for wname, edges := range workloads {
 			t.Run(rep+"/"+wname, func(t *testing.T) {
-				p := tcProgram(t, rep)
-				db, err := p.Open()
-				if err != nil {
-					t.Fatalf("open: %v", err)
-				}
-				defer db.Close()
-				if !db.Incremental() {
-					t.Fatal("transitive closure should support incremental batches")
-				}
-				var applied [][2]int
-				const batch = 7
-				for i := 0; i < len(edges); i += batch {
-					end := i + batch
-					if end > len(edges) {
-						end = len(edges)
-					}
-					applyEdges(t, db, edges[i:end])
-					applied = append(applied, edges[i:end]...)
-					checkEquivalent(t, db, p, applied, fmt.Sprintf("%s/%s after batch %d", rep, wname, i/batch))
-				}
-				st := db.Stats()
-				if st.AppliesIncremental != st.Applies || st.Recomputes != 0 {
-					t.Fatalf("insert-only batches should all be incremental: %+v", st)
+				for _, workers := range residentWorkers {
+					t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+						p := tcProgram(t, rep)
+						db, err := p.Open(WithWorkers(workers))
+						if err != nil {
+							t.Fatalf("open: %v", err)
+						}
+						defer db.Close()
+						if !db.Incremental() {
+							t.Fatal("transitive closure should support incremental batches")
+						}
+						var applied [][2]int
+						const batch = 7
+						for i := 0; i < len(edges); i += batch {
+							end := i + batch
+							if end > len(edges) {
+								end = len(edges)
+							}
+							applyEdges(t, db, edges[i:end])
+							applied = append(applied, edges[i:end]...)
+							tag := fmt.Sprintf("%s/%s/workers=%d after batch %d", rep, wname, workers, i/batch)
+							checkEquivalent(t, db, p, applied, tag)
+							checkIncremental(t, db, tag)
+						}
+					})
 				}
 			})
 		}
@@ -543,9 +557,9 @@ func TestConcurrentQueryDuringApply(t *testing.T) {
 // TestInterleavedDeleteEquivalence is the deletion property test: batches
 // interleaving insertions and retractions against a resident database must
 // match a from-scratch run on the net fact set after every batch, across
-// workload shapes and representations. eqrel is excluded by construction —
-// union-find relations cannot attribute retractions, so such programs are
-// not deletable.
+// workload shapes, representations and worker counts. eqrel is excluded by
+// construction — union-find relations cannot attribute retractions, so such
+// programs are not deletable.
 func TestInterleavedDeleteEquivalence(t *testing.T) {
 	workloads := map[string][][2]int{
 		"chain":  chainEdges(30),
@@ -555,51 +569,53 @@ func TestInterleavedDeleteEquivalence(t *testing.T) {
 	for _, rep := range []string{"btree", "brie"} {
 		for wname, edges := range workloads {
 			t.Run(rep+"/"+wname, func(t *testing.T) {
-				p := tcProgram(t, rep)
-				db, err := p.Open()
-				if err != nil {
-					t.Fatalf("open: %v", err)
-				}
-				defer db.Close()
-				if !db.Deletable() {
-					t.Fatal("transitive closure should support incremental deletion")
-				}
-				rng := rand.New(rand.NewSource(99))
-				var applied [][2]int
-				next := 0
-				for round := 0; next < len(edges); round++ {
-					b := db.NewBatch()
-					for k := 0; k < 5 && next < len(edges); k++ {
-						e := edges[next]
-						next++
-						b.Add("edge", e[0], e[1])
-						applied = append(applied, e)
-					}
-					// Every other round also retracts a few random edges
-					// applied earlier (duplicates in the stream mean some
-					// retractions are no-ops — that path must hold too).
-					if round%2 == 1 {
-						for k := 0; k < 3 && len(applied) > 0; k++ {
-							i := rng.Intn(len(applied))
-							e := applied[i]
-							b.Delete("edge", e[0], e[1])
-							kept := applied[:0]
-							for _, a := range applied {
-								if a != e {
-									kept = append(kept, a)
+				for _, workers := range residentWorkers {
+					t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+						p := tcProgram(t, rep)
+						db, err := p.Open(WithWorkers(workers))
+						if err != nil {
+							t.Fatalf("open: %v", err)
+						}
+						defer db.Close()
+						if !db.Deletable() {
+							t.Fatal("transitive closure should support incremental deletion")
+						}
+						rng := rand.New(rand.NewSource(99))
+						var applied [][2]int
+						next := 0
+						for round := 0; next < len(edges); round++ {
+							b := db.NewBatch()
+							for k := 0; k < 5 && next < len(edges); k++ {
+								e := edges[next]
+								next++
+								b.Add("edge", e[0], e[1])
+								applied = append(applied, e)
+							}
+							// Every other round also retracts a few random edges
+							// applied earlier (duplicates in the stream mean some
+							// retractions are no-ops — that path must hold too).
+							if round%2 == 1 {
+								for k := 0; k < 3 && len(applied) > 0; k++ {
+									i := rng.Intn(len(applied))
+									e := applied[i]
+									b.Delete("edge", e[0], e[1])
+									kept := applied[:0]
+									for _, a := range applied {
+										if a != e {
+											kept = append(kept, a)
+										}
+									}
+									applied = append([][2]int{}, kept...)
 								}
 							}
-							applied = append([][2]int{}, kept...)
+							if err := db.Apply(b); err != nil {
+								t.Fatalf("round %d: apply: %v", round, err)
+							}
+							tag := fmt.Sprintf("%s/%s/workers=%d round %d", rep, wname, workers, round)
+							checkEquivalent(t, db, p, applied, tag)
+							checkIncremental(t, db, tag)
 						}
-					}
-					if err := db.Apply(b); err != nil {
-						t.Fatalf("round %d: apply: %v", round, err)
-					}
-					checkEquivalent(t, db, p, applied, fmt.Sprintf("%s/%s round %d", rep, wname, round))
-				}
-				st := db.Stats()
-				if st.AppliesIncremental != st.Applies || st.Recomputes != 0 {
-					t.Fatalf("every batch should be incremental: %+v", st)
+					})
 				}
 			})
 		}

@@ -67,9 +67,10 @@ type ScalingRow struct {
 
 // Scaling sweeps the scaling workloads over the worker axis and reports
 // wall time and tuple throughput per (workload, worker-count) cell; the
-// minimum over repeats is reported, as in the paper's methodology.
+// minimum over repeats is reported, as in the paper's methodology. Rows with
+// more workers than CPUs are tagged (see oversubscribed).
 func Scaling(scale Scale, repeats int, w io.Writer) ([]ScalingRow, error) {
-	fmt.Fprintf(w, "worker scaling (scale=%s; wall time and tuples/s per worker count)\n", scale)
+	fmt.Fprintf(w, "worker scaling (scale=%s, cpus=%d; wall time and tuples/s per worker count)\n", scale, runtime.NumCPU())
 	fmt.Fprintf(w, "%-22s %8s %12s %12s %14s\n", "benchmark", "workers", "wall", "tuples", "tuples/s")
 	var rows []ScalingRow
 	for _, wl := range ScalingWorkloads(scale) {
@@ -100,9 +101,19 @@ func Scaling(scale Scale, repeats int, w io.Writer) ([]ScalingRow, error) {
 			}
 			best.TuplesPerSec = float64(best.Tuples) / best.Wall.Seconds()
 			rows = append(rows, best)
-			fmt.Fprintf(w, "%-22s %8d %12v %12d %14.0f\n",
-				best.Workload, best.Workers, best.Wall.Round(time.Microsecond), best.Tuples, best.TuplesPerSec)
+			fmt.Fprintf(w, "%-22s %8d %12v %12d %14.0f%s\n",
+				best.Workload, best.Workers, best.Wall.Round(time.Microsecond), best.Tuples, best.TuplesPerSec, oversubscribed(best.Workers))
 		}
 	}
 	return rows, nil
+}
+
+// oversubscribed is the row tag of the parallel sweeps for a run with more
+// workers than this host has CPUs: such a row measures contention for cores
+// that do not exist, so no speed-up may be read off it.
+func oversubscribed(workers int) string {
+	if workers > runtime.NumCPU() {
+		return "  oversubscribed"
+	}
+	return ""
 }

@@ -35,7 +35,7 @@ type ShardRow struct {
 // Workers = NumCPU row per workload gives the partitioned-scan baseline.
 // The minimum over repeats is reported, as in the paper's methodology.
 func Shard(scale Scale, repeats int, w io.Writer) ([]ShardRow, error) {
-	fmt.Fprintf(w, "shard scaling (scale=%s; wall time and tuples/s per shard count; shards=0 is the unsharded baseline)\n", scale)
+	fmt.Fprintf(w, "shard scaling (scale=%s, cpus=%d; wall time and tuples/s per shard count; shards=0 is the unsharded baseline)\n", scale, runtime.NumCPU())
 	fmt.Fprintf(w, "%-22s %8s %8s %12s %12s %14s\n", "benchmark", "shards", "workers", "wall", "tuples", "tuples/s")
 	var rows []ShardRow
 	for _, wl := range ScalingWorkloads(scale) {
@@ -81,8 +81,8 @@ func Shard(scale Scale, repeats int, w io.Writer) ([]ShardRow, error) {
 			}
 			best.TuplesPerSec = float64(best.Tuples) / best.Wall.Seconds()
 			rows = append(rows, best)
-			fmt.Fprintf(w, "%-22s %8d %8d %12v %12d %14.0f\n",
-				best.Workload, best.Shards, best.Workers, best.Wall.Round(time.Microsecond), best.Tuples, best.TuplesPerSec)
+			fmt.Fprintf(w, "%-22s %8d %8d %12v %12d %14.0f%s\n",
+				best.Workload, best.Shards, best.Workers, best.Wall.Round(time.Microsecond), best.Tuples, best.TuplesPerSec, oversubscribed(best.Workers))
 		}
 	}
 	return rows, nil

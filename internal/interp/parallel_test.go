@@ -1,19 +1,21 @@
 package interp
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
 	"testing"
 
+	"sti/internal/ramopt"
 	"sti/internal/relation"
 	"sti/internal/tuple"
 	"sti/internal/value"
 )
 
 // TestParallelMatchesSerial: the parallel interpreter computes exactly the
-// serial results over randomized graphs for a program with recursion,
-// negation, aggregates, and eqrel.
+// serial results at 2 and 4 workers over randomized graphs for a program
+// with recursion, negation, aggregates, and eqrel.
 func TestParallelMatchesSerial(t *testing.T) {
 	src := `
 .decl edge(x:number, y:number)
@@ -41,25 +43,80 @@ eq(x, y) :- edge(x, y), x < y.
 				tuple.Tuple{value.Value(rng.Intn(n)), value.Value(rng.Intn(n))})
 		}
 		serial, _ := run(t, src, facts, DefaultConfig())
-		parCfg := DefaultConfig()
-		parCfg.Workers = runtime.NumCPU()
-		if parCfg.Workers < 2 {
-			parCfg.Workers = 2
+		for _, workers := range []int{2, 4} {
+			parCfg := DefaultConfig()
+			parCfg.Workers = workers
+			parallel, _ := run(t, src, facts, parCfg)
+			requireSame(t, fmt.Sprintf("trial %d/workers=%d", trial, workers), serial, parallel, rels...)
 		}
-		parallel, _ := run(t, src, facts, parCfg)
-		for _, r := range rels {
-			a := tuplesOf(t, serial, r)
-			b := tuplesOf(t, parallel, r)
-			if len(a) != len(b) {
-				t.Fatalf("trial %d relation %s: serial %d tuples, parallel %d", trial, r, len(a), len(b))
+	}
+}
+
+// TestParallelMatchesSerialGraphs runs the shard property inputs on the
+// workers axis: chain, grid, random and star (one leading key) graphs, btree
+// and brie, the arity-3 hop program (secondary orders not led by column 0),
+// raw and optimized translation (the optimizer introduces choices), and a
+// nullary flag gating recursion — at 2 and 4 workers, byte-identical to
+// serial evaluation. The eqrel + aggregate mix is TestParallelMatchesSerial.
+func TestParallelMatchesSerialGraphs(t *testing.T) {
+	exec := func(t *testing.T, src string, facts map[string][]tuple.Tuple, optimize bool, workers int) *Engine {
+		rp, st := compileSrc(t, src)
+		if optimize {
+			ramopt.Optimize(rp, st, ramopt.Queryable())
+		}
+		cfg := DefaultConfig()
+		cfg.Workers = workers
+		eng := New(rp, st, cfg)
+		io := NewMemIO()
+		for name, ts := range facts {
+			for _, tp := range ts {
+				io.Add(name, tp)
 			}
-			for i := range a {
-				if tuple.Compare(a[i], b[i]) != 0 {
-					t.Fatalf("trial %d relation %s differs at %d: %v vs %v", trial, r, i, a[i], b[i])
-				}
+		}
+		if err := eng.Run(io); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		return eng
+	}
+	check := func(t *testing.T, label, src string, facts map[string][]tuple.Tuple, rels ...string) {
+		for _, optimize := range []bool{false, true} {
+			want := exec(t, src, facts, optimize, 1)
+			for _, workers := range []int{2, 4} {
+				got := exec(t, src, facts, optimize, workers)
+				requireSame(t, fmt.Sprintf("%s/optimize=%v/workers=%d", label, optimize, workers), want, got, rels...)
 			}
 		}
 	}
+
+	graphs := shardGraphs(48, 7)
+	var star []tuple.Tuple
+	for i := 1; i <= 40; i++ {
+		star = append(star, tuple.Tuple{0, value.Value(i)}, tuple.Tuple{value.Value(i), value.Value(i + 40)})
+	}
+	graphs["star"] = star
+	for _, rep := range []string{"btree", "brie"} {
+		for name, edges := range graphs {
+			facts := map[string][]tuple.Tuple{"edge": edges}
+			check(t, "tc/"+rep+"/"+name, shardTCSrc(rep), facts, "path", "node", "unreached")
+			check(t, "hop/"+rep+"/"+name, shardShapeSrc(rep), facts, "hop", "viaMid", "viaEnd", "lone", "has", "deg", "cross")
+		}
+	}
+
+	var chain []tuple.Tuple
+	for i := 0; i < 12; i++ {
+		chain = append(chain, tuple.Tuple{value.Value(i), value.Value(i + 1)})
+	}
+	check(t, "nullary", `
+.decl edge(x:number, y:number)
+.decl path(x:number, y:number)
+.decl go()
+.decl done()
+.input edge
+go() :- edge(_, _).
+path(x, y) :- edge(x, y), go().
+path(x, z) :- path(x, y), edge(y, z).
+done() :- path(0, 5).
+`, map[string][]tuple.Tuple{"edge": chain}, "path", "go", "done")
 }
 
 // TestParallelStress oversubscribes the scheduler (twice the CPUs) on
