@@ -64,6 +64,27 @@ func BenchmarkIterate(b *testing.B) {
 	}
 }
 
+// BenchmarkScanShortRange is the shape of a join's inner prefix search: a
+// range holding a couple of keys in a tree of 64 k, drained.
+func BenchmarkScanShortRange(b *testing.B) {
+	keys := benchKeys(1 << 16)
+	tr := New[k2]()
+	for _, k := range keys {
+		tr.Insert(k)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := keys[i&(1<<16-1)]
+		it := tr.Range(k2{k[0], 0}, k2{k[0], ^uint32(0)})
+		for {
+			if _, ok := it.Next(); !ok {
+				break
+			}
+		}
+	}
+}
+
 func BenchmarkRangeQuery(b *testing.B) {
 	tr := New[k2]()
 	for a := uint32(0); a < 1024; a++ {

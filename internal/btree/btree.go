@@ -31,6 +31,13 @@ const degree = 8
 
 const maxKeys = 2*degree - 1
 
+// maxHeight bounds the height of every tree, and so the depth of an
+// iterator's traversal stack (iter.go). Every node but the root holds at
+// least degree-1 keys, so a tree of height h holds at least
+// 2*degree^(h-1) - 1 keys: height 17 would take 2*8^16 - 1 ≈ 5.6e14 keys, more
+// than a 48-bit address space can hold at 4 bytes each.
+const maxHeight = 16
+
 type node[K Key[K]] struct {
 	keys     [maxKeys]K
 	n        int8

@@ -3,17 +3,27 @@ package btree
 // Iter is a forward in-order iterator, optionally bounded above. The zero
 // value is an exhausted iterator. Iterators are invalidated by any mutation
 // of the tree they traverse.
+//
+// The traversal stack is a pair of fixed arrays (see maxHeight), so an
+// iterator is a plain value: creating, copying and draining one allocates
+// nothing. nodes[d] is the node at depth d and pos[d] the index of the next
+// key to visit in it (at most maxKeys, so a byte holds it).
 type Iter[K Key[K]] struct {
-	stack   []frame[K]
-	hi      K
-	bounded bool
-	hiExcl  *K // exclusive upper bound for partitioned scans
+	nodes [maxHeight]*node[K]
+	pos   [maxHeight]uint8
+	depth int
+	hi    K
+	bound bound
 }
 
-type frame[K Key[K]] struct {
-	nd *node[K]
-	i  int
-}
+// bound is the kind of upper bound an iterator stops at.
+type bound uint8
+
+const (
+	unbounded bound = iota
+	inclusive       // keys <= hi (Range)
+	exclusive       // keys < hi (SeekBefore, partitioned scans)
+)
 
 // Iter returns an iterator over all keys in ascending order.
 func (t *Tree[K]) Iter() Iter[K] {
@@ -31,16 +41,22 @@ func (t *Tree[K]) Seek(lo K) Iter[K] {
 
 // Range returns an iterator over keys k with lo <= k <= hi.
 func (t *Tree[K]) Range(lo, hi K) Iter[K] {
-	it := t.Seek(lo)
-	it.hi = hi
-	it.bounded = true
+	it := Iter[K]{hi: hi, bound: inclusive}
+	it.seek(t.root, lo)
 	return it
+}
+
+// push appends a level to the traversal stack.
+func (it *Iter[K]) push(nd *node[K], i int) {
+	it.nodes[it.depth] = nd
+	it.pos[it.depth] = uint8(i)
+	it.depth++
 }
 
 // pushLeft descends to the leftmost position of the subtree rooted at nd.
 func (it *Iter[K]) pushLeft(nd *node[K]) {
 	for nd != nil {
-		it.stack = append(it.stack, frame[K]{nd, 0})
+		it.push(nd, 0)
 		if nd.leaf() {
 			return
 		}
@@ -52,7 +68,7 @@ func (it *Iter[K]) pushLeft(nd *node[K]) {
 func (it *Iter[K]) seek(nd *node[K], lo K) {
 	for nd != nil {
 		i, _ := nd.find(lo)
-		it.stack = append(it.stack, frame[K]{nd, i})
+		it.push(nd, i)
 		if nd.leaf() {
 			return
 		}
@@ -63,28 +79,25 @@ func (it *Iter[K]) seek(nd *node[K], lo K) {
 // Next returns the next key, or ok=false when the iterator is exhausted or
 // the next key exceeds the upper bound.
 func (it *Iter[K]) Next() (K, bool) {
-	for len(it.stack) > 0 {
-		top := &it.stack[len(it.stack)-1]
-		nd := top.nd
-		if top.i < int(nd.n) {
-			k := nd.keys[top.i]
-			if it.bounded && k.Cmp(it.hi) > 0 {
-				it.stack = it.stack[:0]
-				var zero K
-				return zero, false
+	for it.depth > 0 {
+		d := it.depth - 1
+		nd, i := it.nodes[d], int(it.pos[d])
+		if i < int(nd.n) {
+			k := nd.keys[i]
+			if it.bound != unbounded {
+				if c := k.Cmp(it.hi); c > 0 || c == 0 && it.bound == exclusive {
+					it.depth = 0
+					var zero K
+					return zero, false
+				}
 			}
-			if it.hiExcl != nil && k.Cmp(*it.hiExcl) >= 0 {
-				it.stack = it.stack[:0]
-				var zero K
-				return zero, false
-			}
-			top.i++
+			it.pos[d]++
 			if !nd.leaf() {
-				it.pushLeft(nd.children[top.i])
+				it.pushLeft(nd.children[i+1])
 			}
 			return k, true
 		}
-		it.stack = it.stack[:len(it.stack)-1]
+		it.depth--
 	}
 	var zero K
 	return zero, false

@@ -47,8 +47,8 @@ func collectSeparators[K Key[K]](root *node[K], want int) []K {
 }
 
 // SeekBefore returns an iterator over keys k with lo <= k < hi; a nil lo
-// means from the beginning, hiSet=false means unbounded above. It underpins
-// partitioned parallel scans.
+// means from the beginning, a nil hi means unbounded above. It underpins
+// partitioned parallel scans. Neither pointer is retained.
 func (t *Tree[K]) SeekBefore(lo *K, hi *K) Iter[K] {
 	var it Iter[K]
 	if lo == nil {
@@ -57,7 +57,7 @@ func (t *Tree[K]) SeekBefore(lo *K, hi *K) Iter[K] {
 		it.seek(t.root, *lo)
 	}
 	if hi != nil {
-		it.hiExcl = hi
+		it.hi, it.bound = *hi, exclusive
 	}
 	return it
 }

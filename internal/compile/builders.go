@@ -12,7 +12,9 @@ import (
 // This file holds the generic typed builders: each returns a closure that
 // captures the concrete B-tree instance(s), conversion glue, and
 // sub-closures, so execution performs no dispatch at all. The generated
-// dispatch_gen.go instantiates them per arity.
+// dispatch_gen.go instantiates them per arity. The glue is the interpreter's
+// (relation.KeyFunc), so both backends run the same allocation-free tuple
+// path and Fig 15 compares dispatch alone.
 
 func makeScanBT[K btree.Key[K]](tree *btree.Tree[K], fromKey func(K, tuple.Tuple), tid int32, body opFn) opFn {
 	return func(r *rt) {
@@ -29,24 +31,19 @@ func makeScanBT[K btree.Key[K]](tree *btree.Tree[K], fromKey func(K, tuple.Tuple
 	}
 }
 
-// evalBounds fills the lo/hi arrays of a prefix search.
-func evalBounds(r *rt, pat []exprFn, arity int32, lo, hi []value.Value) {
+// rangeOf evaluates the bound prefix of a search and returns its iterator.
+func rangeOf[K btree.Key[K]](r *rt, tree *btree.Tree[K], toKey relation.KeyFunc[K], pat []exprFn) btree.Iter[K] {
+	var prefix [relation.MaxArity]value.Value
 	for i, p := range pat {
-		v := p(r)
-		lo[i] = v
-		hi[i] = v
+		prefix[i] = p(r)
 	}
-	for i := int32(len(pat)); i < arity; i++ {
-		lo[i] = 0
-		hi[i] = ^value.Value(0)
-	}
+	lo, hi := relation.PrefixBounds(prefix[:len(pat)])
+	return tree.Range(toKey(lo), toKey(hi))
 }
 
-func makeIndexScanBT[K btree.Key[K]](tree *btree.Tree[K], toKey func(tuple.Tuple) K, fromKey func(K, tuple.Tuple), tid, arity int32, pat []exprFn, body opFn) opFn {
+func makeIndexScanBT[K btree.Key[K]](tree *btree.Tree[K], toKey relation.KeyFunc[K], fromKey func(K, tuple.Tuple), tid int32, pat []exprFn, body opFn) opFn {
 	return func(r *rt) {
-		var lo, hi [relation.MaxArity]value.Value
-		evalBounds(r, pat, arity, lo[:], hi[:])
-		it := tree.Range(toKey(lo[:arity]), toKey(hi[:arity]))
+		it := rangeOf(r, tree, toKey, pat)
 		slot := r.tuples[tid]
 		for {
 			k, ok := it.Next()
@@ -59,7 +56,7 @@ func makeIndexScanBT[K btree.Key[K]](tree *btree.Tree[K], toKey func(tuple.Tuple
 	}
 }
 
-func makeInsertBT[K btree.Key[K]](impls []any, orders []tuple.Order, toKey func(tuple.Tuple) K, arity int32, exprs []exprFn) opFn {
+func makeInsertBT[K btree.Key[K]](impls []any, orders []tuple.Order, toKey relation.KeyFunc[K], arity int32, exprs []exprFn) opFn {
 	trees := make([]*btree.Tree[K], len(impls))
 	for i, impl := range impls {
 		trees[i] = impl.(*btree.Tree[K])
@@ -71,12 +68,12 @@ func makeInsertBT[K btree.Key[K]](impls []any, orders []tuple.Order, toKey func(
 		}
 		for i, tree := range trees {
 			orders[i].Encode(enc[:arity], src[:arity])
-			tree.Insert(toKey(enc[:arity]))
+			tree.Insert(toKey(enc))
 		}
 	}
 }
 
-func makeExistsBT[K btree.Key[K]](tree *btree.Tree[K], toKey func(tuple.Tuple) K, arity int32, pat []exprFn) condFn {
+func makeExistsBT[K btree.Key[K]](tree *btree.Tree[K], toKey relation.KeyFunc[K], arity int32, pat []exprFn) condFn {
 	switch {
 	case len(pat) == int(arity):
 		return func(r *rt) bool {
@@ -84,31 +81,27 @@ func makeExistsBT[K btree.Key[K]](tree *btree.Tree[K], toKey func(tuple.Tuple) K
 			for i, p := range pat {
 				key[i] = p(r)
 			}
-			return tree.Contains(toKey(key[:arity]))
+			return tree.Contains(toKey(key))
 		}
 	case len(pat) == 0:
 		return func(*rt) bool { return tree.Size() > 0 }
 	default:
 		return func(r *rt) bool {
-			var lo, hi [relation.MaxArity]value.Value
-			evalBounds(r, pat, arity, lo[:], hi[:])
-			it := tree.Range(toKey(lo[:arity]), toKey(hi[:arity]))
+			it := rangeOf(r, tree, toKey, pat)
 			_, ok := it.Next()
 			return ok
 		}
 	}
 }
 
-func makeAggregateBT[K btree.Key[K]](tree *btree.Tree[K], toKey func(tuple.Tuple) K, fromKey func(K, tuple.Tuple), kind ram.AggKind, typ value.Type, tid, arity int32, pat []exprFn, cond condFn, target exprFn, body opFn) opFn {
+func makeAggregateBT[K btree.Key[K]](tree *btree.Tree[K], toKey relation.KeyFunc[K], fromKey func(K, tuple.Tuple), kind ram.AggKind, typ value.Type, tid int32, pat []exprFn, cond condFn, target exprFn, body opFn) opFn {
 	return func(r *rt) {
 		r.tuples[tid] = r.base[tid]
 		var it btree.Iter[K]
 		if len(pat) == 0 {
 			it = tree.Iter()
 		} else {
-			var lo, hi [relation.MaxArity]value.Value
-			evalBounds(r, pat, arity, lo[:], hi[:])
-			it = tree.Range(toKey(lo[:arity]), toKey(hi[:arity]))
+			it = rangeOf(r, tree, toKey, pat)
 		}
 		slot := r.tuples[tid]
 		var acc rtl.AggAcc
@@ -129,7 +122,7 @@ func makeAggregateBT[K btree.Key[K]](tree *btree.Tree[K], toKey func(tuple.Tuple
 			acc.Step(v)
 		}
 		if res, ok := acc.Finish(); ok {
-			r.tuples[tid] = tuple.Tuple{res}
+			r.bindResult(tid, res)
 			body(r)
 		}
 	}

@@ -23,6 +23,7 @@ import (
 	"sti/internal/rtl"
 	"sti/internal/symtab"
 	"sti/internal/tuple"
+	"sti/internal/value"
 )
 
 // Machine is a compiled RAM program ready to run.
@@ -75,6 +76,14 @@ func newRT(widths []int32) *rt {
 		r.base[i] = r.tuples[i]
 	}
 	return r
+}
+
+// bindResult binds an aggregate's result as the 1-wide tuple at tid, in the
+// slot's own storage (aggregate slots are at least 1 wide).
+func (r *rt) bindResult(tid int32, res value.Value) {
+	slot := r.base[tid][:1]
+	slot[0] = res
+	r.tuples[tid] = slot
 }
 
 // state carries statement-level execution state.

@@ -203,7 +203,7 @@ func (c *compiler) compileOp(o ram.Operation) opFn {
 		body := c.compileOp(o.Nested)
 		switch rel.Rep() {
 		case relation.BTree:
-			return buildIndexScanBT(relation.Impl(idx), tid, int32(rel.Arity()), pat, body)
+			return buildIndexScanBT(relation.Impl(idx), tid, pat, body)
 		case relation.EqRel:
 			er := relation.Impl(idx).(*eqrel.Rel)
 			if len(pat) >= 2 {
@@ -328,7 +328,7 @@ func (c *compiler) compileOp(o ram.Operation) opFn {
 		delete(c.coords, tid)
 		body := c.compileOp(o.Nested)
 		if rel.Rep() == relation.BTree {
-			return buildAggregateBT(relation.Impl(idx), o.Kind, o.Type, tid, int32(rel.Arity()), pat, cond, target, body)
+			return buildAggregateBT(relation.Impl(idx), o.Kind, o.Type, tid, pat, cond, target, body)
 		}
 		// Adapter-backed fallback for eqrel/brie aggregates.
 		arity := int32(rel.Arity())
@@ -360,7 +360,7 @@ func (c *compiler) compileOp(o ram.Operation) opFn {
 				acc.Step(v)
 			}
 			if res, ok := acc.Finish(); ok {
-				r.tuples[tid] = tuple.Tuple{res}
+				r.bindResult(tid, res)
 				body(r)
 			}
 		}

@@ -277,15 +277,19 @@ func (ex *executor) execute(n *inode, ctx *context) value.Value {
 		}
 		return 0
 	case opInsert:
-		var t [relation.MaxArity]value.Value
-		ex.fillTuple(n, ctx, t[:n.arity])
-		if ex.stageInsert(n, ctx, t[:n.arity]) {
+		// The tuple is built in the context's scratch array: Relation.Insert
+		// reaches the indexes through the Index interface, so a stack array
+		// would escape and cost an allocation per insert. Nothing keeps it:
+		// staging and provenance copy.
+		t := ctx.scratch[:n.arity]
+		ex.fillTuple(n, ctx, t)
+		if ex.stageInsert(n, ctx, t) {
 			return 0
 		}
-		if n.rel.Insert(t[:n.arity]) {
+		if n.rel.Insert(t) {
 			ex.countInsert(ctx, true)
 			if ex.prov != nil {
-				ex.recordDerivation(n, t[:n.arity], ctx)
+				ex.recordDerivation(n, t, ctx)
 			}
 		} else {
 			ex.countInsert(ctx, false)
@@ -318,7 +322,7 @@ func (ex *executor) execute(n *inode, ctx *context) value.Value {
 			acc.Step(v)
 		}
 		if res, ok := acc.Finish(); ok {
-			ctx.tuples[n.tupleID] = tuple.Tuple{res}
+			ctx.bindResult(n.tupleID, res)
 			ex.eval(n.nested, ctx)
 		}
 		return 0
@@ -340,7 +344,9 @@ func (ex *executor) execute(n *inode, ctx *context) value.Value {
 		}
 		return 0
 	case opExists:
-		var pat [relation.MaxArity]value.Value
+		// The pattern is built in the context's scratch array, as for opInsert;
+		// it crosses the Index interface and no index keeps it.
+		pat := ctx.scratch[:n.arity]
 		ex.fillTuple(n, ctx, pat[:n.prefix])
 		if n.prefix == n.arity {
 			if n.idx.ContainsEncoded(pat[:n.arity]) {

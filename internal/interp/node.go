@@ -206,8 +206,15 @@ type context struct {
 	// RAM relation ID, when the enclosing query defers inserts to the merge
 	// barrier (parallel evaluation). nil on the direct-insert path.
 	stage []*relation.StagingBuffer
-	stats opStats
-	exit  bool // set by Exit, consumed by Loop
+	// scratch is where the dynamic insert and existence check build their
+	// tuple, and where a decoding B-tree scan unpacks each key (bindKey). A
+	// stack array passed through an indirect call would move to the heap on
+	// every execution; this one is allocated with the context. Every user
+	// fills and consumes it without evaluating another operation in between,
+	// and nothing the tuple is handed to keeps it.
+	scratch [relation.MaxArity]value.Value
+	stats   opStats
+	exit    bool // set by Exit, consumed by Loop
 	// pad receives the heavyweight-dispatch baseline's spill traffic; it
 	// lives in the per-worker context so parallel workers do not contend.
 	pad [8]uint64
@@ -238,6 +245,15 @@ func newContext(widths []int32) *context {
 		ctx.base[i] = ctx.tuples[i]
 	}
 	return ctx
+}
+
+// bindResult binds an aggregate's result as the 1-wide tuple at tid, in the
+// slot's own storage (the generator makes aggregate slots at least 1 wide).
+// The next evaluation of the aggregate restores the full-width slot.
+func (ctx *context) bindResult(tid int32, res value.Value) {
+	slot := ctx.base[tid][:1]
+	slot[0] = res
+	ctx.tuples[tid] = slot
 }
 
 // shadowRAM returns the RAM node behind n, for diagnostics.

@@ -92,12 +92,14 @@ func (p *provenance) record(relID int, t tuple.Tuple, label string, premises []p
 }
 
 // recordDerivation is called by the executor after a successful insert; it
-// snapshots the currently bound tuples of the enclosing query.
+// snapshots the currently bound tuples of the enclosing query. t is the
+// context's scratch tuple, so it is copied first.
 func (ex *executor) recordDerivation(n *inode, t tuple.Tuple, ctx *context) {
 	q := ex.curQ
 	if q == nil {
 		return
 	}
+	t = tuple.Clone(t)
 	relID := n.rel2BaseID()
 	var premises []premiseRec
 	for tid, rel := range q.premRels {
@@ -117,7 +119,7 @@ func (ex *executor) recordDerivation(n *inode, t tuple.Tuple, ctx *context) {
 		pn.order.Decode(src, enc)
 		premises = append(premises, premiseRec{relID: int(pn.baseID), tup: src})
 	}
-	ex.prov.record(relID, tuple.Clone(t), q.label, premises)
+	ex.prov.record(relID, t, q.label, premises)
 }
 
 // rel2BaseID maps the insert target to its user-visible relation.

@@ -16,6 +16,16 @@ import (
 // concrete structure once, then runs with stack-allocated fixed-size tuples,
 // concrete iterators, and no interface dispatch on the per-tuple path.
 //
+// Nothing on that path allocates, by three rules. B-tree iterators are values
+// whose traversal stack is a fixed-depth array (btree.Iter). Keys are built
+// from [MaxArity] arrays that cross the per-arity glue (toKey, an indirect
+// call) by value, so the arrays stay in this frame. Buffers that must be
+// passed as slices through an indirect call live in the context instead:
+// bindKey's decoding scratch, and the dynamic insert's and existence check's
+// tuple (exec.go). CI fails the build on any "moved to heap" the compiler
+// reports for this file, the adapter or the tree, and on any allocation
+// call compiled from the iterator.
+//
 // One family serves unsharded and hash-sharded relations alike: every node
 // carries the slice of concrete stores it may touch (inode.impls), and the
 // tree generator decides whether the instruction routes by partition hash
@@ -26,8 +36,6 @@ import (
 // globally sorted order) is observationally equivalent for scans and
 // existence checks; the order-sensitive instructions (choice, aggregate) stay
 // on the dynamic adapter under sharding (generator.orderedOpcode).
-
-type toKeyFn[K btree.Key[K]] func(tuple.Tuple) K
 
 type fromKeyFn[K btree.Key[K]] func(K, tuple.Tuple)
 
@@ -55,7 +63,7 @@ func (n *inode) searchImpls(pat []value.Value) []any {
 // of the relation (the owning shard of each, see inode.impls). Under a staged
 // query the source tuple goes to the worker-local buffer instead; the merge
 // encodes per index.
-func evalInsertBT[K btree.Key[K]](ex *executor, n *inode, ctx *context, toKey toKeyFn[K], _ fromKeyFn[K]) value.Value {
+func evalInsertBT[K btree.Key[K]](ex *executor, n *inode, ctx *context, toKey relation.KeyFunc[K], _ fromKeyFn[K]) value.Value {
 	var src, enc [relation.MaxArity]value.Value
 	ex.fillTuple(n, ctx, src[:n.arity])
 	if ex.stageInsert(n, ctx, src[:n.arity]) {
@@ -65,7 +73,7 @@ func evalInsertBT[K btree.Key[K]](ex *executor, n *inode, ctx *context, toKey to
 	added := false
 	for i, ord := range n.orders {
 		ord.Encode(enc[:n.arity], src[:n.arity])
-		if n.impls[i*stride+sh].(*btree.Tree[K]).Insert(toKey(enc[:n.arity])) && i == 0 {
+		if n.impls[i*stride+sh].(*btree.Tree[K]).Insert(toKey(enc)) && i == 0 {
 			added = true
 		}
 	}
@@ -79,21 +87,15 @@ func evalInsertBT[K btree.Key[K]](ex *executor, n *inode, ctx *context, toKey to
 }
 
 // btRange prepares the concrete range iterator of a prefix search on tree.
-func btRange[K btree.Key[K]](tree *btree.Tree[K], n *inode, pat []value.Value, toKey toKeyFn[K]) btree.Iter[K] {
+func btRange[K btree.Key[K]](tree *btree.Tree[K], n *inode, pat []value.Value, toKey relation.KeyFunc[K]) btree.Iter[K] {
 	if n.prefix == 0 {
 		return tree.Iter()
 	}
-	var lo, hi [relation.MaxArity]value.Value
-	copy(lo[:n.prefix], pat)
-	copy(hi[:n.prefix], pat)
-	for i := n.prefix; i < n.arity; i++ {
-		lo[i] = 0
-		hi[i] = ^value.Value(0)
-	}
-	return tree.Range(toKey(lo[:n.arity]), toKey(hi[:n.arity]))
+	lo, hi := relation.PrefixBounds(pat)
+	return tree.Range(toKey(lo), toKey(hi))
 }
 
-func evalExistsBT[K btree.Key[K]](ex *executor, n *inode, ctx *context, toKey toKeyFn[K], _ fromKeyFn[K]) value.Value {
+func evalExistsBT[K btree.Key[K]](ex *executor, n *inode, ctx *context, toKey relation.KeyFunc[K], _ fromKeyFn[K]) value.Value {
 	var pat [relation.MaxArity]value.Value
 	ex.fillTuple(n, ctx, pat[:n.prefix])
 	for _, impl := range n.searchImpls(pat[:]) {
@@ -101,7 +103,7 @@ func evalExistsBT[K btree.Key[K]](ex *executor, n *inode, ctx *context, toKey to
 		var found bool
 		switch {
 		case n.prefix == n.arity:
-			found = tree.Contains(toKey(pat[:n.arity]))
+			found = tree.Contains(toKey(pat))
 		case n.prefix == 0:
 			found = tree.Size() > 0
 		default:
@@ -116,13 +118,14 @@ func evalExistsBT[K btree.Key[K]](ex *executor, n *inode, ctx *context, toKey to
 }
 
 // bindKey writes key k into the context slot for n.tupleID, decoding to
-// source coordinates when static reordering is off.
+// source coordinates when static reordering is off. Both buffers fromKey
+// writes into live in the context, so nothing is allocated per tuple.
 func bindKey[K btree.Key[K]](n *inode, ctx *context, k K, fromKey fromKeyFn[K]) {
 	slot := ctx.tuples[n.tupleID]
 	if n.decode {
-		var scratch [relation.MaxArity]value.Value
-		fromKey(k, scratch[:n.arity])
-		n.order.Decode(slot, scratch[:n.arity])
+		enc := ctx.scratch[:n.arity]
+		fromKey(k, enc)
+		n.order.Decode(slot, enc)
 		return
 	}
 	fromKey(k, slot)
@@ -130,7 +133,7 @@ func bindKey[K btree.Key[K]](n *inode, ctx *context, k K, fromKey fromKeyFn[K]) 
 
 // scanBT runs a scan body over one tree's iterator: the per-tuple loop of
 // every B-tree scan and index scan, once per store the instruction visits.
-func scanBT[K btree.Key[K]](ex *executor, n *inode, ctx *context, it btree.Iter[K], fromKey fromKeyFn[K]) {
+func scanBT[K btree.Key[K]](ex *executor, n *inode, ctx *context, it *btree.Iter[K], fromKey fromKeyFn[K]) {
 	fused := n.fused // a fused filter folded into this scan (generator.foldFilter)
 	for {
 		k, ok := it.Next()
@@ -146,23 +149,25 @@ func scanBT[K btree.Key[K]](ex *executor, n *inode, ctx *context, it btree.Iter[
 	}
 }
 
-func evalScanBT[K btree.Key[K]](ex *executor, n *inode, ctx *context, _ toKeyFn[K], fromKey fromKeyFn[K]) value.Value {
+func evalScanBT[K btree.Key[K]](ex *executor, n *inode, ctx *context, _ relation.KeyFunc[K], fromKey fromKeyFn[K]) value.Value {
 	for _, impl := range n.impls {
-		scanBT(ex, n, ctx, impl.(*btree.Tree[K]).Iter(), fromKey)
+		it := impl.(*btree.Tree[K]).Iter()
+		scanBT(ex, n, ctx, &it, fromKey)
 	}
 	return 0
 }
 
-func evalIndexScanBT[K btree.Key[K]](ex *executor, n *inode, ctx *context, toKey toKeyFn[K], fromKey fromKeyFn[K]) value.Value {
+func evalIndexScanBT[K btree.Key[K]](ex *executor, n *inode, ctx *context, toKey relation.KeyFunc[K], fromKey fromKeyFn[K]) value.Value {
 	var pat [relation.MaxArity]value.Value
 	ex.fillTuple(n, ctx, pat[:n.prefix])
 	for _, impl := range n.searchImpls(pat[:]) {
-		scanBT(ex, n, ctx, btRange(impl.(*btree.Tree[K]), n, pat[:n.prefix], toKey), fromKey)
+		it := btRange(impl.(*btree.Tree[K]), n, pat[:n.prefix], toKey)
+		scanBT(ex, n, ctx, &it, fromKey)
 	}
 	return 0
 }
 
-func evalChoiceBT[K btree.Key[K]](ex *executor, n *inode, ctx *context, _ toKeyFn[K], fromKey fromKeyFn[K]) value.Value {
+func evalChoiceBT[K btree.Key[K]](ex *executor, n *inode, ctx *context, _ relation.KeyFunc[K], fromKey fromKeyFn[K]) value.Value {
 	it := n.impls[0].(*btree.Tree[K]).Iter()
 	for {
 		k, ok := it.Next()
@@ -178,7 +183,7 @@ func evalChoiceBT[K btree.Key[K]](ex *executor, n *inode, ctx *context, _ toKeyF
 	}
 }
 
-func evalIndexChoiceBT[K btree.Key[K]](ex *executor, n *inode, ctx *context, toKey toKeyFn[K], fromKey fromKeyFn[K]) value.Value {
+func evalIndexChoiceBT[K btree.Key[K]](ex *executor, n *inode, ctx *context, toKey relation.KeyFunc[K], fromKey fromKeyFn[K]) value.Value {
 	var pat [relation.MaxArity]value.Value
 	ex.fillTuple(n, ctx, pat[:n.prefix])
 	it := btRange(n.impls[0].(*btree.Tree[K]), n, pat[:n.prefix], toKey)
@@ -196,7 +201,7 @@ func evalIndexChoiceBT[K btree.Key[K]](ex *executor, n *inode, ctx *context, toK
 	}
 }
 
-func aggBT[K btree.Key[K]](ex *executor, n *inode, ctx *context, it btree.Iter[K], fromKey fromKeyFn[K]) value.Value {
+func aggBT[K btree.Key[K]](ex *executor, n *inode, ctx *context, it *btree.Iter[K], fromKey fromKeyFn[K]) value.Value {
 	ctx.tuples[n.tupleID] = ctx.base[n.tupleID]
 	var acc aggAcc
 	acc.Init(ram.AggKind(n.a), value.Type(n.b))
@@ -217,20 +222,22 @@ func aggBT[K btree.Key[K]](ex *executor, n *inode, ctx *context, it btree.Iter[K
 		acc.Step(v)
 	}
 	if res, ok := acc.Finish(); ok {
-		ctx.tuples[n.tupleID] = tuple.Tuple{res}
+		ctx.bindResult(n.tupleID, res)
 		ex.eval(n.nested, ctx)
 	}
 	return 0
 }
 
-func evalAggregateBT[K btree.Key[K]](ex *executor, n *inode, ctx *context, _ toKeyFn[K], fromKey fromKeyFn[K]) value.Value {
-	return aggBT(ex, n, ctx, n.impls[0].(*btree.Tree[K]).Iter(), fromKey)
+func evalAggregateBT[K btree.Key[K]](ex *executor, n *inode, ctx *context, _ relation.KeyFunc[K], fromKey fromKeyFn[K]) value.Value {
+	it := n.impls[0].(*btree.Tree[K]).Iter()
+	return aggBT(ex, n, ctx, &it, fromKey)
 }
 
-func evalIndexAggregateBT[K btree.Key[K]](ex *executor, n *inode, ctx *context, toKey toKeyFn[K], fromKey fromKeyFn[K]) value.Value {
+func evalIndexAggregateBT[K btree.Key[K]](ex *executor, n *inode, ctx *context, toKey relation.KeyFunc[K], fromKey fromKeyFn[K]) value.Value {
 	var pat [relation.MaxArity]value.Value
 	ex.fillTuple(n, ctx, pat[:n.prefix])
-	return aggBT(ex, n, ctx, btRange(n.impls[0].(*btree.Tree[K]), n, pat[:n.prefix], toKey), fromKey)
+	it := btRange(n.impls[0].(*btree.Tree[K]), n, pat[:n.prefix], toKey)
+	return aggBT(ex, n, ctx, &it, fromKey)
 }
 
 // execNonGeneric handles the handwritten specialized instructions for the

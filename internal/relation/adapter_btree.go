@@ -6,19 +6,27 @@ import (
 	"sti/internal/value"
 )
 
+// KeyFunc is the per-arity key glue (KeyTupN in tuples_gen.go): it builds a
+// key from the first N values of an encoded tuple. Every caller reaches it
+// through a func value, an indirect call, so the array is passed by value:
+// a slice would make the caller's stack buffer escape to the heap.
+type KeyFunc[K any] func([MaxArity]value.Value) K
+
 // btreeAdapter is the dynamic adapter over a specialized B-tree instance
 // (paper Fig 7). The key type K is one of the fixed-arity tuple types from
 // tuples_gen.go; toKey/fromKey are the per-arity conversion glue installed
-// by the generated factory.
+// by the generated factory. Because toKey takes arrays, the encoding
+// buffers below stay on the stack: Insert, Delete, Contains, ContainsEncoded,
+// AnyMatch and InsertAll allocate nothing.
 type btreeAdapter[K btree.Key[K]] struct {
 	tree    *btree.Tree[K]
 	order   tuple.Order
 	arity   int
-	toKey   func(tuple.Tuple) K
+	toKey   KeyFunc[K]
 	fromKey func(K, tuple.Tuple)
 }
 
-func newBTreeAdapter[K btree.Key[K]](order tuple.Order, toKey func(tuple.Tuple) K, fromKey func(K, tuple.Tuple)) *btreeAdapter[K] {
+func newBTreeAdapter[K btree.Key[K]](order tuple.Order, toKey KeyFunc[K], fromKey func(K, tuple.Tuple)) *btreeAdapter[K] {
 	return &btreeAdapter[K]{
 		tree:    btree.New[K](),
 		order:   order,
@@ -36,7 +44,7 @@ func (a *btreeAdapter[K]) impl() any          { return a.tree }
 func (a *btreeAdapter[K]) encode(t tuple.Tuple) K {
 	var enc [MaxArity]value.Value
 	a.order.Encode(enc[:a.arity], t)
-	return a.toKey(enc[:a.arity])
+	return a.toKey(enc)
 }
 
 func (a *btreeAdapter[K]) Insert(t tuple.Tuple) bool   { return a.tree.Insert(a.encode(t)) }
@@ -53,7 +61,7 @@ func (a *btreeAdapter[K]) InsertAll(flat []value.Value, count int) int {
 	added, kn := 0, 0
 	for i := 0; i < count; i++ {
 		a.order.Encode(enc[:a.arity], flat[i*a.arity:(i+1)*a.arity])
-		keys[kn] = a.toKey(enc[:a.arity])
+		keys[kn] = a.toKey(enc)
 		kn++
 		if kn == bulkBatch {
 			added += a.tree.InsertAll(keys[:kn])
@@ -65,7 +73,9 @@ func (a *btreeAdapter[K]) InsertAll(flat []value.Value, count int) int {
 }
 
 func (a *btreeAdapter[K]) ContainsEncoded(t tuple.Tuple) bool {
-	return a.tree.Contains(a.toKey(t))
+	var enc [MaxArity]value.Value
+	copy(enc[:a.arity], t)
+	return a.tree.Contains(a.toKey(enc))
 }
 
 func (a *btreeAdapter[K]) SwapContents(other Index) { a.tree.Swap(swapPeer(a, other).tree) }
@@ -75,7 +85,7 @@ func (a *btreeAdapter[K]) Scan() Iterator {
 }
 
 func (a *btreeAdapter[K]) PrefixScan(pattern tuple.Tuple, k int) Iterator {
-	lo, hi := prefixBounds(pattern, k, a.arity)
+	lo, hi := PrefixBounds(pattern[:k])
 	return newBuffered(&btreeBatch[K]{
 		it:      a.tree.Range(a.toKey(lo), a.toKey(hi)),
 		fromKey: a.fromKey,
@@ -86,7 +96,7 @@ func (a *btreeAdapter[K]) AnyMatch(pattern tuple.Tuple, k int) bool {
 	if k == 0 {
 		return a.tree.Size() > 0
 	}
-	lo, hi := prefixBounds(pattern, k, a.arity)
+	lo, hi := PrefixBounds(pattern[:k])
 	it := a.tree.Range(a.toKey(lo), a.toKey(hi))
 	_, ok := it.Next()
 	return ok
@@ -102,9 +112,8 @@ func (a *btreeAdapter[K]) PartitionScan(n int) []Iterator {
 	var out []Iterator
 	var lo *K
 	for i := range seps {
-		hi := seps[i]
 		out = append(out, newBuffered(&btreeBatch[K]{
-			it:      a.tree.SeekBefore(lo, &hi),
+			it:      a.tree.SeekBefore(lo, &seps[i]),
 			fromKey: a.fromKey,
 		}, a.arity))
 		lo = &seps[i]
@@ -133,16 +142,14 @@ func (s *btreeBatch[K]) nextBatch(dst []tuple.Tuple) int {
 	return len(dst)
 }
 
-// prefixBounds builds the lower and upper bound patterns of a prefix search:
-// encoded positions 0..k-1 carry the fixed values, the rest range over the
-// whole 32-bit domain.
-func prefixBounds(pattern tuple.Tuple, k, arity int) (lo, hi tuple.Tuple) {
-	lo = make(tuple.Tuple, arity)
-	hi = make(tuple.Tuple, arity)
-	copy(lo, pattern[:k])
-	copy(hi, pattern[:k])
-	for i := k; i < arity; i++ {
-		lo[i] = 0
+// PrefixBounds returns the lower and upper key bounds of a search on an
+// encoded prefix: the prefix's values, then the whole 32-bit domain in every
+// later position. The bounds are arrays returned by value, ready for the
+// by-value key glue, so a prefix search allocates nothing for them.
+func PrefixBounds(prefix []value.Value) (lo, hi [MaxArity]value.Value) {
+	copy(lo[:], prefix)
+	copy(hi[:], prefix)
+	for i := len(prefix); i < MaxArity; i++ {
 		hi[i] = ^value.Value(0)
 	}
 	return lo, hi

@@ -76,6 +76,34 @@ func BenchmarkInsertStaticTree(b *testing.B) {
 	}
 }
 
+func BenchmarkContainsDynamicAdapter(b *testing.B) {
+	idx := populated(1 << 16)
+	t := make(tuple.Tuple, 2)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := i & (1<<16 - 1)
+		t[0], t[1] = value.Value(j%251), value.Value(j)
+		idx.Contains(t)
+	}
+}
+
+// BenchmarkPrefixScanDynamicAdapter is a join's inner search through the
+// adapter: bind the first column, drain the ~261 matches.
+func BenchmarkPrefixScanDynamicAdapter(b *testing.B) {
+	idx := populated(1 << 16)
+	pat := make(tuple.Tuple, 2)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pat[0] = value.Value(i % 251)
+		it := idx.PrefixScan(pat, 1)
+		for {
+			if _, ok := it.Next(); !ok {
+				break
+			}
+		}
+	}
+}
+
 func BenchmarkAnyMatch(b *testing.B) {
 	idx := populated(1 << 16)
 	pat := tuple.Tuple{100, 0}

@@ -17,10 +17,9 @@ func hotPathAllocs(r *Relation) (insert, contains float64) {
 	return insert, contains
 }
 
-// Telemetry must be free when enabled and invisible when disabled: the
-// counting paths (plain increments and atomic adds on pre-allocated blocks)
-// add zero allocations over the untelemetered baseline, and the disabled
-// path is the bare adapter plus one nil check on the relation's stats.
+// The duplicate-insert and membership paths allocate nothing, with telemetry
+// off (the bare adapters) and on (the counting paths are plain increments and
+// atomic adds on pre-allocated blocks).
 func TestTelemetryHotPathAllocs(t *testing.T) {
 	orders := []tuple.Order{{0, 1}, {1, 0}}
 	baseIns, baseCon := hotPathAllocs(New("edge", BTree, 2, orders))
@@ -31,11 +30,13 @@ func TestTelemetryHotPathAllocs(t *testing.T) {
 	r.AttachMetrics(rs)
 	telIns, telCon := hotPathAllocs(r)
 
-	if telIns != baseIns {
-		t.Fatalf("telemetry adds allocations to Insert: %v -> %v per op", baseIns, telIns)
-	}
-	if telCon != baseCon {
-		t.Fatalf("telemetry adds allocations to Contains: %v -> %v per op", baseCon, telCon)
+	for _, c := range []struct {
+		name string
+		got  float64
+	}{{"Insert", baseIns}, {"Contains", baseCon}, {"Insert with telemetry", telIns}, {"Contains with telemetry", telCon}} {
+		if c.got != 0 {
+			t.Errorf("%s: %v allocations per op, want 0", c.name, c.got)
+		}
 	}
 	if rs.DedupHits < 200 {
 		t.Fatalf("dedup hits = %d, want >= 200", rs.DedupHits)
