@@ -1,7 +1,6 @@
 // Command sti runs Datalog programs with the Soufflé Tree Interpreter.
 //
 //	sti run program.dl -F facts/ -D out/       interpret a program
-//	sti run program.dl -backend compiled       use the closure compiler
 //	sti profile program.dl -json p.json        run with telemetry: rule and
 //	                                           relation counters, fixpoint
 //	                                           curves, -trace span output
@@ -31,7 +30,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -41,7 +39,6 @@ import (
 	"time"
 
 	"sti"
-	"sti/internal/interp"
 	"sti/internal/ram/verify"
 )
 
@@ -138,14 +135,9 @@ func cmdRun(args []string) {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	facts := fs.String("F", ".", "input facts directory")
 	out := fs.String("D", ".", "output directory")
-	backend := fs.String("backend", "interp", "execution backend: interp | compiled | legacy")
-	profile := fs.Bool("profile", false, "print the interpreter profile")
-	noSuper := fs.Bool("no-super", false, "disable super-instructions")
-	noStatic := fs.Bool("no-static", false, "disable specialized instructions (dynamic adapter)")
-	noReorder := fs.Bool("no-reorder", false, "disable static tuple reordering")
 	timing := fs.Bool("time", false, "print wall-clock time")
 	jobs := fs.Int("j", 1, "parallel workers for rule evaluation")
-	shards := fs.Int("shards", 0, "hash-partition relations into N shards (shard-parallel fixpoint; interp backend)")
+	shards := fs.Int("shards", 0, "hash-partition relations into N shards (shard-parallel fixpoint)")
 	explain := fs.String("explain", "", "after the run, print the derivation of a tuple, e.g. 'path(1,3)'")
 	debug := debugFlag(fs)
 	file := parseWithFile(fs, args, "usage: sti run program.dl [flags]")
@@ -153,23 +145,6 @@ func cmdRun(args []string) {
 	prog := parseFile(file)
 
 	opts := []sti.Option{sti.WithWorkers(*jobs), sti.WithShards(*shards)}
-	switch *backend {
-	case "compiled":
-		opts = append(opts, sti.WithBackend(sti.Compiled))
-	case "legacy":
-		opts = append(opts, sti.WithLegacyInterpreter())
-	case "interp":
-		cfg := interp.DefaultConfig()
-		cfg.SuperInstructions = !*noSuper
-		cfg.StaticDispatch = !*noStatic
-		cfg.StaticReordering = !*noReorder
-		opts = append(opts, sti.WithInterpreterConfig(cfg))
-	default:
-		fatal(fmt.Errorf("unknown backend %q", *backend))
-	}
-	if *profile {
-		opts = append(opts, sti.WithProfiling())
-	}
 	if *explain != "" {
 		opts = append(opts, sti.WithProvenance())
 	}
@@ -178,13 +153,6 @@ func cmdRun(args []string) {
 	res, err := prog.RunDir(*facts, *out, opts...)
 	if err != nil {
 		fatal(err)
-	}
-	if *profile {
-		p := res.Profile()
-		if p == nil {
-			fatal(errors.New("no profile: -profile needs the interpreter backend"))
-		}
-		fmt.Print(p.String())
 	}
 	if *explain != "" {
 		if err := printExplanation(res, *explain); err != nil {

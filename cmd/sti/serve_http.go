@@ -15,9 +15,16 @@ import (
 	"sti/internal/eio"
 )
 
+// maxApplyBody caps the body of one POST /apply. The body is read whole
+// before the batch is staged, so without a cap one client could exhaust
+// the daemon's memory; a larger body is refused with 413 and the database
+// is untouched.
+const maxApplyBody = 8 << 20
+
 // serveMux exposes the database over HTTP:
 //
-//	POST /apply        absorb a batch of +/- lines (body), JSON result
+//	POST /apply        absorb a batch of +/- lines (body, at most
+//	                   maxApplyBody bytes), JSON result
 //	GET  /query        ?rel=NAME&p=field... ("_" wildcard), JSON rows
 //	GET  /stats        database stats as JSON
 //	GET  /metrics      Prometheus text exposition (version 0.0.4)
@@ -60,9 +67,15 @@ func serveMux(db *sti.Database) *http.ServeMux {
 			httpError(w, rid, http.StatusMethodNotAllowed, errors.New("POST only"))
 			return
 		}
-		body, err := io.ReadAll(r.Body)
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxApplyBody))
 		if err != nil {
-			httpError(w, rid, http.StatusBadRequest, err)
+			status := http.StatusBadRequest
+			var tooLarge *http.MaxBytesError
+			if errors.As(err, &tooLarge) {
+				status = http.StatusRequestEntityTooLarge
+				err = fmt.Errorf("batch body exceeds %d bytes: split it into several applies", maxApplyBody)
+			}
+			httpError(w, rid, status, err)
 			return
 		}
 		batch := db.NewBatch()

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -12,6 +14,7 @@ import (
 
 	"sti"
 	"sti/internal/obsv/promtest"
+	"sti/internal/store"
 )
 
 // openObsServeDB opens the serve test program with observability on, the way
@@ -329,5 +332,84 @@ func TestServeHTTPConcurrentApplyDuringQuery(t *testing.T) {
 	st := db.Stats()
 	if st.Requests == nil || st.Requests.InFlight != 0 {
 		t.Fatalf("requests still in flight after the storm: %+v", st.Requests)
+	}
+}
+
+// A body one byte over maxApplyBody is refused with 413 and the usual JSON
+// error body, before anything is staged: the epoch does not move, and the
+// next normal apply succeeds.
+func TestServeHTTPApplyBodyCap(t *testing.T) {
+	db := openObsServeDB(t)
+	srv := httptest.NewServer(serveMux(db))
+	defer srv.Close()
+
+	// Valid lines, padded with empty lines (which /apply skips) to exactly
+	// one byte over the cap.
+	const line = "+edge\t1\t2\n"
+	body := strings.Repeat(line, maxApplyBody/len(line))
+	body += strings.Repeat("\n", maxApplyBody+1-len(body))
+	resp, out := post(t, srv, "/apply", body)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("/apply of %d bytes = %d %s, want 413", len(body), resp.StatusCode, out)
+	}
+	var eb errorBody
+	if err := json.Unmarshal(out, &eb); err != nil || eb.RequestID == "" || !strings.Contains(eb.Error, "exceeds") {
+		t.Fatalf("413 body = %s (%v)", out, err)
+	}
+	if db.Epoch() != 0 {
+		t.Fatalf("refused body moved the epoch to %d", db.Epoch())
+	}
+	if resp, out := post(t, srv, "/apply", line); resp.StatusCode != http.StatusOK || !strings.Contains(string(out), `"epoch":1`) {
+		t.Fatalf("next /apply = %d %s", resp.StatusCode, out)
+	}
+}
+
+// A /query pattern naming a symbol the database never stored answers an
+// empty result without interning it: after a thousand such queries the next
+// WAL record of a durable database logs no new symbols.
+func TestServeHTTPQueryDoesNotInternSymbols(t *testing.T) {
+	const symTC = `
+.decl edge(x:symbol, y:symbol)
+.decl path(x:symbol, y:symbol)
+.input edge
+.output path
+path(x, y) :- edge(x, y).
+path(x, z) :- path(x, y), edge(y, z).
+`
+	dir := t.TempDir()
+	db, err := sti.MustParse(symTC).Open(
+		sti.WithObservability(sti.ObservabilityConfig{}),
+		sti.WithPersistenceConfig(sti.PersistenceConfig{Dir: dir, SnapshotEvery: -1}))
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer db.Close()
+	srv := httptest.NewServer(serveMux(db))
+	defer srv.Close()
+
+	if resp, body := post(t, srv, "/apply", "+edge\ta\tb\n"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("/apply = %d %s", resp.StatusCode, body)
+	}
+	for i := 0; i < 1000; i++ {
+		resp, body := get(t, srv, fmt.Sprintf("/query?rel=path&p=never%d&p=_", i))
+		if resp.StatusCode != http.StatusOK || string(body) != "[]\n" {
+			t.Fatalf("/query of an unknown symbol = %d %q, want 200 []", resp.StatusCode, body)
+		}
+	}
+	if resp, body := post(t, srv, "/apply", "+edge\tb\ta\n"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("/apply = %d %s", resp.StatusCode, body)
+	}
+	// WAL record layout: u32 base ordinal, u32 count of newly interned
+	// symbols, then the symbols and the facts (big-endian).
+	var last []byte
+	wal := store.WALPath(dir, db.Stats().Persist.Generation)
+	if _, err := store.ReplayWAL(wal, func(rec []byte) error {
+		last = append(last[:0], rec...)
+		return nil
+	}); err != nil || len(last) < 8 {
+		t.Fatalf("read %s: %v (last record %d bytes)", wal, err, len(last))
+	}
+	if n := binary.BigEndian.Uint32(last[4:8]); n != 0 {
+		t.Fatalf("the apply after 1000 queries logged %d new symbols, want 0", n)
 	}
 }

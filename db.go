@@ -54,10 +54,8 @@ type Database struct {
 	fallbackCounts map[string]uint64
 
 	// obs is the request-scoped observability hub (nil unless opened
-	// WithObservability); traced caches whether the engine collects trace
-	// spans, so request-ID strings are only built when a span will carry them.
-	obs    *obsv.Observer
-	traced bool
+	// WithObservability).
+	obs *obsv.Observer
 
 	// stClosed/stBroken/phaseV/epochV mirror closed/broken/engine-phase and
 	// the published epoch as atomics so health probes (Ready, Phase) and
@@ -98,12 +96,12 @@ func (p *Program) Open(opts ...Option) (*Database, error) {
 	if o.backend == Compiled {
 		return nil, errors.New("sti: resident databases require the interpreter backend")
 	}
-	cfg := o.interpConfig()
-	if cfg.Provenance {
+	if o.provenance {
 		return nil, errors.New("sti: resident databases do not support provenance")
 	}
 	// WithProfiling is a one-shot option; a resident database does not profile.
-	cfg.Profile = false
+	o.profile = false
+	cfg := o.interpConfig()
 	var pst *persistence
 	if o.persist != nil {
 		var err error
@@ -125,7 +123,6 @@ func (p *Program) Open(opts ...Option) (*Database, error) {
 		facts:          map[string]*relation.Relation{},
 		fallbackCounts: map[string]uint64{},
 		obs:            o.obs,
-		traced:         eng.Telemetry().Tracing(),
 		pst:            pst,
 	}
 	for _, rd := range p.ram.Relations {
@@ -299,7 +296,7 @@ func (b *Batch) encode(name string, values []any) (batchFact, bool) {
 	if b.err != nil {
 		return batchFact{}, false
 	}
-	t, err := b.db.prog.encodeTuple(name, values)
+	t, err := b.db.prog.encodeTuple(name, values, false)
 	if err != nil {
 		b.err = err
 		return batchFact{}, false
@@ -311,7 +308,7 @@ func (b *Batch) encodeText(name string, fields []string) (batchFact, bool) {
 	if b.err != nil {
 		return batchFact{}, false
 	}
-	t, off, err := b.db.prog.parseTuple(name, fields)
+	t, off, err := b.db.prog.parseTuple(name, fields, false)
 	if err != nil {
 		col := 0 // a whole-row problem
 		if off >= 0 {
@@ -350,13 +347,6 @@ func (db *Database) Apply(b *Batch) error {
 	}
 	db.guard.BeginWrite()
 	defer db.guard.EndWrite()
-	if db.traced && req.Active() {
-		// Tag the engine so every span closed during this batch (update,
-		// delete, recompute fixpoints) joins the trace under this request.
-		// reqTag is only read from the writer goroutine, which we are.
-		db.eng.SetRequest(req.ID())
-		defer db.eng.SetRequest("")
-	}
 	out, err := db.applyLocked(b)
 	if err == nil && db.pst != nil {
 		db.pst.sinceSnap++
@@ -604,9 +594,6 @@ func (db *Database) Snapshot() *Snapshot {
 type Snapshot struct {
 	db *Database
 	h  *relation.SnapshotHandle
-	// rid tags query/scan trace spans with a request ID. Set only by the
-	// instrumented one-shot wrappers, and only when the engine is tracing.
-	rid string
 }
 
 // Epoch reports the epoch this snapshot pinned.
@@ -632,7 +619,9 @@ func (s *Snapshot) check() error {
 // Query returns the decoded rows of a relation matching a pattern. With no
 // pattern, all rows are returned; otherwise one value per attribute, where
 // nil is a wildcard and anything else must match (converted like
-// Input.Add). Rows come back in a deterministic index order.
+// Input.Add, except that a symbol is only looked up: one the database never
+// stored matches nothing, and the query is a miss). Rows come back in a
+// deterministic index order.
 func (s *Snapshot) Query(name string, pattern ...any) ([][]any, error) {
 	if err := s.check(); err != nil {
 		return nil, err
@@ -643,6 +632,7 @@ func (s *Snapshot) Query(name string, pattern ...any) ([][]any, error) {
 	}
 	probe := make(tuple.Tuple, decl.Arity)
 	mask := make([]bool, decl.Arity)
+	miss := false
 	if len(pattern) > 0 {
 		if len(pattern) != decl.Arity {
 			return nil, fmt.Errorf("sti: relation %s has arity %d, got a pattern of %d values", name, decl.Arity, len(pattern))
@@ -651,15 +641,20 @@ func (s *Snapshot) Query(name string, pattern ...any) ([][]any, error) {
 			if v == nil {
 				continue
 			}
-			w, err := s.db.prog.encode(decl.Types[i], v)
-			if err != nil {
+			probe[i], err = s.db.prog.encode(decl.Types[i], v, true)
+			switch {
+			case errors.Is(err, errNotStored):
+				miss = true // no row can match; keep checking the other fields
+			case err != nil:
 				return nil, fmt.Errorf("sti: %s argument %d: %v", name, i, err)
 			}
-			probe[i] = w
 			mask[i] = true
 		}
 	}
-	ts, err := s.db.eng.QueryReq(s.rid, name, probe, mask)
+	if miss {
+		return [][]any{}, nil
+	}
+	ts, err := s.db.eng.Query(name, probe, mask)
 	if err != nil {
 		return nil, err
 	}
@@ -679,6 +674,7 @@ func (s *Snapshot) QueryText(name string, pattern []string) ([][]string, error) 
 	}
 	probe := make(tuple.Tuple, decl.Arity)
 	mask := make([]bool, decl.Arity)
+	miss := false
 	if len(pattern) > 0 {
 		if len(pattern) != decl.Arity {
 			return nil, fmt.Errorf("sti: relation %s has arity %d, got a pattern of %d fields", name, decl.Arity, len(pattern))
@@ -687,15 +683,20 @@ func (s *Snapshot) QueryText(name string, pattern []string) ([][]string, error) 
 			if f == "_" {
 				continue
 			}
-			v, err := eio.ParseField(f, decl.Types[i], s.db.prog.st)
-			if err != nil {
+			probe[i], err = s.db.prog.parseField(f, decl.Types[i], true)
+			switch {
+			case errors.Is(err, errNotStored):
+				miss = true // no row can match; keep checking the other fields
+			case err != nil:
 				return nil, fmt.Errorf("sti: %s field %d: %v", name, i, err)
 			}
-			probe[i] = v
 			mask[i] = true
 		}
 	}
-	ts, err := s.db.eng.QueryReq(s.rid, name, probe, mask)
+	if miss {
+		return [][]string{}, nil
+	}
+	ts, err := s.db.eng.Query(name, probe, mask)
 	if err != nil {
 		return nil, err
 	}
@@ -723,15 +724,18 @@ func (s *Snapshot) Scan(name string, lo, hi any) ([][]any, error) {
 	if decl.Arity == 0 {
 		return nil, fmt.Errorf("sti: relation %s has no attributes to range over", name)
 	}
-	loW, err := s.db.prog.encode(decl.Types[0], lo)
+	// Unlike Query patterns, the bounds still intern: a symbol range is a
+	// range over ordinals, and an unseen bound takes the next ordinal, above
+	// every stored symbol.
+	loW, err := s.db.prog.encode(decl.Types[0], lo, false)
 	if err != nil {
 		return nil, fmt.Errorf("sti: %s lower bound: %v", name, err)
 	}
-	hiW, err := s.db.prog.encode(decl.Types[0], hi)
+	hiW, err := s.db.prog.encode(decl.Types[0], hi, false)
 	if err != nil {
 		return nil, fmt.Errorf("sti: %s upper bound: %v", name, err)
 	}
-	ts, err := s.db.eng.ScanRangeReq(s.rid, name, loW, hiW)
+	ts, err := s.db.eng.ScanRange(name, loW, hiW)
 	if err != nil {
 		return nil, err
 	}
@@ -762,13 +766,11 @@ func (db *Database) decodeRows(decl *ram.Relation, ts []tuple.Tuple) [][]any {
 }
 
 // Query is the one-shot form of Snapshot().Query: it pins a snapshot for
-// the duration of the call. One-shot reads are instrumented: each gets a
-// request ID joining the trace tree, and its latency lands in the query
-// histogram partitioned by outcome (ok / miss / error).
+// the duration of the call. One-shot reads are instrumented: their latency
+// lands in the query histogram partitioned by outcome (ok / miss / error).
 func (db *Database) Query(name string, pattern ...any) ([][]any, error) {
 	req := db.obs.Start(obsv.OpQuery, name)
 	s := db.Snapshot()
-	db.tagSnapshot(s, req)
 	rows, err := s.Query(name, pattern...)
 	s.Release()
 	req.Finish(readOutcome(len(rows), err), db.readProf)
@@ -779,7 +781,6 @@ func (db *Database) Query(name string, pattern ...any) ([][]any, error) {
 func (db *Database) QueryText(name string, pattern []string) ([][]string, error) {
 	req := db.obs.Start(obsv.OpQuery, name)
 	s := db.Snapshot()
-	db.tagSnapshot(s, req)
 	rows, err := s.QueryText(name, pattern)
 	s.Release()
 	req.Finish(readOutcome(len(rows), err), db.readProf)
@@ -790,20 +791,10 @@ func (db *Database) QueryText(name string, pattern []string) ([][]string, error)
 func (db *Database) Scan(name string, lo, hi any) ([][]any, error) {
 	req := db.obs.Start(obsv.OpScan, name)
 	s := db.Snapshot()
-	db.tagSnapshot(s, req)
 	rows, err := s.Scan(name, lo, hi)
 	s.Release()
 	req.Finish(readOutcome(len(rows), err), db.readProf)
 	return rows, err
-}
-
-// tagSnapshot stamps the request's ID onto the snapshot so the engine spans
-// it produces join the trace. The ID string is only built when the engine is
-// actually tracing — the common untraced path stays allocation-free.
-func (db *Database) tagSnapshot(s *Snapshot, req obsv.Req) {
-	if db.traced && req.Active() {
-		s.rid = req.ID()
-	}
 }
 
 // readOutcome classifies a finished read: errors are errors, zero rows is a

@@ -7,9 +7,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"sti/internal/interp"
-	"sti/internal/metrics"
 )
 
 const obsvTC = `
@@ -193,44 +190,5 @@ func TestStatsCarriesRequestsAndFallbackReasons(t *testing.T) {
 		if !strings.Contains(string(enc), want) {
 			t.Fatalf("stats JSON missing %s: %s", want, enc)
 		}
-	}
-}
-
-// With tracing enabled, instrumented requests tag their engine spans: the
-// Chrome trace carries request IDs on eval/update and query spans.
-func TestRequestIDsJoinTraceSpans(t *testing.T) {
-	col := metrics.New()
-	col.EnableTrace(0)
-	cfg := interp.DefaultConfig()
-	cfg.Metrics = col
-	db := openObsvDB(t,
-		WithInterpreterConfig(cfg),
-		WithObservability(ObservabilityConfig{}))
-	seedChain(t, db, 3)
-	if _, err := db.Query("path", 0, nil); err != nil {
-		t.Fatal(err)
-	}
-
-	var buf bytes.Buffer
-	if err := col.WriteTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var trace struct {
-		TraceEvents []metrics.TraceEvent `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &trace); err != nil {
-		t.Fatal(err)
-	}
-	tagged := map[string]bool{} // span name -> saw a request arg
-	for _, ev := range trace.TraceEvents {
-		if rid, ok := ev.Args["request"].(string); ok && strings.HasPrefix(rid, "r") {
-			tagged[ev.Name] = true
-		}
-	}
-	if !tagged["update"] {
-		t.Fatalf("apply's update span carries no request ID; tagged spans: %v", tagged)
-	}
-	if !tagged["api:path"] {
-		t.Fatalf("query span carries no request ID; tagged spans: %v", tagged)
 	}
 }

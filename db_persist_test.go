@@ -6,10 +6,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
-	"sti/internal/interp"
+	"sti/internal/store"
 )
 
 // persistSrc is the durability fixture: a symbol-typed recursive program, so
@@ -189,9 +190,10 @@ func TestPersistIncrementalPathSurvives(t *testing.T) {
 }
 
 // TestPersistEveryRepresentation: durability does not depend on how a
-// relation is stored. Eqrel and nullary input relations, the legacy
-// comparator store and hash-sharded relations all survive a clean reopen
-// and a crash byte-identically to an in-memory database.
+// relation is stored. Eqrel and nullary input relations and hash-sharded
+// relations all survive a clean reopen and a crash byte-identically to an
+// in-memory database. The workers2 row also passes WithProfiling, which a
+// resident database ignores: Open still builds the one-shot engine's tree.
 func TestPersistEveryRepresentation(t *testing.T) {
 	src := `
 .decl same(x:number, y:number) eqrel
@@ -236,9 +238,8 @@ out(x, y) :- on(), same(x, z), edge(z, y).
 		opts []Option
 	}{
 		{"default", nil},
-		{"legacy", []Option{WithLegacyInterpreter()}},
 		{"shards2", []Option{WithShards(2)}},
-		{"dynamic-workers2", []Option{WithInterpreterConfig(interp.DynamicAdapterConfig()), WithWorkers(2), WithProfiling()}},
+		{"workers2", []Option{WithWorkers(2), WithProfiling()}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -544,5 +545,78 @@ func TestShadowEDBSetSemantics(t *testing.T) {
 	apply(db.NewBatch().Delete("edge", "a", "b"))
 	if mem, disk := snapSize(); mem != emptyMem || disk != emptyDisk {
 		t.Fatalf("after the delete the snapshot is %d bytes (%d on disk), empty is %d (%d)", mem, disk, emptyMem, emptyDisk)
+	}
+}
+
+// TestReadsDoNotInternSymbols: a read naming a symbol the database never
+// stored is a miss, not an intern. A thousand such queries leave the symbol
+// table as it was, so the next WAL record of a durable database logs no
+// symbols; one-shot Contains and Explain likewise only look symbols up.
+func TestReadsDoNotInternSymbols(t *testing.T) {
+	prog := MustParse(persistSrc)
+	db, err := prog.Open(WithPersistenceConfig(PersistenceConfig{Dir: t.TempDir(), SnapshotEvery: -1}))
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer db.Close()
+	if err := db.Apply(db.NewBatch().Add("edge", "a", "b")); err != nil {
+		t.Fatal(err)
+	}
+	before := prog.st.Len()
+	for i := 0; i < 1000; i++ {
+		sym := fmt.Sprintf("never%d", i)
+		if rows, err := db.QueryText("path", []string{"_", strconv.Quote(sym)}); err != nil || rows == nil || len(rows) != 0 {
+			t.Fatalf("QueryText(%s) = %v, %v; want an empty miss", sym, rows, err)
+		}
+		if rows, err := db.Query("path", sym, nil); err != nil || rows == nil || len(rows) != 0 {
+			t.Fatalf("Query(%s) = %v, %v; want an empty miss", sym, rows, err)
+		}
+	}
+	if got := prog.st.Len(); got != before {
+		t.Fatalf("reads grew the symbol table %d -> %d", before, got)
+	}
+	// A malformed field is still an error, and a stored symbol still matches.
+	if _, err := db.QueryText("path", []string{`"unterminated`, "_"}); err == nil {
+		t.Fatal("malformed quoted symbol accepted")
+	}
+	if rows, err := db.QueryText("path", []string{"a", "_"}); err != nil || len(rows) != 1 {
+		t.Fatalf("QueryText(a) = %v, %v", rows, err)
+	}
+
+	if err := db.Apply(db.NewBatch().Add("edge", "b", "a")); err != nil {
+		t.Fatal(err)
+	}
+	var last []byte
+	if _, err := store.ReplayWAL(db.pst.wal.Path(), func(rec []byte) error {
+		last = append(last[:0], rec...)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	r := &reader{buf: last}
+	r.u32() // base ordinal
+	if n := r.u32(); r.err != nil || n != 0 {
+		t.Fatalf("WAL record after the reads logs %d symbols (%v), want 0", n, r.err)
+	}
+
+	res, err := prog.Run(prog.NewInput().Add("edge", "a", "b"), WithProvenance())
+	if err != nil {
+		t.Fatal(err)
+	}
+	before = prog.st.Len()
+	if res.Contains("path", "zz", "b") {
+		t.Fatal("Contains matched a symbol no tuple holds")
+	}
+	if _, err := res.Explain("path", "zz", "b"); err == nil {
+		t.Fatal("Explain derived a symbol no tuple holds")
+	}
+	if _, err := res.ExplainText("path", []string{"zz", "b"}); err == nil {
+		t.Fatal("ExplainText derived a symbol no tuple holds")
+	}
+	if !res.Contains("path", "a", "b") {
+		t.Fatal("Contains misses a stored tuple")
+	}
+	if got := prog.st.Len(); got != before {
+		t.Fatalf("one-shot reads grew the symbol table %d -> %d", before, got)
 	}
 }

@@ -154,22 +154,20 @@ func (d *Dir) Load(rel *ram.Relation, insert func(tuple.Tuple) error) error {
 	return sc.Err()
 }
 
-// ParseField converts one tab-separated field to a value. Symbol fields
-// are taken verbatim unless they start with a double quote, in which case
-// they must be a complete Go-syntax quoted string (the form Store emits
-// for symbols that embed tabs, newlines, or a leading quote); an
-// unterminated or otherwise malformed quoted symbol is an error.
+// ParseField converts one tab-separated field to a value, interning a
+// symbol the table does not hold yet. Symbol fields are taken verbatim
+// unless they start with a double quote, in which case they must be a
+// complete Go-syntax quoted string (the form Store emits for symbols that
+// embed tabs, newlines, or a leading quote); an unterminated or otherwise
+// malformed quoted symbol is an error.
 func ParseField(s string, ty value.Type, st *symtab.Table) (value.Value, error) {
 	switch ty {
 	case value.Symbol:
-		if strings.HasPrefix(s, `"`) {
-			u, err := strconv.Unquote(s)
-			if err != nil {
-				return 0, fmt.Errorf("malformed quoted symbol %q", s)
-			}
-			return st.Intern(u), nil
+		u, err := unquoteSymbol(s)
+		if err != nil {
+			return 0, err
 		}
-		return st.Intern(s), nil
+		return st.Intern(u), nil
 	case value.Number:
 		n, err := strconv.ParseInt(s, 10, 32)
 		if err != nil {
@@ -189,6 +187,35 @@ func ParseField(s string, ty value.Type, st *symtab.Table) (value.Value, error) 
 		}
 		return value.FromFloat(float32(f)), nil
 	}
+}
+
+// LookupField is ParseField for reads: a symbol field is looked up, never
+// interned, so parsing a probe cannot grow the table. found is false when
+// the table does not hold the symbol; no stored tuple can then contain it.
+func LookupField(s string, ty value.Type, st *symtab.Table) (v value.Value, found bool, err error) {
+	if ty != value.Symbol {
+		v, err = ParseField(s, ty, st)
+		return v, err == nil, err
+	}
+	u, err := unquoteSymbol(s)
+	if err != nil {
+		return 0, false, err
+	}
+	v, found = st.Lookup(u)
+	return v, found, nil
+}
+
+// unquoteSymbol returns a symbol field's text: verbatim, or unquoted when
+// the field starts with a double quote.
+func unquoteSymbol(s string) (string, error) {
+	if !strings.HasPrefix(s, `"`) {
+		return s, nil
+	}
+	u, err := strconv.Unquote(s)
+	if err != nil {
+		return "", fmt.Errorf("malformed quoted symbol %q", s)
+	}
+	return u, nil
 }
 
 // Store implements Handler.

@@ -25,6 +25,15 @@
 // experiments (Figs 16, 18, 19 and §5.5) can be reproduced. The Legacy mode
 // reproduces the pre-STI interpreter (§5.1): relations stored in
 // runtime-comparator B-trees with no specialization at all.
+//
+// Who may switch them: the product does not. The root sti package builds
+// every engine from DefaultConfig plus Workers, Shards, Profile/Metrics and
+// Provenance, and neither it nor cmd/sti re-exports Config. Because this
+// package is internal, the ablations and the legacy store are reachable only
+// from code inside the module that asks for them by name — the figure
+// harness (internal/bench, cmd/benchmark), perfbench's per-layer probes, and
+// tests such as TestConfigLatticeEquivalence. CI's "The product runs one
+// engine configuration" step keeps it that way.
 package interp
 
 import (

@@ -68,13 +68,6 @@ type Engine struct {
 	prof *profiler
 	prov *provenance
 	tel  *metrics.Collector // telemetry sink (nil = disabled)
-
-	// reqTag is the request ID attributed to telemetry spans of the next
-	// evaluation (Eval/EvalUpdate/EvalDelete). Resident databases set it at
-	// the top of Apply, under the single-writer lock, so the engine's trace
-	// tree joins the request-scoped observability layer. Empty when no
-	// request is attributed.
-	reqTag string
 }
 
 // New prepares an engine: it materializes the de-specialized relations and
@@ -216,22 +209,6 @@ type RuntimeError = rtl.Error
 // Phase reports the engine's lifecycle state.
 func (e *Engine) Phase() Phase { return e.phase }
 
-// SetRequest tags the telemetry spans of subsequent evaluations with a
-// request ID ("" clears the tag). Must only be called while holding the
-// mutation right on the engine (the resident database's writer lock) — the
-// tag is read by the evaluation entry points on the same goroutine.
-func (e *Engine) SetRequest(id string) { e.reqTag = id }
-
-// spanArgs builds the trace-event argument map joining a span to the
-// request that caused it. Only called when tracing is enabled, so the map
-// allocation never lands on untraced paths.
-func (e *Engine) spanArgs(req string) map[string]any {
-	if req == "" {
-		return nil
-	}
-	return map[string]any{"request": req}
-}
-
 // Incremental reports whether the program carries an update entry point,
 // i.e. whether EvalUpdate can re-evaluate insert-only batches without a
 // full recomputation.
@@ -361,9 +338,7 @@ func (e *Engine) Eval() error {
 	if err := e.execTree(nil, e.rootEval); err != nil {
 		return err
 	}
-	if e.tel != nil {
-		e.tel.EndArgs(span, "run", "eval", e.spanArgs(e.reqTag))
-	}
+	e.tel.End(span, "run", "eval")
 	e.phase = PhaseReady
 	return nil
 }
@@ -397,9 +372,7 @@ func (e *Engine) EvalUpdate() error {
 	}
 	span := e.tel.Begin()
 	err := e.execTree(nil, e.rootUpdate)
-	if e.tel != nil {
-		e.tel.EndArgs(span, "run", "update", e.spanArgs(e.reqTag))
-	}
+	e.tel.End(span, "run", "update")
 	return err
 }
 
@@ -423,9 +396,7 @@ func (e *Engine) EvalDelete() error {
 	}
 	span := e.tel.Begin()
 	err := e.execTree(nil, e.rootDelete)
-	if e.tel != nil {
-		e.tel.EndArgs(span, "run", "delete", e.spanArgs(e.reqTag))
-	}
+	e.tel.End(span, "run", "delete")
 	return err
 }
 
@@ -527,22 +498,6 @@ func (e *Engine) decl(name string) *ram.Relation {
 // result order is deterministic (the chosen index's encoded order, decoded
 // to source coordinates) and tuples are safe to retain.
 func (e *Engine) Query(name string, pattern tuple.Tuple, mask []bool) ([]tuple.Tuple, error) {
-	return e.QueryReq("", name, pattern, mask)
-}
-
-// QueryReq is Query with a request ID attributed to its telemetry span,
-// joining the trace tree to the observability layer. Safe for concurrent
-// callers: the ID travels as an argument, not through engine state.
-func (e *Engine) QueryReq(req, name string, pattern tuple.Tuple, mask []bool) ([]tuple.Tuple, error) {
-	span := e.tel.Begin()
-	out, err := e.query(name, pattern, mask)
-	if e.tel != nil {
-		e.tel.EndArgs(span, "query", "api:"+name, e.spanArgs(req))
-	}
-	return out, err
-}
-
-func (e *Engine) query(name string, pattern tuple.Tuple, mask []bool) ([]tuple.Tuple, error) {
 	rd := e.decl(name)
 	if rd == nil {
 		return nil, fmt.Errorf("unknown relation %s", name)
@@ -620,21 +575,6 @@ func matchIndex(rel *relation.Relation, mask []bool, k int) (relation.Index, tup
 // [lo, hi], compared under the attribute's declared type. The result is in
 // primary-index order.
 func (e *Engine) ScanRange(name string, lo, hi value.Value) ([]tuple.Tuple, error) {
-	return e.ScanRangeReq("", name, lo, hi)
-}
-
-// ScanRangeReq is ScanRange with a request ID attributed to its telemetry
-// span.
-func (e *Engine) ScanRangeReq(req, name string, lo, hi value.Value) ([]tuple.Tuple, error) {
-	span := e.tel.Begin()
-	out, err := e.scanRange(name, lo, hi)
-	if e.tel != nil {
-		e.tel.EndArgs(span, "query", "scan:"+name, e.spanArgs(req))
-	}
-	return out, err
-}
-
-func (e *Engine) scanRange(name string, lo, hi value.Value) ([]tuple.Tuple, error) {
 	rd := e.decl(name)
 	if rd == nil {
 		return nil, fmt.Errorf("unknown relation %s", name)

@@ -33,7 +33,7 @@ type Profile struct {
 	SuperSaved uint64 `json:"super_saved"`
 	// Telemetry is the engine-wide metrics snapshot: relation/index/fixpoint
 	// and parallel-worker statistics. Present only when the run carried a
-	// metrics collector (Config.Metrics).
+	// metrics collector (Config.Metrics), as every sti.WithProfiling run does.
 	Telemetry *metrics.Report `json:"telemetry,omitempty"`
 }
 

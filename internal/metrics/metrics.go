@@ -227,9 +227,6 @@ func (c *Collector) EnableTrace(capacity int) {
 	c.trace = &Trace{cap: capacity}
 }
 
-// Tracing reports whether span recording is enabled.
-func (c *Collector) Tracing() bool { return c != nil && c.trace != nil }
-
 // BindRelation registers a relation and allocates its per-index counter
 // blocks. Called once per relation at engine construction.
 func (c *Collector) BindRelation(id int, name, rep string, arity int, aux bool, baseID int, indexOrders []string) *RelationStats {

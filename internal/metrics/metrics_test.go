@@ -13,9 +13,6 @@ import (
 func TestNilCollectorSafe(t *testing.T) {
 	var c *Collector
 	c.EnableTrace(10)
-	if c.Tracing() {
-		t.Fatal("nil collector reports tracing")
-	}
 	if rs := c.BindRelation(0, "r", "btree", 2, false, 0, []string{"[0 1]"}); rs != nil {
 		t.Fatal("nil collector returned relation stats")
 	}
@@ -128,9 +125,6 @@ func TestReportRepAggregation(t *testing.T) {
 func TestTraceRoundTrip(t *testing.T) {
 	c := New()
 	c.EnableTrace(0)
-	if !c.Tracing() {
-		t.Fatal("tracing not enabled")
-	}
 	start := c.Begin()
 	if start.IsZero() {
 		t.Fatal("Begin returned zero time with tracing on")

@@ -196,17 +196,13 @@ func (o *Observer) NextID() string {
 }
 
 // ID renders the request's identity ("" for an inert request). It allocates,
-// so hot paths only call it when tracing or logging actually needs the
-// string.
+// so it is only called when a slow-request record needs the string.
 func (r Req) ID() string {
 	if r.o == nil {
 		return ""
 	}
 	return "r" + strconv.FormatUint(r.id, 10)
 }
-
-// Active reports whether the request belongs to a live observer.
-func (r Req) Active() bool { return r.o != nil }
 
 // Finish closes the request: the latency lands in the (op, outcome)
 // histogram, and if it crossed the slow threshold one structured record is

@@ -84,14 +84,6 @@ func (db *Database) SlowAttrs() []slog.Attr {
 	if db.fallbackReason != "" {
 		attrs = append(attrs, slog.String("fallback_reason", db.fallbackReason))
 	}
-	if tel := db.eng.Telemetry(); tel != nil {
-		if rep := tel.Report(); rep != nil && len(rep.Fixpoints) > 0 {
-			last := rep.Fixpoints[len(rep.Fixpoints)-1]
-			attrs = append(attrs,
-				slog.String("last_fixpoint", last.Label),
-				slog.Int("last_fixpoint_iterations", last.Iterations))
-		}
-	}
 	return attrs
 }
 

@@ -5,9 +5,9 @@
 // A Datalog program is parsed, analyzed, and translated to the RAM
 // intermediate representation, then executed by one of three backends:
 //
-//   - the tree interpreter (the paper's contribution) with its five
-//     optimizations — the paper's four and §5.2's condition fusion —
-//     individually switchable,
+//   - the tree interpreter (the paper's contribution), always with its five
+//     optimizations on — the paper's four and §5.2's condition fusion (the
+//     figure harness inside this module runs their ablations),
 //   - a closure-compiled engine (the "synthesized" performance baseline),
 //   - a true synthesizer emitting standalone specialized Go source.
 //
@@ -149,7 +149,7 @@ func (in *Input) Add(name string, values ...any) *Input {
 	if in.err != nil {
 		return in
 	}
-	t, err := in.prog.encodeTuple(name, values)
+	t, err := in.prog.encodeTuple(name, values, false)
 	if err != nil {
 		in.err = err
 		return in
@@ -161,8 +161,16 @@ func (in *Input) Add(name string, values ...any) *Input {
 // Err returns the first conversion error, if any.
 func (in *Input) Err() error { return in.err }
 
-// encodeTuple converts Go values to one tuple of the named relation.
-func (p *Program) encodeTuple(name string, values []any) (tuple.Tuple, error) {
+// errNotStored fails a read that names a symbol the symbol table does not
+// hold. Reads (Snapshot.Query and QueryText patterns, Result.Contains and
+// Explain) look symbols up instead of interning them, so probing never grows
+// the table — nor, on a durable database, the next WAL record. No stored
+// tuple can contain such a symbol, so the read is a miss.
+var errNotStored = errors.New("symbol occurs in no stored tuple")
+
+// encodeTuple converts Go values to one tuple of the named relation. A write
+// interns new symbols; a read only looks them up (see errNotStored).
+func (p *Program) encodeTuple(name string, values []any, read bool) (tuple.Tuple, error) {
 	decl, err := p.decl(name)
 	if err != nil {
 		return nil, err
@@ -172,7 +180,7 @@ func (p *Program) encodeTuple(name string, values []any) (tuple.Tuple, error) {
 	}
 	t := make(tuple.Tuple, decl.Arity)
 	for i, v := range values {
-		if t[i], err = p.encode(decl.Types[i], v); err != nil {
+		if t[i], err = p.encode(decl.Types[i], v, read); err != nil {
 			return nil, fmt.Errorf("sti: %s argument %d: %v", name, i, err)
 		}
 	}
@@ -180,11 +188,11 @@ func (p *Program) encodeTuple(name string, values []any) (tuple.Tuple, error) {
 }
 
 // parseTuple converts text fields to one tuple of the named relation, by
-// attribute type with the fact-file conventions (quoted symbols allowed).
-// On failure off is the byte offset of the offending field within the
-// tab-joined row, or -1 when the row as a whole is wrong (unknown relation,
-// field count).
-func (p *Program) parseTuple(name string, fields []string) (t tuple.Tuple, off int, err error) {
+// attribute type with the fact-file conventions (quoted symbols allowed),
+// interning new symbols unless read is set (see errNotStored). On failure
+// off is the byte offset of the offending field within the tab-joined row,
+// or -1 when the row as a whole is wrong (unknown relation, field count).
+func (p *Program) parseTuple(name string, fields []string, read bool) (t tuple.Tuple, off int, err error) {
 	decl, err := p.decl(name)
 	if err != nil {
 		return nil, -1, err
@@ -194,7 +202,7 @@ func (p *Program) parseTuple(name string, fields []string) (t tuple.Tuple, off i
 	}
 	t = make(tuple.Tuple, decl.Arity)
 	for i, f := range fields {
-		if t[i], err = eio.ParseField(f, decl.Types[i], p.st); err != nil {
+		if t[i], err = p.parseField(f, decl.Types[i], read); err != nil {
 			return nil, off, err
 		}
 		off += len(f) + 1
@@ -202,14 +210,35 @@ func (p *Program) parseTuple(name string, fields []string) (t tuple.Tuple, off i
 	return t, 0, nil
 }
 
-func (p *Program) encode(ty value.Type, v any) (value.Value, error) {
+// parseField is encode for one text field, parsed with the fact-file
+// conventions.
+func (p *Program) parseField(f string, ty value.Type, read bool) (value.Value, error) {
+	if !read {
+		return eio.ParseField(f, ty, p.st)
+	}
+	w, found, err := eio.LookupField(f, ty, p.st)
+	if err == nil && !found {
+		err = errNotStored
+	}
+	return w, err
+}
+
+// encode converts one Go value by attribute type. A write interns a new
+// symbol; a read only looks it up (see errNotStored).
+func (p *Program) encode(ty value.Type, v any, read bool) (value.Value, error) {
 	switch ty {
 	case value.Symbol:
 		s, ok := v.(string)
 		if !ok {
 			return 0, fmt.Errorf("want string, got %T", v)
 		}
-		return p.st.Intern(s), nil
+		if !read {
+			return p.st.Intern(s), nil
+		}
+		if w, found := p.st.Lookup(s); found {
+			return w, nil
+		}
+		return 0, errNotStored
 	case value.Float:
 		switch f := v.(type) {
 		case float32:

@@ -1,7 +1,10 @@
 package sti
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -67,12 +70,8 @@ func TestBackendsAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := prog.Run(mk(), WithLegacyInterpreter())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Size("path") != b.Size("path") || a.Size("path") != c.Size("path") {
-		t.Fatalf("backends disagree: %d %d %d", a.Size("path"), b.Size("path"), c.Size("path"))
+	if a.Size("path") != b.Size("path") || !reflect.DeepEqual(a.Rows("path"), b.Rows("path")) {
+		t.Fatalf("backends disagree: %d vs %d tuples", a.Size("path"), b.Size("path"))
 	}
 }
 
@@ -132,16 +131,38 @@ func TestProfilingOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Profile() == nil || res.Profile().TotalDispatches == 0 {
+	p := res.Profile()
+	if p == nil || p.TotalDispatches == 0 {
 		t.Fatal("no profile collected")
 	}
-	// Compiled backend has no profiler.
+	// WithProfiling is the whole instrumentation: the telemetry collector
+	// rides along, and its span trace is reachable from the Result.
+	if p.Telemetry == nil || len(p.Telemetry.Fixpoints) == 0 || p.Telemetry.TraceEvents == 0 {
+		t.Fatalf("profile carries no telemetry: %+v", p.Telemetry)
+	}
+	var buf bytes.Buffer
+	if err := res.WriteTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var trace struct {
+		TraceEvents []struct {
+			Name string `json:"name"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &trace); err != nil || len(trace.TraceEvents) != p.Telemetry.TraceEvents {
+		t.Fatalf("trace: %d events (%v), telemetry counted %d", len(trace.TraceEvents), err, p.Telemetry.TraceEvents)
+	}
+	// Compiled backend has no profiler and no trace.
 	res2, err := prog.Run(in, WithBackend(Compiled))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res2.Profile() != nil {
 		t.Fatal("compiled backend returned a profile")
+	}
+	buf.Reset()
+	if err := res2.WriteTrace(&buf); err != nil || buf.Len() != 0 {
+		t.Fatalf("compiled backend wrote a trace: %q (%v)", buf.String(), err)
 	}
 }
 
@@ -247,5 +268,13 @@ func TestExplainViaFacade(t *testing.T) {
 	}
 	if _, err := res2.Explain("path", 1, 3); err == nil {
 		t.Fatal("Explain without provenance succeeded")
+	}
+	// The compiled backend records no derivations, even when asked to.
+	res3, err := prog.Run(in, WithBackend(Compiled), WithProvenance())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := res3.Explain("path", 1, 3); err == nil || !strings.Contains(err.Error(), "cannot explain") {
+		t.Fatalf("compiled Explain = %v, want a refusal", err)
 	}
 }
