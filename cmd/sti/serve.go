@@ -168,6 +168,25 @@ func newLogger(format, level string) *slog.Logger {
 	}
 }
 
+// stageLine stages one "+rel<TAB>field..." insertion or "-rel<TAB>field..."
+// deletion into batch and reports whether line was one. Parse errors stay
+// on the batch and carry path:lineNo:col positions; the first field starts
+// right after the "+rel<TAB>" prefix. The line protocol and POST /apply
+// both stage through it.
+func stageLine(batch *sti.Batch, path string, lineNo int, line string) bool {
+	fields := strings.Split(line, "\t")
+	head := fields[0]
+	switch {
+	case strings.HasPrefix(head, "+"):
+		batch.At(path, lineNo, len(head)+2).AddText(head[1:], fields[1:])
+	case strings.HasPrefix(head, "-"):
+		batch.At(path, lineNo, len(head)+2).DeleteText(head[1:], fields[1:])
+	default:
+		return false
+	}
+	return true
+}
+
 // serveLines drives the resident database from a line protocol. Errors in
 // individual commands are reported as "error: ..." lines and do not stop
 // the session; only I/O failures end it. The returned bool reports whether
@@ -185,25 +204,16 @@ func serveLines(db *sti.Database, r io.Reader, w io.Writer) (bool, error) {
 		if line == "" {
 			continue
 		}
-		fields := strings.Split(line, "\t")
-		head := fields[0]
-		// Parse errors in +/- lines carry stdin:line:col positions (the
-		// first field starts right after the "+rel<TAB>" prefix).
-		switch {
-		case strings.HasPrefix(head, "+"):
-			batch.At("stdin", lineNo, len(head)+2).AddText(head[1:], fields[1:])
+		// A +rel/-rel line stages a fact. Its parse errors carry
+		// stdin:line:col positions and drop the batch staged so far.
+		if stageLine(batch, "stdin", lineNo, line) {
 			if err := batch.Err(); err != nil {
 				fmt.Fprintf(out, "error: %v\n", err)
 				batch = db.NewBatch()
 			}
-		case strings.HasPrefix(head, "-"):
-			batch.At("stdin", lineNo, len(head)+2).DeleteText(head[1:], fields[1:])
-			if err := batch.Err(); err != nil {
-				fmt.Fprintf(out, "error: %v\n", err)
-				batch = db.NewBatch()
-			}
-		default:
-			words := strings.Fields(head)
+		} else {
+			fields := strings.Split(line, "\t")
+			words := strings.Fields(fields[0])
 			if len(words) == 0 {
 				continue
 			}

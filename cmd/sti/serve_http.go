@@ -80,16 +80,7 @@ func serveMux(db *sti.Database) *http.ServeMux {
 		}
 		batch := db.NewBatch()
 		for i, line := range strings.Split(string(body), "\n") {
-			if line == "" {
-				continue
-			}
-			fields := strings.Split(line, "\t")
-			switch {
-			case strings.HasPrefix(fields[0], "+"):
-				batch.At("body", i+1, len(fields[0])+2).AddText(fields[0][1:], fields[1:])
-			case strings.HasPrefix(fields[0], "-"):
-				batch.At("body", i+1, len(fields[0])+2).DeleteText(fields[0][1:], fields[1:])
-			default:
+			if line != "" && !stageLine(batch, "body", i+1, line) {
 				httpError(w, rid, http.StatusBadRequest,
 					fmt.Errorf("bad line %q: want +rel or -rel", line))
 				return

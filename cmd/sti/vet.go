@@ -76,9 +76,8 @@ type vetSource struct {
 //
 // Named exception to "sti.Parse is the only code that chains the stages":
 // vet attributes each verifier diagnostic to the stage that produced the
-// ill-formed program (translate vs optimize), so it must stop between them,
-// and it runs the full pass set — ramopt.All(), dead code elimination
-// included — so the one pass no product path executes is still verified.
+// ill-formed program (translate vs optimize), so it must stop between them.
+// It runs the pass set sti.Parse runs, so it checks the program that runs.
 func vetOne(src vetSource) ([]finding, ramopt.Stats) {
 	var stats ramopt.Stats
 	astProg, err := parser.Parse(src.text)
@@ -96,7 +95,7 @@ func vetOne(src vetSource) ([]finding, ramopt.Stats) {
 	}
 	out := collectDiags(prog, src.name, "translate")
 	if len(out) == 0 {
-		stats = ramopt.OptimizeStats(prog, st, ramopt.All())
+		stats = ramopt.OptimizeStats(prog, st, ramopt.Queryable())
 		out = append(out, collectDiags(prog, src.name, "optimize")...)
 	}
 	return out, stats

@@ -70,13 +70,6 @@ type Database struct {
 	// (observe.go); allocated once so the read hot path stays allocation-free.
 	readProf *readProfile
 
-	// shards is the shard count the database was opened with (0 when
-	// unsharded). A sharded database always absorbs batches through the
-	// recompute path: the update/delete entry points are generated for
-	// serial unsharded execution, while recomputation reuses the
-	// shard-parallel main program.
-	shards int
-
 	// pst is the durability state (nil unless opened WithPersistence): the
 	// WAL/snapshot protocol that makes Apply batches survive restarts
 	// (persist.go). It changes nothing about how relations are built.
@@ -119,7 +112,6 @@ func (p *Program) Open(opts ...Option) (*Database, error) {
 	db := &Database{
 		prog:           p,
 		eng:            eng,
-		shards:         cfg.Shards,
 		facts:          map[string]*relation.Relation{},
 		fallbackCounts: map[string]uint64{},
 		obs:            o.obs,
@@ -424,12 +416,6 @@ func (db *Database) applyLocked(b *Batch) (obsv.Outcome, error) {
 func (db *Database) classify(b *Batch) (obsv.Outcome, string) {
 	reason := ""
 	switch {
-	case db.shards > 0:
-		// The update/delete entry points are generated for serial
-		// unsharded evaluation; a sharded database keeps its speed on the
-		// recompute path instead, which reuses the shard-parallel main
-		// program. Stats records the trade.
-		reason = fallbackSharded
 	case len(b.dels) == 0:
 		if db.eng.Incremental() {
 			return obsv.OutIncremental, ""
@@ -492,10 +478,6 @@ func scanAll(s *relation.Relation) []tuple.Tuple {
 		out = append(out, tuple.Clone(t))
 	}
 }
-
-// fallbackSharded is the FallbackReason recorded by every Apply on a
-// sharded database.
-const fallbackSharded = "sharded database: incremental entry points run unsharded, batches recompute with the shard-parallel main program"
 
 // groupByRel splits batch facts per relation, preserving batch order both
 // across relations (first appearance) and within each relation.
@@ -831,10 +813,7 @@ type DBStats struct {
 	Recomputes         uint64 `json:"recomputes"`
 	Incremental        bool   `json:"incremental"`
 	Deletable          bool   `json:"deletable"`
-	// Shards is the shard count the database was opened with (0 when
-	// unsharded). Sharded databases record a fallback reason on their
-	// first Apply: batches recompute with the shard-parallel main program.
-	Shards    int            `json:"shards,omitempty"`
+	// Relations maps every declared relation to its tuple count.
 	Relations map[string]int `json:"relations"`
 	// FallbackReasons tallies every recompute fallback by reason (the
 	// cumulative history behind FallbackReason, which only keeps the most
@@ -863,7 +842,6 @@ func (db *Database) Stats() DBStats {
 		Recomputes:         db.recomputes,
 		Incremental:        db.eng.Incremental(),
 		Deletable:          db.eng.Deletable(),
-		Shards:             db.shards,
 		Relations:          map[string]int{},
 		Requests:           db.obs.Stats(),
 	}

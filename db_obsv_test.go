@@ -157,8 +157,12 @@ func TestSlowQueryEmitsReadProfile(t *testing.T) {
 // fallback-reason counts, and both survive JSON marshaling (the expvar
 // sti.db blob publishes exactly this struct).
 func TestStatsCarriesRequestsAndFallbackReasons(t *testing.T) {
-	db := openObsvDB(t, WithShards(2), WithObservability(ObservabilityConfig{}))
-	seedChain(t, db, 3) // sharded database: every apply is a recorded fallback
+	db := openObsvDB(t, WithObservability(ObservabilityConfig{}))
+	seedChain(t, db, 3)
+	// Deleting a derived tuple loses the incremental path: a recorded fallback.
+	if err := db.Apply(db.NewBatch().Delete("path", 0, 1)); err != nil {
+		t.Fatalf("apply: %v", err)
+	}
 	if rows, err := db.Query("path", 0, nil); err != nil || len(rows) == 0 {
 		t.Fatalf("query hit: %v rows, err %v", len(rows), err)
 	}
@@ -167,7 +171,8 @@ func TestStatsCarriesRequestsAndFallbackReasons(t *testing.T) {
 	}
 
 	st := db.Stats()
-	if st.FallbackReasons[fallbackSharded] != 1 {
+	const reason = `batch deletes tuples of "path", which is not an input relation`
+	if st.FallbackReasons[reason] != 1 || len(st.FallbackReasons) != 1 {
 		t.Fatalf("fallback reasons = %v", st.FallbackReasons)
 	}
 	if st.Requests == nil {

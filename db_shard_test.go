@@ -1,9 +1,6 @@
 package sti
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 // TestShardedRun: a one-shot Run with WithShards matches the unsharded run
 // byte for byte.
@@ -37,11 +34,11 @@ func TestShardedRun(t *testing.T) {
 	}
 }
 
-// TestShardedDatabaseFallsBack: a database opened with WithShards answers
-// queries correctly, but every Apply takes the recompute path with the
-// sharded fallback reason recorded in Stats — the incremental entry points
-// are generated for unsharded execution.
-func TestShardedDatabaseFallsBack(t *testing.T) {
+// TestShardedDatabaseStaysIncremental: a database opened with WithShards
+// absorbs insert batches through the update entry point and mixed batches
+// through the delete entry point, over the same sharded relations, and
+// stays equal to a one-shot run after every batch.
+func TestShardedDatabaseStaysIncremental(t *testing.T) {
 	p := tcProgram(t, "btree")
 	db, err := p.Open(WithShards(4))
 	if err != nil {
@@ -49,50 +46,30 @@ func TestShardedDatabaseFallsBack(t *testing.T) {
 	}
 	defer db.Close()
 
-	if st := db.Stats(); st.Shards != 4 {
-		t.Fatalf("Stats().Shards = %d, want 4", st.Shards)
-	}
-
-	edges := [][2]int{}
-	for i := 0; i < 20; i++ {
-		edges = append(edges, [2]int{i, i + 1})
-	}
-	b := db.NewBatch()
-	for _, e := range edges {
-		b.Add("edge", e[0], e[1])
-	}
-	if err := db.Apply(b); err != nil {
-		t.Fatalf("apply: %v", err)
-	}
+	edges := chainEdges(20)
+	applyEdges(t, db, edges)
 	checkEquivalent(t, db, p, edges, "sharded apply")
+	checkIncremental(t, db, "sharded apply")
 
-	st := db.Stats()
-	if st.AppliesIncremental != 0 {
-		t.Fatalf("sharded database took the incremental path (%d)", st.AppliesIncremental)
-	}
-	if st.AppliesFallback != 1 || st.Recomputes != 1 {
-		t.Fatalf("fallback=%d recomputes=%d, want 1/1", st.AppliesFallback, st.Recomputes)
-	}
-	if !strings.Contains(st.FallbackReason, "sharded") {
-		t.Fatalf("FallbackReason = %q, want the sharded reason", st.FallbackReason)
-	}
-
-	// Deletions recompute too, staying correct.
-	b2 := db.NewBatch()
-	b2.Add("edge", 50, 51)
-	b2.Delete("edge", 0, 1)
-	if err := db.Apply(b2); err != nil {
+	b := db.NewBatch()
+	b.Add("edge", 50, 51)
+	b.Delete("edge", 0, 1)
+	b.Delete("edge", 10, 11)
+	if err := db.Apply(b); err != nil {
 		t.Fatalf("apply 2: %v", err)
 	}
-	edges = append(edges[1:], [2]int{50, 51})
-	checkEquivalent(t, db, p, edges, "sharded delete")
-	if st := db.Stats(); st.Recomputes != 2 {
-		t.Fatalf("recomputes = %d, want 2", st.Recomputes)
+	// The net edge set: the chain without 0->1 and 10->11, plus 50->51.
+	net := append(append([][2]int{}, edges[1:10]...), edges[11:]...)
+	net = append(net, [2]int{50, 51})
+	checkEquivalent(t, db, p, net, "sharded delete")
+	checkIncremental(t, db, "sharded delete")
+	if st := db.Stats(); st.AppliesIncremental != 2 || st.Applies != 2 {
+		t.Fatalf("incremental=%d applies=%d, want 2/2", st.AppliesIncremental, st.Applies)
 	}
 }
 
-// TestUnshardedDatabaseStaysIncremental guards the other side: without
-// WithShards the incremental path is untouched by the sharding machinery.
+// TestUnshardedDatabaseStaysIncremental: an insert batch on a database
+// opened without WithShards takes the update entry point too.
 func TestUnshardedDatabaseStaysIncremental(t *testing.T) {
 	p := tcProgram(t, "btree")
 	db, err := p.Open()
@@ -104,11 +81,7 @@ func TestUnshardedDatabaseStaysIncremental(t *testing.T) {
 	if err := db.Apply(b); err != nil {
 		t.Fatalf("apply: %v", err)
 	}
-	st := db.Stats()
-	if st.Shards != 0 {
-		t.Fatalf("Shards = %d, want 0", st.Shards)
-	}
-	if st.AppliesIncremental != 1 {
+	if st := db.Stats(); st.AppliesIncremental != 1 {
 		t.Fatalf("incremental applies = %d, want 1", st.AppliesIncremental)
 	}
 }

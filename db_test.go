@@ -110,14 +110,23 @@ func checkIncremental(t *testing.T, db *Database, tag string) {
 	}
 }
 
-// residentWorkers is the parallel axis of the resident property tests: the
-// serial engine and the paper's §3 workers, which keep the incremental path.
-var residentWorkers = []int{1, 2}
+// residentConfigs is the parallel axis of the resident property tests: the
+// serial engine, the paper's §3 workers and hash shards, all of which keep
+// the incremental path.
+var residentConfigs = []struct {
+	name string
+	opt  Option
+}{
+	{"workers=1", WithWorkers(1)},
+	{"workers=2", WithWorkers(2)},
+	{"shards=2", WithShards(2)},
+	{"shards=4", WithShards(4)},
+}
 
 // TestIncrementalEquivalence is the core property test: applying edge
 // batches to a resident database must yield exactly the relation a
 // from-scratch Run on the union of the batches yields, after every batch,
-// across representations, workload shapes and worker counts.
+// across representations, workload shapes and parallel configurations.
 func TestIncrementalEquivalence(t *testing.T) {
 	workloads := map[string][][2]int{
 		"chain":  chainEdges(30),
@@ -127,10 +136,10 @@ func TestIncrementalEquivalence(t *testing.T) {
 	for _, rep := range []string{"btree", "brie", "eqrel"} {
 		for wname, edges := range workloads {
 			t.Run(rep+"/"+wname, func(t *testing.T) {
-				for _, workers := range residentWorkers {
-					t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+				for _, cfg := range residentConfigs {
+					t.Run(cfg.name, func(t *testing.T) {
 						p := tcProgram(t, rep)
-						db, err := p.Open(WithWorkers(workers))
+						db, err := p.Open(cfg.opt)
 						if err != nil {
 							t.Fatalf("open: %v", err)
 						}
@@ -147,7 +156,7 @@ func TestIncrementalEquivalence(t *testing.T) {
 							}
 							applyEdges(t, db, edges[i:end])
 							applied = append(applied, edges[i:end]...)
-							tag := fmt.Sprintf("%s/%s/workers=%d after batch %d", rep, wname, workers, i/batch)
+							tag := fmt.Sprintf("%s/%s/%s after batch %d", rep, wname, cfg.name, i/batch)
 							checkEquivalent(t, db, p, applied, tag)
 							checkIncremental(t, db, tag)
 						}
@@ -557,9 +566,9 @@ func TestConcurrentQueryDuringApply(t *testing.T) {
 // TestInterleavedDeleteEquivalence is the deletion property test: batches
 // interleaving insertions and retractions against a resident database must
 // match a from-scratch run on the net fact set after every batch, across
-// workload shapes, representations and worker counts. eqrel is excluded by
-// construction — union-find relations cannot attribute retractions, so such
-// programs are not deletable.
+// workload shapes, representations and parallel configurations. eqrel is
+// excluded by construction — union-find relations cannot attribute
+// retractions, so such programs are not deletable.
 func TestInterleavedDeleteEquivalence(t *testing.T) {
 	workloads := map[string][][2]int{
 		"chain":  chainEdges(30),
@@ -569,10 +578,10 @@ func TestInterleavedDeleteEquivalence(t *testing.T) {
 	for _, rep := range []string{"btree", "brie"} {
 		for wname, edges := range workloads {
 			t.Run(rep+"/"+wname, func(t *testing.T) {
-				for _, workers := range residentWorkers {
-					t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+				for _, cfg := range residentConfigs {
+					t.Run(cfg.name, func(t *testing.T) {
 						p := tcProgram(t, rep)
-						db, err := p.Open(WithWorkers(workers))
+						db, err := p.Open(cfg.opt)
 						if err != nil {
 							t.Fatalf("open: %v", err)
 						}
@@ -611,7 +620,7 @@ func TestInterleavedDeleteEquivalence(t *testing.T) {
 							if err := db.Apply(b); err != nil {
 								t.Fatalf("round %d: apply: %v", round, err)
 							}
-							tag := fmt.Sprintf("%s/%s/workers=%d round %d", rep, wname, workers, round)
+							tag := fmt.Sprintf("%s/%s/%s round %d", rep, wname, cfg.name, round)
 							checkEquivalent(t, db, p, applied, tag)
 							checkIncremental(t, db, tag)
 						}

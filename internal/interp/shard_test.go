@@ -326,7 +326,7 @@ func TestShardedTreeShape(t *testing.T) {
 		for _, shards := range []int{1, 2, 4} {
 			build := func(shards int) *Engine {
 				rp, st := compileSrc(t, shardShapeSrc(rep))
-				ramopt.Optimize(rp, st, ramopt.All())
+				ramopt.Optimize(rp, st, ramopt.Queryable())
 				cfg := DefaultConfig()
 				cfg.Shards = shards
 				// Same worker count on both sides: the partitioned outermost

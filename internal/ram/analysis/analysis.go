@@ -1,456 +1,17 @@
-// Package analysis implements a reusable static-analysis framework over the
-// RAM IR. It computes, in one traversal of a ram.Program:
+// Package analysis holds the static facts the RAM pipeline shares:
 //
-//   - per-relation def-use chains: every site that writes a relation
-//     (projections, merges, swaps, loads) and every site that reads one
-//     (scans, choices, aggregates, existence/emptiness checks, merges,
-//     swaps, stores);
-//   - a relation dependence graph: an edge R → S for every query that reads
-//     R while inserting into S and for every whole-relation data movement,
-//     each edge tagged with whether it crosses strata;
-//   - relation liveness: a relation is live when one of its transitive uses
-//     reaches an IO sink (a .output or .printsize relation). Everything the
-//     analysis cannot see — resident databases and the embedding API keep
-//     every source relation queryable — must be handled by the caller
-//     choosing whether to act on liveness at all (see ramopt.Queryable);
-//   - per-index usage: which declared orders of each relation are actually
-//     selected by some search, and
-//   - per-relation binding patterns: the distinct bound-argument column sets
-//     observed across index searches, the seed facts for magic-set style
-//     transformations.
+//   - QueryEffects: the relations a query reads and writes, consulted by the
+//     verifier's parallel-frozen, update-* and delete-* rules;
+//   - Monotone (monotone.go) and Deletable (deletable.go): the source-level
+//     classifications that decide whether ast2ram emits the Update and
+//     Delete entry points;
+//   - ShardKeys and StampShardKeys (shardplan.go): the shard plan.
 //
-// The facts are consumed by the ramopt dead-code and index-pruning passes,
-// by the ram/verify update-* and parallel-frozen rules (through
-// QueryEffects), and by `sti vet`. The companion file monotone.go hosts the
-// source-level monotonicity classification that decides Update-program
-// eligibility.
-//
-// The analysis is purely monotone over two lattices: liveness is a
-// least-fixpoint over the powerset of relations seeded with the IO sinks
-// and propagated backwards along def-use edges, and may-be-nonempty (used
-// by the lint layer over the AST) is the dual forward fixpoint. Traversal
-// order is the program's statement order, Main before Update, so fact
-// tables list sites in evaluation order.
+// Each fact is computed where it is needed, by the one function that owns
+// it; there is no whole-program fact bundle.
 package analysis
 
-import (
-	"fmt"
-	"sort"
-
-	"sti/internal/ram"
-)
-
-// SiteKind classifies one def or use site.
-type SiteKind uint8
-
-// Site kinds. Defs first, then uses; MergeSrc/Swap appear in both chains
-// (a swap both reads and writes each operand).
-const (
-	DefProject   SiteKind = iota // INSERT of a query
-	DefMerge                     // MERGE destination
-	DefSwap                      // SWAP operand (write side)
-	DefLoad                      // LOAD from the IO handler
-	UseScan                      // full or index scan, choice
-	UseAggregate                 // aggregate source
-	UseExistence                 // existence check in a condition
-	UseEmptiness                 // emptiness check (loop exit)
-	UseMergeSrc                  // MERGE source
-	UseSwap                      // SWAP operand (read side)
-	UseStore                     // STORE to the IO handler
-	UsePrintSize                 // PRINTSIZE to the IO handler
-	DefSubtract                  // SUBTRACT destination (tuples removed in place)
-	UseSubtract                  // SUBTRACT source (the tuples to remove)
-	DefCount                     // COUNT-MERGE/COUNT-DELETE write side (Dst, Fresh, Gone)
-	UseCount                     // COUNT-MERGE/COUNT-DELETE read side (Src, and Dst's counts)
-)
-
-func (k SiteKind) String() string {
-	return [...]string{
-		"project", "merge-dst", "swap-write", "load",
-		"scan", "aggregate", "existence", "emptiness",
-		"merge-src", "swap-read", "store", "printsize",
-		"subtract-dst", "subtract-src", "count-write", "count-read",
-	}[k]
-}
-
-// Site is one def or use of a relation: the statement it occurs under
-// (a *ram.Query for operation-level sites) and which program section it
-// belongs to (Main when neither flag is set).
-type Site struct {
-	Kind     SiteKind
-	Stmt     ram.Statement
-	InUpdate bool
-	InDelete bool
-}
-
-// Binding is one bound-argument pattern observed on searches of a relation:
-// Cols lists the bound column positions (source coordinates, sorted), Count
-// how many search sites bind exactly that set. A full scan is the empty
-// pattern.
-type Binding struct {
-	Cols  []int
-	Count int
-}
-
-// RelFacts aggregates everything the analysis learned about one relation.
-type RelFacts struct {
-	Rel  *ram.Relation
-	Defs []Site
-	Uses []Site
-
-	// Live reports whether some transitive use reaches an IO sink; Why
-	// explains the verdict ("declared .output", "feeds live relation path",
-	// or "no use reaches an IO sink").
-	Live bool
-	Why  string
-
-	// IndexUsed has one entry per declared order (at least one: relations
-	// without explicit orders have an implicit identity primary). Index 0 is
-	// always considered used — full scans, merges, stores, and deterministic
-	// iteration all run over the primary.
-	IndexUsed []bool
-
-	// Bindings lists the distinct bound-column patterns of the relation's
-	// search sites, sorted by column set.
-	Bindings []Binding
-}
-
-// Edge is one relation dependence: during evaluation, tuples of From flow
-// into (or gate the derivation of) To. CrossStratum marks edges between
-// different strata.
-type Edge struct {
-	From, To     *ram.Relation
-	CrossStratum bool
-}
-
-// Facts is the result of analyzing one program.
-type Facts struct {
-	Prog  *ram.Program
-	Rels  []*RelFacts // declaration order
-	Edges []Edge      // deduplicated, first-occurrence order
-
-	byRel map[*ram.Relation]*RelFacts
-}
-
-// Of returns the facts for rel, or nil for relations unknown to the
-// analyzed program.
-func (f *Facts) Of(rel *ram.Relation) *RelFacts {
-	return f.byRel[rel]
-}
-
-// Live reports relation liveness; relations unknown to the program count as
-// live (the conservative answer for transformation passes).
-func (f *Facts) Live(rel *ram.Relation) bool {
-	if rf := f.byRel[rel]; rf != nil {
-		return rf.Live
-	}
-	return true
-}
-
-// Explain returns the liveness explanation for rel, "" when unknown.
-func (f *Facts) Explain(rel *ram.Relation) string {
-	if rf := f.byRel[rel]; rf != nil {
-		return rf.Why
-	}
-	return ""
-}
-
-// HasSinks reports whether the program has any IO sink at all. A program
-// without sinks is observable only through engine queries, so liveness is
-// meaningless for it and consumers must not eliminate anything.
-func (f *Facts) HasSinks() bool {
-	for _, rf := range f.Rels {
-		if rf.Rel.Output || rf.Rel.PrintSize {
-			return true
-		}
-	}
-	return false
-}
-
-// Analyze computes the full fact set for p. It tolerates malformed programs
-// (nil statements, undeclared or nil relations) by skipping what it cannot
-// attribute, so it is safe to run before verification.
-func Analyze(p *ram.Program) *Facts {
-	f := &Facts{Prog: p, byRel: map[*ram.Relation]*RelFacts{}}
-	if p == nil {
-		return f
-	}
-	for _, r := range p.Relations {
-		if r == nil || f.byRel[r] != nil {
-			continue
-		}
-		rf := &RelFacts{Rel: r, IndexUsed: make([]bool, max(len(r.Orders), 1))}
-		rf.IndexUsed[0] = true // primary backs scans, merges, IO, iteration
-		f.Rels = append(f.Rels, rf)
-		f.byRel[r] = rf
-	}
-	a := &analyzer{f: f, edges: map[[2]*ram.Relation]bool{}, bindings: map[*ram.Relation]map[string]*Binding{}}
-	if p.Main != nil {
-		a.stmt(p.Main, sec{})
-	}
-	if p.Update != nil {
-		a.stmt(p.Update, sec{update: true})
-	}
-	if p.Delete != nil {
-		a.stmt(p.Delete, sec{del: true})
-	}
-	a.finishBindings()
-	f.computeLiveness()
-	return f
-}
-
-// sec identifies which program section a site was found in.
-type sec struct {
-	update, del bool
-}
-
-type analyzer struct {
-	f        *Facts
-	edges    map[[2]*ram.Relation]bool
-	bindings map[*ram.Relation]map[string]*Binding
-}
-
-func (a *analyzer) rf(rel *ram.Relation) *RelFacts { return a.f.byRel[rel] }
-
-func (a *analyzer) def(rel *ram.Relation, kind SiteKind, stmt ram.Statement, s sec) {
-	if rf := a.rf(rel); rf != nil {
-		rf.Defs = append(rf.Defs, Site{Kind: kind, Stmt: stmt, InUpdate: s.update, InDelete: s.del})
-	}
-}
-
-func (a *analyzer) use(rel *ram.Relation, kind SiteKind, stmt ram.Statement, s sec) {
-	if rf := a.rf(rel); rf != nil {
-		rf.Uses = append(rf.Uses, Site{Kind: kind, Stmt: stmt, InUpdate: s.update, InDelete: s.del})
-	}
-}
-
-func (a *analyzer) edge(from, to *ram.Relation) {
-	if from == nil || to == nil || a.rf(from) == nil || a.rf(to) == nil {
-		return
-	}
-	key := [2]*ram.Relation{from, to}
-	if a.edges[key] {
-		return
-	}
-	a.edges[key] = true
-	a.f.Edges = append(a.f.Edges, Edge{From: from, To: to, CrossStratum: from.Stratum != to.Stratum})
-}
-
-func (a *analyzer) markIndex(rel *ram.Relation, indexID int) {
-	rf := a.rf(rel)
-	if rf == nil || indexID < 0 || indexID >= len(rf.IndexUsed) {
-		return
-	}
-	rf.IndexUsed[indexID] = true
-}
-
-func (a *analyzer) binding(rel *ram.Relation, pattern []ram.Expr) {
-	if rel == nil || a.rf(rel) == nil {
-		return
-	}
-	var cols []int
-	for i, e := range pattern {
-		if e != nil {
-			cols = append(cols, i)
-		}
-	}
-	key := fmt.Sprint(cols)
-	m := a.bindings[rel]
-	if m == nil {
-		m = map[string]*Binding{}
-		a.bindings[rel] = m
-	}
-	if b := m[key]; b != nil {
-		b.Count++
-	} else {
-		m[key] = &Binding{Cols: cols, Count: 1}
-	}
-}
-
-func (a *analyzer) finishBindings() {
-	for rel, m := range a.bindings {
-		rf := a.rf(rel)
-		for _, b := range m {
-			rf.Bindings = append(rf.Bindings, *b)
-		}
-		sort.Slice(rf.Bindings, func(i, j int) bool {
-			return fmt.Sprint(rf.Bindings[i].Cols) < fmt.Sprint(rf.Bindings[j].Cols)
-		})
-	}
-}
-
-func (a *analyzer) stmt(s ram.Statement, in sec) {
-	switch s := s.(type) {
-	case *ram.Sequence:
-		for _, st := range s.Stmts {
-			if st != nil {
-				a.stmt(st, in)
-			}
-		}
-	case *ram.Loop:
-		if s.Body != nil {
-			a.stmt(s.Body, in)
-		}
-	case *ram.Exit:
-		for rel := range condReads(s.Cond) {
-			a.use(rel, UseEmptiness, s, in)
-		}
-	case *ram.Query:
-		reads, writes := QueryEffects(s)
-		for rel := range writes {
-			a.def(rel, DefProject, s, in)
-			for rd := range reads {
-				a.edge(rd, rel)
-			}
-		}
-		// Rewalk for per-site kind, index, and binding detail (QueryEffects
-		// only aggregates relation sets).
-		a.searchSites(s.Root, s, in)
-	case *ram.Clear:
-		// Clearing neither defines nor uses tuples; it resets scratch space.
-	case *ram.Swap:
-		if s.A != nil && s.B != nil {
-			a.def(s.A, DefSwap, s, in)
-			a.def(s.B, DefSwap, s, in)
-			a.use(s.A, UseSwap, s, in)
-			a.use(s.B, UseSwap, s, in)
-			a.edge(s.A, s.B)
-			a.edge(s.B, s.A)
-		}
-	case *ram.Merge:
-		if s.Dst != nil && s.Src != nil {
-			a.def(s.Dst, DefMerge, s, in)
-			a.use(s.Src, UseMergeSrc, s, in)
-			a.edge(s.Src, s.Dst)
-		}
-	case *ram.Subtract:
-		if s.Dst != nil && s.Src != nil {
-			a.def(s.Dst, DefSubtract, s, in)
-			a.use(s.Src, UseSubtract, s, in)
-			a.edge(s.Src, s.Dst)
-		}
-	case *ram.CountMerge:
-		if s.Dst != nil && s.Src != nil && s.Fresh != nil {
-			a.def(s.Dst, DefCount, s, in)
-			a.def(s.Fresh, DefCount, s, in)
-			a.use(s.Src, UseCount, s, in)
-			a.edge(s.Src, s.Dst)
-			a.edge(s.Src, s.Fresh)
-		}
-	case *ram.CountDelete:
-		if s.Dst != nil && s.Src != nil && s.Gone != nil {
-			// The destination's support counts are both read (to find the
-			// zero transitions) and decremented in place.
-			a.def(s.Dst, DefCount, s, in)
-			a.def(s.Gone, DefCount, s, in)
-			a.use(s.Src, UseCount, s, in)
-			a.use(s.Dst, UseCount, s, in)
-			a.edge(s.Src, s.Gone)
-			a.edge(s.Dst, s.Gone)
-		}
-	case *ram.IO:
-		switch s.Kind {
-		case ram.IOLoad:
-			a.def(s.Rel, DefLoad, s, in)
-		case ram.IOStore:
-			a.use(s.Rel, UseStore, s, in)
-		case ram.IOPrintSize:
-			a.use(s.Rel, UsePrintSize, s, in)
-		}
-	case *ram.LogTimer:
-		if s.Stmt != nil {
-			a.stmt(s.Stmt, in)
-		}
-	}
-}
-
-// searchSites records per-site use kinds, index usage, and binding patterns
-// for every search in an operation tree.
-func (a *analyzer) searchSites(o ram.Operation, q *ram.Query, in sec) {
-	switch o := o.(type) {
-	case *ram.Scan:
-		a.use(o.Rel, UseScan, q, in)
-		a.binding(o.Rel, nil)
-		a.searchSites(o.Nested, q, in)
-	case *ram.IndexScan:
-		a.use(o.Rel, UseScan, q, in)
-		a.markIndex(o.Rel, o.IndexID)
-		a.binding(o.Rel, o.Pattern)
-		a.searchSites(o.Nested, q, in)
-	case *ram.Choice:
-		a.use(o.Rel, UseScan, q, in)
-		a.binding(o.Rel, nil)
-		a.searchConds(o.Cond, q, in)
-		a.searchSites(o.Nested, q, in)
-	case *ram.IndexChoice:
-		a.use(o.Rel, UseScan, q, in)
-		a.markIndex(o.Rel, o.IndexID)
-		a.binding(o.Rel, o.Pattern)
-		a.searchConds(o.Cond, q, in)
-		a.searchSites(o.Nested, q, in)
-	case *ram.Filter:
-		a.searchConds(o.Cond, q, in)
-		a.searchSites(o.Nested, q, in)
-	case *ram.Aggregate:
-		a.use(o.Rel, UseAggregate, q, in)
-		if o.IndexID >= 0 {
-			a.markIndex(o.Rel, o.IndexID)
-		}
-		a.binding(o.Rel, o.Pattern)
-		a.searchConds(o.Cond, q, in)
-		a.searchSites(o.Nested, q, in)
-	case *ram.Project:
-		// leaf
-	}
-}
-
-func (a *analyzer) searchConds(c ram.Condition, q *ram.Query, in sec) {
-	switch c := c.(type) {
-	case *ram.And:
-		a.searchConds(c.L, q, in)
-		a.searchConds(c.R, q, in)
-	case *ram.Not:
-		a.searchConds(c.C, q, in)
-	case *ram.EmptinessCheck:
-		a.use(c.Rel, UseEmptiness, q, in)
-	case *ram.ExistenceCheck:
-		a.use(c.Rel, UseExistence, q, in)
-		a.markIndex(c.Rel, c.IndexID)
-		a.binding(c.Rel, c.Pattern)
-	}
-}
-
-// computeLiveness runs the backward fixpoint: seed with IO sinks, then
-// propagate along query read→write edges, merges, and swaps until stable.
-func (f *Facts) computeLiveness() {
-	for _, rf := range f.Rels {
-		switch {
-		case rf.Rel.Output && rf.Rel.PrintSize:
-			rf.Live, rf.Why = true, "declared .output and .printsize"
-		case rf.Rel.Output:
-			rf.Live, rf.Why = true, "declared .output"
-		case rf.Rel.PrintSize:
-			rf.Live, rf.Why = true, "declared .printsize"
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, e := range f.Edges {
-			from, to := f.byRel[e.From], f.byRel[e.To]
-			if from == nil || to == nil || from.Live || !to.Live {
-				continue
-			}
-			from.Live = true
-			from.Why = fmt.Sprintf("feeds live relation %s", to.Rel.Name)
-			changed = true
-		}
-	}
-	for _, rf := range f.Rels {
-		if !rf.Live {
-			rf.Why = "no use reaches an IO sink"
-		}
-	}
-}
+import "sti/internal/ram"
 
 // QueryEffects collects the relations a query's operation tree reads
 // (scans, choices, aggregates, existence/emptiness checks) and writes

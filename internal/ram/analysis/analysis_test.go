@@ -1,7 +1,6 @@
 package analysis_test
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
@@ -52,107 +51,6 @@ path(x, z) :- path(x, y), edge(y, z).
 scratch(x) :- edge(x, _).
 `
 
-func TestLiveness(t *testing.T) {
-	prog := translate(t, tcSrc)
-	f := analysis.Analyze(prog)
-	if !f.HasSinks() {
-		t.Fatal("HasSinks = false, program declares .output path")
-	}
-	cases := []struct {
-		name string
-		live bool
-	}{
-		{"edge", true}, {"path", true},
-		{"delta_path", true}, {"new_path", true},
-		{"scratch", false},
-	}
-	for _, c := range cases {
-		rel := relByName(t, prog, c.name)
-		if got := f.Live(rel); got != c.live {
-			t.Errorf("Live(%s) = %v, want %v (why: %s)", c.name, got, c.live, f.Explain(rel))
-		}
-	}
-	if why := f.Explain(relByName(t, prog, "path")); why != "declared .output" {
-		t.Errorf("Explain(path) = %q", why)
-	}
-	if why := f.Explain(relByName(t, prog, "edge")); !strings.Contains(why, "feeds live relation") {
-		t.Errorf("Explain(edge) = %q", why)
-	}
-	if why := f.Explain(relByName(t, prog, "scratch")); !strings.Contains(why, "no use reaches") {
-		t.Errorf("Explain(scratch) = %q", why)
-	}
-}
-
-func TestDefUseAndEdges(t *testing.T) {
-	prog := translate(t, tcSrc)
-	f := analysis.Analyze(prog)
-	edge := f.Of(relByName(t, prog, "edge"))
-	if len(edge.Defs) == 0 || edge.Defs[0].Kind != analysis.DefLoad {
-		t.Fatalf("edge defs = %v, want a load site first", edge.Defs)
-	}
-	var scanUses int
-	for _, u := range edge.Uses {
-		if u.Kind == analysis.UseScan {
-			scanUses++
-		}
-	}
-	if scanUses == 0 {
-		t.Fatalf("edge has no scan uses: %v", edge.Uses)
-	}
-	path := relByName(t, prog, "path")
-	// The dependence graph must contain edge→path.
-	found := false
-	for _, e := range f.Edges {
-		if e.From.Name == "edge" && e.To == path {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("no edge→path dependence edge in %d edges", len(f.Edges))
-	}
-	// path's defs include projections plus the merge from new_path.
-	pf := f.Of(path)
-	kinds := map[analysis.SiteKind]bool{}
-	for _, d := range pf.Defs {
-		kinds[d.Kind] = true
-	}
-	if !kinds[analysis.DefMerge] {
-		t.Fatalf("path defs lack a merge site: %v", pf.Defs)
-	}
-}
-
-func TestStratumEdges(t *testing.T) {
-	prog := translate(t, tcSrc)
-	f := analysis.Analyze(prog)
-	cross := 0
-	for _, e := range f.Edges {
-		if e.CrossStratum {
-			cross++
-		}
-	}
-	if cross == 0 {
-		t.Fatal("expected at least one cross-stratum dependence edge (edge→path)")
-	}
-}
-
-func TestBindingsAndIndexUsage(t *testing.T) {
-	// The second body atom of the recursive rule searches edge on its first
-	// column; the guard existence check searches path on both columns.
-	prog := translate(t, tcSrc)
-	f := analysis.Analyze(prog)
-	edge := f.Of(relByName(t, prog, "edge"))
-	patterns := map[string]bool{}
-	for _, b := range edge.Bindings {
-		patterns[fmt.Sprint(b.Cols)] = true
-	}
-	if !patterns["[]"] || !patterns["[0]"] {
-		t.Fatalf("edge bindings = %v, want a full scan and a first-column search", edge.Bindings)
-	}
-	if !edge.IndexUsed[0] {
-		t.Fatal("primary index must always count as used")
-	}
-}
-
 func TestQueryEffectsDefensive(t *testing.T) {
 	// A malformed query (nil nested, nil relation) must not panic.
 	q := &ram.Query{Root: &ram.Scan{Rel: nil, TupleID: 0, Nested: nil}}
@@ -163,18 +61,6 @@ func TestQueryEffectsDefensive(t *testing.T) {
 	r, w := analysis.QueryEffects(nil)
 	if len(r) != 0 || len(w) != 0 {
 		t.Fatal("nil query must yield empty effect sets")
-	}
-}
-
-func TestNoSinks(t *testing.T) {
-	prog := translate(t, `
-.decl a(x:number)
-.decl b(x:number)
-b(x) :- a(x).
-`)
-	f := analysis.Analyze(prog)
-	if f.HasSinks() {
-		t.Fatal("HasSinks = true for a program without IO sinks")
 	}
 }
 

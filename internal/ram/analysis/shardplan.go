@@ -12,10 +12,11 @@ import "sti/internal/ram"
 // aggregates, existence checks): partitioning on the most-bound column lets
 // the largest share of point and prefix reads resolve against a single
 // shard instead of broadcasting over all of them. Only Main votes — the
-// Update/Delete entry points run unsharded, and their rotated variants bind
-// different columns than the fixpoint the plan serves. Ties break toward
-// the lowest column, and relations that are only ever fully scanned
-// partition on column 0. Aux relations (delta/new/recent and the
+// Update/Delete entry points run over the same partitions, but their
+// rotated variants bind different columns than the fixpoint the plan
+// serves, and a read whose bound prefix misses the key visits every shard.
+// Ties break toward the lowest column, and relations that are only ever
+// fully scanned partition on column 0. Aux relations (delta/new/recent and the
 // delete-propagation families) take exactly their base's key, so the Swap
 // and Merge statements of semi-naive evaluation exchange whole partitions
 // between aligned shards — the invariant the shard-local-writes verifier

@@ -147,9 +147,9 @@ type Program struct {
 	// facts have been staged into the recent_R relations. It is nil when
 	// the program is not insert-monotone (negation or aggregates), in
 	// which case resident engines fall back to full recomputation.
-	// The peephole RAM optimization passes rewrite Main only; the
-	// analysis-gated passes (dead code, index pruning) rewrite Main and
-	// Update together so the two entry points stay consistent.
+	// The peephole RAM optimization passes rewrite Main only; index
+	// pruning rewrites Main, Update and Delete together so the entry points
+	// stay consistent.
 	Update Statement
 	// NoUpdateReason is the monotonicity-analysis fact explaining a nil
 	// Update ("" when an update program was emitted): it names the first

@@ -79,38 +79,28 @@ out(x + 1, "c") :- out(x, _), x < 3 + 4.
 `,
 }
 
-// optimizerConfigs are the optimizer's two pass sets. The verifier is armed
-// while they run, so ramopt re-verifies after every single pass and a
-// failure's stage names it ("ramopt/fuse-filters"); no per-pass rows are
-// needed to localise a broken rewrite.
-var optimizerConfigs = []struct {
-	name string
-	opts ramopt.Options
-}{
-	{"queryable", ramopt.Queryable()},
-	{"all", ramopt.All()},
-}
-
+// TestPipelineInvariants verifies every corpus program after translation,
+// after the optimizer and after tree generation. The verifier is armed
+// while the optimizer runs, so ramopt re-verifies after every single pass
+// and a failure's stage names it ("ramopt/fuse-filters").
 func TestPipelineInvariants(t *testing.T) {
 	for name, src := range corpus(t) {
 		t.Run(name, func(t *testing.T) {
-			for _, cfg := range optimizerConfigs {
-				prog, st := translate(t, src)
-				if err := verify.Check(prog, "ast2ram"); err != nil {
-					t.Fatalf("after translate: %v", err)
-				}
-				armed(t, "ramopt "+cfg.name, func() { ramopt.Optimize(prog, st, cfg.opts) })
-				if err := verify.Check(prog, "ramopt/"+cfg.name); err != nil {
-					t.Fatalf("after ramopt %s: %v", cfg.name, err)
-				}
-				// Condition fusion is a normal tree-generation step
-				// (interp/fuse.go); armed, it checks every condition it
-				// fuses against the tuples in scope. The verify below
-				// catches mutations of the program itself.
-				armed(t, "tree generation with fusion", func() { interp.New(prog, st, interp.DefaultConfig()) })
-				if err := verify.Check(prog, "fuse/"+cfg.name); err != nil {
-					t.Fatalf("after fusion under ramopt %s: %v", cfg.name, err)
-				}
+			prog, st := translate(t, src)
+			if err := verify.Check(prog, "ast2ram"); err != nil {
+				t.Fatalf("after translate: %v", err)
+			}
+			armed(t, "ramopt", func() { ramopt.Optimize(prog, st, ramopt.Queryable()) })
+			if err := verify.Check(prog, "ramopt"); err != nil {
+				t.Fatalf("after ramopt: %v", err)
+			}
+			// Condition fusion is a normal tree-generation step
+			// (interp/fuse.go); armed, it checks every condition it fuses
+			// against the tuples in scope. The verify below catches
+			// mutations of the program itself.
+			armed(t, "tree generation with fusion", func() { interp.New(prog, st, interp.DefaultConfig()) })
+			if err := verify.Check(prog, "fuse"); err != nil {
+				t.Fatalf("after fusion: %v", err)
 			}
 		})
 	}

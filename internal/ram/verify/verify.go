@@ -7,9 +7,9 @@
 // declared order prefixes, EXIT only fires inside LOOP, and whole-relation
 // statements target declared relations of compatible shape. The verifier
 // walks a ram.Program once and reports every violation as a typed Diag
-// value; it never panics and never mutates the program. The dataflow-backed
-// rules (parallel-frozen and the update-* family) consult the read/write
-// facts of internal/ram/analysis instead of re-deriving them syntactically.
+// value; it never panics and never mutates the program. The rules that
+// need a query's read and write sets (parallel-frozen and the update-* and
+// delete-* families) take them from analysis.QueryEffects.
 //
 // Run it after each pass with Check (or per-program with Program) to turn
 // "wrong fixpoint three stages later" into "pass X emitted node Y violating

@@ -7,10 +7,11 @@ import (
 	"sti/internal/tuple"
 )
 
-// pruneIndexes drops secondary index orders no search in the program uses,
-// consulting the per-index usage facts the walk below collects from Main
-// and Update together. The primary (index 0) is never pruned: full scans,
-// merges, stores, and deterministic iteration all run over it.
+// pruneIndexes drops secondary index orders no search in the program uses.
+// Its own walk over Main, Update and Delete (forEachSearch) is the one
+// index-usage computation in the pipeline. The primary (index 0) is never
+// pruned: full scans, merges, stores, and deterministic iteration all run
+// over it.
 //
 // Pruning is performed per *swap group*: relations connected by SWAP
 // statements (delta_R/new_R pairs) must keep identical order lists — the

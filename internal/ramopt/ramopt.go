@@ -16,19 +16,13 @@
 //     immediately following filters — not by the projection or any deeper
 //     operation — only needs *one* witness, so it becomes a (index) choice
 //     that stops at the first match;
-//   - dead code elimination: statements and relations whose results cannot
-//     reach an IO sink are removed, driven by the liveness facts of
-//     internal/ram/analysis (see deadcode.go);
 //   - index pruning: secondary index orders no search uses are dropped,
 //     respecting swap groups (see pruneindex.go).
 //
-// The first three are peephole rewrites of Main; the last two are
-// analysis-gated whole-program passes that rewrite Main and Update
-// together. Dead code elimination assumes IO statements are the only
-// observable outputs. Every product path keeps relations queryable after
-// the run (sti.Result, Explain, Database), so the product pass set is
-// Queryable(); All() is used by `sti vet` and the perfbench probe only, and
-// dead code elimination has no product caller.
+// The first three are peephole rewrites of Main; index pruning is a
+// whole-program pass over Main, Update and Delete together. Every pass
+// keeps every relation queryable after the run (sti.Result, Explain,
+// Database observe all of them), so there is one pass set.
 package ramopt
 
 import (
@@ -41,30 +35,23 @@ import (
 	"sti/internal/value"
 )
 
-// Options is the pass set. It has exactly two values, All and Queryable;
-// individual passes are not selectable.
-type Options struct {
-	// deadCode includes dead code elimination, which is only sound when IO
-	// is the program's sole observable interface.
-	deadCode bool
-}
+// Options is the pass set. It has one value, Queryable; individual passes
+// are not selectable.
+type Options struct{}
 
-// All is every pass, including dead code elimination — appropriate only
-// when the program's outputs are exactly its IO statements.
-func All() Options { return Options{deadCode: true} }
-
-// Queryable is every pass that preserves the queryability of all relations:
-// everything except dead code elimination. It is the set the product
-// pipeline (sti.Parse) runs.
+// Queryable is the pass set: every pass, all of which keep every relation
+// queryable. It is what the product pipeline (sti.Parse) runs.
 func Queryable() Options { return Options{} }
+
+// All is an alias of Queryable, kept only because the perfbench module's
+// ramopt.optimize_ms probe calls it. It goes, together with the Options
+// parameter, once perfbench stops calling it.
+func All() Options { return Queryable() }
 
 // pass is one stage of the optimizer pipeline.
 type pass struct {
 	name string
-	// ioOnly marks a pass that assumes IO statements are the only
-	// observable outputs; Queryable skips it.
-	ioOnly bool
-	run    func(*ram.Program, *symtab.Table)
+	run  func(*ram.Program, *symtab.Table)
 }
 
 // passes is the pipeline, in order. The three peephole rewrites share one
@@ -73,29 +60,24 @@ var passes = []pass{
 	{name: "fold-constants", run: optimizer{foldConstants: true}.run},
 	{name: "fuse-filters", run: optimizer{fuseFilters: true}.run},
 	{name: "choices", run: optimizer{choices: true}.run},
-	{name: "dead-code", ioOnly: true, run: func(p *ram.Program, _ *symtab.Table) { deadCode(p) }},
 	{name: "prune-indexes", run: func(p *ram.Program, _ *symtab.Table) { pruneIndexes(p) }},
 }
 
-// Stats reports the program shrink achieved by the analysis-gated passes.
+// Stats reports the program shrink achieved by the optimizer.
 type Stats struct {
 	StatementsBefore, StatementsAfter int
 	IndexesBefore, IndexesAfter       int
-	RelationsBefore, RelationsAfter   int
 }
 
 // Changed reports whether any dimension shrank.
 func (s Stats) Changed() bool {
-	return s.StatementsAfter < s.StatementsBefore ||
-		s.IndexesAfter < s.IndexesBefore ||
-		s.RelationsAfter < s.RelationsBefore
+	return s.StatementsAfter < s.StatementsBefore || s.IndexesAfter < s.IndexesBefore
 }
 
 func (s Stats) String() string {
-	return fmt.Sprintf("statements %d->%d, indexes %d->%d, relations %d->%d",
+	return fmt.Sprintf("statements %d->%d, indexes %d->%d",
 		s.StatementsBefore, s.StatementsAfter,
-		s.IndexesBefore, s.IndexesAfter,
-		s.RelationsBefore, s.RelationsAfter)
+		s.IndexesBefore, s.IndexesAfter)
 }
 
 // Optimize rewrites the program in place. In ramverify debug mode the
@@ -109,16 +91,12 @@ func Optimize(p *ram.Program, st *symtab.Table, opts Options) {
 
 // OptimizeStats is Optimize returning the before/after program shrink, for
 // callers that report it (sti vet).
-func OptimizeStats(p *ram.Program, st *symtab.Table, opts Options) Stats {
+func OptimizeStats(p *ram.Program, st *symtab.Table, _ Options) Stats {
 	s := Stats{
 		StatementsBefore: countStmts(p),
 		IndexesBefore:    countIndexes(p),
-		RelationsBefore:  len(p.Relations),
 	}
 	for _, ps := range passes {
-		if ps.ioOnly && !opts.deadCode {
-			continue
-		}
 		ps.run(p, st)
 		if verify.Debugging() {
 			if err := verify.Check(p, "ramopt/"+ps.name); err != nil {
@@ -128,7 +106,6 @@ func OptimizeStats(p *ram.Program, st *symtab.Table, opts Options) Stats {
 	}
 	s.StatementsAfter = countStmts(p)
 	s.IndexesAfter = countIndexes(p)
-	s.RelationsAfter = len(p.Relations)
 	return s
 }
 

@@ -35,7 +35,7 @@ func build(t testing.TB, src string, optimize bool) (*ram.Program, *symtab.Table
 		t.Fatalf("translate: %v", err)
 	}
 	if optimize {
-		ramopt.Optimize(rp, st, ramopt.All())
+		ramopt.Optimize(rp, st, ramopt.Queryable())
 	}
 	return rp, st
 }

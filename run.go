@@ -76,9 +76,8 @@ func WithWorkers(n int) Option {
 // analysis-derived join-key column, so the interpreter runs shard-parallel
 // semi-naive fixpoints with delta exchange at the scan barriers
 // (interpreter backend only). Workers is raised to at least n so worker i
-// evaluates shard i. For a resident Database, sharding accelerates Open's
-// initial evaluation; Apply always recomputes (the incremental entry points
-// run unsharded), recorded in Stats().FallbackReason.
+// evaluates shard i. A resident Database keeps the incremental path: the
+// update and delete entry points run over the same sharded relations.
 func WithShards(n int) Option {
 	return func(o *runOptions) { o.shards = n }
 }

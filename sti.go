@@ -65,9 +65,8 @@ type Program struct {
 
 // Parse runs the whole compilation pipeline — parse, semantic analysis,
 // translation to RAM, RAM optimization — and is the only product code that
-// chains those stages. The optimizer always runs with the Queryable pass
-// set: every way of running a Program (Result, Explain, Database) keeps all
-// relations observable, so dead code elimination is never applied.
+// chains those stages. The optimizer runs its one pass set, which keeps
+// every relation observable to Result, Explain and Database.
 func Parse(source string) (*Program, error) {
 	astProg, err := parser.Parse(source)
 	if err != nil {
