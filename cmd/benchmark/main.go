@@ -8,34 +8,97 @@
 //	benchmark -fig 19          super-instruction ablation
 //	benchmark -fig reorder     static tuple reordering ablation (§5.5)
 //	benchmark -fig dispatch    lean dispatch ablation (§5.5)
-//	benchmark -fig scaling     worker-scaling sweep (wall time, tuples/s)
-//	benchmark -fig shard       shard-scaling sweep vs unsharded baseline
-//	benchmark -fig resident    resident incremental Apply vs re-running
-//	benchmark -fig delete      incremental deletion vs recompute fallback
-//	benchmark -fig obsv        observability layer overhead (plain vs
-//	                           WithObservability on the same request stream)
-//	benchmark -fig persist     durability overhead and cold-restart
-//	                           recovery (memory vs WithPersistence)
+//	benchmark -fig portfolio   B-tree vs brie on dense data (§2)
+//	benchmark -fig parallel    1/2/4/NumCPU workers vs as many hash shards
 //	benchmark -table 1         first-run compile+execute ratios (Table 1)
 //	benchmark -all             everything
 //
-// Flags: -scale small|medium|large, -repeat N, -no-legacy, and -json DIR to
-// also write each experiment's results as machine-readable BENCH_<name>.json
-// (workloads, wall times, tuple throughput, worker counts, git revision).
+// An unknown -fig or -table value is a usage error (exit 2). Flags: -scale
+// small|medium|large, -repeat N, -no-legacy, and -json DIR to also write each
+// experiment's results as machine-readable BENCH_<name>.json (workloads, wall
+// times, tuple throughput, worker counts, git revision).
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"sti/internal/bench"
 )
 
+// params are the measurement settings every experiment receives.
+type params struct {
+	scale   bench.Scale
+	repeats int
+	legacy  bool
+	w       io.Writer
+}
+
+// experiment is one selectable figure or table; name is its BENCH_<name>.json.
+type experiment struct {
+	flag, value, name string
+	run               func(p params) ([]bench.BenchRecord, error)
+}
+
+var experiments = []experiment{
+	{"fig", "15", "fig15", func(p params) ([]bench.BenchRecord, error) {
+		rows, err := bench.Fig15(p.scale, p.repeats, p.legacy, p.w)
+		return bench.Fig15Records(rows), err
+	}},
+	{"fig", "16", "fig16", func(p params) ([]bench.BenchRecord, error) {
+		rows, err := bench.Fig16(p.scale, p.w)
+		return bench.Fig16Records(rows), err
+	}},
+	{"fig", "18", "fig18", func(p params) ([]bench.BenchRecord, error) {
+		rows, err := bench.Fig18(p.scale, p.repeats, p.w)
+		return bench.AblationRecords(rows), err
+	}},
+	{"fig", "19", "fig19", func(p params) ([]bench.BenchRecord, error) {
+		rows, err := bench.Fig19(p.scale, p.repeats, p.w)
+		return bench.AblationRecords(rows), err
+	}},
+	{"fig", "reorder", "reorder", func(p params) ([]bench.BenchRecord, error) {
+		rows, err := bench.FigReorder(p.scale, p.repeats, p.w)
+		return bench.AblationRecords(rows), err
+	}},
+	{"fig", "dispatch", "dispatch", func(p params) ([]bench.BenchRecord, error) {
+		rows, err := bench.FigDispatch(p.scale, p.repeats, p.w)
+		return bench.AblationRecords(rows), err
+	}},
+	{"fig", "portfolio", "portfolio", func(p params) ([]bench.BenchRecord, error) {
+		return bench.FigPortfolio(p.scale, p.repeats, p.w)
+	}},
+	{"fig", "parallel", "parallel", func(p params) ([]bench.BenchRecord, error) {
+		return bench.Parallel(p.scale, p.repeats, p.w)
+	}},
+	{"table", "1", "table1", func(p params) ([]bench.BenchRecord, error) {
+		root, err := moduleRoot()
+		if err != nil {
+			return nil, err
+		}
+		rows, err := bench.Table1(p.scale, root, p.w)
+		return bench.Table1Records(rows), err
+	}},
+}
+
+// values lists the accepted values of one selector flag, for its help text.
+func values(flagName string) string {
+	var vs []string
+	for _, e := range experiments {
+		if e.flag == flagName {
+			vs = append(vs, e.value)
+		}
+	}
+	return strings.Join(vs, " | ")
+}
+
 func main() {
-	fig := flag.String("fig", "", "figure to reproduce: 15 | 16 | 18 | 19 | reorder | dispatch | scaling | shard | resident | delete | obsv | persist")
-	table := flag.String("table", "", "table to reproduce: 1")
+	fig := flag.String("fig", "", "figure to reproduce: "+values("fig"))
+	table := flag.String("table", "", "table to reproduce: "+values("table"))
 	all := flag.Bool("all", false, "run every experiment")
 	scaleFlag := flag.String("scale", "small", "workload scale: small | medium | large")
 	repeats := flag.Int("repeat", 1, "measurement repetitions (minimum is reported)")
@@ -47,116 +110,45 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if !*all && *fig == "" && *table == "" {
+	selected := map[string]string{"fig": *fig, "table": *table}
+	var run []experiment
+	matched := map[string]bool{}
+	for _, e := range experiments {
+		chosen := selected[e.flag] == e.value
+		matched[e.flag] = matched[e.flag] || chosen
+		if *all || chosen {
+			run = append(run, e)
+		}
+	}
+	for flagName, v := range selected {
+		if v != "" && !matched[flagName] {
+			fmt.Fprintf(os.Stderr, "benchmark: unknown -%s %q\n", flagName, v)
+			flag.Usage()
+			os.Exit(2)
+		}
+	}
+	if len(run) == 0 {
 		flag.Usage()
 		os.Exit(2)
 	}
 
-	w := os.Stdout
-	// run executes one experiment; the returned records (nil when the
-	// experiment has no machine-readable form) go to -json.
-	run := func(name string, fn func() ([]bench.BenchRecord, error)) {
-		records, err := fn()
+	p := params{scale: scale, repeats: *repeats, legacy: !*noLegacy, w: os.Stdout}
+	for _, e := range run {
+		records, err := e.run(p)
 		if err != nil {
-			fatal(fmt.Errorf("%s: %v", name, err))
+			fatal(fmt.Errorf("%s: %v", e.name, err))
 		}
-		fmt.Fprintln(w)
-		if *jsonDir == "" || records == nil {
-			return
+		fmt.Fprintln(p.w)
+		if *jsonDir == "" {
+			continue
 		}
-		log := bench.NewBenchLog(name, scale, *repeats)
+		log := bench.NewBenchLog(e.name, scale, *repeats)
 		log.Records = records
 		path, err := log.WriteJSON(*jsonDir)
 		if err != nil {
-			fatal(fmt.Errorf("%s: writing json: %v", name, err))
+			fatal(fmt.Errorf("%s: writing json: %v", e.name, err))
 		}
 		fmt.Fprintf(os.Stderr, "wrote %s\n", path)
-	}
-
-	if *all || *fig == "15" {
-		run("fig15", func() ([]bench.BenchRecord, error) {
-			rows, err := bench.Fig15(scale, *repeats, !*noLegacy, w)
-			return bench.Fig15Records(rows), err
-		})
-	}
-	if *all || *fig == "16" {
-		run("fig16", func() ([]bench.BenchRecord, error) {
-			rows, err := bench.Fig16(scale, w)
-			return bench.Fig16Records(rows), err
-		})
-	}
-	if *all || *fig == "18" {
-		run("fig18", func() ([]bench.BenchRecord, error) {
-			rows, err := bench.Fig18(scale, *repeats, w)
-			return bench.AblationRecords(rows), err
-		})
-	}
-	if *all || *fig == "19" {
-		run("fig19", func() ([]bench.BenchRecord, error) {
-			rows, err := bench.Fig19(scale, *repeats, w)
-			return bench.AblationRecords(rows), err
-		})
-	}
-	if *all || *fig == "reorder" {
-		run("reorder", func() ([]bench.BenchRecord, error) {
-			rows, err := bench.FigReorder(scale, *repeats, w)
-			return bench.AblationRecords(rows), err
-		})
-	}
-	if *all || *fig == "dispatch" {
-		run("dispatch", func() ([]bench.BenchRecord, error) {
-			rows, err := bench.FigDispatch(scale, *repeats, w)
-			return bench.AblationRecords(rows), err
-		})
-	}
-	if *all || *fig == "scaling" {
-		run("scaling", func() ([]bench.BenchRecord, error) {
-			rows, err := bench.Scaling(scale, *repeats, w)
-			return bench.ScalingRecords(rows), err
-		})
-	}
-	if *all || *fig == "shard" {
-		run("shard", func() ([]bench.BenchRecord, error) {
-			rows, err := bench.Shard(scale, *repeats, w)
-			return bench.ShardRecords(rows), err
-		})
-	}
-	if *all || *fig == "resident" {
-		run("resident", func() ([]bench.BenchRecord, error) {
-			rows, err := bench.Resident(scale, *repeats, w)
-			return bench.ResidentRecords(rows), err
-		})
-	}
-	if *all || *fig == "delete" {
-		run("delete", func() ([]bench.BenchRecord, error) {
-			rows, err := bench.Delete(scale, *repeats, w)
-			return bench.DeleteRecords(rows), err
-		})
-	}
-	if *all || *fig == "obsv" {
-		run("obsv", func() ([]bench.BenchRecord, error) {
-			return runObsv(scale, *repeats, w)
-		})
-	}
-	if *all || *fig == "persist" {
-		run("persist", func() ([]bench.BenchRecord, error) {
-			return runPersist(scale, *repeats, w)
-		})
-	}
-	if *all || *fig == "portfolio" {
-		run("portfolio", func() ([]bench.BenchRecord, error) {
-			return nil, bench.FigPortfolio(scale, *repeats, w)
-		})
-	}
-	if *all || *table == "1" {
-		run("table1", func() ([]bench.BenchRecord, error) {
-			root, err := moduleRoot()
-			if err != nil {
-				return nil, err
-			}
-			rows, err := bench.Table1(scale, root, w)
-			return bench.Table1Records(rows), err
-		})
 	}
 }
 

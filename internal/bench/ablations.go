@@ -271,8 +271,9 @@ func FigDispatch(scale Scale, repeats int, w io.Writer) ([]AblationRow, error) {
 // FigPortfolio compares the portfolio entries (§2): the same dense
 // reachability workload with relations stored in B-trees vs bries. Dense
 // identifier spaces favor the brie's bitmap leaves; the portfolio exists
-// because neither structure wins everywhere.
-func FigPortfolio(scale Scale, repeats int, w io.Writer) error {
+// because neither structure wins everywhere. One record per store carries
+// its path size, which must agree; the brie row's Ratio is brie/btree.
+func FigPortfolio(scale Scale, repeats int, w io.Writer) ([]BenchRecord, error) {
 	const tmpl = `
 .decl edge(x:number, y:number) %[1]s
 .decl path(x:number, y:number) %[1]s
@@ -285,8 +286,8 @@ path(x, z) :- path(x, y), edge(y, z).
 	n := sizes[scale]
 	facts := denseGridFacts(n)
 	fmt.Fprintf(w, "Data-structure portfolio — dense reachability, %dx%d grid (scale=%s)\n", n, n, scale)
-	fmt.Fprintf(w, "%-8s %12s\n", "store", "STI time")
-	var times []time.Duration
+	fmt.Fprintf(w, "%-8s %12s %10s\n", "store", "STI time", "path")
+	var records []BenchRecord
 	for _, rep := range []string{"btree", "brie"} {
 		wl := &Workload{
 			Suite: "Portfolio",
@@ -294,18 +295,27 @@ path(x, z) :- path(x, y), edge(y, z).
 			Src:   fmt.Sprintf(tmpl, rep),
 			Facts: facts,
 		}
+		var paths int
 		d, err := repeat(repeats, func() (time.Duration, error) {
-			t, _, err := wl.TimeInterp(interp.DefaultConfig())
+			t, _, out, err := wl.timeRun(interp.DefaultConfig())
+			if err == nil {
+				paths = out.Sizes["path"]
+			}
 			return t, err
 		})
 		if err != nil {
-			return err
+			return nil, err
 		}
-		times = append(times, d)
-		fmt.Fprintf(w, "%-8s %12v\n", rep, round(d))
+		records = append(records, BenchRecord{Workload: fmt.Sprintf("grid-%dx%d", n, n), Variant: rep, WallNs: d.Nanoseconds(), Tuples: paths})
+		fmt.Fprintf(w, "%-8s %12v %10d\n", rep, round(d), paths)
 	}
-	fmt.Fprintf(w, "brie/btree runtime ratio: %.2f\n", float64(times[1])/float64(times[0]))
-	return nil
+	btree, brie := &records[0], &records[1]
+	if btree.Tuples != brie.Tuples {
+		return nil, fmt.Errorf("portfolio: path size differs: btree %d, brie %d", btree.Tuples, brie.Tuples)
+	}
+	brie.Ratio = float64(brie.WallNs) / float64(btree.WallNs)
+	fmt.Fprintf(w, "brie/btree runtime ratio: %.2f\n", brie.Ratio)
+	return records, nil
 }
 
 // denseGridFacts lays a 2-D grid over a dense id space: node (r,c) = r*side+c

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"io"
 	"strings"
 	"testing"
 
@@ -113,6 +114,21 @@ func TestTinyMeasurementRuns(t *testing.T) {
 	}
 	if len(rules) == 0 {
 		t.Fatal("no rule times recorded")
+	}
+}
+
+// TestFigPortfolioRecords: the portfolio figure writes one record per store,
+// and both stores computed the same closure.
+func TestFigPortfolioRecords(t *testing.T) {
+	records, err := FigPortfolio(Small, 1, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(records) != 2 || records[0].Variant != "btree" || records[1].Variant != "brie" {
+		t.Fatalf("records = %+v", records)
+	}
+	if records[0].Tuples == 0 || records[0].Tuples != records[1].Tuples {
+		t.Fatalf("path sizes differ or are empty: %+v", records)
 	}
 }
 

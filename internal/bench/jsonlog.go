@@ -17,7 +17,8 @@ import (
 type BenchRecord struct {
 	Workload string `json:"workload"`
 	// Variant names the engine or configuration measured: "interp",
-	// "compiled", "legacy", an ablation ("no-super"), or a worker count.
+	// "compiled", "legacy", an ablation ("no-super"), a store ("brie"), or a
+	// parallel configuration ("2-workers", "2-shards").
 	Variant string `json:"variant,omitempty"`
 	Workers int    `json:"workers,omitempty"`
 	WallNs  int64  `json:"wall_ns"`
@@ -141,22 +142,6 @@ func Table1Records(rows []Table1Row) []BenchRecord {
 		out = append(out,
 			BenchRecord{Workload: r.Workload, Variant: "synthesized", WallNs: synth.Nanoseconds(), Ratio: r.Ratio},
 			BenchRecord{Workload: r.Workload, Variant: "interp", WallNs: r.InterpRun.Nanoseconds()})
-	}
-	return out
-}
-
-// ScalingRecords converts worker-scaling rows.
-func ScalingRecords(rows []ScalingRow) []BenchRecord {
-	var out []BenchRecord
-	for _, r := range rows {
-		out = append(out, BenchRecord{
-			Workload:     r.Workload,
-			Variant:      fmt.Sprintf("%d-workers", r.Workers),
-			Workers:      r.Workers,
-			WallNs:       r.Wall.Nanoseconds(),
-			Tuples:       r.Tuples,
-			TuplesPerSec: r.TuplesPerSec,
-		})
 	}
 	return out
 }

@@ -110,18 +110,27 @@ func (w *Workload) Compile() (*ram.Program, *symtab.Table, error) {
 // construction) plus execution, but not parsing/RAM translation (common to
 // both engines).
 func (w *Workload) TimeInterp(cfg interp.Config) (time.Duration, *interp.Profile, error) {
-	rp, st, err := w.Compile()
+	elapsed, eng, _, err := w.timeRun(cfg)
 	if err != nil {
 		return 0, nil, err
+	}
+	return elapsed, eng.Profile(), nil
+}
+
+// timeRun is TimeInterp's measurement, returning the engine and the I/O it
+// stored and printed for experiments that read results as well as times.
+func (w *Workload) timeRun(cfg interp.Config) (time.Duration, *interp.Engine, *eio.Mem, error) {
+	rp, st, err := w.Compile()
+	if err != nil {
+		return 0, nil, nil, err
 	}
 	io := w.NewIO()
 	start := time.Now()
 	eng := interp.New(rp, st, cfg)
 	if err := eng.Run(io); err != nil {
-		return 0, nil, err
+		return 0, nil, nil, err
 	}
-	elapsed := time.Since(start)
-	return elapsed, eng.Profile(), nil
+	return time.Since(start), eng, io, nil
 }
 
 // TimeCompiled measures the closure-compiled engine's execution time

@@ -1,16 +1,11 @@
 package ramopt_test
 
 import (
-	"sort"
 	"testing"
 
-	"sti/internal/bench"
-	"sti/internal/eio"
-	"sti/internal/interp"
 	"sti/internal/ram"
 	"sti/internal/ram/verify"
 	"sti/internal/ramopt"
-	"sti/internal/symtab"
 	"sti/internal/tuple"
 )
 
@@ -87,81 +82,4 @@ func TestOptimizeStatsReportShrink(t *testing.T) {
 	if s.StatementsAfter != s.StatementsBefore {
 		t.Fatalf("statements changed: %s", s)
 	}
-}
-
-// TestPassesPreserveIOOnBenchSuites: for every Table 1 and Small-scale
-// suite workload, the optimized program produces byte-identical IO (stored
-// tuples and printed sizes) to the unoptimized translation. Workloads share
-// nothing (each side compiles its own program and symbol table once and
-// only reads the workload's facts), so they run in parallel.
-func TestPassesPreserveIOOnBenchSuites(t *testing.T) {
-	if testing.Short() {
-		t.Skip("bench suite comparison in -short mode")
-	}
-	workloads := append(bench.Table1Suite(), bench.Suites(bench.Small)...)
-	for _, w := range workloads {
-		w := w
-		t.Run(w.FullName(), func(t *testing.T) {
-			t.Parallel()
-			plain, stPlain, err := w.Compile()
-			if err != nil {
-				t.Fatalf("compile: %v", err)
-			}
-			opt, stOpt, err := w.Compile()
-			if err != nil {
-				t.Fatalf("compile: %v", err)
-			}
-			ramopt.Optimize(opt, stOpt, ramopt.Queryable())
-			if err := verify.Check(opt, "bench-opt"); err != nil {
-				t.Fatalf("optimized program fails verification: %v", err)
-			}
-			compareIO(t, execIO(t, plain, stPlain, w.NewIO()), execIO(t, opt, stOpt, w.NewIO()))
-		})
-	}
-}
-
-func execIO(t *testing.T, prog *ram.Program, st *symtab.Table, io *eio.Mem) *eio.Mem {
-	t.Helper()
-	eng := interp.New(prog, st, interp.DefaultConfig())
-	if err := eng.Run(io); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	return io
-}
-
-func compareIO(t *testing.T, a, b *eio.Mem) {
-	t.Helper()
-	if len(a.Out) != len(b.Out) {
-		t.Fatalf("output relation sets differ: %d vs %d", len(a.Out), len(b.Out))
-	}
-	for name, ta := range a.Out {
-		tb, ok := b.Out[name]
-		if !ok {
-			t.Fatalf("optimized run lacks output %s", name)
-		}
-		sa, sb := sortedCopy(ta), sortedCopy(tb)
-		if len(sa) != len(sb) {
-			t.Fatalf("output %s differs: %d vs %d tuples", name, len(sa), len(sb))
-		}
-		for i := range sa {
-			if tuple.Compare(sa[i], sb[i]) != 0 {
-				t.Fatalf("output %s differs at %d: %v vs %v", name, i, sa[i], sb[i])
-			}
-		}
-	}
-	if len(a.Sizes) != len(b.Sizes) {
-		t.Fatalf("printsize sets differ: %d vs %d", len(a.Sizes), len(b.Sizes))
-	}
-	for name, na := range a.Sizes {
-		if nb, ok := b.Sizes[name]; !ok || na != nb {
-			t.Fatalf("printsize %s differs: %d vs %d (present %v)", name, na, nb, ok)
-		}
-	}
-}
-
-func sortedCopy(ts []tuple.Tuple) []tuple.Tuple {
-	out := make([]tuple.Tuple, len(ts))
-	copy(out, ts)
-	sort.Slice(out, func(i, j int) bool { return tuple.Compare(out[i], out[j]) < 0 })
-	return out
 }
