@@ -1,8 +1,10 @@
 package sti
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"sti/internal/eio"
@@ -25,20 +27,22 @@ import (
 // update entry point. Batches with deletions run incrementally too when the
 // program is deletable (support counting for non-recursive strata,
 // overdelete/rederive for recursive ones) and every deletion targets an
-// input relation; otherwise the batch falls back to a full recomputation on
-// the accumulated fact set, and Stats records why.
+// input relation; otherwise the batch falls back to a full recomputation
+// from the EDB, the facts applied and not since deleted, and Stats records
+// why.
 type Database struct {
 	prog  *Program
 	eng   *interp.Engine
 	guard relation.EpochGuard
 
-	// facts is the shadow EDB: per declared relation, the set of facts
-	// applied and not since deleted, for the full-recompute fallback and the
-	// snapshot payload. Each set is one of the engine's own B-tree relations:
-	// re-applying a fact stores nothing, a delete is one lookup, and
-	// enumeration is sorted, so a snapshot's bytes depend on the set alone.
-	// Mutated only under the writer side (accumulate).
-	facts map[string]*relation.Relation
+	// The EDB exists once: edb maps each declared relation to the engine
+	// relation holding its asserted facts, or to nil for the one named
+	// exception, a relation whose engine contents are not its asserted facts.
+	// That is one with a proper rule, input-and-derived ones included, or an
+	// eqrel, which holds the closure rather than the asserted pairs. Its
+	// facts live in asserted, one B-tree set per relation holding any.
+	edb      map[string]*relation.Relation
+	asserted map[string]*relation.Relation
 
 	closed bool
 	// broken marks a database whose engine hit a runtime error mid-apply
@@ -47,7 +51,7 @@ type Database struct {
 
 	applies        uint64
 	incremental    uint64
-	recomputes     uint64
+	recomputes     uint64 // fallback applies; recovery evaluates without one
 	fallbackReason string // why the most recent apply fell back
 	// fallbackCounts tallies recompute fallbacks by reason, feeding the
 	// sti_apply_fallbacks_total exposition series and DBStats.
@@ -80,10 +84,9 @@ type Database struct {
 // EDB arrives through Apply) and returns a resident database. The
 // interpreter backend is required, and provenance is not supported.
 //
-// With WithPersistence, eligible input relations are built on the durable
-// tier, the data directory's snapshot + WAL are replayed first (so a
-// restarted database resumes at its last applied batch, even after a
-// crash), and the recovered state is checkpointed before Open returns.
+// With WithPersistence, the data directory's snapshot + WAL restore the EDB
+// first (so a restarted database resumes at its last applied batch, even
+// after a crash), and the recovered state is checkpointed before Open returns.
 func (p *Program) Open(opts ...Option) (*Database, error) {
 	o := resolveOptions(opts)
 	if o.backend == Compiled {
@@ -103,23 +106,24 @@ func (p *Program) Open(opts ...Option) (*Database, error) {
 		}
 	}
 	eng := interp.New(p.ram, p.st, cfg)
-	if err := eng.Load(interp.NewMemIO()); err != nil {
-		if pst != nil {
-			pst.lock.Release()
-		}
-		return nil, err
-	}
 	db := &Database{
 		prog:           p,
 		eng:            eng,
-		facts:          map[string]*relation.Relation{},
+		edb:            map[string]*relation.Relation{},
+		asserted:       map[string]*relation.Relation{},
 		fallbackCounts: map[string]uint64{},
 		obs:            o.obs,
 		pst:            pst,
 	}
 	for _, rd := range p.ram.Relations {
+		// Program-text facts share an EDB relation with applied ones. Such an
+		// input relation is not deletable ("both input and derived"), so a
+		// deletion from it recomputes, and Eval re-inserts the program facts.
 		if !rd.Aux {
-			db.facts[rd.Name] = relation.New(rd.Name, relation.BTree, rd.Arity, nil)
+			db.edb[rd.Name] = nil // derived or eqrel: the exception
+			if rd.Rep != ram.RepEqRel && !p.sem.Rel(rd.Name).HasProperRule() {
+				db.edb[rd.Name] = eng.Relation(rd.Name)
+			}
 		}
 	}
 	if pst != nil {
@@ -200,14 +204,16 @@ func (db *Database) fail(err error) error {
 // Close; test for it with errors.Is.
 var ErrClosed = errors.New("sti: database is closed")
 
+var errForeignBatch = errors.New("sti: batch was staged on another database")
+
 // --- batches ---
 
 // Batch stages fact insertions and deletions for one Apply call. Values
 // convert like Input.Add. Within a batch, deletions apply after
-// insertions. Deleting a fact that was never applied is a no-op; only EDB
-// facts added through Apply can be deleted (program facts and derived
-// tuples cannot — a deletion naming a non-input relation forces the
-// recompute fallback).
+// insertions. Deleting a fact that was never applied is a no-op; only facts
+// added through Apply can be deleted (program facts and derived tuples
+// cannot — a deletion naming a non-input relation forces the recompute
+// fallback).
 type Batch struct {
 	db   *Database
 	ins  []batchFact
@@ -328,14 +334,15 @@ func (b *Batch) textErr(name string, col int, err error) error {
 // Batches with deletions run the update program for the insertions and then
 // the delete program (counting/DRed) for the retractions, provided the
 // program is deletable and every deletion targets an input relation.
-// Otherwise the engine recomputes from the accumulated facts, recording the
-// reason in Stats. Apply blocks until all outstanding snapshots are
-// released, and bumps the epoch.
+// Otherwise the engine recomputes from the EDB, recording the reason in
+// Stats. Apply blocks until all outstanding snapshots are released, and
+// bumps the epoch. A batch staged on another Database is refused: its
+// symbols were interned in that database's table.
 func (db *Database) Apply(b *Batch) error {
 	req := db.obs.Start(obsv.OpApply, "")
-	if b.err != nil {
+	if b.err != nil || b.db != db {
 		req.Finish(obsv.OutError, nil)
-		return b.err
+		return cmp.Or(b.err, errForeignBatch)
 	}
 	db.guard.BeginWrite()
 	defer db.guard.EndWrite()
@@ -380,17 +387,17 @@ func (db *Database) applyLocked(b *Batch) (obsv.Outcome, error) {
 			return obsv.OutError, db.fail(err)
 		}
 	}
-	if err := db.accumulate(b.ins, b.dels); err != nil {
-		return obsv.OutError, db.fail(err)
-	}
 	db.applies++
 	out, reason := db.classify(b)
+	// An exception relation's facts go to its asserted set on every path; an
+	// EDB relation's reach the engine through place only on the fallback.
+	if err := db.place(b.ins, b.dels, out == obsv.OutFallback); err != nil {
+		return obsv.OutError, db.fail(err)
+	}
 	var err error
 	switch out {
-	case obsv.OutIncremental:
-		err = db.insertAndUpdate(b.ins)
-	case obsv.OutIncrementalDelete:
-		err = db.applyDelta(b)
+	case obsv.OutIncremental, obsv.OutIncrementalDelete:
+		err = db.applyIncremental(b)
 	default:
 		db.fallbackReason = reason
 		db.fallbackCounts[reason]++
@@ -407,7 +414,7 @@ func (db *Database) applyLocked(b *Batch) (obsv.Outcome, error) {
 
 // classify is the one place that decides how a batch reaches the new
 // fixpoint — the update entry point (OutIncremental), update then delete
-// (OutIncrementalDelete), or a full recomputation from the shadow EDB
+// (OutIncrementalDelete), or a full recomputation from the EDB
 // (OutFallback) — and, for the last, why the incremental path was lost.
 // Stats().FallbackReason, the per-reason fallback counts and the request
 // outcome all come from its result. Insert-only batches need the update
@@ -430,6 +437,12 @@ func (db *Database) classify(b *Batch) (obsv.Outcome, string) {
 				return obsv.OutFallback, fmt.Sprintf("batch deletes tuples of %q, which is not an input relation", f.rel)
 			}
 		}
+		// Retraction attributes each tuple to the EDB or to rules. A fact
+		// applied to a derived relation is held up by both, so while one is
+		// asserted, deletions recompute.
+		if len(db.asserted) > 0 || slices.ContainsFunc(b.ins, func(f batchFact) bool { return db.edb[f.rel] == nil }) {
+			return obsv.OutFallback, "facts applied to a derived relation: retraction cannot attribute its tuples"
+		}
 		return obsv.OutIncrementalDelete, ""
 	}
 	if reason == "" {
@@ -438,45 +451,41 @@ func (db *Database) classify(b *Batch) (obsv.Outcome, string) {
 	return obsv.OutFallback, reason
 }
 
-// accumulate folds a batch (live, replayed from the WAL, or read back from a
-// snapshot) into the shadow EDB; deletions apply after insertions. Live
-// batches were checked at staging; for facts read back from disk this is
-// where a relation or arity the program does not declare is refused.
-func (db *Database) accumulate(ins, dels []batchFact) error {
-	set := func(f batchFact) (*relation.Relation, error) {
-		s := db.facts[f.rel]
-		if s == nil || s.Arity() != len(f.t) {
-			return nil, fmt.Errorf("sti: fact %s/%d does not match the program", f.rel, len(f.t))
+// place writes facts (live, replayed from the WAL, or read back from a
+// snapshot) where they live, deletions after insertions: an exception
+// relation's into its asserted set, dropped once empty, and an EDB
+// relation's into its engine relation unless engine is false (the
+// incremental paths stage those through the entry points). Live batches were
+// checked at staging; for facts read back from disk this is where a relation
+// or arity the program does not declare is refused.
+func (db *Database) place(ins, dels []batchFact, engine bool) error {
+	for i, facts := range [2][]batchFact{ins, dels} {
+		for _, f := range facts {
+			rel, declared := db.edb[f.rel]
+			if declared && rel == nil {
+				if rel = db.asserted[f.rel]; rel == nil {
+					rel = relation.New(f.rel, relation.BTree, db.eng.Relation(f.rel).Arity(), nil)
+					db.asserted[f.rel] = rel
+				}
+			} else if declared && !engine {
+				continue
+			}
+			if rel == nil || rel.Arity() != len(f.t) {
+				return fmt.Errorf("sti: fact %s/%d does not match the program", f.rel, len(f.t))
+			}
+			if i == 0 {
+				rel.Insert(f.t)
+			} else {
+				rel.Delete(f.t)
+			}
 		}
-		return s, nil
 	}
-	for _, f := range ins {
-		s, err := set(f)
-		if err != nil {
-			return err
+	for name, s := range db.asserted {
+		if s.Empty() {
+			delete(db.asserted, name)
 		}
-		s.Insert(f.t)
-	}
-	for _, f := range dels {
-		s, err := set(f)
-		if err != nil {
-			return err
-		}
-		s.Delete(f.t)
 	}
 	return nil
-}
-
-// scanAll copies out the tuples of a shadow-EDB set, in sorted order.
-func scanAll(s *relation.Relation) []tuple.Tuple {
-	out := make([]tuple.Tuple, 0, s.Size())
-	for it := s.Scan(); ; {
-		t, ok := it.Next()
-		if !ok {
-			return out
-		}
-		out = append(out, tuple.Clone(t))
-	}
 }
 
 // groupByRel splits batch facts per relation, preserving batch order both
@@ -492,74 +501,63 @@ func groupByRel(facts []batchFact) (order []string, grouped map[string][]tuple.T
 	return order, grouped
 }
 
-// insertAndUpdate stages fresh tuples into the base relations and their
-// recent_R freshness trackers, then runs the delta-restart update program.
-// A run with no insertions is a no-op.
-func (db *Database) insertAndUpdate(ins []batchFact) error {
-	if len(ins) == 0 {
-		return nil
-	}
-	order, staged := groupByRel(ins)
-	for _, name := range order {
-		if _, err := db.eng.InsertFacts(name, staged[name]); err != nil {
-			return db.fail(err)
+// applyIncremental absorbs a batch through the entry points, deletions after
+// insertions: fresh tuples are staged into the base relations and their
+// recent_R trackers and run through the update program, then retractions
+// are staged into del_R and run through the delete program, which removes
+// exactly the derived tuples losing their last support together with the
+// retracted facts. A half that stages nothing (facts already present, or
+// never present) runs no program.
+func (db *Database) applyIncremental(b *Batch) error {
+	stage := [2]func(string, []tuple.Tuple) (int, error){db.eng.InsertFacts, db.eng.DeleteFacts}
+	eval := [2]func() error{db.eng.EvalUpdate, db.eng.EvalDelete}
+	for i, facts := range [2][]batchFact{b.ins, b.dels} {
+		order, staged := groupByRel(facts)
+		total := 0
+		for _, name := range order {
+			n, err := stage[i](name, staged[name])
+			if err != nil {
+				return db.fail(err)
+			}
+			total += n
 		}
-	}
-	if err := db.eng.EvalUpdate(); err != nil {
-		return db.fail(err)
-	}
-	return nil
-}
-
-// applyDelta absorbs a batch with deletions incrementally: the insertions
-// run through the update program first (deletions apply after insertions
-// within a batch), then the staged retractions run through the delete
-// program, which computes exactly the derived tuples losing their last
-// support and removes them together with the retracted facts.
-func (db *Database) applyDelta(b *Batch) error {
-	if err := db.insertAndUpdate(b.ins); err != nil {
-		return err
-	}
-	order, staged := groupByRel(b.dels)
-	total := 0
-	for _, name := range order {
-		n, err := db.eng.DeleteFacts(name, staged[name])
-		if err != nil {
-			return db.fail(err)
-		}
-		total += n
-	}
-	// Deleting facts that were never present stages nothing; the delete
-	// program only runs when at least one retraction took hold.
-	if total > 0 {
-		if err := db.eng.EvalDelete(); err != nil {
-			return db.fail(err)
-		}
-	}
-	return nil
-}
-
-// recompute rebuilds the fixpoint from scratch: clear everything, replay
-// the accumulated facts, evaluate. Relation and index structures are
-// reused across recomputations.
-func (db *Database) recompute() error {
-	db.eng.Reset()
-	for _, rd := range db.prog.ram.Relations {
-		if rd.Aux {
-			continue
-		}
-		if s := db.facts[rd.Name]; !s.Empty() {
-			if _, err := db.eng.InsertFacts(rd.Name, scanAll(s)); err != nil {
+		if total > 0 {
+			if err := eval[i](); err != nil {
 				return db.fail(err)
 			}
 		}
 	}
-	if err := db.eng.Eval(); err != nil {
+	return nil
+}
+
+// recompute rebuilds the fixpoint from the EDB: clear every relation but the
+// EDB relations, then evaluate. Relation and index structures are reused
+// across recomputations.
+func (db *Database) recompute() error {
+	db.eng.Reset(func(r *relation.Relation) bool { return db.edb[r.Name] == r })
+	if err := db.evaluate(); err != nil {
 		return db.fail(err)
 	}
-	db.eng.ClearRecents()
 	db.recomputes++
 	return nil
+}
+
+// evaluate runs the program to its fixpoint over the EDB relations as they
+// stand, after writing facts applied to a derived or eqrel relation back
+// from their asserted sets: that is how they survive a recompute and a
+// restart. Nothing is staged in a recent_R tracker, so none needs draining.
+func (db *Database) evaluate() error {
+	for name, s := range db.asserted {
+		rel := db.eng.Relation(name)
+		for it := s.Scan(); ; {
+			t, ok := it.Next()
+			if !ok {
+				break
+			}
+			rel.Insert(t)
+		}
+	}
+	return db.eng.Eval()
 }
 
 // --- reads ---
@@ -810,7 +808,6 @@ type DBStats struct {
 	AppliesIncremental uint64 `json:"incremental_applies"`
 	AppliesFallback    uint64 `json:"applies_fallback"`
 	FallbackReason     string `json:"fallback_reason,omitempty"`
-	Recomputes         uint64 `json:"recomputes"`
 	Incremental        bool   `json:"incremental"`
 	Deletable          bool   `json:"deletable"`
 	// Relations maps every declared relation to its tuple count.
@@ -839,7 +836,6 @@ func (db *Database) Stats() DBStats {
 		AppliesIncremental: db.incremental,
 		AppliesFallback:    db.recomputes,
 		FallbackReason:     db.fallbackReason,
-		Recomputes:         db.recomputes,
 		Incremental:        db.eng.Incremental(),
 		Deletable:          db.eng.Deletable(),
 		Relations:          map[string]int{},

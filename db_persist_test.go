@@ -484,11 +484,12 @@ reach(x, z) :- reach(x, y), edge(y, z).
 	check(db2, "crash-reopened")
 }
 
-// TestShadowEDBSetSemantics: the shadow EDB is a set. Re-applying one fact
-// any number of times stores it once — the snapshot payload stays the size
-// one apply produced, in memory and on disk — deleting it returns to the
-// empty payload, and a crash after the re-inserts recovers byte-identically.
-func TestShadowEDBSetSemantics(t *testing.T) {
+// TestSnapshotSetSemantics: the EDB a snapshot stores is a set. Re-applying
+// one fact any number of times stores it once — the snapshot payload stays
+// the size one apply produced, in memory and on disk — deleting it returns
+// to the empty payload, and a crash after the re-inserts recovers
+// byte-identically.
+func TestSnapshotSetSemantics(t *testing.T) {
 	dir := t.TempDir()
 	db, err := MustParse(persistSrc).Open(WithPersistenceConfig(PersistenceConfig{Dir: dir, SnapshotEvery: 1}))
 	if err != nil {

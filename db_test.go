@@ -105,7 +105,7 @@ func randomEdges(n, nodes int, seed int64) [][2]int {
 // checkIncremental asserts every batch so far took the incremental path.
 func checkIncremental(t *testing.T, db *Database, tag string) {
 	t.Helper()
-	if st := db.Stats(); st.AppliesIncremental != st.Applies || st.Recomputes != 0 {
+	if st := db.Stats(); st.AppliesIncremental != st.Applies || st.AppliesFallback != 0 {
 		t.Fatalf("%s: every batch should be incremental: %+v", tag, st)
 	}
 }
@@ -211,7 +211,7 @@ reach2(x, z) :- path(x, y), path(y, z), node(z).
 	if fmt.Sprintf("%v", got) != fmt.Sprintf("%v", res.Rows("reach2")) {
 		t.Fatalf("reach2 mismatch\nresident: %v\none-shot: %v", got, res.Rows("reach2"))
 	}
-	if st := db.Stats(); st.Recomputes != 0 {
+	if st := db.Stats(); st.AppliesFallback != 0 {
 		t.Fatalf("expected incremental applies only: %+v", st)
 	}
 }
@@ -242,7 +242,7 @@ func TestDeletionAppliesIncrementally(t *testing.T) {
 		}
 	}
 	checkEquivalent(t, db, p, remaining, "after deletion")
-	if st := db.Stats(); st.Recomputes != 0 || st.AppliesIncremental != 2 {
+	if st := db.Stats(); st.AppliesFallback != 0 || st.AppliesIncremental != 2 {
 		t.Fatalf("deletion should stay incremental: %+v", st)
 	}
 	// Deleting a fact that was never added is a no-op.
@@ -288,7 +288,7 @@ func TestDeletionOfDerivedFallsBack(t *testing.T) {
 	// The derived tuple is still derivable from the EDB: it survives.
 	checkEquivalent(t, db, p, chainEdges(10), "after derived deletion")
 	st := db.Stats()
-	if st.AppliesFallback != 1 || st.Recomputes != 1 {
+	if st.AppliesFallback != 1 {
 		t.Fatalf("derived deletion must fall back: %+v", st)
 	}
 	if !strings.Contains(st.FallbackReason, "not an input relation") {
@@ -328,7 +328,7 @@ unreachable(x, y) :- node(x), node(y), !path(x, y).
 	if len(got) != 8 {
 		t.Fatalf("unreachable rows = %v", got)
 	}
-	if st := db.Stats(); st.Recomputes != 1 || st.AppliesIncremental != 0 {
+	if st := db.Stats(); st.AppliesFallback != 1 || st.AppliesIncremental != 0 {
 		t.Fatalf("non-monotone applies must recompute: %+v", st)
 	}
 }
@@ -443,6 +443,37 @@ func TestBatchErrors(t *testing.T) {
 	}
 	if db.NewBatch().Add("edge", "x", 2).Err() == nil {
 		t.Fatal("type mismatch must set batch error")
+	}
+}
+
+// TestApplyRefusesForeignBatch: a batch staged on one database interned its
+// symbols in that database's table, so another database refuses it before
+// logging it, and its epoch, WAL and reads are as they were.
+func TestApplyRefusesForeignBatch(t *testing.T) {
+	db, err := MustParse(persistSrc).Open(WithPersistence(t.TempDir()))
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer db.Close()
+	other, err := MustParse(persistSrc).Open()
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer other.Close()
+	if err := db.Apply(db.NewBatch().Add("edge", "a", "b")); err != nil {
+		t.Fatalf("apply: %v", err)
+	}
+	want := queryAll(t, db)
+	epoch, records := db.Epoch(), db.Stats().Persist.WALRecords
+	if err := db.Apply(other.NewBatch().Add("edge", "p", "q").Add("edge", "q", "r")); err == nil {
+		t.Fatal("a batch staged on another database was applied")
+	}
+	if db.Epoch() != epoch || db.Stats().Persist.WALRecords != records {
+		t.Fatalf("refused batch moved the epoch %d -> %d or the WAL %d -> %d records",
+			epoch, db.Epoch(), records, db.Stats().Persist.WALRecords)
+	}
+	if got := queryAll(t, db); got != want {
+		t.Fatalf("refused batch changed the database:\n%s\nwant\n%s", got, want)
 	}
 }
 
@@ -696,7 +727,7 @@ func TestPrefixScanDuringDeleteApply(t *testing.T) {
 	}
 	close(done)
 	wg.Wait()
-	if st := db.Stats(); st.Recomputes != 0 {
+	if st := db.Stats(); st.AppliesFallback != 0 {
 		t.Fatalf("mixed stream should stay incremental: %+v", st)
 	}
 }
@@ -742,7 +773,7 @@ func TestSnapshotPinnedAcrossDeleteBatch(t *testing.T) {
 	if err != nil || len(rows) != 4 {
 		t.Fatalf("post-release path rows = %d, %v", len(rows), err)
 	}
-	if st := db.Stats(); st.Recomputes != 0 || st.AppliesIncremental != st.Applies {
+	if st := db.Stats(); st.AppliesFallback != 0 || st.AppliesIncremental != st.Applies {
 		t.Fatalf("delete batch should be incremental: %+v", st)
 	}
 }

@@ -181,7 +181,7 @@ func (t *translator) run() error {
 				t.reds[r.Name()] = t.auxRelation("red_"+r.Name(), base, ram.AuxRed)
 				t.dreds[r.Name()] = t.auxRelation("dred_"+r.Name(), base, ram.AuxRedDelta)
 				t.nreds[r.Name()] = t.auxRelation("nred_"+r.Name(), base, ram.AuxRedNew)
-			case hasProperRule(r):
+			case r.HasProperRule():
 				base.Counting = true
 				cb := t.auxRelation("cbuf_"+r.Name(), base, ram.AuxCount)
 				cb.Counting = true
@@ -300,17 +300,6 @@ func (t *translator) auxRelation(name string, base *ram.Relation, kind ram.AuxKi
 	}
 	t.out.Relations = append(t.out.Relations, rel)
 	return rel
-}
-
-// hasProperRule reports whether the relation has at least one non-fact
-// clause (i.e. its contents can actually change under delete propagation).
-func hasProperRule(r *sema.Rel) bool {
-	for _, c := range r.Clauses {
-		if !c.IsFact() {
-			return true
-		}
-	}
-	return false
 }
 
 func repOf(r ast.Rep) ram.RepKind {

@@ -14,9 +14,9 @@ import (
 )
 
 // Phase is the engine's lifecycle state. A one-shot Run walks all three
-// states in a single call; a resident engine (sti.Database) drives them
-// explicitly and then alternates between InsertFacts/EvalUpdate (staying
-// in PhaseReady) for each applied batch.
+// states in a single call; a resident engine (sti.Database) loads nothing,
+// calls Eval, and then runs the incremental entry points (staying in
+// PhaseReady) for each applied batch.
 type Phase uint8
 
 // Engine lifecycle states.
@@ -431,12 +431,15 @@ func (e *Engine) DeleteFacts(name string, tuples []tuple.Tuple) (int, error) {
 	return staged, nil
 }
 
-// Reset clears every relation (including all scratch and freshness
-// trackers) and returns the engine to PhaseNew, keeping the generated
-// trees and index structures for reuse.
-func (e *Engine) Reset() {
+// Reset clears every relation outside the keep set (nil keeps none),
+// scratch relations, freshness trackers and support counts included, and
+// returns the engine to PhaseNew, keeping the generated trees and index
+// structures for reuse. A resident database keeps its EDB relations.
+func (e *Engine) Reset(keep func(*relation.Relation) bool) {
 	for _, r := range e.rels {
-		r.Clear()
+		if keep == nil || !keep(r) {
+			r.Clear()
+		}
 	}
 	e.prof = nil
 	e.prov = nil
@@ -470,9 +473,9 @@ func (e *Engine) InsertFacts(name string, tuples []tuple.Tuple) (int, error) {
 	return added, nil
 }
 
-// ClearRecents drains every recent_R freshness tracker. Resident engines
-// call it after a full recomputation, which replays facts through
-// InsertFacts but never runs the update program that normally drains them.
+// ClearRecents drains every recent_R freshness tracker, for callers that
+// stage facts through InsertFacts but then evaluate with Eval, which never
+// runs the update program that normally drains them.
 func (e *Engine) ClearRecents() {
 	for _, r := range e.recent {
 		if r != nil {

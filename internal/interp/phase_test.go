@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"sti/internal/relation"
 	"sti/internal/tuple"
 	"sti/internal/value"
 )
@@ -65,8 +66,23 @@ func TestPhaseMachine(t *testing.T) {
 	if got := len(io.Out["path"]); got != 3 {
 		t.Fatalf("stored path rows = %d", got)
 	}
-	// Reset returns to new; the engine is reusable.
-	eng.Reset()
+	// Reset clears everything outside its keep set, aux relations included,
+	// and Eval rebuilds the rest from what it kept.
+	edge := eng.Relation("edge")
+	eng.Reset(func(r *relation.Relation) bool { return r == edge })
+	for _, r := range eng.rels {
+		if want := map[bool]int{true: 2, false: 0}[r == edge]; r.Size() != want {
+			t.Fatalf("after Reset keeping edge, %s holds %d tuples, want %d", r.Name, r.Size(), want)
+		}
+	}
+	if err := eng.Eval(); err != nil {
+		t.Fatal(err)
+	}
+	if n := eng.Relation("path").Size(); n != 3 {
+		t.Fatalf("Eval after a keeping Reset derived %d path tuples, want 3", n)
+	}
+	// Reset(nil) returns to new; the engine is reusable.
+	eng.Reset(nil)
 	if eng.Phase() != PhaseNew {
 		t.Fatalf("phase after Reset = %s", eng.Phase())
 	}

@@ -43,6 +43,17 @@ func (r *Rel) Name() string { return r.Decl.Name }
 // Arity returns the relation's arity.
 func (r *Rel) Arity() int { return r.Decl.Arity() }
 
+// HasProperRule reports whether the relation has at least one non-fact
+// clause, i.e. rules derive some of its tuples.
+func (r *Rel) HasProperRule() bool {
+	for _, c := range r.Clauses {
+		if !c.IsFact() {
+			return true
+		}
+	}
+	return false
+}
+
 // Stratum is one evaluation layer: a single SCC of the predicate dependency
 // graph. Strata are ordered so that all dependencies of a stratum lie in
 // earlier strata.

@@ -2,6 +2,7 @@ package sti
 
 import (
 	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -23,7 +24,7 @@ import (
 //
 //	MANIFEST            program identity (source hash); refuses foreign programs
 //	LOCK                flock(2) guard; dies with the process
-//	snap-<g>.snap       checkpoint g: full symbol table + accumulated EDB
+//	snap-<g>.snap       checkpoint g: full symbol table + the EDB
 //	wal-<g>.log         batches applied after checkpoint g, one record each
 //
 // Every Apply appends its batch to the WAL before any state changes, so the
@@ -141,10 +142,11 @@ func programHash(source string) string {
 
 // --- recovery ---
 
-// recover restores the database from the newest valid snapshot plus the
-// WAL suffix, recomputes the fixpoint, and checkpoints so the directory
+// recover restores the EDB from the newest valid snapshot plus the WAL
+// suffix, evaluates the fixpoint once, and checkpoints so the directory
 // starts the session one clean generation ahead. On a fresh directory it
-// evaluates normally and checkpoints the empty EDB.
+// evaluates normally and checkpoints the empty EDB. Recovery is not an
+// apply, so it counts as no fallback.
 func (pst *persistence) recover(db *Database) error {
 	dir := pst.cfg.Dir
 	snapGens, err := store.ListSnapshots(dir)
@@ -200,11 +202,7 @@ func (pst *persistence) recover(db *Database) error {
 	pst.recovered = restored || records > 0
 	pst.recoveredRecords = records
 
-	if pst.recovered {
-		if err := db.recompute(); err != nil {
-			return err
-		}
-	} else if err := db.eng.Eval(); err != nil {
+	if err := db.evaluate(); err != nil {
 		return err
 	}
 	pst.gen = maxGen
@@ -286,7 +284,9 @@ func (pst *persistence) abandon() {
 //	u32 nRels   | per relation:
 //	    u32 len | name | u32 arity | u32 count | count × arity × u32 (big-endian)
 //
-// Only the accumulated EDB (db.facts) is stored; the IDB is recomputed.
+// Only the EDB is stored, streamed from where it lives: an EDB relation
+// from the engine, an exception relation from its asserted set. The IDB is
+// recomputed.
 func (pst *persistence) encodeSnapshot(db *Database) []byte {
 	var b bytes.Buffer
 	syms := db.prog.st.Strings()
@@ -296,7 +296,7 @@ func (pst *persistence) encodeSnapshot(db *Database) []byte {
 	}
 	var sets []*relation.Relation
 	for _, rd := range db.prog.ram.Relations {
-		if s := db.facts[rd.Name]; s != nil && !s.Empty() {
+		if s := cmp.Or(db.edb[rd.Name], db.asserted[rd.Name]); s != nil && !s.Empty() {
 			sets = append(sets, s)
 		}
 	}
@@ -368,7 +368,7 @@ func (pst *persistence) restoreSnapshot(db *Database, payload []byte) error {
 		for j := range ins {
 			ins[j] = batchFact{rel: name, t: flat[j*arity : (j+1)*arity : (j+1)*arity]}
 		}
-		if err := db.accumulate(ins, nil); err != nil {
+		if err := db.place(ins, nil, true); err != nil {
 			return err
 		}
 	}
@@ -418,10 +418,10 @@ func putFacts(b *bytes.Buffer, facts []batchFact) {
 	}
 }
 
-// replayRecord applies one logged batch to the accumulated fact set,
-// re-interning its symbol dictionary first. Replay is idempotent: a record
-// already covered by a newer snapshot re-interns to identical ordinals and
-// re-applies facts with set semantics.
+// replayRecord applies one logged batch to the EDB, re-interning its symbol
+// dictionary first. Replay is idempotent: a record already covered by a
+// newer snapshot re-interns to identical ordinals and re-applies facts with
+// set semantics.
 func (pst *persistence) replayRecord(db *Database, rec []byte) error {
 	r := &reader{buf: rec}
 	base := int(r.u32())
@@ -449,7 +449,7 @@ func (pst *persistence) replayRecord(db *Database, rec []byte) error {
 	if err != nil {
 		return err
 	}
-	return db.accumulate(ins, dels)
+	return db.place(ins, dels, true)
 }
 
 func readFacts(r *reader) ([]batchFact, error) {
