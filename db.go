@@ -25,10 +25,9 @@ import (
 // Insert-only batches of an insert-monotone program (no negation, no
 // aggregates) re-evaluate incrementally via the program's delta-restart
 // update entry point. Batches with deletions run incrementally too when the
-// program is deletable (support counting for non-recursive strata,
-// overdelete/rederive for recursive ones) and every deletion targets an
-// input relation; otherwise the batch falls back to a full recomputation
-// from the EDB, the facts applied and not since deleted, and Stats records
+// program is deletable (overdelete/rederive, stratum by stratum) and every
+// deletion targets an input relation; otherwise the batch falls back to a
+// full recomputation from the EDB, the facts applied and not since deleted, and Stats records
 // why.
 type Database struct {
 	prog  *Program
@@ -149,7 +148,7 @@ func (p *Program) Open(opts ...Option) (*Database, error) {
 func (db *Database) Incremental() bool { return db.eng.Incremental() }
 
 // Deletable reports whether the program supports incremental deletion
-// batches (a counting/DRed delete program was emitted at translation time).
+// batches (a DRed delete program was emitted at translation time).
 func (db *Database) Deletable() bool { return db.eng.Deletable() }
 
 // Epoch returns the number of completed Apply calls (including Close).
@@ -332,7 +331,7 @@ func (b *Batch) textErr(name string, col int, err error) error {
 // Insert-only batches of incremental programs run the delta-restart update
 // program: each stratum is re-entered seeded only with the fresh tuples.
 // Batches with deletions run the update program for the insertions and then
-// the delete program (counting/DRed) for the retractions, provided the
+// the delete program (DRed) for the retractions, provided the
 // program is deletable and every deletion targets an input relation.
 // Otherwise the engine recomputes from the EDB, recording the reason in
 // Stats. Apply blocks until all outstanding snapshots are released, and

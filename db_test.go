@@ -3,6 +3,7 @@ package sti
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -13,7 +14,15 @@ import (
 // representation for the recursive relation.
 func tcProgram(t *testing.T, rep string) *Program {
 	t.Helper()
-	src := fmt.Sprintf(`
+	p, err := Parse(tcRepSource(rep))
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	return p
+}
+
+func tcRepSource(rep string) string {
+	return fmt.Sprintf(`
 .decl edge(x:number, y:number)
 .decl path(x:number, y:number) %s
 .input edge
@@ -21,11 +30,6 @@ func tcProgram(t *testing.T, rep string) *Program {
 path(x, y) :- edge(x, y).
 path(x, z) :- path(x, y), edge(y, z).
 `, rep)
-	p, err := Parse(src)
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	return p
 }
 
 // runUnion evaluates the program from scratch on the union of all edges
@@ -123,42 +127,188 @@ var residentConfigs = []struct {
 	{"shards=4", WithShards(4)},
 }
 
-// TestIncrementalEquivalence is the core property test: applying edge
-// batches to a resident database must yield exactly the relation a
-// from-scratch Run on the union of the batches yields, after every batch,
-// across representations, workload shapes and parallel configurations.
-func TestIncrementalEquivalence(t *testing.T) {
-	workloads := map[string][][2]int{
+// residentProgram is one point on the program axis of the resident
+// property tests. facts maps a workload edge to the input facts it stands
+// for: inserting or retracting the edge inserts or retracts all of them.
+// outputs names the relations compared against a one-shot Run.
+type residentProgram struct {
+	name    string
+	src     string
+	facts   func(e [2]int) []fact
+	outputs []string
+}
+
+// fact is one input fact of a resident property test.
+type fact struct {
+	rel  string
+	args []any
+}
+
+// tcPrograms is the transitive closure, one program per representation of
+// its recursive relation, named by the representation.
+func tcPrograms(reps ...string) []residentProgram {
+	var out []residentProgram
+	for _, rep := range reps {
+		out = append(out, residentProgram{
+			name:    rep,
+			src:     tcRepSource(rep),
+			facts:   func(e [2]int) []fact { return []fact{{"edge", []any{e[0], e[1]}}} },
+			outputs: []string{"path"},
+		})
+	}
+	return out
+}
+
+// nonRecursivePrograms derive relations in non-recursive strata, whose
+// tuples can have several derivations, premises from two inputs, or a
+// program-text fact that keeps them alive after their rules stop firing.
+var nonRecursivePrograms = []residentProgram{
+	{
+		// The served reachability program: recursive path, then a
+		// non-recursive join with a second input.
+		name: "reach",
+		src: `
+.decl edge(x:number, y:number)
+.decl label(x:number, l:number)
+.decl path(x:number, y:number)
+.decl tagged(x:number, l:number)
+.input edge
+.input label
+.output path
+.output tagged
+path(x, y) :- edge(x, y).
+path(x, z) :- path(x, y), edge(y, z).
+tagged(x, l) :- path(x, y), label(y, l).
+`,
+		facts: func(e [2]int) []fact {
+			return []fact{{"edge", []any{e[0], e[1]}}, {"label", []any{e[1], (e[0] + e[1]) % 3}}}
+		},
+		outputs: []string{"path", "tagged"},
+	},
+	{
+		// A self-join with a filter and a second rule into the same head: a
+		// pair survives while any heap or the direct rule still derives it.
+		name: "aliased",
+		src: `
+.decl p(a:number, h:number)
+.decl aliased(a:number, b:number)
+.input p
+.output aliased
+aliased(a, b) :- p(a, h), p(b, h), a < b.
+aliased(a, b) :- p(a, b), a < b.
+`,
+		facts:   func(e [2]int) []fact { return []fact{{"p", []any{e[0], e[1] % 4}}} },
+		outputs: []string{"aliased"},
+	},
+	{
+		// Program-text facts in a derived relation that a later stratum
+		// reads: hub(0) and hub(2) outlive every edge that also derives them.
+		name: "facts",
+		src: `
+.decl edge(x:number, y:number)
+.decl hub(x:number)
+.decl spoke(x:number, y:number)
+.input edge
+.output hub
+.output spoke
+hub(0).
+hub(2).
+hub(x) :- edge(x, y).
+spoke(x, y) :- hub(x), edge(y, x).
+`,
+		facts:   func(e [2]int) []fact { return []fact{{"edge", []any{e[0], e[1]}}} },
+		outputs: []string{"hub", "spoke"},
+	},
+}
+
+// residentWorkloads are the edge streams of the resident property tests: a
+// chain, a grid and a pseudo-random sparse graph.
+func residentWorkloads() map[string][][2]int {
+	return map[string][][2]int{
 		"chain":  chainEdges(30),
 		"grid":   gridEdges(5),
 		"random": randomEdges(40, 15, 1),
 	}
-	for _, rep := range []string{"btree", "brie", "eqrel"} {
-		for wname, edges := range workloads {
-			t.Run(rep+"/"+wname, func(t *testing.T) {
+}
+
+// factSet is the net input fact set a resident database should hold.
+type factSet map[string]fact
+
+func (s factSet) add(f fact)    { s[fmt.Sprint(f.rel, f.args)] = f }
+func (s factSet) remove(f fact) { delete(s, fmt.Sprint(f.rel, f.args)) }
+
+// checkOutputs asserts every output of rp in the resident database matches a
+// one-shot Run over the net fact set, and that every batch so far took the
+// incremental path.
+func checkOutputs(t *testing.T, db *Database, p *Program, rp residentProgram, facts factSet, tag string) {
+	t.Helper()
+	in := p.NewInput()
+	for _, f := range facts {
+		in.Add(f.rel, f.args...)
+	}
+	res, err := p.Run(in)
+	if err != nil {
+		t.Fatalf("%s: one-shot run: %v", tag, err)
+	}
+	for _, name := range rp.outputs {
+		got, err := db.Query(name)
+		if err != nil {
+			t.Fatalf("%s: query %s: %v", tag, name, err)
+		}
+		if want := res.Rows(name); fmt.Sprintf("%v", got) != fmt.Sprintf("%v", want) {
+			t.Fatalf("%s: resident %s (%d rows) differs from one-shot run (%d rows)\nresident: %v\none-shot: %v",
+				tag, name, len(got), len(want), got, want)
+		}
+	}
+	checkIncremental(t, db, tag)
+}
+
+// openResident parses rp and opens a resident database on it.
+func openResident(t *testing.T, rp residentProgram, opt Option) (*Program, *Database) {
+	t.Helper()
+	p, err := Parse(rp.src)
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	db, err := p.Open(opt)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	return p, db
+}
+
+// TestIncrementalEquivalence is the core property test: applying edge
+// batches to a resident database must yield exactly the relations a
+// from-scratch Run on the union of the batches yields, after every batch,
+// across programs (the transitive closure in every representation, and the
+// non-recursive shapes), workload shapes and parallel configurations.
+func TestIncrementalEquivalence(t *testing.T) {
+	programs := append(tcPrograms("btree", "brie", "eqrel"), nonRecursivePrograms...)
+	for _, rp := range programs {
+		for wname, edges := range residentWorkloads() {
+			t.Run(rp.name+"/"+wname, func(t *testing.T) {
 				for _, cfg := range residentConfigs {
 					t.Run(cfg.name, func(t *testing.T) {
-						p := tcProgram(t, rep)
-						db, err := p.Open(cfg.opt)
-						if err != nil {
-							t.Fatalf("open: %v", err)
-						}
+						p, db := openResident(t, rp, cfg.opt)
 						defer db.Close()
 						if !db.Incremental() {
-							t.Fatal("transitive closure should support incremental batches")
+							t.Fatalf("%s should support incremental batches", rp.name)
 						}
-						var applied [][2]int
+						facts := factSet{}
 						const batch = 7
 						for i := 0; i < len(edges); i += batch {
-							end := i + batch
-							if end > len(edges) {
-								end = len(edges)
+							b := db.NewBatch()
+							for _, e := range edges[i:min(i+batch, len(edges))] {
+								for _, f := range rp.facts(e) {
+									b.Add(f.rel, f.args...)
+									facts.add(f)
+								}
 							}
-							applyEdges(t, db, edges[i:end])
-							applied = append(applied, edges[i:end]...)
-							tag := fmt.Sprintf("%s/%s/%s after batch %d", rep, wname, cfg.name, i/batch)
-							checkEquivalent(t, db, p, applied, tag)
-							checkIncremental(t, db, tag)
+							if err := db.Apply(b); err != nil {
+								t.Fatalf("apply: %v", err)
+							}
+							checkOutputs(t, db, p, rp, facts,
+								fmt.Sprintf("%s/%s/%s after batch %d", rp.name, wname, cfg.name, i/batch))
 						}
 					})
 				}
@@ -597,63 +747,56 @@ func TestConcurrentQueryDuringApply(t *testing.T) {
 // TestInterleavedDeleteEquivalence is the deletion property test: batches
 // interleaving insertions and retractions against a resident database must
 // match a from-scratch run on the net fact set after every batch, across
-// workload shapes, representations and parallel configurations. eqrel is
-// excluded by construction — union-find relations cannot attribute
-// retractions, so such programs are not deletable.
+// programs, workload shapes and parallel configurations. eqrel is excluded
+// by construction: union-find relations cannot attribute retractions, so
+// such programs are not deletable.
 func TestInterleavedDeleteEquivalence(t *testing.T) {
-	workloads := map[string][][2]int{
-		"chain":  chainEdges(30),
-		"grid":   gridEdges(5),
-		"random": randomEdges(40, 15, 1),
-	}
-	for _, rep := range []string{"btree", "brie"} {
-		for wname, edges := range workloads {
-			t.Run(rep+"/"+wname, func(t *testing.T) {
+	programs := append(tcPrograms("btree", "brie"), nonRecursivePrograms...)
+	for _, rp := range programs {
+		for wname, edges := range residentWorkloads() {
+			t.Run(rp.name+"/"+wname, func(t *testing.T) {
 				for _, cfg := range residentConfigs {
 					t.Run(cfg.name, func(t *testing.T) {
-						p := tcProgram(t, rep)
-						db, err := p.Open(cfg.opt)
-						if err != nil {
-							t.Fatalf("open: %v", err)
-						}
+						p, db := openResident(t, rp, cfg.opt)
 						defer db.Close()
 						if !db.Deletable() {
-							t.Fatal("transitive closure should support incremental deletion")
+							t.Fatalf("%s should support incremental deletion", rp.name)
 						}
 						rng := rand.New(rand.NewSource(99))
 						var applied [][2]int
+						facts := factSet{}
 						next := 0
 						for round := 0; next < len(edges); round++ {
 							b := db.NewBatch()
 							for k := 0; k < 5 && next < len(edges); k++ {
 								e := edges[next]
 								next++
-								b.Add("edge", e[0], e[1])
+								for _, f := range rp.facts(e) {
+									b.Add(f.rel, f.args...)
+									facts.add(f)
+								}
 								applied = append(applied, e)
 							}
 							// Every other round also retracts a few random edges
 							// applied earlier (duplicates in the stream mean some
 							// retractions are no-ops — that path must hold too).
+							// Apply inserts before it deletes, so a retraction
+							// wins over an insertion in the same batch.
 							if round%2 == 1 {
 								for k := 0; k < 3 && len(applied) > 0; k++ {
-									i := rng.Intn(len(applied))
-									e := applied[i]
-									b.Delete("edge", e[0], e[1])
-									kept := applied[:0]
-									for _, a := range applied {
-										if a != e {
-											kept = append(kept, a)
-										}
+									e := applied[rng.Intn(len(applied))]
+									for _, f := range rp.facts(e) {
+										b.Delete(f.rel, f.args...)
+										facts.remove(f)
 									}
-									applied = append([][2]int{}, kept...)
+									applied = slices.DeleteFunc(applied, func(a [2]int) bool { return a == e })
 								}
 							}
 							if err := db.Apply(b); err != nil {
 								t.Fatalf("round %d: apply: %v", round, err)
 							}
-							tag := fmt.Sprintf("%s/%s/%s round %d", rep, wname, cfg.name, round)
-							checkEquivalent(t, db, p, applied, tag)
-							checkIncremental(t, db, tag)
+							checkOutputs(t, db, p, rp, facts,
+								fmt.Sprintf("%s/%s/%s round %d", rp.name, wname, cfg.name, round))
 						}
 					})
 				}

@@ -43,7 +43,6 @@ func Translate(p *sema.Program, st *symtab.Table) (*ram.Program, error) {
 		news:    map[string]*ram.Relation{},
 		recents: map[string]*ram.Relation{},
 		dels:    map[string]*ram.Relation{},
-		cbufs:   map[string]*ram.Relation{},
 		ddels:   map[string]*ram.Relation{},
 		ndels:   map[string]*ram.Relation{},
 		reds:    map[string]*ram.Relation{},
@@ -82,21 +81,18 @@ type translator struct {
 	recents map[string]*ram.Relation // recent_R by source name (update program)
 
 	// Delete-program scratch space, by source name (delete.go). dels exists
-	// for every source relation; cbufs for counting (non-recursive IDB)
-	// relations; the ddel/ndel/red/dred/nred families for relations of
-	// recursive strata.
+	// for every source relation; the ddel/ndel/red/dred/nred families for
+	// relations some proper rule derives.
 	dels  map[string]*ram.Relation
-	cbufs map[string]*ram.Relation
 	ddels map[string]*ram.Relation
 	ndels map[string]*ram.Relation
 	reds  map[string]*ram.Relation
 	dreds map[string]*ram.Relation
 	nreds map[string]*ram.Relation
 
-	pending   map[*ram.Relation][]patch
-	ruleID    int
-	monotone  bool // insert-monotone: no negation, no aggregates
-	deletable bool // monotone, no eqrel, no input-and-derived relations
+	pending  map[*ram.Relation][]patch
+	ruleID   int
+	monotone bool // insert-monotone: no negation, no aggregates
 }
 
 func (t *translator) run() error {
@@ -155,37 +151,20 @@ func (t *translator) run() error {
 		}
 	}
 	// Delete-program scratch space. Every source relation gets del_R (the
-	// set scheduled for physical removal); counting relations — those of
-	// non-recursive strata with at least one proper rule — additionally get
-	// a cbuf_R multiplicity buffer, and relations of recursive strata get
-	// the DRed overdelete/rederive families.
-	canDelete, delReason := analysis.Deletable(t.sem)
-	t.deletable = canDelete
+	// set scheduled for physical removal); relations some proper rule
+	// derives also get the DRed overdelete/rederive families.
+	deletable, delReason := analysis.Deletable(t.sem)
 	t.out.NoDeleteReason = delReason
-	if t.deletable {
-		recursive := map[string]bool{}
-		for _, s := range t.sem.Strata {
-			if s.Recursive {
-				for _, r := range s.Rels {
-					recursive[r.Name()] = true
-				}
-			}
-		}
+	if deletable {
 		for _, r := range t.sem.RelList {
 			base := t.rels[r.Name()]
 			t.dels[r.Name()] = t.auxRelation("del_"+r.Name(), base, ram.AuxDel)
-			switch {
-			case recursive[r.Name()]:
+			if r.HasProperRule() {
 				t.ddels[r.Name()] = t.auxRelation("ddel_"+r.Name(), base, ram.AuxDelDelta)
 				t.ndels[r.Name()] = t.auxRelation("ndel_"+r.Name(), base, ram.AuxDelNew)
 				t.reds[r.Name()] = t.auxRelation("red_"+r.Name(), base, ram.AuxRed)
 				t.dreds[r.Name()] = t.auxRelation("dred_"+r.Name(), base, ram.AuxRedDelta)
 				t.nreds[r.Name()] = t.auxRelation("nred_"+r.Name(), base, ram.AuxRedNew)
-			case r.HasProperRule():
-				base.Counting = true
-				cb := t.auxRelation("cbuf_"+r.Name(), base, ram.AuxCount)
-				cb.Counting = true
-				t.cbufs[r.Name()] = cb
 			}
 		}
 	}
@@ -253,9 +232,9 @@ func (t *translator) run() error {
 		t.out.Update = &ram.Sequence{Stmts: upd}
 	}
 
-	// Delete program: counting propagation and DRed per stratum, then one
-	// global physical-removal pass once no stratum needs the old state.
-	if t.deletable {
+	// Delete program: DRed per stratum, then one global physical-removal
+	// pass once no stratum needs the old state.
+	if deletable {
 		var del []ram.Statement
 		for _, s := range t.sem.Strata {
 			stmt, err := t.translateStratumDelete(s)
@@ -354,10 +333,7 @@ func (t *translator) translateStratum(s *sema.Stratum) (ram.Statement, error) {
 	if !s.Recursive {
 		var stmts []ram.Statement
 		for _, ru := range rules {
-			target := t.rels[ru.rel.Name()]
-			// Counting targets enumerate every derivation so the support
-			// counts are exact multiplicities, not mere existence.
-			q, err := t.translateRule(ru.clause, version{target: target, forceScan: target.Counting})
+			q, err := t.translateRule(ru.clause, version{target: t.rels[ru.rel.Name()]})
 			if err != nil {
 				return nil, err
 			}
@@ -479,17 +455,16 @@ type version struct {
 	recentPos int
 	useRecent bool
 
-	// Delete-program variants (delete.go and the counting update path).
-	// subst redirects body positions to scratch relations (del/ddel/dred
-	// trackers); exclude filters out atom tuples present in the given
-	// relation, and excludeUnless weakens that to ¬(∈exclude ∧ ¬∈unless) —
-	// the DRed "deleted but not rederived" survival test. require keeps
-	// only heads present in the given relation; headScan instead *scans*
-	// that relation as an extra outermost level binding the head variables
-	// (legal only when every head argument is a plain variable). forceScan
-	// disables the existence-check collapse so each variable assignment is
-	// enumerated — exclude filters need the atom's tuple slot, and counting
-	// targets need one insert attempt per derivation.
+	// Delete-program variants (delete.go). subst redirects body positions
+	// to scratch relations (del/ddel/dred trackers); exclude filters out
+	// atom tuples present in the given relation, and excludeUnless weakens
+	// that to ¬(∈exclude ∧ ¬∈unless) — the DRed "deleted but not rederived"
+	// survival test. require keeps only heads present in the given
+	// relation; headScan instead *scans* that relation as an extra
+	// outermost level binding the head variables (legal only when every
+	// head argument is a plain variable). forceScan disables the
+	// existence-check collapse so each variable assignment is enumerated:
+	// exclude filters need the atom's tuple slot.
 	subst         map[int]*ram.Relation
 	exclude       map[int]*ram.Relation
 	excludeUnless map[int]*ram.Relation

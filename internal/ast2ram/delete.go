@@ -19,21 +19,15 @@ import (
 // delete program therefore observe the old, pre-delete state. Only after the
 // last stratum does a global subtract pass remove del_R from each relation.
 //
-//   - Non-recursive strata use *counting*: each relation carries per-tuple
-//     support counts (the number of derivations producing it, maintained by
-//     Main and the counting update path). Lost derivations are enumerated
-//     into the cbuf_R multiplicity buffer by telescoped rule variants — one
-//     per positive body atom i, reading del_B at i and excluding del_B at
-//     every earlier atom, so each lost derivation is counted exactly once
-//     (partition by first deleted premise). COUNT-DELETE then decrements,
-//     and tuples whose support reaches zero join del_R.
-//   - Recursive strata use DRed (overdelete + rederive): first a fixpoint
-//     overapproximates the dying set into del_R (any derivation touching a
-//     deleted premise), then a second fixpoint rederives survivors — tuples
-//     in del_R that still have a derivation from surviving premises — into
-//     red_R, and del_R := del_R - red_R makes the set exact.
+// Every stratum uses DRed (delete and rederive): first a fixpoint
+// overapproximates the dying set into del_R (any derivation touching a
+// deleted premise), then a second fixpoint rederives survivors — tuples in
+// del_R that still have a derivation from surviving premises, or that a
+// program-text fact asserts — into red_R, and del_R := del_R - red_R makes
+// the set exact. A non-recursive stratum reads only lower strata, whose
+// del sets are already exact, so each of its fixpoints is one round.
 //
-// Both shapes rely on translateRule's delete-variant extensions: subst
+// The variants rely on translateRule's delete-variant extensions: subst
 // redirects body atoms to del/ddel/dred trackers, exclude/excludeUnless
 // express "premise survives", require/headScan restrict rederivation to
 // overdeleted heads, and forceScan keeps derivations enumerable per-tuple.
@@ -83,50 +77,10 @@ func (t *translator) translateStratumDelete(s *sema.Stratum) (ram.Statement, err
 		return nil
 	}
 
-	if !s.Recursive {
-		// Counting stratum: telescoped lost-derivation variants into cbuf,
-		// then one COUNT-DELETE per relation.
-		touched := map[string]bool{}
-		for _, ru := range rules {
-			cbuf := t.cbufs[ru.rel.Name()]
-			pos := positivePositions(ru.clause)
-			for k, pk := range pos {
-				v := version{
-					target:    cbuf,
-					forceScan: true,
-					subst:     map[int]*ram.Relation{pk: t.dels[atomName(ru.clause, pk)]},
-					exclude:   map[int]*ram.Relation{},
-				}
-				for _, pj := range pos[:k] {
-					v.exclude[pj] = t.dels[atomName(ru.clause, pj)]
-				}
-				if err := emit(ru.clause, v); err != nil {
-					return nil, err
-				}
-				touched[ru.rel.Name()] = true
-			}
-		}
-		for _, r := range s.Rels {
-			if !touched[r.Name()] {
-				continue
-			}
-			stmts = append(stmts, &ram.CountDelete{
-				Dst:  t.rels[r.Name()],
-				Src:  t.cbufs[r.Name()],
-				Gone: t.dels[r.Name()],
-			})
-			stmts = append(stmts, &ram.Clear{Rel: t.cbufs[r.Name()]})
-		}
-		if len(stmts) == 0 {
-			return nil, nil
-		}
-		return &ram.Sequence{Stmts: stmts}, nil
-	}
-
-	// Recursive stratum, phase 1: overdeletion fixpoint. A head tuple is
-	// threatened as soon as *some* derivation of it touches a deleted
-	// premise, so the variants carry no survival filters — overapproximating
-	// is what makes the fixpoint monotone (set semantics, no forceScan).
+	// Phase 1: overdeletion fixpoint. A head tuple is threatened as soon as
+	// *some* derivation of it touches a deleted premise, so the variants
+	// carry no survival filters — overapproximating is what makes the
+	// fixpoint monotone (set semantics, no forceScan).
 	// Like every parallel query, variants write a relation they never read:
 	// init and loop both target ndel_H (guarded by the del_H accumulator),
 	// and the fold/rotate steps move ndel into del and the ddel frontier.
@@ -178,8 +132,13 @@ func (t *translator) translateStratumDelete(s *sema.Stratum) (ram.Statement, err
 	for _, r := range s.Rels {
 		names = append(names, r.Name())
 	}
-	stmts = append(stmts, t.deleteFixpoint(s, overBody, t.dels, t.ddels, t.ndels,
-		fmt.Sprintf("overdelete stratum %d (%s)", s.Index, strings.Join(names, ", "))))
+	// A non-recursive stratum has no in-stratum premise, so its loop body
+	// would be empty: the round above is the whole fixpoint (here and in
+	// phase 2).
+	if s.Recursive {
+		stmts = append(stmts, t.deleteFixpoint(s, overBody, t.dels, t.ddels, t.ndels,
+			fmt.Sprintf("overdelete stratum %d (%s)", s.Index, strings.Join(names, ", "))))
+	}
 
 	// Phase 2: rederivation fixpoint. A tuple of del_H survives if some
 	// derivation of it uses only surviving premises: out-of-stratum ∉del
@@ -279,8 +238,10 @@ func (t *translator) translateStratumDelete(s *sema.Stratum) (ram.Statement, err
 			redBody = append(redBody, q)
 		}
 	}
-	stmts = append(stmts, t.deleteFixpoint(s, redBody, t.reds, t.dreds, t.nreds,
-		fmt.Sprintf("rederive stratum %d (%s)", s.Index, strings.Join(names, ", "))))
+	if s.Recursive {
+		stmts = append(stmts, t.deleteFixpoint(s, redBody, t.reds, t.dreds, t.nreds,
+			fmt.Sprintf("rederive stratum %d (%s)", s.Index, strings.Join(names, ", "))))
+	}
 
 	// The overdeleted-but-rederived tuples survive: del_R becomes exact.
 	for _, r := range s.Rels {

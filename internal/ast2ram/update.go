@@ -25,7 +25,7 @@ import (
 //     delta seeding and the fixpoint loop below).
 //   - Recursive strata then rerun the standard semi-naive LOOP with delta_R
 //     seeded from recent_R and the restart output, rather than the full
-//     relation — the delta-restart of the issue.
+//     relation.
 //   - Atoms over out-of-stratum eqrel relations cannot be freshness-tracked
 //     (the union-find closes pairs no insert ever mentioned), so such rules
 //     fall back to a single all-full restart variant; the ¬R(head) guard
@@ -33,69 +33,9 @@ import (
 //
 // Every stratum section appends its newly derived tuples to recent_R so
 // downstream sections restart from them; the tail of the update program
-// clears all trackers.
-
-// translateCountingUpdate emits the update section of a counting stratum.
-// The guarded restart variants of the set-semantics path would be wrong
-// here: a tuple's support must grow by exactly its number of *new*
-// derivations, so the variants are unguarded, enumerate per-derivation
-// (forceScan), and telescope over the recent trackers — variant i reads
-// recent_B at atom i and excludes recent_B at every earlier atom, which
-// partitions the new derivations by their first fresh premise. The counts
-// accumulate in cbuf_R; COUNT-MERGE then folds them into the relation,
-// inserting tuples whose support rises from zero and recording them in
-// recent_R for downstream restarts.
-func (t *translator) translateCountingUpdate(s *sema.Stratum) (ram.Statement, error) {
-	var stmts []ram.Statement
-	touched := map[string]bool{}
-	for _, r := range s.Rels {
-		for _, c := range r.Clauses {
-			if c.IsFact() {
-				continue // fact support never changes after Main
-			}
-			var pos []int
-			for i, l := range c.Body {
-				if _, ok := l.(*ast.Atom); ok {
-					pos = append(pos, i)
-				}
-			}
-			atomName := func(i int) string { return c.Body[i].(*ast.Atom).Name }
-			cbuf := t.cbufs[r.Name()]
-			for k, pk := range pos {
-				v := version{
-					target:    cbuf,
-					forceScan: true,
-					subst:     map[int]*ram.Relation{pk: t.recents[atomName(pk)]},
-					exclude:   map[int]*ram.Relation{},
-				}
-				for _, pj := range pos[:k] {
-					v.exclude[pj] = t.recents[atomName(pj)]
-				}
-				q, err := t.translateRule(c, v)
-				if err != nil {
-					return nil, err
-				}
-				stmts = append(stmts, q)
-				touched[r.Name()] = true
-			}
-		}
-	}
-	for _, r := range s.Rels {
-		if !touched[r.Name()] {
-			continue
-		}
-		stmts = append(stmts, &ram.CountMerge{
-			Dst:   t.rels[r.Name()],
-			Src:   t.cbufs[r.Name()],
-			Fresh: t.recents[r.Name()],
-		})
-		stmts = append(stmts, &ram.Clear{Rel: t.cbufs[r.Name()]})
-	}
-	if len(stmts) == 0 {
-		return nil, nil
-	}
-	return &ram.Sequence{Stmts: stmts}, nil
-}
+// clears all trackers. The variants have set semantics (a guard keeps
+// each tuple once) in every program, deletable or not: DRed retraction
+// (delete.go) needs no per-tuple bookkeeping from insertion.
 
 func (t *translator) translateStratumUpdate(s *sema.Stratum) (ram.Statement, error) {
 	type rule struct {
@@ -159,9 +99,6 @@ func (t *translator) translateStratumUpdate(s *sema.Stratum) (ram.Statement, err
 	}
 
 	if !s.Recursive {
-		if t.deletable {
-			return t.translateCountingUpdate(s)
-		}
 		for _, ru := range rules {
 			head := t.rels[ru.rel.Name()]
 			rc := t.recents[ru.rel.Name()]

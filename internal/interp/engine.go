@@ -177,25 +177,16 @@ func buildRelation(rd *ram.Relation, cfg Config) *relation.Relation {
 		orders = []tuple.Order{tuple.Identity(rd.Arity)}
 	}
 	if shardable(rd, cfg) {
-		rel := relation.NewSharded(rd.Name, rep, rd.Arity, orders, cfg.Shards, rd.ShardCol())
-		if rd.Counting {
-			rel.EnableCounting()
-		}
-		return rel
+		return relation.NewSharded(rd.Name, rep, rd.Arity, orders, cfg.Shards, rd.ShardCol())
 	}
-	rel := relation.New(rd.Name, rep, rd.Arity, orders)
-	if rd.Counting {
-		rel.EnableCounting()
-	}
-	return rel
+	return relation.New(rd.Name, rep, rd.Arity, orders)
 }
 
 // shardable reports whether the declaration gets hash-partitioned indexes
 // under the configuration: sharding must be on, the translator must have
 // stamped a shard plan (nullary and eqrel relations never carry one), and
 // the store must be an in-memory set adapter — the legacy comparator store
-// keeps its own layout, and counting sidecars are maintained at the
-// relation level either way.
+// keeps its own layout.
 func shardable(rd *ram.Relation, cfg Config) bool {
 	return cfg.Shards >= 1 && !cfg.Legacy &&
 		rd.ShardKey > 0 && rd.Arity > 0 && rd.Rep != ram.RepEqRel
@@ -378,9 +369,9 @@ func (e *Engine) EvalUpdate() error {
 
 // EvalDelete incrementally retracts the facts staged with DeleteFacts: it
 // runs Program.Delete, which computes the exact set of tuples losing their
-// last derivation (support counting for non-recursive strata, overdelete +
-// rederive for recursive ones) and removes them. The engine stays
-// PhaseReady. The delete tree is generated on first use.
+// last derivation (overdelete, then rederive, stratum by stratum) and
+// removes them. The engine stays PhaseReady. The delete tree is generated
+// on first use.
 func (e *Engine) EvalDelete() error {
 	if e.phase != PhaseReady {
 		return fmt.Errorf("interp: EvalDelete in phase %s (want ready)", e.phase)
@@ -432,9 +423,9 @@ func (e *Engine) DeleteFacts(name string, tuples []tuple.Tuple) (int, error) {
 }
 
 // Reset clears every relation outside the keep set (nil keeps none),
-// scratch relations, freshness trackers and support counts included, and
-// returns the engine to PhaseNew, keeping the generated trees and index
-// structures for reuse. A resident database keeps its EDB relations.
+// scratch relations and freshness trackers included, and returns the
+// engine to PhaseNew, keeping the generated trees and index structures for
+// reuse. A resident database keeps its EDB relations.
 func (e *Engine) Reset(keep func(*relation.Relation) bool) {
 	for _, r := range e.rels {
 		if keep == nil || !keep(r) {

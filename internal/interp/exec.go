@@ -166,24 +166,6 @@ func (ex *executor) execute(n *inode, ctx *context) value.Value {
 			}
 			n.rel.Delete(t)
 		}
-	case opCountMerge:
-		mspan := ex.tel.Begin()
-		n.rel2.RangeCounts(func(t tuple.Tuple, m int32) {
-			if n.rel.AddCount(t, m) {
-				n.rel3.Insert(t)
-			}
-		})
-		ex.tel.End(mspan, "count-merge", n.rel.Name)
-		return 0
-	case opCountDelete:
-		dspan := ex.tel.Begin()
-		n.rel2.RangeCounts(func(t tuple.Tuple, m int32) {
-			if n.rel.DecCount(t, m) {
-				n.rel3.Insert(t)
-			}
-		})
-		ex.tel.End(dspan, "count-delete", n.rel.Name)
-		return 0
 	case opIO:
 		iospan := ex.tel.Begin()
 		ex.execIO(n)

@@ -96,10 +96,6 @@ func (g *generator) genStatement(s ram.Statement) *inode {
 			g.err = fmt.Errorf("interp: SUBTRACT %s FROM %s: %v relations cannot delete tuples", s.Src.Name, dst.Name, dst.Rep())
 		}
 		return &inode{op: opSubtract, rel: dst, rel2: g.relation(s.Src), shadow: s}
-	case *ram.CountMerge:
-		return &inode{op: opCountMerge, rel: g.relation(s.Dst), rel2: g.relation(s.Src), rel3: g.relation(s.Fresh), shadow: s}
-	case *ram.CountDelete:
-		return &inode{op: opCountDelete, rel: g.relation(s.Dst), rel2: g.relation(s.Src), rel3: g.relation(s.Gone), shadow: s}
 	case *ram.IO:
 		return &inode{op: opIO, rel: g.relation(s.Rel), a: int32(s.Kind), shadow: s}
 	case *ram.LogTimer:
@@ -292,16 +288,8 @@ func (g *generator) genOperation(o ram.Operation) *inode {
 
 	case *ram.Project:
 		rel := g.relation(o.Rel)
-		op := g.scanOpcode(opInsert, rel)
-		if rel.Counting() {
-			// Counting relations track per-tuple support: every insert
-			// attempt must flow through Relation.Insert (or a staging
-			// buffer's InsertAll), so the specialized direct-to-index
-			// insert forms are disabled for them.
-			op = opInsert
-		}
 		n := &inode{
-			op:     op,
+			op:     g.scanOpcode(opInsert, rel),
 			rel:    rel,
 			relID:  int32(o.Rel.ID),
 			staged: g.inParallel,

@@ -25,8 +25,6 @@ const (
 	opSwap
 	opMerge
 	opSubtract
-	opCountMerge
-	opCountDelete
 	opIO
 	opLogTimer
 
@@ -98,7 +96,6 @@ type inode struct {
 	// relational operands
 	rel    *relation.Relation // target relation
 	rel2   *relation.Relation // second relation (swap, merge/subtract source)
-	rel3   *relation.Relation // third relation (count-merge fresh, count-delete gone)
 	idx    relation.Index     // chosen index (dynamic path)
 	impls  []any              // concrete stores for the static path, see shards
 	orders []tuple.Order      // per-index orders (inserts)

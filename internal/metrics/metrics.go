@@ -117,9 +117,9 @@ func (rs *RelationStats) CountBulk(attempted, added int) {
 	rs.DedupHits += uint64(attempted - added)
 }
 
-// CountDelete records one physical tuple retraction. Like CountInsert it
+// CountRetract records one physical tuple retraction. Like CountInsert it
 // must only be called while holding the mutation right on the relation.
-func (rs *RelationStats) CountDelete() {
+func (rs *RelationStats) CountRetract() {
 	rs.Deletes++
 }
 

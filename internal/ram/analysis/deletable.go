@@ -7,19 +7,18 @@ import (
 	"sti/internal/sema"
 )
 
-// Deletable decides whether a Delete program (counting-based retraction for
-// non-recursive strata, overdelete/rederive for recursive ones) is sound for
-// p, returning the first obstruction as a reason string when it is not.
+// Deletable decides whether a Delete program (overdelete/rederive for every
+// stratum) is sound for p, returning the first obstruction as a reason string when it is not.
 //
 // Three obstructions exist:
 //
 //   - Non-monotone rules. Negation and aggregates make retraction
-//     non-antitone: removing a fact can *add* derived tuples, which neither
-//     counting nor DRed models. This subsumes the Update gate — a deletable
+//     non-antitone: removing a fact can *add* derived tuples, which DRed
+//     does not model. This subsumes the Update gate — a deletable
 //     program always has an update program.
 //   - EqRel relations. The union-find closes pairs no insert ever mentioned
-//     and has no per-pair removal, so neither support counts nor
-//     overdeletion can be expressed over it.
+//     and has no per-pair removal, so overdeletion cannot be expressed over
+//     it.
 //   - Input-and-derived relations. A tuple of such a relation may be held up
 //     both by an EDB assertion and by rules; retraction would need to
 //     attribute each tuple to its origin, which the EDB/IDB split of the

@@ -152,12 +152,6 @@ func (p *printer) stmt(s Statement, depth int) {
 		p.line(depth, []any{s}, "MERGE %s INTO %s", relName(s.Src), relName(s.Dst))
 	case *Subtract:
 		p.line(depth, []any{s}, "SUBTRACT %s FROM %s", relName(s.Src), relName(s.Dst))
-	case *CountMerge:
-		p.line(depth, []any{s}, "COUNT-MERGE %s INTO %s FRESH %s",
-			relName(s.Src), relName(s.Dst), relName(s.Fresh))
-	case *CountDelete:
-		p.line(depth, []any{s}, "COUNT-DELETE %s FROM %s GONE %s",
-			relName(s.Src), relName(s.Dst), relName(s.Gone))
 	case *IO:
 		switch s.Kind {
 		case IOLoad:

@@ -50,11 +50,6 @@ type Relation struct {
 	// check that update sections stay within their own stratum's scratch
 	// space.
 	Stratum int
-	// Counting marks a relation that maintains per-tuple support counts
-	// (the number of derivations producing each tuple) so the Delete entry
-	// point can retract without rederivation. Only non-recursive IDB
-	// relations and their cbuf buffers are counting.
-	Counting bool
 	// ShardKey is the relation's partition column for shard-parallel
 	// evaluation, stored 1-based (column index + 1) so the zero value means
 	// "no shard plan". It is stamped by ast2ram from the join-key analysis
@@ -79,14 +74,13 @@ const (
 	AuxNew                   // new_R: tuples derived in the current iteration
 	AuxRecent                // recent_R: tuples fresh since the last Apply batch
 
-	// Delete-propagation scratch space (counting + DRed, see ast2ram/delete.go).
+	// Delete-propagation scratch space (DRed, see ast2ram/delete.go).
 	AuxDel      // del_R: tuples scheduled for physical removal from R
 	AuxDelDelta // ddel_R: overdeletion frontier of the previous iteration
 	AuxDelNew   // ndel_R: overdeletions derived in the current iteration
 	AuxRed      // red_R: overdeleted tuples proven to survive (rederived)
 	AuxRedDelta // dred_R: rederivation frontier of the previous iteration
 	AuxRedNew   // nred_R: rederivations derived in the current iteration
-	AuxCount    // cbuf_R: counting buffer holding per-derivation multiplicities
 )
 
 func (k AuxKind) String() string {
@@ -109,8 +103,6 @@ func (k AuxKind) String() string {
 		return "dred"
 	case AuxRedNew:
 		return "nred"
-	case AuxCount:
-		return "cbuf"
 	default:
 		return "none"
 	}
@@ -156,11 +148,11 @@ type Program struct {
 	// rule that breaks insert-monotonicity, so resident engines can report
 	// why incremental application is unavailable.
 	NoUpdateReason string
-	// Delete is the incremental retraction entry point: counting-based
-	// propagation for non-recursive strata and overdelete/rederive (DRed)
-	// for recursive ones, run after retracted EDB facts have been staged
-	// into the del_R relations. nil when the program is not deletable (see
-	// NoDeleteReason); deletable implies an Update program exists.
+	// Delete is the incremental retraction entry point: overdelete/rederive
+	// (DRed) for every stratum, run after retracted EDB facts have been
+	// staged into the del_R relations. nil when the program is not
+	// deletable (see NoDeleteReason); deletable implies an Update program
+	// exists.
 	Delete Statement
 	// NoDeleteReason explains a nil Delete ("" when a delete program was
 	// emitted), mirroring NoUpdateReason.
@@ -227,25 +219,6 @@ type Subtract struct {
 	Dst, Src *Relation
 }
 
-// CountMerge folds the per-tuple derivation counts of Src (an AuxCount
-// buffer) into the counting relation Dst; tuples whose support transitions
-// from zero to positive are inserted into Dst's indexes and recorded in
-// Fresh (the stratum's recent_R tracker).
-type CountMerge struct {
-	Dst, Src *Relation
-	Fresh    *Relation
-}
-
-// CountDelete subtracts the per-tuple derivation counts of Src (an AuxCount
-// buffer) from the counting relation Dst, clamping at zero; tuples whose
-// support transitions from positive to zero are recorded in Gone (the
-// stratum's del_R set) for later physical removal. Dst keeps the tuple until
-// the final Subtract pass so other strata still observe the old state.
-type CountDelete struct {
-	Dst, Src *Relation
-	Gone     *Relation
-}
-
 // IOKind selects an I/O action.
 type IOKind uint8
 
@@ -268,18 +241,16 @@ type LogTimer struct {
 	Stmt  Statement
 }
 
-func (*Sequence) isStatement()    {}
-func (*Loop) isStatement()        {}
-func (*Exit) isStatement()        {}
-func (*Query) isStatement()       {}
-func (*Clear) isStatement()       {}
-func (*Swap) isStatement()        {}
-func (*Merge) isStatement()       {}
-func (*Subtract) isStatement()    {}
-func (*CountMerge) isStatement()  {}
-func (*CountDelete) isStatement() {}
-func (*IO) isStatement()          {}
-func (*LogTimer) isStatement()    {}
+func (*Sequence) isStatement() {}
+func (*Loop) isStatement()     {}
+func (*Exit) isStatement()     {}
+func (*Query) isStatement()    {}
+func (*Clear) isStatement()    {}
+func (*Swap) isStatement()     {}
+func (*Merge) isStatement()    {}
+func (*Subtract) isStatement() {}
+func (*IO) isStatement()       {}
+func (*LogTimer) isStatement() {}
 
 // --- operations ---
 

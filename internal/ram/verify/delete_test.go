@@ -42,38 +42,6 @@ func findRel(t *testing.T, p *ram.Program, pred func(*ram.Relation) bool) *ram.R
 	return nil
 }
 
-// findStmt walks the delete tree and returns the first statement the
-// predicate accepts.
-func findStmt(t *testing.T, s ram.Statement, pred func(ram.Statement) bool) ram.Statement {
-	t.Helper()
-	var found ram.Statement
-	var walk func(ram.Statement)
-	walk = func(s ram.Statement) {
-		if s == nil || found != nil {
-			return
-		}
-		if pred(s) {
-			found = s
-			return
-		}
-		switch s := s.(type) {
-		case *ram.Sequence:
-			for _, sub := range s.Stmts {
-				walk(sub)
-			}
-		case *ram.Loop:
-			walk(s.Body)
-		case *ram.LogTimer:
-			walk(s.Stmt)
-		}
-	}
-	walk(s)
-	if found == nil {
-		t.Fatal("delete program has no statement matching the predicate")
-	}
-	return found
-}
-
 func assertRule(t *testing.T, p *ram.Program, rule string) {
 	t.Helper()
 	diags := verify.Program(p)
@@ -106,55 +74,26 @@ func TestBrokenDeletePrograms(t *testing.T) {
 		assertRule(t, prog, verify.RuleDeleteWrite)
 	})
 
-	t.Run("rederive-before-overdelete", func(t *testing.T) {
-		prog, _ := translate(t, deletableTC)
-		red := findRel(t, prog, func(r *ram.Relation) bool { return r.Kind == ram.AuxRed })
-		nred := findRel(t, prog, func(r *ram.Relation) bool { return r.Kind == ram.AuxRedNew })
-		// A red-family write hoisted before the overdeletion fixpoint makes
-		// every later del-family write of the same base a violation.
-		seq := prog.Delete.(*ram.Sequence)
-		seq.Stmts = append([]ram.Statement{&ram.Merge{Dst: red, Src: nred}}, seq.Stmts...)
-		assertRule(t, prog, verify.RuleDeleteOrder)
-	})
-
-	t.Run("count-delete-from-non-count-buffer", func(t *testing.T) {
-		prog, _ := translate(t, deletableFlat)
-		cd := findStmt(t, prog.Delete, func(s ram.Statement) bool {
-			_, ok := s.(*ram.CountDelete)
-			return ok
-		}).(*ram.CountDelete)
-		cd.Src = cd.Gone // a del tracker carries no multiplicities
-		assertRule(t, prog, verify.RuleCountShape)
-	})
-
-	t.Run("count-delete-into-uncounted-relation", func(t *testing.T) {
-		prog, _ := translate(t, deletableFlat)
-		edge := findRel(t, prog, func(r *ram.Relation) bool { return r.Input })
-		cd := findStmt(t, prog.Delete, func(s ram.Statement) bool {
-			_, ok := s.(*ram.CountDelete)
-			return ok
-		}).(*ram.CountDelete)
-		cd.Dst = edge // EDB relations maintain no support counts
-		assertRule(t, prog, verify.RuleCountShape)
-	})
-
-	// The union-find has no per-pair removal: the final SUBTRACT pass and
-	// count propagation must never take tuples out of an eqrel relation.
-	t.Run("subtract-from-eqrel", func(t *testing.T) {
-		prog, _ := translate(t, deletableTC)
-		findRel(t, prog, func(r *ram.Relation) bool { return r.Output }).Rep = ram.RepEqRel
-		assertRule(t, prog, verify.RuleDeleteTarget)
-	})
-
-	t.Run("count-delete-from-eqrel", func(t *testing.T) {
-		prog, _ := translate(t, deletableFlat)
-		out := findRel(t, prog, func(r *ram.Relation) bool { return r.Output })
-		out.Rep = ram.RepEqRel
-		// Leave only the count propagation targeting out.
-		prog.Delete = findStmt(t, prog.Delete, func(s ram.Statement) bool {
-			cd, ok := s.(*ram.CountDelete)
-			return ok && cd.Dst == out
+	// The ordering and eqrel rules guard every stratum's retraction, so
+	// each case runs on the recursive and on the non-recursive program.
+	for _, c := range []struct{ suffix, src string }{{"", deletableTC}, {"-flat", deletableFlat}} {
+		t.Run("rederive-before-overdelete"+c.suffix, func(t *testing.T) {
+			prog, _ := translate(t, c.src)
+			red := findRel(t, prog, func(r *ram.Relation) bool { return r.Kind == ram.AuxRed })
+			nred := findRel(t, prog, func(r *ram.Relation) bool { return r.Kind == ram.AuxRedNew })
+			// A red-family write hoisted before the overdeletion makes every
+			// later del-family write of the same base a violation.
+			seq := prog.Delete.(*ram.Sequence)
+			seq.Stmts = append([]ram.Statement{&ram.Merge{Dst: red, Src: nred}}, seq.Stmts...)
+			assertRule(t, prog, verify.RuleDeleteOrder)
 		})
-		assertRule(t, prog, verify.RuleDeleteTarget)
-	})
+
+		// The union-find has no per-pair removal: the final SUBTRACT pass
+		// must never take tuples out of an eqrel relation.
+		t.Run("subtract-from-eqrel"+c.suffix, func(t *testing.T) {
+			prog, _ := translate(t, c.src)
+			findRel(t, prog, func(r *ram.Relation) bool { return r.Output }).Rep = ram.RepEqRel
+			assertRule(t, prog, verify.RuleDeleteTarget)
+		})
+	}
 }

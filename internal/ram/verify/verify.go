@@ -40,7 +40,7 @@ const (
 	RuleNilNode        = "nil-node"        // required child node is nil
 	RuleSwapShape      = "swap-shape"      // Swap operands have identical signatures
 	RuleMergeShape     = "merge-shape"     // Merge operands agree in arity and types
-	RuleDeleteTarget   = "delete-target"   // SUBTRACT / COUNT-DELETE never shrink an eqrel relation
+	RuleDeleteTarget   = "delete-target"   // SUBTRACT never shrinks an eqrel relation
 	RuleIOFlag         = "io-flag"         // IO statements match the relation's io flags
 	RuleIODup          = "io-dup"          // a relation is loaded/stored at most once
 	RuleTupleSlot      = "tuple-slot"      // binder TupleIDs fit the query's slot count
@@ -75,16 +75,15 @@ const (
 	RuleUpdateStratum = "update-stratum" // update writes never target a lower stratum than a read
 	RuleUpdateAlias   = "update-alias"   // update queries never read their insert targets
 
-	// Delete-program invariants (Program.Delete, the counting/DRed
-	// retraction entry point). The delete program must compute the dying
-	// sets without touching the physical relations — only the final
-	// SUBTRACT statements remove tuples — so every insert stays inside the
+	// Delete-program invariants (Program.Delete, the DRed retraction entry
+	// point). The delete program must compute the dying sets without
+	// touching the physical relations — only the final SUBTRACT
+	// statements remove tuples — so every insert stays inside the
 	// delete scratch space and rederivation never runs before its
 	// stratum's overdeletion has converged.
 	RuleDeleteNoIO  = "delete-no-io"               // the delete program performs no IO
 	RuleDeleteWrite = "delete-write-targets"       // delete inserts target delete-scratch aux relations only
 	RuleDeleteOrder = "overdelete-before-rederive" // per base relation, del-family writes precede all red-family writes
-	RuleCountShape  = "counts-nonnegative"         // COUNT-MERGE/COUNT-DELETE operands carry support counts of matching shape
 )
 
 // Diag is one invariant violation: the offending node (nil for
@@ -448,36 +447,6 @@ func (c *checker) stmt(s ram.Statement, inLoop bool) {
 		// SUBTRACT is the one statement allowed to shrink non-scratch
 		// relations (the phase-B removal pass and del := del - red), so it
 		// is exempt from delete-write-targets and the ordering rule.
-	case *ram.CountMerge:
-		okD := c.relDeclared(s, s.Dst, "COUNT-MERGE")
-		okS := c.relDeclared(s, s.Src, "COUNT-MERGE")
-		okF := c.relDeclared(s, s.Fresh, "COUNT-MERGE")
-		if okD && okS && okF {
-			c.countShape(s, "COUNT-MERGE", s.Dst, s.Src)
-			if s.Fresh.Kind != ram.AuxRecent {
-				c.addf(s, RuleCountShape, "COUNT-MERGE into %s reports fresh tuples to %s (kind %s), want a recent tracker", s.Dst.Name, s.Fresh.Name, s.Fresh.Kind)
-			}
-			if s.Dst.Arity != s.Fresh.Arity || !sameTypes(s.Dst, s.Fresh) {
-				c.addf(s, RuleCountShape, "COUNT-MERGE into %s and fresh tracker %s have mismatched signatures (arity %d vs %d)", s.Dst.Name, s.Fresh.Name, s.Dst.Arity, s.Fresh.Arity)
-			}
-		}
-	case *ram.CountDelete:
-		okD := c.relDeclared(s, s.Dst, "COUNT-DELETE")
-		okS := c.relDeclared(s, s.Src, "COUNT-DELETE")
-		okG := c.relDeclared(s, s.Gone, "COUNT-DELETE")
-		if okD && okS && okG {
-			c.deleteTarget(s, s.Dst, "COUNT-DELETE")
-			c.countShape(s, "COUNT-DELETE", s.Dst, s.Src)
-			if s.Gone.Kind != ram.AuxDel {
-				c.addf(s, RuleCountShape, "COUNT-DELETE from %s reports dead tuples to %s (kind %s), want a del tracker", s.Dst.Name, s.Gone.Name, s.Gone.Kind)
-			}
-			if s.Dst.Arity != s.Gone.Arity || !sameTypes(s.Dst, s.Gone) {
-				c.addf(s, RuleCountShape, "COUNT-DELETE from %s and del tracker %s have mismatched signatures (arity %d vs %d)", s.Dst.Name, s.Gone.Name, s.Dst.Arity, s.Gone.Arity)
-			}
-			if c.inDelete {
-				c.deleteWrite(s, s.Gone, "COUNT-DELETE")
-			}
-		}
 	case *ram.IO:
 		if !c.relDeclared(s, s.Rel, "IO") {
 			return
@@ -690,25 +659,6 @@ func (c *checker) updateQuery(q *ram.Query) {
 	}
 }
 
-// countShape checks the (Dst, Src) pair shared by COUNT-MERGE and
-// COUNT-DELETE: the destination maintains per-tuple support counts, the
-// source is a multiplicity buffer, and their signatures agree — the shape
-// that keeps support counts non-negative and exact.
-func (c *checker) countShape(node any, what string, dst, src *ram.Relation) {
-	if !dst.Counting {
-		c.addf(node, RuleCountShape, "%s targets %s, which does not maintain support counts", what, dst.Name)
-	}
-	if src.Kind != ram.AuxCount {
-		c.addf(node, RuleCountShape, "%s reads multiplicities from %s (kind %s), want a count buffer", what, src.Name, src.Kind)
-	} else if !src.Counting {
-		c.addf(node, RuleCountShape, "%s count buffer %s does not maintain support counts", what, src.Name)
-	}
-	if dst.Arity != src.Arity || !sameTypes(dst, src) {
-		c.addf(node, RuleCountShape, "%s %s and %s have mismatched signatures (arity %d vs %d)", what, src.Name, dst.Name, src.Arity, dst.Arity)
-	}
-}
-
-// delFamily reports whether kind belongs to the overdeletion scratch space.
 // deleteTarget is the static side of the interpreter's generation-time
 // refusal: the union-find behind an eqrel has no per-pair removal, so no
 // statement may take tuples out of one.
@@ -718,6 +668,7 @@ func (c *checker) deleteTarget(node any, rel *ram.Relation, what string) {
 	}
 }
 
+// delFamily reports whether kind belongs to the overdeletion scratch space.
 func delFamily(k ram.AuxKind) bool {
 	return k == ram.AuxDel || k == ram.AuxDelDelta || k == ram.AuxDelNew
 }
@@ -728,15 +679,15 @@ func redFamily(k ram.AuxKind) bool {
 }
 
 // deleteWrite enforces the two write rules of the delete program on one
-// written relation: writes stay inside the delete scratch space (count
-// buffers and the del/red families — the physical relations only shrink,
-// via the exempt SUBTRACT statements), and once a base relation's
-// rederivation scratch has been written, its del family is frozen
+// written relation: writes stay inside the delete scratch space (the
+// del/red families — the physical relations only shrink, via the exempt
+// SUBTRACT statements), and once a base relation's rederivation scratch
+// has been written, its del family is frozen
 // (overdelete-before-rederive: rederivation reads del_R as the exact
 // overdeleted set, so growing it afterwards would unsoundly skip tuples).
 func (c *checker) deleteWrite(node any, rel *ram.Relation, what string) {
-	if !rel.Aux || !(rel.Kind == ram.AuxCount || delFamily(rel.Kind) || redFamily(rel.Kind)) {
-		c.addf(node, RuleDeleteWrite, "delete %s writes %s (kind %s), want a count buffer or del/red tracker", what, rel.Name, rel.Kind)
+	if !rel.Aux || !(delFamily(rel.Kind) || redFamily(rel.Kind)) {
+		c.addf(node, RuleDeleteWrite, "delete %s writes %s (kind %s), want a del/red tracker", what, rel.Name, rel.Kind)
 		return
 	}
 	if redFamily(rel.Kind) {

@@ -274,11 +274,6 @@ func (o *optimizer) choiceBody(tid int, nested ram.Operation) (ram.Condition, ra
 	if !ok {
 		return nil, nil, false
 	}
-	// Counting targets record one support unit per witness, so collapsing
-	// the scan to its first match would corrupt the counts.
-	if proj.Rel != nil && proj.Rel.Counting {
-		return nil, nil, false
-	}
 	for _, e := range proj.Exprs {
 		if readsTuple(e, tid) {
 			return nil, nil, false

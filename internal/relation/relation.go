@@ -14,8 +14,6 @@
 // is observationally identical to an unsharded one. counted.go provides the
 // other wrapper, countedIndex: the one place index operations are counted,
 // built only when a telemetry collector is attached (internal/metrics).
-// Relations also carry the support-count sidecar for counting-based
-// incremental deletion (counts.go).
 //
 // Index is a small core; what only some stores can do (bulk load, delete,
 // split a scan) is a capability a Relation looks up once when it is built
@@ -45,9 +43,6 @@ type Relation struct {
 	bulk  []BulkInserter
 	del   []Deleter
 	stats *metrics.RelationStats
-	// counts is the support-count sidecar for counting-based deletion
-	// (counts.go); nil for ordinary set-semantics relations.
-	counts map[countKey]int32
 	// shards/shardKey describe the hash partitioning of a sharded relation
 	// (sharded.go); shards == 0 means unsharded.
 	shards   int
@@ -162,13 +157,25 @@ func (r *Relation) Insert(t tuple.Tuple) bool {
 	for _, idx := range r.indexes[1:] {
 		idx.Insert(t)
 	}
-	if r.counts != nil {
-		r.counts[r.key(t)]++
-	}
 	if r.stats != nil {
 		r.stats.CountInsert(added)
 	}
 	return added
+}
+
+// Delete removes a source-order tuple from every index, reporting whether
+// the primary index contained it. The relation must be Deletable.
+func (r *Relation) Delete(t tuple.Tuple) bool {
+	removed := r.del[0].Delete(t)
+	if removed {
+		for _, d := range r.del[1:] {
+			d.Delete(t)
+		}
+		if r.stats != nil {
+			r.stats.CountRetract()
+		}
+	}
+	return removed
 }
 
 // Contains tests membership of a source-order tuple.
@@ -180,13 +187,10 @@ func (r *Relation) Size() int { return r.indexes[0].Size() }
 // Empty reports whether the relation holds no tuples.
 func (r *Relation) Empty() bool { return r.Size() == 0 }
 
-// Clear removes all tuples from all indexes, and all support counts.
+// Clear removes all tuples from all indexes.
 func (r *Relation) Clear() {
 	for _, idx := range r.indexes {
 		idx.Clear()
-	}
-	if r.counts != nil {
-		clear(r.counts)
 	}
 }
 
@@ -199,7 +203,6 @@ func (r *Relation) SwapContents(o *Relation) {
 	for i := range r.indexes {
 		r.indexes[i].SwapContents(o.indexes[i])
 	}
-	r.counts, o.counts = o.counts, r.counts
 }
 
 // Scan enumerates the primary index in source order (decoding if the primary

@@ -79,23 +79,27 @@ func implementers() []implementer {
 	}
 }
 
+// refKey is an encoded tuple flattened into a fixed-size array so it can key
+// a map. Slots past the arity stay zero.
+type refKey [MaxArity]value.Value
+
 // refSet is the map-backed reference of the contract script: a set of
 // encoded tuples. With eq set it is closed under equivalence after every
 // insert, which is what an eqrel index stores.
 type refSet struct {
-	set map[countKey]bool
+	set map[refKey]bool
 	eq  bool
 }
 
 func (r *refSet) insert(enc tuple.Tuple) bool {
 	before := len(r.set)
-	var k countKey
+	var k refKey
 	copy(k[:], enc)
 	r.set[k] = true
 	for grew := r.eq; grew; {
 		grew = false
 		add := func(a, b value.Value) {
-			if k := (countKey{a, b}); !r.set[k] {
+			if k := (refKey{a, b}); !r.set[k] {
 				r.set[k], grew = true, true
 			}
 		}
@@ -134,7 +138,7 @@ func coreScript(t *testing.T, idx Index, order tuple.Order, src []tuple.Tuple) (
 	t.Helper()
 	arity := len(order)
 	_, eq := idx.impl().(*eqrel.Rel)
-	ref := &refSet{set: map[countKey]bool{}, eq: eq}
+	ref := &refSet{set: map[refKey]bool{}, eq: eq}
 
 	half := len(src) / 2
 	for _, s := range src[:half] {
@@ -517,5 +521,75 @@ func BenchmarkInsertBTreeAdapter(b *testing.B) {
 				idx.Insert(tup)
 			}
 		})
+	}
+}
+
+// TestIndexDeleteContract exercises the Delete seam of every representation:
+// hits and misses, size accounting, and iteration after retraction.
+func TestIndexDeleteContract(t *testing.T) {
+	for _, rep := range allReps {
+		idx := NewIndex(rep, tuple.Identity(2)).(interface {
+			Index
+			Deleter
+		})
+		rng := rand.New(rand.NewSource(7))
+		model := map[[2]value.Value]bool{}
+		for step := 0; step < 5000; step++ {
+			k := [2]value.Value{value.Value(rng.Intn(100)), value.Value(rng.Intn(100))}
+			tup := tuple.Tuple{k[0], k[1]}
+			if rng.Intn(3) == 0 {
+				if idx.Delete(tup) != model[k] {
+					t.Fatalf("%v step %d: Delete(%v) disagrees with model", rep, step, tup)
+				}
+				delete(model, k)
+			} else {
+				if idx.Insert(tup) == model[k] {
+					t.Fatalf("%v step %d: Insert(%v) newness disagrees with model", rep, step, tup)
+				}
+				model[k] = true
+			}
+		}
+		if idx.Size() != len(model) {
+			t.Fatalf("%v: size %d, model %d", rep, idx.Size(), len(model))
+		}
+		for _, tup := range drain(idx.Scan()) {
+			if !model[[2]value.Value{tup[0], tup[1]}] {
+				t.Fatalf("%v: scan yielded deleted tuple %v", rep, tup)
+			}
+		}
+	}
+}
+
+func TestNullaryDelete(t *testing.T) {
+	idx := NewIndex(BTree, tuple.Identity(0)).(interface {
+		Index
+		Deleter
+	})
+	if idx.Delete(tuple.Tuple{}) {
+		t.Fatal("delete from empty nullary reported a hit")
+	}
+	idx.Insert(tuple.Tuple{})
+	if !idx.Delete(tuple.Tuple{}) || idx.Size() != 0 {
+		t.Fatal("nullary delete failed")
+	}
+	if idx.Delete(tuple.Tuple{}) {
+		t.Fatal("second nullary delete reported a hit")
+	}
+}
+
+// TestRelationDelete checks that Relation.Delete removes a tuple from every
+// index and reports whether the primary held it.
+func TestRelationDelete(t *testing.T) {
+	r := New("t", BTree, 2, []tuple.Order{tuple.Identity(2), {1, 0}})
+	ab := tuple.Tuple{1, 2}
+	r.Insert(ab)
+	if !r.Delete(ab) {
+		t.Fatal("Delete missed a present tuple")
+	}
+	if r.Contains(ab) || r.Index(1).Contains(tuple.Tuple{2, 1}) {
+		t.Fatal("Delete left the tuple in an index")
+	}
+	if r.Delete(ab) {
+		t.Fatal("second Delete reported a hit")
 	}
 }

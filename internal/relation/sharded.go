@@ -336,9 +336,6 @@ func (r *Relation) InsertAllSharded(bufs []*StagingBuffer) (added int, routed []
 		home := w % shards
 		for i := 0; i < b.count; i++ {
 			t := b.Tuple(i)
-			if r.counts != nil {
-				r.counts[r.key(t)]++
-			}
 			sh := ShardOf(t[primary.key], shards)
 			routed[sh]++
 			if sh != home {

@@ -83,9 +83,6 @@ func (r *Relation) InsertAll(bufs ...*StagingBuffer) int {
 		attempted += b.count
 		for i := 0; i < b.count; i++ {
 			t := b.Tuple(i)
-			if r.counts != nil {
-				r.counts[r.key(t)]++
-			}
 			if primary.Insert(t) {
 				added++
 				if collect {
