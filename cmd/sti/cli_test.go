@@ -204,6 +204,17 @@ func checkTraceFile(t *testing.T, after, path string) {
 	}
 }
 
+// TestVetAuxLikeNames: a program declaring relations named like the
+// translator's companions of its other relations (delta_path next to a
+// recursive path, ...) verifies clean.
+func TestVetAuxLikeNames(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "vet", filepath.Join("..", "..", "testdata", "aux_names.dl"))
+	cmd.Env = append(os.Environ(), "STI_CLI_TEST=1")
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("sti vet: %v\n%s", err, out)
+	}
+}
+
 func TestSplitFields(t *testing.T) {
 	for _, c := range []struct {
 		body string

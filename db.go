@@ -118,7 +118,7 @@ func (p *Program) Open(opts ...Option) (*Database, error) {
 		// Program-text facts share an EDB relation with applied ones. Such an
 		// input relation is not deletable ("both input and derived"), so a
 		// deletion from it recomputes, and Eval re-inserts the program facts.
-		if !rd.Aux {
+		if !rd.IsAux() {
 			db.edb[rd.Name] = nil // derived or eqrel: the exception
 			if rd.Rep != ram.RepEqRel && !p.sem.Rel(rd.Name).HasProperRule() {
 				db.edb[rd.Name] = eng.Relation(rd.Name)
@@ -841,7 +841,7 @@ func (db *Database) Stats() DBStats {
 		Requests:           db.obs.Stats(),
 	}
 	for _, rd := range db.prog.ram.Relations {
-		if !rd.Aux {
+		if !rd.IsAux() {
 			st.Relations[rd.Name] = db.eng.Relation(rd.Name).Size()
 		}
 	}

@@ -3,11 +3,14 @@ package sti
 import (
 	"fmt"
 	"math/rand"
+	"os"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"sti/internal/ram/verify"
 )
 
 // tcProgram builds the transitive-closure fixture with a configurable
@@ -802,6 +805,89 @@ func TestInterleavedDeleteEquivalence(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestAuxLikeRelationNames: a program may declare relations named like the
+// translator's companions of its other relations (testdata/aux_names.dl).
+// They stay distinct relations: the translation verifies, Run matches the
+// same program with those relations renamed, and a resident database
+// absorbing insertions and retractions stays incremental and matches a
+// one-shot run.
+func TestAuxLikeRelationNames(t *testing.T) {
+	src, err := os.ReadFile("testdata/aux_names.dl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := MustParse(string(src))
+	if err := verify.Check(p.ram, "test"); err != nil {
+		t.Fatal(err)
+	}
+	rename := strings.NewReplacer("delta_path", "d_path", "new_path", "n_path", "recent_edge", "r_edge", "del_path", "x_path")
+	renamed := MustParse(rename.Replace(string(src)))
+	rp := residentProgram{
+		name: "aux-names",
+		src:  string(src),
+		facts: func(e [2]int) []fact {
+			fs := []fact{{"edge", []any{e[0], e[1]}}}
+			if (e[0]+e[1])%3 == 0 {
+				fs = append(fs, fact{"recent_edge", []any{e[1], e[0]}})
+			}
+			return fs
+		},
+		outputs: []string{"path", "delta_path", "new_path", "del_path"},
+	}
+	edges := randomEdges(40, 12, 3)
+	in, inRenamed := p.NewInput(), renamed.NewInput()
+	for _, e := range edges {
+		for _, f := range rp.facts(e) {
+			in.Add(f.rel, f.args...)
+			inRenamed.Add(rename.Replace(f.rel), f.args...)
+		}
+	}
+	res, err := p.Run(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := renamed.Run(inRenamed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range rp.outputs {
+		got, exp := res.Rows(name), want.Rows(rename.Replace(name))
+		if len(got) == 0 || fmt.Sprint(got) != fmt.Sprint(exp) {
+			t.Fatalf("%s: %d rows, renamed program %d\n%v\n%v", name, len(got), len(exp), got, exp)
+		}
+	}
+
+	// Batches of five insertions; every batch after the first also retracts
+	// the edges of the batch before it.
+	_, db := openResident(t, rp, WithWorkers(1))
+	defer db.Close()
+	if !db.Deletable() {
+		t.Fatal("aux-names should support incremental deletion")
+	}
+	facts := factSet{}
+	for i := 0; i < len(edges); i += 5 {
+		b := db.NewBatch()
+		for _, e := range edges[i:min(i+5, len(edges))] {
+			for _, f := range rp.facts(e) {
+				b.Add(f.rel, f.args...)
+				facts.add(f)
+			}
+		}
+		if i > 0 {
+			for _, e := range edges[i-5 : i] {
+				for _, f := range rp.facts(e) {
+					b.Delete(f.rel, f.args...)
+					facts.remove(f)
+				}
+			}
+		}
+		if err := db.Apply(b); err != nil {
+			t.Fatalf("batch %d: apply: %v", i/5, err)
+		}
+		checkOutputs(t, db, p, rp, facts, fmt.Sprintf("aux-names batch %d", i/5))
 	}
 }
 

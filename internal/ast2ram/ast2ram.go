@@ -1,7 +1,29 @@
 // Package ast2ram translates an analyzed Datalog program into a RAM program
 // (paper §2, Fig 1): facts become insertions, rules become nested-loop query
-// trees, and recursive strata become semi-naive fixpoint loops over
-// delta/new relations with the structure of the paper's Fig 3.
+// trees, and recursive strata become semi-naive fixpoint loops with the
+// structure of the paper's Fig 3.
+//
+// One translation emits three entry points: Main evaluates from scratch,
+// Update (update.go) restarts every stratum from freshly inserted facts, and
+// Delete (delete.go) retracts by DRed. They share three pieces:
+//
+//   - One aux table (translator.aux), keyed by ram.AuxKind and source
+//     relation name, holds every companion relation: delta/new, the
+//     recent_R freshness trackers and the DRed scratch families. declareAux
+//     is the one place that creates them, named @<kind>_<R> in RAM text
+//     (@delta_path, @new_path): the lexer never starts an identifier with
+//     @, so no user relation can share an aux relation's name.
+//   - One fixpoint builder (fixpoint) emits every LOOP — Main's and
+//     Update's semi-naive loops and Delete's overdelete and rederive loops —
+//     from an (accumulator, delta, new) triple per stratum relation: run the
+//     variants, EXIT once every new set is empty, fold new into the
+//     accumulator (and an extra tracker), rotate it into delta.
+//   - One rule translator (translateRule, rule.go) emits every variant from
+//     a version. Its subst map redirects body atoms to aux relations, and
+//     one rule picks the atom that drives the join: delta atoms keep the
+//     written order (the paper's semi-naive shape), any other substituted
+//     tracker (recent, del, ddel, dred) holds a batch-sized change set and
+//     is rotated to the outermost level.
 //
 // The translation also runs automatic index selection (internal/indexselect)
 // so that every primitive search in the emitted RAM program is a prefix
@@ -39,15 +61,7 @@ func Translate(p *sema.Program, st *symtab.Table) (*ram.Program, error) {
 		sem:     p,
 		st:      st,
 		rels:    map[string]*ram.Relation{},
-		deltas:  map[string]*ram.Relation{},
-		news:    map[string]*ram.Relation{},
-		recents: map[string]*ram.Relation{},
-		dels:    map[string]*ram.Relation{},
-		ddels:   map[string]*ram.Relation{},
-		ndels:   map[string]*ram.Relation{},
-		reds:    map[string]*ram.Relation{},
-		dreds:   map[string]*ram.Relation{},
-		nreds:   map[string]*ram.Relation{},
+		aux:     map[ram.AuxKind]map[string]*ram.Relation{},
 		pending: map[*ram.Relation][]patch{},
 	}
 	if err := t.run(); err != nil {
@@ -75,20 +89,13 @@ type translator struct {
 	st  *symtab.Table
 	out *ram.Program
 
-	rels    map[string]*ram.Relation // source relations by name
-	deltas  map[string]*ram.Relation // delta_R by source name
-	news    map[string]*ram.Relation // new_R by source name
-	recents map[string]*ram.Relation // recent_R by source name (update program)
-
-	// Delete-program scratch space, by source name (delete.go). dels exists
-	// for every source relation; the ddel/ndel/red/dred/nred families for
+	rels map[string]*ram.Relation // source relations by name
+	// aux holds the companion relations by role, then by source name:
+	// delta/new for relations of recursive strata (eqrel: new only), recent
+	// for every non-eqrel relation of an insert-monotone program, del for
+	// every relation of a deletable one, and the other DRed families for
 	// relations some proper rule derives.
-	dels  map[string]*ram.Relation
-	ddels map[string]*ram.Relation
-	ndels map[string]*ram.Relation
-	reds  map[string]*ram.Relation
-	dreds map[string]*ram.Relation
-	nreds map[string]*ram.Relation
+	aux map[ram.AuxKind]map[string]*ram.Relation
 
 	pending  map[*ram.Relation][]patch
 	ruleID   int
@@ -116,20 +123,17 @@ func (t *translator) run() error {
 		t.rels[rel.Name] = rel
 	}
 	// Declare delta/new for relations in recursive strata (except eqrel,
-	// which is evaluated naively within its stratum; see below).
+	// which is evaluated naively within its stratum; see deltaVariants).
 	for _, s := range t.sem.Strata {
 		if !s.Recursive {
 			continue
 		}
 		for _, r := range s.Rels {
 			base := t.rels[r.Name()]
-			if base.Rep == ram.RepEqRel {
-				nw := t.auxRelation("new_"+r.Name(), base, ram.AuxNew)
-				t.news[r.Name()] = nw
-				continue
+			if base.Rep != ram.RepEqRel {
+				t.declareAux(ram.AuxDelta, base)
 			}
-			t.deltas[r.Name()] = t.auxRelation("delta_"+r.Name(), base, ram.AuxDelta)
-			t.news[r.Name()] = t.auxRelation("new_"+r.Name(), base, ram.AuxNew)
+			t.declareAux(ram.AuxNew, base)
 		}
 	}
 	// Declare recent_R freshness trackers for the update program. Every
@@ -143,11 +147,9 @@ func (t *translator) run() error {
 	t.out.NoUpdateReason = mono.Reason()
 	if t.monotone {
 		for _, r := range t.sem.RelList {
-			base := t.rels[r.Name()]
-			if base.Rep == ram.RepEqRel {
-				continue
+			if base := t.rels[r.Name()]; base.Rep != ram.RepEqRel {
+				t.declareAux(ram.AuxRecent, base)
 			}
-			t.recents[r.Name()] = t.auxRelation("recent_"+r.Name(), base, ram.AuxRecent)
 		}
 	}
 	// Delete-program scratch space. Every source relation gets del_R (the
@@ -158,13 +160,11 @@ func (t *translator) run() error {
 	if deletable {
 		for _, r := range t.sem.RelList {
 			base := t.rels[r.Name()]
-			t.dels[r.Name()] = t.auxRelation("del_"+r.Name(), base, ram.AuxDel)
+			t.declareAux(ram.AuxDel, base)
 			if r.HasProperRule() {
-				t.ddels[r.Name()] = t.auxRelation("ddel_"+r.Name(), base, ram.AuxDelDelta)
-				t.ndels[r.Name()] = t.auxRelation("ndel_"+r.Name(), base, ram.AuxDelNew)
-				t.reds[r.Name()] = t.auxRelation("red_"+r.Name(), base, ram.AuxRed)
-				t.dreds[r.Name()] = t.auxRelation("dred_"+r.Name(), base, ram.AuxRedDelta)
-				t.nreds[r.Name()] = t.auxRelation("nred_"+r.Name(), base, ram.AuxRedNew)
+				for _, k := range []ram.AuxKind{ram.AuxDelDelta, ram.AuxDelNew, ram.AuxRed, ram.AuxRedDelta, ram.AuxRedNew} {
+					t.declareAux(k, base)
+				}
 			}
 		}
 	}
@@ -225,7 +225,7 @@ func (t *translator) run() error {
 		}
 		// Drain every freshness tracker so the next Apply starts clean.
 		for _, r := range t.sem.RelList {
-			if rc := t.recents[r.Name()]; rc != nil {
+			if rc := t.aux[ram.AuxRecent][r.Name()]; rc != nil {
 				upd = append(upd, &ram.Clear{Rel: rc})
 			}
 		}
@@ -246,7 +246,7 @@ func (t *translator) run() error {
 			}
 		}
 		for _, r := range t.sem.RelList {
-			d := t.dels[r.Name()]
+			d := t.aux[ram.AuxDel][r.Name()]
 			del = append(del, &ram.Subtract{Dst: t.rels[r.Name()], Src: d})
 			del = append(del, &ram.Clear{Rel: d})
 		}
@@ -259,26 +259,29 @@ func (t *translator) run() error {
 	return nil
 }
 
-// auxRelation declares a delta/new/recent companion. Aux relations of eqrel
+// declareAux declares base's companion relation of the given role as
+// @<kind>_<base> and records it in the aux table. Aux relations of eqrel
 // sources are plain B-trees of explicit pairs.
-func (t *translator) auxRelation(name string, base *ram.Relation, kind ram.AuxKind) *ram.Relation {
+func (t *translator) declareAux(kind ram.AuxKind, base *ram.Relation) {
 	rep := base.Rep
 	if rep == ram.RepEqRel {
 		rep = ram.RepBTree
 	}
 	rel := &ram.Relation{
 		ID:      len(t.out.Relations),
-		Name:    name,
+		Name:    "@" + kind.String() + "_" + base.Name,
 		Arity:   base.Arity,
 		Types:   base.Types,
 		Rep:     rep,
-		Aux:     true,
 		Kind:    kind,
 		BaseID:  base.ID,
 		Stratum: base.Stratum,
 	}
 	t.out.Relations = append(t.out.Relations, rel)
-	return rel
+	if t.aux[kind] == nil {
+		t.aux[kind] = map[string]*ram.Relation{}
+	}
+	t.aux[kind][base.Name] = rel
 }
 
 func repOf(r ast.Rep) ram.RepKind {
@@ -294,183 +297,194 @@ func repOf(r ast.Rep) ram.RepKind {
 
 // --- strata ---
 
-func (t *translator) translateStratum(s *sema.Stratum) (ram.Statement, error) {
-	// Gather the rules (non-fact clauses) of this stratum.
-	type rule struct {
-		rel    *sema.Rel
-		clause *ast.Clause
-	}
+// rule is one non-fact clause and the relation it defines.
+type rule struct {
+	rel    *sema.Rel
+	clause *ast.Clause
+}
+
+// stratumRules returns the rules (non-fact clauses) of stratum s and the
+// names of its relations.
+func stratumRules(s *sema.Stratum) ([]rule, map[string]bool) {
 	var rules []rule
+	inStratum := map[string]bool{}
 	for _, r := range s.Rels {
+		inStratum[r.Name()] = true
 		for _, c := range r.Clauses {
 			if !c.IsFact() {
 				rules = append(rules, rule{r, c})
 			}
 		}
 	}
+	return rules, inStratum
+}
+
+// deltaVariants expands a rule of a recursive stratum into its semi-naive
+// loop variants, which derive into new_H guarded by ¬H: one per in-stratum
+// body atom, reading delta_X at that atom and the full relations elsewhere.
+// An in-stratum eqrel relation has no delta (its union-find implies pairs
+// no round inserted), so a rule recursive only through eqrel atoms reruns
+// in full every round. A rule that reads nothing of its stratum has no
+// loop variant.
+func (t *translator) deltaVariants(ru rule, inStratum map[string]bool) ([]ram.Statement, error) {
+	head := ru.rel.Name()
+	naive := version{target: t.aux[ram.AuxNew][head], guard: t.rels[head]}
+	var vs []version
+	recursive := false
+	for i, l := range ru.clause.Body {
+		at, ok := l.(*ast.Atom)
+		if !ok || !inStratum[at.Name] {
+			continue
+		}
+		recursive = true
+		if d := t.aux[ram.AuxDelta][at.Name]; d != nil {
+			v := naive
+			v.subst = map[int]*ram.Relation{i: d}
+			vs = append(vs, v)
+		}
+	}
+	if recursive && len(vs) == 0 {
+		vs = []version{naive}
+	}
+	var qs []ram.Statement
+	err := t.emit(&qs, ru.clause, vs...)
+	return qs, err
+}
+
+// emit appends one query per version of c to *dst, in order.
+func (t *translator) emit(dst *[]ram.Statement, c *ast.Clause, vs ...version) error {
+	for _, v := range vs {
+		q, err := t.translateRule(c, v)
+		if err != nil {
+			return err
+		}
+		*dst = append(*dst, q)
+	}
+	return nil
+}
+
+// loopRel is one stratum relation's part in a semi-naive fixpoint. Every
+// round derives into new; acc accumulates all rounds, delta receives each
+// round as the next round's frontier (nil when the variants read the
+// relation in full), and extra, when set, also accumulates every round.
+type loopRel struct{ acc, delta, new, extra *ram.Relation }
+
+// loopRels assigns every relation of s its fixpoint roles from the given
+// tables (a nil table leaves that role unset).
+func loopRels(s *sema.Stratum, acc, delta, niu, extra map[string]*ram.Relation) []loopRel {
+	lrs := make([]loopRel, len(s.Rels))
+	for i, r := range s.Rels {
+		n := r.Name()
+		lrs[i] = loopRel{acc: acc[n], delta: delta[n], new: niu[n], extra: extra[n]}
+	}
+	return lrs
+}
+
+// fold moves one round's derivations out of every new set: into acc (and
+// extra), then into delta as the next frontier.
+func fold(lrs []loopRel) []ram.Statement {
+	var stmts []ram.Statement
+	for _, lr := range lrs {
+		stmts = append(stmts, &ram.Merge{Dst: lr.acc, Src: lr.new})
+		if lr.extra != nil {
+			stmts = append(stmts, &ram.Merge{Dst: lr.extra, Src: lr.new})
+		}
+		if lr.delta != nil {
+			stmts = append(stmts, &ram.Swap{A: lr.delta, B: lr.new})
+		}
+		stmts = append(stmts, &ram.Clear{Rel: lr.new})
+	}
+	return stmts
+}
+
+// fixpoint is the one semi-naive loop (paper Fig 3): run body, EXIT once
+// every new set is empty, otherwise fold and repeat. The label gets the
+// stratum's relation names appended.
+func (t *translator) fixpoint(label string, body []ram.Statement, lrs []loopRel) ram.Statement {
+	var exit ram.Condition
+	names := make([]string, len(lrs))
+	for i, lr := range lrs {
+		var c ram.Condition = &ram.EmptinessCheck{Rel: lr.new}
+		if exit == nil {
+			exit = c
+		} else {
+			exit = &ram.And{L: exit, R: c}
+		}
+		names[i] = t.out.Relations[lr.new.BaseID].Name
+	}
+	body = append(body, &ram.Exit{Cond: exit})
+	body = append(body, fold(lrs)...)
+	label = fmt.Sprintf("%s (%s)", label, strings.Join(names, ", "))
+	return &ram.Loop{Body: &ram.Sequence{Stmts: body}, Label: label}
+}
+
+// clearScratch releases a finished fixpoint's delta and new sets.
+func clearScratch(lrs []loopRel) []ram.Statement {
+	var stmts []ram.Statement
+	for _, lr := range lrs {
+		if lr.delta != nil {
+			stmts = append(stmts, &ram.Clear{Rel: lr.delta})
+		}
+		stmts = append(stmts, &ram.Clear{Rel: lr.new})
+	}
+	return stmts
+}
+
+func (t *translator) translateStratum(s *sema.Stratum) (ram.Statement, error) {
+	rules, inStratum := stratumRules(s)
 	if len(rules) == 0 {
 		return nil, nil
 	}
-
-	inStratum := map[string]bool{}
-	for _, r := range s.Rels {
-		inStratum[r.Name()] = true
-	}
-	// recursiveAtoms lists body-atom positions referencing in-stratum,
-	// non-eqrel relations (the delta candidates).
-	recursiveAtoms := func(c *ast.Clause) []int {
-		var idxs []int
-		for i, l := range c.Body {
-			if at, ok := l.(*ast.Atom); ok {
-				if inStratum[at.Name] && t.rels[at.Name].Rep != ram.RepEqRel {
-					idxs = append(idxs, i)
-				}
-			}
-		}
-		return idxs
-	}
-
-	if !s.Recursive {
-		var stmts []ram.Statement
-		for _, ru := range rules {
-			q, err := t.translateRule(ru.clause, version{target: t.rels[ru.rel.Name()]})
-			if err != nil {
-				return nil, err
-			}
-			stmts = append(stmts, q)
-		}
-		return &ram.Sequence{Stmts: stmts}, nil
-	}
-
-	// Recursive stratum: semi-naive evaluation (paper Fig 3).
-	var init []ram.Statement
-	var loopBody []ram.Statement
-
+	// A rule that reads nothing of its stratum (every rule of a
+	// non-recursive one) is evaluated once; the others run in the loop.
+	var init, body []ram.Statement
 	for _, ru := range rules {
-		rec := recursiveAtoms(ru.clause)
-		target := t.rels[ru.rel.Name()]
-		anyInStratum := false
-		for _, l := range ru.clause.Body {
-			if at, ok := l.(*ast.Atom); ok && inStratum[at.Name] {
-				anyInStratum = true
-			}
+		qs, err := t.deltaVariants(ru, inStratum)
+		if err != nil {
+			return nil, err
 		}
-		if !anyInStratum {
-			// Non-recursive rule of a recursive stratum: evaluate once.
-			q, err := t.translateRule(ru.clause, version{target: target})
-			if err != nil {
+		if len(qs) == 0 {
+			if err := t.emit(&init, ru.clause, version{target: t.rels[ru.rel.Name()]}); err != nil {
 				return nil, err
 			}
-			init = append(init, q)
-			continue
 		}
-		newRel := t.news[ru.rel.Name()]
-		if len(rec) == 0 {
-			// Only eqrel in-stratum atoms: evaluate naively each iteration.
-			q, err := t.translateRule(ru.clause, version{
-				target: newRel, guard: target, naive: true,
-			})
-			if err != nil {
-				return nil, err
-			}
-			loopBody = append(loopBody, q)
-			continue
-		}
-		for _, deltaPos := range rec {
-			q, err := t.translateRule(ru.clause, version{
-				target:   newRel,
-				guard:    target,
-				deltaPos: deltaPos,
-				useDelta: true,
-			})
-			if err != nil {
-				return nil, err
-			}
-			loopBody = append(loopBody, q)
-		}
+		body = append(body, qs...)
+	}
+	if !s.Recursive {
+		return &ram.Sequence{Stmts: init}, nil
 	}
 
-	var stmts []ram.Statement
-	stmts = append(stmts, init...)
-	// Seed deltas with the full relations.
-	for _, r := range s.Rels {
-		if d := t.deltas[r.Name()]; d != nil {
-			stmts = append(stmts, &ram.Merge{Dst: d, Src: t.rels[r.Name()]})
+	// Recursive stratum: semi-naive evaluation (paper Fig 3), with the
+	// deltas seeded from the full relations.
+	lrs := loopRels(s, t.rels, t.aux[ram.AuxDelta], t.aux[ram.AuxNew], nil)
+	stmts := init
+	for _, lr := range lrs {
+		if lr.delta != nil {
+			stmts = append(stmts, &ram.Merge{Dst: lr.delta, Src: lr.acc})
 		}
 	}
-	// Fixpoint loop: derive new, exit when nothing new, fold in, rotate.
-	var post []ram.Statement
-	var exitCond ram.Condition
-	for _, r := range s.Rels {
-		nw := t.news[r.Name()]
-		if nw == nil {
-			continue
-		}
-		var c ram.Condition = &ram.EmptinessCheck{Rel: nw}
-		if exitCond == nil {
-			exitCond = c
-		} else {
-			exitCond = &ram.And{L: exitCond, R: c}
-		}
-		post = append(post, &ram.Merge{Dst: t.rels[r.Name()], Src: nw})
-		if d := t.deltas[r.Name()]; d != nil {
-			post = append(post, &ram.Swap{A: d, B: nw})
-			post = append(post, &ram.Clear{Rel: nw})
-		} else {
-			post = append(post, &ram.Clear{Rel: nw})
-		}
-	}
-	body := append(loopBody, &ram.Exit{Cond: exitCond})
-	body = append(body, post...)
-	var names []string
-	for _, r := range s.Rels {
-		if t.news[r.Name()] != nil {
-			names = append(names, r.Name())
-		}
-	}
-	label := fmt.Sprintf("stratum %d (%s)", s.Index, strings.Join(names, ", "))
-	stmts = append(stmts, &ram.Loop{Body: &ram.Sequence{Stmts: body}, Label: label})
-	// Release the scratch relations.
-	for _, r := range s.Rels {
-		if d := t.deltas[r.Name()]; d != nil {
-			stmts = append(stmts, &ram.Clear{Rel: d})
-		}
-		if nw := t.news[r.Name()]; nw != nil {
-			stmts = append(stmts, &ram.Clear{Rel: nw})
-		}
-	}
-	return &ram.Sequence{Stmts: stmts}, nil
+	stmts = append(stmts, t.fixpoint(fmt.Sprintf("stratum %d", s.Index), body, lrs))
+	return &ram.Sequence{Stmts: append(stmts, clearScratch(lrs)...)}, nil
 }
 
 // version describes which variant of a rule to emit.
 type version struct {
-	target   *ram.Relation // relation receiving the head projection
-	guard    *ram.Relation // if set, suppress heads already in this relation
-	deltaPos int           // body index of the atom read from delta_R
-	useDelta bool
-	naive    bool // recursive via eqrel only; all in-stratum atoms read full
-	// Update-program restart variants read the freshness tracker recent_X
-	// at one out-of-stratum body position (and the full relations
-	// everywhere else).
-	recentPos int
-	useRecent bool
-
-	// Delete-program variants (delete.go). subst redirects body positions
-	// to scratch relations (del/ddel/dred trackers); exclude filters out
-	// atom tuples present in the given relation, and excludeUnless weakens
-	// that to ¬(∈exclude ∧ ¬∈unless) — the DRed "deleted but not rederived"
-	// survival test. require keeps only heads present in the given
-	// relation; headScan instead *scans* that relation as an extra
-	// outermost level binding the head variables (legal only when every
-	// head argument is a plain variable). forceScan disables the
-	// existence-check collapse so each variable assignment is enumerated:
-	// exclude filters need the atom's tuple slot.
-	subst         map[int]*ram.Relation
+	target *ram.Relation // relation receiving the head projection
+	guard  *ram.Relation // if set, suppress heads already in this relation
+	// subst redirects body positions to aux relations (delta, recent, del,
+	// ddel or dred trackers).
+	subst map[int]*ram.Relation
+	// exclude filters out atom tuples present in the given relation, and
+	// excludeUnless weakens that to ¬(∈exclude ∧ ¬∈unless) — the DRed
+	// "deleted but not rederived" survival test. A non-nil exclude also
+	// disables the existence-check collapse so each variable assignment is
+	// enumerated: the filters need the atom's tuple slot.
 	exclude       map[int]*ram.Relation
 	excludeUnless map[int]*ram.Relation
-	require       *ram.Relation
-	headScan      *ram.Relation
-	forceScan     bool
+	// restrict keeps only heads present in the given relation: by scanning
+	// it as an extra outermost level binding the head variables when every
+	// head argument is a plain variable, by a ∈restrict filter otherwise.
+	restrict *ram.Relation
 }
 
 // --- facts ---

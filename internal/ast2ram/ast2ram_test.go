@@ -56,25 +56,25 @@ func TestTransitiveClosureShape(t *testing.T) {
 	for _, r := range rp.Relations {
 		names[r.Name] = r
 	}
-	for _, want := range []string{"edge", "path", "delta_path", "new_path"} {
+	for _, want := range []string{"edge", "path", "@delta_path", "@new_path"} {
 		if names[want] == nil {
 			t.Fatalf("missing relation %s (have %v)", want, relNames(rp))
 		}
 	}
-	if !names["delta_path"].Aux || names["edge"].Aux {
+	if !names["@delta_path"].IsAux() || names["edge"].IsAux() {
 		t.Fatal("aux flags wrong")
 	}
 	text := rp.String()
 	for _, want := range []string{
-		"LOOP", "EXIT", "MERGE", "SWAP (delta_path, new_path)",
+		"LOOP", "EXIT", "MERGE", "SWAP (@delta_path, @new_path)",
 		"LOAD edge", "STORE path", "INSERT",
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("RAM text lacks %q:\n%s", want, text)
 		}
 	}
-	// The recursive rule scans delta_path and index-scans edge on column 0.
-	if !strings.Contains(text, "delta_path") {
+	// The recursive rule scans @delta_path and index-scans edge on column 0.
+	if !strings.Contains(text, "FOR t0 IN @delta_path") {
 		t.Fatalf("no delta scan:\n%s", text)
 	}
 	if !strings.Contains(text, "ON INDEX") {
@@ -137,8 +137,8 @@ func TestNegationBecomesExistenceCheck(t *testing.T) {
 func TestGuardOnRecursiveInsert(t *testing.T) {
 	rp := translate(t, tcSrc)
 	text := rp.String()
-	// new_path inserts are guarded by absence from path.
-	if !strings.Contains(text, "IN path)") || !strings.Contains(text, "INTO new_path") {
+	// @new_path inserts are guarded by absence from path.
+	if !strings.Contains(text, "IN path)") || !strings.Contains(text, "INTO @new_path") {
 		t.Fatalf("missing recursive guard:\n%s", text)
 	}
 }
@@ -205,7 +205,7 @@ func TestMutualRecursionLoopsOnce(t *testing.T) {
 		t.Fatalf("expected one fixpoint loop:\n%s", text)
 	}
 	// Exit condition covers both new relations.
-	if !strings.Contains(text, "new_a = EMPTY AND new_b = EMPTY") {
+	if !strings.Contains(text, "@new_a = EMPTY AND @new_b = EMPTY") {
 		t.Fatalf("exit condition:\n%s", text)
 	}
 }

@@ -109,11 +109,11 @@ tc(x, z) :- tc(x, y), e(y, z).
 	for _, r := range rp.Relations {
 		byName[r.Name] = r.BaseID
 	}
-	if byName["delta_tc"] != byName["tc"] || byName["new_tc"] != byName["tc"] {
+	if byName["@delta_tc"] != byName["tc"] || byName["@new_tc"] != byName["tc"] {
 		t.Fatalf("aux BaseIDs wrong: %v", byName)
 	}
 	for _, r := range rp.Relations {
-		if !r.Aux && r.BaseID != r.ID {
+		if !r.IsAux() && r.BaseID != r.ID {
 			t.Fatalf("source relation %s has BaseID %d != ID %d", r.Name, r.BaseID, r.ID)
 		}
 	}

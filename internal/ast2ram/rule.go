@@ -18,13 +18,13 @@ type ruleTranslator struct {
 	env       map[string]ram.Expr // variable bindings
 	uses      map[string]int      // variable occurrence counts across the clause
 	tid       int                 // next tuple slot
-	forceScan bool                // disable the existence-check collapse (version.forceScan)
+	forceScan bool                // disable the existence-check collapse (version.exclude)
 }
 
 // translateRule emits one semi-naive version of a rule as a Query.
 func (t *translator) translateRule(c *ast.Clause, v version) (ram.Statement, error) {
 	info := t.sem.Clauses[c]
-	tr := &ruleTranslator{t: t, info: info, env: map[string]ram.Expr{}, forceScan: v.forceScan}
+	tr := &ruleTranslator{t: t, info: info, env: map[string]ram.Expr{}, forceScan: v.exclude != nil}
 
 	// Count variable uses to recognize single-use variables (treated like
 	// wildcards: they never need a binding).
@@ -39,10 +39,9 @@ func (t *translator) translateRule(c *ast.Clause, v version) (ram.Statement, err
 	// Split the body into positive atoms (loop levels) and deferred
 	// literals (negations and constraints, attached as early as possible).
 	type bodyAtom struct {
-		atom    *ast.Atom
-		pos     int
-		rel     *ram.Relation
-		isDelta bool
+		atom *ast.Atom
+		pos  int
+		rel  *ram.Relation
 	}
 	var atoms []bodyAtom
 	type deferred struct {
@@ -52,15 +51,7 @@ func (t *translator) translateRule(c *ast.Clause, v version) (ram.Statement, err
 	for i, l := range c.Body {
 		switch l := l.(type) {
 		case *ast.Atom:
-			rel := t.rels[l.Name]
-			ba := bodyAtom{atom: l, pos: i, rel: rel}
-			if v.useDelta && i == v.deltaPos {
-				ba.rel = t.deltas[l.Name]
-				ba.isDelta = true
-			}
-			if v.useRecent && i == v.recentPos {
-				ba.rel = t.recents[l.Name]
-			}
+			ba := bodyAtom{atom: l, pos: i, rel: t.rels[l.Name]}
 			if r := v.subst[i]; r != nil {
 				ba.rel = r
 			}
@@ -69,16 +60,17 @@ func (t *translator) translateRule(c *ast.Clause, v version) (ram.Statement, err
 			defers = append(defers, deferred{lit: l})
 		}
 	}
-	// Rotate the substituted (del/recent frontier) atom to the outermost
-	// level: it holds the batch-sized change set, so driving the join from
-	// it keeps the variant's cost proportional to the change rather than to
-	// the full relations it joins against. Body literal order is free here —
-	// delete/update variants exist only for stratified positive programs,
-	// and deferred literals attach by groundedness, not position. Main's
-	// delta versions keep the written order (the paper's semi-naive shape).
+	// The driver rule: delta atoms keep the written order (the paper's
+	// semi-naive shape); any other substituted tracker (recent, del, ddel,
+	// dred) is rotated to the outermost level. It holds the batch-sized
+	// change set, so driving the join from it keeps the variant's cost
+	// proportional to the change rather than to the full relations it joins
+	// against. Body literal order is free here — update and delete variants
+	// exist only for stratified positive programs, and deferred literals
+	// attach by groundedness, not position.
 	driver := -1
 	for i, ba := range atoms {
-		if v.subst[ba.pos] != nil || (v.useRecent && ba.pos == v.recentPos) {
+		if r := v.subst[ba.pos]; r != nil && r.Kind != ram.AuxDelta {
 			driver = i
 			break
 		}
@@ -90,12 +82,18 @@ func (t *translator) translateRule(c *ast.Clause, v version) (ram.Statement, err
 		rotated = append(rotated, atoms[driver+1:]...)
 		atoms = rotated
 	}
-	// Del-driven variants scan the head's del set as the outermost level:
-	// the head tuple binds all head variables (every head argument is a
-	// plain variable by construction), so the body levels re-derive only
-	// the overdeleted heads.
-	if v.headScan != nil {
-		atoms = append([]bodyAtom{{atom: c.Head, pos: -1, rel: v.headScan}}, atoms...)
+	// A restricted variant whose head arguments are all plain variables
+	// scans the restricting relation as the outermost level: the head tuple
+	// binds every head variable, so the body levels re-derive only the
+	// restricted heads. Any other restricted head is filtered at the end.
+	headScan := v.restrict != nil && len(c.Head.Args) > 0
+	for _, e := range c.Head.Args {
+		if _, ok := e.(*ast.Var); !ok {
+			headScan = false
+		}
+	}
+	if headScan {
+		atoms = append([]bodyAtom{{atom: c.Head, pos: -1, rel: v.restrict}}, atoms...)
 	}
 
 	// Build inside-out: we construct a list of "levels" and nest at the
@@ -176,9 +174,9 @@ func (t *translator) translateRule(c *ast.Clause, v version) (ram.Statement, err
 		tr.t.registerSearch(v.guard, fullSignature(len(head)), func(id int) { ex.IndexID = id })
 		root = &ram.Filter{Cond: &ram.Not{C: ex}, Nested: root}
 	}
-	if v.require != nil {
-		ex := &ram.ExistenceCheck{Rel: v.require, Pattern: head}
-		tr.t.registerSearch(v.require, fullSignature(len(head)), func(id int) { ex.IndexID = id })
+	if v.restrict != nil && !headScan {
+		ex := &ram.ExistenceCheck{Rel: v.restrict, Pattern: head}
+		tr.t.registerSearch(v.restrict, fullSignature(len(head)), func(id int) { ex.IndexID = id })
 		root = &ram.Filter{Cond: ex, Nested: root}
 	}
 	for i := len(levels) - 1; i >= 0; i-- {
@@ -200,14 +198,8 @@ func (t *translator) translateRule(c *ast.Clause, v version) (ram.Statement, err
 	}
 
 	label := c.String()
-	if v.useDelta {
-		label += fmt.Sprintf(" [delta@%d]", v.deltaPos)
-	}
-	if v.useRecent {
-		label += fmt.Sprintf(" [recent@%d]", v.recentPos)
-	}
-	if v.headScan != nil {
-		label += fmt.Sprintf(" [head<-%s]", v.headScan.Name)
+	if headScan {
+		label += fmt.Sprintf(" [head<-%s]", v.restrict.Name)
 	}
 	for i := range c.Body {
 		if r := v.subst[i]; r != nil {
@@ -302,7 +294,7 @@ func (tr *ruleTranslator) atomLevel(at *ast.Atom, rel *ram.Relation, uses map[st
 	if !needsScan && len(binds) == 0 && !tr.forceScan {
 		// No bindings escape: a (partial) existence check suffices.
 		ex := &ram.ExistenceCheck{Rel: rel, Pattern: pattern}
-		tr.registerAtomSearch(rel, sig, func(id int) { ex.IndexID = id })
+		tr.t.registerSearch(rel, sig, func(id int) { ex.IndexID = id })
 		return func(inner ram.Operation) ram.Operation {
 			return &ram.Filter{Cond: ex, Nested: inner}
 		}, nil
@@ -369,7 +361,7 @@ func (tr *ruleTranslator) atomLevel(at *ast.Atom, rel *ram.Relation, uses map[st
 	}
 
 	is := &ram.IndexScan{Rel: rel, Pattern: pattern, TupleID: tid}
-	tr.registerAtomSearch(rel, sig, func(id int) { is.IndexID = id })
+	tr.t.registerSearch(rel, sig, func(id int) { is.IndexID = id })
 	return func(inner ram.Operation) ram.Operation {
 		if eqCond != nil {
 			inner = &ram.Filter{Cond: eqCond, Nested: inner}
@@ -416,7 +408,7 @@ func (tr *ruleTranslator) tryDeferred(l ast.Literal) (bool, func(ram.Operation) 
 			return false, nil, &Error{Msg: "negation over eqrel requires a natural prefix", Pos: l.Atom.Pos}
 		}
 		ex := &ram.ExistenceCheck{Rel: rel, Pattern: pattern}
-		tr.registerAtomSearch(rel, sig, func(id int) { ex.IndexID = id })
+		tr.t.registerSearch(rel, sig, func(id int) { ex.IndexID = id })
 		return true, func(inner ram.Operation) ram.Operation {
 			return &ram.Filter{Cond: &ram.Not{C: ex}, Nested: inner}
 		}, nil
@@ -668,7 +660,7 @@ func (tr *ruleTranslator) tryAggregate(c *ast.Constraint, agg *ast.Aggregate) (b
 		TupleID: tid,
 	}
 	if sig != 0 {
-		tr.registerAtomSearch(rel, sig, func(id int) { node.IndexID = id })
+		tr.t.registerSearch(rel, sig, func(id int) { node.IndexID = id })
 	}
 
 	// Bind or compare the result.
@@ -905,30 +897,24 @@ func (t *translator) registerSearch(rel *ram.Relation, sig indexselect.Signature
 	t.pending[rel] = append(t.pending[rel], patch{sig: sig, set: set})
 }
 
-func (tr *ruleTranslator) registerAtomSearch(rel *ram.Relation, sig indexselect.Signature, set func(int)) {
-	tr.t.registerSearch(rel, sig, set)
+// swapPairs lists the (delta, new) roles of the three fixpoint families:
+// fold SWAPs each pair, so the two relations must share one index set.
+var swapPairs = [][2]ram.AuxKind{
+	{ram.AuxDelta, ram.AuxNew},
+	{ram.AuxDelDelta, ram.AuxDelNew},
+	{ram.AuxRedDelta, ram.AuxRedNew},
 }
 
 // selectIndexes runs index selection per relation and patches all searches.
-// new_R mirrors delta_R's signatures (likewise ndel_R/ddel_R and
-// nred_R/dred_R) so that SWAP stays legal.
+// The new side of every swap pair mirrors its delta side's signatures so
+// that SWAP stays legal.
 func (t *translator) selectIndexes() {
-	// Swapped pairs must share one index set: merge their pending searches.
-	mergePair := func(d, nw *ram.Relation) {
-		if d == nil || nw == nil {
-			return
+	for _, p := range swapPairs {
+		for name, d := range t.aux[p[0]] {
+			nw := t.aux[p[1]][name]
+			t.pending[d] = append(t.pending[d], t.pending[nw]...)
+			t.pending[nw] = nil
 		}
-		t.pending[d] = append(t.pending[d], t.pending[nw]...)
-		t.pending[nw] = nil
-	}
-	for name, d := range t.deltas {
-		mergePair(d, t.news[name])
-	}
-	for name, d := range t.ddels {
-		mergePair(d, t.ndels[name])
-	}
-	for name, d := range t.dreds {
-		mergePair(d, t.nreds[name])
 	}
 	for _, rel := range t.out.Relations {
 		searches := t.pending[rel]
@@ -950,19 +936,9 @@ func (t *translator) selectIndexes() {
 			p.set(pl.Index)
 		}
 	}
-	// Give each swapped counterpart exactly its delta sibling's orders.
-	copyOrders := func(d, nw *ram.Relation) {
-		if d != nil && nw != nil {
-			nw.Orders = append([]tuple.Order{}, d.Orders...)
+	for _, p := range swapPairs {
+		for name, d := range t.aux[p[0]] {
+			t.aux[p[1]][name].Orders = append([]tuple.Order{}, d.Orders...)
 		}
-	}
-	for name, d := range t.deltas {
-		copyOrders(d, t.news[name])
-	}
-	for name, d := range t.ddels {
-		copyOrders(d, t.ndels[name])
-	}
-	for name, d := range t.dreds {
-		copyOrders(d, t.nreds[name])
 	}
 }

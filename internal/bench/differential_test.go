@@ -43,7 +43,7 @@ func observe(tb testing.TB, w *Workload, cfg interp.Config, optimize bool) obser
 	}
 	rels := map[string][]tuple.Tuple{}
 	for _, rd := range rp.Relations {
-		if rd.Aux {
+		if rd.IsAux() {
 			continue
 		}
 		if rels[rd.Name], err = eng.Tuples(rd.Name); err != nil {

@@ -109,7 +109,7 @@ func equivalence(t *testing.T, src string, facts map[string][]tuple.Tuple) {
 		t.Fatalf("compile run: %v", err)
 	}
 	for _, rd := range rp1.Relations {
-		if rd.Aux {
+		if rd.IsAux() {
 			continue
 		}
 		a, err := eng.Tuples(rd.Name)

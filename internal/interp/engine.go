@@ -88,10 +88,10 @@ func New(prog *ram.Program, st *symtab.Table, cfg Config) *Engine {
 	e.recent = make([]*relation.Relation, len(prog.Relations))
 	e.del = make([]*relation.Relation, len(prog.Relations))
 	for i, rd := range prog.Relations {
-		if rd.Aux && rd.Kind == ram.AuxRecent {
+		if rd.Kind == ram.AuxRecent {
 			e.recent[rd.BaseID] = e.rels[i]
 		}
-		if rd.Aux && rd.Kind == ram.AuxDel {
+		if rd.Kind == ram.AuxDel {
 			e.del[rd.BaseID] = e.rels[i]
 		}
 	}
@@ -105,7 +105,7 @@ func New(prog *ram.Program, st *symtab.Table, cfg Config) *Engine {
 				orders[j] = fmt.Sprint([]int(rel.Index(j).Order()))
 			}
 			rel.AttachMetrics(e.tel.BindRelation(
-				rd.ID, rd.Name, rel.Rep().String(), rd.Arity, rd.Aux, rd.BaseID, orders))
+				rd.ID, rd.Name, rel.Rep().String(), rd.Arity, rd.IsAux(), rd.BaseID, orders))
 		}
 	}
 	e.gen = &generator{eng: e, cfg: cfg}
@@ -478,7 +478,7 @@ func (e *Engine) ClearRecents() {
 // decl returns the declaration of a non-aux relation by name, or nil.
 func (e *Engine) decl(name string) *ram.Relation {
 	for _, rd := range e.prog.Relations {
-		if rd.Name == name && !rd.Aux {
+		if rd.Name == name && !rd.IsAux() {
 			return rd
 		}
 	}

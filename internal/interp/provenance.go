@@ -136,7 +136,7 @@ func (e *Engine) Explain(name string, t tuple.Tuple) (*Proof, error) {
 	}
 	var relID = -1
 	for _, rd := range e.prog.Relations {
-		if rd.Name == name && !rd.Aux {
+		if rd.Name == name && !rd.IsAux() {
 			relID = rd.ID
 			break
 		}

@@ -43,14 +43,14 @@ func ShardKeys(p *ram.Program) []int {
 	}
 	// First pass: source relations take their own vote tally.
 	for i, rd := range p.Relations {
-		if rd == nil || rd.Arity == 0 || rd.Rep == ram.RepEqRel || rd.Aux {
+		if rd == nil || rd.Arity == 0 || rd.Rep == ram.RepEqRel || rd.IsAux() {
 			continue
 		}
 		keys[i] = argmaxVote(votes[i])
 	}
 	// Second pass: aux companions inherit their base's key.
 	for i, rd := range p.Relations {
-		if rd == nil || !rd.Aux || rd.Arity == 0 || rd.Rep == ram.RepEqRel {
+		if rd == nil || !rd.IsAux() || rd.Arity == 0 || rd.Rep == ram.RepEqRel {
 			continue
 		}
 		if rd.BaseID < 0 || rd.BaseID >= len(keys) {
@@ -95,7 +95,7 @@ func (v *shardVoter) vote(rel *ram.Relation, pattern []ram.Expr) {
 		return
 	}
 	id := rel.ID
-	if rel.Aux && rel.BaseID >= 0 && rel.BaseID < len(v.votes) {
+	if rel.IsAux() && rel.BaseID >= 0 && rel.BaseID < len(v.votes) {
 		id = rel.BaseID
 	}
 	if id < 0 || id >= len(v.votes) {

@@ -29,7 +29,7 @@ func TestShardKeysTC(t *testing.T) {
 			}
 		}
 		// Aux companions must inherit their base's key exactly.
-		if rd.Aux && rd.Arity > 0 && p.Relations[rd.BaseID].Rep != ram.RepEqRel {
+		if rd.IsAux() && rd.Arity > 0 && p.Relations[rd.BaseID].Rep != ram.RepEqRel {
 			if keys[i] != keys[rd.BaseID] {
 				t.Errorf("aux %s: key %d, base %s has %d",
 					rd.Name, keys[i], p.Relations[rd.BaseID].Name, keys[rd.BaseID])
@@ -75,7 +75,7 @@ eq(x, z) :- eq(x, y), edge(y, z).
 		if rd.Rep == ram.RepEqRel && keys[i] != -1 {
 			t.Errorf("eqrel %s: key %d, want -1", rd.Name, keys[i])
 		}
-		if rd.Aux && rd.Rep != ram.RepEqRel && p.Relations[rd.BaseID].Rep == ram.RepEqRel && keys[i] != 0 {
+		if rd.IsAux() && rd.Rep != ram.RepEqRel && p.Relations[rd.BaseID].Rep == ram.RepEqRel && keys[i] != 0 {
 			t.Errorf("eqrel aux %s: key %d, want 0", rd.Name, keys[i])
 		}
 	}

@@ -23,7 +23,7 @@ func TestFig3Shape(t *testing.T) {
 	unsafe := rel(1, "Unsafe", 1)
 	delta := rel(2, "delta_Unsafe", 1)
 	nw := rel(3, "new_Unsafe", 1)
-	delta.Aux, nw.Aux = true, true
+	delta.Kind, nw.Kind = AuxDelta, AuxNew
 
 	query := &Query{
 		RuleID: 0,

@@ -36,9 +36,6 @@ type Relation struct {
 	Output    bool
 	PrintSize bool
 
-	// Aux marks delta/new/recent relations introduced by semi-naive
-	// translation.
-	Aux bool
 	// Kind classifies an aux relation's role (AuxNone for source relations).
 	Kind AuxKind
 	// BaseID is the source relation a delta/new/recent relation shadows
@@ -60,11 +57,16 @@ type Relation struct {
 	ShardKey int
 }
 
+// IsAux reports whether r is an aux relation rather than a source relation.
+func (r *Relation) IsAux() bool { return r.Kind != AuxNone }
+
 // ShardCol returns the 0-based partition column of the relation's shard
 // plan, or -1 when the relation carries none.
 func (r *Relation) ShardCol() int { return r.ShardKey - 1 }
 
 // AuxKind names the role of an auxiliary relation in semi-naive evaluation.
+// ast2ram names the aux relation of role k for source R "@" + k.String() +
+// "_" + R.
 type AuxKind uint8
 
 // Auxiliary relation roles.

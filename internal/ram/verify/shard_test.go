@@ -15,7 +15,6 @@ func shardProgram() *ram.Program {
 	edge.ShardKey = 1
 	path.ShardKey = 1
 	delta := rel(2, "delta_path", 2)
-	delta.Aux = true
 	delta.Kind = ram.AuxDelta
 	delta.BaseID = path.ID
 	delta.ShardKey = 1

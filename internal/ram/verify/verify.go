@@ -282,11 +282,11 @@ func (c *checker) relations() {
 			continue
 		}
 		base := c.p.Relations[r.BaseID]
-		if r.Aux {
+		if r.IsAux() {
 			switch {
 			case base == nil || r.BaseID == r.ID:
 				c.addf(r, RuleRelAux, "aux relation %s has no distinct base relation", r.Name)
-			case base.Aux:
+			case base.IsAux():
 				c.addf(r, RuleRelAux, "aux relation %s shadows aux relation %s", r.Name, base.Name)
 			case base.Arity != r.Arity:
 				c.addf(r, RuleRelAux, "aux relation %s has arity %d but base %s has arity %d", r.Name, r.Arity, base.Name, base.Arity)
@@ -307,7 +307,7 @@ func (c *checker) shardPlan(r, base *ram.Relation) {
 	if r.ShardKey == 0 {
 		// An unstamped aux of a stamped base would split at SWAP barriers:
 		// one side sharded, the other not.
-		if r.Aux && base != nil && base.ShardKey != 0 && base.Rep != ram.RepEqRel {
+		if r.IsAux() && base != nil && base.ShardKey != 0 && base.Rep != ram.RepEqRel {
 			c.addf(r, RuleShardLocal, "aux relation %s carries no shard plan but base %s partitions on column %d",
 				r.Name, base.Name, base.ShardCol())
 		}
@@ -325,7 +325,7 @@ func (c *checker) shardPlan(r, base *ram.Relation) {
 		c.addf(r, RuleShardLocal, "relation %s shard key %d is outside columns 1..%d", r.Name, r.ShardKey, r.Arity)
 		return
 	}
-	if r.Aux && base != nil && base.Rep != ram.RepEqRel && base.ShardKey != r.ShardKey {
+	if r.IsAux() && base != nil && base.Rep != ram.RepEqRel && base.ShardKey != r.ShardKey {
 		c.addf(r, RuleShardLocal, "aux relation %s partitions on column %d but base %s partitions on %d; swaps and merges would cross shards",
 			r.Name, r.ShardCol(), base.Name, base.ShardCol())
 	}
@@ -645,7 +645,7 @@ func (c *checker) updateQuery(q *ram.Query) {
 		if rel == nil {
 			continue
 		}
-		if !rel.Aux && rel.Rep != ram.RepEqRel {
+		if !rel.IsAux() && rel.Rep != ram.RepEqRel {
 			c.addf(q, RuleUpdateWrite, "update query %q inserts into source relation %s (want an aux or eqrel target)", q.Label, rel.Name)
 		}
 		if reads[rel] {
@@ -686,7 +686,7 @@ func redFamily(k ram.AuxKind) bool {
 // (overdelete-before-rederive: rederivation reads del_R as the exact
 // overdeleted set, so growing it afterwards would unsoundly skip tuples).
 func (c *checker) deleteWrite(node any, rel *ram.Relation, what string) {
-	if !rel.Aux || !(delFamily(rel.Kind) || redFamily(rel.Kind)) {
+	if !(delFamily(rel.Kind) || redFamily(rel.Kind)) {
 		c.addf(node, RuleDeleteWrite, "delete %s writes %s (kind %s), want a del/red tracker", what, rel.Name, rel.Kind)
 		return
 	}

@@ -178,7 +178,7 @@ func TestMalformedPrograms(t *testing.T) {
 			build: func() *ram.Program {
 				p := tcProgram()
 				aux := rel(2, "delta_path", 2)
-				aux.Aux = true
+				aux.Kind = ram.AuxDelta
 				aux.BaseID = 9
 				p.Relations = append(p.Relations, aux)
 				return p
@@ -190,7 +190,7 @@ func TestMalformedPrograms(t *testing.T) {
 			build: func() *ram.Program {
 				p := tcProgram()
 				aux := rel(2, "delta_path", 2)
-				aux.Aux = true // BaseID stays its own ID
+				aux.Kind = ram.AuxDelta // BaseID stays its own ID
 				p.Relations = append(p.Relations, aux)
 				return p
 			},

@@ -157,7 +157,7 @@ func runAll(t *testing.T, rp *ram.Program, st *symtab.Table, facts map[string][]
 	}
 	out := map[string][]tuple.Tuple{}
 	for _, rd := range rp.Relations {
-		if rd.Aux {
+		if rd.IsAux() {
 			continue
 		}
 		ts, err := eng.Tuples(rd.Name)
@@ -175,7 +175,7 @@ func runAll(t *testing.T, rp *ram.Program, st *symtab.Table, facts map[string][]
 		t.Fatalf("compile: %v", err)
 	}
 	for _, rd := range rp.Relations {
-		if rd.Aux {
+		if rd.IsAux() {
 			continue
 		}
 		ts, err := m.Tuples(rd.Name)

@@ -140,7 +140,7 @@ func (db *Database) registerObsvMetrics() {
 			defer s.Release()
 			out := map[string]float64{}
 			for _, rd := range db.prog.ram.Relations {
-				if !rd.Aux {
+				if !rd.IsAux() {
 					out[rd.Name] = float64(db.eng.Relation(rd.Name).Size())
 				}
 			}

@@ -107,7 +107,7 @@ func (p *Program) RAM() string { return p.ram.String() }
 func (p *Program) Relations() []string {
 	var out []string
 	for _, r := range p.ram.Relations {
-		if !r.Aux {
+		if !r.IsAux() {
 			out = append(out, r.Name)
 		}
 	}
@@ -117,7 +117,7 @@ func (p *Program) Relations() []string {
 // decl finds a source relation declaration.
 func (p *Program) decl(name string) (*ram.Relation, error) {
 	for _, r := range p.ram.Relations {
-		if r.Name == name && !r.Aux {
+		if r.Name == name && !r.IsAux() {
 			return r, nil
 		}
 	}
