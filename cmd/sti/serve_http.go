@@ -96,7 +96,7 @@ func serveMux(db *sti.Database) *http.ServeMux {
 	})
 	handle("/metrics", func(w http.ResponseWriter, r *http.Request, rid string) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		db.Observer().WriteMetrics(w)
+		db.WriteMetrics(w)
 	})
 	handle("/healthz", func(w http.ResponseWriter, r *http.Request, rid string) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")

@@ -13,6 +13,7 @@ import (
 	"sti/internal/ram"
 	"sti/internal/relation"
 	"sti/internal/tuple"
+	"sti/internal/value"
 )
 
 // Database is a resident instance of a program: the materialized IDB stays
@@ -43,10 +44,12 @@ type Database struct {
 	edb      map[string]*relation.Relation
 	asserted map[string]*relation.Relation
 
-	closed bool
-	// broken marks a database whose engine hit a runtime error mid-apply
-	// and may hold a partial fixpoint; every later operation fails.
-	broken error
+	// closed and broken are the lifecycle state, atomic so health probes
+	// (Ready) never block behind an in-flight Apply. broken holds the error
+	// of a database whose engine hit a runtime error mid-apply and may hold
+	// a partial fixpoint; every later operation fails with it.
+	closed atomic.Bool
+	broken atomic.Pointer[error]
 
 	applies        uint64
 	incremental    uint64
@@ -60,14 +63,12 @@ type Database struct {
 	// WithObservability).
 	obs *obsv.Observer
 
-	// stClosed/stBroken/phaseV/epochV mirror closed/broken/engine-phase and
-	// the published epoch as atomics so health probes (Ready, Phase) and
-	// slow-read log records never block behind an in-flight Apply. The
-	// locked fields stay authoritative for request paths.
-	stClosed atomic.Bool
-	stBroken atomic.Bool
-	phaseV   atomic.Int32
-	epochV   atomic.Uint64
+	// phaseV mirrors the engine's phase, which is not atomic, and epochV
+	// carries the epoch an in-flight Apply will publish, ahead of the
+	// guard's. They let Phase, Ready and slow-request records read both
+	// without blocking behind an Apply.
+	phaseV atomic.Int32
+	epochV atomic.Uint64
 
 	// readProf is the lock-free engine profile for slow read records
 	// (observe.go); allocated once so the read hot path stays allocation-free.
@@ -136,9 +137,6 @@ func (p *Program) Open(opts ...Option) (*Database, error) {
 	db.phaseV.Store(int32(eng.Phase()))
 	db.epochV.Store(db.guard.Epoch())
 	db.readProf = &readProfile{db: db}
-	if db.obs != nil {
-		db.registerObsvMetrics()
-	}
 	return db, nil
 }
 
@@ -161,13 +159,11 @@ func (db *Database) Epoch() uint64 { return db.guard.Epoch() }
 func (db *Database) Close() error {
 	db.guard.BeginWrite()
 	defer db.guard.EndWrite()
-	if db.closed {
+	if db.closed.Swap(true) {
 		return nil
 	}
-	db.closed = true
-	db.stClosed.Store(true)
 	if db.pst != nil {
-		if db.broken != nil {
+		if db.broken.Load() != nil {
 			// The engine state is undefined; keep the last good snapshot and
 			// the WAL (which already holds every applied batch) for recovery.
 			db.pst.abandon()
@@ -184,8 +180,7 @@ func (db *Database) Close() error {
 func (db *Database) abandon() {
 	db.guard.BeginWrite()
 	defer db.guard.EndWrite()
-	db.closed = true
-	db.stClosed.Store(true)
+	db.closed.Store(true)
 	if db.pst != nil {
 		db.pst.abandon()
 	}
@@ -194,9 +189,20 @@ func (db *Database) abandon() {
 // fail marks the database broken — the engine hit a runtime error mid-apply
 // and may hold a partial fixpoint — and passes the original error through.
 func (db *Database) fail(err error) error {
-	db.broken = fmt.Errorf("sti: apply failed, database state undefined: %w", err)
-	db.stBroken.Store(true)
+	broken := fmt.Errorf("sti: apply failed, database state undefined: %w", err)
+	db.broken.Store(&broken)
 	return err
+}
+
+// usable fails once the database is closed or broken.
+func (db *Database) usable() error {
+	if db.closed.Load() {
+		return ErrClosed
+	}
+	if broken := db.broken.Load(); broken != nil {
+		return *broken
+	}
+	return nil
 }
 
 // ErrClosed is returned by Ready and by every operation on a database after
@@ -372,11 +378,8 @@ func (db *Database) Apply(b *Batch) error {
 // the outcome classification for the request's latency series alongside the
 // user-visible error.
 func (db *Database) applyLocked(b *Batch) (obsv.Outcome, error) {
-	if db.closed {
-		return obsv.OutError, ErrClosed
-	}
-	if db.broken != nil {
-		return obsv.OutError, db.broken
+	if err := db.usable(); err != nil {
+		return obsv.OutError, err
 	}
 	if db.pst != nil {
 		// Write-ahead: the batch is durable before any state changes, so a
@@ -586,13 +589,7 @@ func (s *Snapshot) check() error {
 	if s.h.Released() {
 		return errors.New("sti: snapshot already released")
 	}
-	if s.db.closed {
-		return ErrClosed
-	}
-	if s.db.broken != nil {
-		return s.db.broken
-	}
-	return nil
+	return s.db.usable()
 }
 
 // Query returns the decoded rows of a relation matching a pattern. With no
@@ -703,14 +700,11 @@ func (s *Snapshot) Scan(name string, lo, hi any) ([][]any, error) {
 	if decl.Arity == 0 {
 		return nil, fmt.Errorf("sti: relation %s has no attributes to range over", name)
 	}
-	// Unlike Query patterns, the bounds still intern: a symbol range is a
-	// range over ordinals, and an unseen bound takes the next ordinal, above
-	// every stored symbol.
-	loW, err := s.db.prog.encode(decl.Types[0], lo, false)
+	loW, err := s.db.prog.scanBound(decl.Types[0], lo)
 	if err != nil {
 		return nil, fmt.Errorf("sti: %s lower bound: %v", name, err)
 	}
-	hiW, err := s.db.prog.encode(decl.Types[0], hi, false)
+	hiW, err := s.db.prog.scanBound(decl.Types[0], hi)
 	if err != nil {
 		return nil, fmt.Errorf("sti: %s upper bound: %v", name, err)
 	}
@@ -719,6 +713,17 @@ func (s *Snapshot) Scan(name string, lo, hi any) ([][]any, error) {
 		return nil, err
 	}
 	return s.db.decodeRows(decl, ts), nil
+}
+
+// scanBound converts one Scan bound like a read, without interning: a
+// symbol range is a range over ordinals, and a symbol no tuple holds takes
+// the ordinal the next interned symbol would get, above every stored one.
+func (p *Program) scanBound(ty value.Type, v any) (value.Value, error) {
+	w, err := p.encode(ty, v, true)
+	if errors.Is(err, errNotStored) {
+		return value.Value(p.st.Len()), nil
+	}
+	return w, err
 }
 
 // Size reports the number of tuples in a relation.

@@ -3,7 +3,9 @@ package sti
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"log/slog"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -196,4 +198,89 @@ func TestStatsCarriesRequestsAndFallbackReasons(t *testing.T) {
 			t.Fatalf("stats JSON missing %s: %s", want, enc)
 		}
 	}
+}
+
+// Every database series of a scrape comes from one Stats snapshot, so the
+// counters one Apply moves together never disagree within a scrape, even
+// while incremental applies and recompute fallbacks stream past it.
+func TestMetricsScrapeConsistent(t *testing.T) {
+	for _, leg := range []struct {
+		name    string
+		persist bool
+	}{{"mem", false}, {"data", true}} {
+		t.Run(leg.name, func(t *testing.T) {
+			opts := []Option{WithObservability(ObservabilityConfig{})}
+			if leg.persist {
+				opts = append(opts, WithPersistenceConfig(PersistenceConfig{Dir: t.TempDir(), SnapshotEvery: 16}))
+			}
+			db := openObsvDB(t, opts...)
+			const applies, nodes = 300, 20
+			done := make(chan error, 1)
+			go func() {
+				for i := 0; i < applies; i++ {
+					b := db.NewBatch().Add("edge", i%nodes, (i+1)%nodes)
+					switch i % 3 {
+					case 1: // an incremental delete of an input fact
+						b.Delete("edge", (i+5)%nodes, (i+6)%nodes)
+					case 2: // path is derived: a recompute fallback
+						b.Delete("path", (i+1)%nodes, (i+2)%nodes)
+					}
+					if err := db.Apply(b); err != nil {
+						done <- err
+						return
+					}
+				}
+				done <- nil
+			}()
+			scrapes, torn, first := 0, 0, ""
+			for running := true; running; {
+				select {
+				case err := <-done:
+					if err != nil {
+						t.Fatalf("apply: %v", err)
+					}
+					running = false
+				default:
+				}
+				var buf bytes.Buffer
+				if err := db.WriteMetrics(&buf); err != nil {
+					t.Fatal(err)
+				}
+				m := scalarSamples(buf.String())
+				ok := m["sti_db_applies_total"] == m["sti_db_incremental_applies_total"]+m["sti_db_recomputes_total"] &&
+					m["sti_db_epoch"] == m["sti_db_applies_total"]
+				if leg.persist {
+					ok = ok && m["sti_persist_wal_records_total"] == m["sti_persist_applies_since_snapshot"]
+				}
+				scrapes++
+				if !ok {
+					if torn++; first == "" {
+						first = fmt.Sprint(m)
+					}
+				}
+			}
+			t.Logf("%d scrapes", scrapes)
+			if torn > 0 {
+				t.Fatalf("%d of %d scrapes torn; first: %s", torn, scrapes, first)
+			}
+			if st := db.Stats(); st.AppliesIncremental == 0 || st.AppliesFallback == 0 || st.Applies != applies {
+				t.Fatalf("stream did not mix the paths: %+v", st)
+			}
+		})
+	}
+}
+
+// scalarSamples parses the unlabeled samples of an exposition.
+func scalarSamples(text string) map[string]float64 {
+	out := map[string]float64{}
+	for _, line := range strings.Split(text, "\n") {
+		f := strings.Fields(line)
+		if len(f) != 2 || strings.HasPrefix(line, "#") || strings.Contains(f[0], "{") {
+			continue
+		}
+		if v, err := strconv.ParseFloat(f[1], 64); err == nil {
+			out[f[0]] = v
+		}
+	}
+	return out
 }

@@ -572,6 +572,13 @@ func TestReadsDoNotInternSymbols(t *testing.T) {
 		if rows, err := db.Query("path", sym, nil); err != nil || rows == nil || len(rows) != 0 {
 			t.Fatalf("Query(%s) = %v, %v; want an empty miss", sym, rows, err)
 		}
+		if rows, err := db.Scan("path", sym, sym+"z"); err != nil || len(rows) != 0 {
+			t.Fatalf("Scan(%s) = %v, %v; want no rows", sym, rows, err)
+		}
+	}
+	// An unseen upper bound sorts above every stored symbol.
+	if rows, err := db.Scan("path", "a", "never"); err != nil || len(rows) != 1 {
+		t.Fatalf("Scan(a, never) = %v, %v; want the one stored row", rows, err)
 	}
 	if got := prog.st.Len(); got != before {
 		t.Fatalf("reads grew the symbol table %d -> %d", before, got)

@@ -8,7 +8,8 @@
 //	singleton-var          named variable used exactly once in its clause
 //	always-empty-rule      body reads a relation that can never hold facts
 //	unreachable-rule       derived facts can never reach an output
-//	negation-in-recursion  negation through a recursive cycle (unstratifiable)
+//	negation-in-recursion  negation or aggregation through a recursive cycle
+//	                       (unstratifiable)
 //	input-and-derived      rules derive an .input relation (loses the
 //	                       incremental delete path: retraction cannot
 //	                       attribute tuples to EDB vs rules)
@@ -109,8 +110,10 @@ func (c *checker) directives(kinds ...ast.DirectiveKind) map[string]bool {
 }
 
 // bodyAtoms visits every atom read by a clause body: positive atoms,
-// negated atoms, and atoms inside aggregate bodies, recursively.
-func bodyAtoms(body []ast.Literal, fn func(at *ast.Atom, negated bool)) {
+// negated atoms, and atoms inside aggregate bodies, recursively. negative
+// marks the reads sema's stratification treats as negative edges: a negated
+// atom, and any atom inside an aggregate body.
+func bodyAtoms(body []ast.Literal, fn func(at *ast.Atom, negative bool)) {
 	for _, l := range body {
 		switch l := l.(type) {
 		case *ast.Atom:
@@ -125,7 +128,7 @@ func bodyAtoms(body []ast.Literal, fn func(at *ast.Atom, negated bool)) {
 			for _, l := range agg.Body {
 				switch l := l.(type) {
 				case *ast.Atom:
-					fn(l, false)
+					fn(l, true)
 				case *ast.Negation:
 					fn(l.Atom, true)
 				}
@@ -303,13 +306,13 @@ func (c *checker) unreachableRules() {
 	}
 }
 
-// negationInRecursion: Tarjan SCC over the relation dependence graph; a
-// negated edge inside a cycle means the program has no stratification and
-// sema will reject it.
+// negationInRecursion: sema's SCC over the relation dependence graph; a
+// negative edge (negation, or a read inside an aggregate) within a cycle
+// means the program has no stratification and sema will reject it.
 func (c *checker) negationInRecursion() {
 	type edge struct {
 		from, to string
-		negated  bool
+		negative bool
 		pos      ast.Pos
 	}
 	var edges []edge
@@ -325,20 +328,20 @@ func (c *checker) negationInRecursion() {
 	for _, cl := range c.prog.Clauses {
 		head := cl.Head.Name
 		nodeOf(head)
-		bodyAtoms(cl.Body, func(at *ast.Atom, negated bool) {
+		bodyAtoms(cl.Body, func(at *ast.Atom, negative bool) {
 			nodeOf(at.Name)
-			edges = append(edges, edge{from: at.Name, to: head, negated: negated, pos: at.Pos})
+			edges = append(edges, edge{from: at.Name, to: head, negative: negative, pos: at.Pos})
 		})
 	}
 	adj := make([][]int, len(index))
 	for _, e := range edges {
 		adj[index[e.from]] = append(adj[index[e.from]], index[e.to])
 	}
-	scc := tarjan(adj)
+	scc, _ := sema.SCC(adj)
 	for _, e := range edges {
-		if e.negated && scc[index[e.from]] == scc[index[e.to]] {
+		if e.negative && scc[index[e.from]] == scc[index[e.to]] {
 			c.add(e.pos, "negation-in-recursion", Warning,
-				"negation of %s inside a recursive cycle with %s; the program cannot be stratified",
+				"%s is negated or aggregated inside a recursive cycle with %s; the program cannot be stratified",
 				e.from, e.to)
 		}
 	}
@@ -364,52 +367,4 @@ func (c *checker) inputAndDerived() {
 		c.add(cl.Pos, "input-and-derived", Warning,
 			"relation %s is both .input and derived by rules; retraction cannot attribute its tuples, forcing the recompute fallback on every delete batch", name)
 	}
-}
-
-// tarjan returns the strongly connected component ID of each node.
-func tarjan(adj [][]int) []int {
-	n := len(adj)
-	const unvisited = -1
-	idx := make([]int, n)
-	low := make([]int, n)
-	comp := make([]int, n)
-	onStack := make([]bool, n)
-	for i := range idx {
-		idx[i], comp[i] = unvisited, unvisited
-	}
-	var stack []int
-	next, comps := 0, 0
-	var strongconnect func(v int)
-	strongconnect = func(v int) {
-		idx[v], low[v] = next, next
-		next++
-		stack = append(stack, v)
-		onStack[v] = true
-		for _, w := range adj[v] {
-			if idx[w] == unvisited {
-				strongconnect(w)
-				low[v] = min(low[v], low[w])
-			} else if onStack[w] {
-				low[v] = min(low[v], idx[w])
-			}
-		}
-		if low[v] == idx[v] {
-			for {
-				w := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onStack[w] = false
-				comp[w] = comps
-				if w == v {
-					break
-				}
-			}
-			comps++
-		}
-	}
-	for v := 0; v < n; v++ {
-		if idx[v] == unvisited {
-			strongconnect(v)
-		}
-	}
-	return comp
 }

@@ -78,6 +78,27 @@ func TestCorpusSeededDefects(t *testing.T) {
 	}
 }
 
+// An aggregate over a relation inside its own recursive cycle is a negative
+// edge, as in sema's stratification, which rejects this program.
+func TestAggregateInRecursion(t *testing.T) {
+	const src = `.decl e(x:number)
+.decl r(x:number)
+.input e
+.output r
+r(x) :- e(x).
+r(n) :- r(x), n = count : { r(y) }.
+`
+	prog, err := parser.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantDiags(t, lint.Check("agg.dl", prog), []at{
+		{6, 11, "singleton-var"},
+		{6, 29, "negation-in-recursion"},
+		{6, 31, "singleton-var"},
+	})
+}
+
 // TestCorpusFilesFireOnlyTheirOwnKind: each seeded file demonstrates one
 // diagnostic kind without tripping the others, and the corpus covers every
 // rule the checker implements.

@@ -16,8 +16,9 @@
 // Exposure happens three ways, all fed from the same counters:
 //
 //   - WriteMetrics renders the Prometheus text exposition format (prom.go):
-//     request counters, latency histogram series, fallback/slow counters,
-//     runtime-sampler gauges, and externally registered gauges.
+//     request counters and latency histogram series, slow/in-flight/HTTP
+//     counters, the caller's metric families (the database-level series
+//     sti.Database builds from one DBStats), and runtime-sampler gauges.
 //   - Stats snapshots the histograms into a JSON-friendly form that
 //     sti.DBStats embeds, keeping the expvar sti.db blob truthful.
 //   - The slow-request log and per-request debug records go to the
@@ -127,11 +128,6 @@ type Observer struct {
 	// HTTP request.
 	mu   sync.Mutex
 	http map[httpKey]uint64
-
-	// ext holds externally registered scrape-time metrics (epoch, relation
-	// sizes, fallback-reason counts). Registration happens at Open time;
-	// the slice is immutable afterwards, so scrapes read it without mu.
-	ext []extMetric
 }
 
 type httpKey struct {
@@ -154,14 +150,6 @@ func (o *Observer) Logger() *slog.Logger {
 		return nil
 	}
 	return o.logger
-}
-
-// SlowThreshold returns the slow-request threshold (0 when disabled).
-func (o *Observer) SlowThreshold() time.Duration {
-	if o == nil {
-		return 0
-	}
-	return time.Duration(o.slowNs)
 }
 
 // Req is one in-flight instrumented request. It is a value type: starting
@@ -260,45 +248,6 @@ func (o *Observer) CountHTTP(handler string, code int) {
 	}
 	o.http[httpKey{handler, code}]++
 	o.mu.Unlock()
-}
-
-// --- registered scrape-time metrics ---
-
-// MetricKind distinguishes Prometheus counters from gauges in registered
-// metrics.
-type MetricKind uint8
-
-// Registered metric kinds.
-const (
-	KindGauge MetricKind = iota
-	KindCounter
-)
-
-type extMetric struct {
-	kind  MetricKind
-	name  string
-	help  string
-	label string                    // label name for vector metrics, "" for scalars
-	value func() float64            // scalar source
-	vec   func() map[string]float64 // vector source, keyed by label value
-}
-
-// Register adds a scalar metric evaluated at scrape time. Must be called
-// before the observer is shared across goroutines (i.e. during Open).
-func (o *Observer) Register(kind MetricKind, name, help string, value func() float64) {
-	if o == nil {
-		return
-	}
-	o.ext = append(o.ext, extMetric{kind: kind, name: name, help: help, value: value})
-}
-
-// RegisterVec adds a labeled metric family evaluated at scrape time; the
-// source returns one sample per label value. Must be called during Open.
-func (o *Observer) RegisterVec(kind MetricKind, name, help, label string, vec func() map[string]float64) {
-	if o == nil {
-		return
-	}
-	o.ext = append(o.ext, extMetric{kind: kind, name: name, help: help, label: label, vec: vec})
 }
 
 // --- snapshots ---

@@ -25,14 +25,14 @@ func TestNilObserverInert(t *testing.T) {
 		t.Fatal("nil observer minted an ID")
 	}
 	o.CountHTTP("/query", 200)
-	o.Register(KindGauge, "x", "h", func() float64 { return 1 })
 	if o.Stats() != nil {
 		t.Fatal("nil observer produced stats")
 	}
-	if err := o.WriteMetrics(&bytes.Buffer{}); err != nil {
-		t.Fatal(err)
+	var buf bytes.Buffer
+	if err := o.WriteMetrics(&buf, Family{Name: "x", Type: "gauge", Help: "h", Value: 1}); err != nil || buf.Len() != 0 {
+		t.Fatalf("nil observer wrote %q (%v)", buf.String(), err)
 	}
-	if o.Logger() != nil || o.SlowThreshold() != 0 {
+	if o.Logger() != nil {
 		t.Fatal("nil observer has configuration")
 	}
 }

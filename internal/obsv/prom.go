@@ -10,18 +10,28 @@ import (
 	"time"
 )
 
+// Family is one caller-supplied metric family, rendered by WriteMetrics
+// between the HTTP and runtime sections. Type is "counter" or "gauge". A
+// family without a Label is a scalar with the one sample Value; a labeled
+// family has one sample per Values key, printed in sorted key order.
+type Family struct {
+	Name, Type, Help string
+	Label            string
+	Value            float64
+	Values           map[string]float64
+}
+
 // WriteMetrics renders the observer's counters in the Prometheus text
 // exposition format (version 0.0.4): request counters and latency
 // histograms labeled by operation and outcome, slow/in-flight/HTTP
-// counters, runtime-sampler gauges (goroutines, heap, GC), and every
-// metric registered at Open time (epoch, per-relation sizes,
-// fallback-reason counts). A nil observer writes nothing.
+// counters, the caller's families in the order given, and runtime-sampler
+// gauges (goroutines, heap, GC). A nil observer writes nothing.
 //
 // The format is hand-rolled on purpose: the repo is dependency-free, and
 // the subset we need — HELP/TYPE comments, label escaping, histogram
 // _bucket/_sum/_count series with cumulative le bounds — is small. The
 // exposition-format validity test in prom_test.go keeps it honest.
-func (o *Observer) WriteMetrics(w io.Writer) error {
+func (o *Observer) WriteMetrics(w io.Writer, fams ...Family) error {
 	if o == nil {
 		return nil
 	}
@@ -60,27 +70,19 @@ func (o *Observer) WriteMetrics(w io.Writer) error {
 		}
 	}
 
-	// Registered scrape-time metrics (engine epoch, relation sizes,
-	// fallback reasons — wired by sti.Open).
-	for _, m := range o.ext {
-		kind := "gauge"
-		if m.kind == KindCounter {
-			kind = "counter"
+	for _, f := range fams {
+		writeHeader(b, f.Name, f.Type, f.Help)
+		if f.Label == "" {
+			fmt.Fprintf(b, "%s %s\n", f.Name, formatFloat(f.Value))
+			continue
 		}
-		writeHeader(b, m.name, kind, m.help)
-		if m.value != nil {
-			fmt.Fprintf(b, "%s %s\n", m.name, formatFloat(m.value()))
+		keys := make([]string, 0, len(f.Values))
+		for k := range f.Values {
+			keys = append(keys, k)
 		}
-		if m.vec != nil {
-			samples := m.vec()
-			keys := make([]string, 0, len(samples))
-			for k := range samples {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			for _, k := range keys {
-				fmt.Fprintf(b, "%s{%s=%s} %s\n", m.name, m.label, quoteLabel(k), formatFloat(samples[k]))
-			}
+		sort.Strings(keys)
+		for _, k := range keys {
+			fmt.Fprintf(b, "%s{%s=%s} %s\n", f.Name, f.Label, quoteLabel(k), formatFloat(f.Values[k]))
 		}
 	}
 

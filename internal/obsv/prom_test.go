@@ -32,16 +32,16 @@ func TestWriteMetricsValidExposition(t *testing.T) {
 	o.Start(OpScan, "path").Finish(OutError, nil)
 	o.CountHTTP("/query", 200)
 	o.CountHTTP("/apply", 400)
-	o.Register(KindGauge, "sti_db_epoch", "Epoch.", func() float64 { return 3 })
-	o.RegisterVec(KindGauge, "sti_relation_tuples", "Sizes.", "rel", func() map[string]float64 {
-		return map[string]float64{"edge": 2, "path": 3}
-	})
-	o.RegisterVec(KindCounter, "sti_apply_fallbacks_total", "Fallbacks.", "reason", func() map[string]float64 {
-		return map[string]float64{`needs "quoting"` + "\nand newlines\\": 1}
-	})
+	fams := []Family{
+		{Name: "sti_db_epoch", Type: "gauge", Help: "Epoch.", Value: 3},
+		{Name: "sti_relation_tuples", Type: "gauge", Help: "Sizes.", Label: "rel",
+			Values: map[string]float64{"path": 3, "edge": 2}},
+		{Name: "sti_apply_fallbacks_total", Type: "counter", Help: "Fallbacks.", Label: "reason",
+			Values: map[string]float64{`needs "quoting"` + "\nand newlines\\": 1}},
+	}
 
 	var buf bytes.Buffer
-	if err := o.WriteMetrics(&buf); err != nil {
+	if err := o.WriteMetrics(&buf, fams...); err != nil {
 		t.Fatal(err)
 	}
 	series := validateExposition(t, buf.String())
@@ -72,6 +72,20 @@ func TestWriteMetricsValidExposition(t *testing.T) {
 	// Escaped label values survive round-tripping.
 	if !strings.Contains(text, `reason="needs \"quoting\"\nand newlines\\"`) {
 		t.Fatalf("label escaping broken:\n%s", text)
+	}
+	// The caller's families print in the order given, between the HTTP and
+	// runtime sections, with labeled samples in sorted label order.
+	last := -1
+	for _, want := range []string{
+		"sti_http_requests_total{", "sti_db_epoch 3",
+		`sti_relation_tuples{rel="edge"} 2`, `sti_relation_tuples{rel="path"} 3`,
+		"sti_apply_fallbacks_total{", "sti_goroutines ",
+	} {
+		i := strings.Index(text, want)
+		if i <= last {
+			t.Fatalf("%s is missing or out of order:\n%s", want, text)
+		}
+		last = i
 	}
 }
 

@@ -814,78 +814,15 @@ func (a *analysis) stratify() {
 		}
 	}
 
-	// Tarjan SCC (iterative to survive deep programs).
-	index := make([]int, n)
-	low := make([]int, n)
-	onStack := make([]bool, n)
-	comp := make([]int, n)
-	for i := range index {
-		index[i] = -1
-		comp[i] = -1
-	}
-	var stack []int
-	counter := 0
-	ncomp := 0
-	type tframe struct {
-		v, ei int
-	}
-	for start := 0; start < n; start++ {
-		if index[start] != -1 {
-			continue
-		}
-		work := []tframe{{start, 0}}
-		index[start] = counter
-		low[start] = counter
-		counter++
-		stack = append(stack, start)
-		onStack[start] = true
-		for len(work) > 0 {
-			f := &work[len(work)-1]
-			v := f.v
-			if f.ei < len(adj[v]) {
-				w := adj[v][f.ei].to
-				f.ei++
-				if index[w] == -1 {
-					index[w] = counter
-					low[w] = counter
-					counter++
-					stack = append(stack, w)
-					onStack[w] = true
-					work = append(work, tframe{w, 0})
-				} else if onStack[w] {
-					if index[w] < low[v] {
-						low[v] = index[w]
-					}
-				}
-				continue
-			}
-			work = work[:len(work)-1]
-			if len(work) > 0 {
-				p := work[len(work)-1].v
-				if low[v] < low[p] {
-					low[p] = low[v]
-				}
-			}
-			if low[v] == index[v] {
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					comp[w] = ncomp
-					if w == v {
-						break
-					}
-				}
-				ncomp++
-			}
+	succ := make([][]int, n)
+	for v, edges := range adj {
+		for _, e := range edges {
+			succ[v] = append(succ[v], e.to)
 		}
 	}
+	comp, ncomp := SCC(succ)
 
 	// Reject negative edges within an SCC; mark recursive relations.
-	compSize := make([]int, ncomp)
-	for _, c := range comp {
-		compSize[c]++
-	}
 	for v, edges := range adj {
 		for _, e := range edges {
 			if comp[v] == comp[e.to] {
@@ -923,4 +860,78 @@ func (a *analysis) stratify() {
 		sort.Slice(s.Rels, func(i, j int) bool { return s.Rels[i].ID < s.Rels[j].ID })
 	}
 	a.out.Strata = strata
+}
+
+// SCC runs Tarjan's algorithm over a graph given as successor lists and
+// returns each node's strongly connected component and the component count.
+// It is iterative to survive deep programs. Components are numbered in
+// reverse topological order of the condensation: a component is finished
+// only after everything it reaches.
+func SCC(adj [][]int) (comp []int, ncomp int) {
+	n := len(adj)
+	index := make([]int, n)
+	low := make([]int, n)
+	onStack := make([]bool, n)
+	comp = make([]int, n)
+	for i := range index {
+		index[i] = -1
+		comp[i] = -1
+	}
+	var stack []int
+	counter := 0
+	type tframe struct {
+		v, ei int
+	}
+	for start := 0; start < n; start++ {
+		if index[start] != -1 {
+			continue
+		}
+		work := []tframe{{start, 0}}
+		index[start] = counter
+		low[start] = counter
+		counter++
+		stack = append(stack, start)
+		onStack[start] = true
+		for len(work) > 0 {
+			f := &work[len(work)-1]
+			v := f.v
+			if f.ei < len(adj[v]) {
+				w := adj[v][f.ei]
+				f.ei++
+				if index[w] == -1 {
+					index[w] = counter
+					low[w] = counter
+					counter++
+					stack = append(stack, w)
+					onStack[w] = true
+					work = append(work, tframe{w, 0})
+				} else if onStack[w] {
+					if index[w] < low[v] {
+						low[v] = index[w]
+					}
+				}
+				continue
+			}
+			work = work[:len(work)-1]
+			if len(work) > 0 {
+				p := work[len(work)-1].v
+				if low[v] < low[p] {
+					low[p] = low[v]
+				}
+			}
+			if low[v] == index[v] {
+				for {
+					w := stack[len(stack)-1]
+					stack = stack[:len(stack)-1]
+					onStack[w] = false
+					comp[w] = ncomp
+					if w == v {
+						break
+					}
+				}
+				ncomp++
+			}
+		}
+	}
+	return comp, ncomp
 }

@@ -2,6 +2,7 @@ package sti
 
 import (
 	"errors"
+	"io"
 	"log/slog"
 	"time"
 
@@ -15,8 +16,7 @@ import (
 // outcome, and requests crossing SlowRequest emit one structured log record
 // carrying the request ID and the engine profile. The collected counters
 // surface through Database.Stats() (and thus the expvar sti.db blob) and
-// through the observer's Prometheus text exposition (the /metrics endpoint
-// of sti serve).
+// through Database.WriteMetrics (the /metrics endpoint of sti serve).
 //
 // Observability is opt-in. Without WithObservability a database pays the
 // disabled path: one nil check per operation and zero additional
@@ -40,8 +40,8 @@ func WithObservability(cfg ObservabilityConfig) Option {
 }
 
 // Observer returns the database's observability hub (nil unless the
-// database was opened WithObservability). The serve layer uses it for the
-// Prometheus exposition and HTTP request accounting.
+// database was opened WithObservability). The serve layer uses it for HTTP
+// request IDs, accounting and access logs.
 func (db *Database) Observer() *obsv.Observer { return db.obs }
 
 // Phase reports the engine's lifecycle phase ("ready" on a healthy
@@ -57,10 +57,10 @@ func (db *Database) Phase() string {
 // probes. A database stays ready for reads while an Apply is in flight —
 // snapshots keep serving the previous epoch.
 func (db *Database) Ready() error {
-	if db.stClosed.Load() {
+	if db.closed.Load() {
 		return ErrClosed
 	}
-	if db.stBroken.Load() {
+	if db.broken.Load() != nil {
 		return errors.New("sti: database is broken: the engine failed mid-apply and may hold a partial fixpoint")
 	}
 	if p := interp.Phase(db.phaseV.Load()); p != interp.PhaseReady {
@@ -101,88 +101,51 @@ func (p *readProfile) SlowAttrs() []slog.Attr {
 	}
 }
 
-// registerObsvMetrics wires the database-level gauges and counters into the
-// observer's scrape path. Each source takes its own short-lived snapshot,
-// so scrapes are consistent with the epoch they observe and never tear an
-// in-flight Apply.
-func (db *Database) registerObsvMetrics() {
-	obs := db.obs
-	obs.Register(obsv.KindGauge, "sti_db_epoch",
-		"Completed Apply epochs (including Close).",
-		func() float64 { return float64(db.guard.Epoch()) })
-	obs.Register(obsv.KindCounter, "sti_db_applies_total",
-		"Total Apply calls.",
-		db.snapshotCounter(func() uint64 { return db.applies }))
-	obs.Register(obsv.KindCounter, "sti_db_incremental_applies_total",
-		"Batches absorbed through the incremental update/delete entry points.",
-		db.snapshotCounter(func() uint64 { return db.incremental }))
-	obs.Register(obsv.KindCounter, "sti_db_recomputes_total",
-		"Batches that lost the incremental path and recomputed from scratch.",
-		db.snapshotCounter(func() uint64 { return db.recomputes }))
-	obs.RegisterVec(obsv.KindCounter, "sti_apply_fallbacks_total",
-		"Recompute fallbacks by reason.", "reason",
-		func() map[string]float64 {
-			s := db.Snapshot()
-			defer s.Release()
-			out := make(map[string]float64, len(db.fallbackCounts))
-			for reason, n := range db.fallbackCounts {
-				out[reason] = float64(n)
-			}
-			return out
-		})
-	if db.pst != nil {
-		db.registerPersistMetrics()
+// WriteMetrics renders the database's Prometheus text exposition (the
+// /metrics endpoint of sti serve): the observer's request, HTTP and runtime
+// series around the database families below. Those all come from one Stats
+// call, so every database series of a scrape reads one epoch; a counter
+// added to DBStats reaches /metrics by one more family here. A database
+// opened without WithObservability writes nothing.
+func (db *Database) WriteMetrics(w io.Writer) error {
+	if db.obs == nil {
+		return nil
 	}
-	obs.RegisterVec(obsv.KindGauge, "sti_relation_tuples",
-		"Tuples per relation (aux relations excluded).", "rel",
-		func() map[string]float64 {
-			s := db.Snapshot()
-			defer s.Release()
-			out := map[string]float64{}
-			for _, rd := range db.prog.ram.Relations {
-				if !rd.IsAux() {
-					out[rd.Name] = float64(db.eng.Relation(rd.Name).Size())
-				}
-			}
-			return out
-		})
-}
-
-// registerPersistMetrics wires the durability counters into the scrape
-// path: WAL traffic and checkpoint cadence.
-func (db *Database) registerPersistMetrics() {
-	obs := db.obs
-	persist := func(read func(*PersistStats) float64) func() float64 {
-		return func() float64 {
-			s := db.Snapshot()
-			defer s.Release()
-			return read(db.pst.stats())
-		}
+	st := db.Stats()
+	fallbacks := make(map[string]float64, len(st.FallbackReasons))
+	for reason, n := range st.FallbackReasons {
+		fallbacks[reason] = float64(n)
 	}
-	obs.Register(obsv.KindGauge, "sti_persist_generation",
-		"Current snapshot/WAL generation of the data directory.",
-		persist(func(p *PersistStats) float64 { return float64(p.Generation) }))
-	obs.Register(obsv.KindCounter, "sti_persist_wal_records_total",
-		"Batches appended to the current WAL generation.",
-		persist(func(p *PersistStats) float64 { return float64(p.WALRecords) }))
-	obs.Register(obsv.KindCounter, "sti_persist_wal_bytes_total",
-		"Payload bytes appended to the current WAL generation.",
-		persist(func(p *PersistStats) float64 { return float64(p.WALBytes) }))
-	obs.Register(obsv.KindCounter, "sti_persist_snapshots_total",
-		"Checkpoints taken this session (open, periodic, and close).",
-		persist(func(p *PersistStats) float64 { return float64(p.Snapshots) }))
-	obs.Register(obsv.KindGauge, "sti_persist_applies_since_snapshot",
-		"Applies since the last checkpoint (the WAL replay a crash would pay).",
-		persist(func(p *PersistStats) float64 { return float64(p.SinceSnapshot) }))
-}
-
-// snapshotCounter adapts a plain counter read into a scrape source that
-// pins a snapshot for the read (writers mutate these counters only under
-// the writer lock, which a pinned snapshot excludes).
-func (db *Database) snapshotCounter(read func() uint64) func() float64 {
-	return func() float64 {
-		s := db.Snapshot()
-		defer s.Release()
-		return float64(read())
+	tuples := make(map[string]float64, len(st.Relations))
+	for name, n := range st.Relations {
+		tuples[name] = float64(n)
 	}
+	fams := []obsv.Family{
+		{Name: "sti_db_epoch", Type: "gauge", Value: float64(st.Epoch),
+			Help: "Completed Apply epochs (including Close)."},
+		{Name: "sti_db_applies_total", Type: "counter", Value: float64(st.Applies),
+			Help: "Total Apply calls."},
+		{Name: "sti_db_incremental_applies_total", Type: "counter", Value: float64(st.AppliesIncremental),
+			Help: "Batches absorbed through the incremental update/delete entry points."},
+		{Name: "sti_db_recomputes_total", Type: "counter", Value: float64(st.AppliesFallback),
+			Help: "Batches that lost the incremental path and recomputed from scratch."},
+		{Name: "sti_apply_fallbacks_total", Type: "counter", Label: "reason", Values: fallbacks,
+			Help: "Recompute fallbacks by reason."},
+	}
+	if p := st.Persist; p != nil {
+		fams = append(fams,
+			obsv.Family{Name: "sti_persist_generation", Type: "gauge", Value: float64(p.Generation),
+				Help: "Current snapshot/WAL generation of the data directory."},
+			obsv.Family{Name: "sti_persist_wal_records_total", Type: "counter", Value: float64(p.WALRecords),
+				Help: "Batches appended to the current WAL generation."},
+			obsv.Family{Name: "sti_persist_wal_bytes_total", Type: "counter", Value: float64(p.WALBytes),
+				Help: "Payload bytes appended to the current WAL generation."},
+			obsv.Family{Name: "sti_persist_snapshots_total", Type: "counter", Value: float64(p.Snapshots),
+				Help: "Checkpoints taken this session (open, periodic, and close)."},
+			obsv.Family{Name: "sti_persist_applies_since_snapshot", Type: "gauge", Value: float64(p.SinceSnapshot),
+				Help: "Applies since the last checkpoint (the WAL replay a crash would pay)."})
+	}
+	fams = append(fams, obsv.Family{Name: "sti_relation_tuples", Type: "gauge", Label: "rel", Values: tuples,
+		Help: "Tuples per relation (aux relations excluded)."})
+	return db.obs.WriteMetrics(w, fams...)
 }

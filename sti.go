@@ -161,10 +161,11 @@ func (in *Input) Add(name string, values ...any) *Input {
 func (in *Input) Err() error { return in.err }
 
 // errNotStored fails a read that names a symbol the symbol table does not
-// hold. Reads (Snapshot.Query and QueryText patterns, Result.Contains and
-// Explain) look symbols up instead of interning them, so probing never grows
-// the table — nor, on a durable database, the next WAL record. No stored
-// tuple can contain such a symbol, so the read is a miss.
+// hold. Reads (Snapshot.Query and QueryText patterns, Scan bounds,
+// Result.Contains and Explain) look symbols up instead of interning them, so
+// probing never grows the table — nor, on a durable database, the next WAL
+// record. No stored tuple can contain such a symbol, so a pattern read is a
+// miss (a Scan bound sorts above every stored symbol instead).
 var errNotStored = errors.New("symbol occurs in no stored tuple")
 
 // encodeTuple converts Go values to one tuple of the named relation. A write
