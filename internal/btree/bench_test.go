@@ -47,6 +47,37 @@ func BenchmarkContainsHit(b *testing.B) {
 	}
 }
 
+// sweepKeys returns the 64 k keys {a, c} for a, c < 256 in ascending order:
+// the order a join's inner loop emits them in.
+func sweepKeys() []k2 {
+	keys := make([]k2, 0, 1<<16)
+	for a := uint32(0); a < 256; a++ {
+		for c := uint32(0); c < 256; c++ {
+			keys = append(keys, k2{a, c})
+		}
+	}
+	return keys
+}
+
+// BenchmarkInsertDupSweep is the shape of a self-join like
+// aliased(a,b) :- vpt(a,h), vpt(b,h): ascending sweeps of keys of which
+// almost all are already present. The tree starts without every 32nd key,
+// which the first sweep adds; an insert costs one leaf search when the
+// writer hint covers the key.
+func BenchmarkInsertDupSweep(b *testing.B) {
+	keys := sweepKeys()
+	tr := New[k2]()
+	for i, k := range keys {
+		if i%32 != 0 {
+			tr.Insert(k)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr.Insert(keys[i&(1<<16-1)])
+	}
+}
+
 func BenchmarkIterate(b *testing.B) {
 	keys := benchKeys(1 << 16)
 	tr := New[k2]()

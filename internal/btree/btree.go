@@ -61,9 +61,20 @@ func (nd *node[K]) find(k K) (int, bool) {
 }
 
 // Tree is an ordered set of K. The zero value is an empty tree.
+//
+// Like the paper's B-tree, the tree keeps an operation hint for its writer:
+// last is the leaf the previous Insert ended in. Datalog inserts arrive in
+// near-sorted runs, so the next key usually belongs to the same leaf, and
+// Insert tries it before descending from the root. Reads leave it alone, so
+// concurrent readers still share the tree.
 type Tree[K Key[K]] struct {
 	root *node[K]
 	size int
+	last *node[K]
+	// lastMax records that last is the rightmost leaf, so that it also takes
+	// keys above its own: an ascending run of fresh keys appends there. Only
+	// a descending Insert splits leaves, and it sets last and lastMax anew.
+	lastMax bool
 }
 
 // New returns an empty tree.
@@ -79,12 +90,38 @@ func (t *Tree[K]) Empty() bool { return t.size == 0 }
 func (t *Tree[K]) Clear() {
 	t.root = nil
 	t.size = 0
+	t.last = nil
 }
 
 // Swap exchanges the contents of two trees in O(1).
 func (t *Tree[K]) Swap(o *Tree[K]) {
 	t.root, o.root = o.root, t.root
 	t.size, o.size = o.size, t.size
+	t.last, o.last = nil, nil
+}
+
+// inLeaf looks k up in the non-empty leaf nd alone. That answers for the
+// whole tree when nd covers k (keys[0] <= k <= keys[n-1]), since a leaf holds
+// a contiguous run of the tree's keys. c is where k falls: below the leaf
+// (<0), above it (>0, with i = n), or covered (0), when i is k's position
+// and found whether it is there. The bounds are tested first, so a key
+// outside the leaf costs one or two comparisons.
+func (nd *node[K]) inLeaf(k K) (i int, found bool, c int) {
+	n := int(nd.n)
+	switch hi := k.Cmp(nd.keys[n-1]); {
+	case hi > 0:
+		return n, false, 1
+	case hi == 0:
+		return n - 1, true, 0
+	}
+	switch lo := k.Cmp(nd.keys[0]); {
+	case lo < 0:
+		return 0, false, -1
+	case lo == 0:
+		return 0, true, 0
+	}
+	i, found = nd.find(k)
+	return i, found, 0
 }
 
 // Contains reports whether k is in the set.
@@ -103,13 +140,28 @@ func (t *Tree[K]) Contains(k K) bool {
 	return false
 }
 
-// Insert adds k to the set, reporting whether it was newly added.
+// Insert adds k to the set, reporting whether it was newly added. It first
+// tries the leaf the previous Insert ended in: if that leaf covers k (or is
+// the rightmost leaf and k lies above it), it holds k already or, when it
+// has room, takes k directly.
 func (t *Tree[K]) Insert(k K) bool {
+	if nd := t.last; nd != nil {
+		i, found, c := nd.inLeaf(k)
+		if found {
+			return false
+		}
+		if int(nd.n) < maxKeys && (c == 0 || c > 0 && t.lastMax) {
+			nd.insertAt(i, k)
+			t.size++
+			return true
+		}
+	}
 	if t.root == nil {
 		t.root = &node[K]{}
 		t.root.keys[0] = k
 		t.root.n = 1
 		t.size = 1
+		t.last, t.lastMax = t.root, true
 		return true
 	}
 	if int(t.root.n) == maxKeys {
@@ -167,17 +219,30 @@ func (nd *node[K]) splitChild(i int) {
 	nd.n++
 }
 
+// insertAt inserts k at position i of a non-full leaf.
+func (nd *node[K]) insertAt(i int, k K) {
+	copy(nd.keys[i+1:], nd.keys[i:int(nd.n)])
+	nd.keys[i] = k
+	nd.n++
+}
+
+// insertNonFull descends from nd to the leaf k belongs in, splitting full
+// children on the way, and inserts k there. The leaf it ends in, also for a
+// duplicate found in a leaf, becomes the writer hint.
 func (t *Tree[K]) insertNonFull(nd *node[K], k K) bool {
+	rightmost := true
 	for {
 		i, ok := nd.find(k)
+		if nd.leaf() {
+			t.last, t.lastMax = nd, rightmost
+			if ok {
+				return false
+			}
+			nd.insertAt(i, k)
+			return true
+		}
 		if ok {
 			return false
-		}
-		if nd.leaf() {
-			copy(nd.keys[i+1:], nd.keys[i:int(nd.n)])
-			nd.keys[i] = k
-			nd.n++
-			return true
 		}
 		if int(nd.children[i].n) == maxKeys {
 			nd.splitChild(i)
@@ -188,6 +253,7 @@ func (t *Tree[K]) insertNonFull(nd *node[K], k K) bool {
 				i++
 			}
 		}
+		rightmost = rightmost && i == int(nd.n)
 		nd = nd.children[i]
 	}
 }

@@ -1,8 +1,10 @@
 package btree
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -161,6 +163,240 @@ func TestRandomAgainstModel(t *testing.T) {
 	// Iter matches ForEach.
 	if it := collectIter(tr.Iter()); len(it) != len(got) {
 		t.Fatalf("Iter yielded %d keys, ForEach %d", len(it), len(got))
+	}
+}
+
+// checkShape verifies the B-tree invariants the hinted insert must keep:
+// every node but the root holds degree-1..maxKeys keys, an internal node has
+// n+1 children, every leaf sits at the same depth, keys ascend in order, and
+// Size matches the key count.
+func checkShape(t *testing.T, tr *Tree[k2]) {
+	t.Helper()
+	leafDepth := -1
+	count := 0
+	var walk func(nd *node[k2], depth int)
+	walk = func(nd *node[k2], depth int) {
+		if nd != tr.root && (int(nd.n) < degree-1 || int(nd.n) > maxKeys) {
+			t.Fatalf("node at depth %d holds %d keys", depth, nd.n)
+		}
+		count += int(nd.n)
+		if nd.leaf() {
+			if leafDepth < 0 {
+				leafDepth = depth
+			} else if depth != leafDepth {
+				t.Fatalf("leaves at depths %d and %d", leafDepth, depth)
+			}
+			return
+		}
+		if len(nd.children) != int(nd.n)+1 {
+			t.Fatalf("internal node with %d keys has %d children", nd.n, len(nd.children))
+		}
+		for _, c := range nd.children {
+			walk(c, depth+1)
+		}
+	}
+	if tr.root != nil {
+		walk(tr.root, 0)
+	}
+	if count != tr.Size() {
+		t.Fatalf("tree holds %d keys, Size says %d", count, tr.Size())
+	}
+	got := collect(tr)
+	for i := 1; i < len(got); i++ {
+		if got[i-1].Cmp(got[i]) >= 0 {
+			t.Fatalf("out of order at %d: %v >= %v", i, got[i-1], got[i])
+		}
+	}
+}
+
+// TestWriterHintAgainstModel runs random sequences of every mutating and
+// reading operation over two trees against map models. Sorted runs land in
+// the writer's hinted leaf, scattered keys miss it, and "fill" runs grow the
+// hinted leaf to maxKeys so the next insert must split it. A writer hint kept
+// across Clear, Swap or Remove shows as a wrong answer or a broken shape.
+func TestWriterHintAgainstModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	trees := [2]*Tree[k2]{New[k2](), New[k2]()}
+	models := [2]map[k2]bool{{}, {}}
+	scattered := func() k2 { return k2{uint32(rng.Intn(40)), uint32(rng.Intn(1024))} }
+	// run returns an ascending run of n keys from a random start, mostly
+	// adjacent so that consecutive keys share a leaf.
+	run := func(n int) []k2 {
+		k := scattered()
+		out := make([]k2, n)
+		for i := range out {
+			out[i] = k
+			k[1] += uint32(1 + rng.Intn(2))
+		}
+		return out
+	}
+	insert := func(w int, k k2) {
+		if got, want := trees[w].Insert(k), !models[w][k]; got != want {
+			t.Fatalf("tree %d: Insert(%v) = %v, model says %v", w, k, got, want)
+		}
+		models[w][k] = true
+	}
+	contains := func(w int, k k2) {
+		if got, want := trees[w].Contains(k), models[w][k]; got != want {
+			t.Fatalf("tree %d: Contains(%v) = %v, model says %v", w, k, got, want)
+		}
+	}
+	for step := 0; step < 20000; step++ {
+		w := rng.Intn(2)
+		switch op := rng.Intn(100); {
+		case op < 20:
+			insert(w, scattered())
+		case op < 40:
+			for _, k := range run(1 + rng.Intn(48)) {
+				insert(w, k)
+			}
+		case op < 45:
+			// Bracket a fresh range, then fill it in ascending order: every
+			// key after the first two lands strictly inside the writer's leaf
+			// until that leaf is full.
+			a := uint32(100 + rng.Intn(1000))
+			insert(w, k2{a, 1000})
+			for b := uint32(0); b < 3*maxKeys; b++ {
+				insert(w, k2{a, b})
+			}
+		case op < 52:
+			keys := run(1 + rng.Intn(48))
+			if rng.Intn(2) == 0 {
+				for i := range keys {
+					keys[i] = scattered()
+				}
+			}
+			want := 0
+			for _, k := range keys {
+				if !models[w][k] {
+					models[w][k] = true
+					want++
+				}
+			}
+			if got := trees[w].InsertAll(keys); got != want {
+				t.Fatalf("tree %d: InsertAll added %d, model %d", w, got, want)
+			}
+		case op < 58:
+			// Remove a run of present keys, which merges and rotates the
+			// leaves around the hint, then read and refill the same run.
+			keys := collect(trees[w])
+			if len(keys) == 0 {
+				continue
+			}
+			i := rng.Intn(len(keys))
+			keys = keys[i:min(len(keys), i+1+rng.Intn(48))]
+			for _, k := range keys {
+				trees[w].Remove(k)
+				delete(models[w], k)
+			}
+			for j, k := range keys {
+				contains(w, k)
+				if j%2 == 0 {
+					insert(w, k)
+				}
+			}
+		case op < 62:
+			k := scattered()
+			if rng.Intn(2) == 0 {
+				for mk := range models[w] {
+					k = mk
+					break
+				}
+			}
+			if got, want := trees[w].Remove(k), models[w][k]; got != want {
+				t.Fatalf("tree %d: Remove(%v) = %v, model says %v", w, k, got, want)
+			}
+			delete(models[w], k)
+		case op < 63:
+			trees[w].Clear()
+			models[w] = map[k2]bool{}
+		case op < 66:
+			trees[0].Swap(trees[1])
+			models[0], models[1] = models[1], models[0]
+		case op < 80:
+			contains(w, scattered())
+		default:
+			for _, k := range run(1 + rng.Intn(48)) {
+				contains(w, k)
+			}
+		}
+		if step%500 == 0 {
+			for i := range trees {
+				checkShape(t, trees[i])
+				if trees[i].Size() != len(models[i]) {
+					t.Fatalf("step %d: tree %d size %d, model %d", step, i, trees[i].Size(), len(models[i]))
+				}
+			}
+		}
+	}
+	for i := range trees {
+		checkShape(t, trees[i])
+		for _, k := range collect(trees[i]) {
+			if !models[i][k] {
+				t.Fatalf("tree %d enumerates %v, not in its model", i, k)
+			}
+		}
+		if trees[i].Size() != len(models[i]) {
+			t.Fatalf("tree %d size %d, model %d", i, trees[i].Size(), len(models[i]))
+		}
+	}
+}
+
+// TestWriterHintFollowsItsTree: after Swap, the leaf a tree's last Insert
+// ended in belongs to the other tree, and after Clear it belongs to no tree.
+// Each step then inserts a key that stale leaf holds, so an Insert that
+// still trusted it would report a duplicate the tree does not have.
+func TestWriterHintFollowsItsTree(t *testing.T) {
+	even, odd := New[k2](), New[k2]()
+	for i := uint32(0); i < 200; i += 2 {
+		even.Insert(k2{i, 0})
+		odd.Insert(k2{i + 1, 0})
+	}
+	if even.Insert(k2{50, 0}) {
+		t.Fatal("Insert(50) on the even tree: want a duplicate")
+	}
+	even.Swap(odd) // even now holds the odd keys
+	if !even.Insert(k2{52, 0}) {
+		t.Fatal("after Swap: Insert(52) reported a duplicate from the other tree's leaf")
+	}
+	if even.Size() != 101 || odd.Size() != 100 {
+		t.Fatalf("after Swap and one insert: sizes %d and %d, want 101 and 100", even.Size(), odd.Size())
+	}
+	if odd.Insert(k2{60, 0}) {
+		t.Fatal("Insert(60) on the even keys: want a duplicate")
+	}
+	odd.Clear()
+	if !odd.Insert(k2{60, 0}) || odd.Size() != 1 || !odd.Contains(k2{60, 0}) {
+		t.Fatalf("after Clear: Insert(60) must add the tree's only key (size %d)", odd.Size())
+	}
+}
+
+// TestConcurrentReadersShareTree has goroutines read one tree at once while
+// no one writes: the race detector must find nothing. Reads never touch the
+// writer hint, which is why it can live in the tree.
+func TestConcurrentReadersShareTree(t *testing.T) {
+	tr := New[k2]()
+	for i := uint32(0); i < 4000; i += 2 {
+		tr.Insert(k2{i, 0})
+	}
+	var wg sync.WaitGroup
+	errs := make(chan string, 4)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(start uint32) {
+			defer wg.Done()
+			for i := start; i < 4000; i++ {
+				if got := tr.Contains(k2{i, 0}); got != (i%2 == 0) {
+					errs <- fmt.Sprintf("Contains(%d) = %v", i, got)
+					return
+				}
+			}
+		}(uint32(g * 100))
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
 	}
 }
 

@@ -4,8 +4,10 @@ package btree
 // the textbook CLRS B-tree deletion: while descending, every child entered
 // is first refilled to at least degree keys (borrowing from a sibling or
 // merging with one), so the removal itself never needs to walk back up.
-// Iterators obtained before a Remove are invalidated, like for Insert.
+// Iterators obtained before a Remove are invalidated, like for Insert, and
+// so is the writer hint: the refills merge nodes even when k is absent.
 func (t *Tree[K]) Remove(k K) bool {
+	t.last = nil
 	if t.root == nil {
 		return false
 	}
