@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"sti/internal/ram"
+	"sti/internal/ramopt"
 )
 
 var updateFingerprints = flag.Bool("update", false, "rewrite testdata/translation_fingerprints.txt")
@@ -19,14 +20,57 @@ var updateFingerprints = flag.Bool("update", false, "rewrite testdata/translatio
 const fingerprintFile = "testdata/translation_fingerprints.txt"
 
 // translationText is everything the translator decides for one program: the
-// printed unoptimized RAM (declarations, Main, Update and Delete) and the
-// RuleID of every query in program order.
-func translationText(w *Workload) (string, error) {
-	rp, _, err := w.Compile()
+// printed RAM (declarations, Main, Update and Delete) and the RuleID of every
+// query in program order. With optimize the RAM is the one sti.Parse hands
+// every backend, the translation after ramopt.Optimize, and the text also
+// lists the IndexID of every search site in program order (the printer shows
+// index orders but not which one a search uses).
+func translationText(w *Workload, optimize bool) (string, error) {
+	rp, st, err := w.Compile()
 	if err != nil {
 		return "", err
 	}
-	var ids []string
+	if optimize {
+		ramopt.Optimize(rp, st, ramopt.Queryable())
+	}
+	var ids, indexIDs []string
+	site := func(id int) { indexIDs = append(indexIDs, fmt.Sprint(id)) }
+	var cond func(c ram.Condition)
+	cond = func(c ram.Condition) {
+		switch c := c.(type) {
+		case *ram.And:
+			cond(c.L)
+			cond(c.R)
+		case *ram.Not:
+			cond(c.C)
+		case *ram.ExistenceCheck:
+			site(c.IndexID)
+		}
+	}
+	var op func(o ram.Operation)
+	op = func(o ram.Operation) {
+		switch o := o.(type) {
+		case *ram.Scan:
+			op(o.Nested)
+		case *ram.IndexScan:
+			site(o.IndexID)
+			op(o.Nested)
+		case *ram.Choice:
+			cond(o.Cond)
+			op(o.Nested)
+		case *ram.IndexChoice:
+			site(o.IndexID)
+			cond(o.Cond)
+			op(o.Nested)
+		case *ram.Filter:
+			cond(o.Cond)
+			op(o.Nested)
+		case *ram.Aggregate:
+			site(o.IndexID)
+			cond(o.Cond)
+			op(o.Nested)
+		}
+	}
 	var walk func(s ram.Statement)
 	walk = func(s ram.Statement) {
 		switch s := s.(type) {
@@ -40,6 +84,7 @@ func translationText(w *Workload) (string, error) {
 			walk(s.Stmt)
 		case *ram.Query:
 			ids = append(ids, fmt.Sprint(s.RuleID))
+			op(s.Root)
 		}
 	}
 	for _, s := range []ram.Statement{rp.Main, rp.Update, rp.Delete} {
@@ -47,7 +92,11 @@ func translationText(w *Workload) (string, error) {
 			walk(s)
 		}
 	}
-	return rp.String() + "RULEIDS " + strings.Join(ids, " ") + "\n", nil
+	text := rp.String() + "RULEIDS " + strings.Join(ids, " ") + "\n"
+	if optimize {
+		text += "INDEXIDS " + strings.Join(indexIDs, " ") + "\n"
+	}
+	return text, nil
 }
 
 // fingerprintPrograms is every program the fingerprint test pins: the
@@ -76,20 +125,28 @@ func fingerprintPrograms(tb testing.TB) []*Workload {
 	return ws
 }
 
-// TestTranslationFingerprints pins the translator's output: one SHA-256 per
-// program over translationText. A refactoring of internal/ast2ram that
-// claims byte-identical RAM must pass with the file unchanged; a change that
-// alters the RAM on purpose regenerates it with
+// TestTranslationFingerprints pins the translator's output: two SHA-256 per
+// program over translationText, one of the unoptimized translation and one
+// (the "optimized" line) of the program after the optimizer. A refactoring
+// of internal/ast2ram or internal/ramopt that claims byte-identical RAM must
+// pass with the file unchanged; a change that alters the RAM on purpose
+// regenerates it with
 //
 //	go test ./internal/bench -run TranslationFingerprints -update
 func TestTranslationFingerprints(t *testing.T) {
 	got := map[string]string{}
 	for _, w := range fingerprintPrograms(t) {
-		text, err := translationText(w)
-		if err != nil {
-			continue
+		for _, optimize := range []bool{false, true} {
+			text, err := translationText(w, optimize)
+			if err != nil {
+				continue
+			}
+			name := w.FullName()
+			if optimize {
+				name += " optimized"
+			}
+			got[name] = fmt.Sprintf("%x", sha256.Sum256([]byte(text)))
 		}
-		got[w.FullName()] = fmt.Sprintf("%x", sha256.Sum256([]byte(text)))
 	}
 	names := make([]string, 0, len(got))
 	for name := range got {
