@@ -52,13 +52,9 @@ func cmdVet(args []string) {
 	}
 	var all []finding
 	for _, src := range sources {
-		fnds, stats := vetOne(src)
+		fnds := vetOne(src)
 		if len(fnds) == 0 && *verbose && !*jsonOut {
-			if stats.Changed() {
-				fmt.Printf("%s: ok (optimized: %s)\n", src.name, stats)
-			} else {
-				fmt.Printf("%s: ok\n", src.name)
-			}
+			fmt.Printf("%s: ok\n", src.name)
 		}
 		all = append(all, fnds...)
 	}
@@ -71,34 +67,32 @@ type vetSource struct {
 }
 
 // vetOne runs one program through the frontend and the verifier, then
-// through the RAM optimizer and the verifier again, reporting the
-// optimizer's program shrink for -v.
+// through the RAM optimizer and the verifier again.
 //
 // Named exception to "sti.Parse is the only code that chains the stages":
 // vet attributes each verifier diagnostic to the stage that produced the
 // ill-formed program (translate vs optimize), so it must stop between them.
 // It runs the pass set sti.Parse runs, so it checks the program that runs.
-func vetOne(src vetSource) ([]finding, ramopt.Stats) {
-	var stats ramopt.Stats
+func vetOne(src vetSource) []finding {
 	astProg, err := parser.Parse(src.text)
 	if err != nil {
-		return []finding{frontendFinding(src, err)}, stats
+		return []finding{frontendFinding(src, err)}
 	}
 	semProg, errs := sema.Analyze(astProg)
 	if len(errs) > 0 {
-		return []finding{frontendFinding(src, errs[0])}, stats
+		return []finding{frontendFinding(src, errs[0])}
 	}
 	st := symtab.New()
 	prog, err := ast2ram.Translate(semProg, st)
 	if err != nil {
-		return []finding{frontendFinding(src, err)}, stats
+		return []finding{frontendFinding(src, err)}
 	}
 	out := collectDiags(prog, src.name, "translate")
 	if len(out) == 0 {
-		stats = ramopt.OptimizeStats(prog, st, ramopt.Queryable())
+		ramopt.Optimize(prog, st, ramopt.Queryable())
 		out = append(out, collectDiags(prog, src.name, "optimize")...)
 	}
-	return out, stats
+	return out
 }
 
 func collectDiags(prog *ram.Program, path, stage string) []finding {

@@ -25,7 +25,8 @@
 //     tracker (recent, del, ddel, dred) holds a batch-sized change set and
 //     is rotated to the outermost level.
 //
-// The translation also runs automatic index selection (internal/indexselect)
+// The translator writes no index orders or IndexIDs. Its last step is
+// automatic index selection over the finished program (indexselect.Assign),
 // so that every primitive search in the emitted RAM program is a prefix
 // search on some index of its relation.
 package ast2ram
@@ -58,11 +59,10 @@ func (e *Error) Error() string {
 // interned into st.
 func Translate(p *sema.Program, st *symtab.Table) (*ram.Program, error) {
 	t := &translator{
-		sem:     p,
-		st:      st,
-		rels:    map[string]*ram.Relation{},
-		aux:     map[ram.AuxKind]map[string]*ram.Relation{},
-		pending: map[*ram.Relation][]patch{},
+		sem:  p,
+		st:   st,
+		rels: map[string]*ram.Relation{},
+		aux:  map[ram.AuxKind]map[string]*ram.Relation{},
 	}
 	if err := t.run(); err != nil {
 		return nil, err
@@ -75,13 +75,6 @@ func Translate(p *sema.Program, st *symtab.Table) (*ram.Program, error) {
 		}
 	}
 	return t.out, nil
-}
-
-// patch records a RAM node whose IndexID must be filled in after index
-// selection.
-type patch struct {
-	sig indexselect.Signature
-	set func(indexID int)
 }
 
 type translator struct {
@@ -97,7 +90,6 @@ type translator struct {
 	// relations some proper rule derives.
 	aux map[ram.AuxKind]map[string]*ram.Relation
 
-	pending  map[*ram.Relation][]patch
 	ruleID   int
 	monotone bool // insert-monotone: no negation, no aggregates
 }
@@ -254,8 +246,8 @@ func (t *translator) run() error {
 	}
 	t.out.NumRules = t.ruleID
 
-	t.selectIndexes()
 	analysis.StampShardKeys(t.out)
+	indexselect.Assign(t.out)
 	return nil
 }
 

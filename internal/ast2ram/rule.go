@@ -7,7 +7,6 @@ import (
 	"sti/internal/indexselect"
 	"sti/internal/ram"
 	"sti/internal/sema"
-	"sti/internal/tuple"
 	"sti/internal/value"
 )
 
@@ -171,12 +170,10 @@ func (t *translator) translateRule(c *ast.Clause, v version) (ram.Statement, err
 	var root ram.Operation = &ram.Project{Rel: v.target, Exprs: head}
 	if v.guard != nil {
 		ex := &ram.ExistenceCheck{Rel: v.guard, Pattern: head}
-		tr.t.registerSearch(v.guard, fullSignature(len(head)), func(id int) { ex.IndexID = id })
 		root = &ram.Filter{Cond: &ram.Not{C: ex}, Nested: root}
 	}
 	if v.restrict != nil && !headScan {
 		ex := &ram.ExistenceCheck{Rel: v.restrict, Pattern: head}
-		tr.t.registerSearch(v.restrict, fullSignature(len(head)), func(id int) { ex.IndexID = id })
 		root = &ram.Filter{Cond: ex, Nested: root}
 	}
 	for i := len(levels) - 1; i >= 0; i-- {
@@ -226,7 +223,6 @@ func excludeCond(tr *ruleTranslator, exclude, unless *ram.Relation, tid int) ram
 			pat[k] = &ram.TupleElement{TupleID: tid, Elem: k}
 		}
 		ex := &ram.ExistenceCheck{Rel: rel, Pattern: pat}
-		tr.t.registerSearch(rel, fullSignature(rel.Arity), func(id int) { ex.IndexID = id })
 		return ex
 	}
 	exDel := member(exclude)
@@ -294,7 +290,6 @@ func (tr *ruleTranslator) atomLevel(at *ast.Atom, rel *ram.Relation, uses map[st
 	if !needsScan && len(binds) == 0 && !tr.forceScan {
 		// No bindings escape: a (partial) existence check suffices.
 		ex := &ram.ExistenceCheck{Rel: rel, Pattern: pattern}
-		tr.t.registerSearch(rel, sig, func(id int) { ex.IndexID = id })
 		return func(inner ram.Operation) ram.Operation {
 			return &ram.Filter{Cond: ex, Nested: inner}
 		}, nil
@@ -361,7 +356,6 @@ func (tr *ruleTranslator) atomLevel(at *ast.Atom, rel *ram.Relation, uses map[st
 	}
 
 	is := &ram.IndexScan{Rel: rel, Pattern: pattern, TupleID: tid}
-	tr.t.registerSearch(rel, sig, func(id int) { is.IndexID = id })
 	return func(inner ram.Operation) ram.Operation {
 		if eqCond != nil {
 			inner = &ram.Filter{Cond: eqCond, Nested: inner}
@@ -408,7 +402,6 @@ func (tr *ruleTranslator) tryDeferred(l ast.Literal) (bool, func(ram.Operation) 
 			return false, nil, &Error{Msg: "negation over eqrel requires a natural prefix", Pos: l.Atom.Pos}
 		}
 		ex := &ram.ExistenceCheck{Rel: rel, Pattern: pattern}
-		tr.t.registerSearch(rel, sig, func(id int) { ex.IndexID = id })
 		return true, func(inner ram.Operation) ram.Operation {
 			return &ram.Filter{Cond: &ram.Not{C: ex}, Nested: inner}
 		}, nil
@@ -659,9 +652,6 @@ func (tr *ruleTranslator) tryAggregate(c *ast.Constraint, agg *ast.Aggregate) (b
 		Type:    aggType,
 		TupleID: tid,
 	}
-	if sig != 0 {
-		tr.t.registerSearch(rel, sig, func(id int) { node.IndexID = id })
-	}
 
 	// Bind or compare the result.
 	result := &ram.TupleElement{TupleID: tid, Elem: 0}
@@ -878,67 +868,5 @@ func callOpOf(e *ast.Call, tr *ruleTranslator) (ram.IntrinsicOp, value.Type, err
 		return ram.OpMax, tr.typeOf(e.Args...), nil
 	default:
 		return 0, 0, &Error{Msg: fmt.Sprintf("unknown functor %s", e.Name), Pos: e.Pos}
-	}
-}
-
-// --- search registration and index selection ---
-
-func fullSignature(arity int) indexselect.Signature {
-	var s indexselect.Signature
-	for i := 0; i < arity; i++ {
-		s |= indexselect.Of(i)
-	}
-	return s
-}
-
-// registerSearch records that rel is searched with signature sig and that
-// the node patch must receive the selected index id.
-func (t *translator) registerSearch(rel *ram.Relation, sig indexselect.Signature, set func(int)) {
-	t.pending[rel] = append(t.pending[rel], patch{sig: sig, set: set})
-}
-
-// swapPairs lists the (delta, new) roles of the three fixpoint families:
-// fold SWAPs each pair, so the two relations must share one index set.
-var swapPairs = [][2]ram.AuxKind{
-	{ram.AuxDelta, ram.AuxNew},
-	{ram.AuxDelDelta, ram.AuxDelNew},
-	{ram.AuxRedDelta, ram.AuxRedNew},
-}
-
-// selectIndexes runs index selection per relation and patches all searches.
-// The new side of every swap pair mirrors its delta side's signatures so
-// that SWAP stays legal.
-func (t *translator) selectIndexes() {
-	for _, p := range swapPairs {
-		for name, d := range t.aux[p[0]] {
-			nw := t.aux[p[1]][name]
-			t.pending[d] = append(t.pending[d], t.pending[nw]...)
-			t.pending[nw] = nil
-		}
-	}
-	for _, rel := range t.out.Relations {
-		searches := t.pending[rel]
-		if rel.Rep == ram.RepEqRel {
-			rel.Orders = []tuple.Order{tuple.Identity(rel.Arity)}
-			for _, p := range searches {
-				p.set(0)
-			}
-			continue
-		}
-		sigs := make([]indexselect.Signature, 0, len(searches))
-		for _, p := range searches {
-			sigs = append(sigs, p.sig)
-		}
-		res := indexselect.Select(rel.Arity, sigs)
-		rel.Orders = res.Orders
-		for _, p := range searches {
-			pl := res.Placements[p.sig]
-			p.set(pl.Index)
-		}
-	}
-	for _, p := range swapPairs {
-		for name, d := range t.aux[p[0]] {
-			t.aux[p[1]][name].Orders = append([]tuple.Order{}, d.Orders...)
-		}
 	}
 }

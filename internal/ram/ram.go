@@ -142,8 +142,8 @@ type Program struct {
 	// the program is not insert-monotone (negation or aggregates), in
 	// which case resident engines fall back to full recomputation.
 	// The peephole RAM optimization passes rewrite Main only; index
-	// pruning rewrites Main, Update and Delete together so the entry points
-	// stay consistent.
+	// selection (indexselect.Assign) reads Main, Update and Delete together
+	// so the entry points share one set of index orders.
 	Update Statement
 	// NoUpdateReason is the monotonicity-analysis fact explaining a nil
 	// Update ("" when an update program was emitted): it names the first

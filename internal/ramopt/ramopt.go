@@ -15,19 +15,18 @@
 //   - choice conversion: a scan whose bound tuple is referenced only by the
 //     immediately following filters — not by the projection or any deeper
 //     operation — only needs *one* witness, so it becomes a (index) choice
-//     that stops at the first match;
-//   - index pruning: secondary index orders no search uses are dropped,
-//     respecting swap groups (see pruneindex.go).
+//     that stops at the first match.
 //
-// The first three are peephole rewrites of Main; index pruning is a
-// whole-program pass over Main, Update and Delete together. Every pass
-// keeps every relation queryable after the run (sti.Result, Explain,
-// Database observe all of them), so there is one pass set.
+// All three are peephole rewrites of Main. None adds or removes a search or
+// unbinds a pattern position, so the index orders and IndexIDs the
+// translator's index selection (indexselect.Assign) wrote stay valid; the
+// armed verifier's index-id and index-prefix rules catch a pass that breaks
+// that. Every pass keeps every relation queryable after the run
+// (sti.Result, Explain, Database observe all of them), so there is one pass
+// set.
 package ramopt
 
 import (
-	"fmt"
-
 	"sti/internal/ram"
 	"sti/internal/ram/verify"
 	"sti/internal/rtl"
@@ -60,24 +59,14 @@ var passes = []pass{
 	{name: "fold-constants", run: optimizer{foldConstants: true}.run},
 	{name: "fuse-filters", run: optimizer{fuseFilters: true}.run},
 	{name: "choices", run: optimizer{choices: true}.run},
-	{name: "prune-indexes", run: func(p *ram.Program, _ *symtab.Table) { pruneIndexes(p) }},
 }
 
-// Stats reports the program shrink achieved by the optimizer.
+// Stats is the size of the program the optimizer was given. It and
+// OptimizeStats are kept only because the perfbench module's ram.nodes probe
+// reads them, like All; no pass removes a statement or an index order, so
+// there is no after to report.
 type Stats struct {
-	StatementsBefore, StatementsAfter int
-	IndexesBefore, IndexesAfter       int
-}
-
-// Changed reports whether any dimension shrank.
-func (s Stats) Changed() bool {
-	return s.StatementsAfter < s.StatementsBefore || s.IndexesAfter < s.IndexesBefore
-}
-
-func (s Stats) String() string {
-	return fmt.Sprintf("statements %d->%d, indexes %d->%d",
-		s.StatementsBefore, s.StatementsAfter,
-		s.IndexesBefore, s.IndexesAfter)
+	StatementsBefore int
 }
 
 // Optimize rewrites the program in place. In ramverify debug mode the
@@ -85,17 +74,7 @@ func (s Stats) String() string {
 // with a *verify.Error whose stage names the pass ("ramopt/fuse-filters")
 // and whose excerpt marks the offending node — an optimizer bug is a
 // programming error, not a user error.
-func Optimize(p *ram.Program, st *symtab.Table, opts Options) {
-	OptimizeStats(p, st, opts)
-}
-
-// OptimizeStats is Optimize returning the before/after program shrink, for
-// callers that report it (sti vet).
-func OptimizeStats(p *ram.Program, st *symtab.Table, _ Options) Stats {
-	s := Stats{
-		StatementsBefore: countStmts(p),
-		IndexesBefore:    countIndexes(p),
-	}
+func Optimize(p *ram.Program, st *symtab.Table, _ Options) {
 	for _, ps := range passes {
 		ps.run(p, st)
 		if verify.Debugging() {
@@ -104,8 +83,12 @@ func OptimizeStats(p *ram.Program, st *symtab.Table, _ Options) Stats {
 			}
 		}
 	}
-	s.StatementsAfter = countStmts(p)
-	s.IndexesAfter = countIndexes(p)
+}
+
+// OptimizeStats is Optimize returning the size of the program it was given.
+func OptimizeStats(p *ram.Program, st *symtab.Table, opts Options) Stats {
+	s := Stats{StatementsBefore: countStmts(p)}
+	Optimize(p, st, opts)
 	return s
 }
 
@@ -133,18 +116,6 @@ func countStmts(p *ram.Program) int {
 	walk(p.Main)
 	walk(p.Update)
 	walk(p.Delete)
-	return n
-}
-
-// countIndexes sums the index orders backing each relation (at least one:
-// relations without explicit orders have an implicit identity primary).
-func countIndexes(p *ram.Program) int {
-	n := 0
-	for _, r := range p.Relations {
-		if r != nil {
-			n += max(len(r.Orders), 1)
-		}
-	}
 	return n
 }
 
