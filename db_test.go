@@ -76,7 +76,8 @@ func applyEdges(t *testing.T, db *Database, edges [][2]int) {
 	}
 }
 
-// Edge workloads: a chain, a grid, and a pseudo-random sparse graph.
+// Edge workloads: a chain, a grid, dense strongly connected components, and
+// a pseudo-random sparse graph.
 func chainEdges(n int) [][2]int {
 	var out [][2]int
 	for i := 0; i < n; i++ {
@@ -95,6 +96,26 @@ func gridEdges(n int) [][2]int {
 			if r+1 < n {
 				out = append(out, [2]int{r*n + c, (r+1)*n + c})
 			}
+		}
+	}
+	return out
+}
+
+// sccEdges builds comps strongly connected components of size nodes each:
+// node i of a component links to i+1 and i+2 (mod size), and the last node
+// of each component links to the first node of the next. Retracting an edge
+// inside a component overdeletes every path through the component, and
+// DRed rederives most of them over several rounds; retracting a bridge
+// makes the paths across it die.
+func sccEdges(comps, size int) [][2]int {
+	var out [][2]int
+	for c := 0; c < comps; c++ {
+		base := c * size
+		for i := 0; i < size; i++ {
+			out = append(out, [2]int{base + i, base + (i+1)%size}, [2]int{base + i, base + (i+2)%size})
+		}
+		if c+1 < comps {
+			out = append(out, [2]int{base + size - 1, base + size})
 		}
 	}
 	return out
@@ -224,12 +245,57 @@ spoke(x, y) :- hub(x), edge(y, x).
 	},
 }
 
+// pointsToProgram is the Andersen points-to program of the DOOP suite:
+// vpt and hpt are mutually recursive through three-atom bodies, and the
+// aliased self-join reads them from a later stratum. A workload edge (x, y)
+// is the copy y = x; some edges also allocate, store or load.
+var pointsToProgram = residentProgram{
+	name: "points-to",
+	src: `
+.decl alloc(v:number, h:number)
+.decl move(t:number, f:number)
+.decl store(base:number, fld:number, from:number)
+.decl load(to:number, base:number, fld:number)
+.decl vpt(v:number, h:number)
+.decl hpt(h:number, fld:number, g:number)
+.decl aliased(a:number, b:number)
+.input alloc
+.input move
+.input store
+.input load
+.output vpt
+.output hpt
+.output aliased
+vpt(v, h) :- alloc(v, h).
+vpt(t, h) :- move(t, f), vpt(f, h).
+hpt(b, fld, g) :- store(base, fld, from), vpt(base, b), vpt(from, g).
+vpt(t, g) :- load(t, base, fld), vpt(base, b), hpt(b, fld, g).
+aliased(a, b) :- vpt(a, h), vpt(b, h), a < b.
+`,
+	facts: func(e [2]int) []fact {
+		x, y := e[0], e[1]
+		fs := []fact{{"move", []any{y, x}}}
+		switch x % 4 {
+		case 0:
+			fs = append(fs, fact{"alloc", []any{x, 100 + x%5}})
+		case 1:
+			fs = append(fs, fact{"store", []any{x, (x + y) % 2, y}})
+		case 2:
+			fs = append(fs, fact{"load", []any{y, x, (x + y) % 2}})
+		}
+		return fs
+	},
+	outputs: []string{"vpt", "hpt", "aliased"},
+}
+
 // residentWorkloads are the edge streams of the resident property tests: a
-// chain, a grid and a pseudo-random sparse graph.
+// chain, a grid, dense strongly connected components and a pseudo-random
+// sparse graph.
 func residentWorkloads() map[string][][2]int {
 	return map[string][][2]int{
 		"chain":  chainEdges(30),
 		"grid":   gridEdges(5),
+		"scc":    sccEdges(3, 6),
 		"random": randomEdges(40, 15, 1),
 	}
 }
@@ -755,6 +821,7 @@ func TestConcurrentQueryDuringApply(t *testing.T) {
 // such programs are not deletable.
 func TestInterleavedDeleteEquivalence(t *testing.T) {
 	programs := append(tcPrograms("btree", "brie"), nonRecursivePrograms...)
+	programs = append(programs, pointsToProgram)
 	for _, rp := range programs {
 		for wname, edges := range residentWorkloads() {
 			t.Run(rp.name+"/"+wname, func(t *testing.T) {

@@ -473,9 +473,10 @@ type version struct {
 	// enumerated: the filters need the atom's tuple slot.
 	exclude       map[int]*ram.Relation
 	excludeUnless map[int]*ram.Relation
-	// restrict keeps only heads present in the given relation: by scanning
-	// it as an extra outermost level binding the head variables when every
-	// head argument is a plain variable, by a ∈restrict filter otherwise.
+	// restrict keeps only heads present in the given relation: in a variant
+	// without a driving tracker, by scanning it as an extra outermost level
+	// binding the head variables when every head argument is a plain
+	// variable; by a ∈restrict filter otherwise.
 	restrict *ram.Relation
 }
 

@@ -228,3 +228,112 @@ func relNames(rp *ram.Program) []string {
 	}
 	return out
 }
+
+const pointsToSrc = `
+.decl alloc(v:number, h:number)
+.decl move(t:number, f:number)
+.decl store(base:number, fld:number, from:number)
+.decl load(to:number, base:number, fld:number)
+.decl vpt(v:number, h:number)
+.decl hpt(h:number, fld:number, g:number)
+.input alloc
+.input move
+.input store
+.input load
+.output hpt
+vpt(v, h) :- alloc(v, h).
+vpt(t, h) :- move(t, f), vpt(f, h).
+hpt(b, fld, g) :- store(base, fld, from), vpt(base, b), vpt(from, g).
+vpt(t, g) :- load(t, base, fld), vpt(base, b), hpt(b, fld, g).
+`
+
+// TestRederiveDrivenByFrontier pins the shape of DRed's rederive variants.
+// A loop variant ([dred@i]) is semi-naive: under its emptiness guard its
+// outermost operation scans the dred_R frontier, and the overdeleted set
+// del_H only filters the head, so a round costs its frontier. A first-round
+// variant has no frontier and scans del_H first ([head<-@del_H]).
+func TestRederiveDrivenByFrontier(t *testing.T) {
+	for name, src := range map[string]string{"tc": tcSrc, "mutual": mutualSrc, "points-to": pointsToSrc} {
+		t.Run(name, func(t *testing.T) {
+			rp := translate(t, src)
+			loops, firsts := 0, 0
+			eachQuery(rp.Delete, func(q *ram.Query) {
+				target := projectTarget(q.Root)
+				if target == nil || target.Kind != ram.AuxRedNew {
+					return
+				}
+				guard, ok := q.Root.(*ram.Filter)
+				if !ok {
+					t.Fatalf("%s: no emptiness guard at the root", q.Label)
+				}
+				outer := scannedRel(guard.Nested)
+				outerName := "no scan"
+				if outer != nil {
+					outerName = outer.Name
+				}
+				if strings.Contains(q.Label, "[dred@") {
+					loops++
+					if strings.Contains(q.Label, "[head<-") {
+						t.Errorf("%s: loop variant scans the overdeleted set", q.Label)
+					}
+					if outer == nil || outer.Kind != ram.AuxRedDelta {
+						t.Errorf("%s: outermost operation is %s, want a dred frontier scan", q.Label, outerName)
+					}
+					return
+				}
+				firsts++
+				if outer == nil || outer.Kind != ram.AuxDel || outer.BaseID != target.BaseID {
+					t.Errorf("%s: outermost operation is %s, want a scan of the head's del set", q.Label, outerName)
+				}
+			})
+			if loops == 0 || firsts == 0 {
+				t.Fatalf("%d loop and %d first-round rederive variants, want some of each", loops, firsts)
+			}
+		})
+	}
+}
+
+// eachQuery calls fn on every query of s in program order.
+func eachQuery(s ram.Statement, fn func(*ram.Query)) {
+	switch s := s.(type) {
+	case *ram.Sequence:
+		for _, st := range s.Stmts {
+			eachQuery(st, fn)
+		}
+	case *ram.Loop:
+		eachQuery(s.Body, fn)
+	case *ram.LogTimer:
+		eachQuery(s.Stmt, fn)
+	case *ram.Query:
+		fn(s)
+	}
+}
+
+// scannedRel is the relation op enumerates, nil if op is not a scan.
+func scannedRel(op ram.Operation) *ram.Relation {
+	switch op := op.(type) {
+	case *ram.Scan:
+		return op.Rel
+	case *ram.IndexScan:
+		return op.Rel
+	}
+	return nil
+}
+
+// projectTarget follows op's nesting to its projection's relation.
+func projectTarget(op ram.Operation) *ram.Relation {
+	for {
+		switch o := op.(type) {
+		case *ram.Project:
+			return o.Rel
+		case *ram.Scan:
+			op = o.Nested
+		case *ram.IndexScan:
+			op = o.Nested
+		case *ram.Filter:
+			op = o.Nested
+		default:
+			return nil
+		}
+	}
+}

@@ -81,11 +81,15 @@ func (t *translator) translateRule(c *ast.Clause, v version) (ram.Statement, err
 		rotated = append(rotated, atoms[driver+1:]...)
 		atoms = rotated
 	}
-	// A restricted variant whose head arguments are all plain variables
-	// scans the restricting relation as the outermost level: the head tuple
-	// binds every head variable, so the body levels re-derive only the
-	// restricted heads. Any other restricted head is filtered at the end.
-	headScan := v.restrict != nil && len(c.Head.Args) > 0
+	// A restricted variant without a driver (DRed's first rederive round)
+	// whose head arguments are all plain variables scans the restricting
+	// relation as the outermost level: the head tuple binds every head
+	// variable, so the body levels re-derive only the restricted heads. A
+	// restricted variant with a driver (a rederive loop variant) keeps its
+	// frontier outermost, so each round costs its dred_R frontier rather
+	// than the whole overdeleted set, and — like any other restricted head —
+	// tests the head against the restricting relation at the end.
+	headScan := v.restrict != nil && driver < 0 && len(c.Head.Args) > 0
 	for _, e := range c.Head.Args {
 		if _, ok := e.(*ast.Var); !ok {
 			headScan = false

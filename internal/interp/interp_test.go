@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"sti/internal/ast2ram"
@@ -556,6 +558,75 @@ func TestProfiler(t *testing.T) {
 	}
 	if prof.String() == "" {
 		t.Fatal("empty profile rendering")
+	}
+}
+
+// sccFacts is the edge set of comps strongly connected components of size
+// nodes each: node i of a component links to i+1 and i+2 (mod size), and the
+// last node of each component links to the first node of the next one.
+func sccFacts(comps, size int) map[string][]tuple.Tuple {
+	var edges []tuple.Tuple
+	for c := 0; c < comps; c++ {
+		base := c * size
+		for i := 0; i < size; i++ {
+			for _, step := range []int{1, 2} {
+				edges = append(edges, tuple.Tuple{value.Value(base + i), value.Value(base + (i+step)%size)})
+			}
+		}
+		if c+1 < comps {
+			edges = append(edges, tuple.Tuple{value.Value(base + size - 1), value.Value(base + size)})
+		}
+	}
+	return map[string][]tuple.Tuple{"edge": edges}
+}
+
+// TestRederiveCostsItsFrontier pins DRed's rederive loop to semi-naive cost.
+// Cutting one edge inside a strongly connected component overdeletes every
+// path through it, and nearly all of them rederive over several rounds;
+// cutting a bridge makes the paths across it die. For
+// linear transitive closure the rederive loop ([dred@0]) and the overdelete
+// loop ([ddel@0]) run the same join from their frontiers, and every tuple
+// enters each frontier once, so red_path ⊆ del_path bounds the rederive
+// loop's scan iterations by the overdelete loop's.
+func TestRederiveCostsItsFrontier(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Profile = true
+	facts := sccFacts(4, 8)
+	eng, _ := run(t, tcSrc, facts, cfg)
+	cut := []tuple.Tuple{{0, 1}, {7, 8}, {16, 18}} // two inside components, one bridge
+	if n, err := eng.DeleteFacts("edge", cut); err != nil || n != len(cut) {
+		t.Fatalf("DeleteFacts = %d, %v", n, err)
+	}
+	if err := eng.EvalDelete(); err != nil {
+		t.Fatal(err)
+	}
+
+	var kept []tuple.Tuple
+	for _, e := range facts["edge"] {
+		if !slices.ContainsFunc(cut, func(c tuple.Tuple) bool { return slices.Equal(c, e) }) {
+			kept = append(kept, e)
+		}
+	}
+	want, _ := run(t, tcSrc, map[string][]tuple.Tuple{"edge": kept}, DefaultConfig())
+	if got, exp := tuplesOf(t, eng, "path"), tuplesOf(t, want, "path"); fmt.Sprint(got) != fmt.Sprint(exp) {
+		t.Fatalf("path after delete: %d tuples, recompute %d", len(got), len(exp))
+	}
+
+	var over, red uint64
+	for _, r := range eng.Profile().Rules {
+		switch {
+		case strings.HasSuffix(r.Label, "[ddel@0]"):
+			over += r.Iterations
+		case strings.HasSuffix(r.Label, "[dred@0]"):
+			red += r.Iterations
+		}
+	}
+	if over == 0 || red == 0 {
+		t.Fatalf("overdelete loop iterated %d tuples, rederive loop %d: want both loops to run", over, red)
+	}
+	t.Logf("scan iterations: overdelete loop %d, rederive loop %d", over, red)
+	if red > over {
+		t.Fatalf("rederive loop iterated %d tuples, more than the overdelete loop's %d", red, over)
 	}
 }
 
