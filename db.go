@@ -78,6 +78,10 @@ type Database struct {
 	// WAL/snapshot protocol that makes Apply batches survive restarts
 	// (persist.go). It changes nothing about how relations are built.
 	pst *persistence
+
+	// served builds an index for a query pattern no index order covers
+	// (served.go).
+	served servedOrders
 }
 
 // Open evaluates the program to its initial fixpoint (program facts only;
@@ -389,6 +393,7 @@ func (db *Database) applyLocked(b *Batch) (obsv.Outcome, error) {
 			return obsv.OutError, db.fail(err)
 		}
 	}
+	db.served.build(db)
 	db.applies++
 	out, reason := db.classify(b)
 	// An exception relation's facts go to its asserted set on every path; an
@@ -596,8 +601,17 @@ func (s *Snapshot) check() error {
 // pattern, all rows are returned; otherwise one value per attribute, where
 // nil is a wildcard and anything else must match (converted like
 // Input.Add, except that a symbol is only looked up: one the database never
-// stored matches nothing, and the query is a miss). Rows come back in a
-// deterministic index order.
+// stored matches nothing, and the query is a miss). Rows come back in
+// primary-index order, whichever index answers.
+//
+// A pattern costs what it touches when some index order starts with its
+// bound positions: one prefix scan over the matching rows. A bound set no
+// order covers is answered by prefix-scanning the primary on its longest
+// bound prefix and filtering the rest, which may touch the whole relation;
+// the database records the bound set, and the next Apply builds an order for
+// it (at most two per relation; none for sharded or eqrel relations, where an
+// eqrel's (_, b) is answered as the mirror of (b, _)). Stats counts the scans
+// in QueryScans and lists the orders built in ServedOrders.
 func (s *Snapshot) Query(name string, pattern ...any) ([][]any, error) {
 	if err := s.check(); err != nil {
 		return nil, err
@@ -630,11 +644,21 @@ func (s *Snapshot) Query(name string, pattern ...any) ([][]any, error) {
 	if miss {
 		return [][]any{}, nil
 	}
-	ts, err := s.db.eng.Query(name, probe, mask)
+	ts, err := s.lookup(name, probe, mask)
 	if err != nil {
 		return nil, err
 	}
 	return s.db.decodeRows(decl, ts), nil
+}
+
+// lookup answers a pattern through the engine. An answer no index covered
+// records its bound set, so the next Apply builds an order for it.
+func (s *Snapshot) lookup(name string, probe tuple.Tuple, mask []bool) ([]tuple.Tuple, error) {
+	ts, covered, err := s.db.eng.Query(name, probe, mask)
+	if err == nil && !covered {
+		s.db.served.miss(s.db.eng.Relation(name), mask)
+	}
+	return ts, err
 }
 
 // QueryText runs Query with text pattern fields ("_" is a wildcard; an
@@ -672,7 +696,7 @@ func (s *Snapshot) QueryText(name string, pattern []string) ([][]string, error) 
 	if miss {
 		return [][]string{}, nil
 	}
-	ts, err := s.db.eng.Query(name, probe, mask)
+	ts, err := s.lookup(name, probe, mask)
 	if err != nil {
 		return nil, err
 	}
@@ -820,6 +844,12 @@ type DBStats struct {
 	// cumulative history behind FallbackReason, which only keeps the most
 	// recent one).
 	FallbackReasons map[string]uint64 `json:"fallback_reasons,omitempty"`
+	// QueryScans counts query answers no index order covered: a filtered
+	// scan of the primary instead of one prefix scan.
+	QueryScans uint64 `json:"query_scans"`
+	// ServedOrders lists, per relation, the index orders built for served
+	// query patterns since Open, in build order.
+	ServedOrders map[string][]tuple.Order `json:"served_orders,omitempty"`
 	// Requests carries the request-level latency series when the database
 	// was opened WithObservability: per (op, outcome) histograms plus slow
 	// and in-flight counters. Published through the expvar sti.db blob by
@@ -844,6 +874,7 @@ func (db *Database) Stats() DBStats {
 		Deletable:          db.eng.Deletable(),
 		Relations:          map[string]int{},
 		Requests:           db.obs.Stats(),
+		QueryScans:         db.served.scans.Load(),
 	}
 	for _, rd := range db.prog.ram.Relations {
 		if !rd.IsAux() {
@@ -854,6 +885,12 @@ func (db *Database) Stats() DBStats {
 		st.FallbackReasons = make(map[string]uint64, len(db.fallbackCounts))
 		for reason, n := range db.fallbackCounts {
 			st.FallbackReasons[reason] = n
+		}
+	}
+	if len(db.served.built) > 0 {
+		st.ServedOrders = make(map[string][]tuple.Order, len(db.served.built))
+		for name, orders := range db.served.built {
+			st.ServedOrders[name] = slices.Clone(orders)
 		}
 	}
 	if db.pst != nil {

@@ -2,6 +2,7 @@ package interp
 
 import (
 	"fmt"
+	"slices"
 
 	"sti/internal/metrics"
 	"sti/internal/ram"
@@ -55,8 +56,11 @@ type Engine struct {
 	// rootDelete likewise from prog.Delete on first EvalDelete.
 	rootUpdate *inode
 	rootDelete *inode
-	gen        *generator
-	phase      Phase
+	// regen marks Main's trees dropped by AddOrder, to be generated again
+	// before Main next runs.
+	regen bool
+	gen   *generator
+	phase Phase
 
 	// recent maps a source relation ID to its recent_R freshness tracker
 	// (nil entries when the program has no update variant or the relation
@@ -141,6 +145,14 @@ func (e *Engine) genRoots() {
 		}
 	}
 	e.rootEval = e.gen.genStatement(e.prog.Main)
+}
+
+// genMain regenerates Main's trees if AddOrder dropped them.
+func (e *Engine) genMain() {
+	if e.regen {
+		e.regen = false
+		e.genRoots()
+	}
 }
 
 func (e *Engine) genPart(stmts []ram.Statement) *inode {
@@ -274,6 +286,7 @@ func (e *Engine) execTree(io IOHandler, root *inode) (err error) {
 // (no inputs). The engine must be in PhaseNew; resident callers drive the
 // phases individually instead.
 func (e *Engine) Run(io IOHandler) error {
+	e.genMain()
 	if e.phase != PhaseNew {
 		return fmt.Errorf("interp: Run in phase %s (want new; use Reset or the phase methods)", e.phase)
 	}
@@ -308,6 +321,7 @@ func (e *Engine) Run(io IOHandler) error {
 // Load runs the program's input phase (IOLoad statements) against io,
 // moving the engine from PhaseNew to PhaseLoaded.
 func (e *Engine) Load(io IOHandler) error {
+	e.genMain()
 	if e.phase != PhaseNew {
 		return fmt.Errorf("interp: Load in phase %s (want new)", e.phase)
 	}
@@ -322,6 +336,7 @@ func (e *Engine) Load(io IOHandler) error {
 // full fixpoint, moving the engine to PhaseReady. Calling Eval directly
 // from PhaseNew evaluates with no loaded inputs.
 func (e *Engine) Eval() error {
+	e.genMain()
 	if e.phase == PhaseReady {
 		return fmt.Errorf("interp: Eval in phase %s (already evaluated)", e.phase)
 	}
@@ -337,6 +352,7 @@ func (e *Engine) Eval() error {
 // Store runs the output phase (IOStore/IOPrintSize statements) against io.
 // It may be called any number of times once the engine is PhaseReady.
 func (e *Engine) Store(io IOHandler) error {
+	e.genMain()
 	if e.phase != PhaseReady {
 		return fmt.Errorf("interp: Store in phase %s (want ready)", e.phase)
 	}
@@ -486,83 +502,120 @@ func (e *Engine) decl(name string) *ram.Relation {
 }
 
 // Query returns the tuples of a relation matching a partially bound
-// pattern: mask[i] set means position i must equal pattern[i]. When some
-// index's order starts with exactly the bound positions the lookup is a
-// prefix scan on it; otherwise it degrades to a filtered full scan. The
-// result order is deterministic (the chosen index's encoded order, decoded
-// to source coordinates) and tuples are safe to retain.
-func (e *Engine) Query(name string, pattern tuple.Tuple, mask []bool) ([]tuple.Tuple, error) {
+// pattern: mask[i] set means position i must equal pattern[i]. Rows come back
+// in primary-index order whatever index answers, and are safe to retain.
+// covered reports that an index answers the bound set (matchIndex), so the
+// answer is one prefix scan touching only matching rows. Otherwise the answer
+// prefix-scans the primary on its longest bound prefix and filters the other
+// bound positions. An eqrel's (_, b) is the covered mirror of (b, _): the
+// relation is symmetric, so its scan swapped is the answer.
+func (e *Engine) Query(name string, pattern tuple.Tuple, mask []bool) (out []tuple.Tuple, covered bool, err error) {
 	rd := e.decl(name)
 	if rd == nil {
-		return nil, fmt.Errorf("unknown relation %s", name)
+		return nil, false, fmt.Errorf("unknown relation %s", name)
 	}
 	if len(pattern) != rd.Arity || len(mask) != rd.Arity {
-		return nil, fmt.Errorf("relation %s has arity %d, got a pattern of %d values", name, rd.Arity, len(pattern))
+		return nil, false, fmt.Errorf("relation %s has arity %d, got a pattern of %d values", name, rd.Arity, len(pattern))
 	}
 	rel := e.rels[rd.ID]
+	if !slices.Contains(mask, true) {
+		out, err = e.Tuples(name)
+		return out, true, err
+	}
+	mirror := rel.Rep() == relation.EqRel && !mask[0] && mask[1]
+	if mirror {
+		pattern, mask = tuple.Tuple{pattern[1], pattern[0]}, []bool{true, false}
+	}
+	idx, k := matchIndex(rel, mask)
+	covered = idx != nil
+	if !covered {
+		idx = rel.Primary()
+		for k < len(mask) && mask[idx.Order()[k]] {
+			k++
+		}
+	}
+	order := idx.Order()
+	it := relation.NewDecoder(idx.PrefixScan(order.Encoded(pattern), k), order)
+	for {
+		t, ok := it.Next()
+		if !ok {
+			return out, covered, nil
+		}
+		if !covered && !matches(t, pattern, mask) {
+			continue
+		}
+		if mirror {
+			out = append(out, tuple.Tuple{t[1], t[0]})
+		} else {
+			out = append(out, tuple.Clone(t))
+		}
+	}
+}
+
+func matches(t, pattern tuple.Tuple, mask []bool) bool {
+	for i, b := range mask {
+		if b && t[i] != pattern[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// matchIndex finds an index that answers the bound set in primary order: its
+// first k positions are exactly the k bound ones, and the free positions
+// follow in the primary's relative order (the tail of ServedOrder), so its
+// prefix scan yields the matching rows in the order the primary holds them.
+func matchIndex(rel *relation.Relation, mask []bool) (relation.Index, int) {
+	want := ServedOrder(rel.Primary().Order(), mask)
 	k := 0
 	for _, b := range mask {
 		if b {
 			k++
 		}
 	}
-	if k == 0 {
-		return e.Tuples(name)
-	}
-	var out []tuple.Tuple
-	if idx, order := matchIndex(rel, mask, k); idx != nil {
-		enc := make(tuple.Tuple, rd.Arity)
-		for j := 0; j < k; j++ {
-			enc[j] = pattern[order[j]]
-		}
-		it := relation.NewDecoder(idx.PrefixScan(enc, k), order)
-		for {
-			t, ok := it.Next()
-			if !ok {
-				break
-			}
-			out = append(out, tuple.Clone(t))
-		}
-		return out, nil
-	}
-	it := rel.Scan()
-	for {
-		t, ok := it.Next()
-		if !ok {
-			break
-		}
-		match := true
-		for i, b := range mask {
-			if b && t[i] != pattern[i] {
-				match = false
-				break
-			}
-		}
-		if match {
-			out = append(out, tuple.Clone(t))
-		}
-	}
-	return out, nil
-}
-
-// matchIndex finds an index whose order's first k positions are exactly
-// the bound set, so the bound pattern forms a prefix.
-func matchIndex(rel *relation.Relation, mask []bool, k int) (relation.Index, tuple.Order) {
 	for i := 0; i < rel.NumIndexes(); i++ {
 		idx := rel.Index(i)
 		order := idx.Order()
-		ok := true
-		for j := 0; j < k; j++ {
-			if !mask[order[j]] {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return idx, order
+		if slices.Equal(order[k:], want[k:]) && !slices.ContainsFunc(order[:k], func(p int) bool { return !mask[p] }) {
+			return idx, k
 		}
 	}
-	return nil, nil
+	return nil, 0
+}
+
+// ServedOrder is the order that answers a bound set in primary order: the
+// primary's order with the bound positions moved to the front, each group
+// keeping its relative order. A prefix scan of it and a filtered scan of the
+// primary return the same rows in the same order.
+func ServedOrder(primary tuple.Order, mask []bool) tuple.Order {
+	order := make(tuple.Order, 0, len(primary))
+	for _, bound := range []bool{true, false} {
+		for _, p := range primary {
+			if mask[p] == bound {
+				order = append(order, p)
+			}
+		}
+	}
+	return order
+}
+
+// AddOrder gives a relation the index that answers a bound set in primary
+// order (ServedOrder), bulk-loaded from the primary, and returns its order, or
+// nil when an index already answers the bound set. It drops the generated
+// trees: their specialized inserts cached the relation's index list, so Main,
+// Update and Delete regenerate on their next run. The relation must be a
+// declared, unsharded, non-eqrel one. Call it only while nothing else reads
+// the engine.
+func (e *Engine) AddOrder(name string, mask []bool) tuple.Order {
+	rel := e.rels[e.decl(name).ID]
+	if idx, _ := matchIndex(rel, mask); idx != nil {
+		return nil
+	}
+	order := ServedOrder(rel.Primary().Order(), mask)
+	rel.AddIndex(order)
+	e.rootLoad, e.rootEval, e.rootStore, e.rootUpdate, e.rootDelete = nil, nil, nil, nil, nil
+	e.regen = true
+	return order
 }
 
 // ScanRange returns the tuples of a relation whose first attribute lies in

@@ -1,0 +1,150 @@
+package interp
+
+import (
+	"os"
+	"slices"
+	"testing"
+
+	"sti/internal/metrics"
+	"sti/internal/relation"
+	"sti/internal/tuple"
+	"sti/internal/value"
+)
+
+// filtered is the reference answer of a pattern: the relation's rows in
+// primary order, keeping those that match.
+func filtered(t *testing.T, eng *Engine, name string, pattern tuple.Tuple, mask []bool) []tuple.Tuple {
+	t.Helper()
+	var out []tuple.Tuple
+	for _, tp := range tuplesOf(t, eng, name) {
+		if matches(tp, pattern, mask) {
+			out = append(out, tp)
+		}
+	}
+	return out
+}
+
+func checkQuery(t *testing.T, eng *Engine, name string, pattern tuple.Tuple, mask []bool, wantCovered bool) {
+	t.Helper()
+	got, covered, err := eng.Query(name, pattern, mask)
+	if err != nil {
+		t.Fatalf("query %s%v: %v", name, pattern, err)
+	}
+	if covered != wantCovered {
+		t.Errorf("query %s%v mask %v: covered = %v, want %v", name, pattern, mask, covered, wantCovered)
+	}
+	if want := filtered(t, eng, name, pattern, mask); !slices.EqualFunc(got, want, tuple.Equal) {
+		t.Errorf("query %s%v mask %v:\n got %v\nwant %v", name, pattern, mask, got, want)
+	}
+}
+
+func tripleFacts() map[string][]tuple.Tuple {
+	var ts []tuple.Tuple
+	for i := 0; i < 200; i++ {
+		ts = append(ts, tuple.Tuple{value.Value(i % 5), value.Value(i % 7), value.Value(i % 11)})
+	}
+	return map[string][]tuple.Tuple{"r": ts}
+}
+
+// A bound set no order covers is answered by a prefix scan of the primary on
+// its longest bound prefix, filtered on the other bound positions: r(a, _, c)
+// on [0 1 2] range-scans a and never scans all of r. Rows keep primary order.
+func TestQueryNarrowsByPrimaryPrefix(t *testing.T) {
+	for _, rep := range []string{"btree", "brie"} {
+		t.Run(rep, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Metrics = metrics.New()
+			src := ".decl r(a:number, b:number, c:number) " + rep + "\n.input r\n.output r\n"
+			eng, _ := run(t, src, tripleFacts(), cfg)
+			ops := eng.Relation("r").Stats().Ops[0]
+			before := ops.View()
+			if _, covered, err := eng.Query("r", tuple.Tuple{3, 0, 4}, []bool{true, false, true}); covered || err != nil {
+				t.Fatalf("r(3, _, 4): covered %v, err %v", covered, err)
+			}
+			after := ops.View()
+			if after.Scans != before.Scans || after.RangeScans != before.RangeScans+1 {
+				t.Errorf("r(3, _, 4): %d full scans and %d prefix scans, want 0 and 1",
+					after.Scans-before.Scans, after.RangeScans-before.RangeScans)
+			}
+			checkQuery(t, eng, "r", tuple.Tuple{3, 0, 4}, []bool{true, false, true}, false)
+			checkQuery(t, eng, "r", tuple.Tuple{3, 1, 0}, []bool{true, true, false}, true)
+			checkQuery(t, eng, "r", tuple.Tuple{0, 2, 4}, []bool{false, true, true}, false)
+			checkQuery(t, eng, "r", tuple.Tuple{1, 1, 1}, []bool{true, true, true}, true)
+			checkQuery(t, eng, "r", tuple.Tuple{9, 9, 9}, []bool{true, false, true}, false)
+		})
+	}
+}
+
+// AddOrder builds the served order, and the pattern it serves is covered from
+// then on with the same answer. The order is maintained by later inserts of
+// every entry point: Update's and Delete's trees, generated after the build,
+// and Main's, regenerated from scratch.
+func TestAddOrderServesAndRegenerates(t *testing.T) {
+	src := `
+.decl e(x:number, y:number, z:number)
+.decl p(x:number, y:number, z:number)
+.input e
+.output p
+p(x, y, z) :- e(x, y, z).
+p(x, y, z) :- p(x, y, w), e(w, y, z).
+`
+	facts := map[string][]tuple.Tuple{"e": {{1, 2, 3}, {3, 2, 4}, {5, 6, 7}}}
+	eng, _ := run(t, src, facts, DefaultConfig())
+	mask := []bool{false, true, false}
+	pattern := tuple.Tuple{0, 2, 0}
+	// Generate every tree before the build.
+	step := func(ins, del tuple.Tuple) {
+		t.Helper()
+		if _, err := eng.InsertFacts("e", []tuple.Tuple{ins}); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.EvalUpdate(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.DeleteFacts("e", []tuple.Tuple{del}); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.EvalDelete(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	step(tuple.Tuple{8, 2, 1}, tuple.Tuple{8, 2, 1})
+	checkQuery(t, eng, "p", pattern, mask, false)
+	if got := eng.AddOrder("p", mask); !slices.Equal(got, tuple.Order{1, 0, 2}) {
+		t.Fatalf("AddOrder = %v, want [1 0 2]", got)
+	}
+	if got := eng.AddOrder("p", mask); got != nil {
+		t.Fatalf("second AddOrder = %v, want nil", got)
+	}
+	checkQuery(t, eng, "p", pattern, mask, true)
+
+	step(tuple.Tuple{4, 2, 9}, tuple.Tuple{3, 2, 4})
+	checkQuery(t, eng, "p", pattern, mask, true)
+	step(tuple.Tuple{3, 2, 4}, tuple.Tuple{1, 2, 3})
+	checkQuery(t, eng, "p", pattern, mask, true)
+	eng.Reset(func(r *relation.Relation) bool { return r == eng.Relation("e") })
+	if err := eng.Eval(); err != nil {
+		t.Fatal(err)
+	}
+	checkQuery(t, eng, "p", pattern, mask, true)
+}
+
+// An eqrel takes no second order, so (_, b) is answered through symmetry: the
+// (b, _) prefix scan with its columns swapped, in the same row order as the
+// filtered primary.
+func TestEqrelQueryThroughSymmetry(t *testing.T) {
+	src, err := os.ReadFile("../../examples/samegen.dl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, _ := run(t, string(src), nil, DefaultConfig())
+	rows := tuplesOf(t, eng, "gen")
+	if len(rows) == 0 {
+		t.Fatal("gen is empty")
+	}
+	for _, row := range rows {
+		checkQuery(t, eng, "gen", tuple.Tuple{0, row[1]}, []bool{false, true}, true)
+		checkQuery(t, eng, "gen", tuple.Tuple{row[0], 0}, []bool{true, false}, true)
+	}
+	checkQuery(t, eng, "gen", tuple.Tuple{0, value.Value(1 << 20)}, []bool{false, true}, true)
+}

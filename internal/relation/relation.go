@@ -25,6 +25,7 @@ import (
 
 	"sti/internal/metrics"
 	"sti/internal/tuple"
+	"sti/internal/value"
 )
 
 // Relation is a named set of tuples backed by one or more indexes, each
@@ -113,6 +114,33 @@ func NewIndex(rep Rep, order tuple.Order) Index {
 	default:
 		panic(fmt.Sprintf("relation: unknown representation %v", rep))
 	}
+}
+
+// AddIndex gives the relation one more index, in the given order, after it
+// was built: the new index is bulk-loaded from the primary and maintained by
+// every later Insert, InsertAll, Delete and Clear. Code that cached the index
+// list (the interpreter's specialized insert nodes) must be regenerated, or
+// the new index misses its inserts. Telemetry attached earlier does not count
+// the new index. Sharded and eqrel relations take no added index; asking for
+// one is an engine bug and panics.
+func (r *Relation) AddIndex(order tuple.Order) Index {
+	if r.shards > 0 || r.rep == EqRel || len(order) != r.arity {
+		panic(fmt.Sprintf("relation %s: cannot add a %v index in order %v", r.Name, r.rep, order))
+	}
+	n := r.Size()
+	flat := make([]value.Value, 0, n*r.arity)
+	for it := r.Scan(); ; {
+		t, ok := it.Next()
+		if !ok {
+			break
+		}
+		flat = append(flat, t...)
+	}
+	idx := NewIndex(r.rep, order)
+	bulkInserterOf(idx).InsertAll(flat, n)
+	r.indexes = append(r.indexes, idx)
+	r.bind()
+	return idx
 }
 
 // AttachMetrics installs telemetry counters: relation-level insert/dedup

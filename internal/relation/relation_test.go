@@ -593,3 +593,48 @@ func TestRelationDelete(t *testing.T) {
 		t.Fatal("second Delete reported a hit")
 	}
 }
+
+// An index added after the relation is built starts with the primary's
+// contents and then follows every mutation.
+func TestRelationAddIndex(t *testing.T) {
+	for _, rep := range []Rep{BTree, Brie, Legacy} {
+		t.Run(rep.String(), func(t *testing.T) {
+			r := New("r", rep, 3, []tuple.Order{{0, 1, 2}})
+			for i := 0; i < 300; i++ {
+				r.Insert(tuple.Tuple{value.Value(i % 7), value.Value(i % 5), value.Value(i)})
+			}
+			idx := r.AddIndex(tuple.Order{2, 0, 1})
+			if r.NumIndexes() != 2 || r.Index(1) != idx || idx.Size() != 300 {
+				t.Fatalf("added index: %d indexes, size %d", r.NumIndexes(), idx.Size())
+			}
+			r.Insert(tuple.Tuple{9, 9, 1000})
+			buf := NewStagingBuffer(3)
+			buf.Add(tuple.Tuple{8, 8, 1001})
+			r.InsertAll(buf)
+			r.Delete(tuple.Tuple{0, 0, 0})
+			if got := drain(idx.PrefixScan(tuple.Tuple{1001, 0, 0}, 1)); len(got) != 1 {
+				t.Fatalf("bulk insert missed the added index: %v", got)
+			}
+			if idx.Size() != 301 || !idx.Contains(tuple.Tuple{9, 9, 1000}) || idx.Contains(tuple.Tuple{0, 0, 0}) {
+				t.Fatalf("added index out of step: size %d", idx.Size())
+			}
+			r.Clear()
+			if idx.Size() != 0 {
+				t.Fatal("Clear missed the added index")
+			}
+		})
+	}
+	for _, r := range []*Relation{
+		New("e", EqRel, 2, nil),
+		NewSharded("s", BTree, 2, nil, 2, 0),
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: AddIndex on a %v relation did not panic", r.Name, r.Rep())
+				}
+			}()
+			r.AddIndex(tuple.Order{1, 0})
+		}()
+	}
+}

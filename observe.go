@@ -120,6 +120,10 @@ func (db *Database) WriteMetrics(w io.Writer) error {
 	for name, n := range st.Relations {
 		tuples[name] = float64(n)
 	}
+	served := make(map[string]float64, len(st.ServedOrders))
+	for name, orders := range st.ServedOrders {
+		served[name] = float64(len(orders))
+	}
 	fams := []obsv.Family{
 		{Name: "sti_db_epoch", Type: "gauge", Value: float64(st.Epoch),
 			Help: "Completed Apply epochs (including Close)."},
@@ -131,6 +135,10 @@ func (db *Database) WriteMetrics(w io.Writer) error {
 			Help: "Batches that lost the incremental path and recomputed from scratch."},
 		{Name: "sti_apply_fallbacks_total", Type: "counter", Label: "reason", Values: fallbacks,
 			Help: "Recompute fallbacks by reason."},
+		{Name: "sti_db_query_scans_total", Type: "counter", Value: float64(st.QueryScans),
+			Help: "Query answers no index order covered (a filtered scan of the primary)."},
+		{Name: "sti_db_served_orders", Type: "gauge", Label: "rel", Values: served,
+			Help: "Index orders built for served query patterns, per relation."},
 	}
 	if p := st.Persist; p != nil {
 		fams = append(fams,
