@@ -1,0 +1,214 @@
+package sti
+
+import (
+	"fmt"
+	"math/rand"
+	"regexp"
+	"strings"
+	"testing"
+
+	"sti/internal/interp"
+)
+
+// boundTypes are the column types the soundness property draws from, each
+// with its edge values and the way an oracle hides a column from bound
+// placement: a functor over the column is not a column, so `(y + 0)` gets
+// no range bound and the oracle scans and filters as before. (Symbols
+// compare by ordinal, so both programs intern "" first, through pad.)
+var boundTypes = []struct {
+	name   string
+	values []any
+	exprs  []string // outer sides, over the outer variable x
+	hide   string   // the column y written so it gets no bound
+}{
+	{"number", []any{int32(-2147483648), int32(-2147483647), -7, -1, 0, 1, 5, 7, int32(2147483646), int32(2147483647)},
+		[]string{"x", "x + 3", "x - 2", "5", "-3", "max(x, 0)"}, "(%s + 0)"},
+	{"unsigned", []any{uint32(0), uint32(1), uint32(7), uint32(2147483647), uint32(2147483648), uint32(3000000000), uint32(4294967294), uint32(4294967295)},
+		[]string{"x", "x + 3u", "x - 2u", "5u", "2147483648u"}, "(%s + 0u)"},
+	{"float", []any{-2.5, -1.0, 0.0, 0.5, 3.25, 1e9},
+		[]string{"x", "x + 1.5"}, "(%s + 0.0)"},
+	{"symbol", []any{"", "a", "b", "m", "z", "zz"},
+		[]string{"x"}, `cat(%s, "")`},
+}
+
+// boundProgram is one generated rule over a(x, k), b(y, k), c(z): the
+// program with its inequalities as written, the oracle with every compared
+// column hidden, and the input.
+type boundProgram struct {
+	typ         int
+	src, oracle string
+	a, b, c     [][]any
+}
+
+func genBoundProgram(rng *rand.Rand, brie bool) boundProgram {
+	ti := rng.Intn(len(boundTypes))
+	bt := boundTypes[ti]
+	ops := []string{"<", "<=", ">", ">="}
+	op := func() string { return ops[rng.Intn(len(ops))] }
+	outer := func(v string) string {
+		return strings.ReplaceAll(bt.exprs[rng.Intn(len(bt.exprs))], "x", v)
+	}
+	// cmp renders `col op e`, or the mirrored `e op col`, and the oracle's
+	// rendering, which hides every bare variable: the update and delete
+	// variants rotate the join, so either side may be the inner one.
+	var src, oracle []string
+	cmp := func(col, e string) {
+		o := op()
+		l, r := col, e
+		if rng.Intn(2) == 0 {
+			l, r = e, col
+		}
+		src = append(src, fmt.Sprintf("%s %s %s", l, o, r))
+		hide := func(s string) string {
+			if s == "x" || s == "y" || s == "z" {
+				return fmt.Sprintf(bt.hide, s)
+			}
+			return s
+		}
+		oracle = append(oracle, fmt.Sprintf("%s %s %s", hide(l), o, hide(r)))
+	}
+	var head, body string
+	switch rng.Intn(3) {
+	case 0: // inner search with an equality prefix on k, bound on y
+		head, body = "out2(x, y)", "a(x, k), b(y, k)"
+		cmp("y", outer("x"))
+	case 1: // inner full scan, bound on y
+		head, body = "out2(x, y)", "a(x, _), b(y, _)"
+		cmp("y", outer("x"))
+	default: // three atoms: y bounded by x, z bounded by y and by x
+		head, body = "out3(x, y, z)", "a(x, _), b(y, _), c(z)"
+		cmp("y", outer("x"))
+		cmp("z", outer("y"))
+		cmp("z", outer("x"))
+	}
+	rep := ""
+	if brie {
+		rep = " brie"
+	}
+	t := bt.name
+	decls := fmt.Sprintf(`.decl a(x:%[1]s, k:number)%[2]s
+.decl b(y:%[1]s, k:number)%[2]s
+.decl c(z:%[1]s)%[2]s
+.decl out2(x:%[1]s, y:%[1]s)%[2]s
+.decl out3(x:%[1]s, y:%[1]s, z:%[1]s)%[2]s
+.input a
+.input b
+.input c
+.output out2
+.output out3
+.decl pad(s:symbol)
+pad("").
+`, t, rep)
+	rule := func(cs []string) string {
+		return fmt.Sprintf("%s%s :- %s, %s.\n", decls, head, body, strings.Join(cs, ", "))
+	}
+	p := boundProgram{typ: ti, src: rule(src), oracle: rule(oracle)}
+	pick := func() any { return bt.values[rng.Intn(len(bt.values))] }
+	for i := 0; i < 10; i++ {
+		p.a = append(p.a, []any{pick(), rng.Intn(3)})
+		p.b = append(p.b, []any{pick(), rng.Intn(3)})
+		p.c = append(p.c, []any{pick()})
+	}
+	return p
+}
+
+// input builds a fresh input of p's facts for prog.
+func (p boundProgram) input(t *testing.T, prog *Program) *Input {
+	in := prog.NewInput()
+	for i, rows := range [][][]any{p.a, p.b, p.c} {
+		for _, r := range rows {
+			in.Add([]string{"a", "b", "c"}[i], r...)
+		}
+	}
+	if err := in.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return in
+}
+
+// boundRE matches a printed range bound ("0>:number t0.0") and captures its
+// comparison type.
+var boundRE = regexp.MustCompile(`ON INDEX .*\b\d+[<>]=?:(\w+) `)
+
+// boundOutputs renders both output relations of res, in enumeration order.
+func boundOutputs(res *Result) string {
+	return fmt.Sprint(res.Rows("out2"), res.Rows("out3"))
+}
+
+// runAblated runs prog on the interpreter under an ablation configuration,
+// which the product options do not reach.
+func runAblated(t *testing.T, prog *Program, in *Input, cfg interp.Config) *Result {
+	eng := interp.New(prog.ram, prog.st, cfg)
+	if err := eng.Run(in.mem); err != nil {
+		t.Fatal(err)
+	}
+	return &Result{prog: prog, rel: eng.Relation, eng: eng}
+}
+
+// TestRangeBoundSoundness: a range bound only narrows a scan. Random two-
+// and three-atom rules compare an inner column with `<`, `<=`, `>`, `>=`
+// against an outer column or expression, over number values with negatives
+// and the int32 extremes, unsigned values at and above 2^31, and float and
+// symbol columns (which never get a bound). Under every engine the output is
+// byte-identical to the oracle's, the same program with each compared inner
+// column hidden in a functor so that it gets no bound.
+func TestRangeBoundSoundness(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	dynamic := interp.DefaultConfig()
+	dynamic.StaticDispatch = false
+	bounded := 0
+	for i := 0; i < 48; i++ {
+		gp := genBoundProgram(rng, i%4 == 3)
+		prog, err := Parse(gp.src)
+		if err != nil {
+			t.Fatalf("%v\n%s", err, gp.src)
+		}
+		oracle, err := Parse(gp.oracle)
+		if err != nil {
+			t.Fatalf("%v\n%s", err, gp.oracle)
+		}
+		if bound := boundRE.FindStringSubmatch(prog.RAM()); bound != nil {
+			if typ := bound[1]; typ != "number" && typ != "unsigned" {
+				t.Fatalf("%s comparison got a range bound:\n%s", typ, prog.RAM())
+			}
+			bounded++
+		}
+		if boundRE.MatchString(oracle.RAM()) {
+			t.Fatalf("oracle got a range bound:\n%s", oracle.RAM())
+		}
+		want, err := oracle.Run(gp.input(t, oracle))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantOut := boundOutputs(want)
+		engines := map[string]func() *Result{
+			"static": func() *Result { return mustRun(t, prog, gp.input(t, prog)) },
+			"dynamic": func() *Result {
+				return runAblated(t, prog, gp.input(t, prog), dynamic)
+			},
+			"legacy": func() *Result {
+				return runAblated(t, prog, gp.input(t, prog), interp.LegacyConfig())
+			},
+			"compiled": func() *Result { return mustRun(t, prog, gp.input(t, prog), WithBackend(Compiled)) },
+			"workers":  func() *Result { return mustRun(t, prog, gp.input(t, prog), WithWorkers(2)) },
+			"shards":   func() *Result { return mustRun(t, prog, gp.input(t, prog), WithShards(2)) },
+		}
+		for name, run := range engines {
+			if got := boundOutputs(run()); got != wantOut {
+				t.Fatalf("program %d under %s:\n%s\ngot  %s\nwant %s (oracle)\n%s", i, name, gp.src, got, wantOut, prog.RAM())
+			}
+		}
+	}
+	if bounded < 12 {
+		t.Fatalf("only %d of 48 programs carry a range bound; the property is not exercised", bounded)
+	}
+}
+
+func mustRun(t *testing.T, prog *Program, in *Input, opts ...Option) *Result {
+	t.Helper()
+	res, err := prog.Run(in, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}

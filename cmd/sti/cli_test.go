@@ -234,3 +234,69 @@ func TestSplitFields(t *testing.T) {
 		}
 	}
 }
+
+// TestRAMRangeBounds pins how `sti ram` prints range bounds. The inner scan
+// of a moved_label-shaped rule carries its `b > a` as a bound on the order's
+// first column, and keeps the filter. When no order places the compared
+// column right after the equality prefix, index selection drops the bound:
+// the search stays a plain prefix scan, or a plain full scan when it binds
+// nothing. (The negation keeps the update and delete programs, and their
+// searches, out of the second program.)
+func TestRAMRangeBounds(t *testing.T) {
+	for _, c := range []struct {
+		name, prog string
+		want       []string
+	}{
+		{"kept", `
+.decl candidate(a:number)
+.decl moved_label(a:number, b:number)
+.input candidate
+.output moved_label
+moved_label(a, b) :- candidate(a), candidate(b), b > a, (b - a) % 8 = 0.
+`, []string{
+			"    FOR t0 IN candidate\n" +
+				"      FOR t1 IN candidate ON INDEX 0>:number t0.0\n" +
+				"        IF (t1.0 >:number t0.0 AND mod:number(sub:number(t1.0, t0.0), 8) =:number 0)\n",
+		}},
+		{"dropped", `
+.decl s(x:number)
+.decl e(x:number, y:number, z:number)
+.decl f(y:number, z:number)
+.decl out(x:number, z:number)
+.decl gone(x:number)
+.input s
+.input e
+.input f
+.input gone
+.output out
+out(x, z) :- s(x), !gone(x), e(x, _, z), z > x.
+out(x, z) :- s(x), !gone(x), f(_, z), z > x.
+`, []string{
+			"        FOR t1 IN e ON INDEX 0=t0.0\n          IF (t1.2 >:number t0.0)\n",
+			"        FOR t1 IN f\n          IF (t1.1 >:number t0.0)\n",
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			file := filepath.Join(t.TempDir(), "p.dl")
+			if err := os.WriteFile(file, []byte(c.prog), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			cmd := exec.Command(os.Args[0], "ram", file)
+			cmd.Env = append(os.Environ(), "STI_CLI_TEST=1")
+			out, err := cmd.CombinedOutput()
+			if err != nil {
+				t.Fatalf("sti ram: %v\n%s", err, out)
+			}
+			for _, w := range c.want {
+				if !strings.Contains(string(out), w) {
+					t.Errorf("sti ram lacks\n%s\nin\n%s", w, out)
+				}
+			}
+			for _, line := range strings.Split(string(out), "\n") {
+				if c.name == "dropped" && strings.Contains(line, "ON INDEX") && strings.Contains(line, ":number") {
+					t.Errorf("a bound survived without an order to serve it: %s", line)
+				}
+			}
+		})
+	}
+}

@@ -25,10 +25,12 @@
 //     tracker (recent, del, ddel, dred) holds a batch-sized change set and
 //     is rotated to the outermost level.
 //
-// The translator writes no index orders or IndexIDs. Its last step is
-// automatic index selection over the finished program (indexselect.Assign),
-// so that every primitive search in the emitted RAM program is a prefix
-// search on some index of its relation.
+// The translator writes no index orders or IndexIDs. Its last two steps
+// place range bounds from inequality filters on inner scans (placeBounds,
+// bounds.go) and run automatic index selection over the finished program
+// (indexselect.Assign), so that every primitive search in the emitted RAM
+// program is a prefix search on some index of its relation, narrowed on the
+// order's next column where a bound survives selection.
 package ast2ram
 
 import (
@@ -247,6 +249,7 @@ func (t *translator) run() error {
 	t.out.NumRules = t.ruleID
 
 	analysis.StampShardKeys(t.out)
+	placeBounds(t.out)
 	indexselect.Assign(t.out)
 	return nil
 }

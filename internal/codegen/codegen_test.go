@@ -123,7 +123,8 @@ func TestSynthesizedProgramRuns(t *testing.T) {
 }
 
 // TestSynthesizedKitchenSink covers negation, aggregates, strings, eqrel,
-// brie, and non-trivial index orders end-to-end through the synthesizer.
+// brie, non-trivial index orders and an inclusive range bound end-to-end
+// through the synthesizer.
 func TestSynthesizedKitchenSink(t *testing.T) {
 	if testing.Short() {
 		t.Skip("go build in -short mode")
@@ -136,7 +137,9 @@ func TestSynthesizedKitchenSink(t *testing.T) {
 .decl lbl(s:symbol)
 .decl eq(x:number, y:number) eqrel
 .decl trie(x:number, y:number) brie
+.decl near(x:number, y:number)
 .input edge
+.output near
 .output rev
 .output deg
 .output lonely
@@ -149,6 +152,7 @@ lonely(x) :- edge(x, _), !rev(x, _).
 lbl(cat("n", to_string(x))) :- edge(x, _).
 eq(x, y) :- edge(x, y).
 trie(x, y) :- edge(x, y), x < y.
+near(x, y) :- edge(x, _), edge(y, _), y >= x - 1, y <= x.
 `
 	root := moduleRoot(t)
 	rp, st := compileSrc(t, src)
@@ -180,6 +184,12 @@ trie(x, y) :- edge(x, y), x < y.
 	}
 	if got := read("deg.csv"); got != "1\t1\n2\t1\n3\t1" {
 		t.Fatalf("deg.csv:\n%s", got)
+	}
+	if got := read("near.csv"); got != "1\t1\n2\t1\n2\t2\n3\t2\n3\t3" {
+		t.Fatalf("near.csv:\n%s", got)
+	}
+	if !strings.Contains(rp.String(), "0>=:number sub:number(t0.0, 1) AND 0<=:number t0.0") {
+		t.Fatalf("near's inner scan lost its range bound:\n%s", rp)
 	}
 	if got := read("lonely.csv"); got != "3" {
 		t.Fatalf("lonely.csv:\n%s", got)

@@ -90,13 +90,13 @@ func (e *emitter) stmt(s ram.Statement) {
 func (e *emitter) op(o ram.Operation) {
 	switch o := o.(type) {
 	case *ram.Scan:
-		e.scan(o.Rel, -1, nil, o.TupleID, o.Nested, false, nil)
+		e.scan(o.Rel, -1, nil, nil, o.TupleID, o.Nested, false, nil)
 	case *ram.IndexScan:
-		e.scan(o.Rel, o.IndexID, o.Pattern, o.TupleID, o.Nested, false, nil)
+		e.scan(o.Rel, o.IndexID, o.Pattern, o.Bound, o.TupleID, o.Nested, false, nil)
 	case *ram.Choice:
-		e.scan(o.Rel, -1, nil, o.TupleID, o.Nested, true, o.Cond)
+		e.scan(o.Rel, -1, nil, nil, o.TupleID, o.Nested, true, o.Cond)
 	case *ram.IndexChoice:
-		e.scan(o.Rel, o.IndexID, o.Pattern, o.TupleID, o.Nested, true, o.Cond)
+		e.scan(o.Rel, o.IndexID, o.Pattern, o.Bound, o.TupleID, o.Nested, true, o.Cond)
 	case *ram.Filter:
 		e.pf("if %s {", e.cond(o.Cond))
 		e.depth++
@@ -113,8 +113,9 @@ func (e *emitter) op(o ram.Operation) {
 }
 
 // scan emits a (possibly index-restricted, possibly choice) scan loop.
-// indexID -1 means the primary index with no pattern.
-func (e *emitter) scan(r *ram.Relation, indexID int, pattern []ram.Expr, tid int, nested ram.Operation, choice bool, choiceCond ram.Condition) {
+// indexID -1 means the primary index with no pattern. A range bound narrows
+// B-tree scans only; brie and eqrel ignore it (its filter stays).
+func (e *emitter) scan(r *ram.Relation, indexID int, pattern []ram.Expr, bound *ram.Bound, tid int, nested ram.Operation, choice bool, choiceCond ram.Condition) {
 	orders := r.Orders
 	if len(orders) == 0 {
 		orders = []tuple.Order{tuple.Identity(r.Arity)}
@@ -187,7 +188,7 @@ func (e *emitter) scan(r *ram.Relation, indexID int, pattern []ram.Expr, tid int
 		}
 		e.sliceLoop(it, tv, tid, order, nested, choice, choiceCond)
 	default: // btree
-		if len(pats) > 0 {
+		if len(pats) > 0 || bound != nil {
 			loParts := make([]string, r.Arity)
 			hiParts := make([]string, r.Arity)
 			for i := range loParts {
@@ -201,6 +202,20 @@ func (e *emitter) scan(r *ram.Relation, indexID int, pattern []ram.Expr, tid int
 					loParts[i] = "0"
 					hiParts[i] = "0xffffffff"
 				}
+			}
+			if bound != nil {
+				// The bound's storage interval, once per scan start; an
+				// empty one skips the scan.
+				e.tmpID++
+				bl, bh, ok := fmt.Sprintf("bl%d", e.tmpID), fmt.Sprintf("bh%d", e.tmpID), fmt.Sprintf("bok%d", e.tmpID)
+				e.pf("%s, %s, %s := %s.Keys()", bl, bh, ok, e.boundLiteral(bound))
+				e.pf("if %s {", ok)
+				e.depth++
+				defer func() {
+					e.depth--
+					e.pf("}")
+				}()
+				loParts[len(pats)], hiParts[len(pats)] = bl, bh
 			}
 			e.pf("%s := %s.Range(relation.Tup%d{%s}, relation.Tup%d{%s})",
 				it, storeName(r, idx), r.Arity, strings.Join(loParts, ", "), r.Arity, strings.Join(hiParts, ", "))
@@ -218,6 +233,25 @@ func (e *emitter) scan(r *ram.Relation, indexID int, pattern []ram.Expr, tid int
 		e.depth--
 		e.pf("}")
 	}
+}
+
+// boundLiteral renders a range bound as a relation.Bound literal over the
+// limits' expressions.
+func (e *emitter) boundLiteral(b *ram.Bound) string {
+	parts := []string{"Type: " + typeNames[b.Type]}
+	if b.Lo != nil {
+		parts = append(parts, "Lo: "+e.expr(b.Lo), "HasLo: true")
+		if b.LoStrict {
+			parts = append(parts, "LoStrict: true")
+		}
+	}
+	if b.Hi != nil {
+		parts = append(parts, "Hi: "+e.expr(b.Hi), "HasHi: true")
+		if b.HiStrict {
+			parts = append(parts, "HiStrict: true")
+		}
+	}
+	return "relation.Bound{" + strings.Join(parts, ", ") + "}"
 }
 
 // sliceLoop iterates a slice-yielding iterator (eqrel/brie).

@@ -31,19 +31,29 @@ func makeScanBT[K btree.Key[K]](tree *btree.Tree[K], fromKey func(K, tuple.Tuple
 	}
 }
 
-// rangeOf evaluates the bound prefix of a search and returns its iterator.
-func rangeOf[K btree.Key[K]](r *rt, tree *btree.Tree[K], toKey relation.KeyFunc[K], pat []exprFn) btree.Iter[K] {
+// rangeOf evaluates the bound prefix of a search, and its range bound when
+// bnd is not nil, and returns its iterator; ok is false when the range bound
+// admits no tuple.
+func rangeOf[K btree.Key[K]](r *rt, tree *btree.Tree[K], toKey relation.KeyFunc[K], pat []exprFn, bnd boundFn) (it btree.Iter[K], ok bool) {
 	var prefix [relation.MaxArity]value.Value
 	for i, p := range pat {
 		prefix[i] = p(r)
 	}
 	lo, hi := relation.PrefixBounds(prefix[:len(pat)])
-	return tree.Range(toKey(lo), toKey(hi))
+	if bnd != nil {
+		if lo[len(pat)], hi[len(pat)], ok = bnd(r); !ok {
+			return it, false
+		}
+	}
+	return tree.Range(toKey(lo), toKey(hi)), true
 }
 
-func makeIndexScanBT[K btree.Key[K]](tree *btree.Tree[K], toKey relation.KeyFunc[K], fromKey func(K, tuple.Tuple), tid int32, pat []exprFn, body opFn) opFn {
+func makeIndexScanBT[K btree.Key[K]](tree *btree.Tree[K], toKey relation.KeyFunc[K], fromKey func(K, tuple.Tuple), tid int32, pat []exprFn, bnd boundFn, body opFn) opFn {
 	return func(r *rt) {
-		it := rangeOf(r, tree, toKey, pat)
+		it, ok := rangeOf(r, tree, toKey, pat, bnd)
+		if !ok {
+			return
+		}
 		slot := r.tuples[tid]
 		for {
 			k, ok := it.Next()
@@ -87,7 +97,7 @@ func makeExistsBT[K btree.Key[K]](tree *btree.Tree[K], toKey relation.KeyFunc[K]
 		return func(*rt) bool { return tree.Size() > 0 }
 	default:
 		return func(r *rt) bool {
-			it := rangeOf(r, tree, toKey, pat)
+			it, _ := rangeOf(r, tree, toKey, pat, nil)
 			_, ok := it.Next()
 			return ok
 		}
@@ -101,7 +111,7 @@ func makeAggregateBT[K btree.Key[K]](tree *btree.Tree[K], toKey relation.KeyFunc
 		if len(pat) == 0 {
 			it = tree.Iter()
 		} else {
-			it = rangeOf(r, tree, toKey, pat)
+			it, _ = rangeOf(r, tree, toKey, pat, nil)
 		}
 		slot := r.tuples[tid]
 		var acc rtl.AggAcc

@@ -97,6 +97,9 @@ type (
 	opFn   func(*rt)
 	exprFn func(*rt) value32
 	condFn func(*rt) bool
+	// boundFn evaluates a search's range bound at scan start: the storage
+	// interval of the position after the prefix, ok false when empty.
+	boundFn func(*rt) (lo, hi value32, ok bool)
 )
 
 // value32 keeps closure signatures short.

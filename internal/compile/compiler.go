@@ -199,11 +199,12 @@ func (c *compiler) compileOp(o ram.Operation) opFn {
 		idx := rel.Index(o.IndexID)
 		tid := int32(o.TupleID)
 		pat := c.compilePattern(o.Pattern, idx.Order())
+		bnd := c.compileBound(o.Bound)
 		c.bindCoords(tid, idx.Order())
 		body := c.compileOp(o.Nested)
 		switch rel.Rep() {
 		case relation.BTree:
-			return buildIndexScanBT(relation.Impl(idx), tid, pat, body)
+			return buildIndexScanBT(relation.Impl(idx), tid, pat, bnd, body)
 		case relation.EqRel:
 			er := relation.Impl(idx).(*eqrel.Rel)
 			if len(pat) >= 2 {
@@ -399,6 +400,7 @@ func (c *compiler) compileChoice(o ram.Operation) opFn {
 		idx := rel.Index(o.IndexID)
 		tid := int32(o.TupleID)
 		pat := c.compilePattern(o.Pattern, idx.Order())
+		bnd := c.compileBound(o.Bound)
 		c.bindCoords(tid, idx.Order())
 		cond := c.compileChoiceCond(o.Cond)
 		body := c.compileOp(o.Nested)
@@ -409,7 +411,16 @@ func (c *compiler) compileChoice(o ram.Operation) opFn {
 			for i, pf := range pat {
 				p[i] = pf(r)
 			}
-			it := idx.PrefixScan(p[:arity], k)
+			var it relation.Iterator
+			if bnd == nil {
+				it = idx.PrefixScan(p[:arity], k)
+			} else {
+				lo, hi, ok := bnd(r)
+				if !ok {
+					return
+				}
+				it = relation.RangeScan(idx, p[:arity], k, lo, hi)
+			}
 			for {
 				t, ok := it.Next()
 				if !ok {
@@ -438,6 +449,33 @@ func (c *compiler) compileChoiceCond(cond ram.Condition) condFn {
 func (c *compiler) bindCoords(tid int32, order tuple.Order) {
 	if !order.IsIdentity() {
 		c.coords[tid] = order
+	}
+}
+
+// compileBound lowers a search's range bound (nil: none) to the closure
+// that maps its limits into storage order at scan start. Only B-tree scans
+// use it; brie and eqrel ignore it, as the filter it came from stays.
+func (c *compiler) compileBound(b *ram.Bound) boundFn {
+	if b == nil {
+		return nil
+	}
+	typed := relation.Bound{Type: b.Type, LoStrict: b.LoStrict, HiStrict: b.HiStrict}
+	var lo, hi exprFn
+	if b.Lo != nil {
+		lo, typed.HasLo = c.compileExpr(b.Lo), true
+	}
+	if b.Hi != nil {
+		hi, typed.HasHi = c.compileExpr(b.Hi), true
+	}
+	return func(r *rt) (value32, value32, bool) {
+		t := typed
+		if lo != nil {
+			t.Lo = lo(r)
+		}
+		if hi != nil {
+			t.Hi = hi(r)
+		}
+		return t.Keys()
 	}
 }
 

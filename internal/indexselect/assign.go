@@ -14,6 +14,12 @@ import (
 // identity order and every search on them index 0; a full-scan Aggregate
 // keeps IndexID −1.
 //
+// Range bounds (ram.Bound) never shape the orders: a bounded site keeps its
+// bound only when some selected order places the bound column right after
+// the site's equality prefix — the order it then searches — and loses it
+// otherwise. A bounded index scan that binds no position and loses its bound
+// becomes the full scan it was before bound placement.
+//
 // Assign is the only code that writes Orders or IndexID; the translator
 // calls it once as its last step, and no optimizer pass changes a
 // signature.
@@ -30,21 +36,22 @@ func Assign(p *ram.Program) {
 		return r
 	}
 	type site struct {
-		rel *ram.Relation
-		sig Signature
-		set func(int)
+		rel   *ram.Relation
+		sig   Signature
+		bound *ram.Bound
+		set   func(id int, keepBound bool)
 	}
 	var sites []site
 	for _, s := range []ram.Statement{p.Main, p.Update, p.Delete} {
 		walk(s, func(a, b *ram.Relation) { parent[find(a)] = find(b) },
-			func(rel *ram.Relation, pattern []ram.Expr, set func(int)) {
+			func(rel *ram.Relation, pattern []ram.Expr, bound *ram.Bound, set func(int, bool)) {
 				var sig Signature
 				for i, e := range pattern {
 					if e != nil {
 						sig |= Of(i)
 					}
 				}
-				sites = append(sites, site{rel, sig, set})
+				sites = append(sites, site{rel, sig, bound, set})
 			})
 	}
 	sigs := map[*ram.Relation][]Signature{}
@@ -67,20 +74,57 @@ func Assign(p *ram.Program) {
 		}
 		rel.Orders = append([]tuple.Order{}, res.Orders...)
 	}
-	for _, s := range sites {
+	// Innermost sites first, so a scan that reverts to a full scan adopts
+	// its body after every replacement inside it.
+	for i := len(sites) - 1; i >= 0; i-- {
+		s := sites[i]
 		if s.rel.Rep == ram.RepEqRel {
-			s.set(0)
+			s.set(0, false)
 			continue
 		}
-		s.set(selected[find(s.rel)].Placements[s.sig].Index)
+		id := selected[find(s.rel)].Placements[s.sig].Index
+		keep := false
+		if s.bound != nil {
+			id, keep = boundOrder(s.rel.Orders, s.sig, s.bound.Col, id)
+		}
+		s.set(id, keep)
 	}
+}
+
+// boundOrder returns the order a bounded search with equality signature sig
+// and bound column col uses: the placed order id if it has col right after
+// the prefix, else the first order that starts with sig's columns followed
+// by col. keep is false (and id unchanged) when no order does.
+func boundOrder(orders []tuple.Order, sig Signature, col, id int) (int, bool) {
+	k := sig.Count()
+	serves := func(ord tuple.Order) bool {
+		if k >= len(ord) || ord[k] != col {
+			return false
+		}
+		for _, c := range ord[:k] {
+			if !sig.Has(c) {
+				return false
+			}
+		}
+		return true
+	}
+	if serves(orders[id]) {
+		return id, true
+	}
+	for j, ord := range orders {
+		if serves(ord) {
+			return j, true
+		}
+	}
+	return id, false
 }
 
 // walk visits every SWAP under s and every node that selects an index:
 // index scans and choices, existence checks, and aggregates with at least
-// one bound position. search gets the node's pattern and a setter for its
-// IndexID.
-func walk(s ram.Statement, swap func(a, b *ram.Relation), search func(rel *ram.Relation, pattern []ram.Expr, set func(int))) {
+// one bound position. search gets the node's pattern, its range bound (nil
+// for none) and a setter for its IndexID that also drops the bound unless
+// told to keep it.
+func walk(s ram.Statement, swap func(a, b *ram.Relation), search func(rel *ram.Relation, pattern []ram.Expr, bound *ram.Bound, set func(int, bool))) {
 	var walkCond func(ram.Condition)
 	walkCond = func(c ram.Condition) {
 		switch c := c.(type) {
@@ -90,36 +134,48 @@ func walk(s ram.Statement, swap func(a, b *ram.Relation), search func(rel *ram.R
 		case *ram.Not:
 			walkCond(c.C)
 		case *ram.ExistenceCheck:
-			search(c.Rel, c.Pattern, func(id int) { c.IndexID = id })
+			search(c.Rel, c.Pattern, nil, func(id int, _ bool) { c.IndexID = id })
 		}
 	}
-	var walkOp func(ram.Operation)
-	walkOp = func(o ram.Operation) {
-		switch o := o.(type) {
+	// walkOp visits the operation in *slot, which a dropped bound may
+	// replace.
+	var walkOp func(slot *ram.Operation)
+	walkOp = func(slot *ram.Operation) {
+		switch o := (*slot).(type) {
 		case *ram.Scan:
-			walkOp(o.Nested)
+			walkOp(&o.Nested)
 		case *ram.IndexScan:
-			search(o.Rel, o.Pattern, func(id int) { o.IndexID = id })
-			walkOp(o.Nested)
+			search(o.Rel, o.Pattern, o.Bound, func(id int, keep bool) {
+				o.IndexID = id
+				if !keep {
+					o.Bound = nil
+					if unbound(o.Pattern) {
+						*slot = &ram.Scan{Rel: o.Rel, TupleID: o.TupleID, Nested: o.Nested}
+					}
+				}
+			})
+			walkOp(&o.Nested)
 		case *ram.Choice:
 			walkCond(o.Cond)
-			walkOp(o.Nested)
+			walkOp(&o.Nested)
 		case *ram.IndexChoice:
-			search(o.Rel, o.Pattern, func(id int) { o.IndexID = id })
+			search(o.Rel, o.Pattern, o.Bound, func(id int, keep bool) {
+				o.IndexID = id
+				if !keep {
+					o.Bound = nil
+				}
+			})
 			walkCond(o.Cond)
-			walkOp(o.Nested)
+			walkOp(&o.Nested)
 		case *ram.Filter:
 			walkCond(o.Cond)
-			walkOp(o.Nested)
+			walkOp(&o.Nested)
 		case *ram.Aggregate:
-			for _, e := range o.Pattern {
-				if e != nil {
-					search(o.Rel, o.Pattern, func(id int) { o.IndexID = id })
-					break
-				}
+			if !unbound(o.Pattern) {
+				search(o.Rel, o.Pattern, nil, func(id int, _ bool) { o.IndexID = id })
 			}
 			walkCond(o.Cond)
-			walkOp(o.Nested)
+			walkOp(&o.Nested)
 		}
 	}
 	var walkStmt func(ram.Statement)
@@ -134,7 +190,7 @@ func walk(s ram.Statement, swap func(a, b *ram.Relation), search func(rel *ram.R
 		case *ram.Exit:
 			walkCond(s.Cond)
 		case *ram.Query:
-			walkOp(s.Root)
+			walkOp(&s.Root)
 		case *ram.Swap:
 			swap(s.A, s.B)
 		case *ram.LogTimer:
@@ -144,4 +200,14 @@ func walk(s ram.Statement, swap func(a, b *ram.Relation), search func(rel *ram.R
 	if s != nil {
 		walkStmt(s)
 	}
+}
+
+// unbound reports whether pattern binds no position.
+func unbound(pattern []ram.Expr) bool {
+	for _, e := range pattern {
+		if e != nil {
+			return false
+		}
+	}
+	return true
 }

@@ -620,7 +620,9 @@ func (e *Engine) AddOrder(name string, mask []bool) tuple.Order {
 
 // ScanRange returns the tuples of a relation whose first attribute lies in
 // [lo, hi], compared under the attribute's declared type. The result is in
-// primary-index order.
+// primary-index order. A primary that leads with the first attribute is
+// range-scanned on the storage interval of [lo, hi] (relation.Bound.Keys),
+// which the typed comparison then filters exactly.
 func (e *Engine) ScanRange(name string, lo, hi value.Value) ([]tuple.Tuple, error) {
 	rd := e.decl(name)
 	if rd == nil {
@@ -631,7 +633,18 @@ func (e *Engine) ScanRange(name string, lo, hi value.Value) ([]tuple.Tuple, erro
 	}
 	typ := rd.Types[0]
 	var out []tuple.Tuple
-	it := e.rels[rd.ID].Scan()
+	rel := e.rels[rd.ID]
+	var it relation.Iterator
+	if primary := rel.Primary(); primary.Order()[0] == 0 {
+		b := relation.Bound{Type: typ, Lo: lo, Hi: hi, HasLo: true, HasHi: true}
+		klo, khi, ok := b.Keys()
+		if !ok {
+			return nil, nil
+		}
+		it = relation.NewDecoder(relation.RangeScan(primary, nil, 0, klo, khi), primary.Order())
+	} else {
+		it = rel.Scan()
+	}
 	for {
 		t, ok := it.Next()
 		if !ok {

@@ -199,7 +199,10 @@ func (ex *executor) execute(n *inode, ctx *context) value.Value {
 	case opIndexScan:
 		var pat [relation.MaxArity]value.Value
 		ex.fillTuple(n, ctx, pat[:n.prefix])
-		it := n.idx.PrefixScan(pat[:n.arity], int(n.prefix))
+		it, ok := ex.search(n, ctx, pat[:n.arity])
+		if !ok {
+			return 0
+		}
 		if n.decode {
 			it = relation.NewDecoder(it, n.order)
 		}
@@ -232,7 +235,10 @@ func (ex *executor) execute(n *inode, ctx *context) value.Value {
 	case opIndexChoice:
 		var pat [relation.MaxArity]value.Value
 		ex.fillTuple(n, ctx, pat[:n.prefix])
-		it := n.idx.PrefixScan(pat[:n.arity], int(n.prefix))
+		it, ok := ex.search(n, ctx, pat[:n.arity])
+		if !ok {
+			return 0
+		}
 		if n.decode {
 			it = relation.NewDecoder(it, n.order)
 		}
@@ -601,6 +607,38 @@ func (ex *executor) flushStage(ctx *context) {
 		ctx.stats.inserts += uint64(added)
 		b.Reset()
 	}
+}
+
+// search opens the dynamic adapter's iterator of n's prefix search with
+// the encoded pattern pat, narrowed by n's range bound when it has one; ok
+// is false when the bound admits no tuple.
+func (ex *executor) search(n *inode, ctx *context, pat []value.Value) (relation.Iterator, bool) {
+	if n.bound == nil {
+		return n.idx.PrefixScan(pat, int(n.prefix)), true
+	}
+	lo, hi, ok := ex.boundKeys(n, ctx)
+	if !ok {
+		return nil, false
+	}
+	return relation.RangeScan(n.idx, pat, int(n.prefix), lo, hi), true
+}
+
+// boundKeys evaluates n's range bound for one scan start, as the storage
+// interval of encoded position n.prefix (relation.Bound.Keys); a node
+// without a bound gets the whole domain. ok is false when the interval is
+// empty.
+func (ex *executor) boundKeys(n *inode, ctx *context) (lo, hi value.Value, ok bool) {
+	if n.bound == nil {
+		return 0, ^value.Value(0), true
+	}
+	b := n.bound.typed
+	if n.bound.lo != nil {
+		b.Lo = ex.eval(n.bound.lo, ctx)
+	}
+	if n.bound.hi != nil {
+		b.Hi = ex.eval(n.bound.hi, ctx)
+	}
+	return b.Keys()
 }
 
 func (ex *executor) countIter(ctx *context) {

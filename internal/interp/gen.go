@@ -228,6 +228,7 @@ func (g *generator) genOperation(o ram.Operation) *inode {
 			shadow:  o,
 		}
 		n.children, n.prefix = g.genPattern(o.Pattern, idx.Order())
+		n.bound = g.genBound(o.Bound, idx.Order(), n.prefix)
 		g.bindSearch(n, idx)
 		g.applySuper(n)
 		g.widths[n.tupleID] = n.arity
@@ -265,6 +266,7 @@ func (g *generator) genOperation(o ram.Operation) *inode {
 		}
 		n.impls, _ = relation.Impls(idx)
 		n.children, n.prefix = g.genPattern(o.Pattern, idx.Order())
+		n.bound = g.genBound(o.Bound, idx.Order(), n.prefix)
 		g.applySuper(n)
 		g.widths[n.tupleID] = n.arity
 		g.bindCoords(n.tupleID, idx.Order(), n)
@@ -431,6 +433,25 @@ func (g *generator) genPattern(pattern []ram.Expr, order tuple.Order) ([]*inode,
 		panic(fmt.Sprintf("interp: pattern with %d bound positions is not a prefix of order %v", bound, order))
 	}
 	return children, k
+}
+
+// genBound lowers a search's range bound (nil: none). Index selection
+// guarantees the bound column follows the prefix in the order.
+func (g *generator) genBound(b *ram.Bound, order tuple.Order, prefix int32) *scanBound {
+	if b == nil {
+		return nil
+	}
+	if int(prefix) >= len(order) || order[prefix] != b.Col {
+		panic(fmt.Sprintf("interp: range bound on column %d does not follow the %d-position prefix of order %v", b.Col, prefix, order))
+	}
+	sb := &scanBound{typed: relation.Bound{Type: b.Type, LoStrict: b.LoStrict, HiStrict: b.HiStrict}}
+	if b.Lo != nil {
+		sb.lo, sb.typed.HasLo = g.genExpr(b.Lo), true
+	}
+	if b.Hi != nil {
+		sb.hi, sb.typed.HasHi = g.genExpr(b.Hi), true
+	}
+	return sb
 }
 
 // applySuper splits a node's children into constant, tuple-element, and

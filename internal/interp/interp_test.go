@@ -683,3 +683,40 @@ func TestDirIOErrors(t *testing.T) {
 		t.Fatal("arity mismatch not reported")
 	}
 }
+
+// TestRangeBoundScanCount: the inner scan of a moved_label-shaped rule over
+// N distinct non-negative candidates visits only the candidates above the
+// outer one, so the rule iterates N + N(N-1)/2 times instead of N + N², and
+// the count repeats exactly. It holds for the static and the dynamic
+// instructions and for the legacy store alike.
+func TestRangeBoundScanCount(t *testing.T) {
+	src := `
+.decl candidate(a:number)
+.decl moved_label(a:number, b:number)
+.input candidate
+.output moved_label
+moved_label(a, b) :- candidate(a), candidate(b), b > a, (b - a) % 8 = 0.
+`
+	const n = 60
+	var cands []tuple.Tuple
+	for i := 0; i < n; i++ {
+		cands = append(cands, tuple.Tuple{value.Value(2 * i)})
+	}
+	dynamic := DefaultConfig()
+	dynamic.StaticDispatch = false
+	for name, cfg := range map[string]Config{"static": DefaultConfig(), "dynamic": dynamic, "legacy": LegacyConfig()} {
+		cfg.Profile = true
+		for rep := 0; rep < 2; rep++ {
+			eng, _ := run(t, src, map[string][]tuple.Tuple{"candidate": cands}, cfg)
+			var iters uint64
+			for _, r := range eng.Profile().Rules {
+				if strings.HasPrefix(r.Label, "moved_label(") {
+					iters += r.Iterations
+				}
+			}
+			if want := uint64(n + n*(n-1)/2); iters != want {
+				t.Errorf("%s run %d: moved_label iterated %d times, want %d", name, rep, iters, want)
+			}
+		}
+	}
+}

@@ -112,7 +112,8 @@ type inode struct {
 	shards, shardKey int32
 
 	tupleID int32
-	prefix  int32 // bound prefix length (encoded coordinates)
+	prefix  int32      // bound prefix length (encoded coordinates)
+	bound   *scanBound // range bound on encoded position prefix (ram.Bound), nil when none
 	arity   int32
 	par     bool // partition this scan across workers
 	// staged marks mutation deferral for parallel evaluation. On an insert
@@ -168,6 +169,14 @@ type inode struct {
 
 	part   relation.Partitioner // idx's scan split or the fallback, bound when par
 	shadow any                  // source RAM node (static info), the paper's sPtr
+}
+
+// scanBound is a search's range bound (ram.Bound) lowered for execution:
+// the limit expressions, evaluated once per scan start, and the typed
+// interval they fill in.
+type scanBound struct {
+	lo, hi *inode         // nil when that side is open
+	typed  relation.Bound // type and strictness; Lo/Hi are filled per start
 }
 
 // opStats are the profiling counters of one context. They live in the

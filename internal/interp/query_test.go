@@ -1,6 +1,8 @@
 package interp
 
 import (
+	"fmt"
+	"math"
 	"os"
 	"slices"
 	"testing"
@@ -147,4 +149,76 @@ func TestEqrelQueryThroughSymmetry(t *testing.T) {
 		checkQuery(t, eng, "gen", tuple.Tuple{row[0], 0}, []bool{true, false}, true)
 	}
 	checkQuery(t, eng, "gen", tuple.Tuple{0, value.Value(1 << 20)}, []bool{false, true}, true)
+}
+
+// ScanRange range-scans a primary that leads with the ranged attribute on
+// the storage interval of [lo, hi], and filters under the attribute's type:
+// rows come back exactly as the full-scan filter returns them, in primary
+// order, for bounds that straddle zero on a number column, sit at the int32
+// extremes, or lie at and above 2^31 on an unsigned column.
+func TestScanRangeNarrowsPrimary(t *testing.T) {
+	n := func(i int32) value.Value { return value.FromInt(i) }
+	nums := []value.Value{n(math.MinInt32), n(-2147483647), n(-5), n(-1), 0, 1, 5, n(math.MaxInt32 - 1), n(math.MaxInt32)}
+	uns := []value.Value{0, 1, 7, math.MaxInt32, 1 << 31, 3000000000, math.MaxUint32 - 1, math.MaxUint32}
+	var rs, us []tuple.Tuple
+	for i, v := range nums {
+		rs = append(rs, tuple.Tuple{v, value.Value(i)}, tuple.Tuple{v, value.Value(i + 100)})
+	}
+	for i, v := range uns {
+		us = append(us, tuple.Tuple{v, value.Value(i)})
+	}
+	cases := []struct {
+		rel    string
+		typ    value.Type
+		lo, hi value.Value
+	}{
+		{"r", value.Number, n(-5), 5}, // straddles zero: the whole domain, filtered
+		{"r", value.Number, n(math.MinInt32), n(-1)},
+		{"r", value.Number, 0, n(math.MaxInt32)},
+		{"r", value.Number, n(math.MinInt32), n(math.MaxInt32)},
+		{"r", value.Number, n(-1), n(-1)},
+		{"r", value.Number, 5, n(-5)}, // empty
+		{"u", value.Unsigned, 1 << 31, math.MaxUint32},
+		{"u", value.Unsigned, 0, math.MaxInt32},
+		{"u", value.Unsigned, 3000000000, 3000000000},
+	}
+	src := `.decl r(a:number, b:number) %[1]s
+.decl u(a:unsigned, b:number) %[1]s
+.input r
+.input u
+.output r
+.output u
+`
+	for _, rep := range []string{"btree", "brie"} {
+		for _, shards := range []int{0, 2} {
+			cfg := DefaultConfig()
+			cfg.Shards = shards
+			cfg.Metrics = metrics.New()
+			eng, _ := run(t, fmt.Sprintf(src, rep), map[string][]tuple.Tuple{"r": rs, "u": us}, cfg)
+			for _, c := range cases {
+				var want []tuple.Tuple
+				for it := eng.Relation(c.rel).Scan(); ; {
+					tp, ok := it.Next()
+					if !ok {
+						break
+					}
+					if value.Compare(c.typ, tp[0], c.lo) >= 0 && value.Compare(c.typ, tp[0], c.hi) <= 0 {
+						want = append(want, tuple.Clone(tp))
+					}
+				}
+				ops := eng.Relation(c.rel).Stats().Ops[0]
+				before := ops.View()
+				got, err := eng.ScanRange(c.rel, c.lo, c.hi)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ops.View().Scans != before.Scans {
+					t.Errorf("%s shards=%d: ScanRange(%s) scanned the whole primary", rep, shards, c.rel)
+				}
+				if !slices.EqualFunc(got, want, tuple.Equal) {
+					t.Errorf("%s shards=%d: ScanRange(%s, %#x, %#x)\n got %v\nwant %v", rep, shards, c.rel, c.lo, c.hi, got, want)
+				}
+			}
+		}
+	}
 }

@@ -86,12 +86,17 @@ func evalInsertBT[K btree.Key[K]](ex *executor, n *inode, ctx *context, toKey re
 	return 0
 }
 
-// btRange prepares the concrete range iterator of a prefix search on tree.
-func btRange[K btree.Key[K]](tree *btree.Tree[K], n *inode, pat []value.Value, toKey relation.KeyFunc[K]) btree.Iter[K] {
-	if n.prefix == 0 {
+// btRange prepares the concrete range iterator of a prefix search on tree,
+// narrowed to [blo, bhi] in the next position when the node has a range
+// bound (the storage interval executor.boundKeys evaluated at scan start).
+func btRange[K btree.Key[K]](tree *btree.Tree[K], n *inode, pat []value.Value, blo, bhi value.Value, toKey relation.KeyFunc[K]) btree.Iter[K] {
+	if n.prefix == 0 && n.bound == nil {
 		return tree.Iter()
 	}
 	lo, hi := relation.PrefixBounds(pat)
+	if n.bound != nil {
+		lo[n.prefix], hi[n.prefix] = blo, bhi
+	}
 	return tree.Range(toKey(lo), toKey(hi))
 }
 
@@ -107,7 +112,7 @@ func evalExistsBT[K btree.Key[K]](ex *executor, n *inode, ctx *context, toKey re
 		case n.prefix == 0:
 			found = tree.Size() > 0
 		default:
-			it := btRange(tree, n, pat[:n.prefix], toKey)
+			it := btRange(tree, n, pat[:n.prefix], 0, 0, toKey)
 			_, found = it.Next()
 		}
 		if found {
@@ -160,8 +165,12 @@ func evalScanBT[K btree.Key[K]](ex *executor, n *inode, ctx *context, _ relation
 func evalIndexScanBT[K btree.Key[K]](ex *executor, n *inode, ctx *context, toKey relation.KeyFunc[K], fromKey fromKeyFn[K]) value.Value {
 	var pat [relation.MaxArity]value.Value
 	ex.fillTuple(n, ctx, pat[:n.prefix])
+	blo, bhi, ok := ex.boundKeys(n, ctx)
+	if !ok {
+		return 0
+	}
 	for _, impl := range n.searchImpls(pat[:]) {
-		it := btRange(impl.(*btree.Tree[K]), n, pat[:n.prefix], toKey)
+		it := btRange(impl.(*btree.Tree[K]), n, pat[:n.prefix], blo, bhi, toKey)
 		scanBT(ex, n, ctx, &it, fromKey)
 	}
 	return 0
@@ -186,7 +195,11 @@ func evalChoiceBT[K btree.Key[K]](ex *executor, n *inode, ctx *context, _ relati
 func evalIndexChoiceBT[K btree.Key[K]](ex *executor, n *inode, ctx *context, toKey relation.KeyFunc[K], fromKey fromKeyFn[K]) value.Value {
 	var pat [relation.MaxArity]value.Value
 	ex.fillTuple(n, ctx, pat[:n.prefix])
-	it := btRange(n.impls[0].(*btree.Tree[K]), n, pat[:n.prefix], toKey)
+	blo, bhi, ok := ex.boundKeys(n, ctx)
+	if !ok {
+		return 0
+	}
+	it := btRange(n.impls[0].(*btree.Tree[K]), n, pat[:n.prefix], blo, bhi, toKey)
 	for {
 		k, ok := it.Next()
 		if !ok {
@@ -236,7 +249,7 @@ func evalAggregateBT[K btree.Key[K]](ex *executor, n *inode, ctx *context, _ rel
 func evalIndexAggregateBT[K btree.Key[K]](ex *executor, n *inode, ctx *context, toKey relation.KeyFunc[K], fromKey fromKeyFn[K]) value.Value {
 	var pat [relation.MaxArity]value.Value
 	ex.fillTuple(n, ctx, pat[:n.prefix])
-	it := btRange(n.impls[0].(*btree.Tree[K]), n, pat[:n.prefix], toKey)
+	it := btRange(n.impls[0].(*btree.Tree[K]), n, pat[:n.prefix], 0, 0, toKey)
 	return aggBT(ex, n, ctx, &it, fromKey)
 }
 

@@ -91,6 +91,8 @@ func nodeContains(n, mark any) bool {
 				return true
 			}
 		}
+	case *Bound:
+		return n.Lo != nil && nodeContains(n.Lo, mark) || n.Hi != nil && nodeContains(n.Hi, mark)
 	}
 	return false
 }
@@ -177,16 +179,16 @@ func (p *printer) op(o Operation, depth int) {
 		p.line(depth, []any{o}, "FOR t%d IN %s", o.TupleID, relName(o.Rel))
 		p.op(o.Nested, depth+1)
 	case *IndexScan:
-		p.line(depth, []any{o, o.Pattern}, "FOR t%d IN %s ON INDEX %s",
-			o.TupleID, relName(o.Rel), patternString(o.Pattern))
+		p.line(depth, []any{o, o.Pattern, o.Bound}, "FOR t%d IN %s ON INDEX %s",
+			o.TupleID, relName(o.Rel), searchString(o.Pattern, o.Bound))
 		p.op(o.Nested, depth+1)
 	case *Choice:
 		p.line(depth, []any{o, o.Cond}, "CHOICE t%d IN %s WHERE %s",
 			o.TupleID, relName(o.Rel), CondString(o.Cond))
 		p.op(o.Nested, depth+1)
 	case *IndexChoice:
-		p.line(depth, []any{o, o.Pattern, o.Cond}, "CHOICE t%d IN %s ON INDEX %s WHERE %s",
-			o.TupleID, relName(o.Rel), patternString(o.Pattern), CondString(o.Cond))
+		p.line(depth, []any{o, o.Pattern, o.Bound, o.Cond}, "CHOICE t%d IN %s ON INDEX %s WHERE %s",
+			o.TupleID, relName(o.Rel), searchString(o.Pattern, o.Bound), CondString(o.Cond))
 		p.op(o.Nested, depth+1)
 	case *Filter:
 		p.line(depth, []any{o, o.Cond}, "IF (%s)", CondString(o.Cond))
@@ -226,12 +228,29 @@ func relName(r *Relation) string {
 	return r.Name
 }
 
-func patternString(pattern []Expr) string {
+func patternString(pattern []Expr) string { return searchString(pattern, nil) }
+
+// searchString renders a search's equality pattern ("1=t0.1") followed by
+// its range bound, if any ("0>:number t0.0 AND 0<=:number 99").
+func searchString(pattern []Expr, b *Bound) string {
 	var parts []string
 	for i, e := range pattern {
 		if e != nil {
 			parts = append(parts, fmt.Sprintf("%d=%s", i, ExprString(e)))
 		}
+	}
+	if b != nil {
+		side := func(e Expr, strict bool, op string) {
+			if e == nil {
+				return
+			}
+			if !strict {
+				op += "="
+			}
+			parts = append(parts, fmt.Sprintf("%d%s:%s %s", b.Col, op, b.Type, ExprString(e)))
+		}
+		side(b.Lo, b.LoStrict, ">")
+		side(b.Hi, b.HiStrict, "<")
 	}
 	if len(parts) == 0 {
 		return "(full)"

@@ -269,13 +269,31 @@ type Scan struct {
 // IndexScan enumerates the tuples matching the bound positions of Pattern
 // (nil entries are unbound), using index IndexID of Rel, binding each to
 // TupleID. The bound positions are exactly the first k positions of the
-// chosen index order.
+// chosen index order. Bound, when set, further narrows the scan on the
+// order's next column; the pattern may then bind nothing.
 type IndexScan struct {
 	Rel     *Relation
 	IndexID int
 	Pattern []Expr // length == arity; nil means unbound
+	Bound   *Bound // nil: no range bound
 	TupleID int
 	Nested  Operation
+}
+
+// Bound narrows a search to the tuples whose column Col lies between Lo and
+// Hi under the ordering of Type (number or unsigned). Lo or Hi is nil when
+// that side is open; LoStrict/HiStrict make a side exclusive. ast2ram takes
+// it from a `<`, `<=`, `>` or `>=` constraint placed directly under the scan
+// and keeps that constraint as a filter, so a bound only saves iterations and
+// never changes a result: a backend or representation that cannot range on
+// it (brie, eqrel) ignores it. Col is the chosen order's column right after
+// the equality prefix; index selection (indexselect.Assign) drops a bound no
+// order serves.
+type Bound struct {
+	Col                int
+	Type               value.Type
+	Lo, Hi             Expr
+	LoStrict, HiStrict bool
 }
 
 // Choice finds at most one tuple of Rel satisfying Cond, binds it to
@@ -292,6 +310,7 @@ type IndexChoice struct {
 	Rel     *Relation
 	IndexID int
 	Pattern []Expr
+	Bound   *Bound // as IndexScan.Bound
 	Cond    Condition
 	TupleID int
 	Nested  Operation

@@ -23,6 +23,7 @@ import (
 	"sti/internal/ram"
 	"sti/internal/ram/analysis"
 	"sti/internal/tuple"
+	"sti/internal/value"
 )
 
 // Rule identifiers, one per invariant. Stable strings so tests and tools
@@ -50,6 +51,7 @@ const (
 	RulePatternArity   = "pattern-arity"   // pattern length equals relation arity
 	RuleIndexID        = "index-id"        // IndexID selects a declared order
 	RuleIndexPrefix    = "index-prefix"    // bound pattern positions form an order prefix
+	RuleIndexBound     = "index-bound"     // a range bound is on the order's next column, reads enclosing tuples, compares number/unsigned, not outermost
 	RuleProjectArity   = "project-arity"   // Project expression count equals target arity
 	RuleAggTarget      = "agg-target"      // sum/min/max aggregates carry a target
 	RuleIntrinsicArgs  = "intrinsic-args"  // intrinsics receive the right argument count
@@ -550,6 +552,7 @@ func (c *checker) op(o ram.Operation, q *ram.Query, sc scope) {
 			return
 		}
 		c.search(o, o.Rel, o.IndexID, o.Pattern, sc, "index scan", false)
+		c.bound(o, o.Rel, o.IndexID, o.Pattern, o.Bound, sc, "index scan")
 		inner := c.bind(o, q, sc, o.TupleID, binding{rel: o.Rel, arity: o.Rel.Arity})
 		c.nested(o, o.Nested, q, inner)
 	case *ram.Choice:
@@ -566,6 +569,7 @@ func (c *checker) op(o ram.Operation, q *ram.Query, sc scope) {
 			return
 		}
 		c.search(o, o.Rel, o.IndexID, o.Pattern, sc, "index choice", false)
+		c.bound(o, o.Rel, o.IndexID, o.Pattern, o.Bound, sc, "index choice")
 		inner := c.bind(o, q, sc, o.TupleID, binding{rel: o.Rel, arity: o.Rel.Arity})
 		if o.Cond != nil {
 			c.cond(o.Cond, inner)
@@ -765,6 +769,67 @@ func (c *checker) search(node any, rel *ram.Relation, indexID int, pattern []ram
 			return
 		}
 	}
+}
+
+// bound checks a search's range bound (nil: none): its limits read only
+// tuples bound by enclosing operations, plus constants; it compares as
+// number or unsigned; the search is not the query's outermost operation,
+// which workers partition; and its column is the chosen order's column right
+// after the equality prefix. search has already reported a malformed
+// pattern or index id.
+func (c *checker) bound(node any, rel *ram.Relation, indexID int, pattern []ram.Expr, b *ram.Bound, sc scope, what string) {
+	if b == nil {
+		return
+	}
+	if len(sc) == 0 {
+		c.addf(node, RuleIndexBound, "%s on %s is the query's outermost operation but carries a range bound", what, rel.Name)
+	}
+	if b.Type != value.Number && b.Type != value.Unsigned {
+		c.addf(node, RuleIndexBound, "%s on %s has a %s range bound, want number or unsigned", what, rel.Name, b.Type)
+	}
+	if b.Lo == nil && b.Hi == nil {
+		c.addf(node, RuleIndexBound, "%s on %s has a range bound with neither limit", what, rel.Name)
+	}
+	for _, e := range []ram.Expr{b.Lo, b.Hi} {
+		if e == nil {
+			continue
+		}
+		if tid, ok := readOutside(e, sc); ok {
+			c.addf(node, RuleIndexBound, "%s on %s has a range bound reading t%d, which no enclosing operation binds", what, rel.Name, tid)
+			continue
+		}
+		c.expr(e, sc)
+	}
+	if len(pattern) != rel.Arity || indexID < 0 || indexID >= max(len(rel.Orders), 1) {
+		return
+	}
+	order := identityIfEmpty(rel.Orders, indexID, rel.Arity)
+	k := 0
+	for _, e := range pattern {
+		if e != nil {
+			k++
+		}
+	}
+	if k >= len(order) || order[k] != b.Col {
+		c.addf(node, RuleIndexBound, "%s on %s bounds column %d, which order %v (index %d) does not place right after its %d-position prefix", what, rel.Name, b.Col, order, indexID, k)
+	}
+}
+
+// readOutside returns a tuple slot e reads that sc does not bind.
+func readOutside(e ram.Expr, sc scope) (int, bool) {
+	switch e := e.(type) {
+	case *ram.TupleElement:
+		if _, ok := sc[e.TupleID]; !ok {
+			return e.TupleID, true
+		}
+	case *ram.Intrinsic:
+		for _, a := range e.Args {
+			if tid, ok := readOutside(a, sc); ok {
+				return tid, true
+			}
+		}
+	}
+	return 0, false
 }
 
 func identityIfEmpty(orders []tuple.Order, indexID, arity int) tuple.Order {

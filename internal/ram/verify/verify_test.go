@@ -529,3 +529,56 @@ func TestParallelFrozen(t *testing.T) {
 		t.Fatalf("diags = %v, want exactly one %s", diags, RuleParallelFrozen)
 	}
 }
+
+// TestRangeBoundRule: a range bound must sit on the chosen order's column
+// right after the equality prefix, read only enclosing tuples and constants,
+// compare as number or unsigned, and not be on the query's outermost
+// operation.
+func TestRangeBoundRule(t *testing.T) {
+	outerX := &ram.TupleElement{TupleID: 0, Elem: 0}
+	build := func(b *ram.Bound, outermost bool) *ram.Program {
+		p := tcProgram()
+		edge, path := p.Relations[0], p.Relations[1]
+		q := stmtAt(p, 1).(*ram.Query)
+		inner := &ram.IndexScan{
+			Rel: edge, Pattern: []ram.Expr{nil, nil}, Bound: b, TupleID: 1,
+			Nested: &ram.Project{Rel: path, Exprs: []ram.Expr{
+				&ram.TupleElement{TupleID: 1, Elem: 0},
+				&ram.TupleElement{TupleID: 1, Elem: 1},
+			}},
+		}
+		q.NumTuples = 2
+		q.Root = &ram.Scan{Rel: edge, TupleID: 0, Nested: inner}
+		if outermost {
+			inner.TupleID = 0
+			inner.Nested.(*ram.Project).Exprs = []ram.Expr{&ram.TupleElement{TupleID: 0, Elem: 0}, &ram.TupleElement{TupleID: 0, Elem: 1}}
+			q.Root = inner
+		}
+		return p
+	}
+	for _, c := range []struct {
+		name      string
+		bound     *ram.Bound
+		outermost bool
+		want      int // index-bound diagnostics
+	}{
+		{"well formed", &ram.Bound{Col: 0, Type: value.Number, Lo: outerX, LoStrict: true}, false, 0},
+		{"both limits", &ram.Bound{Col: 0, Type: value.Unsigned, Lo: outerX, Hi: &ram.Constant{Val: 9}}, false, 0},
+		{"not the next column", &ram.Bound{Col: 1, Type: value.Number, Lo: outerX}, false, 1},
+		{"reads its own tuple", &ram.Bound{Col: 0, Type: value.Number, Lo: &ram.TupleElement{TupleID: 1, Elem: 1}}, false, 1},
+		{"float", &ram.Bound{Col: 0, Type: value.Float, Lo: outerX}, false, 1},
+		{"no limit", &ram.Bound{Col: 0, Type: value.Number}, false, 1},
+		{"outermost", &ram.Bound{Col: 0, Type: value.Number, Lo: &ram.Constant{Val: 3}}, true, 1},
+	} {
+		var got []Diag
+		for _, d := range Program(build(c.bound, c.outermost)) {
+			if d.Rule != RuleIndexBound {
+				t.Errorf("%s: unexpected %v", c.name, d)
+			}
+			got = append(got, d)
+		}
+		if len(got) != c.want {
+			t.Errorf("%s: %d index-bound diagnostic(s), want %d: %v", c.name, len(got), c.want, got)
+		}
+	}
+}

@@ -17,8 +17,8 @@
 //     operation — only needs *one* witness, so it becomes a (index) choice
 //     that stops at the first match.
 //
-// All three are peephole rewrites of Main. None adds or removes a search or
-// unbinds a pattern position, so the index orders and IndexIDs the
+// All three are peephole rewrites of Main. None adds or removes a search,
+// unbinds a pattern position or drops a range bound, so the index orders and IndexIDs the
 // translator's index selection (indexselect.Assign) wrote stay valid; the
 // armed verifier's index-id and index-prefix rules catch a pass that breaks
 // that. Every pass keeps every relation queryable after the run
@@ -169,11 +169,12 @@ func (o *optimizer) op(op ram.Operation) ram.Operation {
 		return op
 	case *ram.IndexScan:
 		o.foldPattern(op.Pattern)
+		o.foldBound(op.Bound)
 		op.Nested = o.op(op.Nested)
 		if o.choices {
 			if cond, inner, ok := o.choiceBody(op.TupleID, op.Nested); ok {
 				return &ram.IndexChoice{
-					Rel: op.Rel, IndexID: op.IndexID, Pattern: op.Pattern,
+					Rel: op.Rel, IndexID: op.IndexID, Pattern: op.Pattern, Bound: op.Bound,
 					Cond: cond, TupleID: op.TupleID, Nested: inner,
 				}
 			}
@@ -185,6 +186,7 @@ func (o *optimizer) op(op ram.Operation) ram.Operation {
 		return op
 	case *ram.IndexChoice:
 		o.foldPattern(op.Pattern)
+		o.foldBound(op.Bound)
 		op.Cond = o.cond(op.Cond)
 		op.Nested = o.op(op.Nested)
 		return op
@@ -272,6 +274,18 @@ func (o *optimizer) foldPattern(pattern []ram.Expr) {
 		if e != nil {
 			pattern[i] = o.expr(e)
 		}
+	}
+}
+
+func (o *optimizer) foldBound(b *ram.Bound) {
+	if b == nil {
+		return
+	}
+	if b.Lo != nil {
+		b.Lo = o.expr(b.Lo)
+	}
+	if b.Hi != nil {
+		b.Hi = o.expr(b.Hi)
 	}
 }
 

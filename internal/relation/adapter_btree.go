@@ -1,6 +1,8 @@
 package relation
 
 import (
+	"math"
+
 	"sti/internal/btree"
 	"sti/internal/tuple"
 	"sti/internal/value"
@@ -92,6 +94,15 @@ func (a *btreeAdapter[K]) PrefixScan(pattern tuple.Tuple, k int) Iterator {
 	}, a.arity)
 }
 
+func (a *btreeAdapter[K]) RangeScan(pattern tuple.Tuple, k int, lo, hi value.Value) Iterator {
+	klo, khi := PrefixBounds(pattern[:k])
+	klo[k], khi[k] = lo, hi
+	return newBuffered(&btreeBatch[K]{
+		it:      a.tree.Range(a.toKey(klo), a.toKey(khi)),
+		fromKey: a.fromKey,
+	}, a.arity)
+}
+
 func (a *btreeAdapter[K]) AnyMatch(pattern tuple.Tuple, k int) bool {
 	if k == 0 {
 		return a.tree.Size() > 0
@@ -153,4 +164,64 @@ func PrefixBounds(prefix []value.Value) (lo, hi [MaxArity]value.Value) {
 		hi[i] = ^value.Value(0)
 	}
 	return lo, hi
+}
+
+// Bound is a typed interval on one column: the evaluated range half of a
+// bounded search (ram.Bound). Lo and Hi count only when their Has flag is
+// set, and exclude themselves when their Strict flag is.
+type Bound struct {
+	Type               value.Type
+	Lo, Hi             value.Value
+	HasLo, HasHi       bool
+	LoStrict, HiStrict bool
+}
+
+// Keys maps b into storage order — the unsigned bit order of every index,
+// see value.Compare — as the interval [lo, hi] of stored words that can
+// satisfy it; ok is false when no word can. An unsigned bound maps exactly.
+// A number bound narrows only when the values satisfying it form one
+// unsigned interval (all non-negative, or all negative); one that straddles
+// zero maps to the whole domain, and so do float and symbol bounds. The
+// whole domain is never wrong, only unnarrowed: every caller keeps the
+// comparison itself as a filter.
+func (b Bound) Keys() (lo, hi value.Value, ok bool) {
+	var min, max int64
+	switch b.Type {
+	case value.Unsigned:
+		min, max = 0, math.MaxUint32
+	case value.Number:
+		min, max = math.MinInt32, math.MaxInt32
+	default:
+		return 0, math.MaxUint32, true
+	}
+	// The interval in the type's own order, widened to int64 so a strict
+	// bound at either end of the domain cannot overflow.
+	l, h := min, max
+	if b.HasLo {
+		l = b.word(b.Lo)
+		if b.LoStrict {
+			l++
+		}
+	}
+	if b.HasHi {
+		h = b.word(b.Hi)
+		if b.HiStrict {
+			h--
+		}
+	}
+	switch {
+	case l > h:
+		return 0, 0, false
+	case l < 0 && h >= 0:
+		return 0, math.MaxUint32, true
+	}
+	return value.Value(l), value.Value(h), true
+}
+
+// word reads v in b's type as an int64.
+func (b Bound) word(v value.Value) int64 {
+	if b.Type == value.Number {
+		return int64(value.AsInt(v))
+	}
+	return int64(v)
 }

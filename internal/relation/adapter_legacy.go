@@ -41,6 +41,13 @@ func (a *legacyAdapter) Scan() Iterator {
 }
 
 func (a *legacyAdapter) PrefixScan(pattern tuple.Tuple, k int) Iterator {
+	if k == len(a.order) {
+		return a.RangeScan(pattern[:k-1], k-1, pattern[k-1], pattern[k-1])
+	}
+	return a.RangeScan(pattern, k, 0, ^value.Value(0))
+}
+
+func (a *legacyAdapter) RangeScan(pattern tuple.Tuple, k int, klo, khi value.Value) Iterator {
 	arity := len(a.order)
 	lo := make(tuple.Tuple, arity)
 	hi := make(tuple.Tuple, arity)
@@ -48,8 +55,8 @@ func (a *legacyAdapter) PrefixScan(pattern tuple.Tuple, k int) Iterator {
 		lo[a.order[i]] = pattern[i]
 		hi[a.order[i]] = pattern[i]
 	}
-	for i := k; i < arity; i++ {
-		lo[a.order[i]] = 0
+	lo[a.order[k]], hi[a.order[k]] = klo, khi
+	for i := k + 1; i < arity; i++ {
 		hi[a.order[i]] = ^value.Value(0)
 	}
 	return &legacyIter{it: a.tree.Range(lo, hi), order: a.order, out: make(tuple.Tuple, arity)}

@@ -14,8 +14,8 @@ import (
 // store, so the interpreter's static instructions bypass the wrapper (and its
 // counters) by design.
 //
-// It has the bulk and partition capabilities of the index it wraps or their
-// fallbacks (either way counted the same), and — as countedDeleter — Delete
+// It has the bulk, partition and range capabilities of the index it wraps or
+// their fallbacks (either way counted the same), and — as countedDeleter — Delete
 // exactly when the wrapped index has it.
 type countedIndex struct {
 	Index
@@ -100,6 +100,13 @@ func (c *countedIndex) Scan() Iterator {
 func (c *countedIndex) PrefixScan(pattern tuple.Tuple, k int) Iterator {
 	c.ops.RangeScans.Add(1)
 	return c.Index.PrefixScan(pattern, k)
+}
+
+// RangeScan counts like PrefixScan, which is what it falls back to when the
+// wrapped index has no range capability.
+func (c *countedIndex) RangeScan(pattern tuple.Tuple, k int, lo, hi value.Value) Iterator {
+	c.ops.RangeScans.Add(1)
+	return RangeScan(c.Index, pattern, k, lo, hi)
 }
 
 func (c *countedIndex) AnyMatch(pattern tuple.Tuple, k int) bool {

@@ -95,17 +95,17 @@ type batcher interface {
 // Nothing on the interface is telemetry: counting is countedIndex, a wrapper
 // Relation.AttachMetrics installs only when a collector is attached.
 //
-//	              BulkInserter     Deleter        Partitioner
-//	btree         tree bulk load   yes            separator keys
-//	brie          trie bulk load   yes            -
-//	eqrel         pair bulk load   -              -
-//	nullary       -                yes            -
-//	legacy        -                yes            -
-//	persist       -                yes            sampled keys
-//	shardedIndex  one per shard    yes            shard boundaries
-//	countedIndex  as wrapped       iff wrapped    as wrapped
-//	without it    loop on Insert   SUBTRACT is    one partition:
-//	                               refused        the full scan
+//	              BulkInserter     Deleter        Partitioner       Ranger
+//	btree         tree bulk load   yes            separator keys    tree range
+//	brie          trie bulk load   yes            -                 -
+//	eqrel         pair bulk load   -              -                 -
+//	nullary       -                yes            -                 -
+//	legacy        -                yes            -                 tree range
+//	persist       -                yes            sampled keys      -
+//	shardedIndex  one per shard    yes            shard boundaries  per shard
+//	countedIndex  as wrapped       iff wrapped    as wrapped        as wrapped
+//	without it    loop on Insert   SUBTRACT is    one partition:    the prefix
+//	                               refused        the full scan     scan
 type Index interface {
 	// Order is the lexicographic order this index maintains, as a
 	// permutation from source positions to encoded positions.
@@ -170,6 +170,26 @@ type Partitioner interface {
 	// PartitionScan returns up to n iterators covering disjoint,
 	// collectively exhaustive tuple ranges.
 	PartitionScan(n int) []Iterator
+}
+
+// Ranger is the capability of ordered stores that can narrow a prefix search
+// by an interval on the next encoded position: the range scan of a bounded
+// search (ram.Bound, mapped to storage order by Bound.Keys).
+type Ranger interface {
+	// RangeScan enumerates, in encoded lexicographic order, tuples whose
+	// first k < arity encoded elements equal pattern[0:k] and whose element
+	// k lies in [lo, hi].
+	RangeScan(pattern tuple.Tuple, k int, lo, hi value.Value) Iterator
+}
+
+// RangeScan is idx's own range scan, or the prefix scan that fallback
+// stores answer with instead: a superset of the range, which is enough
+// because bounded searches keep their comparison as a filter.
+func RangeScan(idx Index, pattern tuple.Tuple, k int, lo, hi value.Value) Iterator {
+	if r, ok := idx.(Ranger); ok {
+		return r.RangeScan(pattern, k, lo, hi)
+	}
+	return idx.PrefixScan(pattern, k)
 }
 
 // bulkInserterOf is idx's own bulk load, or the one loop-insert fallback.

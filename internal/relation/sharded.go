@@ -159,19 +159,29 @@ func (s *shardedIndex) Scan() Iterator {
 }
 
 func (s *shardedIndex) PrefixScan(pattern tuple.Tuple, k int) Iterator {
+	return s.search(pattern, k, func(sub shardStore) Iterator { return sub.PrefixScan(pattern, k) })
+}
+
+func (s *shardedIndex) RangeScan(pattern tuple.Tuple, k int, lo, hi value.Value) Iterator {
+	return s.search(pattern, k, func(sub shardStore) Iterator { return RangeScan(sub, pattern, k, lo, hi) })
+}
+
+// search runs scan on the shards that can hold tuples with the encoded
+// prefix pattern[:k], merging their answers back into encoded order.
+func (s *shardedIndex) search(pattern tuple.Tuple, k int, scan func(shardStore) Iterator) Iterator {
 	if len(s.subs) == 1 {
-		return s.subs[0].PrefixScan(pattern, k)
+		return scan(s.subs[0])
 	}
 	if s.keyEnc < k {
 		// The encoded prefix binds the shard key: only one shard can hold
 		// matches. This is the payoff of keying shards on the program's
 		// most-bound column — the common inner-loop searches stay
 		// shard-local instead of fanning out.
-		return s.subs[ShardOf(pattern[s.keyEnc], len(s.subs))].PrefixScan(pattern, k)
+		return scan(s.subs[ShardOf(pattern[s.keyEnc], len(s.subs))])
 	}
 	its := make([]Iterator, len(s.subs))
 	for i, sub := range s.subs {
-		its[i] = sub.PrefixScan(pattern, k)
+		its[i] = scan(sub)
 	}
 	return newMergeIter(its)
 }
