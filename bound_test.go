@@ -40,7 +40,9 @@ type boundProgram struct {
 	a, b, c     [][]any
 }
 
-func genBoundProgram(rng *rand.Rand, brie bool) boundProgram {
+// genBoundProgram draws one rule. With choice set, the head drops the inner
+// variable y, so the optimizer turns the bounded inner search into a CHOICE.
+func genBoundProgram(rng *rand.Rand, brie, choice bool) boundProgram {
 	ti := rng.Intn(len(boundTypes))
 	bt := boundTypes[ti]
 	ops := []string{"<", "<=", ">", ">="}
@@ -68,11 +70,17 @@ func genBoundProgram(rng *rand.Rand, brie bool) boundProgram {
 		oracle = append(oracle, fmt.Sprintf("%s %s %s", hide(l), o, hide(r)))
 	}
 	var head, body string
-	switch rng.Intn(3) {
-	case 0: // inner search with an equality prefix on k, bound on y
+	switch shape := rng.Intn(3); {
+	case choice && shape == 0: // inner choice with an equality prefix on k, bound on y
+		head, body = "out1(x)", "a(x, k), b(y, k)"
+		cmp("y", outer("x"))
+	case choice: // inner unkeyed choice, bound on y
+		head, body = "out1(x)", "a(x, _), b(y, _)"
+		cmp("y", outer("x"))
+	case shape == 0: // inner search with an equality prefix on k, bound on y
 		head, body = "out2(x, y)", "a(x, k), b(y, k)"
 		cmp("y", outer("x"))
-	case 1: // inner full scan, bound on y
+	case shape == 1: // inner full scan, bound on y
 		head, body = "out2(x, y)", "a(x, _), b(y, _)"
 		cmp("y", outer("x"))
 	default: // three atoms: y bounded by x, z bounded by y and by x
@@ -89,11 +97,13 @@ func genBoundProgram(rng *rand.Rand, brie bool) boundProgram {
 	decls := fmt.Sprintf(`.decl a(x:%[1]s, k:number)%[2]s
 .decl b(y:%[1]s, k:number)%[2]s
 .decl c(z:%[1]s)%[2]s
+.decl out1(x:%[1]s)%[2]s
 .decl out2(x:%[1]s, y:%[1]s)%[2]s
 .decl out3(x:%[1]s, y:%[1]s, z:%[1]s)%[2]s
 .input a
 .input b
 .input c
+.output out1
 .output out2
 .output out3
 .decl pad(s:symbol)
@@ -130,9 +140,12 @@ func (p boundProgram) input(t *testing.T, prog *Program) *Input {
 // comparison type.
 var boundRE = regexp.MustCompile(`ON INDEX .*\b\d+[<>]=?:(\w+) `)
 
-// boundOutputs renders both output relations of res, in enumeration order.
+// boundChoiceRE matches a CHOICE that carries a range bound.
+var boundChoiceRE = regexp.MustCompile(`CHOICE .* ON INDEX .*\b\d+[<>]=?:(number|unsigned) `)
+
+// boundOutputs renders the output relations of res, in enumeration order.
 func boundOutputs(res *Result) string {
-	return fmt.Sprint(res.Rows("out2"), res.Rows("out3"))
+	return fmt.Sprint(res.Rows("out1"), res.Rows("out2"), res.Rows("out3"))
 }
 
 // runAblated runs prog on the interpreter under an ablation configuration,
@@ -149,16 +162,18 @@ func runAblated(t *testing.T, prog *Program, in *Input, cfg interp.Config) *Resu
 // and three-atom rules compare an inner column with `<`, `<=`, `>`, `>=`
 // against an outer column or expression, over number values with negatives
 // and the int32 extremes, unsigned values at and above 2^31, and float and
-// symbol columns (which never get a bound). Under every engine the output is
-// byte-identical to the oracle's, the same program with each compared inner
-// column hidden in a functor so that it gets no bound.
+// symbol columns (which never get a bound). The last 24 rules project only
+// the outer variable, so their bounded inner search becomes a CHOICE. Under
+// every engine the output is byte-identical to the oracle's, the same program
+// with each compared inner column hidden in a functor so that it gets no
+// bound.
 func TestRangeBoundSoundness(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	dynamic := interp.DefaultConfig()
 	dynamic.StaticDispatch = false
-	bounded := 0
-	for i := 0; i < 48; i++ {
-		gp := genBoundProgram(rng, i%4 == 3)
+	bounded, boundedChoices := 0, 0
+	for i := 0; i < 72; i++ {
+		gp := genBoundProgram(rng, i%4 == 3, i >= 48)
 		prog, err := Parse(gp.src)
 		if err != nil {
 			t.Fatalf("%v\n%s", err, gp.src)
@@ -172,6 +187,9 @@ func TestRangeBoundSoundness(t *testing.T) {
 				t.Fatalf("%s comparison got a range bound:\n%s", typ, prog.RAM())
 			}
 			bounded++
+		}
+		if boundChoiceRE.MatchString(prog.RAM()) {
+			boundedChoices++
 		}
 		if boundRE.MatchString(oracle.RAM()) {
 			t.Fatalf("oracle got a range bound:\n%s", oracle.RAM())
@@ -199,8 +217,11 @@ func TestRangeBoundSoundness(t *testing.T) {
 			}
 		}
 	}
-	if bounded < 12 {
-		t.Fatalf("only %d of 48 programs carry a range bound; the property is not exercised", bounded)
+	if bounded < 18 {
+		t.Fatalf("only %d of 72 programs carry a range bound; the property is not exercised", bounded)
+	}
+	if boundedChoices < 8 {
+		t.Fatalf("only %d of 24 choice programs print a bounded CHOICE; the merged choice is not exercised", boundedChoices)
 	}
 }
 

@@ -314,8 +314,6 @@ func scannedRel(op ram.Operation) *ram.Relation {
 	switch op := op.(type) {
 	case *ram.Scan:
 		return op.Rel
-	case *ram.IndexScan:
-		return op.Rel
 	}
 	return nil
 }
@@ -327,8 +325,6 @@ func projectTarget(op ram.Operation) *ram.Relation {
 		case *ram.Project:
 			return o.Rel
 		case *ram.Scan:
-			op = o.Nested
-		case *ram.IndexScan:
 			op = o.Nested
 		case *ram.Filter:
 			op = o.Nested

@@ -10,8 +10,8 @@ import (
 // >=, either side) where x is a column the scan binds and leaves unbound in
 // its pattern, e is ground before the scan, and the comparison is on number
 // or unsigned. The constraint stays in its filter, so a bound only narrows
-// the scan. A full scan that gets a bound becomes an index scan with an
-// empty pattern. The query's outermost scan gets none: workers partition it.
+// the scan; a scan that binds no position is keyed by its bound alone. The
+// query's outermost scan gets none: workers partition it.
 // Eqrel relations get none either: their searches follow the union-find, not
 // a sorted order. It runs just before index selection (indexselect.Assign),
 // which keeps a bound only where an order places its column right after the
@@ -27,7 +27,7 @@ func placeBounds(p *ram.Program) {
 		case *ram.Loop:
 			stmt(s.Body)
 		case *ram.Query:
-			s.Root = boundOp(s.Root, map[int]bool{})
+			boundOp(s.Root, map[int]bool{})
 		case *ram.LogTimer:
 			stmt(s.Stmt)
 		}
@@ -38,29 +38,20 @@ func placeBounds(p *ram.Program) {
 }
 
 // boundOp places bounds in the operation tree o, whose enclosing operations
-// bind the tuple slots in outer, and returns the (possibly replaced) root.
-// An operation tree is a chain, so outer only grows on the way down.
-func boundOp(o ram.Operation, outer map[int]bool) ram.Operation {
+// bind the tuple slots in outer. An operation tree is a chain, so outer only
+// grows on the way down.
+func boundOp(o ram.Operation, outer map[int]bool) {
 	switch o := o.(type) {
 	case *ram.Scan:
-		pattern := make([]ram.Expr, o.Rel.Arity)
-		b := findBound(o.Rel, pattern, o.TupleID, o.Nested, outer)
-		outer[o.TupleID] = true
-		o.Nested = boundOp(o.Nested, outer)
-		if b != nil {
-			return &ram.IndexScan{Rel: o.Rel, Pattern: pattern, Bound: b, TupleID: o.TupleID, Nested: o.Nested}
-		}
-	case *ram.IndexScan:
 		o.Bound = findBound(o.Rel, o.Pattern, o.TupleID, o.Nested, outer)
 		outer[o.TupleID] = true
-		o.Nested = boundOp(o.Nested, outer)
+		boundOp(o.Nested, outer)
 	case *ram.Aggregate:
 		outer[o.TupleID] = true
-		o.Nested = boundOp(o.Nested, outer)
+		boundOp(o.Nested, outer)
 	case *ram.Filter:
-		o.Nested = boundOp(o.Nested, outer)
+		boundOp(o.Nested, outer)
 	}
-	return o
 }
 
 // findBound returns the bound the filters directly under a scan of rel

@@ -236,7 +236,7 @@ func excludeCond(tr *ruleTranslator, exclude, unless *ram.Relation, tid int) ram
 	return &ram.Not{C: &ram.And{L: exDel, R: &ram.Not{C: member(unless)}}}
 }
 
-// atomLevel turns a positive body atom into a scan/index-scan/existence
+// atomLevel turns a positive body atom into a scan or existence-check
 // level. Returns nil when the atom degenerates to a pure filter.
 func (tr *ruleTranslator) atomLevel(at *ast.Atom, rel *ram.Relation, uses map[string]int) (func(ram.Operation) ram.Operation, error) {
 	pattern := make([]ram.Expr, rel.Arity)
@@ -289,7 +289,6 @@ func (tr *ruleTranslator) atomLevel(at *ast.Atom, rel *ram.Relation, uses map[st
 	}
 
 	tid := tr.tid
-	bound := sig.Count()
 
 	if !needsScan && len(binds) == 0 && !tr.forceScan {
 		// No bindings escape: a (partial) existence check suffices.
@@ -322,17 +321,8 @@ func (tr *ruleTranslator) atomLevel(at *ast.Atom, rel *ram.Relation, uses map[st
 		}
 	}
 
-	if bound == 0 {
-		return func(inner ram.Operation) ram.Operation {
-			if eqCond != nil {
-				inner = &ram.Filter{Cond: eqCond, Nested: inner}
-			}
-			return &ram.Scan{Rel: rel, TupleID: tid, Nested: inner}
-		}, nil
-	}
-
 	// eqrel only supports prefix searches on its natural order; fall back
-	// to scan+filter for anything else.
+	// to an unkeyed scan and a filter for anything else.
 	if rel.Rep == ram.RepEqRel && !isPrefixOfNatural(sig) {
 		var cond ram.Condition
 		for i, p := range pattern {
@@ -355,11 +345,11 @@ func (tr *ruleTranslator) atomLevel(at *ast.Atom, rel *ram.Relation, uses map[st
 			if eqCond != nil {
 				inner = &ram.Filter{Cond: eqCond, Nested: inner}
 			}
-			return &ram.Scan{Rel: rel, TupleID: tid, Nested: &ram.Filter{Cond: cond, Nested: inner}}
+			return &ram.Scan{Rel: rel, Pattern: make([]ram.Expr, rel.Arity), TupleID: tid, Nested: &ram.Filter{Cond: cond, Nested: inner}}
 		}, nil
 	}
 
-	is := &ram.IndexScan{Rel: rel, Pattern: pattern, TupleID: tid}
+	is := &ram.Scan{Rel: rel, Pattern: pattern, TupleID: tid}
 	return func(inner ram.Operation) ram.Operation {
 		if eqCond != nil {
 			inner = &ram.Filter{Cond: eqCond, Nested: inner}
@@ -649,7 +639,6 @@ func (tr *ruleTranslator) tryAggregate(c *ast.Constraint, agg *ast.Aggregate) (b
 	node := &ram.Aggregate{
 		Kind:    aggKindOf(agg.Kind),
 		Rel:     rel,
-		IndexID: -1,
 		Pattern: pattern,
 		Cond:    cond,
 		Target:  target,

@@ -51,15 +51,14 @@ func translationText(w *Workload, optimize bool) (string, error) {
 	op = func(o ram.Operation) {
 		switch o := o.(type) {
 		case *ram.Scan:
-			op(o.Nested)
-		case *ram.IndexScan:
-			site(o.IndexID)
+			if ram.Keyed(o.Pattern, o.Bound) {
+				site(o.IndexID)
+			}
 			op(o.Nested)
 		case *ram.Choice:
-			cond(o.Cond)
-			op(o.Nested)
-		case *ram.IndexChoice:
-			site(o.IndexID)
+			if ram.Keyed(o.Pattern, o.Bound) {
+				site(o.IndexID)
+			}
 			cond(o.Cond)
 			op(o.Nested)
 		case *ram.Filter:

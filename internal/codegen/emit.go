@@ -90,12 +90,8 @@ func (e *emitter) stmt(s ram.Statement) {
 func (e *emitter) op(o ram.Operation) {
 	switch o := o.(type) {
 	case *ram.Scan:
-		e.scan(o.Rel, -1, nil, nil, o.TupleID, o.Nested, false, nil)
-	case *ram.IndexScan:
 		e.scan(o.Rel, o.IndexID, o.Pattern, o.Bound, o.TupleID, o.Nested, false, nil)
 	case *ram.Choice:
-		e.scan(o.Rel, -1, nil, nil, o.TupleID, o.Nested, true, o.Cond)
-	case *ram.IndexChoice:
 		e.scan(o.Rel, o.IndexID, o.Pattern, o.Bound, o.TupleID, o.Nested, true, o.Cond)
 	case *ram.Filter:
 		e.pf("if %s {", e.cond(o.Cond))
@@ -113,7 +109,7 @@ func (e *emitter) op(o ram.Operation) {
 }
 
 // scan emits a (possibly index-restricted, possibly choice) scan loop.
-// indexID -1 means the primary index with no pattern. A range bound narrows
+// indexID -1, an unkeyed search, reads the primary index. A range bound narrows
 // B-tree scans only; brie and eqrel ignore it (its filter stays).
 func (e *emitter) scan(r *ram.Relation, indexID int, pattern []ram.Expr, bound *ram.Bound, tid int, nested ram.Operation, choice bool, choiceCond ram.Condition) {
 	orders := r.Orders

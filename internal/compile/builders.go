@@ -16,25 +16,13 @@ import (
 // (relation.KeyFunc), so both backends run the same allocation-free tuple
 // path and Fig 15 compares dispatch alone.
 
-func makeScanBT[K btree.Key[K]](tree *btree.Tree[K], fromKey func(K, tuple.Tuple), tid int32, body opFn) opFn {
-	return func(r *rt) {
-		it := tree.Iter()
-		slot := r.tuples[tid]
-		for {
-			k, ok := it.Next()
-			if !ok {
-				return
-			}
-			fromKey(k, slot)
-			body(r)
-		}
-	}
-}
-
 // rangeOf evaluates the bound prefix of a search, and its range bound when
-// bnd is not nil, and returns its iterator; ok is false when the range bound
-// admits no tuple.
+// bnd is not nil, and returns its iterator: the whole tree for an unkeyed
+// search. ok is false when the range bound admits no tuple.
 func rangeOf[K btree.Key[K]](r *rt, tree *btree.Tree[K], toKey relation.KeyFunc[K], pat []exprFn, bnd boundFn) (it btree.Iter[K], ok bool) {
+	if len(pat) == 0 && bnd == nil {
+		return tree.Iter(), true
+	}
 	var prefix [relation.MaxArity]value.Value
 	for i, p := range pat {
 		prefix[i] = p(r)
@@ -48,7 +36,7 @@ func rangeOf[K btree.Key[K]](r *rt, tree *btree.Tree[K], toKey relation.KeyFunc[
 	return tree.Range(toKey(lo), toKey(hi)), true
 }
 
-func makeIndexScanBT[K btree.Key[K]](tree *btree.Tree[K], toKey relation.KeyFunc[K], fromKey func(K, tuple.Tuple), tid int32, pat []exprFn, bnd boundFn, body opFn) opFn {
+func makeScanRangeBT[K btree.Key[K]](tree *btree.Tree[K], toKey relation.KeyFunc[K], fromKey func(K, tuple.Tuple), tid int32, pat []exprFn, bnd boundFn, body opFn) opFn {
 	return func(r *rt) {
 		it, ok := rangeOf(r, tree, toKey, pat, bnd)
 		if !ok {
@@ -107,12 +95,7 @@ func makeExistsBT[K btree.Key[K]](tree *btree.Tree[K], toKey relation.KeyFunc[K]
 func makeAggregateBT[K btree.Key[K]](tree *btree.Tree[K], toKey relation.KeyFunc[K], fromKey func(K, tuple.Tuple), kind ram.AggKind, typ value.Type, tid int32, pat []exprFn, cond condFn, target exprFn, body opFn) opFn {
 	return func(r *rt) {
 		r.tuples[tid] = r.base[tid]
-		var it btree.Iter[K]
-		if len(pat) == 0 {
-			it = tree.Iter()
-		} else {
-			it, _ = rangeOf(r, tree, toKey, pat, nil)
-		}
+		it, _ := rangeOf(r, tree, toKey, pat, nil)
 		slot := r.tuples[tid]
 		var acc rtl.AggAcc
 		acc.Init(kind, typ)

@@ -129,13 +129,7 @@ func (c *compiler) measureWidths(o ram.Operation, widths []int32) {
 	case *ram.Scan:
 		widths[o.TupleID] = int32(o.Rel.Arity)
 		c.measureWidths(o.Nested, widths)
-	case *ram.IndexScan:
-		widths[o.TupleID] = int32(o.Rel.Arity)
-		c.measureWidths(o.Nested, widths)
 	case *ram.Choice:
-		widths[o.TupleID] = int32(o.Rel.Arity)
-		c.measureWidths(o.Nested, widths)
-	case *ram.IndexChoice:
 		widths[o.TupleID] = int32(o.Rel.Arity)
 		c.measureWidths(o.Nested, widths)
 	case *ram.Filter:
@@ -157,46 +151,7 @@ func (c *compiler) compileOp(o ram.Operation) opFn {
 	switch o := o.(type) {
 	case *ram.Scan:
 		rel := c.relation(o.Rel)
-		idx := rel.Primary()
-		tid := int32(o.TupleID)
-		c.bindCoords(tid, idx.Order())
-		body := c.compileOp(o.Nested)
-		switch rel.Rep() {
-		case relation.BTree:
-			return buildScanBT(relation.Impl(idx), tid, body)
-		case relation.EqRel:
-			er := relation.Impl(idx).(*eqrel.Rel)
-			return func(r *rt) {
-				it := er.Iter()
-				slot := r.tuples[tid]
-				for {
-					t, ok := it.Next()
-					if !ok {
-						return
-					}
-					copy(slot, t)
-					body(r)
-				}
-			}
-		default: // brie
-			tr := relation.Impl(idx).(*brie.Trie)
-			return func(r *rt) {
-				it := tr.Iter()
-				slot := r.tuples[tid]
-				for {
-					t, ok := it.Next()
-					if !ok {
-						return
-					}
-					copy(slot, t)
-					body(r)
-				}
-			}
-		}
-
-	case *ram.IndexScan:
-		rel := c.relation(o.Rel)
-		idx := rel.Index(o.IndexID)
+		idx := rel.SearchIndex(o.IndexID)
 		tid := int32(o.TupleID)
 		pat := c.compilePattern(o.Pattern, idx.Order())
 		bnd := c.compileBound(o.Bound)
@@ -204,7 +159,7 @@ func (c *compiler) compileOp(o ram.Operation) opFn {
 		body := c.compileOp(o.Nested)
 		switch rel.Rep() {
 		case relation.BTree:
-			return buildIndexScanBT(relation.Impl(idx), tid, pat, bnd, body)
+			return buildScanRangeBT(relation.Impl(idx), tid, pat, bnd, body)
 		case relation.EqRel:
 			er := relation.Impl(idx).(*eqrel.Rel)
 			if len(pat) >= 2 {
@@ -218,9 +173,13 @@ func (c *compiler) compileOp(o ram.Operation) opFn {
 					}
 				}
 			}
-			p0 := pat[0]
 			return func(r *rt) {
-				it := er.PrefixFirst(p0(r))
+				var it *eqrel.Iter
+				if len(pat) == 1 {
+					it = er.PrefixFirst(pat[0](r))
+				} else {
+					it = er.Iter()
+				}
 				slot := r.tuples[tid]
 				for {
 					t, ok := it.Next()
@@ -252,9 +211,8 @@ func (c *compiler) compileOp(o ram.Operation) opFn {
 			}
 		}
 
-	case *ram.Choice, *ram.IndexChoice:
-		// Choices are not emitted by the current translator; a generic
-		// adapter-backed fallback keeps the backend total.
+	case *ram.Choice:
+		// The generic adapter-backed form serves every representation.
 		return c.compileChoice(o)
 
 	case *ram.Filter:
@@ -309,12 +267,7 @@ func (c *compiler) compileOp(o ram.Operation) opFn {
 
 	case *ram.Aggregate:
 		rel := c.relation(o.Rel)
-		var idx relation.Index
-		if o.IndexID >= 0 {
-			idx = rel.Index(o.IndexID)
-		} else {
-			idx = rel.Primary()
-		}
+		idx := rel.SearchIndex(o.IndexID)
 		tid := int32(o.TupleID)
 		pat := c.compilePattern(o.Pattern, idx.Order())
 		c.bindCoords(tid, idx.Order())
@@ -371,47 +324,28 @@ func (c *compiler) compileOp(o ram.Operation) opFn {
 	}
 }
 
-// compileChoice is the generic fallback for (index) choice operations.
-func (c *compiler) compileChoice(o ram.Operation) opFn {
-	switch o := o.(type) {
-	case *ram.Choice:
-		rel := c.relation(o.Rel)
-		idx := rel.Primary()
-		tid := int32(o.TupleID)
-		c.bindCoords(tid, idx.Order())
-		cond := c.compileChoiceCond(o.Cond)
-		body := c.compileOp(o.Nested)
-		return func(r *rt) {
-			it := idx.Scan()
-			for {
-				t, ok := it.Next()
-				if !ok {
-					return
-				}
-				copy(r.tuples[tid], t)
-				if cond(r) {
-					body(r)
-					return
-				}
-			}
-		}
-	case *ram.IndexChoice:
-		rel := c.relation(o.Rel)
-		idx := rel.Index(o.IndexID)
-		tid := int32(o.TupleID)
-		pat := c.compilePattern(o.Pattern, idx.Order())
-		bnd := c.compileBound(o.Bound)
-		c.bindCoords(tid, idx.Order())
-		cond := c.compileChoiceCond(o.Cond)
-		body := c.compileOp(o.Nested)
-		arity := int32(rel.Arity())
-		k := len(pat)
-		return func(r *rt) {
+// compileChoice compiles a choice over the relation's dynamic adapter: an
+// unkeyed choice opens a full scan, a keyed one its prefix or range.
+func (c *compiler) compileChoice(o *ram.Choice) opFn {
+	rel := c.relation(o.Rel)
+	idx := rel.SearchIndex(o.IndexID)
+	tid := int32(o.TupleID)
+	pat := c.compilePattern(o.Pattern, idx.Order())
+	bnd := c.compileBound(o.Bound)
+	c.bindCoords(tid, idx.Order())
+	cond := c.compileChoiceCond(o.Cond)
+	body := c.compileOp(o.Nested)
+	arity := int32(rel.Arity())
+	k := len(pat)
+	return func(r *rt) {
+		var it relation.Iterator
+		if k == 0 && bnd == nil {
+			it = idx.Scan()
+		} else {
 			var p [relation.MaxArity]value.Value
 			for i, pf := range pat {
 				p[i] = pf(r)
 			}
-			var it relation.Iterator
 			if bnd == nil {
 				it = idx.PrefixScan(p[:arity], k)
 			} else {
@@ -421,20 +355,18 @@ func (c *compiler) compileChoice(o ram.Operation) opFn {
 				}
 				it = relation.RangeScan(idx, p[:arity], k, lo, hi)
 			}
-			for {
-				t, ok := it.Next()
-				if !ok {
-					return
-				}
-				copy(r.tuples[tid], t)
-				if cond(r) {
-					body(r)
-					return
-				}
+		}
+		for {
+			t, ok := it.Next()
+			if !ok {
+				return
+			}
+			copy(r.tuples[tid], t)
+			if cond(r) {
+				body(r)
+				return
 			}
 		}
-	default:
-		panic(fmt.Sprintf("compile: not a choice: %T", o))
 	}
 }
 

@@ -11,14 +11,14 @@ import (
 // Relations joined by a SWAP statement (the delta/new pairs of a fixpoint)
 // form one group that is selected once over all its members' searches, so
 // SWAP exchanges relations with identical orders. Eqrel relations get the
-// identity order and every search on them index 0; a full-scan Aggregate
-// keeps IndexID −1.
+// identity order and every keyed search on them index 0; an unkeyed search
+// (ram.Keyed) gets IndexID -1 and is no site.
 //
 // Range bounds (ram.Bound) never shape the orders: a bounded site keeps its
 // bound only when some selected order places the bound column right after
 // the site's equality prefix — the order it then searches — and loses it
-// otherwise. A bounded index scan that binds no position and loses its bound
-// becomes the full scan it was before bound placement.
+// otherwise. A site that binds no position and loses its bound is unkeyed
+// and gets IndexID -1.
 //
 // Assign is the only code that writes Orders or IndexID; the translator
 // calls it once as its last step, and no optimizer pass changes a
@@ -74,10 +74,7 @@ func Assign(p *ram.Program) {
 		}
 		rel.Orders = append([]tuple.Order{}, res.Orders...)
 	}
-	// Innermost sites first, so a scan that reverts to a full scan adopts
-	// its body after every replacement inside it.
-	for i := len(sites) - 1; i >= 0; i-- {
-		s := sites[i]
+	for _, s := range sites {
 		if s.rel.Rep == ram.RepEqRel {
 			s.set(0, false)
 			continue
@@ -120,10 +117,10 @@ func boundOrder(orders []tuple.Order, sig Signature, col, id int) (int, bool) {
 }
 
 // walk visits every SWAP under s and every node that selects an index:
-// index scans and choices, existence checks, and aggregates with at least
-// one bound position. search gets the node's pattern, its range bound (nil
-// for none) and a setter for its IndexID that also drops the bound unless
-// told to keep it.
+// keyed scans and choices, existence checks, and keyed aggregates. search
+// gets the node's pattern, its range bound (nil for none) and a setter for
+// its IndexID that also drops the bound unless told to keep it. An unkeyed
+// scan, choice or aggregate gets IndexID -1 here.
 func walk(s ram.Statement, swap func(a, b *ram.Relation), search func(rel *ram.Relation, pattern []ram.Expr, bound *ram.Bound, set func(int, bool))) {
 	var walkCond func(ram.Condition)
 	walkCond = func(c ram.Condition) {
@@ -137,45 +134,41 @@ func walk(s ram.Statement, swap func(a, b *ram.Relation), search func(rel *ram.R
 			search(c.Rel, c.Pattern, nil, func(id int, _ bool) { c.IndexID = id })
 		}
 	}
-	// walkOp visits the operation in *slot, which a dropped bound may
-	// replace.
-	var walkOp func(slot *ram.Operation)
-	walkOp = func(slot *ram.Operation) {
-		switch o := (*slot).(type) {
+	// searchSite hands a scan's or choice's search to search; id and bound
+	// are the node's fields.
+	searchSite := func(rel *ram.Relation, pattern []ram.Expr, bound **ram.Bound, id *int) {
+		if !ram.Keyed(pattern, *bound) {
+			*id = -1
+			return
+		}
+		search(rel, pattern, *bound, func(i int, keep bool) {
+			*id = i
+			if !keep {
+				*bound = nil
+				if !ram.Keyed(pattern, nil) {
+					*id = -1
+				}
+			}
+		})
+	}
+	var walkOp func(ram.Operation)
+	walkOp = func(o ram.Operation) {
+		switch o := o.(type) {
 		case *ram.Scan:
-			walkOp(&o.Nested)
-		case *ram.IndexScan:
-			search(o.Rel, o.Pattern, o.Bound, func(id int, keep bool) {
-				o.IndexID = id
-				if !keep {
-					o.Bound = nil
-					if unbound(o.Pattern) {
-						*slot = &ram.Scan{Rel: o.Rel, TupleID: o.TupleID, Nested: o.Nested}
-					}
-				}
-			})
-			walkOp(&o.Nested)
+			searchSite(o.Rel, o.Pattern, &o.Bound, &o.IndexID)
+			walkOp(o.Nested)
 		case *ram.Choice:
+			searchSite(o.Rel, o.Pattern, &o.Bound, &o.IndexID)
 			walkCond(o.Cond)
-			walkOp(&o.Nested)
-		case *ram.IndexChoice:
-			search(o.Rel, o.Pattern, o.Bound, func(id int, keep bool) {
-				o.IndexID = id
-				if !keep {
-					o.Bound = nil
-				}
-			})
-			walkCond(o.Cond)
-			walkOp(&o.Nested)
+			walkOp(o.Nested)
 		case *ram.Filter:
 			walkCond(o.Cond)
-			walkOp(&o.Nested)
+			walkOp(o.Nested)
 		case *ram.Aggregate:
-			if !unbound(o.Pattern) {
-				search(o.Rel, o.Pattern, nil, func(id int, _ bool) { o.IndexID = id })
-			}
+			var bound *ram.Bound
+			searchSite(o.Rel, o.Pattern, &bound, &o.IndexID)
 			walkCond(o.Cond)
-			walkOp(&o.Nested)
+			walkOp(o.Nested)
 		}
 	}
 	var walkStmt func(ram.Statement)
@@ -190,7 +183,7 @@ func walk(s ram.Statement, swap func(a, b *ram.Relation), search func(rel *ram.R
 		case *ram.Exit:
 			walkCond(s.Cond)
 		case *ram.Query:
-			walkOp(&s.Root)
+			walkOp(s.Root)
 		case *ram.Swap:
 			swap(s.A, s.B)
 		case *ram.LogTimer:
@@ -200,14 +193,4 @@ func walk(s ram.Statement, swap func(a, b *ram.Relation), search func(rel *ram.R
 	if s != nil {
 		walkStmt(s)
 	}
-}
-
-// unbound reports whether pattern binds no position.
-func unbound(pattern []ram.Expr) bool {
-	for _, e := range pattern {
-		if e != nil {
-			return false
-		}
-	}
-	return true
 }

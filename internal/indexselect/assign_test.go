@@ -25,7 +25,8 @@ type assignProgram struct {
 	prog                        *ram.Program
 	edge, delta, nw, same, lone *ram.Relation
 	agg                         *ram.Aggregate
-	edgeScan                    *ram.IndexScan
+	edgeScan                    *ram.Scan
+	fullScans                   []*ram.Scan
 	newCheck                    *ram.ExistenceCheck
 	sameChecks                  []*ram.ExistenceCheck
 }
@@ -63,7 +64,7 @@ func newAssignProgram() *assignProgram {
 		Nested: &ram.Project{Rel: n, Exprs: []ram.Expr{te(0, 0)}},
 	}
 	a.newCheck = &ram.ExistenceCheck{Rel: a.nw, IndexID: 9, Pattern: []ram.Expr{nil, te(1, 1)}}
-	a.edgeScan = &ram.IndexScan{
+	a.edgeScan = &ram.Scan{
 		Rel: a.edge, IndexID: 9, Pattern: []ram.Expr{te(0, 1), nil}, TupleID: 1,
 		Nested: &ram.Filter{
 			Cond:   &ram.Not{C: a.newCheck},
@@ -74,19 +75,23 @@ func newAssignProgram() *assignProgram {
 		{Rel: a.same, IndexID: 9, Pattern: []ram.Expr{te(0, 0), te(0, 1)}},
 		{Rel: a.same, IndexID: 9, Pattern: []ram.Expr{te(0, 0), nil}},
 	}
+	a.fullScans = []*ram.Scan{
+		{Rel: a.delta, IndexID: 9, Pattern: make([]ram.Expr, 2), TupleID: 0, Nested: a.edgeScan},
+		{Rel: a.edge, IndexID: 9, Pattern: make([]ram.Expr, 2), TupleID: 0, Nested: &ram.Filter{
+			Cond:   &ram.And{L: a.sameChecks[0], R: a.sameChecks[1]},
+			Nested: &ram.Project{Rel: path, Exprs: []ram.Expr{te(0, 0), te(0, 1)}},
+		}},
+	}
 	a.prog = &ram.Program{
 		Relations: rels,
 		Main: &ram.Sequence{Stmts: []ram.Statement{
 			&ram.Query{Root: a.agg, NumTuples: 1, RuleID: 0},
 			&ram.Loop{Body: &ram.Sequence{Stmts: []ram.Statement{
-				&ram.Query{Root: &ram.Scan{Rel: a.delta, TupleID: 0, Nested: a.edgeScan}, NumTuples: 2, RuleID: 1},
+				&ram.Query{Root: a.fullScans[0], NumTuples: 2, RuleID: 1},
 				&ram.Exit{Cond: &ram.EmptinessCheck{Rel: a.nw}},
 				&ram.Swap{A: a.delta, B: a.nw},
 			}}},
-			&ram.Query{Root: &ram.Scan{Rel: a.edge, TupleID: 0, Nested: &ram.Filter{
-				Cond:   &ram.And{L: a.sameChecks[0], R: a.sameChecks[1]},
-				Nested: &ram.Project{Rel: path, Exprs: []ram.Expr{te(0, 0), te(0, 1)}},
-			}}, NumTuples: 1, RuleID: 2},
+			&ram.Query{Root: a.fullScans[1], NumTuples: 1, RuleID: 2},
 		}},
 		NumRules: 3,
 	}
@@ -121,6 +126,13 @@ func TestAssign(t *testing.T) {
 	t.Run("full-scan aggregate keeps -1", func(t *testing.T) {
 		if a.agg.IndexID != -1 {
 			t.Fatalf("aggregate IndexID %d, want -1", a.agg.IndexID)
+		}
+	})
+	t.Run("unkeyed scans get -1", func(t *testing.T) {
+		for i, scan := range a.fullScans {
+			if scan.IndexID != -1 {
+				t.Fatalf("unkeyed scan %d IndexID %d, want -1", i, scan.IndexID)
+			}
 		}
 	})
 	t.Run("unsearched relation gets identity", func(t *testing.T) {

@@ -12,8 +12,8 @@ import (
 // TestAssignRangeBounds: bounds never shape the orders. A bound survives
 // only on an order that places its column right after the site's prefix —
 // the placed order, or another one that starts with the same columns — and
-// is dropped otherwise; a dropped bound on a search that binds nothing
-// leaves the full scan it came from.
+// is dropped otherwise; a search that binds nothing and loses its bound is
+// unkeyed (IndexID -1).
 func TestAssignRangeBounds(t *testing.T) {
 	num := func(arity int) []value.Type { return make([]value.Type, arity) }
 	s := &ram.Relation{ID: 0, Name: "s", Arity: 1, Types: num(1)}
@@ -25,23 +25,22 @@ func TestAssignRangeBounds(t *testing.T) {
 	project := &ram.Project{Rel: out, Exprs: []ram.Expr{x}}
 	// query nests inner under a scan of s binding t0.
 	query := func(inner ram.Operation) *ram.Query {
-		return &ram.Query{NumTuples: 2, Root: &ram.Scan{Rel: s, TupleID: 0, Nested: inner}}
+		return &ram.Query{NumTuples: 2, Root: &ram.Scan{Rel: s, Pattern: make([]ram.Expr, 1), TupleID: 0, Nested: inner}}
 	}
 	// r is searched on {1} only, so its one order is [1 0]: a bound on
 	// column 0 after the prefix {1} is served, one on an empty prefix is not.
-	served := &ram.IndexScan{Rel: r, Pattern: []ram.Expr{nil, x}, Bound: gt(0), TupleID: 1, Nested: project}
-	unserved := &ram.IndexScan{Rel: r, Pattern: []ram.Expr{nil, nil}, Bound: gt(0), TupleID: 1, Nested: project}
+	served := &ram.Scan{Rel: r, Pattern: []ram.Expr{nil, x}, Bound: gt(0), TupleID: 1, Nested: project}
+	unserved := &ram.Scan{Rel: r, Pattern: []ram.Expr{nil, nil}, Bound: gt(0), TupleID: 1, Nested: project}
 	// q is searched on {0, 1} and {0, 2}: two chains, [0 1 2] and [0 2 1].
 	// A bound on column 2 after {0} is served by whichever order has
 	// column 2 second.
-	q01 := &ram.IndexScan{Rel: q, Pattern: []ram.Expr{x, x, nil}, TupleID: 1, Nested: project}
-	q02 := &ram.IndexScan{Rel: q, Pattern: []ram.Expr{x, nil, x}, TupleID: 1, Nested: project}
-	other := &ram.IndexScan{Rel: q, Pattern: []ram.Expr{x, nil, nil}, Bound: gt(2), TupleID: 1, Nested: project}
-	unservedQuery := query(unserved)
+	q01 := &ram.Scan{Rel: q, Pattern: []ram.Expr{x, x, nil}, TupleID: 1, Nested: project}
+	q02 := &ram.Scan{Rel: q, Pattern: []ram.Expr{x, nil, x}, TupleID: 1, Nested: project}
+	other := &ram.Scan{Rel: q, Pattern: []ram.Expr{x, nil, nil}, Bound: gt(2), TupleID: 1, Nested: project}
 	p := &ram.Program{
 		Relations: []*ram.Relation{s, r, q, out},
 		Main: &ram.Sequence{Stmts: []ram.Statement{
-			query(served), unservedQuery, query(q01), query(q02), query(other),
+			query(served), query(unserved), query(q01), query(q02), query(other),
 		}},
 	}
 	indexselect.Assign(p)
@@ -54,8 +53,8 @@ func TestAssignRangeBounds(t *testing.T) {
 	if served.Bound == nil {
 		t.Errorf("bound after prefix {1} dropped on r's order %v", r.Orders[served.IndexID])
 	}
-	if scan, ok := unservedQuery.Root.(*ram.Scan).Nested.(*ram.Scan); !ok || scan.Nested != project {
-		t.Errorf("unserved bound on an empty prefix left %T, want the full scan\n%s", unservedQuery.Root.(*ram.Scan).Nested, p)
+	if unserved.Bound != nil || unserved.IndexID != -1 {
+		t.Errorf("unserved bound on an empty prefix left bound %v on index %d, want an unkeyed scan (no bound, IndexID -1)\n%s", unserved.Bound != nil, unserved.IndexID, p)
 	}
 	if other.Bound == nil || q.Orders[other.IndexID][1] != 2 {
 		t.Errorf("bound on column 2 after {0}: kept %v on order %v, want kept on the order with column 2 second (orders %v)", other.Bound != nil, q.Orders[other.IndexID], q.Orders)

@@ -111,8 +111,7 @@ rc(a, b, c) :- qc(c), f(a, b, c).
 // for every supported arity, and the specialized opcodes are all distinct.
 func TestSpecializedOpCoverage(t *testing.T) {
 	generics := []opcode{
-		opInsert, opExists, opScan, opIndexScan,
-		opChoice, opIndexChoice, opAggregate, opIndexAggregate,
+		opInsert, opExists, opScan, opChoice, opAggregate,
 	}
 	seen := map[opcode]bool{}
 	for _, g := range generics {

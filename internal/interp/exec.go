@@ -183,28 +183,9 @@ func (ex *executor) execute(n *inode, ctx *context) value.Value {
 			ex.parallelScan(n, ctx)
 			return 0
 		}
-		it := n.idx.Scan()
-		if n.decode {
-			it = relation.NewDecoder(it, n.order)
-		}
-		for {
-			t, ok := it.Next()
-			if !ok {
-				return 0
-			}
-			ctx.tuples[n.tupleID] = t
-			ex.countIter(ctx)
-			ex.eval(n.nested, ctx)
-		}
-	case opIndexScan:
-		var pat [relation.MaxArity]value.Value
-		ex.fillTuple(n, ctx, pat[:n.prefix])
-		it, ok := ex.search(n, ctx, pat[:n.arity])
+		it, ok := ex.search(n, ctx)
 		if !ok {
 			return 0
-		}
-		if n.decode {
-			it = relation.NewDecoder(it, n.order)
 		}
 		for {
 			t, ok := it.Next()
@@ -216,31 +197,9 @@ func (ex *executor) execute(n *inode, ctx *context) value.Value {
 			ex.eval(n.nested, ctx)
 		}
 	case opChoice:
-		it := n.idx.Scan()
-		if n.decode {
-			it = relation.NewDecoder(it, n.order)
-		}
-		for {
-			t, ok := it.Next()
-			if !ok {
-				return 0
-			}
-			ctx.tuples[n.tupleID] = t
-			ex.countIter(ctx)
-			if n.cond == nil || ex.eval(n.cond, ctx) != 0 {
-				ex.eval(n.nested, ctx)
-				return 0
-			}
-		}
-	case opIndexChoice:
-		var pat [relation.MaxArity]value.Value
-		ex.fillTuple(n, ctx, pat[:n.prefix])
-		it, ok := ex.search(n, ctx, pat[:n.arity])
+		it, ok := ex.search(n, ctx)
 		if !ok {
 			return 0
-		}
-		if n.decode {
-			it = relation.NewDecoder(it, n.order)
 		}
 		for {
 			t, ok := it.Next()
@@ -283,7 +242,7 @@ func (ex *executor) execute(n *inode, ctx *context) value.Value {
 			ex.countInsert(ctx, false)
 		}
 		return 0
-	case opAggregate, opIndexAggregate:
+	case opAggregate:
 		ctx.tuples[n.tupleID] = ctx.base[n.tupleID]
 		var pat [relation.MaxArity]value.Value
 		ex.fillTuple(n, ctx, pat[:n.prefix])
@@ -609,18 +568,31 @@ func (ex *executor) flushStage(ctx *context) {
 	}
 }
 
-// search opens the dynamic adapter's iterator of n's prefix search with
-// the encoded pattern pat, narrowed by n's range bound when it has one; ok
-// is false when the bound admits no tuple.
-func (ex *executor) search(n *inode, ctx *context, pat []value.Value) (relation.Iterator, bool) {
-	if n.bound == nil {
-		return n.idx.PrefixScan(pat, int(n.prefix)), true
+// search opens the dynamic adapter's iterator of a scan's or choice's
+// search, decoding to source coordinates when n does: the full scan of an
+// unkeyed search, else the prefix search of n's pattern, narrowed by n's
+// range bound when it has one. ok is false when the bound admits no tuple.
+func (ex *executor) search(n *inode, ctx *context) (relation.Iterator, bool) {
+	var it relation.Iterator
+	if n.prefix == 0 && n.bound == nil {
+		it = n.idx.Scan()
+	} else {
+		var pat [relation.MaxArity]value.Value
+		ex.fillTuple(n, ctx, pat[:n.prefix])
+		if n.bound == nil {
+			it = n.idx.PrefixScan(pat[:n.arity], int(n.prefix))
+		} else {
+			lo, hi, ok := ex.boundKeys(n, ctx)
+			if !ok {
+				return nil, false
+			}
+			it = relation.RangeScan(n.idx, pat[:n.arity], int(n.prefix), lo, hi)
+		}
 	}
-	lo, hi, ok := ex.boundKeys(n, ctx)
-	if !ok {
-		return nil, false
+	if n.decode {
+		it = relation.NewDecoder(it, n.order)
 	}
-	return relation.RangeScan(n.idx, pat, int(n.prefix), lo, hi), true
+	return it, true
 }
 
 // boundKeys evaluates n's range bound for one scan start, as the storage

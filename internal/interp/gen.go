@@ -26,8 +26,8 @@ type generator struct {
 	prems      map[int32]int32 // tid -> base relation ID (provenance)
 	premExists []*inode        // positive full-bound existence checks (provenance)
 	negDepth   int
-	// pendingParallel marks that the next full scan of the current query is
-	// the outermost loop and should be partitioned across workers.
+	// pendingParallel marks that the current query's outermost loop is still
+	// to be generated; when it is an unkeyed scan, workers partition it.
 	pendingParallel bool
 	// inParallel is true while generating the subtree nested under a
 	// partitioned scan: inserts there run on worker goroutines and must
@@ -123,8 +123,6 @@ func (g *generator) scanOpcode(generic opcode, rel *relation.Relation) opcode {
 			return opInsertEq
 		case opScan:
 			return opScanEq
-		case opIndexScan:
-			return opIndexScanEq
 		case opExists:
 			return opExistsEq
 		}
@@ -134,8 +132,6 @@ func (g *generator) scanOpcode(generic opcode, rel *relation.Relation) opcode {
 			return opInsertBrie
 		case opScan:
 			return opScanBrie
-		case opIndexScan:
-			return opIndexScanBrie
 		case opExists:
 			return opExistsBrie
 		}
@@ -171,22 +167,9 @@ func (g *generator) genOperation(o ram.Operation) *inode {
 	switch o := o.(type) {
 	case *ram.Scan:
 		rel := g.relation(o.Rel)
-		idx := rel.Primary()
-		op := g.scanOpcode(opScan, rel)
-		par := false
-		if g.pendingParallel {
-			// The outermost full scan is partitioned across workers; it
-			// runs through the dynamic adapter (whose iterators partition),
-			// while everything nested stays specialized.
-			g.pendingParallel = false
-			if rel.Arity() > 0 {
-				op = opScan
-				par = true
-			}
-		}
+		idx := rel.SearchIndex(o.IndexID)
 		n := &inode{
-			op:      op,
-			par:     par,
+			op:      g.scanOpcode(opScan, rel),
 			rel:     rel,
 			idx:     idx,
 			order:   idx.Order(),
@@ -194,11 +177,21 @@ func (g *generator) genOperation(o ram.Operation) *inode {
 			tupleID: int32(o.TupleID),
 			shadow:  o,
 		}
+		n.children, n.prefix = g.genPattern(o.Pattern, idx.Order())
+		n.bound = g.genBound(o.Bound, idx.Order(), n.prefix)
 		g.bindSearch(n, idx)
+		g.applySuper(n)
 		g.widths[n.tupleID] = n.arity
 		g.prems[n.tupleID] = int32(o.Rel.BaseID)
 		g.bindCoords(n.tupleID, idx.Order(), n)
+		// The query's outermost scan, when unkeyed, is partitioned across
+		// workers; it runs through the dynamic adapter (whose iterators
+		// partition), while everything nested stays specialized. Any other
+		// loop kind ends the search.
+		par := g.pendingParallel && o.IndexID < 0 && rel.Arity() > 0
+		g.pendingParallel = false
 		if par {
+			n.op, n.par = opScan, true
 			n.part = relation.PartitionerOf(idx)
 			// Everything nested runs on worker goroutines: inserts must
 			// stage into worker-local buffers (merged at the scan barrier).
@@ -212,63 +205,20 @@ func (g *generator) genOperation(o ram.Operation) *inode {
 		g.foldFilter(n)
 		return n
 
-	case *ram.IndexScan:
-		// Only a query's outermost *full* scan is parallelized; any other
-		// loop kind ends the search.
-		g.pendingParallel = false
-		rel := g.relation(o.Rel)
-		idx := rel.Index(o.IndexID)
-		n := &inode{
-			op:      g.scanOpcode(opIndexScan, rel),
-			rel:     rel,
-			idx:     idx,
-			order:   idx.Order(),
-			arity:   int32(rel.Arity()),
-			tupleID: int32(o.TupleID),
-			shadow:  o,
-		}
-		n.children, n.prefix = g.genPattern(o.Pattern, idx.Order())
-		n.bound = g.genBound(o.Bound, idx.Order(), n.prefix)
-		g.bindSearch(n, idx)
-		g.applySuper(n)
-		g.widths[n.tupleID] = n.arity
-		g.prems[n.tupleID] = int32(o.Rel.BaseID)
-		g.bindCoords(n.tupleID, idx.Order(), n)
-		n.nested = g.genOperation(o.Nested)
-		g.foldFilter(n)
-		return n
-
 	case *ram.Choice:
 		g.pendingParallel = false
 		rel := g.relation(o.Rel)
-		idx := rel.Primary()
+		idx := rel.SearchIndex(o.IndexID)
 		n := &inode{
 			op: g.orderedOpcode(opChoice, rel), rel: rel, idx: idx, order: idx.Order(),
 			arity: int32(rel.Arity()), tupleID: int32(o.TupleID), shadow: o,
 		}
 		n.impls, _ = relation.Impls(idx)
-		g.widths[n.tupleID] = n.arity
-		g.prems[n.tupleID] = int32(o.Rel.BaseID)
-		g.bindCoords(n.tupleID, idx.Order(), n)
-		if o.Cond != nil {
-			n.cond = g.genCond(o.Cond)
-		}
-		n.nested = g.genOperation(o.Nested)
-		return n
-
-	case *ram.IndexChoice:
-		g.pendingParallel = false
-		rel := g.relation(o.Rel)
-		idx := rel.Index(o.IndexID)
-		n := &inode{
-			op: g.orderedOpcode(opIndexChoice, rel), rel: rel, idx: idx, order: idx.Order(),
-			arity: int32(rel.Arity()), tupleID: int32(o.TupleID), shadow: o,
-		}
-		n.impls, _ = relation.Impls(idx)
 		n.children, n.prefix = g.genPattern(o.Pattern, idx.Order())
 		n.bound = g.genBound(o.Bound, idx.Order(), n.prefix)
 		g.applySuper(n)
 		g.widths[n.tupleID] = n.arity
+		g.prems[n.tupleID] = int32(o.Rel.BaseID)
 		g.bindCoords(n.tupleID, idx.Order(), n)
 		if o.Cond != nil {
 			n.cond = g.genCond(o.Cond)
@@ -316,18 +266,9 @@ func (g *generator) genOperation(o ram.Operation) *inode {
 	case *ram.Aggregate:
 		g.pendingParallel = false
 		rel := g.relation(o.Rel)
-		var idx relation.Index
-		if o.IndexID >= 0 {
-			idx = rel.Index(o.IndexID)
-		} else {
-			idx = rel.Primary()
-		}
-		generic := opAggregate
-		if o.IndexID >= 0 {
-			generic = opIndexAggregate
-		}
+		idx := rel.SearchIndex(o.IndexID)
 		n := &inode{
-			op: g.orderedOpcode(generic, rel), rel: rel, idx: idx, order: idx.Order(),
+			op: g.orderedOpcode(opAggregate, rel), rel: rel, idx: idx, order: idx.Order(),
 			arity: int32(rel.Arity()), tupleID: int32(o.TupleID),
 			a: int32(o.Kind), b: int32(o.Type), shadow: o,
 		}

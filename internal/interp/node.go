@@ -28,15 +28,13 @@ const (
 	opIO
 	opLogTimer
 
-	// operations (dynamic-adapter forms)
+	// operations (dynamic-adapter forms); one search instruction per kind
+	// serves keyed and unkeyed searches alike (inode.prefix 0, no bound)
 	opScan
-	opIndexScan
 	opChoice
-	opIndexChoice
 	opFilter
 	opInsert // RAM Project
 	opAggregate
-	opIndexAggregate
 
 	// conditions
 	opAnd
@@ -59,11 +57,9 @@ const (
 	// handwritten specialized forms for the non-generic structures
 	opInsertEq
 	opScanEq
-	opIndexScanEq
 	opExistsEq
 	opInsertBrie
 	opScanBrie
-	opIndexScanBrie
 	opExistsBrie
 
 	// opSpecializedBase starts the generated per-arity B-tree block; it

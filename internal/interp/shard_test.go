@@ -321,7 +321,7 @@ func treeOps(e *Engine) (ops []opcode, nodes []*inode) {
 // the order-sensitive instructions (choice, aggregate), which take the
 // dynamic opcodes over sharded relations.
 func TestShardedTreeShape(t *testing.T) {
-	ordered := map[opcode]bool{opChoice: true, opIndexChoice: true, opAggregate: true, opIndexAggregate: true}
+	ordered := map[opcode]bool{opChoice: true, opAggregate: true}
 	for _, rep := range []string{"btree", "brie"} {
 		for _, shards := range []int{1, 2, 4} {
 			build := func(shards int) *Engine {
@@ -347,7 +347,7 @@ func TestShardedTreeShape(t *testing.T) {
 					t.Fatalf("%s: unsharded tree has %s here", label, want)
 				}
 				switch n.shadow.(type) {
-				case *ram.Choice, *ram.IndexChoice, *ram.Aggregate:
+				case *ram.Choice, *ram.Aggregate:
 					if n.rel.Sharded() {
 						if !ordered[n.op] {
 							t.Fatalf("%s: order-sensitive node carries static opcode %d", label, n.op)
@@ -360,10 +360,13 @@ func TestShardedTreeShape(t *testing.T) {
 					t.Fatalf("%s: opcode %d, unsharded %d", label, n.op, wantOps[i])
 				}
 				if n.rel.Sharded() && n.op >= opInsertEq {
+					if scan, ok := n.shadow.(*ram.Scan); ok && ram.Keyed(scan.Pattern, scan.Bound) {
+						kind = "keyed " + kind
+					}
 					seen[kind]++
 				}
 			}
-			for _, kind := range []string{"ordered", "*ram.Project", "*ram.Scan", "*ram.IndexScan", "*ram.ExistenceCheck"} {
+			for _, kind := range []string{"ordered", "*ram.Project", "*ram.Scan", "keyed *ram.Scan", "*ram.ExistenceCheck"} {
 				if seen[kind] == 0 {
 					t.Fatalf("%s/shards=%d: no %s node over a sharded relation on the static path (saw %v)", rep, shards, kind, seen)
 				}

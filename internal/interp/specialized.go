@@ -137,7 +137,7 @@ func bindKey[K btree.Key[K]](n *inode, ctx *context, k K, fromKey fromKeyFn[K]) 
 }
 
 // scanBT runs a scan body over one tree's iterator: the per-tuple loop of
-// every B-tree scan and index scan, once per store the instruction visits.
+// every B-tree scan, once per store the instruction visits.
 func scanBT[K btree.Key[K]](ex *executor, n *inode, ctx *context, it *btree.Iter[K], fromKey fromKeyFn[K]) {
 	fused := n.fused // a fused filter folded into this scan (generator.foldFilter)
 	for {
@@ -154,15 +154,9 @@ func scanBT[K btree.Key[K]](ex *executor, n *inode, ctx *context, it *btree.Iter
 	}
 }
 
-func evalScanBT[K btree.Key[K]](ex *executor, n *inode, ctx *context, _ relation.KeyFunc[K], fromKey fromKeyFn[K]) value.Value {
-	for _, impl := range n.impls {
-		it := impl.(*btree.Tree[K]).Iter()
-		scanBT(ex, n, ctx, &it, fromKey)
-	}
-	return 0
-}
-
-func evalIndexScanBT[K btree.Key[K]](ex *executor, n *inode, ctx *context, toKey relation.KeyFunc[K], fromKey fromKeyFn[K]) value.Value {
+// evalScanRangeBT is the B-tree scan: it opens the search's range (btRange;
+// the whole tree when the search is unkeyed) in every store it visits.
+func evalScanRangeBT[K btree.Key[K]](ex *executor, n *inode, ctx *context, toKey relation.KeyFunc[K], fromKey fromKeyFn[K]) value.Value {
 	var pat [relation.MaxArity]value.Value
 	ex.fillTuple(n, ctx, pat[:n.prefix])
 	blo, bhi, ok := ex.boundKeys(n, ctx)
@@ -176,23 +170,9 @@ func evalIndexScanBT[K btree.Key[K]](ex *executor, n *inode, ctx *context, toKey
 	return 0
 }
 
-func evalChoiceBT[K btree.Key[K]](ex *executor, n *inode, ctx *context, _ relation.KeyFunc[K], fromKey fromKeyFn[K]) value.Value {
-	it := n.impls[0].(*btree.Tree[K]).Iter()
-	for {
-		k, ok := it.Next()
-		if !ok {
-			return 0
-		}
-		bindKey(n, ctx, k, fromKey)
-		ex.countIter(ctx)
-		if n.cond == nil || ex.eval(n.cond, ctx) != 0 {
-			ex.eval(n.nested, ctx)
-			return 0
-		}
-	}
-}
-
-func evalIndexChoiceBT[K btree.Key[K]](ex *executor, n *inode, ctx *context, toKey relation.KeyFunc[K], fromKey fromKeyFn[K]) value.Value {
+// evalChoiceRangeBT is the B-tree choice: the scan's range, stopping at the
+// first tuple that satisfies the condition.
+func evalChoiceRangeBT[K btree.Key[K]](ex *executor, n *inode, ctx *context, toKey relation.KeyFunc[K], fromKey fromKeyFn[K]) value.Value {
 	var pat [relation.MaxArity]value.Value
 	ex.fillTuple(n, ctx, pat[:n.prefix])
 	blo, bhi, ok := ex.boundKeys(n, ctx)
@@ -241,12 +221,8 @@ func aggBT[K btree.Key[K]](ex *executor, n *inode, ctx *context, it *btree.Iter[
 	return 0
 }
 
-func evalAggregateBT[K btree.Key[K]](ex *executor, n *inode, ctx *context, _ relation.KeyFunc[K], fromKey fromKeyFn[K]) value.Value {
-	it := n.impls[0].(*btree.Tree[K]).Iter()
-	return aggBT(ex, n, ctx, &it, fromKey)
-}
-
-func evalIndexAggregateBT[K btree.Key[K]](ex *executor, n *inode, ctx *context, toKey relation.KeyFunc[K], fromKey fromKeyFn[K]) value.Value {
+// evalAggregateRangeBT is the B-tree aggregate over the search's range.
+func evalAggregateRangeBT[K btree.Key[K]](ex *executor, n *inode, ctx *context, toKey relation.KeyFunc[K], fromKey fromKeyFn[K]) value.Value {
 	var pat [relation.MaxArity]value.Value
 	ex.fillTuple(n, ctx, pat[:n.prefix])
 	it := btRange(n.impls[0].(*btree.Tree[K]), n, pat[:n.prefix], 0, 0, toKey)
@@ -272,18 +248,6 @@ func (ex *executor) execNonGeneric(n *inode, ctx *context) (value.Value, bool) {
 		}
 		return 0, true
 	case opScanEq:
-		it := n.impls[0].(*eqrel.Rel).Iter()
-		slot := ctx.tuples[n.tupleID]
-		for {
-			t, ok := it.Next()
-			if !ok {
-				return 0, true
-			}
-			copy(slot, t)
-			ex.countIter(ctx)
-			ex.eval(n.nested, ctx)
-		}
-	case opIndexScanEq:
 		rel := n.impls[0].(*eqrel.Rel)
 		var pat [2]value.Value
 		ex.fillTuple(n, ctx, pat[:n.prefix])
@@ -296,7 +260,12 @@ func (ex *executor) execNonGeneric(n *inode, ctx *context) (value.Value, bool) {
 			}
 			return 0, true
 		}
-		it := rel.PrefixFirst(pat[0])
+		var it *eqrel.Iter
+		if n.prefix == 1 {
+			it = rel.PrefixFirst(pat[0])
+		} else {
+			it = rel.Iter()
+		}
 		for {
 			t, ok := it.Next()
 			if !ok {
@@ -338,7 +307,7 @@ func (ex *executor) execNonGeneric(n *inode, ctx *context) (value.Value, bool) {
 			n.rstats.CountInsert(added)
 		}
 		return 0, true
-	case opScanBrie, opIndexScanBrie:
+	case opScanBrie:
 		var pat [relation.MaxArity]value.Value
 		ex.fillTuple(n, ctx, pat[:n.prefix])
 		slot := ctx.tuples[n.tupleID]

@@ -35,14 +35,7 @@ func QueryEffects(q *ram.Query) (reads, writes map[*ram.Relation]bool) {
 		case *ram.Scan:
 			reads[o.Rel] = true
 			walkOp(o.Nested)
-		case *ram.IndexScan:
-			reads[o.Rel] = true
-			walkOp(o.Nested)
 		case *ram.Choice:
-			reads[o.Rel] = true
-			walkCond(o.Cond)
-			walkOp(o.Nested)
-		case *ram.IndexChoice:
 			reads[o.Rel] = true
 			walkCond(o.Cond)
 			walkOp(o.Nested)

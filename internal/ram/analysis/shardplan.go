@@ -8,7 +8,7 @@ import "sti/internal/ram"
 // aligned with p.Relations.
 //
 // The key of a base relation is the column most often bound by Main's
-// searches of it or of its aux companions (index scans, choices,
+// searches of it or of its aux companions (scans, choices,
 // aggregates, existence checks): partitioning on the most-bound column lets
 // the largest share of point and prefix reads resolve against a single
 // shard instead of broadcasting over all of them. Only Main votes — the
@@ -133,14 +133,9 @@ func (v *shardVoter) stmt(s ram.Statement) {
 func (v *shardVoter) op(o ram.Operation) {
 	switch o := o.(type) {
 	case *ram.Scan:
-		v.op(o.Nested)
-	case *ram.IndexScan:
 		v.vote(o.Rel, o.Pattern)
 		v.op(o.Nested)
 	case *ram.Choice:
-		v.cond(o.Cond)
-		v.op(o.Nested)
-	case *ram.IndexChoice:
 		v.vote(o.Rel, o.Pattern)
 		v.cond(o.Cond)
 		v.op(o.Nested)

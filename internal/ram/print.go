@@ -92,7 +92,7 @@ func nodeContains(n, mark any) bool {
 			}
 		}
 	case *Bound:
-		return n.Lo != nil && nodeContains(n.Lo, mark) || n.Hi != nil && nodeContains(n.Hi, mark)
+		return n != nil && (n.Lo != nil && nodeContains(n.Lo, mark) || n.Hi != nil && nodeContains(n.Hi, mark))
 	}
 	return false
 }
@@ -176,19 +176,21 @@ func (p *printer) stmt(s Statement, depth int) {
 func (p *printer) op(o Operation, depth int) {
 	switch o := o.(type) {
 	case *Scan:
-		p.line(depth, []any{o}, "FOR t%d IN %s", o.TupleID, relName(o.Rel))
-		p.op(o.Nested, depth+1)
-	case *IndexScan:
-		p.line(depth, []any{o, o.Pattern, o.Bound}, "FOR t%d IN %s ON INDEX %s",
-			o.TupleID, relName(o.Rel), searchString(o.Pattern, o.Bound))
+		if Keyed(o.Pattern, o.Bound) {
+			p.line(depth, []any{o, o.Pattern, o.Bound}, "FOR t%d IN %s ON INDEX %s",
+				o.TupleID, relName(o.Rel), searchString(o.Pattern, o.Bound))
+		} else {
+			p.line(depth, []any{o}, "FOR t%d IN %s", o.TupleID, relName(o.Rel))
+		}
 		p.op(o.Nested, depth+1)
 	case *Choice:
-		p.line(depth, []any{o, o.Cond}, "CHOICE t%d IN %s WHERE %s",
-			o.TupleID, relName(o.Rel), CondString(o.Cond))
-		p.op(o.Nested, depth+1)
-	case *IndexChoice:
-		p.line(depth, []any{o, o.Pattern, o.Bound, o.Cond}, "CHOICE t%d IN %s ON INDEX %s WHERE %s",
-			o.TupleID, relName(o.Rel), searchString(o.Pattern, o.Bound), CondString(o.Cond))
+		if Keyed(o.Pattern, o.Bound) {
+			p.line(depth, []any{o, o.Pattern, o.Bound, o.Cond}, "CHOICE t%d IN %s ON INDEX %s WHERE %s",
+				o.TupleID, relName(o.Rel), searchString(o.Pattern, o.Bound), CondString(o.Cond))
+		} else {
+			p.line(depth, []any{o, o.Cond}, "CHOICE t%d IN %s WHERE %s",
+				o.TupleID, relName(o.Rel), CondString(o.Cond))
+		}
 		p.op(o.Nested, depth+1)
 	case *Filter:
 		p.line(depth, []any{o, o.Cond}, "IF (%s)", CondString(o.Cond))

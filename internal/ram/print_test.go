@@ -35,7 +35,7 @@ func TestFig3Shape(t *testing.T) {
 			},
 			Nested: &Scan{
 				Rel: delta, TupleID: 0,
-				Nested: &IndexScan{
+				Nested: &Scan{
 					Rel: edge, IndexID: 0, TupleID: 1,
 					Pattern: []Expr{&TupleElement{TupleID: 0, Elem: 0}, nil},
 					Nested: &Filter{
@@ -106,7 +106,7 @@ func TestOperationRendering(t *testing.T) {
 		t.Fatalf("aggregate rendering:\n%s", text)
 	}
 
-	choice := &Query{Label: "choice", Root: &IndexChoice{
+	choice := &Query{Label: "choice", Root: &Choice{
 		Rel: r, Pattern: []Expr{&Constant{Val: 7}, nil},
 		Cond:    &Constraint{Op: CmpGT, Type: value.Number, L: &TupleElement{TupleID: 0, Elem: 1}, R: &Constant{Val: 0}},
 		Nested:  &Project{Rel: r, Exprs: []Expr{&Constant{Val: 1}, &Constant{Val: 2}}},
@@ -115,6 +115,35 @@ func TestOperationRendering(t *testing.T) {
 	text = (&Program{Relations: []*Relation{r}, Main: choice}).String()
 	if !strings.Contains(text, "CHOICE t0 IN r ON INDEX 0=7 WHERE t0.1 >:number 0") {
 		t.Fatalf("choice rendering:\n%s", text)
+	}
+}
+
+// TestSearchRendering: an unkeyed search prints without ON INDEX; a keyed
+// one prints its pattern and range bound, even when the bound alone keys it.
+// Marking a node below any of them (as verifier excerpts do) marks its line.
+func TestSearchRendering(t *testing.T) {
+	r := rel(0, "r", 2)
+	project := &Project{Rel: r, Exprs: []Expr{&Constant{Val: 1}, &Constant{Val: 2}}}
+	gt := &Constraint{Op: CmpGT, Type: value.Number, L: &TupleElement{TupleID: 0, Elem: 1}, R: &Constant{Val: 0}}
+	for _, c := range []struct {
+		root Operation
+		want string
+	}{
+		{&Scan{Rel: r, IndexID: -1, Pattern: make([]Expr, 2), TupleID: 0, Nested: project}, "  FOR t0 IN r\n"},
+		{&Scan{Rel: r, Pattern: []Expr{&Constant{Val: 3}, nil}, TupleID: 0, Nested: project}, "  FOR t0 IN r ON INDEX 0=3\n"},
+		{&Choice{Rel: r, IndexID: -1, Pattern: make([]Expr, 2), Cond: gt, TupleID: 0, Nested: project}, "  CHOICE t0 IN r WHERE t0.1 >:number 0\n"},
+		{&Scan{Rel: r, IndexID: -1, Pattern: make([]Expr, 2), TupleID: 0, Nested: &Scan{
+			Rel: r, Pattern: make([]Expr, 2), TupleID: 1, Nested: project,
+			Bound: &Bound{Col: 0, Type: value.Number, Lo: &TupleElement{TupleID: 0, Elem: 0}, LoStrict: true},
+		}}, "    FOR t1 IN r ON INDEX 0>:number t0.0\n"},
+	} {
+		p := &Program{Relations: []*Relation{r}, Main: &Query{Label: "q", Root: c.root}}
+		if text := p.String(); !strings.Contains(text, c.want) {
+			t.Errorf("rendering lacks %q:\n%s", c.want, text)
+		}
+		if text := p.MarkedString(project); !strings.Contains(text, ">> ") || !strings.Contains(text, "\n>> ") {
+			t.Errorf("marked rendering does not mark the insert:\n%s", text)
+		}
 	}
 }
 

@@ -7,7 +7,7 @@
 // A RAM program consists of relation declarations and a statement tree.
 // Statements provide control flow (sequences, fixpoint loops, exits) and
 // whole-relation operations (clear, swap, merge, I/O). A Query statement
-// roots an *operation* tree: nested scans, index scans, filters, aggregates,
+// roots an *operation* tree: nested scans, choices, filters, aggregates,
 // and a final projection — the compiled form of one Datalog rule.
 //
 // Coordinates: RAM is written entirely in *source* tuple coordinates.
@@ -259,25 +259,36 @@ func (*LogTimer) isStatement() {}
 // Operation is one level of a query's nested-loop tree.
 type Operation interface{ isOperation() }
 
-// Scan enumerates all tuples of a relation, binding each to TupleID.
+// Scan enumerates the tuples of Rel matching the bound positions of Pattern
+// (length == arity; nil entries are unbound), using index IndexID of Rel,
+// binding each to TupleID. The bound positions are exactly the first k
+// positions of the chosen index order. Bound, when set, further narrows the
+// scan on the order's next column; the pattern may then bind nothing. A scan
+// that binds no position and has no bound is unkeyed (see Keyed): it reads
+// the whole relation, and its IndexID is -1.
 type Scan struct {
 	Rel     *Relation
+	IndexID int
+	Pattern []Expr
+	Bound   *Bound // nil: no range bound
 	TupleID int
 	Nested  Operation
 }
 
-// IndexScan enumerates the tuples matching the bound positions of Pattern
-// (nil entries are unbound), using index IndexID of Rel, binding each to
-// TupleID. The bound positions are exactly the first k positions of the
-// chosen index order. Bound, when set, further narrows the scan on the
-// order's next column; the pattern may then bind nothing.
-type IndexScan struct {
-	Rel     *Relation
-	IndexID int
-	Pattern []Expr // length == arity; nil means unbound
-	Bound   *Bound // nil: no range bound
-	TupleID int
-	Nested  Operation
+// Keyed reports whether a search with this pattern and range bound narrows
+// its relation: it binds a position or carries a bound. An unkeyed search
+// (Scan, Choice or Aggregate) reads the whole relation and has IndexID -1;
+// index selection (indexselect.Assign) gives every keyed one an order.
+func Keyed(pattern []Expr, b *Bound) bool {
+	if b != nil {
+		return true
+	}
+	for _, e := range pattern {
+		if e != nil {
+			return true
+		}
+	}
+	return false
 }
 
 // Bound narrows a search to the tuples whose column Col lies between Lo and
@@ -296,21 +307,13 @@ type Bound struct {
 	LoStrict, HiStrict bool
 }
 
-// Choice finds at most one tuple of Rel satisfying Cond, binds it to
-// TupleID, and runs Nested once.
+// Choice is Scan that stops at the first tuple satisfying Cond (nil: the
+// first tuple): it binds that tuple to TupleID and runs Nested once.
 type Choice struct {
-	Rel     *Relation
-	Cond    Condition
-	TupleID int
-	Nested  Operation
-}
-
-// IndexChoice is Choice over an index range.
-type IndexChoice struct {
 	Rel     *Relation
 	IndexID int
 	Pattern []Expr
-	Bound   *Bound // as IndexScan.Bound
+	Bound   *Bound
 	Cond    Condition
 	TupleID int
 	Nested  Operation
@@ -344,7 +347,7 @@ func (k AggKind) String() string {
 }
 
 // Aggregate folds Target over the tuples of Rel matching Pattern (nil
-// Pattern entries unbound; IndexID -1 means full scan) that satisfy Cond.
+// Pattern entries unbound; IndexID -1 when it binds none) that satisfy Cond.
 // Each candidate tuple is bound to TupleID while Target/Cond evaluate; the
 // final aggregate result is then bound as a 1-tuple at TupleID and Nested
 // runs once. Min/max over an empty set do not run Nested; count/sum yield
@@ -361,13 +364,11 @@ type Aggregate struct {
 	Nested  Operation
 }
 
-func (*Scan) isOperation()        {}
-func (*IndexScan) isOperation()   {}
-func (*Choice) isOperation()      {}
-func (*IndexChoice) isOperation() {}
-func (*Filter) isOperation()      {}
-func (*Project) isOperation()     {}
-func (*Aggregate) isOperation()   {}
+func (*Scan) isOperation()      {}
+func (*Choice) isOperation()    {}
+func (*Filter) isOperation()    {}
+func (*Project) isOperation()   {}
+func (*Aggregate) isOperation() {}
 
 // --- conditions ---
 

@@ -49,9 +49,9 @@ const (
 	RuleTupleUnbound   = "tuple-unbound"   // tuple reads see an enclosing binder
 	RuleElemBounds     = "elem-bounds"     // TupleElement.Elem within the binder's arity
 	RulePatternArity   = "pattern-arity"   // pattern length equals relation arity
-	RuleIndexID        = "index-id"        // IndexID selects a declared order
+	RuleIndexID        = "index-id"        // IndexID selects a declared order; it is -1 exactly on an unkeyed search
 	RuleIndexPrefix    = "index-prefix"    // bound pattern positions form an order prefix
-	RuleIndexBound     = "index-bound"     // a range bound is on the order's next column, reads enclosing tuples, compares number/unsigned, not outermost
+	RuleIndexBound     = "index-bound"     // a range bound has an index, is on the order's next column, reads enclosing tuples, compares number/unsigned, not outermost
 	RuleProjectArity   = "project-arity"   // Project expression count equals target arity
 	RuleAggTarget      = "agg-target"      // sum/min/max aggregates carry a target
 	RuleIntrinsicArgs  = "intrinsic-args"  // intrinsics receive the right argument count
@@ -545,33 +545,16 @@ func (c *checker) op(o ram.Operation, q *ram.Query, sc scope) {
 		if !c.relDeclared(o, o.Rel, "scan") {
 			return
 		}
-		inner := c.bind(o, q, sc, o.TupleID, binding{rel: o.Rel, arity: o.Rel.Arity})
-		c.nested(o, o.Nested, q, inner)
-	case *ram.IndexScan:
-		if !c.relDeclared(o, o.Rel, "index scan") {
-			return
-		}
-		c.search(o, o.Rel, o.IndexID, o.Pattern, sc, "index scan", false)
-		c.bound(o, o.Rel, o.IndexID, o.Pattern, o.Bound, sc, "index scan")
+		c.search(o, o.Rel, o.IndexID, o.Pattern, o.Bound, sc, "scan")
 		inner := c.bind(o, q, sc, o.TupleID, binding{rel: o.Rel, arity: o.Rel.Arity})
 		c.nested(o, o.Nested, q, inner)
 	case *ram.Choice:
 		if !c.relDeclared(o, o.Rel, "choice") {
 			return
 		}
+		c.search(o, o.Rel, o.IndexID, o.Pattern, o.Bound, sc, "choice")
 		inner := c.bind(o, q, sc, o.TupleID, binding{rel: o.Rel, arity: o.Rel.Arity})
 		if o.Cond != nil { // nil means unconditional: first tuple wins
-			c.cond(o.Cond, inner)
-		}
-		c.nested(o, o.Nested, q, inner)
-	case *ram.IndexChoice:
-		if !c.relDeclared(o, o.Rel, "index choice") {
-			return
-		}
-		c.search(o, o.Rel, o.IndexID, o.Pattern, sc, "index choice", false)
-		c.bound(o, o.Rel, o.IndexID, o.Pattern, o.Bound, sc, "index choice")
-		inner := c.bind(o, q, sc, o.TupleID, binding{rel: o.Rel, arity: o.Rel.Arity})
-		if o.Cond != nil {
 			c.cond(o.Cond, inner)
 		}
 		c.nested(o, o.Nested, q, inner)
@@ -600,7 +583,7 @@ func (c *checker) op(o ram.Operation, q *ram.Query, sc scope) {
 		if !c.relDeclared(o, o.Rel, "aggregate") {
 			return
 		}
-		c.search(o, o.Rel, o.IndexID, o.Pattern, sc, "aggregate", true)
+		c.search(o, o.Rel, o.IndexID, o.Pattern, nil, sc, "aggregate")
 		// Target and Cond see the candidate tuple at full arity...
 		candidate := c.bind(o, q, sc, o.TupleID, binding{rel: o.Rel, arity: o.Rel.Arity})
 		if o.Cond != nil {
@@ -724,17 +707,37 @@ func (c *checker) nested(parent any, o ram.Operation, q *ram.Query, sc scope) {
 	c.op(o, q, sc)
 }
 
-// search checks an index lookup: the pattern spans the relation's arity,
-// pattern expressions are well-formed in the *enclosing* scope (they may
-// not read the tuple being bound), IndexID selects a declared order, and
-// the bound positions are exactly a prefix of that order. allowFullScan
-// admits IndexID -1 with an all-unbound pattern (Aggregate's full scan).
-func (c *checker) search(node any, rel *ram.Relation, indexID int, pattern []ram.Expr, sc scope, what string, allowFullScan bool) {
-	if len(pattern) != rel.Arity {
-		c.addf(node, RulePatternArity, "%s pattern on %s has %d position(s), relation has arity %d", what, rel.Name, len(pattern), rel.Arity)
+// search checks the search of a scan, choice or aggregate (b is nil for an
+// aggregate): an unkeyed search (ram.Keyed) has IndexID -1, a keyed one
+// selects an index it can use (lookup), and a range bound needs an index.
+func (c *checker) search(node any, rel *ram.Relation, indexID int, pattern []ram.Expr, b *ram.Bound, sc scope, what string) {
+	bound, ok := c.pattern(node, rel, pattern, sc, what)
+	if !ok {
 		return
 	}
-	var bound []int
+	switch {
+	case indexID != -1:
+		if !ram.Keyed(pattern, b) {
+			c.addf(node, RuleIndexID, "%s on %s binds no position and has no range bound but uses index %d, want -1", what, rel.Name, indexID)
+		}
+		c.lookup(node, rel, indexID, bound, what)
+	case b != nil:
+		c.addf(node, RuleIndexBound, "%s on %s carries a range bound but no index (IndexID -1)", what, rel.Name)
+	case len(bound) > 0:
+		c.addf(node, RuleIndexID, "%s on %s binds positions %v but has no index (IndexID -1)", what, rel.Name, bound)
+	}
+	c.bound(node, rel, indexID, pattern, b, sc, what)
+}
+
+// pattern checks that a search pattern spans the relation's arity and that
+// its expressions are well-formed in the *enclosing* scope (they may not
+// read the tuple being bound), and returns its bound positions. ok is false
+// when the pattern has the wrong length.
+func (c *checker) pattern(node any, rel *ram.Relation, pattern []ram.Expr, sc scope, what string) (bound []int, ok bool) {
+	if len(pattern) != rel.Arity {
+		c.addf(node, RulePatternArity, "%s pattern on %s has %d position(s), relation has arity %d", what, rel.Name, len(pattern), rel.Arity)
+		return nil, false
+	}
 	for i, e := range pattern {
 		if e == nil {
 			continue
@@ -742,12 +745,12 @@ func (c *checker) search(node any, rel *ram.Relation, indexID int, pattern []ram
 		bound = append(bound, i)
 		c.expr(e, sc)
 	}
-	if indexID == -1 && allowFullScan {
-		if len(bound) > 0 {
-			c.addf(node, RuleIndexID, "%s on %s binds positions %v but requests a full scan (IndexID -1)", what, rel.Name, bound)
-		}
-		return
-	}
+	return bound, true
+}
+
+// lookup checks an index lookup: IndexID selects a declared order and the
+// bound positions are exactly a prefix of that order.
+func (c *checker) lookup(node any, rel *ram.Relation, indexID int, bound []int, what string) {
 	orders := rel.Orders
 	if indexID < 0 || indexID >= max(len(orders), 1) {
 		c.addf(node, RuleIndexID, "%s on %s uses index %d, relation declares %d order(s)", what, rel.Name, indexID, len(orders))
@@ -865,7 +868,9 @@ func (c *checker) cond(cond ram.Condition, sc scope) {
 			if !c.relDeclared(cond, cond.Rel, "existence check") {
 				return
 			}
-			c.search(cond, cond.Rel, cond.IndexID, cond.Pattern, sc, "existence check", false)
+			if bound, ok := c.pattern(cond, cond.Rel, cond.Pattern, sc, "existence check"); ok {
+				c.lookup(cond, cond.Rel, cond.IndexID, bound, "existence check")
+			}
 		} else {
 			for _, e := range cond.Pattern {
 				if e != nil {

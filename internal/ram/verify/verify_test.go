@@ -29,7 +29,7 @@ func tcProgram() *ram.Program {
 	copyQ := &ram.Query{
 		NumTuples: 1,
 		Root: &ram.Scan{
-			Rel: edge, TupleID: 0,
+			Rel: edge, IndexID: -1, Pattern: make([]ram.Expr, 2), TupleID: 0,
 			Nested: &ram.Project{Rel: path, Exprs: []ram.Expr{
 				&ram.TupleElement{TupleID: 0, Elem: 0},
 				&ram.TupleElement{TupleID: 0, Elem: 1},
@@ -127,7 +127,7 @@ func TestMalformedPrograms(t *testing.T) {
 				p := tcProgram()
 				q := stmtAt(p, 1).(*ram.Query)
 				scan := q.Root.(*ram.Scan)
-				q.Root = &ram.IndexScan{
+				q.Root = &ram.Scan{
 					Rel: scan.Rel, IndexID: 7,
 					Pattern: []ram.Expr{&ram.Constant{Val: 1}, nil},
 					TupleID: 0, Nested: scan.Nested,
@@ -143,7 +143,7 @@ func TestMalformedPrograms(t *testing.T) {
 				q := stmtAt(p, 1).(*ram.Query)
 				scan := q.Root.(*ram.Scan)
 				// Index 0 orders (0,1); binding only position 1 is no prefix.
-				q.Root = &ram.IndexScan{
+				q.Root = &ram.Scan{
 					Rel: scan.Rel, IndexID: 0,
 					Pattern: []ram.Expr{nil, &ram.Constant{Val: 1}},
 					TupleID: 0, Nested: scan.Nested,
@@ -151,6 +151,46 @@ func TestMalformedPrograms(t *testing.T) {
 				return p
 			},
 			want: []string{RuleIndexPrefix},
+		},
+		{
+			name: "keyed scan without an index",
+			build: func() *ram.Program {
+				p := tcProgram()
+				scan := stmtAt(p, 1).(*ram.Query).Root.(*ram.Scan)
+				scan.Pattern = []ram.Expr{&ram.Constant{Val: 1}, nil}
+				return p
+			},
+			want: []string{RuleIndexID},
+		},
+		{
+			name: "unkeyed choice with an index",
+			build: func() *ram.Program {
+				p := tcProgram()
+				q := stmtAt(p, 1).(*ram.Query)
+				scan := q.Root.(*ram.Scan)
+				q.Root = &ram.Choice{
+					Rel: scan.Rel, IndexID: 0, Pattern: make([]ram.Expr, 2),
+					TupleID: 0, Nested: scan.Nested,
+				}
+				return p
+			},
+			want: []string{RuleIndexID},
+		},
+		{
+			name: "bounded scan without an index",
+			build: func() *ram.Program {
+				p := tcProgram()
+				q := stmtAt(p, 1).(*ram.Query)
+				outer := q.Root.(*ram.Scan)
+				q.NumTuples = 2
+				outer.Nested = &ram.Scan{
+					Rel: outer.Rel, IndexID: -1, Pattern: make([]ram.Expr, 2),
+					Bound:   &ram.Bound{Col: 0, Type: value.Number, Lo: &ram.TupleElement{TupleID: 0, Elem: 0}},
+					TupleID: 1, Nested: outer.Nested,
+				}
+				return p
+			},
+			want: []string{RuleIndexBound},
 		},
 		{
 			name: "swap with mismatched shapes",
@@ -288,7 +328,7 @@ func TestMalformedPrograms(t *testing.T) {
 				p := tcProgram()
 				q := stmtAt(p, 1).(*ram.Query)
 				scan := q.Root.(*ram.Scan)
-				q.Root = &ram.IndexScan{
+				q.Root = &ram.Scan{
 					Rel: scan.Rel, IndexID: 0,
 					Pattern: []ram.Expr{&ram.Constant{Val: 1}},
 					TupleID: 0, Nested: scan.Nested,
@@ -540,7 +580,7 @@ func TestRangeBoundRule(t *testing.T) {
 		p := tcProgram()
 		edge, path := p.Relations[0], p.Relations[1]
 		q := stmtAt(p, 1).(*ram.Query)
-		inner := &ram.IndexScan{
+		inner := &ram.Scan{
 			Rel: edge, Pattern: []ram.Expr{nil, nil}, Bound: b, TupleID: 1,
 			Nested: &ram.Project{Rel: path, Exprs: []ram.Expr{
 				&ram.TupleElement{TupleID: 1, Elem: 0},
@@ -548,7 +588,7 @@ func TestRangeBoundRule(t *testing.T) {
 			}},
 		}
 		q.NumTuples = 2
-		q.Root = &ram.Scan{Rel: edge, TupleID: 0, Nested: inner}
+		q.Root = &ram.Scan{Rel: edge, IndexID: -1, Pattern: make([]ram.Expr, 2), TupleID: 0, Nested: inner}
 		if outermost {
 			inner.TupleID = 0
 			inner.Nested.(*ram.Project).Exprs = []ram.Expr{&ram.TupleElement{TupleID: 0, Elem: 0}, &ram.TupleElement{TupleID: 0, Elem: 1}}

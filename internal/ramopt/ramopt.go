@@ -14,8 +14,8 @@
 //     a conjunction, removing interpreter dispatches per level;
 //   - choice conversion: a scan whose bound tuple is referenced only by the
 //     immediately following filters — not by the projection or any deeper
-//     operation — only needs *one* witness, so it becomes a (index) choice
-//     that stops at the first match.
+//     operation — only needs *one* witness, so it becomes a choice over the
+//     same search that stops at the first match.
 //
 // All three are peephole rewrites of Main. None adds or removes a search,
 // unbinds a pattern position or drops a range bound, so the index orders and IndexIDs the
@@ -160,20 +160,12 @@ func (o *optimizer) stmt(s ram.Statement) ram.Statement {
 func (o *optimizer) op(op ram.Operation) ram.Operation {
 	switch op := op.(type) {
 	case *ram.Scan:
-		op.Nested = o.op(op.Nested)
-		if o.choices {
-			if cond, inner, ok := o.choiceBody(op.TupleID, op.Nested); ok {
-				return &ram.Choice{Rel: op.Rel, Cond: cond, TupleID: op.TupleID, Nested: inner}
-			}
-		}
-		return op
-	case *ram.IndexScan:
 		o.foldPattern(op.Pattern)
 		o.foldBound(op.Bound)
 		op.Nested = o.op(op.Nested)
 		if o.choices {
 			if cond, inner, ok := o.choiceBody(op.TupleID, op.Nested); ok {
-				return &ram.IndexChoice{
+				return &ram.Choice{
 					Rel: op.Rel, IndexID: op.IndexID, Pattern: op.Pattern, Bound: op.Bound,
 					Cond: cond, TupleID: op.TupleID, Nested: inner,
 				}
@@ -181,10 +173,6 @@ func (o *optimizer) op(op ram.Operation) ram.Operation {
 		}
 		return op
 	case *ram.Choice:
-		op.Cond = o.cond(op.Cond)
-		op.Nested = o.op(op.Nested)
-		return op
-	case *ram.IndexChoice:
 		o.foldPattern(op.Pattern)
 		o.foldBound(op.Bound)
 		op.Cond = o.cond(op.Cond)

@@ -178,6 +178,15 @@ func (r *Relation) Index(i int) Index { return r.indexes[i] }
 // Primary returns the primary index.
 func (r *Relation) Primary() Index { return r.indexes[0] }
 
+// SearchIndex returns the index a RAM search with IndexID id reads: index id,
+// or the primary index for an unkeyed search (id -1), which reads every tuple.
+func (r *Relation) SearchIndex(id int) Index {
+	if id < 0 {
+		return r.indexes[0]
+	}
+	return r.indexes[id]
+}
+
 // Insert adds a source-order tuple to every index, reporting whether the
 // primary index did not already contain it.
 func (r *Relation) Insert(t tuple.Tuple) bool {
