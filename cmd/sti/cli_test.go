@@ -237,7 +237,10 @@ func TestSplitFields(t *testing.T) {
 
 // TestRAMRangeBounds pins how `sti ram` prints range bounds. The inner scan
 // of a moved_label-shaped rule carries its `b > a` as a bound on the order's
-// first column, and keeps the filter. When no order places the compared
+// first column, and keeps the filter. With the window `(b - a) / 8 < 48` it
+// also carries the upper limit isolated from it, b <= a + 383, saturated at
+// the maximum and widened to it when a < 0, where b - a could wrap. When no
+// order places the compared
 // column right after the equality prefix, index selection drops the bound:
 // the search stays a plain prefix scan, or a plain full scan when it binds
 // nothing. (The negation keeps the update and delete programs, and their
@@ -257,6 +260,18 @@ moved_label(a, b) :- candidate(a), candidate(b), b > a, (b - a) % 8 = 0.
 			"    FOR t0 IN candidate\n" +
 				"      FOR t1 IN candidate ON INDEX 0>:number t0.0\n" +
 				"        IF (t1.0 >:number t0.0 AND mod:number(sub:number(t1.0, t0.0), 8) =:number 0)\n",
+		}},
+		{"isolated", `
+.decl candidate(a:number)
+.decl moved_label(a:number, b:number)
+.input candidate
+.output moved_label
+moved_label(a, b) :- candidate(a), candidate(b), b > a, (b - a) % 8 = 0, (b - a) / 8 < 48.
+`, []string{
+			"    FOR t0 IN candidate\n" +
+				"      FOR t1 IN candidate ON INDEX 0>:number t0.0 AND " +
+				"0<=:number max:number(add:number(min:number(t0.0, 2147483264), 383), bxor:number(bshr:number(t0.0, 31), 2147483648))\n" +
+				"        IF (t1.0 >:number t0.0 AND mod:number(sub:number(t1.0, t0.0), 8) =:number 0 AND div:number(sub:number(t1.0, t0.0), 8) <:number 48)\n",
 		}},
 		{"dropped", `
 .decl s(x:number)

@@ -1,6 +1,8 @@
 package ast2ram
 
 import (
+	"math"
+
 	"sti/internal/ram"
 	"sti/internal/value"
 )
@@ -9,7 +11,8 @@ import (
 // filtered directly under them: a constraint `x op e` (op one of <, <=, >,
 // >=, either side) where x is a column the scan binds and leaves unbound in
 // its pattern, e is ground before the scan, and the comparison is on number
-// or unsigned. The constraint stays in its filter, so a bound only narrows
+// or unsigned; or a number constraint linear in x that isolate rewrites to
+// that form. The constraint stays in its filter, so a bound only narrows
 // the scan; a scan that binds no position is keyed by its bound alone. The
 // query's outermost scan gets none: workers partition it.
 // Eqrel relations get none either: their searches follow the union-find, not
@@ -102,18 +105,113 @@ func findBound(rel *ram.Relation, pattern []ram.Expr, tid int, nested ram.Operat
 var mirror = map[ram.CmpOp]ram.CmpOp{ram.CmpLT: ram.CmpGT, ram.CmpLE: ram.CmpGE, ram.CmpGT: ram.CmpLT, ram.CmpGE: ram.CmpLE}
 
 // boundSide reads constraint c as `tid.col op e` with e ground in outer,
-// mirroring `e op tid.col`. ok is false for any other shape.
+// mirroring `e op tid.col`, or isolates the column from a number constraint
+// linear in it. ok is false for any other shape.
 func boundSide(c *ram.Constraint, tid int, outer map[int]bool) (col int, e ram.Expr, op ram.CmpOp, ok bool) {
 	if _, ineq := mirror[c.Op]; !ineq {
 		return 0, nil, 0, false
 	}
-	if x, isX := c.L.(*ram.TupleElement); isX && x.TupleID == tid && earlyExpr(c.R, outer) {
-		return x.Elem, c.R, c.Op, true
-	}
-	if x, isX := c.R.(*ram.TupleElement); isX && x.TupleID == tid && earlyExpr(c.L, outer) {
-		return x.Elem, c.L, mirror[c.Op], true
+	for _, s := range [2]struct {
+		l, r ram.Expr
+		op   ram.CmpOp
+	}{{c.L, c.R, c.Op}, {c.R, c.L, mirror[c.Op]}} {
+		if x, isX := s.l.(*ram.TupleElement); isX && x.TupleID == tid && earlyExpr(s.r, outer) {
+			return x.Elem, s.r, s.op, true
+		}
+		if c.Type == value.Number {
+			if col, e, op, ok := isolate(s.l, s.r, s.op, tid, outer); ok {
+				return col, e, op, true
+			}
+		}
 	}
 	return 0, nil, 0, false
+}
+
+// isolate reads the number constraint `l op c`, where c is a constant and l
+// is `(x - e) / k` or `(e - x) / k` (k a constant > 0, truncating division)
+// or the bare difference, with x a column of tuple tid and e ground in outer,
+// as a limit `x op' e'` on x with e' ground in outer. (Unsigned differences
+// wrap on every operand order, so unsigned constraints are not isolated.)
+//
+// The quotient meets c exactly when the int32 difference d lies at or below
+// (or at or above) a constant T, which without wraparound puts x at or below
+// (or at or above) e + A, for A = T when d = x - e and A = -T when d = e - x.
+// d wraps only on one sign of e, and then the filter accepts columns past
+// that limit: an upper limit holds for e >= 0 and a lower one for e < 0. So
+// e' is e + A, saturated at the type's range, on that sign and the type's
+// extreme on the other, selected inside e' by e's sign bit:
+//
+//	upper: max(min(e, MAX-A) + A, bxor(bshr(e, 31), MIN))  (A > 0)
+//	lower: min(max(e, MIN-A) + A, bxor(bshr(e, 31), MIN))  (A < 0)
+//
+// where bxor(bshr(e, 31), MIN) is MAX for e < 0 and MIN otherwise, and the
+// saturation is dropped on the side where e + A cannot overflow.
+func isolate(l, r ram.Expr, op ram.CmpOp, tid int, outer map[int]bool) (col int, e ram.Expr, limit ram.CmpOp, ok bool) {
+	c, isC := r.(*ram.Constant)
+	if !isC {
+		return 0, nil, 0, false
+	}
+	k := int64(1)
+	if div, isDiv := l.(*ram.Intrinsic); isDiv && div.Op == ram.OpDiv && div.Type == value.Number {
+		kc, isK := div.Args[1].(*ram.Constant)
+		if !isK || value.AsInt(kc.Val) <= 0 {
+			return 0, nil, 0, false
+		}
+		l, k = div.Args[0], int64(value.AsInt(kc.Val))
+	}
+	sub, isSub := l.(*ram.Intrinsic)
+	if !isSub || sub.Op != ram.OpSub || sub.Type != value.Number {
+		return 0, nil, 0, false
+	}
+	// q op c on the quotient q = trunc(d/k) as q <= m or q >= m, then on d.
+	m, atMost := int64(value.AsInt(c.Val)), op == ram.CmpLT || op == ram.CmpLE
+	switch op {
+	case ram.CmpLT:
+		m--
+	case ram.CmpGT:
+		m++
+	}
+	var t int64
+	switch {
+	case atMost && m >= 0:
+		t = m*k + k - 1
+	case atMost:
+		t = m * k
+	case m > 0:
+		t = m * k
+	default:
+		t = m*k - k + 1
+	}
+	a, upper := t, atMost
+	if x, isX := sub.Args[0].(*ram.TupleElement); isX && x.TupleID == tid && earlyExpr(sub.Args[1], outer) {
+		col, e = x.Elem, sub.Args[1]
+	} else if x, isX := sub.Args[1].(*ram.TupleElement); isX && x.TupleID == tid && earlyExpr(sub.Args[0], outer) {
+		col, e, a, upper = x.Elem, sub.Args[0], -t, !atMost
+	} else {
+		return 0, nil, 0, false
+	}
+	if t < math.MinInt32 || t > math.MaxInt32 || a < math.MinInt32 || a > math.MaxInt32 {
+		return 0, nil, 0, false
+	}
+	num := func(v int64) ram.Expr { return &ram.Constant{Val: value.FromInt(int32(v))} }
+	fn := func(op ram.IntrinsicOp, args ...ram.Expr) ram.Expr {
+		return &ram.Intrinsic{Op: op, Type: value.Number, Args: args}
+	}
+	v := e
+	switch {
+	case upper && a > 0:
+		v = fn(ram.OpMin, e, num(math.MaxInt32-a))
+	case !upper && a < 0:
+		v = fn(ram.OpMax, e, num(math.MinInt32-a))
+	}
+	if a != 0 {
+		v = fn(ram.OpAdd, v, num(a))
+	}
+	extreme := fn(ram.OpBXor, fn(ram.OpBShr, e, num(31)), num(math.MinInt32))
+	if upper {
+		return col, fn(ram.OpMax, v, extreme), ram.CmpLE, true
+	}
+	return col, fn(ram.OpMin, v, extreme), ram.CmpGE, true
 }
 
 // earlyExpr reports whether e can be evaluated once at scan start: it reads

@@ -3,6 +3,7 @@ package codegen
 import (
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -123,8 +124,8 @@ func TestSynthesizedProgramRuns(t *testing.T) {
 }
 
 // TestSynthesizedKitchenSink covers negation, aggregates, strings, eqrel,
-// brie, non-trivial index orders and an inclusive range bound end-to-end
-// through the synthesizer.
+// brie, non-trivial index orders, an inclusive range bound and one isolated
+// from a linear constraint end-to-end through the synthesizer.
 func TestSynthesizedKitchenSink(t *testing.T) {
 	if testing.Short() {
 		t.Skip("go build in -short mode")
@@ -138,8 +139,10 @@ func TestSynthesizedKitchenSink(t *testing.T) {
 .decl eq(x:number, y:number) eqrel
 .decl trie(x:number, y:number) brie
 .decl near(x:number, y:number)
+.decl window(x:number, y:number)
 .input edge
 .output near
+.output window
 .output rev
 .output deg
 .output lonely
@@ -153,6 +156,7 @@ lbl(cat("n", to_string(x))) :- edge(x, _).
 eq(x, y) :- edge(x, y).
 trie(x, y) :- edge(x, y), x < y.
 near(x, y) :- edge(x, _), edge(y, _), y >= x - 1, y <= x.
+window(x, y) :- edge(x, _), edge(y, _), y > x, (y - x) / 2 < 1.
 `
 	root := moduleRoot(t)
 	rp, st := compileSrc(t, src)
@@ -190,6 +194,19 @@ near(x, y) :- edge(x, _), edge(y, _), y >= x - 1, y <= x.
 	}
 	if !strings.Contains(rp.String(), "0>=:number sub:number(t0.0, 1) AND 0<=:number t0.0") {
 		t.Fatalf("near's inner scan lost its range bound:\n%s", rp)
+	}
+	if got := read("window.csv"); got != "1\t2\n2\t3" {
+		t.Fatalf("window.csv:\n%s", got)
+	}
+	if !strings.Contains(rp.String(), "0>:number t0.0 AND 0<=:number max:number(add:number(min:number(t0.0, 2147483646), 1), bxor:number(bshr:number(t0.0, 31), 2147483648))") {
+		t.Fatalf("window's inner scan lost its isolated range bound:\n%s", rp)
+	}
+	emitted, err := os.ReadFile(filepath.Join(dir, "main.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !regexp.MustCompile(`relation\.Bound\{Type: value\.Number, Lo: .*, Hi: .*ram\.OpBShr.*HasHi: true`).Match(emitted) {
+		t.Fatal("the emitted Go does not range on window's isolated bound")
 	}
 	if got := read("lonely.csv"); got != "3" {
 		t.Fatalf("lonely.csv:\n%s", got)

@@ -687,35 +687,57 @@ func TestDirIOErrors(t *testing.T) {
 // TestRangeBoundScanCount: the inner scan of a moved_label-shaped rule over
 // N distinct non-negative candidates visits only the candidates above the
 // outer one, so the rule iterates N + N(N-1)/2 times instead of N + N², and
-// the count repeats exactly. It holds for the static and the dynamic
-// instructions and for the legacy store alike.
+// the count repeats exactly. With the window `(b - a) / 8 < 48` the bound
+// isolated from it (b <= a + 383) closes the scan from above as well. An
+// outer candidate below zero could make b - a wrap, so there the isolated
+// limit is the type's maximum and the scan keeps only its `b > a` bound, which
+// straddles zero and so reads the whole relation. It holds for the static and
+// the dynamic instructions and for the legacy store alike.
 func TestRangeBoundScanCount(t *testing.T) {
-	src := `
+	const rule = `
 .decl candidate(a:number)
 .decl moved_label(a:number, b:number)
 .input candidate
 .output moved_label
-moved_label(a, b) :- candidate(a), candidate(b), b > a, (b - a) % 8 = 0.
-`
+moved_label(a, b) :- candidate(a), candidate(b), b > a, (b - a) % 8 = 0`
 	const n = 60
-	var cands []tuple.Tuple
-	for i := 0; i < n; i++ {
-		cands = append(cands, tuple.Tuple{value.Value(2 * i)})
+	// cands is n candidates step apart from lo.
+	cands := func(lo, step int32) []tuple.Tuple {
+		var ts []tuple.Tuple
+		for i := int32(0); i < n; i++ {
+			ts = append(ts, tuple.Tuple{value.FromInt(lo + step*i)})
+		}
+		return ts
 	}
-	dynamic := DefaultConfig()
-	dynamic.StaticDispatch = false
-	for name, cfg := range map[string]Config{"static": DefaultConfig(), "dynamic": dynamic, "legacy": LegacyConfig()} {
-		cfg.Profile = true
-		for rep := 0; rep < 2; rep++ {
-			eng, _ := run(t, src, map[string][]tuple.Tuple{"candidate": cands}, cfg)
-			var iters uint64
-			for _, r := range eng.Profile().Rules {
-				if strings.HasPrefix(r.Label, "moved_label(") {
-					iters += r.Iterations
+	for _, c := range []struct {
+		name  string
+		src   string
+		cands []tuple.Tuple
+		want  uint64
+	}{
+		{"b > a", rule + ".\n", cands(0, 2), n + n*(n-1)/2},
+		// 0, 16, ..., 944: each a reaches the next min(23, n-1-i) candidates,
+		// 37×23 + (22 + ... + 0) = 1104 inner iterations.
+		{"window", rule + ", (b - a) / 8 < 48.\n", cands(0, 16), n + 1104},
+		// -480, ..., 464: the 30 negative a read all 60 candidates, and the 30
+		// non-negative ones 7×23 + (22 + ... + 0) = 414.
+		{"window, negative a", rule + ", (b - a) / 8 < 48.\n", cands(-480, 16), n + 30*n + 414},
+	} {
+		dynamic := DefaultConfig()
+		dynamic.StaticDispatch = false
+		for name, cfg := range map[string]Config{"static": DefaultConfig(), "dynamic": dynamic, "legacy": LegacyConfig()} {
+			cfg.Profile = true
+			for rep := 0; rep < 2; rep++ {
+				eng, _ := run(t, c.src, map[string][]tuple.Tuple{"candidate": c.cands}, cfg)
+				var iters uint64
+				for _, r := range eng.Profile().Rules {
+					if strings.HasPrefix(r.Label, "moved_label(") {
+						iters += r.Iterations
+					}
 				}
-			}
-			if want := uint64(n + n*(n-1)/2); iters != want {
-				t.Errorf("%s run %d: moved_label iterated %d times, want %d", name, rep, iters, want)
+				if iters != c.want {
+					t.Errorf("%s, %s run %d: moved_label iterated %d times, want %d", c.name, name, rep, iters, c.want)
+				}
 			}
 		}
 	}
