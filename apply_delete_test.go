@@ -21,6 +21,10 @@ const applyDeleteBatch = 5
 //     of 16 nodes chained by bridges (sccEdges), where one retracted edge
 //     overdeletes every path through its component and most of them rederive
 //     over several rounds;
+//   - components: transitive closure over 400 small dense components (10
+//     nodes, 30 random edges each), the shape of perfbench's serve_mem, where
+//     most paths a retracted edge threatens still have their own edge, so the
+//     overdelete survival test stops at them;
 //   - points-to: the DOOP suite's Andersen points-to program (vpt and hpt
 //     mutually recursive through three-atom bodies) on its antlr input at
 //     the Small scale.
@@ -33,6 +37,10 @@ func BenchmarkApplyDelete(b *testing.B) {
 	var reach []fact
 	for _, e := range sccEdges(8, 16) {
 		reach = append(reach, fact{"edge", []any{e[0], e[1]}})
+	}
+	var components []fact
+	for _, e := range componentEdges(400, 10, 30, 1) {
+		components = append(components, fact{"edge", []any{e[0], e[1]}})
 	}
 	var pointsTo []fact
 	doop := bench.DoopSuite(bench.Small)[0]
@@ -52,6 +60,7 @@ func BenchmarkApplyDelete(b *testing.B) {
 		output string
 	}{
 		{"reach", applyStreamSrc, reach, "path"},
+		{"components", applyStreamSrc, components, "path"},
 		{"points-to", doop.Src, pointsTo, "vpt"},
 	}
 	for _, leg := range legs {
@@ -106,4 +115,22 @@ func BenchmarkApplyDelete(b *testing.B) {
 			}
 		})
 	}
+}
+
+// componentEdges draws edges distinct random edges without self-loops inside
+// each of comps components of nodes nodes.
+func componentEdges(comps, nodes, edges int, seed int64) [][2]int {
+	rng := rand.New(rand.NewSource(seed))
+	var out [][2]int
+	for c := 0; c < comps; c++ {
+		seen := map[[2]int]bool{}
+		for len(seen) < edges {
+			e := [2]int{c*nodes + rng.Intn(nodes), c*nodes + rng.Intn(nodes)}
+			if e[0] != e[1] && !seen[e] {
+				seen[e] = true
+				out = append(out, e)
+			}
+		}
+	}
+	return out
 }

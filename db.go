@@ -847,6 +847,13 @@ type DBStats struct {
 	// QueryScans counts query answers no index order covered: a filtered
 	// scan of the primary instead of one prefix scan.
 	QueryScans uint64 `json:"query_scans"`
+	// Overdeleted counts the derived tuples incremental deletes marked as
+	// possibly dying, and Rederived those of them that turned out to
+	// survive: Overdeleted − Rederived is what the deletes removed from
+	// derived relations, and a Rederived close to Overdeleted means deletes
+	// spend their time re-proving survivors.
+	Overdeleted uint64 `json:"overdeleted"`
+	Rederived   uint64 `json:"rederived"`
 	// ServedOrders lists, per relation, the index orders built for served
 	// query patterns since Open, in build order.
 	ServedOrders map[string][]tuple.Order `json:"served_orders,omitempty"`
@@ -876,6 +883,7 @@ func (db *Database) Stats() DBStats {
 		Requests:           db.obs.Stats(),
 		QueryScans:         db.served.scans.Load(),
 	}
+	st.Overdeleted, st.Rederived = db.eng.DeleteCounts()
 	for _, rd := range db.prog.ram.Relations {
 		if !rd.IsAux() {
 			st.Relations[rd.Name] = db.eng.Relation(rd.Name).Size()

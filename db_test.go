@@ -288,6 +288,37 @@ aliased(a, b) :- vpt(a, h), vpt(b, h), a < b.
 	outputs: []string{"vpt", "hpt", "aliased"},
 }
 
+// survivorsProgram exercises the overdelete survival test: path has two exit
+// rules, one with permuted columns, so a retracted edge leaves its path alive
+// while back still proves it; hub's wildcard exit rule is not one the test
+// may use, since a head tuple does not determine the edge it came from.
+var survivorsProgram = residentProgram{
+	name: "survivors",
+	src: `
+.decl edge(x:number, y:number)
+.decl back(x:number, y:number)
+.decl path(x:number, y:number)
+.decl hub(x:number)
+.input edge
+.input back
+.output path
+.output hub
+path(x, y) :- edge(x, y).
+path(y, x) :- back(x, y).
+path(x, z) :- path(x, y), edge(y, z).
+hub(x) :- edge(x, _).
+hub(y) :- hub(x), back(x, y).
+`,
+	facts: func(e [2]int) []fact {
+		fs := []fact{{"edge", []any{e[0], e[1]}}}
+		if (e[0]+e[1])%3 == 0 {
+			fs = append(fs, fact{"back", []any{e[1], e[0]}})
+		}
+		return fs
+	},
+	outputs: []string{"path", "hub"},
+}
+
 // residentWorkloads are the edge streams of the resident property tests: a
 // chain, a grid, dense strongly connected components and a pseudo-random
 // sparse graph.
@@ -353,6 +384,7 @@ func openResident(t *testing.T, rp residentProgram, opt Option) (*Program, *Data
 // non-recursive shapes), workload shapes and parallel configurations.
 func TestIncrementalEquivalence(t *testing.T) {
 	programs := append(tcPrograms("btree", "brie", "eqrel"), nonRecursivePrograms...)
+	programs = append(programs, survivorsProgram)
 	for _, rp := range programs {
 		for wname, edges := range residentWorkloads() {
 			t.Run(rp.name+"/"+wname, func(t *testing.T) {
@@ -821,7 +853,7 @@ func TestConcurrentQueryDuringApply(t *testing.T) {
 // such programs are not deletable.
 func TestInterleavedDeleteEquivalence(t *testing.T) {
 	programs := append(tcPrograms("btree", "brie"), nonRecursivePrograms...)
-	programs = append(programs, pointsToProgram)
+	programs = append(programs, pointsToProgram, survivorsProgram)
 	for _, rp := range programs {
 		for wname, edges := range residentWorkloads() {
 			t.Run(rp.name+"/"+wname, func(t *testing.T) {

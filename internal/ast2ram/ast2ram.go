@@ -481,6 +481,9 @@ type version struct {
 	// binding the head variables when every head argument is a plain
 	// variable; by a ∈restrict filter otherwise.
 	restrict *ram.Relation
+	// survive drops heads that an exit rule of the head still derives from
+	// surviving premises (DRed's overdelete variants, delete.go).
+	survive []survival
 }
 
 // --- facts ---

@@ -2,6 +2,7 @@ package ast2ram
 
 import (
 	"fmt"
+	"slices"
 
 	"sti/internal/ast"
 	"sti/internal/ram"
@@ -20,7 +21,8 @@ import (
 //
 // Every stratum uses DRed (delete and rederive): first a fixpoint
 // overapproximates the dying set into del_R (any derivation touching a
-// deleted premise), then a second fixpoint rederives survivors — tuples in
+// deleted premise, unless a one-step exit rule still proves the tuple),
+// then a second fixpoint rederives survivors — tuples in
 // del_R that still have a derivation from surviving premises, or that a
 // program-text fact asserts — into red_R, and del_R := del_R - red_R makes
 // the set exact. Both are the package's one fixpoint builder, over the
@@ -54,12 +56,17 @@ func (t *translator) translateStratumDelete(s *sema.Stratum) (ram.Statement, err
 		return c.Body[i].(*ast.Atom).Name
 	}
 
+	exits := t.exitRules(rules, inStratum)
+
 	var stmts []ram.Statement
 
 	// Phase 1: overdeletion fixpoint. A head tuple is threatened as soon as
-	// *some* derivation of it touches a deleted premise, so the variants
-	// carry no survival filters — overapproximating is what makes the
-	// fixpoint monotone (set semantics).
+	// some derivation of it touches a deleted premise, unless one of its
+	// head's exit rules still derives it (version.survive): that proof reads
+	// only a lower stratum, whose del set is already exact, so the tuple
+	// provably survives and nothing is overdeleted through it. Everything
+	// else stays overapproximated, which is what keeps the fixpoint
+	// monotone (set semantics).
 	// Like every parallel query, variants write a relation they never read:
 	// the first round and the loop both target ndel_H (guarded by the del_H
 	// accumulator), and folding moves ndel into del and the ddel frontier.
@@ -70,7 +77,7 @@ func (t *translator) translateStratumDelete(s *sema.Stratum) (ram.Statement, err
 			if inStratum[name] {
 				continue // in-stratum premises are handled by the loop below
 			}
-			v := version{target: ndel[h], guard: del[h], subst: map[int]*ram.Relation{i: del[name]}}
+			v := version{target: ndel[h], guard: del[h], subst: map[int]*ram.Relation{i: del[name]}, survive: exits[h]}
 			if err := t.emit(&stmts, ru.clause, v); err != nil {
 				return nil, err
 			}
@@ -86,7 +93,7 @@ func (t *translator) translateStratumDelete(s *sema.Stratum) (ram.Statement, err
 			if !inStratum[name] {
 				continue
 			}
-			v := version{target: ndel[h], guard: del[h], subst: map[int]*ram.Relation{i: ddel[name]}}
+			v := version{target: ndel[h], guard: del[h], subst: map[int]*ram.Relation{i: ddel[name]}, survive: exits[h]}
 			if err := t.emit(&overBody, ru.clause, v); err != nil {
 				return nil, err
 			}
@@ -102,9 +109,14 @@ func (t *translator) translateStratumDelete(s *sema.Stratum) (ram.Statement, err
 	// Phase 2: rederivation fixpoint. A tuple of del_H survives if some
 	// derivation of it uses only surviving premises: out-of-stratum ∉del
 	// (exact by stratum order), in-stratum ∉del or already rederived. The
-	// head is restricted to the overdeleted set del_H.
+	// head is restricted to the overdeleted set del_H. An exit rule has no
+	// first-round variant: every tuple of del_H already failed its survival
+	// test, so the variant could never fire.
 	for _, ru := range rules {
 		h := ru.rel.Name()
+		if slices.ContainsFunc(exits[h], func(s survival) bool { return s.clause == ru.clause }) {
+			continue
+		}
 		v := version{target: nred[h], guard: red[h], restrict: del[h], exclude: map[int]*ram.Relation{}}
 		for _, i := range positivePositions(ru.clause) {
 			v.exclude[i] = del[atomName(ru.clause, i)]
@@ -174,4 +186,57 @@ func (t *translator) translateStratumDelete(s *sema.Stratum) (ram.Statement, err
 		}
 	}
 	return &ram.Sequence{Stmts: stmts}, nil
+}
+
+// survival is the test that a head tuple still has its exit rule's
+// derivation: the tuple, read through key, is a tuple of rel not in del.
+type survival struct {
+	clause   *ast.Clause // the exit rule
+	rel, del *ram.Relation
+	key      []int // key[k] is the head position holding the atom's k-th argument
+}
+
+// exitRules finds, per head, the rules whose one proof step reads only an
+// exact lower stratum: a body of exactly one positive out-of-stratum atom
+// whose arguments are variables of a head made of distinct variables, so a
+// head tuple determines the atom's whole tuple.
+func (t *translator) exitRules(rules []rule, inStratum map[string]bool) map[string][]survival {
+	exits := map[string][]survival{}
+	for _, ru := range rules {
+		c := ru.clause
+		if len(c.Body) != 1 {
+			continue
+		}
+		at, ok := c.Body[0].(*ast.Atom)
+		if !ok || inStratum[at.Name] {
+			continue
+		}
+		headPos := map[string]int{}
+		for j, e := range c.Head.Args {
+			if v, ok := e.(*ast.Var); ok {
+				headPos[v.Name] = j
+			}
+		}
+		if len(headPos) != len(c.Head.Args) {
+			continue // a non-variable or repeated head argument
+		}
+		key := make([]int, len(at.Args))
+		for k, e := range at.Args {
+			name := ""
+			if v, ok := e.(*ast.Var); ok {
+				name = v.Name
+			}
+			j, inHead := headPos[name]
+			if !inHead {
+				key = nil // a wildcard, constant or non-head variable
+				break
+			}
+			key[k] = j
+		}
+		if key != nil {
+			h := ru.rel.Name()
+			exits[h] = append(exits[h], survival{clause: c, rel: t.rels[at.Name], del: t.aux[ram.AuxDel][at.Name], key: key})
+		}
+	}
+	return exits
 }

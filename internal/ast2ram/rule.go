@@ -147,7 +147,9 @@ func (t *translator) translateRule(c *ast.Clause, v version) (ram.Statement, err
 		// relation is given. forceScan guarantees the atom allocated tuple
 		// slot tidBefore rather than collapsing to an existence check.
 		if exRel := v.exclude[ba.pos]; exRel != nil {
-			cond := excludeCond(tr, exRel, v.excludeUnless[ba.pos], tidBefore)
+			cond := excludeCond(exRel, v.excludeUnless[ba.pos], func(k int) ram.Expr {
+				return &ram.TupleElement{TupleID: tidBefore, Elem: k}
+			})
 			levels = append(levels, func(inner ram.Operation) ram.Operation {
 				return &ram.Filter{Cond: cond, Nested: inner}
 			})
@@ -172,6 +174,11 @@ func (t *translator) translateRule(c *ast.Clause, v version) (ram.Statement, err
 		head[i] = re
 	}
 	var root ram.Operation = &ram.Project{Rel: v.target, Exprs: head}
+	for i := len(v.survive) - 1; i >= 0; i-- {
+		s := v.survive[i]
+		cond := excludeCond(s.rel, s.del, func(k int) ram.Expr { return head[s.key[k]] })
+		root = &ram.Filter{Cond: cond, Nested: root}
+	}
 	if v.guard != nil {
 		ex := &ram.ExistenceCheck{Rel: v.guard, Pattern: head}
 		root = &ram.Filter{Cond: &ram.Not{C: ex}, Nested: root}
@@ -217,17 +224,17 @@ func (t *translator) translateRule(c *ast.Clause, v version) (ram.Statement, err
 	}, nil
 }
 
-// excludeCond builds a delete-variant membership filter over the whole tuple
-// bound at slot tid: ¬(t ∈ exclude), or with an unless relation the DRed
-// survival test ¬(t ∈ exclude ∧ t ∉ unless) — "not deleted, or rederived".
-func excludeCond(tr *ruleTranslator, exclude, unless *ram.Relation, tid int) ram.Condition {
+// excludeCond builds a delete-variant membership filter over the tuple
+// whose k-th element is key(k): ¬(t ∈ exclude), or with an unless relation
+// the DRed survival test ¬(t ∈ exclude ∧ t ∉ unless) — "not deleted, or
+// rederived" over an atom's tuple slot, "not still derived" over a head.
+func excludeCond(exclude, unless *ram.Relation, key func(k int) ram.Expr) ram.Condition {
 	member := func(rel *ram.Relation) *ram.ExistenceCheck {
 		pat := make([]ram.Expr, rel.Arity)
 		for k := range pat {
-			pat[k] = &ram.TupleElement{TupleID: tid, Elem: k}
+			pat[k] = key(k)
 		}
-		ex := &ram.ExistenceCheck{Rel: rel, Pattern: pat}
-		return ex
+		return &ram.ExistenceCheck{Rel: rel, Pattern: pat}
 	}
 	exDel := member(exclude)
 	if unless == nil {

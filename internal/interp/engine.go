@@ -72,6 +72,10 @@ type Engine struct {
 	prof *profiler
 	prov *provenance
 	tel  *metrics.Collector // telemetry sink (nil = disabled)
+
+	// overdeleted and rederived total, over every EvalDelete, the tuples
+	// DRed overdeleted into del_R and the share of them it rederived.
+	overdeleted, rederived uint64
 }
 
 // New prepares an engine: it materializes the de-specialized relations and
@@ -405,6 +409,13 @@ func (e *Engine) EvalDelete() error {
 	err := e.execTree(nil, e.rootDelete)
 	e.tel.End(span, "run", "delete")
 	return err
+}
+
+// DeleteCounts reports the tuples every EvalDelete so far overdeleted and,
+// of those, rederived; the difference is what the deletes really removed
+// from derived relations.
+func (e *Engine) DeleteCounts() (overdeleted, rederived uint64) {
+	return e.overdeleted, e.rederived
 }
 
 // DeleteFacts stages encoded tuples of a source relation for retraction: the

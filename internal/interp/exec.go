@@ -156,6 +156,12 @@ func (ex *executor) execute(n *inode, ctx *context) value.Value {
 			n.rel.Insert(t)
 		}
 	case opSubtract:
+		if n.shadow.(*ram.Subtract).Dst.Kind == ram.AuxDel {
+			// DRed's del_R := del_R − red_R: red_R ⊆ del_R holds the
+			// overdeleted tuples that rederived.
+			ex.eng.overdeleted += uint64(n.rel.Size())
+			ex.eng.rederived += uint64(n.rel2.Size())
+		}
 		sspan := ex.tel.Begin()
 		it := n.rel2.Scan()
 		for {

@@ -630,6 +630,47 @@ func TestRederiveCostsItsFrontier(t *testing.T) {
 	}
 }
 
+// TestOverdeleteStopsAtSurvivors pins the overdelete phase to the tuples
+// that lose their exit derivation. In a complete digraph every path(x, y)
+// with x != y also has its edge, so retracting edge (a, b) threatens only
+// path(a, b) and the two cycles path(a, a) and path(b, b) it shortens; the
+// survival test keeps the overdelete variants from inserting the other
+// n² − 3 paths, which all rederive (as do the three: every path survives).
+func TestOverdeleteStopsAtSurvivors(t *testing.T) {
+	const n, a, b = 20, 3, 7
+	var edges []tuple.Tuple
+	for x := 0; x < n; x++ {
+		for y := 0; y < n; y++ {
+			if x != y {
+				edges = append(edges, tuple.Tuple{value.Value(x), value.Value(y)})
+			}
+		}
+	}
+	cfg := DefaultConfig()
+	cfg.Profile = true
+	eng, _ := run(t, tcSrc, map[string][]tuple.Tuple{"edge": edges}, cfg)
+	if staged, err := eng.DeleteFacts("edge", []tuple.Tuple{{a, b}}); err != nil || staged != 1 {
+		t.Fatalf("DeleteFacts = %d, %v", staged, err)
+	}
+	if err := eng.EvalDelete(); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(tuplesOf(t, eng, "path")); got != n*n {
+		t.Fatalf("path holds %d tuples after the delete, want all %d", got, n*n)
+	}
+	var inserts uint64
+	for _, r := range eng.Profile().Rules {
+		if strings.Contains(r.Label, "[del@") || strings.Contains(r.Label, "[ddel@") {
+			inserts += r.Inserts
+		}
+	}
+	over, red := eng.DeleteCounts()
+	t.Logf("overdelete variants inserted %d tuples; %d overdeleted, %d rederived", inserts, over, red)
+	if inserts != 3 || over != 3 || red != 3 {
+		t.Fatalf("overdelete variants inserted %d tuples, %d overdeleted, %d rederived; want 3 each, not O(n²) with n = %d", inserts, over, red, n)
+	}
+}
+
 func TestSuperInstructionsReduceDispatches(t *testing.T) {
 	facts := chainFacts(50)
 	count := func(superOn bool) uint64 {

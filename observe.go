@@ -137,6 +137,10 @@ func (db *Database) WriteMetrics(w io.Writer) error {
 			Help: "Recompute fallbacks by reason."},
 		{Name: "sti_db_query_scans_total", Type: "counter", Value: float64(st.QueryScans),
 			Help: "Query answers no index order covered (a filtered scan of the primary)."},
+		{Name: "sti_db_overdeleted_total", Type: "counter", Value: float64(st.Overdeleted),
+			Help: "Derived tuples incremental deletes overdeleted (marked as possibly dying)."},
+		{Name: "sti_db_rederived_total", Type: "counter", Value: float64(st.Rederived),
+			Help: "Overdeleted tuples that rederived (survived the delete)."},
 		{Name: "sti_db_served_orders", Type: "gauge", Label: "rel", Values: served,
 			Help: "Index orders built for served query patterns, per relation."},
 	}

@@ -224,10 +224,15 @@ func TestServedQueryOrders(t *testing.T) {
 				for _, want := range []string{
 					fmt.Sprintf("sti_db_query_scans_total %d\n", st.QueryScans),
 					fmt.Sprintf("sti_db_served_orders{rel=\"tagged\"} %d\n", len(st.ServedOrders["tagged"])),
+					fmt.Sprintf("sti_db_overdeleted_total %d\n", st.Overdeleted),
+					fmt.Sprintf("sti_db_rederived_total %d\n", st.Rederived),
 				} {
 					if !strings.Contains(buf.String(), want) {
 						t.Errorf("/metrics lacks %q", want)
 					}
+				}
+				if st.Overdeleted == 0 || st.Rederived > st.Overdeleted {
+					t.Errorf("%d overdeleted, %d rederived: want some deletes, and rederived a share of them", st.Overdeleted, st.Rederived)
 				}
 			}
 			for name, orders := range st.ServedOrders {
