@@ -297,18 +297,13 @@ func TestRederiveDrivenByFrontier(t *testing.T) {
 
 // eachQuery calls fn on every query of s in program order.
 func eachQuery(s ram.Statement, fn func(*ram.Query)) {
-	switch s := s.(type) {
-	case *ram.Sequence:
-		for _, st := range s.Stmts {
-			eachQuery(st, fn)
+	ram.Inspect(s, func(n any) bool {
+		if q, ok := n.(*ram.Query); ok {
+			fn(q)
+			return false
 		}
-	case *ram.Loop:
-		eachQuery(s.Body, fn)
-	case *ram.LogTimer:
-		eachQuery(s.Stmt, fn)
-	case *ram.Query:
-		fn(s)
-	}
+		return true
+	})
 }
 
 // scannedRel is the relation op enumerates, nil if op is not a scan.

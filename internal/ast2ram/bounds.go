@@ -20,23 +20,14 @@ import (
 // which keeps a bound only where an order places its column right after the
 // equality prefix.
 func placeBounds(p *ram.Program) {
-	var stmt func(s ram.Statement)
-	stmt = func(s ram.Statement) {
-		switch s := s.(type) {
-		case *ram.Sequence:
-			for _, st := range s.Stmts {
-				stmt(st)
+	for _, s := range p.Entries() {
+		ram.Inspect(s, func(n any) bool {
+			if q, ok := n.(*ram.Query); ok {
+				boundOp(q.Root, map[int]bool{})
+				return false
 			}
-		case *ram.Loop:
-			stmt(s.Body)
-		case *ram.Query:
-			boundOp(s.Root, map[int]bool{})
-		case *ram.LogTimer:
-			stmt(s.Stmt)
-		}
-	}
-	for _, s := range []ram.Statement{p.Main, p.Update, p.Delete} {
-		stmt(s)
+			return true
+		})
 	}
 }
 

@@ -78,8 +78,6 @@ func (e *emitter) stmt(s ram.Statement) {
 			e.pf("\trtl.Fail(\"printsize %s: %%v\", err)", s.Rel.Name)
 			e.pf("}")
 		}
-	case *ram.LogTimer:
-		e.stmt(s.Stmt)
 	default:
 		panic(fmt.Sprintf("codegen: unknown RAM statement %T", s))
 	}

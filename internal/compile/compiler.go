@@ -61,7 +61,7 @@ func (c *compiler) compileStmt(s ram.Statement) stmtFn {
 	case *ram.Query:
 		c.coords = map[int32]tuple.Order{}
 		widths := make([]int32, s.NumTuples)
-		c.measureWidths(s.Root, widths)
+		measureWidths(s.Root, widths)
 		root := c.compileOp(s.Root)
 		id := s.RuleID
 		c.m.ruleLabels[id] = s.Label
@@ -116,35 +116,24 @@ func (c *compiler) compileStmt(s ram.Statement) stmtFn {
 				}
 			}
 		}
-	case *ram.LogTimer:
-		return c.compileStmt(s.Stmt)
 	default:
 		panic(fmt.Sprintf("compile: unknown RAM statement %T", s))
 	}
 }
 
 // measureWidths records each tuple slot's width.
-func (c *compiler) measureWidths(o ram.Operation, widths []int32) {
-	switch o := o.(type) {
-	case *ram.Scan:
-		widths[o.TupleID] = int32(o.Rel.Arity)
-		c.measureWidths(o.Nested, widths)
-	case *ram.Choice:
-		widths[o.TupleID] = int32(o.Rel.Arity)
-		c.measureWidths(o.Nested, widths)
-	case *ram.Filter:
-		c.measureWidths(o.Nested, widths)
-	case *ram.Aggregate:
-		w := int32(o.Rel.Arity)
-		if w < 1 {
-			w = 1
+func measureWidths(o ram.Operation, widths []int32) {
+	ram.Inspect(o, func(n any) bool {
+		switch n := n.(type) {
+		case *ram.Scan:
+			widths[n.TupleID] = int32(n.Rel.Arity)
+		case *ram.Choice:
+			widths[n.TupleID] = int32(n.Rel.Arity)
+		case *ram.Aggregate:
+			widths[n.TupleID] = max(int32(n.Rel.Arity), 1)
 		}
-		widths[o.TupleID] = w
-		c.measureWidths(o.Nested, widths)
-	case *ram.Project:
-	default:
-		panic(fmt.Sprintf("compile: unknown RAM operation %T", o))
-	}
+		return true
+	})
 }
 
 func (c *compiler) compileOp(o ram.Operation) opFn {

@@ -42,17 +42,50 @@ func Assign(p *ram.Program) {
 		set   func(id int, keepBound bool)
 	}
 	var sites []site
-	for _, s := range []ram.Statement{p.Main, p.Update, p.Delete} {
-		walk(s, func(a, b *ram.Relation) { parent[find(a)] = find(b) },
-			func(rel *ram.Relation, pattern []ram.Expr, bound *ram.Bound, set func(int, bool)) {
-				var sig Signature
-				for i, e := range pattern {
-					if e != nil {
-						sig |= Of(i)
-					}
+	addSite := func(rel *ram.Relation, pattern []ram.Expr, bound *ram.Bound, set func(int, bool)) {
+		var sig Signature
+		for i, e := range pattern {
+			if e != nil {
+				sig |= Of(i)
+			}
+		}
+		sites = append(sites, site{rel, sig, bound, set})
+	}
+	// searchSite adds a scan's, choice's or aggregate's search, whose
+	// IndexID and bound are at id and bound, unless it is unkeyed: that gets
+	// IndexID -1 here. Its setter drops the bound unless told to keep it.
+	searchSite := func(rel *ram.Relation, pattern []ram.Expr, bound **ram.Bound, id *int) {
+		if !ram.Keyed(pattern, *bound) {
+			*id = -1
+			return
+		}
+		addSite(rel, pattern, *bound, func(i int, keep bool) {
+			*id = i
+			if !keep {
+				*bound = nil
+				if !ram.Keyed(pattern, nil) {
+					*id = -1
 				}
-				sites = append(sites, site{rel, sig, bound, set})
-			})
+			}
+		})
+	}
+	for _, s := range p.Entries() {
+		ram.Inspect(s, func(n any) bool {
+			switch n := n.(type) {
+			case *ram.Swap:
+				parent[find(n.A)] = find(n.B)
+			case *ram.Scan:
+				searchSite(n.Rel, n.Pattern, &n.Bound, &n.IndexID)
+			case *ram.Choice:
+				searchSite(n.Rel, n.Pattern, &n.Bound, &n.IndexID)
+			case *ram.Aggregate:
+				var bound *ram.Bound
+				searchSite(n.Rel, n.Pattern, &bound, &n.IndexID)
+			case *ram.ExistenceCheck:
+				addSite(n.Rel, n.Pattern, nil, func(id int, _ bool) { n.IndexID = id })
+			}
+			return true
+		})
 	}
 	sigs := map[*ram.Relation][]Signature{}
 	for _, s := range sites {
@@ -114,83 +147,4 @@ func boundOrder(orders []tuple.Order, sig Signature, col, id int) (int, bool) {
 		}
 	}
 	return id, false
-}
-
-// walk visits every SWAP under s and every node that selects an index:
-// keyed scans and choices, existence checks, and keyed aggregates. search
-// gets the node's pattern, its range bound (nil for none) and a setter for
-// its IndexID that also drops the bound unless told to keep it. An unkeyed
-// scan, choice or aggregate gets IndexID -1 here.
-func walk(s ram.Statement, swap func(a, b *ram.Relation), search func(rel *ram.Relation, pattern []ram.Expr, bound *ram.Bound, set func(int, bool))) {
-	var walkCond func(ram.Condition)
-	walkCond = func(c ram.Condition) {
-		switch c := c.(type) {
-		case *ram.And:
-			walkCond(c.L)
-			walkCond(c.R)
-		case *ram.Not:
-			walkCond(c.C)
-		case *ram.ExistenceCheck:
-			search(c.Rel, c.Pattern, nil, func(id int, _ bool) { c.IndexID = id })
-		}
-	}
-	// searchSite hands a scan's or choice's search to search; id and bound
-	// are the node's fields.
-	searchSite := func(rel *ram.Relation, pattern []ram.Expr, bound **ram.Bound, id *int) {
-		if !ram.Keyed(pattern, *bound) {
-			*id = -1
-			return
-		}
-		search(rel, pattern, *bound, func(i int, keep bool) {
-			*id = i
-			if !keep {
-				*bound = nil
-				if !ram.Keyed(pattern, nil) {
-					*id = -1
-				}
-			}
-		})
-	}
-	var walkOp func(ram.Operation)
-	walkOp = func(o ram.Operation) {
-		switch o := o.(type) {
-		case *ram.Scan:
-			searchSite(o.Rel, o.Pattern, &o.Bound, &o.IndexID)
-			walkOp(o.Nested)
-		case *ram.Choice:
-			searchSite(o.Rel, o.Pattern, &o.Bound, &o.IndexID)
-			walkCond(o.Cond)
-			walkOp(o.Nested)
-		case *ram.Filter:
-			walkCond(o.Cond)
-			walkOp(o.Nested)
-		case *ram.Aggregate:
-			var bound *ram.Bound
-			searchSite(o.Rel, o.Pattern, &bound, &o.IndexID)
-			walkCond(o.Cond)
-			walkOp(o.Nested)
-		}
-	}
-	var walkStmt func(ram.Statement)
-	walkStmt = func(s ram.Statement) {
-		switch s := s.(type) {
-		case *ram.Sequence:
-			for _, st := range s.Stmts {
-				walkStmt(st)
-			}
-		case *ram.Loop:
-			walkStmt(s.Body)
-		case *ram.Exit:
-			walkCond(s.Cond)
-		case *ram.Query:
-			walkOp(s.Root)
-		case *ram.Swap:
-			swap(s.A, s.B)
-		case *ram.LogTimer:
-			walkStmt(s.Stmt)
-		}
-	}
-	if s != nil {
-		walkStmt(s)
-	}
 }

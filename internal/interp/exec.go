@@ -177,11 +177,6 @@ func (ex *executor) execute(n *inode, ctx *context) value.Value {
 		ex.execIO(n)
 		ex.tel.End(iospan, "io", n.rel.Name)
 		return 0
-	case opLogTimer:
-		tspan := ex.tel.Begin()
-		ex.eval(n.nested, ctx)
-		ex.tel.End(tspan, "timer", n.label)
-		return 0
 
 	// --- operations (dynamic-adapter forms) ---
 	case opScan:

@@ -98,8 +98,6 @@ func (g *generator) genStatement(s ram.Statement) *inode {
 		return &inode{op: opSubtract, rel: dst, rel2: g.relation(s.Src), shadow: s}
 	case *ram.IO:
 		return &inode{op: opIO, rel: g.relation(s.Rel), a: int32(s.Kind), shadow: s}
-	case *ram.LogTimer:
-		return &inode{op: opLogTimer, label: s.Label, nested: g.genStatement(s.Stmt), shadow: s}
 	default:
 		panic(fmt.Sprintf("interp: unknown RAM statement %T", s))
 	}

@@ -26,7 +26,6 @@ const (
 	opMerge
 	opSubtract
 	opIO
-	opLogTimer
 
 	// operations (dynamic-adapter forms); one search instruction per kind
 	// serves keyed and unkeyed searches alike (inode.prefix 0, no bound)

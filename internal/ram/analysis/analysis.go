@@ -24,60 +24,24 @@ func QueryEffects(q *ram.Query) (reads, writes map[*ram.Relation]bool) {
 	if q == nil {
 		return reads, writes
 	}
-	var walkOp func(o ram.Operation)
-	walkCond := func(c ram.Condition) {
-		for rel := range condReads(c) {
-			reads[rel] = true
-		}
-	}
-	walkOp = func(o ram.Operation) {
-		switch o := o.(type) {
+	ram.Inspect(q.Root, func(n any) bool {
+		switch n := n.(type) {
 		case *ram.Scan:
-			reads[o.Rel] = true
-			walkOp(o.Nested)
+			reads[n.Rel] = true
 		case *ram.Choice:
-			reads[o.Rel] = true
-			walkCond(o.Cond)
-			walkOp(o.Nested)
-		case *ram.Filter:
-			walkCond(o.Cond)
-			walkOp(o.Nested)
-		case *ram.Project:
-			writes[o.Rel] = true
+			reads[n.Rel] = true
 		case *ram.Aggregate:
-			reads[o.Rel] = true
-			walkCond(o.Cond)
-			walkOp(o.Nested)
+			reads[n.Rel] = true
+		case *ram.ExistenceCheck:
+			reads[n.Rel] = true
+		case *ram.EmptinessCheck:
+			reads[n.Rel] = true
+		case *ram.Project:
+			writes[n.Rel] = true
 		}
-	}
-	walkOp(q.Root)
+		return true
+	})
 	delete(reads, nil)
 	delete(writes, nil)
 	return reads, writes
-}
-
-// condReads collects the relations read by a condition tree (existence and
-// emptiness checks).
-func condReads(c ram.Condition) map[*ram.Relation]bool {
-	out := map[*ram.Relation]bool{}
-	var walk func(ram.Condition)
-	walk = func(c ram.Condition) {
-		switch c := c.(type) {
-		case *ram.And:
-			walk(c.L)
-			walk(c.R)
-		case *ram.Not:
-			walk(c.C)
-		case *ram.EmptinessCheck:
-			if c.Rel != nil {
-				out[c.Rel] = true
-			}
-		case *ram.ExistenceCheck:
-			if c.Rel != nil {
-				out[c.Rel] = true
-			}
-		}
-	}
-	walk(c)
-	return out
 }

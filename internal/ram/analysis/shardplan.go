@@ -37,10 +37,40 @@ func ShardKeys(p *ram.Program) []int {
 			votes[i] = make([]int, rd.Arity)
 		}
 	}
-	v := &shardVoter{p: p, votes: votes}
-	if p.Main != nil {
-		v.stmt(p.Main)
+	// Every search site of Main adds one tally per bound pattern column to
+	// its relation's base: in the fixpoint it is delta/new relations that
+	// are scanned and probed, and the whole family must partition
+	// identically.
+	vote := func(rel *ram.Relation, pattern []ram.Expr) {
+		if rel == nil {
+			return
+		}
+		id := rel.ID
+		if rel.IsAux() && rel.BaseID >= 0 && rel.BaseID < len(votes) {
+			id = rel.BaseID
+		}
+		if id < 0 || id >= len(votes) {
+			return
+		}
+		for c, e := range pattern {
+			if e != nil && c < len(votes[id]) {
+				votes[id][c]++
+			}
+		}
 	}
+	ram.Inspect(p.Main, func(n any) bool {
+		switch n := n.(type) {
+		case *ram.Scan:
+			vote(n.Rel, n.Pattern)
+		case *ram.Choice:
+			vote(n.Rel, n.Pattern)
+		case *ram.Aggregate:
+			vote(n.Rel, n.Pattern)
+		case *ram.ExistenceCheck:
+			vote(n.Rel, n.Pattern)
+		}
+		return true
+	})
 	// First pass: source relations take their own vote tally.
 	for i, rd := range p.Relations {
 		if rd == nil || rd.Arity == 0 || rd.Rep == ram.RepEqRel || rd.IsAux() {
@@ -78,87 +108,6 @@ func argmaxVote(votes []int) int {
 		}
 	}
 	return best
-}
-
-// shardVoter walks Main and tallies, per base relation, how many search
-// sites bind each column. Sites on aux companions vote for the base: in the
-// fixpoint it is delta/new relations that are scanned and probed, and the
-// whole family must partition identically.
-type shardVoter struct {
-	p     *ram.Program
-	votes [][]int
-}
-
-// vote adds one tally per bound pattern column to rel's base relation.
-func (v *shardVoter) vote(rel *ram.Relation, pattern []ram.Expr) {
-	if rel == nil {
-		return
-	}
-	id := rel.ID
-	if rel.IsAux() && rel.BaseID >= 0 && rel.BaseID < len(v.votes) {
-		id = rel.BaseID
-	}
-	if id < 0 || id >= len(v.votes) {
-		return
-	}
-	tally := v.votes[id]
-	for c, e := range pattern {
-		if e != nil && c < len(tally) {
-			tally[c]++
-		}
-	}
-}
-
-func (v *shardVoter) stmt(s ram.Statement) {
-	switch s := s.(type) {
-	case *ram.Sequence:
-		for _, st := range s.Stmts {
-			if st != nil {
-				v.stmt(st)
-			}
-		}
-	case *ram.Loop:
-		if s.Body != nil {
-			v.stmt(s.Body)
-		}
-	case *ram.Query:
-		v.op(s.Root)
-	case *ram.LogTimer:
-		if s.Stmt != nil {
-			v.stmt(s.Stmt)
-		}
-	}
-}
-
-func (v *shardVoter) op(o ram.Operation) {
-	switch o := o.(type) {
-	case *ram.Scan:
-		v.vote(o.Rel, o.Pattern)
-		v.op(o.Nested)
-	case *ram.Choice:
-		v.vote(o.Rel, o.Pattern)
-		v.cond(o.Cond)
-		v.op(o.Nested)
-	case *ram.Filter:
-		v.cond(o.Cond)
-		v.op(o.Nested)
-	case *ram.Aggregate:
-		v.vote(o.Rel, o.Pattern)
-		v.cond(o.Cond)
-		v.op(o.Nested)
-	}
-}
-
-func (v *shardVoter) cond(c ram.Condition) {
-	switch c := c.(type) {
-	case *ram.And:
-		v.cond(c.L)
-		v.cond(c.R)
-	case *ram.Not:
-		v.cond(c.C)
-	case *ram.ExistenceCheck:
-		v.vote(c.Rel, c.Pattern)
-	}
 }
 
 // StampShardKeys computes ShardKeys and records the plan on the relation

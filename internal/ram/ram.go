@@ -163,6 +163,12 @@ type Program struct {
 	NumRules int
 }
 
+// Entries returns the program's entry points in printed order: Main, Update
+// and Delete, the latter two nil when absent.
+func (p *Program) Entries() []Statement {
+	return []Statement{p.Main, p.Update, p.Delete}
+}
+
 // --- statements ---
 
 // Statement is the control-flow layer of RAM.
@@ -237,12 +243,6 @@ type IO struct {
 	Rel  *Relation
 }
 
-// LogTimer wraps a statement with a profiler timer.
-type LogTimer struct {
-	Label string
-	Stmt  Statement
-}
-
 func (*Sequence) isStatement() {}
 func (*Loop) isStatement()     {}
 func (*Exit) isStatement()     {}
@@ -252,7 +252,6 @@ func (*Swap) isStatement()     {}
 func (*Merge) isStatement()    {}
 func (*Subtract) isStatement() {}
 func (*IO) isStatement()       {}
-func (*LogTimer) isStatement() {}
 
 // --- operations ---
 

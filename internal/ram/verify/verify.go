@@ -483,12 +483,6 @@ func (c *checker) stmt(s ram.Statement, inLoop bool) {
 		default:
 			c.addf(s, RuleIOFlag, "unknown IO kind %d on %s", s.Kind, s.Rel.Name)
 		}
-	case *ram.LogTimer:
-		if s.Stmt == nil {
-			c.addf(s, RuleNilNode, "TIMER %q has a nil statement", s.Label)
-			return
-		}
-		c.stmt(s.Stmt, inLoop)
 	default:
 		c.addf(s, RuleProgram, "unknown statement type %T", s)
 	}
@@ -819,20 +813,16 @@ func (c *checker) bound(node any, rel *ram.Relation, indexID int, pattern []ram.
 }
 
 // readOutside returns a tuple slot e reads that sc does not bind.
-func readOutside(e ram.Expr, sc scope) (int, bool) {
-	switch e := e.(type) {
-	case *ram.TupleElement:
-		if _, ok := sc[e.TupleID]; !ok {
-			return e.TupleID, true
-		}
-	case *ram.Intrinsic:
-		for _, a := range e.Args {
-			if tid, ok := readOutside(a, sc); ok {
-				return tid, true
+func readOutside(e ram.Expr, sc scope) (tid int, outside bool) {
+	ram.Inspect(e, func(n any) bool {
+		if te, ok := n.(*ram.TupleElement); ok && !outside {
+			if _, bound := sc[te.TupleID]; !bound {
+				tid, outside = te.TupleID, true
 			}
 		}
-	}
-	return 0, false
+		return !outside
+	})
+	return tid, outside
 }
 
 func identityIfEmpty(orders []tuple.Order, indexID, arity int) tuple.Order {

@@ -93,29 +93,19 @@ func OptimizeStats(p *ram.Program, st *symtab.Table, opts Options) Stats {
 }
 
 // countStmts counts executable statements (everything except the Sequence
-// and LogTimer wrappers) across Main, Update, and Delete.
+// wrapper) across Main, Update, and Delete.
 func countStmts(p *ram.Program) int {
 	n := 0
-	var walk func(ram.Statement)
-	walk = func(s ram.Statement) {
-		switch s := s.(type) {
-		case *ram.Sequence:
-			for _, st := range s.Stmts {
-				walk(st)
+	for _, s := range p.Entries() {
+		ram.Inspect(s, func(x any) bool {
+			_, seq := x.(*ram.Sequence)
+			_, stmt := x.(ram.Statement)
+			if stmt && !seq {
+				n++
 			}
-		case *ram.Loop:
-			n++
-			walk(s.Body)
-		case *ram.LogTimer:
-			walk(s.Stmt)
-		case nil:
-		default:
-			n++
-		}
+			return stmt
+		})
 	}
-	walk(p.Main)
-	walk(p.Update)
-	walk(p.Delete)
 	return n
 }
 
@@ -148,9 +138,6 @@ func (o *optimizer) stmt(s ram.Statement) ram.Statement {
 		return s
 	case *ram.Query:
 		s.Root = o.op(s.Root)
-		return s
-	case *ram.LogTimer:
-		s.Stmt = o.stmt(s.Stmt)
 		return s
 	default:
 		return s
@@ -244,17 +231,14 @@ func (o *optimizer) choiceBody(tid int, nested ram.Operation) (ram.Condition, ra
 }
 
 func readsTuple(e ram.Expr, tid int) bool {
-	switch e := e.(type) {
-	case *ram.TupleElement:
-		return e.TupleID == tid
-	case *ram.Intrinsic:
-		for _, a := range e.Args {
-			if readsTuple(a, tid) {
-				return true
-			}
+	reads := false
+	ram.Inspect(e, func(n any) bool {
+		if te, ok := n.(*ram.TupleElement); ok && te.TupleID == tid {
+			reads = true
 		}
-	}
-	return false
+		return !reads
+	})
+	return reads
 }
 
 func (o *optimizer) foldPattern(pattern []ram.Expr) {
