@@ -38,6 +38,7 @@ package sti
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 
 	"sti/internal/ast2ram"
@@ -142,8 +143,10 @@ func (p *Program) NewInput() *Input {
 
 // Add appends one tuple to relation name. Accepted Go types per attribute:
 // number: int/int32/int64; unsigned: uint/uint32/uint64/int (non-negative);
-// float: float32/float64; symbol: string. The first conversion error is
-// remembered and returned by Err (and by Program.Run).
+// float: float32/float64; symbol: string. A value outside the attribute's
+// 32-bit range (a float64 beyond float32's) is a conversion error, as it is
+// in a fact file. The first conversion error is remembered and returned by
+// Err (and by Program.Run).
 func (in *Input) Add(name string, values ...any) *Input {
 	if in.err != nil {
 		return in
@@ -244,34 +247,50 @@ func (p *Program) encode(ty value.Type, v any, read bool) (value.Value, error) {
 		case float32:
 			return value.FromFloat(f), nil
 		case float64:
-			return value.FromFloat(float32(f)), nil
+			g := float32(f)
+			if math.IsInf(float64(g), 0) && !math.IsInf(f, 0) {
+				return 0, fmt.Errorf("value %g out of range for float attribute", f)
+			}
+			return value.FromFloat(g), nil
 		}
 		return 0, fmt.Errorf("want float, got %T", v)
 	case value.Unsigned:
-		switch n := v.(type) {
+		var n uint64
+		switch x := v.(type) {
 		case uint:
-			return value.Value(n), nil
+			n = uint64(x)
 		case uint32:
-			return n, nil
+			n = uint64(x)
 		case uint64:
-			return value.Value(n), nil
+			n = x
 		case int:
-			if n < 0 {
-				return 0, fmt.Errorf("negative value %d for unsigned attribute", n)
+			if x < 0 {
+				return 0, fmt.Errorf("negative value %d for unsigned attribute", x)
 			}
-			return value.Value(n), nil
+			n = uint64(x)
+		default:
+			return 0, fmt.Errorf("want unsigned, got %T", v)
 		}
-		return 0, fmt.Errorf("want unsigned, got %T", v)
+		if n > math.MaxUint32 {
+			return 0, fmt.Errorf("value %d out of range for unsigned attribute", n)
+		}
+		return value.Value(n), nil
 	default: // Number
-		switch n := v.(type) {
+		var n int64
+		switch x := v.(type) {
 		case int:
-			return value.FromInt(int32(n)), nil
+			n = int64(x)
 		case int32:
-			return value.FromInt(n), nil
+			n = int64(x)
 		case int64:
-			return value.FromInt(int32(n)), nil
+			n = x
+		default:
+			return 0, fmt.Errorf("want number, got %T", v)
 		}
-		return 0, fmt.Errorf("want number, got %T", v)
+		if n < math.MinInt32 || n > math.MaxInt32 {
+			return 0, fmt.Errorf("value %d out of range for number attribute", n)
+		}
+		return value.FromInt(int32(n)), nil
 	}
 }
 

@@ -3,6 +3,8 @@ package sti
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math"
 	"os"
 	"reflect"
 	"strings"
@@ -276,5 +278,76 @@ func TestExplainViaFacade(t *testing.T) {
 	}
 	if _, err := res3.Explain("path", 1, 3); err == nil || !strings.Contains(err.Error(), "cannot explain") {
 		t.Fatalf("compiled Explain = %v, want a refusal", err)
+	}
+}
+
+// TestGoValuesOutOfRange checks that a Go value outside its attribute's
+// 32-bit range is rejected, with an error naming the attribute type, by every
+// caller that converts Go values: Input.Add, Batch.Add and Delete, Query
+// patterns, Scan bounds, and Result.Contains and Explain. Each value would
+// otherwise wrap onto one the relations hold (2^32 onto 0, 2^33+7 onto 7, a
+// float64 beyond float32 onto infinity), as the text path never lets it.
+func TestGoValuesOutOfRange(t *testing.T) {
+	prog := MustParse(`
+.decl r(x:number)
+.decl u(x:unsigned)
+.decl f(x:float)
+.input r
+.input u
+.input f
+.output r
+.output u
+.output f
+`)
+	in := prog.NewInput()
+	// The values the out-of-range cases below would wrap onto, and the
+	// extremes of each range, which convert.
+	in.Add("r", 0).Add("r", 7).Add("r", int64(math.MaxInt32)).Add("r", int64(math.MinInt32))
+	in.Add("u", 0).Add("u", 3).Add("u", uint64(math.MaxUint32))
+	in.Add("f", math.Inf(1)).Add("f", math.Inf(-1)).Add("f", float64(math.MaxFloat32))
+	if err := in.Err(); err != nil {
+		t.Fatal(err)
+	}
+	res, err := prog.Run(in, WithProvenance())
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := prog.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	for _, c := range []struct {
+		rel, typ string
+		v        any
+	}{
+		{"r", "number", int64(1) << 32},
+		{"r", "number", 1<<33 + 7},
+		{"r", "number", int64(math.MaxInt32) + 1},
+		{"r", "number", int64(math.MinInt32) - 1},
+		{"u", "unsigned", uint64(1)<<32 + 3},
+		{"u", "unsigned", uint(1) << 32},
+		{"u", "unsigned", 1 << 32},
+		{"f", "float", 1e39},
+		{"f", "float", -1e39},
+	} {
+		name := fmt.Sprintf("%s(%T %v)", c.rel, c.v, c.v)
+		check := func(caller string, err error) {
+			if err == nil || !strings.Contains(err.Error(), c.typ+" attribute") {
+				t.Errorf("%s: %s: err = %v, want a %s range error", name, caller, err, c.typ)
+			}
+		}
+		check("Input.Add", prog.NewInput().Add(c.rel, c.v).Err())
+		check("Batch.Add", db.NewBatch().Add(c.rel, c.v).Err())
+		check("Batch.Delete", db.NewBatch().Delete(c.rel, c.v).Err())
+		_, err := db.Query(c.rel, c.v)
+		check("Query", err)
+		_, err = db.Scan(c.rel, c.v, c.v)
+		check("Scan", err)
+		_, err = res.Explain(c.rel, c.v)
+		check("Explain", err)
+		if res.Contains(c.rel, c.v) {
+			t.Errorf("%s: Contains holds", name)
+		}
 	}
 }
