@@ -613,42 +613,53 @@ func (s *Snapshot) check() error {
 // eqrel's (_, b) is answered as the mirror of (b, _)). Stats counts the scans
 // in QueryScans and lists the orders built in ServedOrders.
 func (s *Snapshot) Query(name string, pattern ...any) ([][]any, error) {
-	if err := s.check(); err != nil {
-		return nil, err
-	}
-	decl, err := s.db.prog.decl(name)
-	if err != nil {
-		return nil, err
-	}
-	probe := make(tuple.Tuple, decl.Arity)
-	mask := make([]bool, decl.Arity)
-	miss := false
-	if len(pattern) > 0 {
-		if len(pattern) != decl.Arity {
-			return nil, fmt.Errorf("sti: relation %s has arity %d, got a pattern of %d values", name, decl.Arity, len(pattern))
+	decl, ts, err := s.match(name, len(pattern), "argument", func(i int, ty value.Type) (value.Value, bool, error) {
+		if pattern[i] == nil {
+			return 0, false, nil
 		}
-		for i, v := range pattern {
-			if v == nil {
-				continue
-			}
-			probe[i], err = s.db.prog.encode(decl.Types[i], v, true)
-			switch {
-			case errors.Is(err, errNotStored):
-				miss = true // no row can match; keep checking the other fields
-			case err != nil:
-				return nil, fmt.Errorf("sti: %s argument %d: %v", name, i, err)
-			}
-			mask[i] = true
-		}
-	}
-	if miss {
-		return [][]any{}, nil
-	}
-	ts, err := s.lookup(name, probe, mask)
+		w, err := s.db.prog.encode(ty, pattern[i], true)
+		return w, true, err
+	})
 	if err != nil {
 		return nil, err
 	}
 	return s.db.decodeRows(decl, ts), nil
+}
+
+// match answers a query pattern of n fields (none: every row) and returns
+// the relation's declaration with the matching rows. enc converts field i
+// to attribute type ty, reporting a wildcard as unbound; a field naming a
+// symbol the database never stored (errNotStored) makes the query a miss,
+// which no row matches. unit names a field in errors.
+func (s *Snapshot) match(name string, n int, unit string, enc func(i int, ty value.Type) (value.Value, bool, error)) (*ram.Relation, []tuple.Tuple, error) {
+	if err := s.check(); err != nil {
+		return nil, nil, err
+	}
+	decl, err := s.db.prog.decl(name)
+	if err != nil {
+		return nil, nil, err
+	}
+	if n > 0 && n != decl.Arity {
+		return nil, nil, fmt.Errorf("sti: relation %s has arity %d, got a pattern of %d %ss", name, decl.Arity, n, unit)
+	}
+	probe := make(tuple.Tuple, decl.Arity)
+	mask := make([]bool, decl.Arity)
+	miss := false
+	for i := range n {
+		w, bound, err := enc(i, decl.Types[i])
+		switch {
+		case errors.Is(err, errNotStored):
+			miss = true // no row can match; keep checking the other fields
+		case err != nil:
+			return nil, nil, fmt.Errorf("sti: %s %s %d: %v", name, unit, i, err)
+		}
+		probe[i], mask[i] = w, bound
+	}
+	if miss {
+		return decl, nil, nil
+	}
+	ts, err := s.lookup(name, probe, mask)
+	return decl, ts, err
 }
 
 // lookup answers a pattern through the engine. An answer no index covered
@@ -665,38 +676,13 @@ func (s *Snapshot) lookup(name string, probe tuple.Tuple, mask []bool) ([]tuple.
 // empty pattern returns all rows) and returns rows rendered in fact-file
 // form. It backs the sti serve line protocol.
 func (s *Snapshot) QueryText(name string, pattern []string) ([][]string, error) {
-	if err := s.check(); err != nil {
-		return nil, err
-	}
-	decl, err := s.db.prog.decl(name)
-	if err != nil {
-		return nil, err
-	}
-	probe := make(tuple.Tuple, decl.Arity)
-	mask := make([]bool, decl.Arity)
-	miss := false
-	if len(pattern) > 0 {
-		if len(pattern) != decl.Arity {
-			return nil, fmt.Errorf("sti: relation %s has arity %d, got a pattern of %d fields", name, decl.Arity, len(pattern))
+	decl, ts, err := s.match(name, len(pattern), "field", func(i int, ty value.Type) (value.Value, bool, error) {
+		if pattern[i] == "_" {
+			return 0, false, nil
 		}
-		for i, f := range pattern {
-			if f == "_" {
-				continue
-			}
-			probe[i], err = s.db.prog.parseField(f, decl.Types[i], true)
-			switch {
-			case errors.Is(err, errNotStored):
-				miss = true // no row can match; keep checking the other fields
-			case err != nil:
-				return nil, fmt.Errorf("sti: %s field %d: %v", name, i, err)
-			}
-			mask[i] = true
-		}
-	}
-	if miss {
-		return [][]string{}, nil
-	}
-	ts, err := s.lookup(name, probe, mask)
+		w, err := s.db.prog.parseField(pattern[i], ty, true)
+		return w, true, err
+	})
 	if err != nil {
 		return nil, err
 	}

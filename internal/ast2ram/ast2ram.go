@@ -1,7 +1,7 @@
 // Package ast2ram translates an analyzed Datalog program into a RAM program
-// (paper §2, Fig 1): facts become insertions, rules become nested-loop query
-// trees, and recursive strata become semi-naive fixpoint loops with the
-// structure of the paper's Fig 3.
+// (paper §2, Fig 1): rules become nested-loop query trees (a fact is a rule
+// with an empty body, a query that only inserts), and recursive strata become
+// semi-naive fixpoint loops with the structure of the paper's Fig 3.
 //
 // One translation emits three entry points: Main evaluates from scratch,
 // Update (update.go) restarts every stratum from freshly inserted facts, and
@@ -23,7 +23,9 @@
 //     one rule picks the atom that drives the join: delta atoms keep the
 //     written order (the paper's semi-naive shape), any other substituted
 //     tracker (recent, del, ddel, dred) holds a batch-sized change set and
-//     is rotated to the outermost level.
+//     is rotated to the outermost level. Every body atom, positive, negated
+//     or aggregated, is bound by one binder (bindAtom), which searches an
+//     eqrel keyed only on column 1 as its mirror keyed on column 0.
 //
 // The translator writes no index orders or IndexIDs. Its last two steps
 // place range bounds from inequality filters on inner scans (placeBounds,
@@ -170,17 +172,15 @@ func (t *translator) run() error {
 			main = append(main, &ram.IO{Kind: ram.IOLoad, Rel: rel})
 		}
 	}
-	// Facts.
+	// Facts: rules with an empty body.
 	for _, r := range t.sem.RelList {
 		for _, c := range r.Clauses {
 			if !c.IsFact() {
 				continue
 			}
-			q, err := t.translateFact(c)
-			if err != nil {
+			if err := t.emit(&main, c, version{target: t.rels[c.Head.Name]}); err != nil {
 				return err
 			}
-			main = append(main, q)
 		}
 	}
 	// Strata in dependency order.
@@ -399,12 +399,7 @@ func (t *translator) fixpoint(label string, body []ram.Statement, lrs []loopRel)
 	var exit ram.Condition
 	names := make([]string, len(lrs))
 	for i, lr := range lrs {
-		var c ram.Condition = &ram.EmptinessCheck{Rel: lr.new}
-		if exit == nil {
-			exit = c
-		} else {
-			exit = &ram.And{L: exit, R: c}
-		}
+		exit = ram.Conj(exit, &ram.EmptinessCheck{Rel: lr.new})
 		names[i] = t.out.Relations[lr.new.BaseID].Name
 	}
 	body = append(body, &ram.Exit{Cond: exit})
@@ -484,26 +479,4 @@ type version struct {
 	// survive drops heads that an exit rule of the head still derives from
 	// surviving premises (DRed's overdelete variants, delete.go).
 	survive []survival
-}
-
-// --- facts ---
-
-func (t *translator) translateFact(c *ast.Clause) (ram.Statement, error) {
-	target := t.rels[c.Head.Name]
-	exprs := make([]ram.Expr, len(c.Head.Args))
-	info := t.sem.Clauses[c]
-	tr := &ruleTranslator{t: t, info: info, env: map[string]ram.Expr{}}
-	for i, e := range c.Head.Args {
-		re, err := tr.expr(e)
-		if err != nil {
-			return nil, err
-		}
-		exprs[i] = re
-	}
-	t.ruleID++
-	return &ram.Query{
-		Root:   &ram.Project{Rel: target, Exprs: exprs},
-		RuleID: t.ruleID - 1,
-		Label:  c.String(),
-	}, nil
 }

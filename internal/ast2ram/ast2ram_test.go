@@ -175,15 +175,33 @@ const eqrelSrc = `
 .decl eq(x:number, y:number) eqrel
 .decl s(x:number)
 .decl out(x:number)
+.decl seen(x:number)
+.decl alone(x:number)
+.decl size(x:number, n:number)
 out(x) :- s(y), eq(x, y).
+seen(x) :- s(x), eq(_, x).
+alone(x) :- s(x), !eq(_, x).
+size(x, n) :- s(x), n = count : { eq(_, x) }.
 `
 
-func TestEqrelNonPrefixFallsBackToScan(t *testing.T) {
+// TestEqrelSearchesByMirror pins the binder's eqrel rule: a search keying
+// only column 1 is bound as its mirror keying column 0, the prefix of the
+// one order an eqrel keeps, whether it scans, checks existence, is negated
+// or aggregates. A variable at column 0 binds to the mirrored element 1.
+// translate's verifier pass rejects any search that is not an order prefix.
+func TestEqrelSearchesByMirror(t *testing.T) {
 	rp := translate(t, eqrelSrc)
-	text := rp.String()
-	// The eq atom binds only column 1: must be a full scan plus filter.
-	if !strings.Contains(text, "FOR t1 IN eq\n") {
-		t.Fatalf("eqrel search did not fall back to scan:\n%s", text)
+	main, _, _ := strings.Cut(rp.String(), "\nUPDATE\n")
+	for _, want := range []string{
+		"FOR t1 IN eq ON INDEX 0=t0.0\n",
+		"INSERT (t1.1) INTO out\n",
+		"IF ((0=t0.0) IN eq)\n",
+		"IF (NOT ((0=t0.0) IN eq))\n",
+		"t1 = count IN eq ON INDEX 0=t0.0\n",
+	} {
+		if !strings.Contains(main, want) {
+			t.Errorf("no %q in:\n%s", want, main)
+		}
 	}
 }
 

@@ -2,9 +2,9 @@ package ast2ram
 
 import (
 	"fmt"
+	"maps"
 
 	"sti/internal/ast"
-	"sti/internal/indexselect"
 	"sti/internal/ram"
 	"sti/internal/sema"
 	"sti/internal/value"
@@ -23,17 +23,15 @@ type ruleTranslator struct {
 // translateRule emits one semi-naive version of a rule as a Query.
 func (t *translator) translateRule(c *ast.Clause, v version) (ram.Statement, error) {
 	info := t.sem.Clauses[c]
-	tr := &ruleTranslator{t: t, info: info, env: map[string]ram.Expr{}, forceScan: v.exclude != nil}
+	tr := &ruleTranslator{t: t, info: info, env: map[string]ram.Expr{}, uses: map[string]int{}, forceScan: v.exclude != nil}
 
 	// Count variable uses to recognize single-use variables (treated like
 	// wildcards: they never need a binding).
-	uses := map[string]int{}
 	c.Walk(func(e ast.Expr) {
 		if vv, ok := e.(*ast.Var); ok {
-			uses[vv.Name]++
+			tr.uses[vv.Name]++
 		}
 	})
-	tr.uses = uses
 
 	// Split the body into positive atoms (loop levels) and deferred
 	// literals (negations and constraints, attached as early as possible).
@@ -135,13 +133,11 @@ func (t *translator) translateRule(c *ast.Clause, v version) (ram.Statement, err
 	}
 	for _, ba := range atoms {
 		tidBefore := tr.tid
-		lv, err := tr.atomLevel(ba.atom, ba.rel, uses)
+		lv, err := tr.atomLevel(ba.atom, ba.rel)
 		if err != nil {
 			return nil, err
 		}
-		if lv != nil {
-			levels = append(levels, lv)
-		}
+		levels = append(levels, lv)
 		// Delete-variant membership filters over the atom's whole tuple:
 		// ¬∈exclude, weakened to ¬(∈exclude ∧ ¬∈unless) when an unless
 		// relation is given. forceScan guarantees the atom allocated tuple
@@ -194,12 +190,7 @@ func (t *translator) translateRule(c *ast.Clause, v version) (ram.Statement, err
 	// Emptiness guards over all scanned relations (paper Fig 3 line 5).
 	var guard ram.Condition
 	for _, ba := range atoms {
-		var cnd ram.Condition = &ram.Not{C: &ram.EmptinessCheck{Rel: ba.rel}}
-		if guard == nil {
-			guard = cnd
-		} else {
-			guard = &ram.And{L: guard, R: cnd}
-		}
+		guard = ram.Conj(guard, &ram.Not{C: &ram.EmptinessCheck{Rel: ba.rel}})
 	}
 	if guard != nil {
 		root = &ram.Filter{Cond: guard, Nested: root}
@@ -243,137 +234,91 @@ func excludeCond(exclude, unless *ram.Relation, key func(k int) ram.Expr) ram.Co
 	return &ram.Not{C: &ram.And{L: exDel, R: &ram.Not{C: member(unless)}}}
 }
 
-// atomLevel turns a positive body atom into a scan or existence-check
-// level. Returns nil when the atom degenerates to a pure filter.
-func (tr *ruleTranslator) atomLevel(at *ast.Atom, rel *ram.Relation, uses map[string]int) (func(ram.Operation) ram.Operation, error) {
-	pattern := make([]ram.Expr, rel.Arity)
-	var sig indexselect.Signature
-	type bindPos struct {
-		name string
-		pos  int
-	}
-	var binds []bindPos
-	type eqPos struct {
-		pos   int
-		other ram.Expr // equality against an earlier position of this tuple
-		typ   value.Type
-	}
-	var eqs []eqPos
-	needsScan := false
-
-	seen := map[string]int{} // var name -> first position in this atom
-	for i, e := range at.Args {
-		switch e := e.(type) {
-		case *ast.Wildcard:
-			// unbound, unused
-		case *ast.Var:
-			if b, ok := tr.env[e.Name]; ok {
-				pattern[i] = b
-				sig |= indexselect.Of(i)
-				continue
-			}
-			if first, dup := seen[e.Name]; dup {
-				// Same new variable twice in one atom: equality filter
-				// between tuple positions.
-				eqs = append(eqs, eqPos{pos: i, other: nil, typ: rel.Types[i]})
-				eqs[len(eqs)-1].other = &ram.TupleElement{TupleID: -1, Elem: first} // patched below
-				needsScan = true
-				continue
-			}
-			seen[e.Name] = i
-			if uses[e.Name] > 1 {
-				binds = append(binds, bindPos{name: e.Name, pos: i})
-				needsScan = true
-			}
-		default:
-			re, err := tr.expr(e)
-			if err != nil {
-				return nil, err
-			}
-			pattern[i] = re
-			sig |= indexselect.Of(i)
-		}
-	}
-
+// atomLevel turns a positive body atom into a scan level, or into an
+// existence-check filter when no variable it binds is read again.
+func (tr *ruleTranslator) atomLevel(at *ast.Atom, rel *ram.Relation) (func(ram.Operation) ram.Operation, error) {
 	tid := tr.tid
-
-	if !needsScan && len(binds) == 0 && !tr.forceScan {
-		// No bindings escape: a (partial) existence check suffices.
-		ex := &ram.ExistenceCheck{Rel: rel, Pattern: pattern}
+	b, err := tr.bindAtom(at, rel, tid)
+	if err != nil {
+		return nil, err
+	}
+	if len(b.binds) == 0 && !tr.forceScan {
+		ex := &ram.ExistenceCheck{Rel: rel, Pattern: b.pattern}
 		return func(inner ram.Operation) ram.Operation {
 			return &ram.Filter{Cond: ex, Nested: inner}
 		}, nil
 	}
-
-	// A real scan: allocate the tuple slot and bind variables.
 	tr.tid++
-	for _, b := range binds {
-		tr.env[b.name] = &ram.TupleElement{TupleID: tid, Elem: b.pos}
-	}
-	// Build the equality filters for duplicate variables.
-	var eqCond ram.Condition
-	for _, eq := range eqs {
-		other := eq.other.(*ram.TupleElement)
-		other.TupleID = tid
-		var c ram.Condition = &ram.Constraint{
-			Op:   ram.CmpEQ,
-			Type: eq.typ,
-			L:    &ram.TupleElement{TupleID: tid, Elem: eq.pos},
-			R:    other,
-		}
-		if eqCond == nil {
-			eqCond = c
-		} else {
-			eqCond = &ram.And{L: eqCond, R: c}
-		}
-	}
-
-	// eqrel only supports prefix searches on its natural order; fall back
-	// to an unkeyed scan and a filter for anything else.
-	if rel.Rep == ram.RepEqRel && !isPrefixOfNatural(sig) {
-		var cond ram.Condition
-		for i, p := range pattern {
-			if p == nil {
-				continue
-			}
-			var c ram.Condition = &ram.Constraint{
-				Op:   ram.CmpEQ,
-				Type: rel.Types[i],
-				L:    &ram.TupleElement{TupleID: tid, Elem: i},
-				R:    p,
-			}
-			if cond == nil {
-				cond = c
-			} else {
-				cond = &ram.And{L: cond, R: c}
-			}
-		}
-		return func(inner ram.Operation) ram.Operation {
-			if eqCond != nil {
-				inner = &ram.Filter{Cond: eqCond, Nested: inner}
-			}
-			return &ram.Scan{Rel: rel, Pattern: make([]ram.Expr, rel.Arity), TupleID: tid, Nested: &ram.Filter{Cond: cond, Nested: inner}}
-		}, nil
-	}
-
-	is := &ram.Scan{Rel: rel, Pattern: pattern, TupleID: tid}
+	maps.Copy(tr.env, b.binds)
 	return func(inner ram.Operation) ram.Operation {
-		if eqCond != nil {
-			inner = &ram.Filter{Cond: eqCond, Nested: inner}
+		if b.eqs != nil {
+			inner = &ram.Filter{Cond: b.eqs, Nested: inner}
 		}
-		is.Nested = inner
-		return is
+		return &ram.Scan{Rel: rel, Pattern: b.pattern, TupleID: tid, Nested: inner}
 	}, nil
 }
 
-func isPrefixOfNatural(sig indexselect.Signature) bool {
-	cols := sig.Columns()
-	for i, c := range cols {
-		if c != i {
-			return false
+// atomBinding is a body atom bound to one tuple slot: the search pattern
+// over its relation, the new variables bound to elements of the slot, and
+// the equalities a repeated new variable imposes between those elements.
+type atomBinding struct {
+	pattern []ram.Expr
+	binds   map[string]ram.Expr
+	eqs     ram.Condition
+}
+
+// bindAtom binds atom at, read from rel, to tuple slot tid. It is the one
+// binder of positive atoms, negations and aggregate bodies. A bound variable
+// or a ground expression keys the search; a new variable binds to its
+// element on its first occurrence when the clause reads it again (a
+// single-use one is a wildcard), and each further occurrence in the atom is
+// an equality against the first.
+//
+// An eqrel keeps only its natural order, so a search keying only column 1
+// is bound as its mirror keying column 0: the relation is symmetric, so
+// (a, b) is in it exactly when (b, a) is, and the new variables bind to the
+// swapped elements. Served queries answer an eqrel's (_, b) by the same
+// rule (interp.Engine.Query).
+func (tr *ruleTranslator) bindAtom(at *ast.Atom, rel *ram.Relation, tid int) (atomBinding, error) {
+	args := at.Args
+	keyed := func(e ast.Expr) bool {
+		_, w := e.(*ast.Wildcard)
+		return !w && tr.ground(e)
+	}
+	if rel.Rep == ram.RepEqRel && !keyed(args[0]) && keyed(args[1]) {
+		args = []ast.Expr{args[1], args[0]}
+	}
+	b := atomBinding{pattern: make([]ram.Expr, rel.Arity), binds: map[string]ram.Expr{}}
+	first := map[string]int{} // new variable -> its first position
+	for i, e := range args {
+		switch e := e.(type) {
+		case *ast.Wildcard:
+		case *ast.Var:
+			if v, ok := tr.env[e.Name]; ok {
+				b.pattern[i] = v
+				continue
+			}
+			elem := &ram.TupleElement{TupleID: tid, Elem: i}
+			if f, dup := first[e.Name]; dup {
+				b.eqs = ram.Conj(b.eqs, &ram.Constraint{
+					Op: ram.CmpEQ, Type: rel.Types[i],
+					L: elem, R: &ram.TupleElement{TupleID: tid, Elem: f},
+				})
+				continue
+			}
+			first[e.Name] = i
+			if tr.uses[e.Name] > 1 {
+				b.binds[e.Name] = elem
+			}
+		default:
+			re, err := tr.expr(e)
+			if err != nil {
+				return atomBinding{}, err
+			}
+			b.pattern[i] = re
 		}
 	}
-	return true
+	return b, nil
 }
 
 // tryDeferred attempts to emit a negation or constraint whose variables are
@@ -382,27 +327,17 @@ func isPrefixOfNatural(sig indexselect.Signature) bool {
 func (tr *ruleTranslator) tryDeferred(l ast.Literal) (bool, func(ram.Operation) ram.Operation, error) {
 	switch l := l.(type) {
 	case *ast.Negation:
-		pattern := make([]ram.Expr, len(l.Atom.Args))
-		rel := tr.t.rels[l.Atom.Name]
-		var sig indexselect.Signature
-		for i, e := range l.Atom.Args {
-			if _, isW := e.(*ast.Wildcard); isW {
-				continue
-			}
+		for _, e := range l.Atom.Args {
 			if !tr.ground(e) {
 				return false, nil, nil
 			}
-			re, err := tr.expr(e)
-			if err != nil {
-				return false, nil, err
-			}
-			pattern[i] = re
-			sig |= indexselect.Of(i)
 		}
-		if rel.Rep == ram.RepEqRel && !isPrefixOfNatural(sig) && sig.Count() != rel.Arity {
-			return false, nil, &Error{Msg: "negation over eqrel requires a natural prefix", Pos: l.Atom.Pos}
+		rel := tr.t.rels[l.Atom.Name]
+		b, err := tr.bindAtom(l.Atom, rel, -1)
+		if err != nil {
+			return false, nil, err
 		}
-		ex := &ram.ExistenceCheck{Rel: rel, Pattern: pattern}
+		ex := &ram.ExistenceCheck{Rel: rel, Pattern: b.pattern}
 		return true, func(inner ram.Operation) ram.Operation {
 			return &ram.Filter{Cond: &ram.Not{C: ex}, Nested: inner}
 		}, nil
@@ -414,25 +349,17 @@ func (tr *ruleTranslator) tryDeferred(l ast.Literal) (bool, func(ram.Operation) 
 		}
 		// Binding equality: v = ground-expr (or ground-expr = v).
 		if l.Op == ast.CmpEQ {
-			if v, ok := l.L.(*ast.Var); ok {
-				if _, bound := tr.env[v.Name]; !bound && tr.ground(l.R) {
-					re, err := tr.expr(l.R)
-					if err != nil {
-						return false, nil, err
-					}
-					tr.env[v.Name] = re
-					return true, nil, nil
+			for _, side := range [][2]ast.Expr{{l.L, l.R}, {l.R, l.L}} {
+				v, ok := side[0].(*ast.Var)
+				if !ok || tr.ground(v) || !tr.ground(side[1]) {
+					continue
 				}
-			}
-			if v, ok := l.R.(*ast.Var); ok {
-				if _, bound := tr.env[v.Name]; !bound && tr.ground(l.L) {
-					le, err := tr.expr(l.L)
-					if err != nil {
-						return false, nil, err
-					}
-					tr.env[v.Name] = le
-					return true, nil, nil
+				e, err := tr.expr(side[1])
+				if err != nil {
+					return false, nil, err
 				}
+				tr.env[v.Name] = e
+				return true, nil, nil
 			}
 		}
 		if !tr.ground(l.L) || !tr.ground(l.R) {
@@ -561,54 +488,16 @@ func (tr *ruleTranslator) tryAggregate(c *ast.Constraint, agg *ast.Aggregate) (b
 		return false, nil, nil
 	}
 
-	// Build the pattern from bound positions; bind local variables to the
-	// aggregate's tuple slot.
+	// Bind the atom to the aggregate's tuple slot: local variables are in
+	// scope for the inner condition and target only.
 	tid := tr.tid
 	tr.tid++
-	pattern := make([]ram.Expr, rel.Arity)
-	var sig indexselect.Signature
-	savedEnv := map[string]ram.Expr{}
-	var selfEq ram.Condition
-	for i, e := range atom.Args {
-		switch e := e.(type) {
-		case *ast.Wildcard:
-		case *ast.Var:
-			if b, bound := tr.env[e.Name]; bound {
-				// A repeated local variable refers back to this aggregate's
-				// own tuple; that is a per-tuple equality, not a pattern.
-				if te, isTE := b.(*ram.TupleElement); isTE && te.TupleID == tid {
-					eq := &ram.Constraint{
-						Op: ram.CmpEQ, Type: rel.Types[i],
-						L: &ram.TupleElement{TupleID: tid, Elem: i}, R: b,
-					}
-					if selfEq == nil {
-						selfEq = eq
-					} else {
-						selfEq = &ram.And{L: selfEq, R: eq}
-					}
-					continue
-				}
-				pattern[i] = b
-				sig |= indexselect.Of(i)
-			} else if _, already := savedEnv[e.Name]; !already {
-				savedEnv[e.Name] = nil
-				tr.env[e.Name] = &ram.TupleElement{TupleID: tid, Elem: i}
-			}
-		default:
-			re, err := tr.expr(e)
-			if err != nil {
-				return false, nil, err
-			}
-			pattern[i] = re
-			sig |= indexselect.Of(i)
-		}
+	b, err := tr.bindAtom(atom, rel, tid)
+	if err != nil {
+		return false, nil, err
 	}
-	if rel.Rep == ram.RepEqRel && !isPrefixOfNatural(sig) {
-		return false, nil, &Error{Msg: "aggregate over eqrel requires a natural prefix", Pos: agg.Pos}
-	}
-
-	// Inner condition and target, evaluated with local bindings in scope.
-	cond := selfEq
+	maps.Copy(tr.env, b.binds)
+	cond := b.eqs
 	for _, cc := range conss {
 		le, err := tr.expr(cc.L)
 		if err != nil {
@@ -618,17 +507,11 @@ func (tr *ruleTranslator) tryAggregate(c *ast.Constraint, agg *ast.Aggregate) (b
 		if err != nil {
 			return false, nil, err
 		}
-		var one ram.Condition = &ram.Constraint{Op: cmpOf(cc.Op), Type: tr.typeOf(cc.L, cc.R), L: le, R: re}
-		if cond == nil {
-			cond = one
-		} else {
-			cond = &ram.And{L: cond, R: one}
-		}
+		cond = ram.Conj(cond, &ram.Constraint{Op: cmpOf(cc.Op), Type: tr.typeOf(cc.L, cc.R), L: le, R: re})
 	}
 	var target ram.Expr
 	aggType := value.Number
 	if agg.Target != nil {
-		var err error
 		target, err = tr.expr(agg.Target)
 		if err != nil {
 			return false, nil, err
@@ -639,14 +522,14 @@ func (tr *ruleTranslator) tryAggregate(c *ast.Constraint, agg *ast.Aggregate) (b
 	}
 	// Remove the local bindings: after the aggregate only the result slot
 	// remains visible.
-	for name := range savedEnv {
+	for name := range b.binds {
 		delete(tr.env, name)
 	}
 
 	node := &ram.Aggregate{
 		Kind:    aggKindOf(agg.Kind),
 		Rel:     rel,
-		Pattern: pattern,
+		Pattern: b.pattern,
 		Cond:    cond,
 		Target:  target,
 		Type:    aggType,

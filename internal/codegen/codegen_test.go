@@ -140,6 +140,7 @@ func TestSynthesizedKitchenSink(t *testing.T) {
 .decl trie(x:number, y:number) brie
 .decl near(x:number, y:number)
 .decl window(x:number, y:number)
+.decl joined(x:number)
 .input edge
 .output near
 .output window
@@ -147,6 +148,7 @@ func TestSynthesizedKitchenSink(t *testing.T) {
 .output deg
 .output lonely
 .output lbl
+.output joined
 .printsize eq
 .printsize trie
 rev(y, x) :- edge(x, y).
@@ -157,6 +159,7 @@ eq(x, y) :- edge(x, y).
 trie(x, y) :- edge(x, y), x < y.
 near(x, y) :- edge(x, _), edge(y, _), y >= x - 1, y <= x.
 window(x, y) :- edge(x, _), edge(y, _), y > x, (y - x) / 2 < 1.
+joined(y) :- edge(x, _), y = x + 2, eq(_, y).
 `
 	root := moduleRoot(t)
 	rp, st := compileSrc(t, src)
@@ -207,6 +210,9 @@ window(x, y) :- edge(x, _), edge(y, _), y > x, (y - x) / 2 < 1.
 	}
 	if !regexp.MustCompile(`relation\.Bound\{Type: value\.Number, Lo: .*, Hi: .*ram\.OpBShr.*HasHi: true`).Match(emitted) {
 		t.Fatal("the emitted Go does not range on window's isolated bound")
+	}
+	if got := read("joined.csv"); got != "3\n4" {
+		t.Fatalf("joined.csv:\n%s", got)
 	}
 	if got := read("lonely.csv"); got != "3" {
 		t.Fatalf("lonely.csv:\n%s", got)

@@ -477,7 +477,9 @@ func configs() map[string]Config {
 
 // TestConfigLatticeEquivalence: every interpreter variant computes identical
 // relations on a program exercising recursion, negation, aggregates,
-// strings, eqrel, and brie.
+// strings, eqrel, and brie. Each eqrel search keying only column 1 (an
+// existence check, a scan binding column 0, a negation, an aggregate) has a
+// twin keying column 0 that must give the same rows.
 func TestConfigLatticeEquivalence(t *testing.T) {
 	src := `
 .decl edge(x:number, y:number)
@@ -498,6 +500,23 @@ deg(x, n) :- node(x), n = count : { edge(x, _) }.
 eq(x, y) :- edge(x, y), x < y.
 trie(x, y) :- edge(x, y).
 trie(x, z) :- trie(x, y), edge(y, z), z != x.
+node(8).
+.decl seen(x:number)
+.decl seenTwin(x:number)
+.decl peer(x:number, y:number)
+.decl peerTwin(x:number, y:number)
+.decl alone(x:number)
+.decl aloneTwin(x:number)
+.decl size(x:number, n:number)
+.decl sizeTwin(x:number, n:number)
+seen(x) :- node(x), eq(_, x).
+seenTwin(x) :- node(x), eq(x, _).
+peer(x, y) :- node(x), eq(y, x).
+peerTwin(x, y) :- node(x), eq(x, y).
+alone(x) :- node(x), !eq(_, x).
+aloneTwin(x) :- node(x), !eq(x, _).
+size(x, n) :- node(x), n = count : { eq(_, x) }.
+sizeTwin(x, n) :- node(x), n = count : { eq(x, _) }.
 `
 	facts := map[string][]tuple.Tuple{"edge": {
 		{1, 2}, {2, 3}, {3, 4}, {4, 2}, {5, 6}, {6, 5}, {2, 7}, {7, 1},
@@ -505,12 +524,21 @@ trie(x, z) :- trie(x, y), edge(y, z), z != x.
 	type snapshot map[string][]tuple.Tuple
 	var baseline snapshot
 	var baseName string
+	twins := []string{"seen", "peer", "alone", "size"}
 	rels := []string{"path", "unreached", "deg", "eq", "trie", "node"}
+	for _, r := range twins {
+		rels = append(rels, r, r+"Twin")
+	}
 	for name, cfg := range configs() {
 		eng, _ := run(t, src, facts, cfg)
 		snap := snapshot{}
 		for _, r := range rels {
 			snap[r] = tuplesOf(t, eng, r)
+		}
+		for _, r := range twins {
+			if len(snap[r]) == 0 || fmt.Sprint(snap[r]) != fmt.Sprint(snap[r+"Twin"]) {
+				t.Fatalf("config %s: %s = %v, its twin %v", name, r, snap[r], snap[r+"Twin"])
+			}
 		}
 		if baseline == nil {
 			baseline, baseName = snap, name

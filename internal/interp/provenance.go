@@ -2,7 +2,6 @@ package interp
 
 import (
 	"fmt"
-	"strings"
 
 	"sti/internal/tuple"
 )
@@ -24,29 +23,6 @@ type Proof struct {
 	Tuple    tuple.Tuple
 	Rule     string
 	Premises []*Proof
-}
-
-// String renders the proof as an indented tree.
-func (p *Proof) String() string {
-	var b strings.Builder
-	p.render(&b, 0)
-	return b.String()
-}
-
-func (p *Proof) render(b *strings.Builder, depth int) {
-	for i := 0; i < depth; i++ {
-		b.WriteString("  ")
-	}
-	fmt.Fprintf(b, "%s%s", p.Relation, tuple.String(p.Tuple))
-	if p.Rule == "" {
-		b.WriteString("  [fact]")
-	} else {
-		fmt.Fprintf(b, "  [%s]", p.Rule)
-	}
-	b.WriteByte('\n')
-	for _, prem := range p.Premises {
-		prem.render(b, depth+1)
-	}
 }
 
 // premiseRec locates one body tuple of a recorded derivation.

@@ -1,7 +1,7 @@
 package interp
 
 import (
-	"strings"
+	"reflect"
 	"testing"
 
 	"sti/internal/tuple"
@@ -22,7 +22,7 @@ func TestExplainTransitiveClosure(t *testing.T) {
 		t.Fatal("derived tuple explained as a fact")
 	}
 	if len(proof.Premises) != 2 {
-		t.Fatalf("premises = %d:\n%s", len(proof.Premises), proof)
+		t.Fatalf("premises = %d", len(proof.Premises))
 	}
 	// Depth: the proof chain must bottom out at edge facts.
 	depth := 0
@@ -47,13 +47,10 @@ func TestExplainTransitiveClosure(t *testing.T) {
 	}
 	walk(proof, 0)
 	if depth < 3 {
-		t.Fatalf("proof too shallow (%d):\n%s", depth, proof)
+		t.Fatalf("proof too shallow (%d)", depth)
 	}
 	if leaves < 4 {
-		t.Fatalf("expected all four edges as leaves, saw %d:\n%s", leaves, proof)
-	}
-	if !strings.Contains(proof.String(), "[fact]") {
-		t.Fatalf("rendering lacks fact leaves:\n%s", proof)
+		t.Fatalf("expected all four edges as leaves, saw %d", leaves)
 	}
 }
 
@@ -89,7 +86,7 @@ out(y) :- seed(x), y = x + 1.
 		t.Fatal(err)
 	}
 	if len(proof.Premises) != 1 || proof.Premises[0].Relation != "seed" {
-		t.Fatalf("premises:\n%s", proof)
+		t.Fatalf("premises: %v", proof.Premises)
 	}
 	// The program fact seed(7) has its own (empty-premise) derivation.
 	leaf := proof.Premises[0]
@@ -97,7 +94,7 @@ out(y) :- seed(x), y = x + 1.
 		t.Fatalf("leaf tuple %v", leaf.Tuple)
 	}
 	if len(leaf.Premises) != 0 {
-		t.Fatalf("fact has premises:\n%s", proof)
+		t.Fatalf("fact has %d premises", len(leaf.Premises))
 	}
 }
 
@@ -161,8 +158,8 @@ out(x, y) :- n(x), n(y), y > x, (y - x) % 3 = 0, ok(y), x != 4.
 		if err != nil {
 			t.Fatal(err)
 		}
-		if pa.String() != pb.String() || len(pa.Premises) != 3 {
-			t.Fatalf("proof of %v differs or lacks a premise:\nfused:\n%sunfused:\n%s", tp, pa, pb)
+		if !reflect.DeepEqual(pa, pb) || len(pa.Premises) != 3 {
+			t.Fatalf("proof of %v differs or lacks a premise: fused %d premises, unfused %d", tp, len(pa.Premises), len(pb.Premises))
 		}
 	}
 }

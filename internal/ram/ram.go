@@ -379,6 +379,22 @@ type And struct {
 	L, R Condition
 }
 
+// Conj is the conjunction of the non-nil conditions of cs, nested to the
+// left: ((a AND b) AND c). It is nil when every condition is.
+func Conj(cs ...Condition) Condition {
+	var out Condition
+	for _, c := range cs {
+		switch {
+		case c == nil:
+		case out == nil:
+			out = c
+		default:
+			out = &And{L: out, R: c}
+		}
+	}
+	return out
+}
+
 // Not negates a condition.
 type Not struct {
 	C Condition

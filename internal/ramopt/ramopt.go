@@ -209,11 +209,7 @@ func (o *optimizer) choiceBody(tid int, nested ram.Operation) (ram.Condition, ra
 		if !ok {
 			break
 		}
-		if cond == nil {
-			cond = f.Cond
-		} else {
-			cond = &ram.And{L: cond, R: f.Cond}
-		}
+		cond = ram.Conj(cond, f.Cond)
 		cur = f.Nested
 	}
 	// Only a terminal projection qualifies: deeper scans re-enter the loop

@@ -351,3 +351,124 @@ func TestGoValuesOutOfRange(t *testing.T) {
 		}
 	}
 }
+
+// TestEqrelSearchByMirror: an eqrel search keying only column 1, the
+// existence check eq(_, x), answers as its mirror eq(x, _) on both backends
+// and in a resident database fed by Apply.
+func TestEqrelSearchByMirror(t *testing.T) {
+	prog := MustParse(`
+.decl s(x:number)
+.decl eq(x:number, y:number) eqrel
+.decl r(x:number)
+.input s
+.input eq
+.output r
+r(x) :- s(x), eq(_, x).
+`)
+	in := prog.NewInput()
+	in.Add("s", 1).Add("s", 3).Add("s", 7)
+	in.Add("eq", 1, 2).Add("eq", 3, 3)
+	const want = "[[1] [3]]"
+	for name, opts := range map[string][]Option{"interpreter": nil, "compiled": {WithBackend(Compiled)}} {
+		res, err := prog.Run(in, opts...)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := fmt.Sprint(res.Rows("r")); got != want {
+			t.Errorf("%s: r = %s, want %s", name, got, want)
+		}
+	}
+
+	db, err := prog.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	for _, step := range []struct {
+		batch *Batch
+		want  string
+	}{
+		{db.NewBatch().Add("s", 1).Add("s", 3).Add("s", 7).Add("eq", 1, 2).Add("eq", 3, 3), want},
+		{db.NewBatch().Add("eq", 5, 7), "[[1] [3] [7]]"},
+	} {
+		if err := db.Apply(step.batch); err != nil {
+			t.Fatal(err)
+		}
+		s := db.Snapshot()
+		rows, err := s.Query("r")
+		s.Release()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprint(rows); got != step.want {
+			t.Errorf("resident: r = %s, want %s", got, step.want)
+		}
+	}
+}
+
+// TestEqrelMirrorTwins: each eqrel search shape keying only column 1 gives
+// the rows of its twin keying column 0 on both backends and in a resident
+// database, whose applies recompute (the program negates and aggregates).
+func TestEqrelMirrorTwins(t *testing.T) {
+	prog := MustParse(`
+.decl s(x:number)
+.decl eq(x:number, y:number) eqrel
+.input s
+.input eq
+.decl seen(x:number)
+.decl seenTwin(x:number)
+.decl peer(x:number, y:number)
+.decl peerTwin(x:number, y:number)
+.decl alone(x:number)
+.decl aloneTwin(x:number)
+.decl size(x:number, n:number)
+.decl sizeTwin(x:number, n:number)
+seen(x) :- s(x), eq(_, x).
+seenTwin(x) :- s(x), eq(x, _).
+peer(x, y) :- s(x), eq(y, x).
+peerTwin(x, y) :- s(x), eq(x, y).
+alone(x) :- s(x), !eq(_, x).
+aloneTwin(x) :- s(x), !eq(x, _).
+size(x, n) :- s(x), n = count : { eq(_, x) }.
+sizeTwin(x, n) :- s(x), n = count : { eq(x, _) }.
+`)
+	twins := func(t *testing.T, rows func(string) [][]any) {
+		t.Helper()
+		for _, r := range []string{"seen", "peer", "alone", "size"} {
+			a, b := fmt.Sprint(rows(r)), fmt.Sprint(rows(r+"Twin"))
+			if a != b || a == "[]" {
+				t.Errorf("%s = %s, its twin %s", r, a, b)
+			}
+		}
+	}
+	in := prog.NewInput()
+	in.Add("s", 1).Add("s", 3).Add("s", 7)
+	in.Add("eq", 1, 2).Add("eq", 2, 3)
+	for name, opts := range map[string][]Option{"interpreter": nil, "compiled": {WithBackend(Compiled)}} {
+		res, err := prog.Run(in, opts...)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		t.Run(name, func(t *testing.T) { twins(t, res.Rows) })
+	}
+
+	db, err := prog.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := db.Apply(db.NewBatch().Add("s", 1).Add("s", 3).Add("s", 7).Add("eq", 1, 2).Add("eq", 2, 3)); err != nil {
+		t.Fatal(err)
+	}
+	s := db.Snapshot()
+	defer s.Release()
+	t.Run("resident", func(t *testing.T) {
+		twins(t, func(name string) [][]any {
+			rows, err := s.Query(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rows
+		})
+	})
+}
