@@ -1,6 +1,7 @@
 package sti
 
 import (
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"os"
@@ -316,6 +317,49 @@ func TestPersistManifestRejectsForeignProgram(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "different program") {
 		t.Fatalf("unexpected error: %v", err)
 	}
+}
+
+// TestPersistStaleManifestTemp: a crash while the first manifest was being
+// written leaves MANIFEST.tmp and no MANIFEST. Opening the directory
+// succeeds and leaves exactly one manifest, valid for the program, and no
+// temp file.
+func TestPersistStaleManifestTemp(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "MANIFEST.tmp"), []byte(`{"version":1,"progr`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	prog := MustParse(persistSrc)
+	db, err := prog.Open(WithPersistence(dir))
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	db.Close()
+	var manifests []string
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		if strings.HasPrefix(e.Name(), "MANIFEST") || filepath.Ext(e.Name()) == ".tmp" {
+			manifests = append(manifests, e.Name())
+		}
+	}
+	if len(manifests) != 1 || manifests[0] != "MANIFEST" {
+		t.Fatalf("directory holds %v, want exactly [MANIFEST]", manifests)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, "MANIFEST"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m manifest
+	if err := json.Unmarshal(raw, &m); err != nil || m.Program != prog.hash {
+		t.Fatalf("manifest %s (err %v), want program %s", raw, err, prog.hash)
+	}
+	db, err = prog.Open(WithPersistence(dir))
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	db.Close()
 }
 
 // TestPersistDirLock ensures two databases cannot share a data directory.

@@ -1,80 +1,25 @@
-// Command epochguard is a repository-local static check enforcing the
-// relation.EpochGuard contract: every snapshot handle obtained with
-// Acquire() must be released. A handle that is acquired into a local
-// variable and neither Release()d in the same function nor handed off
-// (returned, stored in a struct, passed to another function) pins the
-// guard's epoch forever and blocks every future writer.
-//
-// The checker is built on the standard go/parser and go/ast only — no
-// external analysis framework — and resolves Acquire() by method name,
-// which is unambiguous in this module. It runs in CI next to go vet:
-//
-//	go run ./internal/lint/epochguard ./...
-//
-// Exit code 0 means clean, 1 means findings, 2 means an internal error.
-package main
+package archtest
 
 import (
 	"fmt"
 	"go/ast"
-	"go/parser"
 	"go/token"
-	"io/fs"
-	"os"
-	"path/filepath"
-	"strings"
 )
 
-func main() {
-	args := os.Args[1:]
-	if len(args) == 0 {
-		args = []string{"./..."}
+// releasedHandles enforces the relation.EpochGuard contract: every
+// snapshot handle obtained with Acquire() is released. A handle that is
+// acquired into a local variable and neither Release()d in the same
+// function nor handed off (returned, stored in a struct, passed to another
+// function) pins the guard's epoch forever and blocks every future writer.
+// Acquire() is resolved by method name, which is unambiguous in this
+// module. Unlike the other rows it reads every file, tests and perfbench/
+// included.
+func releasedHandles(t *tree) []string {
+	var out []string
+	for _, p := range t.paths {
+		out = append(out, checkFile(t.fset, t.files[p])...)
 	}
-	var files []string
-	for _, arg := range args {
-		arg = strings.TrimSuffix(strings.TrimSuffix(arg, "..."), string(filepath.Separator)+"...")
-		arg = strings.TrimSuffix(arg, "/...")
-		if arg == "" {
-			arg = "."
-		}
-		err := filepath.WalkDir(arg, func(path string, d fs.DirEntry, err error) error {
-			if err != nil {
-				return err
-			}
-			if d.IsDir() {
-				name := d.Name()
-				if name == ".git" || name == "testdata" {
-					return filepath.SkipDir
-				}
-				return nil
-			}
-			if strings.HasSuffix(path, ".go") {
-				files = append(files, path)
-			}
-			return nil
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "epochguard:", err)
-			os.Exit(2)
-		}
-	}
-	fset := token.NewFileSet()
-	found := 0
-	for _, path := range files {
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "epochguard:", err)
-			os.Exit(2)
-		}
-		for _, iss := range checkFile(fset, f) {
-			fmt.Fprintln(os.Stderr, iss)
-			found++
-		}
-	}
-	if found > 0 {
-		fmt.Fprintf(os.Stderr, "epochguard: %d unreleased snapshot handle(s)\n", found)
-		os.Exit(1)
-	}
+	return out
 }
 
 // checkFile reports every Acquire() whose handle provably leaks: assigned

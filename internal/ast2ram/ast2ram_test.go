@@ -205,6 +205,39 @@ func TestEqrelSearchesByMirror(t *testing.T) {
 	}
 }
 
+// TestAtomArgumentsOverOwnVariables pins two binder shapes: an argument
+// expression reading the atom's own new variable is an element equality
+// under the scan (or the aggregate's condition), and an aggregate retried
+// until its non-variable result side is ground takes its tuple slot only
+// when it is placed, so the slots stay t0, t1.
+func TestAtomArgumentsOverOwnVariables(t *testing.T) {
+	rp := translate(t, `
+.decl e(x:number, y:number)
+.decl s(x:number)
+.decl out(x:number)
+.decl n(c:number)
+.decl late(x:number)
+out(x) :- e(x, x+1).
+n(c) :- c = count : { e(x, x+1) }.
+late(x) :- x + 1 = count : { e(_, _) }, s(x).
+`)
+	main, _, _ := strings.Cut(rp.String(), "\nUPDATE\n")
+	for _, want := range []string{
+		"FOR t0 IN e\n      IF (t0.1 =:number add:number(t0.0, 1))\n",
+		"t0 = count IN e ON INDEX (full) WHERE t0.1 =:number add:number(t0.0, 1)\n",
+		"FOR t0 IN s\n      t1 = count IN e ON INDEX (full)\n",
+	} {
+		if !strings.Contains(main, want) {
+			t.Errorf("no %q in:\n%s", want, main)
+		}
+	}
+	eachQuery(rp.Main, func(q *ram.Query) {
+		if strings.HasPrefix(q.Label, "late(") && q.NumTuples != 2 {
+			t.Errorf("%s: NumTuples = %d, want 2", q.Label, q.NumTuples)
+		}
+	})
+}
+
 const mutualSrc = `
 .decl seed(x:number)
 .decl a(x:number)

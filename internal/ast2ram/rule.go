@@ -272,7 +272,9 @@ type atomBinding struct {
 // or a ground expression keys the search; a new variable binds to its
 // element on its first occurrence when the clause reads it again (a
 // single-use one is a wildcard), and each further occurrence in the atom is
-// an equality against the first.
+// an equality against the first. An argument expression that reads one of
+// the atom's new variables (e(x, x+1)) is an equality too: its element
+// against the expression over the elements those variables bind to.
 //
 // An eqrel keeps only its natural order, so a search keying only column 1
 // is bound as its mirror keying column 0: the relation is symmetric, so
@@ -290,6 +292,7 @@ func (tr *ruleTranslator) bindAtom(at *ast.Atom, rel *ram.Relation, tid int) (at
 	}
 	b := atomBinding{pattern: make([]ram.Expr, rel.Arity), binds: map[string]ram.Expr{}}
 	first := map[string]int{} // new variable -> its first position
+	var exprs []int           // positions of argument expressions
 	for i, e := range args {
 		switch e := e.(type) {
 		case *ast.Wildcard:
@@ -311,12 +314,32 @@ func (tr *ruleTranslator) bindAtom(at *ast.Atom, rel *ram.Relation, tid int) (at
 				b.binds[e.Name] = elem
 			}
 		default:
-			re, err := tr.expr(e)
+			exprs = append(exprs, i)
+		}
+	}
+	for _, i := range exprs {
+		if tr.ground(args[i]) {
+			re, err := tr.expr(args[i])
 			if err != nil {
 				return atomBinding{}, err
 			}
 			b.pattern[i] = re
+			continue
 		}
+		// The expression reads new variables of this atom: translate it
+		// with them bound to their elements, then unbind them again.
+		maps.Copy(tr.env, b.binds)
+		re, err := tr.expr(args[i])
+		for name := range b.binds {
+			delete(tr.env, name)
+		}
+		if err != nil {
+			return atomBinding{}, err
+		}
+		b.eqs = ram.Conj(b.eqs, &ram.Constraint{
+			Op: ram.CmpEQ, Type: rel.Types[i],
+			L: &ram.TupleElement{TupleID: tid, Elem: i}, R: re,
+		})
 	}
 	return b, nil
 }
@@ -487,6 +510,11 @@ func (tr *ruleTranslator) tryAggregate(c *ast.Constraint, agg *ast.Aggregate) (b
 	if agg.Target != nil && !groundInAgg(agg.Target) {
 		return false, nil, nil
 	}
+	// The result side is a variable the aggregate binds or compares, or a
+	// ground expression it compares.
+	if _, isVar := resultSide.(*ast.Var); !isVar && !tr.ground(resultSide) {
+		return false, nil, nil
+	}
 
 	// Bind the atom to the aggregate's tuple slot: local variables are in
 	// scope for the inner condition and target only.
@@ -538,28 +566,20 @@ func (tr *ruleTranslator) tryAggregate(c *ast.Constraint, agg *ast.Aggregate) (b
 
 	// Bind or compare the result.
 	result := &ram.TupleElement{TupleID: tid, Elem: 0}
-	var post func(ram.Operation) ram.Operation
-	if v, ok := resultSide.(*ast.Var); ok {
-		if _, bound := tr.env[v.Name]; !bound {
-			tr.env[v.Name] = result
-			post = func(inner ram.Operation) ram.Operation { return inner }
-		}
+	if v, ok := resultSide.(*ast.Var); ok && !tr.ground(v) {
+		tr.env[v.Name] = result
+		return true, func(inner ram.Operation) ram.Operation {
+			node.Nested = inner
+			return node
+		}, nil
 	}
-	if post == nil {
-		if !tr.ground(resultSide) {
-			return false, nil, nil
-		}
-		re, err := tr.expr(resultSide)
-		if err != nil {
-			return false, nil, err
-		}
-		eq := &ram.Constraint{Op: ram.CmpEQ, Type: aggType, L: result, R: re}
-		post = func(inner ram.Operation) ram.Operation {
-			return &ram.Filter{Cond: eq, Nested: inner}
-		}
+	re, err := tr.expr(resultSide)
+	if err != nil {
+		return false, nil, err
 	}
+	eq := &ram.Constraint{Op: ram.CmpEQ, Type: aggType, L: result, R: re}
 	return true, func(inner ram.Operation) ram.Operation {
-		node.Nested = post(inner)
+		node.Nested = &ram.Filter{Cond: eq, Nested: inner}
 		return node
 	}, nil
 }

@@ -2,10 +2,13 @@ package store
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
+	"syscall"
 )
 
 // Snapshots are whole-state checkpoints written atomically: the payload
@@ -31,37 +34,69 @@ func ListSnapshots(dir string) ([]uint64, error) {
 
 // WriteSnapshot atomically persists payload at path.
 func WriteSnapshot(path string, payload []byte) error {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
 	var hdr [16]byte
 	copy(hdr[:8], snapMagic)
 	binary.BigEndian.PutUint64(hdr[8:], uint64(len(payload)))
 	var foot [4]byte
 	binary.BigEndian.PutUint32(foot[:], crc32.ChecksumIEEE(payload))
-	for _, b := range [][]byte{hdr[:], payload, foot[:]} {
-		if _, err = f.Write(b); err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return err
+	return WriteFileAtomic(path, hdr[:], payload, foot[:])
+}
+
+// WriteFileAtomic replaces the file at path with the concatenated chunks so
+// that a reader, also after a crash, finds either no file or a complete
+// one: the chunks go to path+".tmp", which is fsynced and renamed into
+// place, and then the directory is fsynced so the rename is durable. A
+// crash before the rename leaves only the temp file, which LockDir sweeps.
+// Every error is returned, except a directory fsync that fails with
+// EINVAL or an "unsupported" errno (errors.ErrUnsupported): file systems
+// that cannot sync a directory report one of those. Windows cannot fsync a
+// directory at all, so there the directory is not synced. Without the
+// directory sync the rename is as durable as the platform makes it.
+func WriteFileAtomic(path string, chunks ...[]byte) error {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	if err != nil {
+		return err
+	}
+	for _, c := range chunks {
+		if _, err = f.Write(c); err != nil {
+			break
 		}
 	}
-	if err = f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+	if err == nil {
+		err = f.Sync()
 	}
-	if err = f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err = os.Rename(tmp, path); err != nil {
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
 		os.Remove(tmp)
 		return err
 	}
 	return syncDir(filepath.Dir(path))
+}
+
+// syncDir fsyncs a directory so a just-renamed file's directory entry is
+// durable; see WriteFileAtomic for the errors it accepts.
+func syncDir(dir string) error {
+	if runtime.GOOS == "windows" {
+		return nil
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if errors.Is(err, syscall.EINVAL) || errors.Is(err, errors.ErrUnsupported) {
+		err = nil
+	}
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // ReadSnapshot loads and verifies the snapshot at path.
@@ -82,16 +117,4 @@ func ReadSnapshot(path string) ([]byte, error) {
 		return nil, fmt.Errorf("store: snapshot %s checksum mismatch", path)
 	}
 	return payload, nil
-}
-
-// syncDir fsyncs a directory so a just-renamed file's directory entry is
-// durable. Best-effort on platforms where directories reject fsync.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return nil
-	}
-	defer d.Close()
-	d.Sync()
-	return nil
 }

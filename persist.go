@@ -120,7 +120,7 @@ func openPersistence(p *Program, cfg PersistenceConfig) (*persistence, error) {
 		}
 	} else {
 		raw, _ := json.Marshal(manifest{Version: 1, Program: p.hash})
-		if err := os.WriteFile(mPath, raw, 0o644); err != nil {
+		if err := store.WriteFileAtomic(mPath, raw); err != nil {
 			lock.Release()
 			return nil, err
 		}

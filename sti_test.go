@@ -472,3 +472,78 @@ sizeTwin(x, n) :- s(x), n = count : { eq(x, _) }.
 		})
 	})
 }
+
+// TestArgumentExpressionOverAtomVariables: an atom argument expression
+// reading the atom's own new variable, e(x, x+1), as a positive atom and in
+// an aggregate body, gives the rows of its twin that binds the element and
+// compares it (e(x, y), y = x + 1) on both backends and in a resident
+// database through Apply, inserts and then a delete.
+func TestArgumentExpressionOverAtomVariables(t *testing.T) {
+	const decls = `
+.decl e(x:number, y:number)
+.input e
+.decl step(x:number)
+.decl stepTwin(x:number)
+`
+	for name, tc := range map[string]struct {
+		rules       string
+		want, after string // step's rows after the inserts, and after the delete
+	}{
+		"positive": {`
+step(x) :- e(x, x+1).
+stepTwin(x) :- e(x, y), y = x + 1.
+`, "[[1] [2]]", "[[1]]"},
+		"aggregate": {`
+step(n) :- n = count : { e(x, x+1) }.
+stepTwin(n) :- n = count : { e(x, y), y = x + 1 }.
+`, "[[2]]", "[[1]]"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			prog := MustParse(decls + tc.rules)
+			check := func(t *testing.T, rows func(string) [][]any, want string) {
+				t.Helper()
+				a, b := fmt.Sprint(rows("step")), fmt.Sprint(rows("stepTwin"))
+				if a != want || b != want {
+					t.Errorf("step = %s, stepTwin = %s, want %s", a, b, want)
+				}
+			}
+			in := prog.NewInput()
+			in.Add("e", 1, 2).Add("e", 2, 3).Add("e", 3, 5)
+			for backend, opts := range map[string][]Option{"interpreter": nil, "compiled": {WithBackend(Compiled)}} {
+				res, err := prog.Run(in, opts...)
+				if err != nil {
+					t.Fatalf("%s: %v", backend, err)
+				}
+				t.Run(backend, func(t *testing.T) { check(t, res.Rows, tc.want) })
+			}
+
+			db, err := prog.Open()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			for i, step := range []struct {
+				batch *Batch
+				want  string
+			}{
+				{db.NewBatch().Add("e", 1, 2).Add("e", 2, 3).Add("e", 3, 5), tc.want},
+				{db.NewBatch().Delete("e", 2, 3), tc.after},
+			} {
+				if err := db.Apply(step.batch); err != nil {
+					t.Fatal(err)
+				}
+				s := db.Snapshot()
+				t.Run(fmt.Sprintf("resident-%d", i), func(t *testing.T) {
+					check(t, func(name string) [][]any {
+						rows, err := s.Query(name)
+						if err != nil {
+							t.Fatal(err)
+						}
+						return rows
+					}, step.want)
+				})
+				s.Release()
+			}
+		})
+	}
+}
