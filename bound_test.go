@@ -33,11 +33,14 @@ var boundTypes = []struct {
 
 // boundProgram is one generated rule over a(x, k), b(y, k), c(z): the
 // program with its inequalities as written, the oracle with every compared
-// column hidden, and the input.
+// column hidden, and the input. decls, head, body and cmps are the parts src
+// is made of, for generators that extend the rule (genExprProgram).
 type boundProgram struct {
-	typ         int
-	src, oracle string
-	a, b, c     [][]any
+	typ               int
+	src, oracle       string
+	a, b, c           [][]any
+	decls, head, body string
+	cmps              []string
 }
 
 // outerVarRE matches the outer variable x in an outer side (not the x of max).
@@ -133,7 +136,7 @@ pad("").
 	rule := func(cs []string) string {
 		return fmt.Sprintf("%s%s :- %s, %s.\n", decls, head, body, strings.Join(cs, ", "))
 	}
-	p := boundProgram{typ: ti, src: rule(src), oracle: rule(oracle)}
+	p := boundProgram{typ: ti, src: rule(src), oracle: rule(oracle), decls: decls, head: head, body: body, cmps: src}
 	pick := func() any { return bt.values[rng.Intn(len(bt.values))] }
 	for i := 0; i < 10; i++ {
 		p.a = append(p.a, []any{pick(), rng.Intn(3)})

@@ -18,6 +18,10 @@ type ruleTranslator struct {
 	uses      map[string]int      // variable occurrence counts across the clause
 	tid       int                 // next tuple slot
 	forceScan bool                // disable the existence-check collapse (version.exclude)
+	// pending holds the argument equalities of bound atoms that read a
+	// variable no atom had bound yet (atomBinding.later); translateRule
+	// attaches them as deferred literals.
+	pending []ast.Literal
 }
 
 // translateRule emits one semi-naive version of a rule as a Query.
@@ -34,7 +38,8 @@ func (t *translator) translateRule(c *ast.Clause, v version) (ram.Statement, err
 	})
 
 	// Split the body into positive atoms (loop levels) and deferred
-	// literals (negations and constraints, attached as early as possible).
+	// literals (negations and constraints, attached as early as possible;
+	// an atom's pending argument equalities join them as it binds).
 	type bodyAtom struct {
 		atom *ast.Atom
 		pos  int
@@ -106,6 +111,11 @@ func (t *translator) translateRule(c *ast.Clause, v version) (ram.Statement, err
 	// attachReady emits deferred literals whose variables are all bound.
 	var attachReady func() error
 	attachReady = func() error {
+		for _, l := range tr.pending {
+			defers = append(defers, deferred{lit: l})
+			emitted = append(emitted, false)
+		}
+		tr.pending = nil
 		for progress := true; progress; {
 			progress = false
 			for i, d := range defers {
@@ -250,6 +260,9 @@ func (tr *ruleTranslator) atomLevel(at *ast.Atom, rel *ram.Relation) (func(ram.O
 	}
 	tr.tid++
 	maps.Copy(tr.env, b.binds)
+	for _, l := range b.later {
+		tr.pending = append(tr.pending, l)
+	}
 	return func(inner ram.Operation) ram.Operation {
 		if b.eqs != nil {
 			inner = &ram.Filter{Cond: b.eqs, Nested: inner}
@@ -259,12 +272,15 @@ func (tr *ruleTranslator) atomLevel(at *ast.Atom, rel *ram.Relation) (func(ram.O
 }
 
 // atomBinding is a body atom bound to one tuple slot: the search pattern
-// over its relation, the new variables bound to elements of the slot, and
-// the equalities a repeated new variable imposes between those elements.
+// over its relation, the new variables bound to elements of the slot, the
+// equalities a repeated new variable imposes between those elements, and
+// the equalities of argument expressions that must wait for a variable no
+// atom has bound yet.
 type atomBinding struct {
 	pattern []ram.Expr
 	binds   map[string]ram.Expr
 	eqs     ram.Condition
+	later   []*ast.Constraint
 }
 
 // bindAtom binds atom at, read from rel, to tuple slot tid. It is the one
@@ -274,7 +290,13 @@ type atomBinding struct {
 // single-use one is a wildcard), and each further occurrence in the atom is
 // an equality against the first. An argument expression that reads one of
 // the atom's new variables (e(x, x+1)) is an equality too: its element
-// against the expression over the elements those variables bind to.
+// against the expression over the elements those variables bind to. One
+// that reads a variable bound neither before the atom nor by it (e(y+1, x)
+// ahead of s(y), where the update and delete variants may also rotate it)
+// binds its element to a hidden variable, @t<slot>.<position> (no source
+// variable starts with @), and is the equality of that variable with the
+// expression (atomBinding.later): a constraint like any other, attached
+// once a later literal binds the rest.
 //
 // An eqrel keeps only its natural order, so a search keying only column 1
 // is bound as its mirror keying column 0: the relation is symmetric, so
@@ -326,6 +348,13 @@ func (tr *ruleTranslator) bindAtom(at *ast.Atom, rel *ram.Relation, tid int) (at
 			b.pattern[i] = re
 			continue
 		}
+		elem := &ram.TupleElement{TupleID: tid, Elem: i}
+		if !tr.groundWith(args[i], b.binds) {
+			hidden := fmt.Sprintf("@t%d.%d", tid, i)
+			b.binds[hidden] = elem
+			b.later = append(b.later, &ast.Constraint{Op: ast.CmpEQ, L: &ast.Var{Name: hidden}, R: args[i]})
+			continue
+		}
 		// The expression reads new variables of this atom: translate it
 		// with them bound to their elements, then unbind them again.
 		maps.Copy(tr.env, b.binds)
@@ -336,10 +365,7 @@ func (tr *ruleTranslator) bindAtom(at *ast.Atom, rel *ram.Relation, tid int) (at
 		if err != nil {
 			return atomBinding{}, err
 		}
-		b.eqs = ram.Conj(b.eqs, &ram.Constraint{
-			Op: ram.CmpEQ, Type: rel.Types[i],
-			L: &ram.TupleElement{TupleID: tid, Elem: i}, R: re,
-		})
+		b.eqs = ram.Conj(b.eqs, &ram.Constraint{Op: ram.CmpEQ, Type: rel.Types[i], L: elem, R: re})
 	}
 	return b, nil
 }
@@ -526,7 +552,7 @@ func (tr *ruleTranslator) tryAggregate(c *ast.Constraint, agg *ast.Aggregate) (b
 	}
 	maps.Copy(tr.env, b.binds)
 	cond := b.eqs
-	for _, cc := range conss {
+	for _, cc := range append(conss, b.later...) {
 		le, err := tr.expr(cc.L)
 		if err != nil {
 			return false, nil, err
@@ -609,13 +635,17 @@ func cmpOf(op ast.CmpOp) ram.CmpOp {
 }
 
 // ground reports whether all variables in e are currently bound.
-func (tr *ruleTranslator) ground(e ast.Expr) bool {
+func (tr *ruleTranslator) ground(e ast.Expr) bool { return tr.groundWith(e, nil) }
+
+// groundWith reports whether all variables in e are bound, currently or in
+// extra.
+func (tr *ruleTranslator) groundWith(e ast.Expr, extra map[string]ram.Expr) bool {
 	ok := true
 	ast.WalkExpr(e, func(sub ast.Expr) {
 		if v, isV := sub.(*ast.Var); isV {
-			if _, bound := tr.env[v.Name]; !bound {
-				ok = false
-			}
+			_, bound := tr.env[v.Name]
+			_, now := extra[v.Name]
+			ok = ok && (bound || now)
 		}
 	})
 	return ok

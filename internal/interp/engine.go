@@ -248,23 +248,7 @@ func (e *Engine) execTree(io IOHandler, root *inode) (err error) {
 	if io == nil {
 		io = NewMemIO()
 	}
-	if e.cfg.Profile && e.prof == nil {
-		e.prof = newProfiler(e.prog.NumRules)
-	}
-	if e.cfg.Provenance && e.prov == nil {
-		e.prov = newProvenance(len(e.prog.Relations))
-	}
-	ex := &executor{
-		eng:     e,
-		io:      io,
-		prof:    e.prof,
-		prov:    e.prov,
-		tel:     e.tel,
-		profile: e.cfg.Profile,
-		count:   e.cfg.Profile || e.tel != nil,
-		lean:    e.cfg.LeanDispatch,
-		workers: e.cfg.Workers,
-	}
+	ex := e.newExecutor(io)
 	defer func() {
 		if r := recover(); r != nil {
 			if re, ok := r.(*RuntimeError); ok {
@@ -283,6 +267,27 @@ func (e *Engine) execTree(io IOHandler, root *inode) (err error) {
 		e.prof.super += ctx.stats.super
 	}
 	return nil
+}
+
+// newExecutor is the walk state of one tree execution against io.
+func (e *Engine) newExecutor(io IOHandler) *executor {
+	if e.cfg.Profile && e.prof == nil {
+		e.prof = newProfiler(e.prog.NumRules)
+	}
+	if e.cfg.Provenance && e.prov == nil {
+		e.prov = newProvenance(len(e.prog.Relations))
+	}
+	return &executor{
+		eng:     e,
+		io:      io,
+		prof:    e.prof,
+		prov:    e.prov,
+		tel:     e.tel,
+		profile: e.cfg.Profile,
+		count:   e.cfg.Profile || e.tel != nil,
+		lean:    e.cfg.LeanDispatch,
+		workers: e.cfg.Workers,
+	}
 }
 
 // Run executes the whole program — load, eval, store — in one shot. io
@@ -545,22 +550,48 @@ func (e *Engine) Query(name string, pattern tuple.Tuple, mask []bool) (out []tup
 			k++
 		}
 	}
-	order := idx.Order()
-	it := relation.NewDecoder(idx.PrefixScan(order.Encoded(pattern), k), order)
-	for {
-		t, ok := it.Next()
-		if !ok {
-			return out, covered, nil
-		}
-		if !covered && !matches(t, pattern, mask) {
-			continue
-		}
-		if mirror {
-			out = append(out, tuple.Tuple{t[1], t[0]})
-		} else {
-			out = append(out, tuple.Clone(t))
-		}
+	rows := &rowCollector{arity: rd.Arity, mirror: mirror}
+	if !covered {
+		rows.pattern, rows.mask = pattern, mask
 	}
+	idx.Order().Encode(rows.prefix[:rd.Arity], pattern)
+	relation.Walk(idx, rows.prefix[:], k, rows)
+	return rows.out, covered, nil
+}
+
+// rowCollector is the relation.Visitor of a served query: each tuple is
+// decoded into a fresh row that is kept when it matches, so a covered query
+// allocates the rows it returns and, on a B-tree, nothing per tuple besides.
+// A row that fails the filter is the slot of the next tuple.
+type rowCollector struct {
+	out    []tuple.Tuple
+	next   tuple.Tuple
+	arity  int
+	mirror bool // swap the two columns of a kept row (an eqrel's mirror)
+	// pattern and mask filter the rows of an uncovered answer (mask nil:
+	// every row matches).
+	pattern tuple.Tuple
+	mask    []bool
+	prefix  [relation.MaxArity]value.Value // the encoded search prefix
+}
+
+func (c *rowCollector) Slot() tuple.Tuple {
+	if c.next == nil {
+		c.next = make(tuple.Tuple, c.arity)
+	}
+	return c.next
+}
+
+func (c *rowCollector) Visit(t tuple.Tuple) bool {
+	if !matches(t, c.pattern, c.mask) {
+		return true
+	}
+	if c.mirror {
+		t[0], t[1] = t[1], t[0]
+	}
+	c.out = append(c.out, t)
+	c.next = nil
+	return true
 }
 
 func matches(t, pattern tuple.Tuple, mask []bool) bool {
@@ -577,7 +608,7 @@ func matches(t, pattern tuple.Tuple, mask []bool) bool {
 // follow in the primary's relative order (the tail of ServedOrder), so its
 // prefix scan yields the matching rows in the order the primary holds them.
 func matchIndex(rel *relation.Relation, mask []bool) (relation.Index, int) {
-	want := ServedOrder(rel.Primary().Order(), mask)
+	primary := rel.Primary().Order()
 	k := 0
 	for _, b := range mask {
 		if b {
@@ -586,12 +617,31 @@ func matchIndex(rel *relation.Relation, mask []bool) (relation.Index, int) {
 	}
 	for i := 0; i < rel.NumIndexes(); i++ {
 		idx := rel.Index(i)
-		order := idx.Order()
-		if slices.Equal(order[k:], want[k:]) && !slices.ContainsFunc(order[:k], func(p int) bool { return !mask[p] }) {
+		if serves(idx.Order(), primary, mask, k) {
 			return idx, k
 		}
 	}
 	return nil, 0
+}
+
+// serves reports whether order is ServedOrder(primary, mask) up to the order
+// of its first k, bound, positions.
+func serves(order, primary tuple.Order, mask []bool, k int) bool {
+	for _, p := range order[:k] {
+		if !mask[p] {
+			return false
+		}
+	}
+	j := k
+	for _, p := range primary {
+		if !mask[p] {
+			if order[j] != p {
+				return false
+			}
+			j++
+		}
+	}
+	return true
 }
 
 // ServedOrder is the order that answers a bound set in primary order: the
@@ -744,15 +794,9 @@ func (e *Engine) Tuples(name string) ([]tuple.Tuple, error) {
 	if rel == nil {
 		return nil, fmt.Errorf("unknown relation %s", name)
 	}
-	var out []tuple.Tuple
-	it := rel.Scan()
-	for {
-		t, ok := it.Next()
-		if !ok {
-			return out, nil
-		}
-		out = append(out, tuple.Clone(t))
-	}
+	rows := &rowCollector{arity: rel.Arity()}
+	relation.Walk(rel.Primary(), nil, 0, rows)
+	return rows.out, nil
 }
 
 // SymbolTable exposes the engine's symbol table.

@@ -69,13 +69,23 @@ func spill(ctx *context) {
 	ctx.pad[7]++
 }
 
-// execQuery runs one rule version in a fresh context. It is a method of its
-// own so that its conditional defer stays out of execute: a defer anywhere in
-// the dispatch loop makes every instruction return through deferreturn.
+// execQuery runs one rule version in the query's context, reset for the
+// run, so a query that runs once per batch or per fixpoint iteration
+// allocates nothing. A staged (parallel) query takes a fresh context with
+// its own staging buffers. It is a method of its own so that its conditional
+// defer stays out of execute: a defer anywhere in the dispatch loop makes
+// every instruction return through deferreturn.
 func (ex *executor) execQuery(n *inode) value.Value {
-	qctx := newContext(n.widths)
-	if n.staged {
+	qctx := n.qctx
+	switch {
+	case n.staged:
+		qctx = newContext(n.widths)
 		qctx.stage = make([]*relation.StagingBuffer, len(ex.eng.rels))
+	case qctx == nil:
+		qctx = newContext(n.widths)
+		n.qctx = qctx
+	default:
+		qctx.reset()
 	}
 	if ex.prov != nil {
 		prevQ := ex.curQ
@@ -146,15 +156,9 @@ func (ex *executor) execute(n *inode, ctx *context) value.Value {
 		return 0
 	case opMerge:
 		mspan := ex.tel.Begin()
-		it := n.rel2.Scan()
-		for {
-			t, ok := it.Next()
-			if !ok {
-				ex.tel.End(mspan, "merge", n.rel.Name)
-				return 0
-			}
-			n.rel.Insert(t)
-		}
+		n.rel.InsertFrom(n.rel2)
+		ex.tel.End(mspan, "merge", n.rel.Name)
+		return 0
 	case opSubtract:
 		if n.shadow.(*ram.Subtract).Dst.Kind == ram.AuxDel {
 			// DRed's del_R := del_R − red_R: red_R ⊆ del_R holds the
@@ -163,15 +167,9 @@ func (ex *executor) execute(n *inode, ctx *context) value.Value {
 			ex.eng.rederived += uint64(n.rel2.Size())
 		}
 		sspan := ex.tel.Begin()
-		it := n.rel2.Scan()
-		for {
-			t, ok := it.Next()
-			if !ok {
-				ex.tel.End(sspan, "subtract", n.rel.Name)
-				return 0
-			}
-			n.rel.Delete(t)
-		}
+		n.rel.DeleteFrom(n.rel2)
+		ex.tel.End(sspan, "subtract", n.rel.Name)
+		return 0
 	case opIO:
 		iospan := ex.tel.Begin()
 		ex.execIO(n)

@@ -141,6 +141,9 @@ type inode struct {
 	label  string
 	ruleID int32
 	widths []int32 // query: context tuple widths by tupleID
+	// qctx is a non-staged query's context, made on its first run and reset
+	// for every later one (execQuery).
+	qctx *context
 	// provenance metadata: the insert target's base relation, the per-tid
 	// base relations of the query's scans (-1 = not a relation binding),
 	// and the query's positive fully-bound existence checks (whose matched
@@ -234,6 +237,15 @@ func (ctx *context) clone() *context {
 		c.stage = make([]*relation.StagingBuffer, len(ctx.stage))
 	}
 	return c
+}
+
+// reset readies a reused context for the next run of its query: every slot
+// back at its own storage (scans and aggregates rebind them), counters
+// zeroed, no pending exit.
+func (ctx *context) reset() {
+	copy(ctx.tuples, ctx.base)
+	ctx.stats = opStats{}
+	ctx.exit = false
 }
 
 func newContext(widths []int32) *context {

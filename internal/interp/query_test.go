@@ -222,3 +222,51 @@ func TestScanRangeNarrowsPrimary(t *testing.T) {
 		}
 	}
 }
+
+// rowSink keeps the reference rows of TestCoveredQueryAllocatesItsRows on the
+// heap, as Query's are.
+var rowSink []tuple.Tuple
+
+// A covered query allocates the rows it returns and the slice that holds
+// them, plus its one visitor, and nothing for the search or per tuple: its
+// allocations are those of appending as many fresh rows to a nil slice, plus
+// one, whether it returns 1 row of r's 10 000 or 100. The primary is not in
+// natural order, so every row is decoded.
+func TestCoveredQueryAllocatesItsRows(t *testing.T) {
+	src := ".decl r(a:number, b:number, c:number)\n.input r\n.output r\nr2(a) :- r(a, 7, _).\n.decl r2(a:number)\n"
+	var ts []tuple.Tuple
+	for i := 0; i < 10_000; i++ {
+		ts = append(ts, tuple.Tuple{value.Value(i), value.Value(i % 100), value.Value(i / 100)})
+	}
+	eng, _ := run(t, src, map[string][]tuple.Tuple{"r": ts}, DefaultConfig())
+	if eng.Relation("r").Primary().Order().IsIdentity() {
+		t.Fatalf("r's primary is in natural order: %v", eng.Relation("r").Primary().Order())
+	}
+	for _, c := range []struct {
+		pattern tuple.Tuple
+		mask    []bool
+		rows    int
+	}{
+		{tuple.Tuple{307, 7, 0}, []bool{true, true, false}, 1},
+		{tuple.Tuple{0, 7, 0}, []bool{false, true, false}, 100},
+	} {
+		rows, covered, err := eng.Query("r", c.pattern, c.mask)
+		if err != nil || !covered || len(rows) != c.rows {
+			t.Fatalf("r%v: %d rows, covered %v, err %v; want %d covered rows", c.pattern, len(rows), covered, err, c.rows)
+		}
+		want := testing.AllocsPerRun(20, func() {
+			rowSink = nil
+			for i := 0; i < c.rows; i++ {
+				rowSink = append(rowSink, make(tuple.Tuple, 3))
+			}
+		}) + 1
+		got := testing.AllocsPerRun(20, func() {
+			if _, _, err := eng.Query("r", c.pattern, c.mask); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != want {
+			t.Errorf("r%v, %d rows: %v allocations per query, want %v", c.pattern, c.rows, got, want)
+		}
+	}
+}

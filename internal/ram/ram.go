@@ -141,9 +141,9 @@ type Program struct {
 	// facts have been staged into the recent_R relations. It is nil when
 	// the program is not insert-monotone (negation or aggregates), in
 	// which case resident engines fall back to full recomputation.
-	// The peephole RAM optimization passes rewrite Main only; index
-	// selection (indexselect.Assign) reads Main, Update and Delete together
-	// so the entry points share one set of index orders.
+	// The peephole RAM optimization passes (ramopt) rewrite every entry
+	// point; index selection (indexselect.Assign) reads Main, Update and
+	// Delete together so the entry points share one set of index orders.
 	Update Statement
 	// NoUpdateReason is the monotonicity-analysis fact explaining a nil
 	// Update ("" when an update program was emitted): it names the first

@@ -17,9 +17,12 @@
 //     operation — only needs *one* witness, so it becomes a choice over the
 //     same search that stops at the first match.
 //
-// All three are peephole rewrites of Main. None adds or removes a search,
-// unbinds a pattern position or drops a range bound, so the index orders and IndexIDs the
-// translator's index selection (indexselect.Assign) wrote stay valid; the
+// All three are peephole rewrites of every entry point: Main, and the
+// incremental Update and Delete programs a resident database runs once per
+// applied batch, where a statement's fixed cost weighs most. None adds or
+// removes a search, unbinds a pattern position or drops a range bound, so
+// the index orders and IndexIDs the translator's index selection
+// (indexselect.Assign) wrote stay valid; the
 // armed verifier's index-id and index-prefix rules catch a pass that breaks
 // that. Every pass keeps every relation queryable after the run
 // (sti.Result, Explain, Database observe all of them), so there is one pass
@@ -116,11 +119,12 @@ type optimizer struct {
 	foldConstants, fuseFilters, choices bool
 }
 
-// run applies the rewrite to Main. The receiver is a per-call copy, so
-// concurrent Optimize calls share nothing.
+// run applies the rewrite to every entry point (Main, Update, Delete; an
+// absent one stays nil). The receiver is a per-call copy, so concurrent
+// Optimize calls share nothing.
 func (o optimizer) run(p *ram.Program, st *symtab.Table) {
 	o.st = st
-	p.Main = o.stmt(p.Main)
+	p.Main, p.Update, p.Delete = o.stmt(p.Main), o.stmt(p.Update), o.stmt(p.Delete)
 }
 
 func (o *optimizer) stmt(s ram.Statement) ram.Statement {

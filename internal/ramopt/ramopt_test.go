@@ -2,6 +2,7 @@ package ramopt_test
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -132,6 +133,13 @@ out(x) :- node(x), e(x, y), y > 10.
 	}
 }
 
+// A choice keeps one witness of its search, so no CHOICE may bind a tuple
+// that the operation under it reads: per CHOICE node, in every entry point,
+// its nested operation reads no element of its tuple (its condition may). In
+// Main, out(x, y) projects e's tuple, so e stays a scan. The Delete
+// program's rederive round scans the overdeleted heads ([head<-@del_out])
+// and only tests that e still holds each one: there the e search, keyed on
+// e's whole tuple, is a choice.
 func TestNoChoiceWhenTupleUsed(t *testing.T) {
 	src := `
 .decl e(x:number, y:number)
@@ -140,9 +148,59 @@ func TestNoChoiceWhenTupleUsed(t *testing.T) {
 out(x, y) :- e(x, y), y > 10.
 `
 	rp, _ := build(t, src, true)
-	if strings.Contains(rp.String(), "CHOICE") {
-		t.Fatalf("choice introduced although the tuple is projected:\n%s", rp.String())
+	if rp.Update == nil || rp.Delete == nil {
+		t.Fatalf("program has no incremental entry points: %s %s", rp.NoUpdateReason, rp.NoDeleteReason)
 	}
+	for _, entry := range rp.Entries() {
+		ram.Inspect(entry, func(n any) bool {
+			if c, ok := n.(*ram.Choice); ok && readsTuple(c.Nested, c.TupleID) {
+				t.Errorf("CHOICE on %s binds t%d, which its body reads:\n%s", c.Rel.Name, c.TupleID, rp.String())
+			}
+			return true
+		})
+	}
+	mainScan := false
+	ram.Inspect(rp.Main, func(n any) bool {
+		switch n := n.(type) {
+		case *ram.Choice:
+			t.Errorf("choice introduced in Main although the tuple is projected:\n%s", rp.String())
+		case *ram.Scan:
+			mainScan = mainScan || n.Rel.Name == "e" && readsTuple(n.Nested, n.TupleID)
+		}
+		return true
+	})
+	if !mainScan {
+		t.Fatalf("Main has no scan of e whose body reads its tuple:\n%s", rp.String())
+	}
+	headChoice := false
+	ram.Inspect(rp.Delete, func(n any) bool {
+		q, ok := n.(*ram.Query)
+		if !ok || !strings.HasSuffix(q.Label, "[head<-@del_out]") {
+			return true
+		}
+		ram.Inspect(q.Root, func(n any) bool {
+			if c, ok := n.(*ram.Choice); ok && c.Rel.Name == "e" && !slices.Contains(c.Pattern, nil) {
+				headChoice = true
+			}
+			return true
+		})
+		return false
+	})
+	if !headChoice {
+		t.Fatalf("Delete's head-scan rederive has no full-key CHOICE on e:\n%s", rp.String())
+	}
+}
+
+// readsTuple reports whether any tuple element under node reads slot tid.
+func readsTuple(node any, tid int) bool {
+	reads := false
+	ram.Inspect(node, func(n any) bool {
+		if te, ok := n.(*ram.TupleElement); ok && te.TupleID == tid {
+			reads = true
+		}
+		return !reads
+	})
+	return reads
 }
 
 // runAll executes a RAM program on all three in-process backends and

@@ -19,7 +19,7 @@ type KeyFunc[K any] func([MaxArity]value.Value) K
 // tuples_gen.go; toKey/fromKey are the per-arity conversion glue installed
 // by the generated factory. Because toKey takes arrays, the encoding
 // buffers below stay on the stack: Insert, Delete, Contains, ContainsEncoded,
-// AnyMatch and InsertAll allocate nothing.
+// AnyMatch, InsertAll and walk allocate nothing.
 type btreeAdapter[K btree.Key[K]] struct {
 	tree    *btree.Tree[K]
 	order   tuple.Order
@@ -101,6 +101,36 @@ func (a *btreeAdapter[K]) RangeScan(pattern tuple.Tuple, k int, lo, hi value.Val
 		it:      a.tree.Range(a.toKey(klo), a.toKey(khi)),
 		fromKey: a.fromKey,
 	}, a.arity)
+}
+
+// walk is the walker capability: the search's stack iterator, each key
+// written into the visitor's slot and, in a non-natural order, decoded there
+// through a stack copy.
+func (a *btreeAdapter[K]) walk(prefix tuple.Tuple, k int, v Visitor) {
+	var it btree.Iter[K]
+	if k == 0 {
+		it = a.tree.Iter()
+	} else {
+		lo, hi := PrefixBounds(prefix[:k])
+		it = a.tree.Range(a.toKey(lo), a.toKey(hi))
+	}
+	natural := a.order.IsIdentity()
+	for {
+		key, ok := it.Next()
+		if !ok {
+			return
+		}
+		t := v.Slot()
+		a.fromKey(key, t)
+		if !natural {
+			var enc [MaxArity]value.Value
+			copy(enc[:a.arity], t)
+			a.order.Decode(t, enc[:a.arity])
+		}
+		if !v.Visit(t) {
+			return
+		}
+	}
 }
 
 func (a *btreeAdapter[K]) AnyMatch(pattern tuple.Tuple, k int) bool {

@@ -95,17 +95,17 @@ type batcher interface {
 // Nothing on the interface is telemetry: counting is countedIndex, a wrapper
 // Relation.AttachMetrics installs only when a collector is attached.
 //
-//	              BulkInserter     Deleter        Partitioner       Ranger
-//	btree         tree bulk load   yes            separator keys    tree range
-//	brie          trie bulk load   yes            -                 -
-//	eqrel         pair bulk load   -              -                 -
-//	nullary       -                yes            -                 -
-//	legacy        -                yes            -                 tree range
-//	persist       -                yes            sampled keys      -
-//	shardedIndex  one per shard    yes            shard boundaries  per shard
-//	countedIndex  as wrapped       iff wrapped    as wrapped        as wrapped
-//	without it    loop on Insert   SUBTRACT is    one partition:    the prefix
-//	                               refused        the full scan     scan
+//	              BulkInserter     Deleter        Partitioner       Ranger       walker
+//	btree         tree bulk load   yes            separator keys    tree range   stack iterator
+//	brie          trie bulk load   yes            -                 -            -
+//	eqrel         pair bulk load   -              -                 -            -
+//	nullary       -                yes            -                 -            -
+//	legacy        -                yes            -                 tree range   -
+//	persist       -                yes            sampled keys      -            -
+//	shardedIndex  one per shard    yes            shard boundaries  per shard    -
+//	countedIndex  as wrapped       iff wrapped    as wrapped        as wrapped   - (counts Scan)
+//	without it    loop on Insert   SUBTRACT is    one partition:    the prefix   the buffered
+//	                               refused        the full scan     scan         scan
 type Index interface {
 	// Order is the lexicographic order this index maintains, as a
 	// permutation from source positions to encoded positions.
@@ -190,6 +190,51 @@ func RangeScan(idx Index, pattern tuple.Tuple, k int, lo, hi value.Value) Iterat
 		return r.RangeScan(pattern, k, lo, hi)
 	}
 	return idx.PrefixScan(pattern, k)
+}
+
+// walker is the capability of stores that can run a search to its end
+// without the buffered iterator: the B-tree adapter drives a stack iterator
+// (btree.Iter) and decodes each key into the visitor's slot, so its walk
+// allocates nothing.
+type walker interface {
+	walk(prefix tuple.Tuple, k int, v Visitor)
+}
+
+// Visitor receives the tuples of a Walk in source order. Slot returns the
+// arity-wide tuple the walk decodes the next tuple into; Visit is then called
+// with it and returns false to end the walk. The tuple is the visitor's own,
+// so nothing crosses the walk that it would have to allocate.
+type Visitor interface {
+	Slot() tuple.Tuple
+	Visit(t tuple.Tuple) bool
+}
+
+// Walk runs idx's search on the first k encoded elements of prefix (every
+// tuple when k is 0) until it ends or v stops it: idx's own walk, or the
+// buffered scan decoded into v's slots in stores without one.
+func Walk(idx Index, prefix tuple.Tuple, k int, v Visitor) {
+	if w, ok := idx.(walker); ok {
+		w.walk(prefix, k, v)
+		return
+	}
+	var it Iterator
+	if k == 0 {
+		it = idx.Scan()
+	} else {
+		it = idx.PrefixScan(prefix, k)
+	}
+	order := idx.Order()
+	for {
+		t, ok := it.Next()
+		if !ok {
+			return
+		}
+		s := v.Slot()
+		order.Decode(s, t)
+		if !v.Visit(s) {
+			return
+		}
+	}
 }
 
 // bulkInserterOf is idx's own bulk load, or the one loop-insert fallback.

@@ -48,6 +48,10 @@ type Relation struct {
 	// (sharded.go); shards == 0 means unsharded.
 	shards   int
 	shardKey int
+	// slot is the tuple InsertFrom and DeleteFrom decode their source into.
+	// Both mutate r, so they never run beside another user of r, and one
+	// slot per relation suffices.
+	slot [MaxArity]value.Value
 }
 
 // New creates a relation with one index per given order. Orders must all
@@ -242,8 +246,43 @@ func (r *Relation) SwapContents(o *Relation) {
 	}
 }
 
+// InsertFrom inserts every tuple of src, a relation of r's arity, into r:
+// the MERGE statement. It walks src's primary (Walk), so on a B-tree it
+// needs no scan buffer, and merging tuples r already holds allocates
+// nothing. An empty src does no work.
+func (r *Relation) InsertFrom(src *Relation) {
+	if !src.Empty() {
+		Walk(src.indexes[0], nil, 0, (*inserting)(r))
+	}
+}
+
+// DeleteFrom deletes every tuple of src, a relation of r's arity, from r:
+// the SUBTRACT statement, by the same walk as InsertFrom. r must be
+// Deletable.
+func (r *Relation) DeleteFrom(src *Relation) {
+	if !src.Empty() {
+		Walk(src.indexes[0], nil, 0, (*deleting)(r))
+	}
+}
+
+// inserting and deleting are a relation as the Visitor of InsertFrom and
+// DeleteFrom: each decoded tuple lands in the relation's slot and is
+// inserted or deleted.
+type (
+	inserting Relation
+	deleting  Relation
+)
+
+func (v *inserting) Slot() tuple.Tuple        { return v.slot[:v.arity] }
+func (v *inserting) Visit(t tuple.Tuple) bool { (*Relation)(v).Insert(t); return true }
+func (v *deleting) Slot() tuple.Tuple         { return v.slot[:v.arity] }
+func (v *deleting) Visit(t tuple.Tuple) bool  { (*Relation)(v).Delete(t); return true }
+
 // Scan enumerates the primary index in source order (decoding if the primary
-// order is not natural).
+// order is not natural). Every dynamic scan reads through the buffered
+// iterator, which allocates BufferSize tuples when the scan opens: that pays
+// off over a long scan. A caller that runs a search to its end and needs no
+// iterator walks it instead (Walk), without the buffer on a B-tree.
 func (r *Relation) Scan() Iterator {
 	it := r.indexes[0].Scan()
 	return NewDecoder(it, r.indexes[0].Order())

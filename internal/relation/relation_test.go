@@ -638,3 +638,71 @@ func TestRelationAddIndex(t *testing.T) {
 		}()
 	}
 }
+
+// InsertFrom and DeleteFrom move every tuple of the source, in source order,
+// whatever the source's primary order and store: the B-tree walk and the
+// buffered fallback of the other stores alike. Walk on a prefix yields the
+// prefix search's tuples decoded, and stops when the visitor says so.
+func TestInsertFromDeleteFrom(t *testing.T) {
+	orders := []tuple.Order{{2, 0, 1}, {0, 1, 2}}
+	for _, rep := range []Rep{BTree, Brie, Legacy} {
+		t.Run(rep.String(), func(t *testing.T) {
+			src := New("src", rep, 3, orders)
+			dst := New("dst", BTree, 3, []tuple.Order{{1, 2, 0}})
+			for i := 0; i < 500; i++ {
+				src.Insert(tuple.Tuple{value.Value(i % 7), value.Value(i % 11), value.Value(i)})
+			}
+			dst.InsertFrom(src)
+			if got, want := drain(dst.Scan()), drain(src.Scan()); !sameSet(got, want) {
+				t.Fatalf("InsertFrom: dst holds %d tuples, src %d", len(got), len(want))
+			}
+			dst.Insert(tuple.Tuple{100, 100, 100})
+			dst.DeleteFrom(src)
+			if got := drain(dst.Scan()); len(got) != 1 || !tuple.Equal(got[0], tuple.Tuple{100, 100, 100}) {
+				t.Fatalf("DeleteFrom left %v", got)
+			}
+
+			// src's primary leads with column 2: a prefix of 2 encoded
+			// elements binds columns 2 and 0.
+			var rows walkRows
+			Walk(src.Primary(), tuple.Tuple{14, 0, 0}, 2, &rows)
+			if len(rows.ts) != 1 || !tuple.Equal(rows.ts[0], tuple.Tuple{0, 3, 14}) {
+				t.Fatalf("Walk on a prefix: %v", rows.ts)
+			}
+			stop := walkRows{limit: 3}
+			Walk(src.Primary(), nil, 0, &stop)
+			if len(stop.ts) != 3 {
+				t.Fatalf("Walk ran on after its visitor stopped it: %d tuples", len(stop.ts))
+			}
+		})
+	}
+}
+
+// walkRows is a Visitor keeping a copy of every tuple, up to limit when set.
+type walkRows struct {
+	ts    []tuple.Tuple
+	slot  [MaxArity]value.Value
+	limit int
+}
+
+func (c *walkRows) Slot() tuple.Tuple { return c.slot[:3] }
+func (c *walkRows) Visit(t tuple.Tuple) bool {
+	c.ts = append(c.ts, tuple.Clone(t))
+	return c.limit == 0 || len(c.ts) < c.limit
+}
+
+func sameSet(a, b []tuple.Tuple) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	in := map[string]bool{}
+	for _, t := range a {
+		in[fmt.Sprint(t)] = true
+	}
+	for _, t := range b {
+		if !in[fmt.Sprint(t)] {
+			return false
+		}
+	}
+	return true
+}

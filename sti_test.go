@@ -475,13 +475,16 @@ sizeTwin(x, n) :- s(x), n = count : { eq(x, _) }.
 
 // TestArgumentExpressionOverAtomVariables: an atom argument expression
 // reading the atom's own new variable, e(x, x+1), as a positive atom and in
-// an aggregate body, gives the rows of its twin that binds the element and
-// compares it (e(x, y), y = x + 1) on both backends and in a resident
-// database through Apply, inserts and then a delete.
+// an aggregate body, or reading a variable another atom binds, after it or
+// before it, e(y+1, x) beside s(y), gives the rows of its twin that binds the
+// element and compares it (e(x, y), y = x + 1) on both backends and in a
+// resident database through Apply, inserts and then a delete.
 func TestArgumentExpressionOverAtomVariables(t *testing.T) {
 	const decls = `
 .decl e(x:number, y:number)
+.decl s(x:number)
 .input e
+.input s
 .decl step(x:number)
 .decl stepTwin(x:number)
 `
@@ -497,6 +500,14 @@ stepTwin(x) :- e(x, y), y = x + 1.
 step(n) :- n = count : { e(x, x+1) }.
 stepTwin(n) :- n = count : { e(x, y), y = x + 1 }.
 `, "[[2]]", "[[1]]"},
+		"bound by a later atom": {`
+step(x) :- e(y+1, x), s(y).
+stepTwin(x) :- e(z, x), s(y), z = y + 1.
+`, "[[3] [5]]", "[[5]]"},
+		"bound by an earlier atom": {`
+step(x) :- s(y), e(y+1, x).
+stepTwin(x) :- s(y), e(z, x), z = y + 1.
+`, "[[3] [5]]", "[[5]]"},
 	} {
 		t.Run(name, func(t *testing.T) {
 			prog := MustParse(decls + tc.rules)
@@ -508,7 +519,7 @@ stepTwin(n) :- n = count : { e(x, y), y = x + 1 }.
 				}
 			}
 			in := prog.NewInput()
-			in.Add("e", 1, 2).Add("e", 2, 3).Add("e", 3, 5)
+			in.Add("e", 1, 2).Add("e", 2, 3).Add("e", 3, 5).Add("s", 1).Add("s", 2)
 			for backend, opts := range map[string][]Option{"interpreter": nil, "compiled": {WithBackend(Compiled)}} {
 				res, err := prog.Run(in, opts...)
 				if err != nil {
@@ -526,7 +537,7 @@ stepTwin(n) :- n = count : { e(x, y), y = x + 1 }.
 				batch *Batch
 				want  string
 			}{
-				{db.NewBatch().Add("e", 1, 2).Add("e", 2, 3).Add("e", 3, 5), tc.want},
+				{db.NewBatch().Add("e", 1, 2).Add("e", 2, 3).Add("e", 3, 5).Add("s", 1).Add("s", 2), tc.want},
 				{db.NewBatch().Delete("e", 2, 3), tc.after},
 			} {
 				if err := db.Apply(step.batch); err != nil {
