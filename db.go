@@ -555,14 +555,7 @@ func (db *Database) recompute() error {
 // restart. Nothing is staged in a recent_R tracker, so none needs draining.
 func (db *Database) evaluate() error {
 	for name, s := range db.asserted {
-		rel := db.eng.Relation(name)
-		for it := s.Scan(); ; {
-			t, ok := it.Next()
-			if !ok {
-				break
-			}
-			rel.Insert(t)
-		}
+		db.eng.Relation(name).InsertFrom(s)
 	}
 	return db.eng.Eval()
 }

@@ -148,6 +148,29 @@ var rows = []row{
 			want: []string{"rule.go:4:6: isPrefixOfNatural(", "rule.go:5:21: \"eqrel search requires a natural prefix\""},
 		}},
 	},
+	// Semantic analysis decides the front end's facts once: a functor's
+	// signature is its entry in internal/ast's table (ast.LookupFunctor),
+	// whose names are also the RAM intrinsics' printed names, and an
+	// expression's type is sema.ExprType's. So no other file names a
+	// functor, and the translator has one case clause for a call, the one
+	// that lowers it; a second one is a type inference of its own.
+	{
+		name: "one-front-end",
+		check: all(
+			forbid(`^"(cat|strlen|substr|ord|to_number|to_string)"$`,
+				everywhere.except("internal/ast/functor.go", "internal/ram/ram.go")),
+			exactly(1, `case \*ast\.Call:`, within("internal/ast2ram"))),
+		cases: []fixture{{
+			name: "translator-infers-types",
+			files: map[string]string{
+				"internal/ast/functor.go":  "package ast\n\nvar functors = map[string]Functor{\"cat\": {}}\n",
+				"internal/ast2ram/rule.go": "package ast2ram\n\nfunc lower(e ast.Expr) {\n\tswitch e.(type) {\n\tcase *ast.Call:\n\t}\n}\n",
+				"internal/ast2ram/types.go": "package ast2ram\n\nfunc staticType(e ast.Expr) value.Type {\n\tswitch e := e.(type) {\n\tcase *ast.Call:\n" +
+					"\t\tswitch e.Name {\n\t\tcase \"cat\", \"substr\":\n\t\t\treturn value.Symbol\n\t\t}\n\t}\n\treturn value.Number\n}\n",
+			},
+			want: []string{"internal/ast2ram/types.go:7:8: \"cat\"", "2 matches of case", "rule.go:5:7: case *ast.Call:", "types.go:5:7: case *ast.Call:"},
+		}},
+	},
 	// Read-only analyses are ram.Inspect visitors. Only code that rewrites
 	// the RAM tree or threads state down it spells out the node set in its
 	// own switch: Inspect itself, the printer, the verifier, ramopt's
@@ -447,6 +470,7 @@ func TestCommentsAreNotCode(t *testing.T) {
 // ramopt.All( and ast2ram.Translate( and &ram.Loop{ and &ram.Exit{;
 // s.IndexID = 0; s.Orders = nil; CountMerge cbuf_ x.Counting; IndexScan;
 // isPrefixOfNatural, "requires a natural prefix"; LegacyConfig WithBackend;
+// "cat" "strlen" "to_number"; case *ast.Call:
 // store.Open( NewPersistent; metrics.IndexOps attachOps;
 //
 //	switch n.(type) {

@@ -237,8 +237,8 @@ type UnExpr struct {
 	Pos Pos
 }
 
-// Call applies a named intrinsic functor (cat, strlen, substr, ord,
-// to_number, to_string, min, max).
+// Call applies a named intrinsic functor; LookupFunctor gives its
+// signature.
 type Call struct {
 	Name string
 	Args []Expr

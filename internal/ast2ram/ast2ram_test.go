@@ -238,6 +238,41 @@ late(x) :- x + 1 = count : { e(_, _) }, s(x).
 	})
 }
 
+// TestPendingArgumentSolved pins the pending argument equalities: y ± c
+// and c + y on a number or unsigned column are solved for y, so the later
+// atom over y is an existence check keyed on the solved element; on a
+// float column the equality stays a filter. In an aggregate body, a local
+// that only a body equality binds is placed like a rule body's.
+func TestPendingArgumentSolved(t *testing.T) {
+	rp := translate(t, `
+.decl e(x:number, y:number)
+.decl s(x:number)
+.decl u(x:unsigned, y:number)
+.decl su(x:unsigned)
+.decl f(x:float, y:number)
+.decl sf(x:float)
+.decl out(x:number)
+.decl n(c:number)
+out(x) :- e(y+1, x), s(y).
+out(x) :- e(x, 3 + y), s(y).
+out(x) :- u(y - 2u, x), su(y).
+out(x) :- f(y + 1.5, x), sf(y).
+n(c) :- s(z), c = count : { e(y+1, _), y = 3 }.
+`)
+	main, _, _ := strings.Cut(rp.String(), "\nUPDATE\n")
+	for _, want := range []string{
+		"FOR t0 IN e\n      IF ((0=sub:number(t0.0, 1)) IN s)\n",
+		"FOR t0 IN e\n      IF ((0=sub:number(t0.1, 3)) IN s)\n",
+		"FOR t0 IN u\n      IF ((0=add:unsigned(t0.0, 2)) IN su)\n",
+		"FOR t0 IN f\n      FOR t1 IN sf\n        IF (t0.0 =:float add:float(t1.0, 1069547520))\n",
+		"t0 = count IN e ON INDEX (full) WHERE 3 =:number sub:number(t0.0, 1)\n",
+	} {
+		if !strings.Contains(main, want) {
+			t.Errorf("no %q in:\n%s", want, main)
+		}
+	}
+}
+
 const mutualSrc = `
 .decl seed(x:number)
 .decl a(x:number)

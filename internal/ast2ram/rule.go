@@ -295,8 +295,8 @@ type atomBinding struct {
 // ahead of s(y), where the update and delete variants may also rotate it)
 // binds its element to a hidden variable, @t<slot>.<position> (no source
 // variable starts with @), and is the equality of that variable with the
-// expression (atomBinding.later): a constraint like any other, attached
-// once a later literal binds the rest.
+// expression (atomBinding.later, see pendingEq): a constraint like any
+// other, placed once a later literal binds the rest.
 //
 // An eqrel keeps only its natural order, so a search keying only column 1
 // is bound as its mirror keying column 0: the relation is symmetric, so
@@ -350,9 +350,9 @@ func (tr *ruleTranslator) bindAtom(at *ast.Atom, rel *ram.Relation, tid int) (at
 		}
 		elem := &ram.TupleElement{TupleID: tid, Elem: i}
 		if !tr.groundWith(args[i], b.binds) {
-			hidden := fmt.Sprintf("@t%d.%d", tid, i)
-			b.binds[hidden] = elem
-			b.later = append(b.later, &ast.Constraint{Op: ast.CmpEQ, L: &ast.Var{Name: hidden}, R: args[i]})
+			hidden := &ast.Var{Name: fmt.Sprintf("@t%d.%d", tid, i)}
+			b.binds[hidden.Name] = elem
+			b.later = append(b.later, tr.pendingEq(hidden, args[i], rel.Types[i]))
 			continue
 		}
 		// The expression reads new variables of this atom: translate it
@@ -368,6 +368,34 @@ func (tr *ruleTranslator) bindAtom(at *ast.Atom, rel *ram.Relation, tid int) (at
 		b.eqs = ram.Conj(b.eqs, &ram.Constraint{Op: ram.CmpEQ, Type: rel.Types[i], L: elem, R: re})
 	}
 	return b, nil
+}
+
+// pendingEq is the equality of an atom's hidden element variable with its
+// argument expression e, which reads a variable no atom has bound yet. On a
+// number or unsigned column, y ± c (or c + y) with c ground is solved for
+// the variable y, y = hidden ∓ c: exact under the wrap-around arithmetic of
+// both types, never tried on floats. The placer then binds y, and a later
+// atom over y is keyed on it.
+func (tr *ruleTranslator) pendingEq(hidden *ast.Var, e ast.Expr, t value.Type) *ast.Constraint {
+	be, ok := e.(*ast.BinExpr)
+	if !ok || t != value.Number && t != value.Unsigned {
+		return &ast.Constraint{Op: ast.CmpEQ, L: hidden, R: e}
+	}
+	y, isVar := be.L.(*ast.Var)
+	c, inv := be.R, ast.OpSub
+	switch {
+	case be.Op == ast.OpSub:
+		inv = ast.OpAdd
+	case be.Op == ast.OpAdd && !isVar:
+		y, isVar = be.R.(*ast.Var)
+		c = be.L
+	case be.Op != ast.OpAdd:
+		isVar = false
+	}
+	if !isVar || !tr.ground(c) {
+		return &ast.Constraint{Op: ast.CmpEQ, L: hidden, R: e}
+	}
+	return &ast.Constraint{Op: ast.CmpEQ, L: y, R: &ast.BinExpr{Op: inv, L: hidden, R: c}}
 }
 
 // tryDeferred attempts to emit a negation or constraint whose variables are
@@ -396,38 +424,49 @@ func (tr *ruleTranslator) tryDeferred(l ast.Literal) (bool, func(ram.Operation) 
 		if agg, ok := aggregateSide(l); ok {
 			return tr.tryAggregate(l, agg)
 		}
-		// Binding equality: v = ground-expr (or ground-expr = v).
-		if l.Op == ast.CmpEQ {
-			for _, side := range [][2]ast.Expr{{l.L, l.R}, {l.R, l.L}} {
-				v, ok := side[0].(*ast.Var)
-				if !ok || tr.ground(v) || !tr.ground(side[1]) {
-					continue
-				}
-				e, err := tr.expr(side[1])
-				if err != nil {
-					return false, nil, err
-				}
-				tr.env[v.Name] = e
-				return true, nil, nil
-			}
+		ok, cond, err := tr.placeConstraint(l)
+		if !ok || cond == nil {
+			return ok, nil, err
 		}
-		if !tr.ground(l.L) || !tr.ground(l.R) {
-			return false, nil, nil
-		}
-		le, err := tr.expr(l.L)
-		if err != nil {
-			return false, nil, err
-		}
-		re, err := tr.expr(l.R)
-		if err != nil {
-			return false, nil, err
-		}
-		cond := &ram.Constraint{Op: cmpOf(l.Op), Type: tr.typeOf(l.L, l.R), L: le, R: re}
 		return true, func(inner ram.Operation) ram.Operation {
 			return &ram.Filter{Cond: cond, Nested: inner}
 		}, nil
 	}
 	return false, nil, &Error{Msg: fmt.Sprintf("unsupported deferred literal %T", l)}
+}
+
+// placeConstraint places a constraint once the bindings allow it, for a
+// rule body and an aggregate body alike. An equality between an unbound
+// variable and a ground side binds the variable (v = ground-expr or
+// ground-expr = v), and a ground constraint is a condition. ok is false
+// while a variable is unbound; cond is nil for a binding.
+func (tr *ruleTranslator) placeConstraint(l *ast.Constraint) (ok bool, cond ram.Condition, err error) {
+	if l.Op == ast.CmpEQ {
+		for _, side := range [][2]ast.Expr{{l.L, l.R}, {l.R, l.L}} {
+			v, ok := side[0].(*ast.Var)
+			if !ok || tr.ground(v) || !tr.ground(side[1]) {
+				continue
+			}
+			e, err := tr.expr(side[1])
+			if err != nil {
+				return false, nil, err
+			}
+			tr.env[v.Name] = e
+			return true, nil, nil
+		}
+	}
+	if !tr.ground(l.L) || !tr.ground(l.R) {
+		return false, nil, nil
+	}
+	le, err := tr.expr(l.L)
+	if err != nil {
+		return false, nil, err
+	}
+	re, err := tr.expr(l.R)
+	if err != nil {
+		return false, nil, err
+	}
+	return true, &ram.Constraint{Op: cmpOf(l.Op), Type: tr.typeOf(l.L, l.R), L: le, R: re}, nil
 }
 
 // aggregateSide detects "x = AGG" / "AGG = x" constraints.
@@ -478,63 +517,18 @@ func (tr *ruleTranslator) tryAggregate(c *ast.Constraint, agg *ast.Aggregate) (b
 	// A variable is *local* to the aggregate iff all of its occurrences in
 	// the clause are inside this aggregate; anything else is an outer
 	// variable and must already be bound (otherwise we defer and retry
-	// after a later scan binds it).
+	// after a later scan binds it). Once the outer variables are bound, the
+	// atom and the body equalities bind every local one (sema.GroundVars).
 	inAgg := map[string]int{}
-	countVars := func(e ast.Expr) {
-		ast.WalkExpr(e, func(sub ast.Expr) {
-			if v, ok := sub.(*ast.Var); ok {
-				inAgg[v.Name]++
-			}
-		})
-	}
-	ast.WalkLiterals(agg.Body, countVars)
-	if agg.Target != nil {
-		countVars(agg.Target)
-	}
-	local := map[string]bool{}
+	ast.WalkExpr(agg, func(sub ast.Expr) {
+		if v, ok := sub.(*ast.Var); ok {
+			inAgg[v.Name]++
+		}
+	})
 	for name, cnt := range inAgg {
-		if tr.uses[name] <= cnt {
-			local[name] = true
-		}
-	}
-	// Outer variables must be bound before the aggregate can be placed.
-	for name := range inAgg {
-		if local[name] {
-			continue
-		}
-		if _, bound := tr.env[name]; !bound {
+		if _, bound := tr.env[name]; !bound && tr.uses[name] > cnt {
 			return false, nil, nil
 		}
-	}
-	groundInAgg := func(e ast.Expr) bool {
-		ok := true
-		ast.WalkExpr(e, func(sub ast.Expr) {
-			if v, isV := sub.(*ast.Var); isV {
-				if _, bound := tr.env[v.Name]; !bound && !local[v.Name] {
-					ok = false
-				}
-			}
-		})
-		return ok
-	}
-	for _, e := range atom.Args {
-		if _, isV := e.(*ast.Var); isV {
-			continue
-		}
-		if _, isW := e.(*ast.Wildcard); isW {
-			continue
-		}
-		if !groundInAgg(e) {
-			return false, nil, nil
-		}
-	}
-	for _, cc := range conss {
-		if !groundInAgg(cc.L) || !groundInAgg(cc.R) {
-			return false, nil, nil
-		}
-	}
-	if agg.Target != nil && !groundInAgg(agg.Target) {
-		return false, nil, nil
 	}
 	// The result side is a variable the aggregate binds or compares, or a
 	// ground expression it compares.
@@ -542,8 +536,11 @@ func (tr *ruleTranslator) tryAggregate(c *ast.Constraint, agg *ast.Aggregate) (b
 		return false, nil, nil
 	}
 
-	// Bind the atom to the aggregate's tuple slot: local variables are in
-	// scope for the inner condition and target only.
+	// Bind the atom to the aggregate's tuple slot, then place the body
+	// constraints and the atom's pending equalities as a rule body places
+	// them, conjoined into the aggregate's condition. Local variables are in
+	// scope for the condition and target only.
+	outer := maps.Clone(tr.env)
 	tid := tr.tid
 	tr.tid++
 	b, err := tr.bindAtom(atom, rel, tid)
@@ -552,33 +549,34 @@ func (tr *ruleTranslator) tryAggregate(c *ast.Constraint, agg *ast.Aggregate) (b
 	}
 	maps.Copy(tr.env, b.binds)
 	cond := b.eqs
-	for _, cc := range append(conss, b.later...) {
-		le, err := tr.expr(cc.L)
-		if err != nil {
-			return false, nil, err
+	for pending := append(conss, b.later...); len(pending) > 0; {
+		var rest []*ast.Constraint
+		for _, cc := range pending {
+			ok, c, err := tr.placeConstraint(cc)
+			if err != nil {
+				return false, nil, err
+			}
+			if !ok {
+				rest = append(rest, cc)
+				continue
+			}
+			cond = ram.Conj(cond, c)
 		}
-		re, err := tr.expr(cc.R)
-		if err != nil {
-			return false, nil, err
+		if len(rest) == len(pending) {
+			return false, nil, &Error{Msg: fmt.Sprintf("internal: literal %s never became ground", ast.LiteralString(rest[0])), Pos: agg.Pos}
 		}
-		cond = ram.Conj(cond, &ram.Constraint{Op: cmpOf(cc.Op), Type: tr.typeOf(cc.L, cc.R), L: le, R: re})
+		pending = rest
 	}
 	var target ram.Expr
-	aggType := value.Number
 	if agg.Target != nil {
-		target, err = tr.expr(agg.Target)
-		if err != nil {
+		if target, err = tr.expr(agg.Target); err != nil {
 			return false, nil, err
 		}
-		if ty, ok := tr.info.VarTypes[varName(agg.Target)]; ok {
-			aggType = ty
-		}
 	}
-	// Remove the local bindings: after the aggregate only the result slot
+	aggType := tr.typeOf(agg)
+	// Restore the outer bindings: after the aggregate only the result slot
 	// remains visible.
-	for name := range b.binds {
-		delete(tr.env, name)
-	}
+	tr.env = outer
 
 	node := &ram.Aggregate{
 		Kind:    aggKindOf(agg.Kind),
@@ -608,13 +606,6 @@ func (tr *ruleTranslator) tryAggregate(c *ast.Constraint, agg *ast.Aggregate) (b
 		node.Nested = &ram.Filter{Cond: eq, Nested: inner}
 		return node
 	}, nil
-}
-
-func varName(e ast.Expr) string {
-	if v, ok := e.(*ast.Var); ok {
-		return v.Name
-	}
-	return ""
 }
 
 func aggKindOf(k ast.AggKind) ram.AggKind {
@@ -651,59 +642,15 @@ func (tr *ruleTranslator) groundWith(e ast.Expr, extra map[string]ram.Expr) bool
 	return ok
 }
 
-// typeOf infers the shared type of a constraint's operands.
+// typeOf is the shared type of a constraint's operands: the first one sema
+// types (sema.ExprType), or number.
 func (tr *ruleTranslator) typeOf(exprs ...ast.Expr) value.Type {
 	for _, e := range exprs {
-		if t, ok := tr.staticType(e); ok {
+		if t, ok := sema.ExprType(e, tr.info.VarTypes); ok {
 			return t
 		}
 	}
 	return value.Number
-}
-
-func (tr *ruleTranslator) staticType(e ast.Expr) (value.Type, bool) {
-	switch e := e.(type) {
-	case *ast.NumLit:
-		return value.Number, true
-	case *ast.UnsignedLit:
-		return value.Unsigned, true
-	case *ast.FloatLit:
-		return value.Float, true
-	case *ast.StrLit:
-		return value.Symbol, true
-	case *ast.Var:
-		t, ok := tr.info.VarTypes[e.Name]
-		return t, ok
-	case *ast.BinExpr:
-		if t, ok := tr.staticType(e.L); ok {
-			return t, true
-		}
-		return tr.staticType(e.R)
-	case *ast.UnExpr:
-		return tr.staticType(e.E)
-	case *ast.Call:
-		switch e.Name {
-		case "cat", "substr", "to_string":
-			return value.Symbol, true
-		case "strlen", "ord", "to_number":
-			return value.Number, true
-		case "min", "max":
-			if len(e.Args) > 0 {
-				return tr.staticType(e.Args[0])
-			}
-		}
-		return 0, false
-	case *ast.Aggregate:
-		if e.Kind == ast.AggCount {
-			return value.Number, true
-		}
-		if e.Target != nil {
-			return tr.staticType(e.Target)
-		}
-		return 0, false
-	default:
-		return 0, false
-	}
 }
 
 // expr lowers an AST expression under the current environment.
@@ -761,11 +708,7 @@ func (tr *ruleTranslator) expr(e ast.Expr) (ram.Expr, error) {
 			}
 			args[i] = ra
 		}
-		op, ty, err := callOpOf(e, tr)
-		if err != nil {
-			return nil, err
-		}
-		return &ram.Intrinsic{Op: op, Type: ty, Args: args}, nil
+		return &ram.Intrinsic{Op: callOpOf(e.Name), Type: tr.typeOf(e), Args: args}, nil
 	case *ast.Aggregate:
 		return nil, &Error{Msg: "aggregates are only supported in equalities of the form v = agg : { ... }", Pos: e.Pos}
 	default:
@@ -781,25 +724,12 @@ func binOpOf(op ast.BinOp) ram.IntrinsicOp {
 	}[op]
 }
 
-func callOpOf(e *ast.Call, tr *ruleTranslator) (ram.IntrinsicOp, value.Type, error) {
-	switch e.Name {
-	case "cat":
-		return ram.OpCat, value.Symbol, nil
-	case "strlen":
-		return ram.OpStrlen, value.Number, nil
-	case "substr":
-		return ram.OpSubstr, value.Symbol, nil
-	case "ord":
-		return ram.OpOrd, value.Number, nil
-	case "to_number":
-		return ram.OpToNumber, value.Number, nil
-	case "to_string":
-		return ram.OpToString, value.Symbol, nil
-	case "min":
-		return ram.OpMin, tr.typeOf(e.Args...), nil
-	case "max":
-		return ram.OpMax, tr.typeOf(e.Args...), nil
-	default:
-		return 0, 0, &Error{Msg: fmt.Sprintf("unknown functor %s", e.Name), Pos: e.Pos}
+// callOpOf returns the intrinsic a functor lowers to: the one printed with
+// its name (sema has rejected any name ast.LookupFunctor does not know).
+func callOpOf(name string) ram.IntrinsicOp {
+	op := ram.OpMin
+	for op.String() != name {
+		op++
 	}
+	return op
 }

@@ -243,12 +243,7 @@ func (ex *executor) execute(n *inode, ctx *context) value.Value {
 		return 0
 	case opAggregate:
 		ctx.tuples[n.tupleID] = ctx.base[n.tupleID]
-		var pat [relation.MaxArity]value.Value
-		ex.fillTuple(n, ctx, pat[:n.prefix])
-		it := n.idx.PrefixScan(pat[:n.arity], int(n.prefix))
-		if n.decode {
-			it = relation.NewDecoder(it, n.order)
-		}
+		it, _ := ex.search(n, ctx) // an aggregate's search has no range bound
 		var acc aggAcc
 		acc.Init(ram.AggKind(n.a), value.Type(n.b))
 		for {
@@ -567,10 +562,11 @@ func (ex *executor) flushStage(ctx *context) {
 	}
 }
 
-// search opens the dynamic adapter's iterator of a scan's or choice's
-// search, decoding to source coordinates when n does: the full scan of an
-// unkeyed search, else the prefix search of n's pattern, narrowed by n's
-// range bound when it has one. ok is false when the bound admits no tuple.
+// search opens the dynamic adapter's iterator of a scan's, choice's or
+// aggregate's search, decoding to source coordinates when n does: the full
+// scan of an unkeyed search, else the prefix search of n's pattern,
+// narrowed by n's range bound when it has one. ok is false when the bound
+// admits no tuple.
 func (ex *executor) search(n *inode, ctx *context) (relation.Iterator, bool) {
 	var it relation.Iterator
 	if n.prefix == 0 && n.bound == nil {

@@ -219,14 +219,19 @@ func (ck *clauseCheck) run() {
 	// Pass 1: variable types from atom positions (positive and negative),
 	// all nesting levels.
 	ck.bindAtomTypes(c.Body)
-	// Pass 2: propagate types through binding equalities until fixpoint.
+	// Pass 2: propagate types through binding equalities, aggregate
+	// bodies' included, until fixpoint.
+	eqs := equalities(c.Body)
+	ast.WalkLiterals(c.Body, func(e ast.Expr) {
+		if agg, ok := e.(*ast.Aggregate); ok {
+			eqs = append(eqs, equalities(agg.Body)...)
+		}
+	})
 	for changed := true; changed; {
 		changed = false
-		for _, l := range c.Body {
-			if cons, ok := l.(*ast.Constraint); ok && cons.Op == ast.CmpEQ {
-				if ck.propagateEq(cons) {
-					changed = true
-				}
+		for _, cons := range eqs {
+			if ck.propagateEq(cons) {
+				changed = true
 			}
 		}
 	}
@@ -239,6 +244,17 @@ func (ck *clauseCheck) run() {
 		want := head.Decl.Attrs[i].Type
 		ck.checkExprType(e, want, c.Head.Pos)
 	}
+}
+
+// equalities returns the equality constraints among lits.
+func equalities(lits []ast.Literal) []*ast.Constraint {
+	var eqs []*ast.Constraint
+	for _, l := range lits {
+		if cons, ok := l.(*ast.Constraint); ok && cons.Op == ast.CmpEQ {
+			eqs = append(eqs, cons)
+		}
+	}
+	return eqs
 }
 
 func (ck *clauseCheck) checkFact() {
@@ -346,8 +362,17 @@ func (ck *clauseCheck) propagateEq(c *ast.Constraint) bool {
 	return try(c.L, c.R) || try(c.R, c.L)
 }
 
-// inferType computes an expression's type if fully determined.
-func (ck *clauseCheck) inferType(e ast.Expr) (value.Type, bool) {
+// inferType computes an expression's type under the clause's variable
+// types, if fully determined.
+func (ck *clauseCheck) inferType(e ast.Expr) (value.Type, bool) { return ExprType(e, ck.types) }
+
+// ExprType computes an expression's type under the variable types vars
+// (a ClauseInfo's VarTypes), if fully determined: a binary or unary
+// operator has its operands' type, a functor its signature's result (min
+// and max their arguments'), count is a number and any other aggregate has
+// its target's type. It is the one type inference of the front end; the
+// translator types its RAM from it.
+func ExprType(e ast.Expr, vars map[string]value.Type) (value.Type, bool) {
 	switch e := e.(type) {
 	case *ast.NumLit:
 		return value.Number, true
@@ -358,36 +383,35 @@ func (ck *clauseCheck) inferType(e ast.Expr) (value.Type, bool) {
 	case *ast.StrLit:
 		return value.Symbol, true
 	case *ast.Var:
-		t, ok := ck.types[e.Name]
+		t, ok := vars[e.Name]
 		return t, ok
 	case *ast.BinExpr:
-		lt, lok := ck.inferType(e.L)
-		if lok {
-			return lt, true
+		if t, ok := ExprType(e.L, vars); ok {
+			return t, true
 		}
-		return ck.inferType(e.R)
+		return ExprType(e.R, vars)
 	case *ast.UnExpr:
-		return ck.inferType(e.E)
+		return ExprType(e.E, vars)
 	case *ast.Call:
-		switch e.Name {
-		case "cat", "substr", "to_string":
-			return value.Symbol, true
-		case "strlen", "ord", "to_number":
-			return value.Number, true
-		case "min", "max":
-			if len(e.Args) > 0 {
-				return ck.inferType(e.Args[0])
-			}
+		f, ok := ast.LookupFunctor(e.Name)
+		switch {
+		case !ok:
 			return 0, false
-		default:
-			return 0, false
+		case !f.Poly:
+			return f.Result, true
 		}
+		for _, a := range e.Args {
+			if t, ok := ExprType(a, vars); ok {
+				return t, true
+			}
+		}
+		return 0, false
 	case *ast.Aggregate:
 		if e.Kind == ast.AggCount {
 			return value.Number, true
 		}
 		if e.Target != nil {
-			return ck.inferType(e.Target)
+			return ExprType(e.Target, vars)
 		}
 		return 0, false
 	default:
@@ -674,77 +698,29 @@ func (ck *clauseCheck) checkExprType(e ast.Expr, want value.Type, pos ast.Pos) {
 	}
 }
 
+// typeCheckCall checks a functor call against its signature.
 func (ck *clauseCheck) typeCheckCall(e *ast.Call, want value.Type) {
-	expectArgs := func(n int) bool {
-		if len(e.Args) != n {
-			ck.a.errorf(e.Pos, "functor %s expects %d arguments, got %d", e.Name, n, len(e.Args))
-			return false
-		}
-		return true
-	}
-	switch e.Name {
-	case "cat":
-		if want != value.Symbol {
-			ck.a.errorf(e.Pos, "cat produces symbol, expected %s", want)
-		}
-		if len(e.Args) < 2 {
-			ck.a.errorf(e.Pos, "cat expects at least 2 arguments")
-			return
-		}
-		for _, a := range e.Args {
-			ck.checkExprType(a, value.Symbol, e.Pos)
-		}
-	case "strlen":
-		if want != value.Number {
-			ck.a.errorf(e.Pos, "strlen produces number, expected %s", want)
-		}
-		if expectArgs(1) {
-			ck.checkExprType(e.Args[0], value.Symbol, e.Pos)
-		}
-	case "substr":
-		if want != value.Symbol {
-			ck.a.errorf(e.Pos, "substr produces symbol, expected %s", want)
-		}
-		if expectArgs(3) {
-			ck.checkExprType(e.Args[0], value.Symbol, e.Pos)
-			ck.checkExprType(e.Args[1], value.Number, e.Pos)
-			ck.checkExprType(e.Args[2], value.Number, e.Pos)
-		}
-	case "ord":
-		if want != value.Number {
-			ck.a.errorf(e.Pos, "ord produces number, expected %s", want)
-		}
-		if expectArgs(1) {
-			ck.checkExprType(e.Args[0], value.Symbol, e.Pos)
-		}
-	case "to_number":
-		if want != value.Number {
-			ck.a.errorf(e.Pos, "to_number produces number, expected %s", want)
-		}
-		if expectArgs(1) {
-			ck.checkExprType(e.Args[0], value.Symbol, e.Pos)
-		}
-	case "to_string":
-		if want != value.Symbol {
-			ck.a.errorf(e.Pos, "to_string produces symbol, expected %s", want)
-		}
-		if expectArgs(1) {
-			ck.checkExprType(e.Args[0], value.Number, e.Pos)
-		}
-	case "min", "max":
-		if len(e.Args) < 2 {
-			ck.a.errorf(e.Pos, "%s expects at least 2 arguments", e.Name)
-			return
-		}
-		if want == value.Symbol {
-			ck.a.errorf(e.Pos, "%s cannot produce symbol", e.Name)
-			return
-		}
-		for _, a := range e.Args {
-			ck.checkExprType(a, want, e.Pos)
-		}
-	default:
+	f, ok := ast.LookupFunctor(e.Name)
+	if !ok {
 		ck.a.errorf(e.Pos, "unknown functor %s", e.Name)
+		return
+	}
+	if !f.Poly && want != f.Result {
+		ck.a.errorf(e.Pos, "%s produces %s, expected %s", e.Name, f.Result, want)
+	}
+	switch {
+	case f.Variadic && len(e.Args) < f.Arity:
+		ck.a.errorf(e.Pos, "%s expects at least %d arguments", e.Name, f.Arity)
+		return
+	case !f.Variadic && len(e.Args) != f.Arity:
+		ck.a.errorf(e.Pos, "functor %s expects %d arguments, got %d", e.Name, f.Arity, len(e.Args))
+		return
+	case f.Poly && want == value.Symbol:
+		ck.a.errorf(e.Pos, "%s cannot produce symbol", e.Name)
+		return
+	}
+	for i, a := range e.Args {
+		ck.checkExprType(a, f.ArgType(i, want), e.Pos)
 	}
 }
 

@@ -1,6 +1,7 @@
 package sema
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -293,6 +294,25 @@ n(bogus(x)) :- n(x).
 `)
 	if !errorsContain(errs, "unknown functor") {
 		t.Fatalf("errors = %v", errs)
+	}
+	// Every functor message, in order, as the signature table yields it.
+	for _, c := range []struct{ rule, want string }{
+		{`n(cat("a", "b")) :- n(x).`, `[4:3: cat produces symbol, expected number]`},
+		{`s(y) :- n(x), y = cat("a").`, `[4:19: cat expects at least 2 arguments]`},
+		{`n(y) :- n(x), y = strlen("a", "b").`, `[4:19: functor strlen expects 1 arguments, got 2]`},
+		{`s(y) :- s(x), y = substr(x, 1).`, `[4:19: functor substr expects 3 arguments, got 2]`},
+		{`s(y) :- s(x), y = to_string(x).`, `[4:29: variable x has type symbol, expected number]`},
+		{`n(max(x, "a")) :- n(x).`, `[4:10: string literal "a" used as number]`},
+		{`s(y) :- s(y), y = min(y, "a").`, `[4:19: min cannot produce symbol]`},
+		{`n(y) :- n(x), y = max(x).`, `[4:19: max expects at least 2 arguments]`},
+		{`n(y) :- n(x), y = ord(x, 1).`, `[4:19: functor ord expects 1 arguments, got 2]`},
+		{`n(y) :- n(x), y = to_number(x).`, `[4:29: variable x has type number, expected symbol]`},
+		{`n(nope(x)) :- n(x).`, `[4:3: unknown functor nope]`},
+	} {
+		errs := analyzeErr(t, "\n.decl s(x:symbol)\n.decl n(x:number)\n"+c.rule+"\n")
+		if got := fmt.Sprint(errs); got != c.want {
+			t.Errorf("%s: errors = %s, want %s", c.rule, got, c.want)
+		}
 	}
 }
 

@@ -27,8 +27,8 @@ type translateCase struct {
 // optimizer, and every engine computes the same rows for every relation:
 // the interpreter, the compiled backend, and a resident database through
 // Apply, after inserting the facts and after deleting every other one. It
-// reports whether sema accepted src.
-func checkTranslate(t testing.TB, tc translateCase) bool {
+// reports whether sema accepted src and, if so, the rows after both steps.
+func checkTranslate(t testing.TB, tc translateCase) (rows string, accepted bool) {
 	t.Helper()
 	astProg, err := parser.Parse(tc.src)
 	if err != nil {
@@ -36,7 +36,7 @@ func checkTranslate(t testing.TB, tc translateCase) bool {
 	}
 	semProg, errs := sema.Analyze(astProg)
 	if len(errs) > 0 {
-		return false
+		return "", false
 	}
 	st := symtab.New()
 	rp, err := ast2ram.Translate(semProg, st)
@@ -126,7 +126,7 @@ func checkTranslate(t testing.TB, tc translateCase) bool {
 			t.Fatalf("resident Apply (%s):\n got %s\nwant %s (interpreter)\n%s\n%s", step.name, got, step.want, tc.src, prog.RAM())
 		}
 	}
-	return true
+	return want + "| " + wantKept, true
 }
 
 // rowsOf renders every declared relation's rows.
@@ -144,7 +144,9 @@ var atomRE = regexp.MustCompile(`\w+\([^()]*\)`)
 // genExprProgram extends genBoundProgram's rule with argument expressions:
 // one or two more atoms over a, b or c whose arguments are expressions over
 // the rule's variables (the outer sides of the rule's type, x + 3, max(x, 0)
-// and so on, or k ± 1 over the number column), or a negation of one. Each
+// and so on, or k ± 1 over the number column), a negation of one, or an
+// aggregate (count, or sum, min or max of its local) whose one atom reads an
+// expression over a local variable that only a body equality binds. Each
 // goes at a random place among the atoms, so a variable it reads may be bound
 // by an earlier atom or only by a later one.
 func genExprProgram(rng *rand.Rand, brie, choice bool) translateCase {
@@ -159,9 +161,29 @@ func genExprProgram(rng *rand.Rand, brie, choice bool) translateCase {
 		v := vars[rng.Intn(len(vars))]
 		return outerVarRE.ReplaceAllString(bt.exprs[rng.Intn(len(bt.exprs))], v)
 	}
+	// agg renders n = AGG, or v = AGG over an outer variable v of the
+	// aggregate's type: a filter on the aggregate's value.
+	agg := func(n int) string {
+		w := fmt.Sprintf("w%d", n)
+		kinds := []string{"count", "sum", "min", "max"}
+		if bt.name == "symbol" {
+			kinds = kinds[:1] // only count produces a number from symbols
+		}
+		kind := kinds[rng.Intn(len(kinds))]
+		res := fmt.Sprintf("n%d", n)
+		if (kind != "count" || bt.name == "number") && rng.Intn(2) == 0 {
+			res = vars[rng.Intn(len(vars))]
+		}
+		if kind != "count" {
+			kind += " " + w
+		}
+		at := fmt.Sprintf([]string{"a(%s, _)", "b(%s, _)", "c(%s)"}[rng.Intn(3)],
+			outerVarRE.ReplaceAllString(bt.exprs[rng.Intn(len(bt.exprs))], w))
+		return fmt.Sprintf("%s = %s : { %s, %s = %s }", res, kind, at, w, expr())
+	}
 	for n := 1 + rng.Intn(2); n > 0; n-- {
 		var lit string
-		switch rng.Intn(5) {
+		switch rng.Intn(6) {
 		case 0:
 			lit = fmt.Sprintf("c(%s)", expr())
 		case 1:
@@ -174,8 +196,10 @@ func genExprProgram(rng *rand.Rand, brie, choice bool) translateCase {
 			} else {
 				lit = fmt.Sprintf("a(_, %d)", rng.Intn(3))
 			}
-		default:
+		case 4:
 			lit = fmt.Sprintf("!c(%s)", expr())
+		default:
+			lit = agg(n)
 		}
 		at := rng.Intn(len(atoms) + 1)
 		atoms = append(atoms[:at], append([]string{lit}, atoms[at:]...)...)
@@ -184,22 +208,35 @@ func genExprProgram(rng *rand.Rand, brie, choice bool) translateCase {
 	return translateCase{src: src, facts: map[string][][]any{"a": gp.a, "b": gp.b, "c": gp.c}}
 }
 
-// translateShapes are the argument-expression and eqrel-search shapes that
-// failed translation or gave wrong rows before the one atom binder handled
-// them: an expression reading a variable that only a later atom binds, or
-// that an earlier atom binds but that the update and delete variants rotate
-// behind it; an expression over the atom's own variable, as an atom and in an
-// aggregate body; an eqrel searched on its second column only.
+// translateShapes are the argument-expression, aggregate-body and
+// eqrel-search shapes that failed translation or gave wrong rows before the
+// one atom binder and the one constraint placer handled them: an expression
+// reading a variable that only a later atom binds, or that an earlier atom
+// binds but that the update and delete variants rotate behind it; an
+// expression over the atom's own variable, as an atom and in an aggregate
+// body; an aggregate-body expression over a local that only a body equality
+// binds; an eqrel searched on its second column only.
 var translateShapes = []string{
 	"out(x) :- e(y+1, x), s(y).",
 	"out(x) :- s(y), e(y+1, x).",
 	"out(x) :- e(x, x+1).",
 	"n(c) :- c = count : { e(x, x+1) }.",
+	"n(c) :- s(z), c = count : { e(y+1, _), y = 3 }.",
 	"out(x) :- s(x), eq(_, x).",
 	"pair(x, y) :- s(x), eq(y, x).",
 	"out(x) :- s(x), !eq(_, x).",
 	"size(x, n) :- s(x), n = count : { eq(_, x) }.",
 }
+
+// shapeTwins gives a shape the rule written without its argument expression
+// that must compute the same rows.
+var shapeTwins = map[string]string{
+	"n(c) :- s(z), c = count : { e(y+1, _), y = 3 }.": "n(c) :- s(z), c = count : { e(4, _) }.",
+}
+
+// unkeyedSearchOfS matches a printed search of s without a key: a full scan,
+// or a CHOICE that filters every tuple of s.
+var unkeyedSearchOfS = regexp.MustCompile(`(FOR|CHOICE) t\d+ IN s( WHERE .*)?\n`)
 
 // shapeCase is a translateShapes rule over the shapes' relations and input.
 func shapeCase(rule string) translateCase {
@@ -224,12 +261,30 @@ func shapeCase(rule string) translateCase {
 	}
 }
 
-// TestTranslateShapes holds the named shapes to the translation property.
+// TestTranslateShapes holds the named shapes to the translation property,
+// and a shape with a twin to the twin's rows. The pending equality of
+// e(y+1, x) ahead of s(y) is solved for y, so every search of s, in every
+// variant, is keyed.
 func TestTranslateShapes(t *testing.T) {
 	for _, rule := range translateShapes {
 		t.Run(rule, func(t *testing.T) {
-			if !checkTranslate(t, shapeCase(rule)) {
+			rows, ok := checkTranslate(t, shapeCase(rule))
+			if !ok {
 				t.Fatal("sema rejects the shape")
+			}
+			if twin, ok := shapeTwins[rule]; ok {
+				if want, _ := checkTranslate(t, shapeCase(twin)); rows != want {
+					t.Errorf("rows %s, twin %s has %s", rows, twin, want)
+				}
+			}
+			if rule == "out(x) :- e(y+1, x), s(y)." {
+				prog, err := Parse(shapeCase(rule).src)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if m := unkeyedSearchOfS.FindString(prog.RAM()); m != "" {
+					t.Errorf("unkeyed search of s %q in:\n%s", m, prog.RAM())
+				}
 			}
 		})
 	}
@@ -247,4 +302,32 @@ func FuzzTranslate(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, brie, choice bool) {
 		checkTranslate(t, genExprProgram(rand.New(rand.NewSource(seed)), brie, choice))
 	})
+}
+
+// TestAggregateTargetTypes pins the type an aggregate accumulates in: its
+// target's as sema infers it, for an expression target and for a local that
+// only a body equality binds. (A float sum of -v once accumulated number
+// words and read NaN; a max of v + 1u compares unsigned.)
+func TestAggregateTargetTypes(t *testing.T) {
+	rows, ok := checkTranslate(t, translateCase{
+		src: `
+.decl f(x:float)
+.decl u(x:unsigned)
+.input f
+.input u
+.decl neg(n:float)
+.decl top(n:unsigned)
+neg(n) :- n = sum -v : { f(v) }.
+top(n) :- n = max w : { u(v), w = v + 1u }.
+`,
+		facts: map[string][][]any{"f": {{1.5}, {2.25}}, "u": {{uint32(1)}, {uint32(3000000000)}}},
+	})
+	if !ok {
+		t.Fatal("sema rejects the program")
+	}
+	const want = "f=[[1.5] [2.25]] u=[[1] [3000000000]] neg=[[-3.75]] top=[[3000000001]] " +
+		"| f=[[2.25]] u=[[3000000000]] neg=[[-2.25]] top=[[3000000001]] "
+	if rows != want {
+		t.Errorf("rows %s, want %s", rows, want)
+	}
 }
