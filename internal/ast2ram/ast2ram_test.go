@@ -242,7 +242,8 @@ late(x) :- x + 1 = count : { e(_, _) }, s(x).
 // and c + y on a number or unsigned column are solved for y, so the later
 // atom over y is an existence check keyed on the solved element; on a
 // float column the equality stays a filter. In an aggregate body, a local
-// that only a body equality binds is placed like a rule body's.
+// that a body equality binds to a constant is placed before the atom, so
+// it keys the atom's search.
 func TestPendingArgumentSolved(t *testing.T) {
 	rp := translate(t, `
 .decl e(x:number, y:number)
@@ -265,7 +266,7 @@ n(c) :- s(z), c = count : { e(y+1, _), y = 3 }.
 		"FOR t0 IN e\n      IF ((0=sub:number(t0.1, 3)) IN s)\n",
 		"FOR t0 IN u\n      IF ((0=add:unsigned(t0.0, 2)) IN su)\n",
 		"FOR t0 IN f\n      FOR t1 IN sf\n        IF (t0.0 =:float add:float(t1.0, 1069547520))\n",
-		"t0 = count IN e ON INDEX (full) WHERE 3 =:number sub:number(t0.0, 1)\n",
+		"t0 = count IN e ON INDEX 0=add:number(3, 1)\n",
 	} {
 		if !strings.Contains(main, want) {
 			t.Errorf("no %q in:\n%s", want, main)

@@ -3,6 +3,7 @@ package ast2ram
 import (
 	"fmt"
 	"maps"
+	"slices"
 
 	"sti/internal/ast"
 	"sti/internal/ram"
@@ -147,7 +148,9 @@ func (t *translator) translateRule(c *ast.Clause, v version) (ram.Statement, err
 		if err != nil {
 			return nil, err
 		}
-		levels = append(levels, lv)
+		if lv != nil {
+			levels = append(levels, lv)
+		}
 		// Delete-variant membership filters over the atom's whole tuple:
 		// ¬∈exclude, weakened to ¬(∈exclude ∧ ¬∈unless) when an unless
 		// relation is given. forceScan guarantees the atom allocated tuple
@@ -245,7 +248,9 @@ func excludeCond(exclude, unless *ram.Relation, key func(k int) ram.Expr) ram.Co
 }
 
 // atomLevel turns a positive body atom into a scan level, or into an
-// existence-check filter when no variable it binds is read again.
+// existence-check filter when no variable it binds is read again. An atom
+// that binds nothing and keys nothing adds no level: the rule's emptiness
+// guard over rel already decides it, and a query only ever adds tuples.
 func (tr *ruleTranslator) atomLevel(at *ast.Atom, rel *ram.Relation) (func(ram.Operation) ram.Operation, error) {
 	tid := tr.tid
 	b, err := tr.bindAtom(at, rel, tid)
@@ -253,6 +258,9 @@ func (tr *ruleTranslator) atomLevel(at *ast.Atom, rel *ram.Relation) (func(ram.O
 		return nil, err
 	}
 	if len(b.binds) == 0 && !tr.forceScan {
+		if !slices.ContainsFunc(b.pattern, func(e ram.Expr) bool { return e != nil }) {
+			return nil, nil
+		}
 		ex := &ram.ExistenceCheck{Rel: rel, Pattern: b.pattern}
 		return func(inner ram.Operation) ram.Operation {
 			return &ram.Filter{Cond: ex, Nested: inner}
@@ -536,11 +544,39 @@ func (tr *ruleTranslator) tryAggregate(c *ast.Constraint, agg *ast.Aggregate) (b
 		return false, nil, nil
 	}
 
-	// Bind the atom to the aggregate's tuple slot, then place the body
-	// constraints and the atom's pending equalities as a rule body places
-	// them, conjoined into the aggregate's condition. Local variables are in
-	// scope for the condition and target only.
+	// Place the body constraints and the atom's pending equalities as a rule
+	// body places them, conjoined into the aggregate's condition: first those
+	// ground over outer variables and constants, so that a local they bind
+	// keys the atom, then the rest once the atom is bound to the aggregate's
+	// tuple slot. Local variables are in scope for the condition and target
+	// only.
 	outer := maps.Clone(tr.env)
+	var cond ram.Condition
+	place := func(pending []*ast.Constraint) ([]*ast.Constraint, error) {
+		for len(pending) > 0 {
+			var rest []*ast.Constraint
+			for _, cc := range pending {
+				ok, c, err := tr.placeConstraint(cc)
+				if err != nil {
+					return nil, err
+				}
+				if !ok {
+					rest = append(rest, cc)
+					continue
+				}
+				cond = ram.Conj(cond, c)
+			}
+			if len(rest) == len(pending) {
+				return rest, nil
+			}
+			pending = rest
+		}
+		return nil, nil
+	}
+	conss, err := place(conss)
+	if err != nil {
+		return false, nil, err
+	}
 	tid := tr.tid
 	tr.tid++
 	b, err := tr.bindAtom(atom, rel, tid)
@@ -548,24 +584,13 @@ func (tr *ruleTranslator) tryAggregate(c *ast.Constraint, agg *ast.Aggregate) (b
 		return false, nil, err
 	}
 	maps.Copy(tr.env, b.binds)
-	cond := b.eqs
-	for pending := append(conss, b.later...); len(pending) > 0; {
-		var rest []*ast.Constraint
-		for _, cc := range pending {
-			ok, c, err := tr.placeConstraint(cc)
-			if err != nil {
-				return false, nil, err
-			}
-			if !ok {
-				rest = append(rest, cc)
-				continue
-			}
-			cond = ram.Conj(cond, c)
-		}
-		if len(rest) == len(pending) {
-			return false, nil, &Error{Msg: fmt.Sprintf("internal: literal %s never became ground", ast.LiteralString(rest[0])), Pos: agg.Pos}
-		}
-		pending = rest
+	cond = ram.Conj(cond, b.eqs)
+	rest, err := place(append(conss, b.later...))
+	if err != nil {
+		return false, nil, err
+	}
+	if len(rest) > 0 {
+		return false, nil, &Error{Msg: fmt.Sprintf("internal: literal %s never became ground", ast.LiteralString(rest[0])), Pos: agg.Pos}
 	}
 	var target ram.Expr
 	if agg.Target != nil {

@@ -78,6 +78,43 @@ func BenchmarkInsertDupSweep(b *testing.B) {
 	}
 }
 
+// restartKeys returns 64 k keys in the order the self-join
+// aliased(a,b) :- vpt(a,h), vpt(b,h), a < b derives them: for every outer a,
+// ascending sweeps over a's window of 64 second columns that restart for
+// every h, each sweep from a random start with a random stride.
+func restartKeys() []k2 {
+	rng := rand.New(rand.NewSource(1))
+	keys := make([]k2, 0, 1<<16)
+	for a := uint32(0); len(keys) < 1<<16; a = (a + 1) % 1024 {
+		for h := 0; h < 8; h++ {
+			for c := uint32(rng.Intn(32)); c < 64 && len(keys) < 1<<16; c += uint32(1 + rng.Intn(4)) {
+				keys = append(keys, k2{a, c})
+			}
+		}
+	}
+	return keys
+}
+
+// BenchmarkInsertDupRestart is the shape of the self-join above: each
+// restart leaves the leaf the writer hint holds, so without the duplicate
+// cache almost every insert descends from the root to a key it finds. The
+// tree holds the 64 k keys {a, c} for a < 1024, c < 64 but every 32nd.
+func BenchmarkInsertDupRestart(b *testing.B) {
+	tr := New[k2]()
+	for a := uint32(0); a < 1024; a++ {
+		for c := uint32(0); c < 64; c++ {
+			if (a*64+c)%32 != 0 {
+				tr.Insert(k2{a, c})
+			}
+		}
+	}
+	keys := restartKeys()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr.Insert(keys[i&(1<<16-1)])
+	}
+}
+
 func BenchmarkIterate(b *testing.B) {
 	keys := benchKeys(1 << 16)
 	tr := New[k2]()

@@ -17,10 +17,13 @@
 package btree
 
 // Key is the constraint for tree keys: a comparable value with a total
-// lexicographic order. Cmp returns <0, 0, or >0.
+// lexicographic order. Cmp returns <0, 0, or >0. Hash mixes every bit of the
+// key into the top bits of its result; the writer's duplicate cache
+// (dedup.go) picks a slot by them.
 type Key[K any] interface {
 	comparable
 	Cmp(K) int
+	Hash() uint64
 }
 
 // degree is the minimum branching factor (CLRS t). Every node except the
@@ -65,7 +68,9 @@ func (nd *node[K]) find(k K) (int, bool) {
 // Like the paper's B-tree, the tree keeps an operation hint for its writer:
 // last is the leaf the previous Insert ended in. Datalog inserts arrive in
 // near-sorted runs, so the next key usually belongs to the same leaf, and
-// Insert tries it before descending from the root. Reads leave it alone, so
+// Insert tries it before descending from the root. In front of the hint sits
+// the writer's duplicate cache (dedup.go), allocated once the tree has
+// answered enough duplicates by descending. Reads touch neither, so
 // concurrent readers still share the tree.
 type Tree[K Key[K]] struct {
 	root *node[K]
@@ -75,6 +80,10 @@ type Tree[K Key[K]] struct {
 	// keys above its own: an ascending run of fresh keys appends there. Only
 	// a descending Insert splits leaves, and it sets last and lastMax anew.
 	lastMax bool
+	// dups counts the duplicates Insert found by descending since the last
+	// Clear while cache is nil; at dedupSlots of them the cache is armed.
+	dups  int
+	cache *dedup[K]
 }
 
 // New returns an empty tree.
@@ -91,13 +100,20 @@ func (t *Tree[K]) Clear() {
 	t.root = nil
 	t.size = 0
 	t.last = nil
+	t.dups = 0
+	if t.cache != nil {
+		t.cache.clear()
+	}
 }
 
-// Swap exchanges the contents of two trees in O(1).
+// Swap exchanges the contents of two trees in O(1). The duplicate caches
+// describe the contents, so they move with them.
 func (t *Tree[K]) Swap(o *Tree[K]) {
 	t.root, o.root = o.root, t.root
 	t.size, o.size = o.size, t.size
 	t.last, o.last = nil, nil
+	t.dups, o.dups = o.dups, t.dups
+	t.cache, o.cache = o.cache, t.cache
 }
 
 // inLeaf looks k up in the non-empty leaf nd alone. That answers for the
@@ -140,11 +156,20 @@ func (t *Tree[K]) Contains(k K) bool {
 	return false
 }
 
-// Insert adds k to the set, reporting whether it was newly added. It first
-// tries the leaf the previous Insert ended in: if that leaf covers k (or is
-// the rightmost leaf and k lies above it), it holds k already or, when it
-// has room, takes k directly.
+// Insert adds k to the set, reporting whether it was newly added. An armed
+// duplicate cache answers first: a hit is a duplicate. Then it tries the
+// leaf the previous Insert ended in: if that leaf covers k (or is the
+// rightmost leaf and k lies above it), it holds k already or, when it has
+// room, takes k directly.
 func (t *Tree[K]) Insert(k K) bool {
+	if c := t.cache; c != nil {
+		s := c.at(k)
+		if s.epoch == c.epoch && s.key == k {
+			return false
+		}
+		// k is in the tree once the insert below returns, found or added.
+		s.key, s.epoch = k, c.epoch
+	}
 	if nd := t.last; nd != nil {
 		i, found, c := nd.inLeaf(k)
 		if found {
@@ -174,6 +199,11 @@ func (t *Tree[K]) Insert(k K) bool {
 	if t.insertNonFull(t.root, k) {
 		t.size++
 		return true
+	}
+	if t.cache == nil {
+		if t.dups++; t.dups >= dedupSlots[K]() {
+			t.cache = newDedup[K]()
+		}
 	}
 	return false
 }

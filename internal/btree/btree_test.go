@@ -24,6 +24,10 @@ func (a k2) Cmp(b k2) int {
 	return 0
 }
 
+// Hash is relation.Tup2's: the two words packed into one uint64, times
+// 2^64 over the golden ratio.
+func (a k2) Hash() uint64 { return (uint64(a[0])<<32 | uint64(a[1])) * 0x9e3779b97f4a7c15 }
+
 func collect(t *Tree[k2]) []k2 {
 	var out []k2
 	t.ForEach(func(k k2) bool { out = append(out, k); return true })

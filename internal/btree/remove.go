@@ -5,9 +5,13 @@ package btree
 // is first refilled to at least degree keys (borrowing from a sibling or
 // merging with one), so the removal itself never needs to walk back up.
 // Iterators obtained before a Remove are invalidated, like for Insert, and
-// so is the writer hint: the refills merge nodes even when k is absent.
+// so is the writer hint: the refills merge nodes even when k is absent. Of
+// the duplicate cache only k's slot can name k, so only it is invalidated.
 func (t *Tree[K]) Remove(k K) bool {
 	t.last = nil
+	if t.cache != nil {
+		t.cache.at(k).epoch = 0
+	}
 	if t.root == nil {
 		return false
 	}

@@ -64,9 +64,13 @@ func makeInsertBT[K btree.Key[K]](impls []any, orders []tuple.Order, toKey relat
 		for i, e := range exprs {
 			src[i] = e(r)
 		}
+		// Every index holds the same tuples: a duplicate in the primary
+		// index is one in all of them.
 		for i, tree := range trees {
 			orders[i].Encode(enc[:arity], src[:arity])
-			tree.Insert(toKey(enc))
+			if !tree.Insert(toKey(enc)) {
+				return
+			}
 		}
 	}
 }

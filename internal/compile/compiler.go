@@ -249,7 +249,9 @@ func (c *compiler) compileOp(o ram.Operation) opFn {
 				}
 				for i, tr := range impls {
 					orders[i].Encode(enc[:arity], src[:arity])
-					tr.Insert(enc[:arity])
+					if !tr.Insert(enc[:arity]) {
+						return
+					}
 				}
 			}
 		}

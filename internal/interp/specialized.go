@@ -60,9 +60,10 @@ func (n *inode) searchImpls(pat []value.Value) []any {
 }
 
 // evalInsertBT inserts a freshly built source tuple into every B-tree index
-// of the relation (the owning shard of each, see inode.impls). Under a staged
-// query the source tuple goes to the worker-local buffer instead; the merge
-// encodes per index.
+// of the relation (the owning shard of each, see inode.impls). Every index
+// holds the same tuples, so a duplicate in the primary index is one in all
+// of them and costs that one probe. Under a staged query the source tuple
+// goes to the worker-local buffer instead; the merge encodes per index.
 func evalInsertBT[K btree.Key[K]](ex *executor, n *inode, ctx *context, toKey relation.KeyFunc[K], _ fromKeyFn[K]) value.Value {
 	var src, enc [relation.MaxArity]value.Value
 	ex.fillTuple(n, ctx, src[:n.arity])
@@ -70,11 +71,12 @@ func evalInsertBT[K btree.Key[K]](ex *executor, n *inode, ctx *context, toKey re
 		return 0
 	}
 	stride, sh := int(n.shards), n.insertShard(src[:])
-	added := false
+	added := true
 	for i, ord := range n.orders {
 		ord.Encode(enc[:n.arity], src[:n.arity])
-		if n.impls[i*stride+sh].(*btree.Tree[K]).Insert(toKey(enc)) && i == 0 {
-			added = true
+		if !n.impls[i*stride+sh].(*btree.Tree[K]).Insert(toKey(enc)) {
+			added = false
+			break
 		}
 	}
 	ex.countInsert(ctx, added)
@@ -295,11 +297,12 @@ func (ex *executor) execNonGeneric(n *inode, ctx *context) (value.Value, bool) {
 			return 0, true
 		}
 		stride, sh := int(n.shards), n.insertShard(src[:])
-		added := false
+		added := true
 		for i, ord := range n.orders {
 			ord.Encode(enc[:n.arity], src[:n.arity])
-			if n.impls[i*stride+sh].(*brie.Trie).Insert(enc[:n.arity]) && i == 0 {
-				added = true
+			if !n.impls[i*stride+sh].(*brie.Trie).Insert(enc[:n.arity]) {
+				added = false
+				break
 			}
 		}
 		ex.countInsert(ctx, added)

@@ -215,9 +215,11 @@ func genExprProgram(rng *rand.Rand, brie, choice bool) translateCase {
 // binds but that the update and delete variants rotate behind it; an
 // expression over the atom's own variable, as an atom and in an aggregate
 // body; an aggregate-body expression over a local that only a body equality
-// binds; an eqrel searched on its second column only.
+// binds; an eqrel searched on its second column only; an atom that binds
+// and keys nothing.
 var translateShapes = []string{
 	"out(x) :- e(y+1, x), s(y).",
+	"out(x) :- s(z), e(x, _).",
 	"out(x) :- s(y), e(y+1, x).",
 	"out(x) :- e(x, x+1).",
 	"n(c) :- c = count : { e(x, x+1) }.",
@@ -237,6 +239,10 @@ var shapeTwins = map[string]string{
 // unkeyedSearchOfS matches a printed search of s without a key: a full scan,
 // or a CHOICE that filters every tuple of s.
 var unkeyedSearchOfS = regexp.MustCompile(`(FOR|CHOICE) t\d+ IN s( WHERE .*)?\n`)
+
+// emptyPatternCheck matches a printed existence check without a key, which
+// the rule's emptiness guard over the same relation already decides.
+var emptyPatternCheck = regexp.MustCompile(`\(\(full\)\) IN `)
 
 // shapeCase is a translateShapes rule over the shapes' relations and input.
 func shapeCase(rule string) translateCase {
@@ -262,28 +268,61 @@ func shapeCase(rule string) translateCase {
 }
 
 // TestTranslateShapes holds the named shapes to the translation property,
-// and a shape with a twin to the twin's rows. The pending equality of
-// e(y+1, x) ahead of s(y) is solved for y, so every search of s, in every
-// variant, is keyed.
+// and a shape with a twin to the twin's rows and printed search. The
+// pending equality of e(y+1, x) ahead of s(y) is solved for y, so every
+// search of s, in every variant, is keyed; the aggregate body's y = 3 is
+// placed before e, so e is searched on 0=4 like the twin's e(4, _). No
+// variant of any shape tests an empty pattern for existence.
 func TestTranslateShapes(t *testing.T) {
+	ramOf := func(t *testing.T, rule string) string {
+		t.Helper()
+		prog, err := Parse(shapeCase(rule).src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return prog.RAM()
+	}
 	for _, rule := range translateShapes {
 		t.Run(rule, func(t *testing.T) {
 			rows, ok := checkTranslate(t, shapeCase(rule))
 			if !ok {
 				t.Fatal("sema rejects the shape")
 			}
+			ram := ramOf(t, rule)
 			if twin, ok := shapeTwins[rule]; ok {
 				if want, _ := checkTranslate(t, shapeCase(twin)); rows != want {
 					t.Errorf("rows %s, twin %s has %s", rows, twin, want)
 				}
+				for _, r := range []string{ram, ramOf(t, twin)} {
+					if !strings.Contains(r, "count IN e ON INDEX 0=4\n") {
+						t.Errorf("e not searched on 0=4 in:\n%s", r)
+					}
+					if m := emptyPatternCheck.FindString(r); m != "" {
+						t.Errorf("existence check of an empty pattern %q in:\n%s", m, r)
+					}
+				}
 			}
-			if rule == "out(x) :- e(y+1, x), s(y)." {
-				prog, err := Parse(shapeCase(rule).src)
+			if m := emptyPatternCheck.FindString(ram); m != "" {
+				t.Errorf("existence check of an empty pattern %q in:\n%s", m, ram)
+			}
+			switch rule {
+			case "out(x) :- e(y+1, x), s(y).":
+				if m := unkeyedSearchOfS.FindString(ram); m != "" {
+					t.Errorf("unkeyed search of s %q in:\n%s", m, ram)
+				}
+			case "out(x) :- s(z), e(x, _).":
+				// Without the eqrel input the program also has delete
+				// variants.
+				prog, err := Parse(".decl e(x:number, y:number)\n.decl s(x:number)\n.decl out(x:number)\n.input e\n.input s\n" + rule + "\n")
 				if err != nil {
 					t.Fatal(err)
 				}
-				if m := unkeyedSearchOfS.FindString(prog.RAM()); m != "" {
-					t.Errorf("unkeyed search of s %q in:\n%s", m, prog.RAM())
+				r := prog.RAM()
+				if !strings.Contains(r, "\nUPDATE\n") || !strings.Contains(r, "\nDELETE\n") {
+					t.Errorf("no update or delete variants in:\n%s", r)
+				}
+				if m := emptyPatternCheck.FindString(r); m != "" {
+					t.Errorf("existence check of an empty pattern %q in:\n%s", m, r)
 				}
 			}
 		})
