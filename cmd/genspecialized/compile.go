@@ -43,9 +43,9 @@ func badImpl(impl any) string {
 	}
 	b.WriteString("\t}\n\tpanic(badImpl(impls[0]))\n}\n")
 
-	b.WriteString("\nfunc buildExistsBT(impl any, arity int32, pat []exprFn) condFn {\n\tswitch tree := impl.(type) {\n")
+	b.WriteString("\nfunc buildExistsBT(impl any, arity int32, pat []exprFn, slot int32) condFn {\n\tswitch tree := impl.(type) {\n")
 	for n := 1; n <= maxArity; n++ {
-		fmt.Fprintf(&b, "\tcase *btree.Tree[relation.Tup%d]:\n\t\treturn makeExistsBT(tree, relation.KeyTup%d, arity, pat)\n", n, n)
+		fmt.Fprintf(&b, "\tcase *btree.Tree[relation.Tup%d]:\n\t\treturn makeExistsBT(tree, relation.KeyTup%d, arity, pat, slot)\n", n, n)
 	}
 	b.WriteString("\t}\n\tpanic(badImpl(impl))\n}\n")
 

@@ -155,6 +155,21 @@ func newBTreeIndex(order tuple.Order) Index {
 	}
 }
 
+// NewHint is the arity factory for B-tree read fingers: a fresh
+// *btree.Hint[TupN] for the trees of an arity-N index. A reader keeps it
+// with its own state (a query context) and passes it to that index's
+// full-key lookups.
+func NewHint(arity int) any {
+	switch arity {
+`)
+	for n := 1; n <= maxArity; n++ {
+		fmt.Fprintf(&b, "\tcase %d:\n\t\treturn new(btree.Hint[Tup%d])\n", n, n)
+	}
+	b.WriteString(`	default:
+		panic("relation: arity not supported by the specialized B-tree factory")
+	}
+}
+
 // btreeImplOf recovers the concrete tree type name for diagnostics.
 var _ = btree.New[Tup1] // keep the btree import when templates change
 `)

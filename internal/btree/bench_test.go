@@ -47,6 +47,53 @@ func BenchmarkContainsHit(b *testing.B) {
 	}
 }
 
+// found keeps the lookups of containsBench from being optimized away.
+var found bool
+
+// containsBench times lookups of keys in order through a finger and, for
+// comparison, from the root (Contains).
+func containsBench(b *testing.B, tr *Tree[k2], keys []k2) {
+	b.Run("finger", func(b *testing.B) {
+		var h Hint[k2]
+		for i := 0; i < b.N; i++ {
+			found = tr.ContainsHint(keys[i&(len(keys)-1)], &h)
+		}
+	})
+	b.Run("root", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			found = tr.Contains(keys[i&(len(keys)-1)])
+		}
+	})
+}
+
+// BenchmarkContainsHintSweep is the shape of a semi-naive rule's existence
+// check, vpt(t, h) :- move(t, f), delta_vpt(f, h) testing (t, h) against
+// vpt: ascending sweeps over one prefix that restart for every outer tuple
+// (restartKeys), half of them hits. The finger starts from the previous
+// lookup's leaf or its parent.
+func BenchmarkContainsHintSweep(b *testing.B) {
+	tr := New[k2]()
+	for a := uint32(0); a < 1024; a++ {
+		for c := uint32(0); c < 64; c += 2 {
+			tr.Insert(k2{a, c})
+		}
+	}
+	containsBench(b, tr, restartKeys())
+}
+
+// BenchmarkContainsHintRandom is the finger's miss path: random keys, none
+// stored, in a tree of 64 k random keys. The finger decides almost none of
+// them, so after coldRun of them it is tried only on every coldRun-th
+// lookup, and the rest start from the root at once.
+func BenchmarkContainsHintRandom(b *testing.B) {
+	keys := benchKeys(1 << 17)
+	tr := New[k2]()
+	for _, k := range keys[:1<<16] {
+		tr.Insert(k)
+	}
+	containsBench(b, tr, keys[1<<16:])
+}
+
 // sweepKeys returns the 64 k keys {a, c} for a, c < 256 in ascending order:
 // the order a join's inner loop emits them in.
 func sweepKeys() []k2 {

@@ -71,7 +71,8 @@ func (nd *node[K]) find(k K) (int, bool) {
 // Insert tries it before descending from the root. In front of the hint sits
 // the writer's duplicate cache (dedup.go), allocated once the tree has
 // answered enough duplicates by descending. Reads touch neither, so
-// concurrent readers still share the tree.
+// concurrent readers still share the tree; a reader keeps its own finger
+// (Hint, hint.go), which gen invalidates.
 type Tree[K Key[K]] struct {
 	root *node[K]
 	size int
@@ -81,9 +82,17 @@ type Tree[K Key[K]] struct {
 	// a descending Insert splits leaves, and it sets last and lastMax anew.
 	lastMax bool
 	// dups counts the duplicates Insert found by descending since the last
-	// Clear while cache is nil; at dedupSlots of them the cache is armed.
-	dups  int
-	cache *dedup[K]
+	// Clear or disarm while cache is nil; at dedupSlots<<colds of them the
+	// cache is armed. colds counts the cold windows (dedup.go) since the
+	// last Clear, so that a tree whose cache never pays arms ever more
+	// rarely. A disarmed cache waits in spare, so that a tree whose windows
+	// alternate between cold and warm does not allocate at every arming.
+	dups         int
+	colds        uint8
+	cache, spare *dedup[K]
+	// gen counts the operations that detach nodes (Clear, Swap, Remove): a
+	// reader's Hint is sound only within the generation it was recorded in.
+	gen uint64
 }
 
 // New returns an empty tree.
@@ -100,29 +109,35 @@ func (t *Tree[K]) Clear() {
 	t.root = nil
 	t.size = 0
 	t.last = nil
-	t.dups = 0
+	t.dups, t.colds = 0, 0
+	t.gen++
 	if t.cache != nil {
 		t.cache.clear()
 	}
 }
 
 // Swap exchanges the contents of two trees in O(1). The duplicate caches
-// describe the contents, so they move with them.
+// describe the contents, so they move with them; readers' hints into
+// either tree are invalidated.
 func (t *Tree[K]) Swap(o *Tree[K]) {
+	t.gen++
+	o.gen++
 	t.root, o.root = o.root, t.root
 	t.size, o.size = o.size, t.size
 	t.last, o.last = nil, nil
 	t.dups, o.dups = o.dups, t.dups
+	t.colds, o.colds = o.colds, t.colds
 	t.cache, o.cache = o.cache, t.cache
 }
 
-// inLeaf looks k up in the non-empty leaf nd alone. That answers for the
-// whole tree when nd covers k (keys[0] <= k <= keys[n-1]), since a leaf holds
-// a contiguous run of the tree's keys. c is where k falls: below the leaf
-// (<0), above it (>0, with i = n), or covered (0), when i is k's position
-// and found whether it is there. The bounds are tested first, so a key
-// outside the leaf costs one or two comparisons.
-func (nd *node[K]) inLeaf(k K) (i int, found bool, c int) {
+// cover looks k up in the non-empty node nd alone. That decides k for the
+// whole tree when nd covers k (keys[0] <= k <= keys[n-1]), since a subtree
+// holds a contiguous run of the tree's keys. c is where k falls: below the
+// node (<0), above it (>0, with i = n), or covered (0), when i is k's
+// position (in an inner node, the child to descend into) and found whether
+// it is there. The bounds are tested first, so a key outside the node costs
+// one or two comparisons.
+func (nd *node[K]) cover(k K) (i int, found bool, c int) {
 	n := int(nd.n)
 	switch hi := k.Cmp(nd.keys[n-1]); {
 	case hi > 0:
@@ -141,20 +156,7 @@ func (nd *node[K]) inLeaf(k K) (i int, found bool, c int) {
 }
 
 // Contains reports whether k is in the set.
-func (t *Tree[K]) Contains(k K) bool {
-	nd := t.root
-	for nd != nil {
-		i, ok := nd.find(k)
-		if ok {
-			return true
-		}
-		if nd.leaf() {
-			return false
-		}
-		nd = nd.children[i]
-	}
-	return false
-}
+func (t *Tree[K]) Contains(k K) bool { return t.ContainsHint(k, nil) }
 
 // Insert adds k to the set, reporting whether it was newly added. An armed
 // duplicate cache answers first: a hit is a duplicate. Then it tries the
@@ -165,13 +167,18 @@ func (t *Tree[K]) Insert(k K) bool {
 	if c := t.cache; c != nil {
 		s := c.at(k)
 		if s.epoch == c.epoch && s.key == k {
+			c.hits++
 			return false
 		}
 		// k is in the tree once the insert below returns, found or added.
 		s.key, s.epoch = k, c.epoch
+		if c.miss() {
+			t.cache, t.spare, t.dups = nil, c, 0
+			t.colds = min(t.colds+1, maxColds)
+		}
 	}
 	if nd := t.last; nd != nil {
-		i, found, c := nd.inLeaf(k)
+		i, found, c := nd.cover(k)
 		if found {
 			return false
 		}
@@ -201,8 +208,8 @@ func (t *Tree[K]) Insert(k K) bool {
 		return true
 	}
 	if t.cache == nil {
-		if t.dups++; t.dups >= dedupSlots[K]() {
-			t.cache = newDedup[K]()
+		if t.dups++; t.dups >= dedupSlots[K]()<<t.colds {
+			t.arm()
 		}
 	}
 	return false

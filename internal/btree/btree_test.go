@@ -200,6 +200,9 @@ func checkShape(t *testing.T, tr *Tree[k2]) {
 		}
 	}
 	if tr.root != nil {
+		if tr.root.n == 0 {
+			t.Fatal("the root holds no key")
+		}
 		walk(tr.root, 0)
 	}
 	if count != tr.Size() {

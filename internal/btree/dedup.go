@@ -22,11 +22,31 @@ import (
 // an entry is live only while its stamp equals the cache's epoch, which is
 // never 0, the stamp of a slot never written. Remove invalidates the one
 // slot its key can occupy.
+//
+// A cache that stops paying disarms itself: the probes are counted in
+// windows of len(slots), and at the end of a window in which fewer than one
+// probe in dedupColdShare hit, Insert takes the cache off the insert path
+// (keeping its slots for the next arming) and counts duplicates towards
+// arming again from zero, up to twice as many as the last time: a tree whose
+// cache keeps finding its windows cold re-arms ever more rarely, until a
+// Clear. Sweeps of present keys too long for the cache to hold (each key
+// comes back only after more others than it has slots) miss every probe,
+// and the leaf hint answers them anyway.
 type dedup[K Key[K]] struct {
 	slots []slot[K]
 	shift uint8 // 64 - log2(len(slots)): a hash's top bits pick the slot
 	epoch uint32
+	// hits and misses count the probes of the current window.
+	hits, misses int
 }
+
+// dedupColdShare sets the hit share below which a window is cold: fewer
+// than one hit in dedupColdShare probes.
+const dedupColdShare = 8
+
+// maxColds caps Tree.colds: a tree that found its cache cold that often
+// arms again only after 2^maxColds times its slot count in duplicates.
+const maxColds = 32
 
 type slot[K Key[K]] struct {
 	key   K
@@ -54,6 +74,18 @@ func newDedup[K Key[K]]() *dedup[K] {
 	return &dedup[K]{slots: make([]slot[K], n), shift: uint8(64 - bits.TrailingZeros(uint(n))), epoch: 1}
 }
 
+// arm puts a cache in front of the writer hint: the spare one, emptied,
+// or a new one.
+func (t *Tree[K]) arm() {
+	if c := t.spare; c != nil {
+		c.clear()
+		c.hits, c.misses = 0, 0
+		t.cache, t.spare = c, nil
+		return
+	}
+	t.cache = newDedup[K]()
+}
+
 // at returns the one slot k can occupy.
 func (c *dedup[K]) at(k K) *slot[K] {
 	return &c.slots[k.Hash()>>c.shift]
@@ -67,4 +99,15 @@ func (c *dedup[K]) clear() {
 		clear(c.slots)
 		c.epoch = 1
 	}
+}
+
+// miss counts a probe that missed and reports whether it ended a cold
+// window.
+func (c *dedup[K]) miss() (cold bool) {
+	c.misses++
+	if n := c.hits + c.misses; n >= len(c.slots) {
+		cold = c.hits*dedupColdShare < n
+		c.hits, c.misses = 0, 0
+	}
+	return cold
 }

@@ -113,7 +113,7 @@ func TestDedupAgainstModel(t *testing.T) {
 }
 
 // armedTree returns a tree holding the keys {a, b} for a < 64, b < 128 whose
-// cache has been armed by re-inserting them in scattered order.
+// cache has just been armed by re-inserting them in scattered order.
 func armedTree(t *testing.T) *Tree[k2] {
 	t.Helper()
 	tr := New[k2]()
@@ -130,11 +130,12 @@ func armedTree(t *testing.T) *Tree[k2] {
 		if tr.Insert(k) {
 			t.Fatalf("re-insert of %v reported new", k)
 		}
+		if tr.cache != nil {
+			return tr
+		}
 	}
-	if tr.cache == nil {
-		t.Fatalf("%d scattered duplicates did not arm a %d-slot cache", len(keys), dedupSlots[k2]())
-	}
-	return tr
+	t.Fatalf("%d scattered duplicates did not arm a %d-slot cache", len(keys), dedupSlots[k2]())
+	return nil
 }
 
 // TestDedupEpochWrap: Clear invalidates the cache by bumping its epoch, and
@@ -231,5 +232,81 @@ func TestDedupFreshKeysNeverArm(t *testing.T) {
 	}
 	if tr.cache != nil {
 		t.Fatal("duplicates counted before Clear armed the cache")
+	}
+}
+
+// TestDedupColdCacheDisarms: an armed cache that a window of probes finds
+// cold (here: fresh keys, every probe a miss) is taken off the insert path,
+// and the duplicate count starts again from zero; scattered duplicates then
+// arm it again. A warm window keeps it.
+func TestDedupColdCacheDisarms(t *testing.T) {
+	tr := armedTree(t)
+	n := dedupSlots[k2]()
+	// Mostly hits: the same few present keys over and over, a fresh key
+	// now and then. No window is cold.
+	for i := 0; i < 4*n; i++ {
+		if i%16 == 0 {
+			tr.Insert(k2{1000, uint32(i)})
+		} else {
+			tr.Insert(k2{uint32(i % 7), uint32(i % 5)})
+		}
+	}
+	if tr.cache == nil {
+		t.Fatal("a warm cache disarmed")
+	}
+	// Fresh keys: the window under way ends (warm or not), the next one is
+	// all misses.
+	for i := 0; i < 2*n && tr.cache != nil; i++ {
+		if !tr.Insert(k2{2000, uint32(i)}) {
+			t.Fatalf("fresh key %d reported a duplicate", i)
+		}
+	}
+	if tr.cache != nil || tr.dups != 0 {
+		t.Fatalf("a window of misses left the cache armed (dups %d)", tr.dups)
+	}
+	present := collectIter(tr.Iter())
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 16*n && tr.cache == nil; i++ {
+		if tr.Insert(present[rng.Intn(len(present))]) {
+			t.Fatal("a present key reported new")
+		}
+	}
+	if tr.cache == nil {
+		t.Fatal("scattered duplicates did not arm the cache again")
+	}
+}
+
+// TestDedupColdTreeStopsRearming: a tree whose cache never pays (present
+// keys re-inserted in random order, far more of them than the cache has
+// slots) disarms at every window, and each disarm doubles the duplicates
+// it takes to arm again, so it arms a logarithmic number of times rather
+// than once per two windows. Clear forgets the cold windows.
+func TestDedupColdTreeStopsRearming(t *testing.T) {
+	n := dedupSlots[k2]()
+	tr := New[k2]()
+	for a := uint32(0); a < 256; a++ {
+		for b := uint32(0); b < 256; b++ {
+			tr.Insert(k2{a, b})
+		}
+	}
+	rng := rand.New(rand.NewSource(5))
+	armings := 0
+	for i := 0; i < 64*n; i++ {
+		armed := tr.cache != nil
+		if tr.Insert(k2{uint32(rng.Intn(256)), uint32(rng.Intn(256))}) {
+			t.Fatal("a present key reported new")
+		}
+		if !armed && tr.cache != nil {
+			armings++
+		}
+	}
+	// Without the doubling a window-long arming and a window-long disarm
+	// alternate: 32 armings over 64 windows.
+	if armings < 2 || armings > 7 {
+		t.Fatalf("a steadily cold tree armed %d times over %d duplicates, want 2..7", armings, 64*n)
+	}
+	tr.Clear()
+	if tr.colds != 0 {
+		t.Fatalf("Clear left %d cold windows counted", tr.colds)
 	}
 }

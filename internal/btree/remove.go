@@ -5,21 +5,23 @@ package btree
 // is first refilled to at least degree keys (borrowing from a sibling or
 // merging with one), so the removal itself never needs to walk back up.
 // Iterators obtained before a Remove are invalidated, like for Insert, and
-// so is the writer hint: the refills merge nodes even when k is absent. Of
-// the duplicate cache only k's slot can name k, so only it is invalidated.
+// so are the writer hint and every reader's Hint (by the generation): the
+// refills merge nodes even when k is absent. Of the duplicate cache only k's
+// slot can name k, so only it is invalidated.
 func (t *Tree[K]) Remove(k K) bool {
 	t.last = nil
+	t.gen++
 	if t.cache != nil {
 		t.cache.at(k).epoch = 0
 	}
 	if t.root == nil {
 		return false
 	}
-	if !t.remove(t.root, k) {
-		return false
-	}
-	// An emptied internal root collapses onto its only child; an emptied
-	// leaf root leaves the empty tree.
+	removed := t.remove(t.root, k)
+	// An emptied internal root collapses onto its only child, also when k
+	// was absent (the refills on the way down may have merged the root's
+	// last two children); an emptied leaf root leaves the empty tree. So
+	// every attached node holds a key, which a Hint's cover test relies on.
 	if t.root.n == 0 {
 		if t.root.leaf() {
 			t.root = nil
@@ -27,8 +29,10 @@ func (t *Tree[K]) Remove(k K) bool {
 			t.root = t.root.children[0]
 		}
 	}
-	t.size--
-	return true
+	if removed {
+		t.size--
+	}
+	return removed
 }
 
 func (t *Tree[K]) remove(nd *node[K], k K) bool {

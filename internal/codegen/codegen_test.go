@@ -81,6 +81,49 @@ func TestEmitShape(t *testing.T) {
 	}
 }
 
+// TestEmitSecondaryInsertStopsAtDuplicate: r is searched on either column,
+// so it keeps two orders, and the synthesized insert enters the second only
+// when the first reports the tuple new.
+func TestEmitSecondaryInsertStopsAtDuplicate(t *testing.T) {
+	rp, st := compileSrc(t, `
+.decl edge(x:number, y:number)
+.decl r(x:number, y:number)
+.decl a(x:number)
+.decl b(y:number)
+.decl byx(y:number)
+.decl byy(x:number)
+.input edge
+.input a
+.input b
+.output byx
+.output byy
+r(x, y) :- edge(x, y).
+byx(y) :- a(x), r(x, y).
+byy(x) :- b(y), r(x, y).
+`)
+	var r *ram.Relation
+	for _, rel := range rp.Relations {
+		if rel.Name == "r" {
+			r = rel
+		}
+	}
+	if r == nil || len(r.Orders) != 2 {
+		t.Fatalf("relation r: want two orders, got %v", r)
+	}
+	src, err := Emit(rp, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, second := storeName(r, 0), storeName(r, 1)
+	want := regexp.MustCompile(`(?m)^\s*if ` + first + `\.Insert\(relation\.Tup2\{[^}]*\}\) \{\n\s*` + second + `\.Insert\(relation\.Tup2\{[^}]*\}\)\n\s*\}$`)
+	if !want.Match(src) {
+		t.Fatalf("the insert into %s is not guarded by the one into %s:\n%s", second, first, src)
+	}
+	if n := strings.Count(string(src), second+".Insert("); n != 1 {
+		t.Fatalf("%d inserts into %s, want the guarded one", n, second)
+	}
+}
+
 // TestSynthesizedProgramRuns emits, compiles, and executes the synthesized
 // program and checks its output against the known closure of a chain graph.
 func TestSynthesizedProgramRuns(t *testing.T) {

@@ -308,25 +308,33 @@ func (e *emitter) project(o *ram.Project) {
 	if len(orders) == 0 {
 		orders = []tuple.Order{tuple.Identity(r.Arity)}
 	}
-	switch r.Rep {
-	case ram.RepEqRel:
+	if r.Rep == ram.RepEqRel {
 		e.pf("%s.Insert(%s, %s)", storeName(r, 0), vals[0], vals[1])
-	case ram.RepBrie:
-		for j, ord := range orders {
-			enc := make([]string, len(ord))
-			for i, p := range ord {
-				enc[i] = vals[p]
-			}
-			e.pf("%s.Insert([]value.Value{%s})", storeName(r, j), strings.Join(enc, ", "))
+		e.depth--
+		e.pf("}")
+		return
+	}
+	// Every index holds the same tuples: a duplicate in the first is one in
+	// all of them, so the others are inserted into only when it was new.
+	for j, ord := range orders {
+		enc := make([]string, len(ord))
+		for i, p := range ord {
+			enc[i] = vals[p]
 		}
-	default:
-		for j, ord := range orders {
-			enc := make([]string, len(ord))
-			for i, p := range ord {
-				enc[i] = vals[p]
-			}
-			e.pf("%s.Insert(relation.Tup%d{%s})", storeName(r, j), r.Arity, strings.Join(enc, ", "))
+		key := fmt.Sprintf("relation.Tup%d{%s}", r.Arity, strings.Join(enc, ", "))
+		if r.Rep == ram.RepBrie {
+			key = fmt.Sprintf("[]value.Value{%s}", strings.Join(enc, ", "))
 		}
+		if j == 0 && len(orders) > 1 {
+			e.pf("if %s.Insert(%s) {", storeName(r, j), key)
+			e.depth++
+			continue
+		}
+		e.pf("%s.Insert(%s)", storeName(r, j), key)
+	}
+	if len(orders) > 1 {
+		e.depth--
+		e.pf("}")
 	}
 	e.depth--
 	e.pf("}")

@@ -75,7 +75,9 @@ func makeInsertBT[K btree.Key[K]](impls []any, orders []tuple.Order, toKey relat
 	}
 }
 
-func makeExistsBT[K btree.Key[K]](tree *btree.Tree[K], toKey relation.KeyFunc[K], arity int32, pat []exprFn) condFn {
+// makeExistsBT's full-key check starts from the finger in r's slot (-1 for
+// none).
+func makeExistsBT[K btree.Key[K]](tree *btree.Tree[K], toKey relation.KeyFunc[K], arity int32, pat []exprFn, slot int32) condFn {
 	switch {
 	case len(pat) == int(arity):
 		return func(r *rt) bool {
@@ -83,7 +85,8 @@ func makeExistsBT[K btree.Key[K]](tree *btree.Tree[K], toKey relation.KeyFunc[K]
 			for i, p := range pat {
 				key[i] = p(r)
 			}
-			return tree.Contains(toKey(key))
+			h, _ := r.finger(slot).(*btree.Hint[K])
+			return tree.ContainsHint(toKey(key), h)
 		}
 	case len(pat) == 0:
 		return func(*rt) bool { return tree.Size() > 0 }

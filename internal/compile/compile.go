@@ -64,18 +64,33 @@ func (m *Machine) RuleTimes() []RuleTime {
 type rt struct {
 	tuples []tuple.Tuple
 	base   []tuple.Tuple
+	// hints holds one finger (*btree.Hint) per full-key B-tree existence
+	// site of the query, indexed by the slot the compiler gave the site.
+	hints []any
 }
 
-func newRT(widths []int32) *rt {
+func newRT(widths, fingers []int32) *rt {
 	r := &rt{
 		tuples: make([]tuple.Tuple, len(widths)),
 		base:   make([]tuple.Tuple, len(widths)),
+		hints:  make([]any, len(fingers)),
 	}
 	for i, w := range widths {
 		r.tuples[i] = make(tuple.Tuple, w)
 		r.base[i] = r.tuples[i]
 	}
+	for i, a := range fingers {
+		r.hints[i] = relation.NewHint(int(a))
+	}
 	return r
+}
+
+// finger returns the finger in slot, or nil for slot -1 (r may then be nil).
+func (r *rt) finger(slot int32) any {
+	if slot < 0 {
+		return nil
+	}
+	return r.hints[slot]
 }
 
 // bindResult binds an aggregate's result as the 1-wide tuple at tid, in the

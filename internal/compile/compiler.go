@@ -19,6 +19,21 @@ import (
 type compiler struct {
 	m      *Machine
 	coords map[int32]tuple.Order
+	// inQuery is set while a query is compiled; fingers collects the arity
+	// of each of its full-key B-tree existence sites' finger slots.
+	inQuery bool
+	fingers []int32
+}
+
+// fingerSlot returns the rt finger slot of a full-key existence check on an
+// arity-wide B-tree, or -1 outside a query (an Exit condition runs without
+// an rt) and for a partial or empty key.
+func (c *compiler) fingerSlot(prefix, arity int) int32 {
+	if !c.inQuery || prefix != arity || arity == 0 {
+		return -1
+	}
+	c.fingers = append(c.fingers, int32(arity))
+	return int32(len(c.fingers) - 1)
 }
 
 func (c *compiler) relation(r *ram.Relation) *relation.Relation {
@@ -62,13 +77,16 @@ func (c *compiler) compileStmt(s ram.Statement) stmtFn {
 		c.coords = map[int32]tuple.Order{}
 		widths := make([]int32, s.NumTuples)
 		measureWidths(s.Root, widths)
+		c.inQuery, c.fingers = true, nil
 		root := c.compileOp(s.Root)
+		c.inQuery = false
+		fingers := c.fingers
 		id := s.RuleID
 		c.m.ruleLabels[id] = s.Label
 		times := c.m.ruleTimes
 		return func(st *state) {
 			start := time.Now()
-			root(newRT(widths))
+			root(newRT(widths, fingers))
 			times[id] += time.Since(start)
 		}
 	case *ram.Clear:
@@ -433,7 +451,7 @@ func (c *compiler) compileCond(cond ram.Condition) condFn {
 		pat := c.compilePattern(cond.Pattern, idx.Order())
 		switch rel.Rep() {
 		case relation.BTree:
-			return buildExistsBT(relation.Impl(idx), int32(rel.Arity()), pat)
+			return buildExistsBT(relation.Impl(idx), int32(rel.Arity()), pat, c.fingerSlot(len(pat), rel.Arity()))
 		case relation.EqRel:
 			er := relation.Impl(idx).(*eqrel.Rel)
 			switch len(pat) {

@@ -92,40 +92,40 @@ func buildInsertBT(impls []any, orders []tuple.Order, arity int32, exprs []exprF
 	panic(badImpl(impls[0]))
 }
 
-func buildExistsBT(impl any, arity int32, pat []exprFn) condFn {
+func buildExistsBT(impl any, arity int32, pat []exprFn, slot int32) condFn {
 	switch tree := impl.(type) {
 	case *btree.Tree[relation.Tup1]:
-		return makeExistsBT(tree, relation.KeyTup1, arity, pat)
+		return makeExistsBT(tree, relation.KeyTup1, arity, pat, slot)
 	case *btree.Tree[relation.Tup2]:
-		return makeExistsBT(tree, relation.KeyTup2, arity, pat)
+		return makeExistsBT(tree, relation.KeyTup2, arity, pat, slot)
 	case *btree.Tree[relation.Tup3]:
-		return makeExistsBT(tree, relation.KeyTup3, arity, pat)
+		return makeExistsBT(tree, relation.KeyTup3, arity, pat, slot)
 	case *btree.Tree[relation.Tup4]:
-		return makeExistsBT(tree, relation.KeyTup4, arity, pat)
+		return makeExistsBT(tree, relation.KeyTup4, arity, pat, slot)
 	case *btree.Tree[relation.Tup5]:
-		return makeExistsBT(tree, relation.KeyTup5, arity, pat)
+		return makeExistsBT(tree, relation.KeyTup5, arity, pat, slot)
 	case *btree.Tree[relation.Tup6]:
-		return makeExistsBT(tree, relation.KeyTup6, arity, pat)
+		return makeExistsBT(tree, relation.KeyTup6, arity, pat, slot)
 	case *btree.Tree[relation.Tup7]:
-		return makeExistsBT(tree, relation.KeyTup7, arity, pat)
+		return makeExistsBT(tree, relation.KeyTup7, arity, pat, slot)
 	case *btree.Tree[relation.Tup8]:
-		return makeExistsBT(tree, relation.KeyTup8, arity, pat)
+		return makeExistsBT(tree, relation.KeyTup8, arity, pat, slot)
 	case *btree.Tree[relation.Tup9]:
-		return makeExistsBT(tree, relation.KeyTup9, arity, pat)
+		return makeExistsBT(tree, relation.KeyTup9, arity, pat, slot)
 	case *btree.Tree[relation.Tup10]:
-		return makeExistsBT(tree, relation.KeyTup10, arity, pat)
+		return makeExistsBT(tree, relation.KeyTup10, arity, pat, slot)
 	case *btree.Tree[relation.Tup11]:
-		return makeExistsBT(tree, relation.KeyTup11, arity, pat)
+		return makeExistsBT(tree, relation.KeyTup11, arity, pat, slot)
 	case *btree.Tree[relation.Tup12]:
-		return makeExistsBT(tree, relation.KeyTup12, arity, pat)
+		return makeExistsBT(tree, relation.KeyTup12, arity, pat, slot)
 	case *btree.Tree[relation.Tup13]:
-		return makeExistsBT(tree, relation.KeyTup13, arity, pat)
+		return makeExistsBT(tree, relation.KeyTup13, arity, pat, slot)
 	case *btree.Tree[relation.Tup14]:
-		return makeExistsBT(tree, relation.KeyTup14, arity, pat)
+		return makeExistsBT(tree, relation.KeyTup14, arity, pat, slot)
 	case *btree.Tree[relation.Tup15]:
-		return makeExistsBT(tree, relation.KeyTup15, arity, pat)
+		return makeExistsBT(tree, relation.KeyTup15, arity, pat, slot)
 	case *btree.Tree[relation.Tup16]:
-		return makeExistsBT(tree, relation.KeyTup16, arity, pat)
+		return makeExistsBT(tree, relation.KeyTup16, arity, pat, slot)
 	}
 	panic(badImpl(impl))
 }

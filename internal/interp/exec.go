@@ -79,10 +79,10 @@ func (ex *executor) execQuery(n *inode) value.Value {
 	qctx := n.qctx
 	switch {
 	case n.staged:
-		qctx = newContext(n.widths)
+		qctx = newContext(n.widths, n.fingers)
 		qctx.stage = make([]*relation.StagingBuffer, len(ex.eng.rels))
 	case qctx == nil:
-		qctx = newContext(n.widths)
+		qctx = newContext(n.widths, n.fingers)
 		n.qctx = qctx
 	default:
 		qctx.reset()
@@ -290,10 +290,10 @@ func (ex *executor) execute(n *inode, ctx *context) value.Value {
 		pat := ctx.scratch[:n.arity]
 		ex.fillTuple(n, ctx, pat[:n.prefix])
 		if n.prefix == n.arity {
-			if n.idx.ContainsEncoded(pat[:n.arity]) {
-				return 1
+			if n.hinted != nil {
+				return boolVal(n.hinted(pat[:n.arity], ctx.hints[n.hint]))
 			}
-			return 0
+			return boolVal(n.idx.ContainsEncoded(pat[:n.arity]))
 		}
 		if n.idx.AnyMatch(pat[:n.arity], int(n.prefix)) {
 			return 1

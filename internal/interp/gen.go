@@ -36,6 +36,10 @@ type generator struct {
 	// sawParallel records that the current query generated a partitioned
 	// scan, so the query node must allocate and merge staging buffers.
 	sawParallel bool
+	// inQuery is set while a query is generated; fingers collects the arity
+	// of each of its finger slots (bindFinger).
+	inQuery bool
+	fingers []int32
 	// err is the first refusal: a statement needing a capability its target
 	// relation lacks. Engine.execTree reports it instead of running anything.
 	err error
@@ -66,7 +70,9 @@ func (g *generator) genStatement(s ram.Statement) *inode {
 		g.premExists = nil
 		g.pendingParallel = g.cfg.Workers > 1 && s.Parallel
 		g.sawParallel = false
+		g.inQuery, g.fingers = true, nil
 		root := g.genOperation(s.Root)
+		g.inQuery = false
 		g.pendingParallel = false
 		widths := make([]int32, s.NumTuples)
 		for tid, w := range g.widths {
@@ -80,7 +86,7 @@ func (g *generator) genStatement(s ram.Statement) *inode {
 			premRels[tid] = rel
 		}
 		return &inode{
-			op: opQuery, nested: root, widths: widths, premRels: premRels,
+			op: opQuery, nested: root, widths: widths, fingers: g.fingers, premRels: premRels,
 			premExists: g.premExists, staged: g.sawParallel,
 			ruleID: int32(s.RuleID), label: s.Label, shadow: s,
 		}
@@ -159,6 +165,26 @@ func (g *generator) bindSearch(n *inode, idx relation.Index) {
 	if len(n.impls) > 1 && keyEnc < int(n.prefix) {
 		n.shards, n.shardKey = int32(len(n.impls)), int32(keyEnc)
 	}
+}
+
+// bindFinger gives a full-key existence check n on a B-tree relation its
+// finger slot in the query context: the specialized form always, the
+// dynamic form when its index can start from one (relation.HintedContains;
+// not under telemetry's counting wrapper, nor on a sharded index). A check
+// outside a query (an Exit condition) has no context of its own and starts
+// from the root.
+func (g *generator) bindFinger(n *inode, rel *relation.Relation, idx relation.Index) {
+	n.hint = -1
+	if !g.inQuery || n.prefix != n.arity || rel.Rep() != relation.BTree {
+		return
+	}
+	if n.op == opExists {
+		if n.hinted = relation.HintedContains(idx); n.hinted == nil {
+			return
+		}
+	}
+	n.hint = int32(len(g.fingers))
+	g.fingers = append(g.fingers, n.arity)
 }
 
 func (g *generator) genOperation(o ram.Operation) *inode {
@@ -465,6 +491,7 @@ func (g *generator) genCond1(c ram.Condition) *inode {
 		}
 		n.children, n.prefix = g.genPattern(c.Pattern, idx.Order())
 		g.bindSearch(n, idx)
+		g.bindFinger(n, rel, idx)
 		g.applySuper(n)
 		if g.negDepth == 0 && n.prefix == n.arity && n.arity > 0 {
 			g.premExists = append(g.premExists, n)

@@ -141,6 +141,13 @@ type inode struct {
 	label  string
 	ruleID int32
 	widths []int32 // query: context tuple widths by tupleID
+	// fingers (query) is the arity of each full-key B-tree existence site's
+	// finger slot in the context; hint (existence check) is the site's slot,
+	// -1 for none; hinted is the dynamic form's finger-started membership
+	// test (relation.HintedContains).
+	fingers []int32
+	hint    int32
+	hinted  func(tuple.Tuple, any) bool
 	// qctx is a non-staged query's context, made on its first run and reset
 	// for every later one (execQuery).
 	qctx *context
@@ -217,6 +224,14 @@ type context struct {
 	// fills and consumes it without evaluating another operation in between,
 	// and nothing the tuple is handed to keeps it.
 	scratch [relation.MaxArity]value.Value
+	// hints holds one finger (*btree.Hint of the site's key type) per
+	// full-key B-tree existence site of the query, indexed by inode.hint:
+	// the leaf that decided an earlier lookup of that site and its parent,
+	// which the next one starts from. The context is its reader's own, so
+	// workers never share one; a reused context keeps them, and the tree's
+	// generation makes that safe. fingers are the sites' arities, for clone.
+	hints   []any
+	fingers []int32
 	stats   opStats
 	exit    bool // set by Exit, consumed by Loop
 	// pad receives the heavyweight-dispatch baseline's spill traffic; it
@@ -224,15 +239,16 @@ type context struct {
 	pad [8]uint64
 }
 
-// clone creates a fresh context with the same slot widths (the paper's
-// thread-local context copies for parallel workers). A staging context
-// clones to a staging context: each worker stages into its own buffers.
+// clone creates a fresh context with the same slot widths and fresh fingers
+// (the paper's thread-local context copies for parallel workers). A staging
+// context clones to a staging context: each worker stages into its own
+// buffers.
 func (ctx *context) clone() *context {
 	widths := make([]int32, len(ctx.base))
 	for i, t := range ctx.base {
 		widths[i] = int32(len(t))
 	}
-	c := newContext(widths)
+	c := newContext(widths, ctx.fingers)
 	if ctx.stage != nil {
 		c.stage = make([]*relation.StagingBuffer, len(ctx.stage))
 	}
@@ -241,23 +257,38 @@ func (ctx *context) clone() *context {
 
 // reset readies a reused context for the next run of its query: every slot
 // back at its own storage (scans and aggregates rebind them), counters
-// zeroed, no pending exit.
+// zeroed, no pending exit. The fingers stay.
 func (ctx *context) reset() {
 	copy(ctx.tuples, ctx.base)
 	ctx.stats = opStats{}
 	ctx.exit = false
 }
 
-func newContext(widths []int32) *context {
+// newContext makes a query context with tuple slots of the given widths and
+// a fresh finger for each existence site arity in fingers.
+func newContext(widths, fingers []int32) *context {
 	ctx := &context{
-		tuples: make([]tuple.Tuple, len(widths)),
-		base:   make([]tuple.Tuple, len(widths)),
+		tuples:  make([]tuple.Tuple, len(widths)),
+		base:    make([]tuple.Tuple, len(widths)),
+		hints:   make([]any, len(fingers)),
+		fingers: fingers,
 	}
 	for i, w := range widths {
 		ctx.tuples[i] = make(tuple.Tuple, w)
 		ctx.base[i] = ctx.tuples[i]
 	}
+	for i, a := range fingers {
+		ctx.hints[i] = relation.NewHint(int(a))
+	}
 	return ctx
+}
+
+// finger returns n's finger in ctx, or nil when n has none.
+func (ctx *context) finger(n *inode) any {
+	if n.hint < 0 {
+		return nil
+	}
+	return ctx.hints[n.hint]
 }
 
 // bindResult binds an aggregate's result as the 1-wide tuple at tid, in the

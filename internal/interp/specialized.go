@@ -110,7 +110,8 @@ func evalExistsBT[K btree.Key[K]](ex *executor, n *inode, ctx *context, toKey re
 		var found bool
 		switch {
 		case n.prefix == n.arity:
-			found = tree.Contains(toKey(pat))
+			h, _ := ctx.finger(n).(*btree.Hint[K])
+			found = tree.ContainsHint(toKey(pat), h)
 		case n.prefix == 0:
 			found = tree.Size() > 0
 		default:

@@ -19,7 +19,7 @@ type KeyFunc[K any] func([MaxArity]value.Value) K
 // tuples_gen.go; toKey/fromKey are the per-arity conversion glue installed
 // by the generated factory. Because toKey takes arrays, the encoding
 // buffers below stay on the stack: Insert, Delete, Contains, ContainsEncoded,
-// AnyMatch, InsertAll and walk allocate nothing.
+// containsEncodedHint, AnyMatch, InsertAll and walk allocate nothing.
 type btreeAdapter[K btree.Key[K]] struct {
 	tree    *btree.Tree[K]
 	order   tuple.Order
@@ -74,10 +74,15 @@ func (a *btreeAdapter[K]) InsertAll(flat []value.Value, count int) int {
 	return added
 }
 
-func (a *btreeAdapter[K]) ContainsEncoded(t tuple.Tuple) bool {
+func (a *btreeAdapter[K]) ContainsEncoded(t tuple.Tuple) bool { return a.containsEncodedHint(t, nil) }
+
+// containsEncodedHint is the fingered capability: h is the site's
+// *btree.Hint[K], or nil to start from the root.
+func (a *btreeAdapter[K]) containsEncodedHint(t tuple.Tuple, h any) bool {
 	var enc [MaxArity]value.Value
 	copy(enc[:a.arity], t)
-	return a.tree.Contains(a.toKey(enc))
+	hint, _ := h.(*btree.Hint[K])
+	return a.tree.ContainsHint(a.toKey(enc), hint)
 }
 
 func (a *btreeAdapter[K]) SwapContents(other Index) { a.tree.Swap(swapPeer(a, other).tree) }

@@ -95,17 +95,17 @@ type batcher interface {
 // Nothing on the interface is telemetry: counting is countedIndex, a wrapper
 // Relation.AttachMetrics installs only when a collector is attached.
 //
-//	              BulkInserter     Deleter        Partitioner       Ranger       walker
-//	btree         tree bulk load   yes            separator keys    tree range   stack iterator
-//	brie          trie bulk load   yes            -                 -            -
-//	eqrel         pair bulk load   -              -                 -            -
-//	nullary       -                yes            -                 -            -
-//	legacy        -                yes            -                 tree range   -
-//	persist       -                yes            sampled keys      -            -
-//	shardedIndex  one per shard    yes            shard boundaries  per shard    -
-//	countedIndex  as wrapped       iff wrapped    as wrapped        as wrapped   - (counts Scan)
-//	without it    loop on Insert   SUBTRACT is    one partition:    the prefix   the buffered
-//	                               refused        the full scan     scan         scan
+//	              BulkInserter     Deleter        Partitioner       Ranger       walker           fingered
+//	btree         tree bulk load   yes            separator keys    tree range   stack iterator   btree.Hint
+//	brie          trie bulk load   yes            -                 -            -                -
+//	eqrel         pair bulk load   -              -                 -            -                -
+//	nullary       -                yes            -                 -            -                -
+//	legacy        -                yes            -                 tree range   -                -
+//	persist       -                yes            sampled keys      -            -                -
+//	shardedIndex  one per shard    yes            shard boundaries  per shard    -                -
+//	countedIndex  as wrapped       iff wrapped    as wrapped        as wrapped   - (counts Scan)  - (counts lookups)
+//	without it    loop on Insert   SUBTRACT is    one partition:    the prefix   the buffered     ContainsEncoded
+//	                               refused        the full scan     scan         scan             from the root
 type Index interface {
 	// Order is the lexicographic order this index maintains, as a
 	// permutation from source positions to encoded positions.
@@ -198,6 +198,24 @@ func RangeScan(idx Index, pattern tuple.Tuple, k int, lo, hi value.Value) Iterat
 // allocates nothing.
 type walker interface {
 	walk(prefix tuple.Tuple, k int, v Visitor)
+}
+
+// fingered is the capability of stores whose full-key membership test can
+// start from a reader's finger rather than the root: the B-tree adapter
+// passes a *btree.Hint of its key type (made by NewHint for its arity) to
+// Tree.ContainsHint.
+type fingered interface {
+	containsEncodedHint(t tuple.Tuple, h any) bool
+}
+
+// HintedContains is idx's finger-started ContainsEncoded, or nil when idx
+// has none. The tree generator binds it once per existence site; the site's
+// finger lives in the reader's query context.
+func HintedContains(idx Index) func(t tuple.Tuple, h any) bool {
+	if f, ok := idx.(fingered); ok {
+		return f.containsEncodedHint
+	}
+	return nil
 }
 
 // Visitor receives the tuples of a Walk in source order. Slot returns the

@@ -192,11 +192,15 @@ func (r *Relation) SearchIndex(id int) Index {
 }
 
 // Insert adds a source-order tuple to every index, reporting whether the
-// primary index did not already contain it.
+// primary index did not already contain it. Every index holds the same
+// tuples, so a duplicate in the primary is one in all of them and costs
+// that one probe.
 func (r *Relation) Insert(t tuple.Tuple) bool {
 	added := r.indexes[0].Insert(t)
-	for _, idx := range r.indexes[1:] {
-		idx.Insert(t)
+	if added {
+		for _, idx := range r.indexes[1:] {
+			idx.Insert(t)
+		}
 	}
 	if r.stats != nil {
 		r.stats.CountInsert(added)

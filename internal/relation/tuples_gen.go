@@ -828,5 +828,48 @@ func newBTreeIndex(order tuple.Order) Index {
 	}
 }
 
+// NewHint is the arity factory for B-tree read fingers: a fresh
+// *btree.Hint[TupN] for the trees of an arity-N index. A reader keeps it
+// with its own state (a query context) and passes it to that index's
+// full-key lookups.
+func NewHint(arity int) any {
+	switch arity {
+	case 1:
+		return new(btree.Hint[Tup1])
+	case 2:
+		return new(btree.Hint[Tup2])
+	case 3:
+		return new(btree.Hint[Tup3])
+	case 4:
+		return new(btree.Hint[Tup4])
+	case 5:
+		return new(btree.Hint[Tup5])
+	case 6:
+		return new(btree.Hint[Tup6])
+	case 7:
+		return new(btree.Hint[Tup7])
+	case 8:
+		return new(btree.Hint[Tup8])
+	case 9:
+		return new(btree.Hint[Tup9])
+	case 10:
+		return new(btree.Hint[Tup10])
+	case 11:
+		return new(btree.Hint[Tup11])
+	case 12:
+		return new(btree.Hint[Tup12])
+	case 13:
+		return new(btree.Hint[Tup13])
+	case 14:
+		return new(btree.Hint[Tup14])
+	case 15:
+		return new(btree.Hint[Tup15])
+	case 16:
+		return new(btree.Hint[Tup16])
+	default:
+		panic("relation: arity not supported by the specialized B-tree factory")
+	}
+}
+
 // btreeImplOf recovers the concrete tree type name for diagnostics.
 var _ = btree.New[Tup1] // keep the btree import when templates change
