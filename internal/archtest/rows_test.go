@@ -257,6 +257,28 @@ var rows = []row{
 			want: []string{"internal/relation/adapter_btree.go:3:30: metrics.IndexOps"},
 		}},
 	},
+	// One B-tree: every ordered store keyed by whole tuples is an
+	// instantiation of internal/btree, the §5.1 legacy store too (its
+	// runtime comparator lives in the key type, relation's legacyKey). Node
+	// splitting and the removal's rebalancing exist there alone; a second
+	// copy of them is a second B-tree. brie and eqrel are other structures
+	// and use none of these names.
+	{
+		name:  "one-ordered-tree",
+		check: forbid(`^(splitChild|mergeChildren|borrowFromLeft|borrowFromRight)$`, everywhere.except("internal/btree/")),
+		cases: []fixture{{
+			name: "dyntree-returns",
+			files: map[string]string{
+				"internal/btree/remove.go": "package btree\n\nfunc (nd *node[K]) mergeChildren(i int) {}\n",
+				"internal/dyntree/dyntree.go": "package dyntree\n\nfunc (nd *node) splitChild(i int) {}\n\n" +
+					"func (t *Tree) Insert(k tuple.Tuple) bool {\n\tt.root.splitChild(0)\n\treturn true\n}\n",
+				"internal/dyntree/remove.go": "package dyntree\n\nfunc (nd *node) fill(i int) {\n\tnd.borrowFromLeft(i)\n\tnd.borrowFromRight(i)\n\tnd.mergeChildren(i)\n}\n",
+			},
+			want: []string{"internal/dyntree/dyntree.go:3:17: splitChild", "internal/dyntree/dyntree.go:6:9: splitChild",
+				"internal/dyntree/remove.go:4:5: borrowFromLeft", "internal/dyntree/remove.go:5:5: borrowFromRight",
+				"internal/dyntree/remove.go:6:5: mergeChildren"},
+		}},
+	},
 	// internal/interp is the paper's core layer; the closure compiler and
 	// the Go synthesizer are the baselines it is measured against and must
 	// stay out of its dependency cone.

@@ -82,13 +82,11 @@ type Tree[K Key[K]] struct {
 	// a descending Insert splits leaves, and it sets last and lastMax anew.
 	lastMax bool
 	// dups counts the duplicates Insert found by descending since the last
-	// Clear or disarm while cache is nil; at dedupSlots<<colds of them the
-	// cache is armed. colds counts the cold windows (dedup.go) since the
-	// last Clear, so that a tree whose cache never pays arms ever more
-	// rarely. A disarmed cache waits in spare, so that a tree whose windows
-	// alternate between cold and warm does not allocate at every arming.
+	// Clear or disarm while cache is nil; at dedupSlots of them the cache is
+	// armed. A disarmed cache waits in spare, so that a tree whose windows
+	// (dedup.go) alternate between cold and warm does not allocate at every
+	// arming.
 	dups         int
-	colds        uint8
 	cache, spare *dedup[K]
 	// gen counts the operations that detach nodes (Clear, Swap, Remove): a
 	// reader's Hint is sound only within the generation it was recorded in.
@@ -109,7 +107,7 @@ func (t *Tree[K]) Clear() {
 	t.root = nil
 	t.size = 0
 	t.last = nil
-	t.dups, t.colds = 0, 0
+	t.dups = 0
 	t.gen++
 	if t.cache != nil {
 		t.cache.clear()
@@ -126,7 +124,6 @@ func (t *Tree[K]) Swap(o *Tree[K]) {
 	t.size, o.size = o.size, t.size
 	t.last, o.last = nil, nil
 	t.dups, o.dups = o.dups, t.dups
-	t.colds, o.colds = o.colds, t.colds
 	t.cache, o.cache = o.cache, t.cache
 }
 
@@ -174,7 +171,6 @@ func (t *Tree[K]) Insert(k K) bool {
 		s.key, s.epoch = k, c.epoch
 		if c.miss() {
 			t.cache, t.spare, t.dups = nil, c, 0
-			t.colds = min(t.colds+1, maxColds)
 		}
 	}
 	if nd := t.last; nd != nil {
@@ -208,7 +204,7 @@ func (t *Tree[K]) Insert(k K) bool {
 		return true
 	}
 	if t.cache == nil {
-		if t.dups++; t.dups >= dedupSlots[K]()<<t.colds {
+		if t.dups++; t.dups >= dedupSlots[K]() {
 			t.arm()
 		}
 	}

@@ -27,11 +27,9 @@ import (
 // windows of len(slots), and at the end of a window in which fewer than one
 // probe in dedupColdShare hit, Insert takes the cache off the insert path
 // (keeping its slots for the next arming) and counts duplicates towards
-// arming again from zero, up to twice as many as the last time: a tree whose
-// cache keeps finding its windows cold re-arms ever more rarely, until a
-// Clear. Sweeps of present keys too long for the cache to hold (each key
-// comes back only after more others than it has slots) miss every probe,
-// and the leaf hint answers them anyway.
+// arming again from zero. Sweeps of present keys too long for the cache to
+// hold (each key comes back only after more others than it has slots) miss
+// every probe, and the leaf hint answers them anyway.
 type dedup[K Key[K]] struct {
 	slots []slot[K]
 	shift uint8 // 64 - log2(len(slots)): a hash's top bits pick the slot
@@ -43,10 +41,6 @@ type dedup[K Key[K]] struct {
 // dedupColdShare sets the hit share below which a window is cold: fewer
 // than one hit in dedupColdShare probes.
 const dedupColdShare = 8
-
-// maxColds caps Tree.colds: a tree that found its cache cold that often
-// arms again only after 2^maxColds times its slot count in duplicates.
-const maxColds = 32
 
 type slot[K Key[K]] struct {
 	key   K

@@ -275,38 +275,3 @@ func TestDedupColdCacheDisarms(t *testing.T) {
 		t.Fatal("scattered duplicates did not arm the cache again")
 	}
 }
-
-// TestDedupColdTreeStopsRearming: a tree whose cache never pays (present
-// keys re-inserted in random order, far more of them than the cache has
-// slots) disarms at every window, and each disarm doubles the duplicates
-// it takes to arm again, so it arms a logarithmic number of times rather
-// than once per two windows. Clear forgets the cold windows.
-func TestDedupColdTreeStopsRearming(t *testing.T) {
-	n := dedupSlots[k2]()
-	tr := New[k2]()
-	for a := uint32(0); a < 256; a++ {
-		for b := uint32(0); b < 256; b++ {
-			tr.Insert(k2{a, b})
-		}
-	}
-	rng := rand.New(rand.NewSource(5))
-	armings := 0
-	for i := 0; i < 64*n; i++ {
-		armed := tr.cache != nil
-		if tr.Insert(k2{uint32(rng.Intn(256)), uint32(rng.Intn(256))}) {
-			t.Fatal("a present key reported new")
-		}
-		if !armed && tr.cache != nil {
-			armings++
-		}
-	}
-	// Without the doubling a window-long arming and a window-long disarm
-	// alternate: 32 armings over 64 windows.
-	if armings < 2 || armings > 7 {
-		t.Fatalf("a steadily cold tree armed %d times over %d duplicates, want 2..7", armings, 64*n)
-	}
-	tr.Clear()
-	if tr.colds != 0 {
-		t.Fatalf("Clear left %d cold windows counted", tr.colds)
-	}
-}

@@ -536,8 +536,10 @@ func (c *compiler) compileExpr(e ram.Expr) exprFn {
 }
 
 // compileIntrinsic monomorphizes functors: the hot signed-arithmetic
-// operators get dedicated closures; the rest route through the shared
-// runtime with the operator pre-bound.
+// operators get dedicated closures, the other binary operators call
+// rtl.Arith, and the rest route through the shared runtime's rtl.Apply with
+// the operator pre-bound. Of the functors that take two arguments only cat
+// is not arithmetic.
 func (c *compiler) compileIntrinsic(e *ram.Intrinsic) exprFn {
 	args := make([]exprFn, len(e.Args))
 	for i, a := range e.Args {
@@ -545,45 +547,14 @@ func (c *compiler) compileIntrinsic(e *ram.Intrinsic) exprFn {
 	}
 	st := c.m.st
 	op, typ := e.Op, e.Type
-	switch op {
-	case ram.OpNeg:
-		a := args[0]
-		return func(r *rt) value.Value { return rtl.Neg(typ, a(r)) }
-	case ram.OpBNot:
-		a := args[0]
-		return func(r *rt) value.Value { return rtl.BNot(typ, a(r)) }
-	case ram.OpLNot:
-		a := args[0]
-		return func(r *rt) value.Value { return rtl.LNot(a(r)) }
-	case ram.OpCat:
+	if len(args) != 2 || op == ram.OpCat {
 		return func(r *rt) value.Value {
-			vals := make([]value.Value, len(args))
-			for i, a := range args {
-				vals[i] = a(r)
+			var buf [4]value.Value
+			vals := buf[:0]
+			for _, a := range args {
+				vals = append(vals, a(r))
 			}
-			return rtl.Cat(st, vals...)
-		}
-	case ram.OpStrlen:
-		a := args[0]
-		return func(r *rt) value.Value { return rtl.Strlen(st, a(r)) }
-	case ram.OpSubstr:
-		a, b2, c2 := args[0], args[1], args[2]
-		return func(r *rt) value.Value { return rtl.Substr(st, a(r), b2(r), c2(r)) }
-	case ram.OpOrd:
-		return args[0]
-	case ram.OpToNumber:
-		a := args[0]
-		return func(r *rt) value.Value { return rtl.ToNumber(st, a(r)) }
-	case ram.OpToString:
-		a := args[0]
-		return func(r *rt) value.Value { return rtl.ToString(st, a(r)) }
-	case ram.OpMin, ram.OpMax:
-		return func(r *rt) value.Value {
-			acc := args[0](r)
-			for _, a := range args[1:] {
-				acc = rtl.Arith(op, typ, acc, a(r))
-			}
-			return acc
+			return rtl.Apply(st, op, typ, vals)
 		}
 	}
 	l, r2 := args[0], args[1]

@@ -9,7 +9,6 @@ import (
 	"sti/internal/ram"
 	"sti/internal/relation"
 	"sti/internal/rtl"
-	"sti/internal/symtab"
 	"sti/internal/tuple"
 	"sti/internal/value"
 )
@@ -684,37 +683,5 @@ func (ex *executor) evalIntrinsic(n *inode, ctx *context) value.Value {
 	for _, ch := range n.children {
 		args = append(args, ex.eval(ch, ctx))
 	}
-	return applyIntrinsic(ex.eng.st, ram.IntrinsicOp(n.a), value.Type(n.b), args)
-}
-
-// applyIntrinsic applies a functor to its evaluated arguments; the dispatched
-// and the fused (fuse.go) evaluation share it.
-func applyIntrinsic(st *symtab.Table, op ram.IntrinsicOp, typ value.Type, a []value.Value) value.Value {
-	switch op {
-	case ram.OpNeg:
-		return rtl.Neg(typ, a[0])
-	case ram.OpBNot:
-		return rtl.BNot(typ, a[0])
-	case ram.OpLNot:
-		return rtl.LNot(a[0])
-	case ram.OpCat:
-		return rtl.Cat(st, a...)
-	case ram.OpStrlen:
-		return rtl.Strlen(st, a[0])
-	case ram.OpSubstr:
-		return rtl.Substr(st, a[0], a[1], a[2])
-	case ram.OpOrd:
-		return a[0]
-	case ram.OpToNumber:
-		return rtl.ToNumber(st, a[0])
-	case ram.OpToString:
-		return rtl.ToString(st, a[0])
-	case ram.OpMin, ram.OpMax:
-		acc := a[0]
-		for _, v := range a[1:] {
-			acc = rtl.Arith(op, typ, acc, v)
-		}
-		return acc
-	}
-	return rtl.Arith(op, typ, a[0], a[1])
+	return rtl.Apply(ex.eng.st, ram.IntrinsicOp(n.a), value.Type(n.b), args)
 }

@@ -142,7 +142,7 @@ func (g *generator) fuseArg(e ram.Expr) arg {
 // fuseIntrinsic gives the binary word operators their own bodies — wrap-around
 // arithmetic and bit operations are the same bits for number and unsigned,
 // and a known non-zero divisor needs no per-evaluation zero check — and
-// pre-binds every other functor to applyIntrinsic.
+// pre-binds every other functor to rtl.Apply.
 func (g *generator) fuseIntrinsic(e *ram.Intrinsic) fusedExpr {
 	args := make([]arg, len(e.Args))
 	for i, a := range e.Args {
@@ -178,6 +178,6 @@ func (g *generator) fuseIntrinsic(e *ram.Intrinsic) fusedExpr {
 		for i := range args {
 			vals = append(vals, args[i].get(ts))
 		}
-		return applyIntrinsic(st, op, typ, vals)
+		return rtl.Apply(st, op, typ, vals)
 	}
 }

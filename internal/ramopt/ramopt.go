@@ -304,7 +304,7 @@ func (o *optimizer) expr(e ram.Expr) ram.Expr {
 	for i, a := range in.Args {
 		args[i] = a.(*ram.Constant).Val
 	}
-	return &ram.Constant{Val: o.evalConst(in, args)}
+	return &ram.Constant{Val: rtl.Apply(o.st, in.Op, in.Type, args)}
 }
 
 func foldable(op ram.IntrinsicOp) bool {
@@ -313,34 +313,5 @@ func foldable(op ram.IntrinsicOp) bool {
 		return false
 	default:
 		return true
-	}
-}
-
-func (o *optimizer) evalConst(in *ram.Intrinsic, args []value.Value) value.Value {
-	switch in.Op {
-	case ram.OpNeg:
-		return rtl.Neg(in.Type, args[0])
-	case ram.OpBNot:
-		return rtl.BNot(in.Type, args[0])
-	case ram.OpLNot:
-		return rtl.LNot(args[0])
-	case ram.OpCat:
-		return rtl.Cat(o.st, args...)
-	case ram.OpStrlen:
-		return rtl.Strlen(o.st, args[0])
-	case ram.OpSubstr:
-		return rtl.Substr(o.st, args[0], args[1], args[2])
-	case ram.OpOrd:
-		return args[0]
-	case ram.OpToString:
-		return rtl.ToString(o.st, args[0])
-	case ram.OpMin, ram.OpMax:
-		acc := args[0]
-		for _, a := range args[1:] {
-			acc = rtl.Arith(in.Op, in.Type, acc, a)
-		}
-		return acc
-	default:
-		return rtl.Arith(in.Op, in.Type, args[0], args[1])
 	}
 }

@@ -1,22 +1,73 @@
 package relation
 
 import (
-	"sti/internal/dyntree"
+	"sti/internal/btree"
 	"sti/internal/tuple"
 	"sti/internal/value"
 )
 
-// legacyAdapter is the relation store of the legacy interpreter (§5.1): a
-// B-tree ordered by a *runtime* comparator that interprets the order array
-// on every comparison. Tuples are stored in source order; the encoded view
-// required by the Index contract is produced on output.
+// legacyAdapter is the relation store of the legacy interpreter (§5.1): the
+// engine's B-tree, instantiated with a key that carries its index order and
+// interprets it on every comparison, each key a separately allocated string.
+// Tuples are stored in source order; the encoded view required by the Index
+// contract is produced on output.
 type legacyAdapter struct {
-	tree  *dyntree.Tree
+	tree  *btree.Tree[legacyKey]
 	order tuple.Order
+	ord   string // order as bytes, shared by every key the adapter makes
+}
+
+// legacyKey is a source-order tuple, its words in tuple.AppendKey's
+// encoding, with the index order it is compared by, one byte per position.
+// The tree tests key equality with ==, so both fields compare by content:
+// the keys of two indexes of the same order are interchangeable, as
+// SwapContents needs.
+type legacyKey struct {
+	words, order string
+}
+
+// word returns the word at source position p.
+func (k legacyKey) word(p int) value.Value {
+	w := k.words[p*tuple.KeyWidth:]
+	return value.Value(w[0])<<24 | value.Value(w[1])<<16 | value.Value(w[2])<<8 | value.Value(w[3])
+}
+
+// Cmp is the legacy runtime comparator: it walks the order and compares the
+// words it addresses.
+func (k legacyKey) Cmp(o legacyKey) int {
+	for i := 0; i < len(k.order); i++ {
+		p := int(k.order[i])
+		switch a, b := k.word(p), o.word(p); {
+		case a < b:
+			return -1
+		case a > b:
+			return 1
+		}
+	}
+	return 0
+}
+
+// Hash folds the words into the top bits for the tree's duplicate cache.
+func (k legacyKey) Hash() uint64 {
+	var h uint64
+	for p := 0; p < len(k.order); p++ {
+		h = (h ^ uint64(k.word(p))) * hashMul
+	}
+	return h
 }
 
 func newLegacyAdapter(order tuple.Order) *legacyAdapter {
-	return &legacyAdapter{tree: dyntree.New(dyntree.OrderCmp(order)), order: order}
+	ord := make([]byte, len(order))
+	for i, p := range order {
+		ord[i] = byte(p)
+	}
+	return &legacyAdapter{tree: btree.New[legacyKey](), order: order, ord: string(ord)}
+}
+
+// key allocates the tree key of a source-order tuple.
+func (a *legacyAdapter) key(t tuple.Tuple) legacyKey {
+	var buf [MaxArity * tuple.KeyWidth]byte
+	return legacyKey{string(tuple.AppendKey(buf[:0], t[:len(a.order)])), a.ord}
 }
 
 func (a *legacyAdapter) Order() tuple.Order { return a.order }
@@ -24,14 +75,14 @@ func (a *legacyAdapter) Size() int          { return a.tree.Size() }
 func (a *legacyAdapter) Clear()             { a.tree.Clear() }
 func (a *legacyAdapter) impl() any          { return a.tree }
 
-func (a *legacyAdapter) Insert(t tuple.Tuple) bool   { return a.tree.Insert(t) }
-func (a *legacyAdapter) Delete(t tuple.Tuple) bool   { return a.tree.Remove(t) }
-func (a *legacyAdapter) Contains(t tuple.Tuple) bool { return a.tree.Contains(t) }
+func (a *legacyAdapter) Insert(t tuple.Tuple) bool   { return a.tree.Insert(a.key(t)) }
+func (a *legacyAdapter) Delete(t tuple.Tuple) bool   { return a.tree.Remove(a.key(t)) }
+func (a *legacyAdapter) Contains(t tuple.Tuple) bool { return a.tree.Contains(a.key(t)) }
 
 func (a *legacyAdapter) ContainsEncoded(t tuple.Tuple) bool {
 	var src [MaxArity]value.Value
 	a.order.Decode(src[:len(a.order)], t)
-	return a.tree.Contains(src[:len(a.order)])
+	return a.Contains(src[:len(a.order)])
 }
 
 func (a *legacyAdapter) SwapContents(other Index) { a.tree.Swap(swapPeer(a, other).tree) }
@@ -59,7 +110,7 @@ func (a *legacyAdapter) RangeScan(pattern tuple.Tuple, k int, klo, khi value.Val
 	for i := k + 1; i < arity; i++ {
 		hi[a.order[i]] = ^value.Value(0)
 	}
-	return &legacyIter{it: a.tree.Range(lo, hi), order: a.order, out: make(tuple.Tuple, arity)}
+	return &legacyIter{it: a.tree.Range(a.key(lo), a.key(hi)), order: a.order, out: make(tuple.Tuple, arity)}
 }
 
 func (a *legacyAdapter) AnyMatch(pattern tuple.Tuple, k int) bool {
@@ -74,7 +125,7 @@ func (a *legacyAdapter) AnyMatch(pattern tuple.Tuple, k int) bool {
 // legacyIter re-encodes stored source-order tuples into the encoded view on
 // every step — the runtime reordering cost the legacy design pays.
 type legacyIter struct {
-	it    *dyntree.Iter
+	it    btree.Iter[legacyKey]
 	order tuple.Order
 	out   tuple.Tuple
 }
@@ -84,6 +135,8 @@ func (l *legacyIter) Next() (tuple.Tuple, bool) {
 	if !ok {
 		return nil, false
 	}
-	l.order.Encode(l.out, src)
+	for i, p := range l.order {
+		l.out[i] = src.word(p)
+	}
 	return l.out, true
 }

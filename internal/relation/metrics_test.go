@@ -96,7 +96,7 @@ func TestAdapterCountersAllReps(t *testing.T) {
 		}
 		t.Run(im.name, func(t *testing.T) {
 			ops := &metrics.IndexOps{}
-			want, nparts := coreScript(t, counted(im.mk(t, order), ops), order, src)
+			want, nparts := coreScript(t, counted(im.mk(t, order), ops), im.peer(t, order), order, src)
 			got := ops.View()
 			if got.Inserts != want.Inserts || got.Fresh != want.Fresh || got.Lookups != want.Lookups {
 				t.Errorf("routed operations: counted %+v, script called %+v", got, want)

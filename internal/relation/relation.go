@@ -1,8 +1,9 @@
 // Package relation is the de-specialization layer (paper §3): the single
 // Index interface the interpreter programs against, and the portfolio of
 // concrete stores behind it — per-arity specialized B-trees, bries,
-// union-find equivalence relations, a nullary flag, and the legacy
-// runtime-comparator tree. All lexicographic orders are reduced to the
+// union-find equivalence relations, a nullary flag, and the legacy store,
+// one B-tree instantiation whose keys compare by a runtime-interpreted
+// order. All lexicographic orders are reduced to the
 // natural order by re-encoding tuples on insert (tuple.Order), and all
 // element types are reduced to 32-bit words, so the concrete portfolio is
 // exactly {structure × arity}.

@@ -91,10 +91,15 @@ type refSet struct {
 	eq  bool
 }
 
-func (r *refSet) insert(enc tuple.Tuple) bool {
-	before := len(r.set)
+func refKeyOf(enc tuple.Tuple) refKey {
 	var k refKey
 	copy(k[:], enc)
+	return k
+}
+
+func (r *refSet) insert(enc tuple.Tuple) bool {
+	before := len(r.set)
+	k := refKeyOf(enc)
 	r.set[k] = true
 	for grew := r.eq; grew; {
 		grew = false
@@ -128,20 +133,34 @@ func (r *refSet) prefix(pattern tuple.Tuple, k, arity int) []tuple.Tuple {
 	return out
 }
 
+// peer returns a second, empty index of im's kind for coreScript's swap
+// step, or nil for persist, whose indexes never swap.
+func (im implementer) peer(t *testing.T, order tuple.Order) Index {
+	if im.name == "persist" {
+		return nil
+	}
+	return im.mk(t, order)
+}
+
 // coreScript drives idx through the whole Index core and, through the
 // package-level helpers, the bulk-insert and partition capabilities or their
 // fallbacks, checking every observable against a refSet. The first half of
-// src goes in by Insert, the second by one bulk InsertAll. It returns how
-// often it called each kind of operation and how many partitions its one
-// partition request got, for the counter tests.
-func coreScript(t *testing.T, idx Index, order tuple.Order, src []tuple.Tuple) (calls metrics.IndexOpsView, nparts int) {
+// src goes in by Insert, the second by one bulk InsertAll. Then src goes
+// into peer, an empty index of the same kind and order (nil skips this), and
+// the two swap contents, so that idx holds what peer stored. Every tuple
+// re-inserts into idx as a duplicate, a caller's tuple mutated after its
+// insert leaves idx as it was, and a Deleter deletes every tuple exactly
+// once. It returns how often it called each kind of operation on idx and how
+// many partitions its one partition request got, for the counter tests.
+func coreScript(t *testing.T, idx, peer Index, order tuple.Order, src []tuple.Tuple) (calls metrics.IndexOpsView, nparts int) {
 	t.Helper()
 	arity := len(order)
 	_, eq := idx.impl().(*eqrel.Rel)
 	ref := &refSet{set: map[refKey]bool{}, eq: eq}
 
-	half := len(src) / 2
-	for _, s := range src[:half] {
+	// insert inserts s into idx and the reference, reporting whether it
+	// was fresh.
+	insert := func(s tuple.Tuple) bool {
 		calls.Inserts++
 		want := ref.insert(order.Encoded(s))
 		if want {
@@ -150,6 +169,11 @@ func coreScript(t *testing.T, idx Index, order tuple.Order, src []tuple.Tuple) (
 		if got := idx.Insert(s); got != want {
 			t.Fatalf("Insert(%v) = %v, reference says %v", s, got, want)
 		}
+		return want
+	}
+	half := len(src) / 2
+	for _, s := range src[:half] {
+		insert(s)
 	}
 	var flat []value.Value
 	fresh := 0
@@ -220,6 +244,61 @@ func coreScript(t *testing.T, idx Index, order tuple.Order, src []tuple.Tuple) (
 		}
 	}
 
+	if peer != nil {
+		for _, s := range src {
+			peer.Insert(s)
+		}
+		idx.SwapContents(peer)
+		if idx.Size() != len(all) || peer.Size() != len(all) {
+			t.Fatalf("SwapContents of equal contents: sizes %d and %d, want %d", idx.Size(), peer.Size(), len(all))
+		}
+	}
+	for _, s := range src {
+		calls.Inserts++
+		if idx.Insert(s) {
+			t.Fatalf("re-insert of %v reported a fresh tuple", s)
+		}
+	}
+	buf := tuple.Clone(absent)
+	insert(buf)
+	for i := range buf {
+		buf[i] = 2000
+	}
+	all = ref.prefix(nil, 0, arity)
+	calls.Lookups += 2
+	calls.Scans++
+	if !idx.Contains(absent) || idx.Contains(buf) != (arity == 0) || idx.Size() != len(all) || !tuplesEq(drain(idx.Scan()), all) {
+		t.Fatalf("mutating the caller's tuple after its insert changed the index")
+	}
+
+	if d, ok := idx.(Deleter); ok {
+		// In src's order, which for a shuffled src removes keys all over
+		// the tree; halfway the survivors still scan in encoded order.
+		for i, s := range append(src[:len(src):len(src)], absent) {
+			k := refKeyOf(order.Encoded(s))
+			want := ref.set[k]
+			delete(ref.set, k)
+			if want {
+				calls.Deletes++
+			}
+			if got := d.Delete(s); got != want {
+				t.Fatalf("Delete(%v) = %v, reference says %v", s, got, want)
+			}
+			if i == len(src)/2 {
+				calls.Scans++
+				if got, want := drain(idx.Scan()), ref.prefix(nil, 0, arity); !tuplesEq(got, want) {
+					t.Fatalf("Scan after deletes = %v, want %v", got, want)
+				}
+			}
+		}
+		if idx.Size() != 0 {
+			t.Fatalf("Size = %d after every tuple was deleted", idx.Size())
+		}
+		for _, s := range src[:half] {
+			insert(s)
+		}
+	}
+
 	idx.Clear()
 	calls.Probes++
 	if idx.Size() != 0 || idx.AnyMatch(absent, 0) {
@@ -285,13 +364,22 @@ func TestNullary(t *testing.T) {
 // TestEncodedOrderContract: every implementer keeps the core contract — Scan
 // yields tuples in encoded lexicographic order, and encoded tuples decode back
 // to the inserted source tuples — for a reversed order, the natural order
-// (which admits eqrel) and the empty order (nullary).
+// (which admits eqrel) and the empty order (nullary). The 20x5 grid under the
+// reversed order spans several tree nodes, and its prefix searches bind
+// source column 1 only.
 func TestEncodedOrderContract(t *testing.T) {
+	var grid []tuple.Tuple
+	for a := value.Value(0); a < 20; a++ {
+		for b := value.Value(0); b < 5; b++ {
+			grid = append(grid, tuple.Tuple{a, b})
+		}
+	}
 	for _, tc := range []struct {
 		order tuple.Order
 		src   []tuple.Tuple
 	}{
 		{tuple.Order{1, 0}, []tuple.Tuple{{5, 1}, {3, 2}, {4, 1}, {3, 9}, {5, 1}, {9, 3}}},
+		{tuple.Order{1, 0}, grid},
 		{tuple.Identity(2), []tuple.Tuple{{5, 1}, {3, 2}, {4, 1}, {3, 9}, {5, 1}, {9, 3}}},
 		{tuple.Order{}, []tuple.Tuple{{}, {}}},
 	} {
@@ -301,7 +389,7 @@ func TestEncodedOrderContract(t *testing.T) {
 				continue
 			}
 			t.Run(fmt.Sprintf("%s%v", im.name, tc.order), func(t *testing.T) {
-				coreScript(t, idx, tc.order, tc.src)
+				coreScript(t, idx, im.peer(t, tc.order), tc.order, tc.src)
 			})
 		}
 	}
@@ -328,7 +416,7 @@ func TestPrefixScanAllReps(t *testing.T) {
 		if idx == nil {
 			continue
 		}
-		t.Run(im.name, func(t *testing.T) { coreScript(t, idx, order, src) })
+		t.Run(im.name, func(t *testing.T) { coreScript(t, idx, im.peer(t, order), order, src) })
 	}
 }
 
@@ -525,36 +613,46 @@ func BenchmarkInsertBTreeAdapter(b *testing.B) {
 }
 
 // TestIndexDeleteContract exercises the Delete seam of every representation:
-// hits and misses, size accounting, and iteration after retraction.
+// hits and misses, size accounting, and iteration after retraction, which
+// under the reversed order still yields the survivors in encoded order.
 func TestIndexDeleteContract(t *testing.T) {
-	for _, rep := range allReps {
-		idx := NewIndex(rep, tuple.Identity(2)).(interface {
-			Index
-			Deleter
-		})
-		rng := rand.New(rand.NewSource(7))
-		model := map[[2]value.Value]bool{}
-		for step := 0; step < 5000; step++ {
-			k := [2]value.Value{value.Value(rng.Intn(100)), value.Value(rng.Intn(100))}
-			tup := tuple.Tuple{k[0], k[1]}
-			if rng.Intn(3) == 0 {
-				if idx.Delete(tup) != model[k] {
-					t.Fatalf("%v step %d: Delete(%v) disagrees with model", rep, step, tup)
+	for _, order := range []tuple.Order{{0, 1}, {1, 0}} {
+		for _, rep := range allReps {
+			idx := NewIndex(rep, order).(interface {
+				Index
+				Deleter
+			})
+			rng := rand.New(rand.NewSource(7))
+			model := map[[2]value.Value]bool{}
+			for step := 0; step < 5000; step++ {
+				k := [2]value.Value{value.Value(rng.Intn(100)), value.Value(rng.Intn(100))}
+				tup := tuple.Tuple{k[0], k[1]}
+				if rng.Intn(3) == 0 {
+					if idx.Delete(tup) != model[k] {
+						t.Fatalf("%v%v step %d: Delete(%v) disagrees with model", rep, order, step, tup)
+					}
+					delete(model, k)
+				} else {
+					if idx.Insert(tup) == model[k] {
+						t.Fatalf("%v%v step %d: Insert(%v) newness disagrees with model", rep, order, step, tup)
+					}
+					model[k] = true
 				}
-				delete(model, k)
-			} else {
-				if idx.Insert(tup) == model[k] {
-					t.Fatalf("%v step %d: Insert(%v) newness disagrees with model", rep, step, tup)
-				}
-				model[k] = true
 			}
-		}
-		if idx.Size() != len(model) {
-			t.Fatalf("%v: size %d, model %d", rep, idx.Size(), len(model))
-		}
-		for _, tup := range drain(idx.Scan()) {
-			if !model[[2]value.Value{tup[0], tup[1]}] {
-				t.Fatalf("%v: scan yielded deleted tuple %v", rep, tup)
+			if idx.Size() != len(model) {
+				t.Fatalf("%v%v: size %d, model %d", rep, order, idx.Size(), len(model))
+			}
+			got := drain(NewDecoder(idx.Scan(), order))
+			if len(got) != len(model) {
+				t.Fatalf("%v%v: scan yielded %d tuples, model has %d", rep, order, len(got), len(model))
+			}
+			for i, tup := range got {
+				if !model[[2]value.Value{tup[0], tup[1]}] {
+					t.Fatalf("%v%v: scan yielded deleted tuple %v", rep, order, tup)
+				}
+				if i > 0 && tuple.Compare(order.Encoded(got[i-1]), order.Encoded(tup)) >= 0 {
+					t.Fatalf("%v%v: scan out of order: %v then %v", rep, order, got[i-1], tup)
+				}
 			}
 		}
 	}

@@ -179,6 +179,39 @@ func Arith(op ram.IntrinsicOp, typ value.Type, a, b value.Value) value.Value {
 	return 0
 }
 
+// Apply applies a functor to its evaluated arguments: the one evaluator of
+// every functor the backends do not specialize, and of ramopt's constant
+// folding.
+func Apply(st *symtab.Table, op ram.IntrinsicOp, typ value.Type, args []value.Value) value.Value {
+	switch op {
+	case ram.OpNeg:
+		return Neg(typ, args[0])
+	case ram.OpBNot:
+		return BNot(typ, args[0])
+	case ram.OpLNot:
+		return LNot(args[0])
+	case ram.OpCat:
+		return Cat(st, args...)
+	case ram.OpStrlen:
+		return Strlen(st, args[0])
+	case ram.OpSubstr:
+		return Substr(st, args[0], args[1], args[2])
+	case ram.OpOrd:
+		return args[0]
+	case ram.OpToNumber:
+		return ToNumber(st, args[0])
+	case ram.OpToString:
+		return ToString(st, args[0])
+	case ram.OpMin, ram.OpMax:
+		acc := args[0]
+		for _, v := range args[1:] {
+			acc = Arith(op, typ, acc, v)
+		}
+		return acc
+	}
+	return Arith(op, typ, args[0], args[1])
+}
+
 // Neg applies typed unary minus.
 func Neg(typ value.Type, v value.Value) value.Value {
 	if typ == value.Float {
