@@ -5,9 +5,14 @@
 // The tree is generic over its key type. The engine instantiates it with
 // fixed-arity tuple types ([1]uint32 .. [16]uint32 wrappers defined in
 // internal/relation), so the Go compiler generates a distinct instantiation
-// per arity with a fixed-trip-count comparison loop — the Go analog of the
-// paper's C++ template specialization, recovered for the interpreter through
-// the arity factory (the de-specialization of §3).
+// per arity (per GC shape) — the Go analog of the paper's C++ template
+// specialization, recovered for the interpreter through the arity factory
+// (the de-specialization of §3). A shape's code calls a key's methods
+// through the generic dictionary, an indirect call that is never inlined,
+// so the tuple types are marked as word keys (words.go): the tree compares
+// their words itself, in a loop of a constant trip count per shape that the
+// compiler inlines into every search. Keys compared at run time, like the
+// legacy store's (§5.1), keep calling their Cmp.
 //
 // Datalog evaluation mostly inserts, tests membership, enumerates, and
 // clears; deletion (remove.go) exists only for the incremental-retraction
@@ -50,17 +55,39 @@ type node[K Key[K]] struct {
 func (nd *node[K]) leaf() bool { return nd.children == nil }
 
 // find returns the first index i with keys[i] >= k, and whether keys[i] == k.
-func (nd *node[K]) find(k K) (int, bool) {
-	lo, hi := 0, int(nd.n)
+// words is the tree's word-key flag (words.go): a word key's search compares
+// inline, and with no call in its loop keeps its bounds in registers; any
+// other key's search calls Cmp (findCmp).
+func (nd *node[K]) find(k K, words bool) (int, bool) {
+	if !words {
+		return nd.findCmp(k)
+	}
+	keys := nd.keys[:nd.n]
+	lo, hi := 0, len(keys)
 	for lo < hi {
-		mid := (lo + hi) / 2
-		if nd.keys[mid].Cmp(k) < 0 {
+		mid := int(uint(lo+hi) >> 1)
+		if lessWords(&keys[mid], &k) {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	return lo, lo < int(nd.n) && nd.keys[lo] == k
+	return lo, lo < len(keys) && keys[lo] == k
+}
+
+// findCmp is find for keys compared by Cmp.
+func (nd *node[K]) findCmp(k K) (int, bool) {
+	keys := nd.keys[:nd.n]
+	lo, hi := 0, len(keys)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if keys[mid].Cmp(k) < 0 {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(keys) && keys[lo] == k
 }
 
 // Tree is an ordered set of K. The zero value is an empty tree.
@@ -91,10 +118,14 @@ type Tree[K Key[K]] struct {
 	// gen counts the operations that detach nodes (Clear, Swap, Remove): a
 	// reader's Hint is sound only within the generation it was recorded in.
 	gen uint64
+	// words records that K is a word key (words.go), so that searches
+	// compare its words inline instead of calling Cmp. New sets it; the
+	// zero value compares by Cmp, which orders word keys the same way.
+	words bool
 }
 
 // New returns an empty tree.
-func New[K Key[K]]() *Tree[K] { return &Tree[K]{} }
+func New[K Key[K]]() *Tree[K] { return &Tree[K]{words: isWordKey[K]()} }
 
 // Size reports the number of keys stored.
 func (t *Tree[K]) Size() int { return t.size }
@@ -134,21 +165,34 @@ func (t *Tree[K]) Swap(o *Tree[K]) {
 // position (in an inner node, the child to descend into) and found whether
 // it is there. The bounds are tested first, so a key outside the node costs
 // one or two comparisons.
-func (nd *node[K]) cover(k K) (i int, found bool, c int) {
+func (nd *node[K]) cover(k K, words bool) (i int, found bool, c int) {
 	n := int(nd.n)
-	switch hi := k.Cmp(nd.keys[n-1]); {
-	case hi > 0:
-		return n, false, 1
-	case hi == 0:
-		return n - 1, true, 0
+	if words {
+		switch {
+		case lessWords(&nd.keys[n-1], &k):
+			return n, false, 1
+		case nd.keys[n-1] == k:
+			return n - 1, true, 0
+		case lessWords(&k, &nd.keys[0]):
+			return 0, false, -1
+		case nd.keys[0] == k:
+			return 0, true, 0
+		}
+	} else {
+		switch hi := k.Cmp(nd.keys[n-1]); {
+		case hi > 0:
+			return n, false, 1
+		case hi == 0:
+			return n - 1, true, 0
+		}
+		switch lo := k.Cmp(nd.keys[0]); {
+		case lo < 0:
+			return 0, false, -1
+		case lo == 0:
+			return 0, true, 0
+		}
 	}
-	switch lo := k.Cmp(nd.keys[0]); {
-	case lo < 0:
-		return 0, false, -1
-	case lo == 0:
-		return 0, true, 0
-	}
-	i, found = nd.find(k)
+	i, found = nd.find(k, words)
 	return i, found, 0
 }
 
@@ -174,7 +218,7 @@ func (t *Tree[K]) Insert(k K) bool {
 		}
 	}
 	if nd := t.last; nd != nil {
-		i, found, c := nd.cover(k)
+		i, found, c := nd.cover(k, t.words)
 		if found {
 			return false
 		}
@@ -265,7 +309,7 @@ func (nd *node[K]) insertAt(i int, k K) {
 func (t *Tree[K]) insertNonFull(nd *node[K], k K) bool {
 	rightmost := true
 	for {
-		i, ok := nd.find(k)
+		i, ok := nd.find(k, t.words)
 		if nd.leaf() {
 			t.last, t.lastMax = nd, rightmost
 			if ok {
@@ -280,7 +324,14 @@ func (t *Tree[K]) insertNonFull(nd *node[K], k K) bool {
 		if int(nd.children[i].n) == maxKeys {
 			nd.splitChild(i)
 			// The lifted median may equal k or change which child k goes to.
-			if c := nd.keys[i].Cmp(k); c == 0 {
+			if t.words {
+				if nd.keys[i] == k {
+					return false
+				}
+				if lessWords(&nd.keys[i], &k) {
+					i++
+				}
+			} else if c := nd.keys[i].Cmp(k); c == 0 {
 				return false
 			} else if c < 0 {
 				i++

@@ -24,6 +24,9 @@ func (a k2) Cmp(b k2) int {
 	return 0
 }
 
+// WordKey marks k2 as a word key: its Cmp is the unsigned order of its words.
+func (k2) WordKey() {}
+
 // Hash is relation.Tup2's: the two words packed into one uint64, times
 // 2^64 over the golden ratio.
 func (a k2) Hash() uint64 { return (uint64(a[0])<<32 | uint64(a[1])) * 0x9e3779b97f4a7c15 }

@@ -46,7 +46,7 @@ func (t *Tree[K]) ContainsHint(k K, h *Hint[K]) bool {
 				if p == nil {
 					break
 				}
-				if j, found, c := p.cover(k); c == 0 {
+				if j, found, c := p.cover(k, t.words); c == 0 {
 					h.misses = 0
 					if found || p.leaf() {
 						return found
@@ -58,7 +58,7 @@ func (t *Tree[K]) ContainsHint(k K, h *Hint[K]) bool {
 		}
 	}
 	for nd != nil {
-		i, ok := nd.find(k)
+		i, ok := nd.find(k, t.words)
 		if nd.leaf() {
 			if h != nil {
 				h.leaf, h.up = nd, up

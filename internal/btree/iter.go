@@ -14,6 +14,7 @@ type Iter[K Key[K]] struct {
 	depth int
 	hi    K
 	bound bound
+	words bool // the tree's word-key flag, for the bound test and seek
 }
 
 // bound is the kind of upper bound an iterator stops at.
@@ -34,14 +35,14 @@ func (t *Tree[K]) Iter() Iter[K] {
 
 // Seek returns an iterator positioned at the first key >= lo.
 func (t *Tree[K]) Seek(lo K) Iter[K] {
-	var it Iter[K]
+	it := Iter[K]{words: t.words}
 	it.seek(t.root, lo)
 	return it
 }
 
 // Range returns an iterator over keys k with lo <= k <= hi.
 func (t *Tree[K]) Range(lo, hi K) Iter[K] {
-	it := Iter[K]{hi: hi, bound: inclusive}
+	it := Iter[K]{hi: hi, bound: inclusive, words: t.words}
 	it.seek(t.root, lo)
 	return it
 }
@@ -67,7 +68,7 @@ func (it *Iter[K]) pushLeft(nd *node[K]) {
 // seek builds the traversal stack so that Next yields keys >= lo in order.
 func (it *Iter[K]) seek(nd *node[K], lo K) {
 	for nd != nil {
-		i, _ := nd.find(lo)
+		i, _ := nd.find(lo, it.words)
 		it.push(nd, i)
 		if nd.leaf() {
 			return
@@ -85,7 +86,21 @@ func (it *Iter[K]) Next() (K, bool) {
 		if i < int(nd.n) {
 			k := nd.keys[i]
 			if it.bound != unbounded {
-				if c := k.Cmp(it.hi); c > 0 || c == 0 && it.bound == exclusive {
+				var past bool
+				if it.words {
+					// Past an inclusive bound once hi < k; past an exclusive
+					// one unless k < hi.
+					excl := it.bound == exclusive
+					a, b := &it.hi, &k
+					if excl {
+						a, b = b, a
+					}
+					past = lessWords(a, b) != excl
+				} else {
+					c := k.Cmp(it.hi)
+					past = c > 0 || c == 0 && it.bound == exclusive
+				}
+				if past {
 					it.depth = 0
 					var zero K
 					return zero, false

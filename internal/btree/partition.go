@@ -50,7 +50,7 @@ func collectSeparators[K Key[K]](root *node[K], want int) []K {
 // means from the beginning, a nil hi means unbounded above. It underpins
 // partitioned parallel scans. Neither pointer is retained.
 func (t *Tree[K]) SeekBefore(lo *K, hi *K) Iter[K] {
-	var it Iter[K]
+	it := Iter[K]{words: t.words}
 	if lo == nil {
 		it.pushLeft(t.root)
 	} else {

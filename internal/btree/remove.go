@@ -37,7 +37,7 @@ func (t *Tree[K]) Remove(k K) bool {
 
 func (t *Tree[K]) remove(nd *node[K], k K) bool {
 	for {
-		i, found := nd.find(k)
+		i, found := nd.find(k, t.words)
 		if nd.leaf() {
 			if !found {
 				return false
@@ -55,7 +55,7 @@ func (t *Tree[K]) remove(nd *node[K], k K) bool {
 			// fill may have moved k into nd (rotation) or merged it down;
 			// re-search this node rather than assuming the old position.
 			var foundHere bool
-			i, foundHere = nd.find(k)
+			i, foundHere = nd.find(k, t.words)
 			if foundHere {
 				t.removeFromInternal(nd, i)
 				return true

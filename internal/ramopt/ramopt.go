@@ -10,19 +10,28 @@
 //   - constant folding: intrinsic sub-expressions over constants are
 //     evaluated at optimization time (including string functors through the
 //     symbol table);
+//   - existence checks: a scan or choice whose pattern binds every column to
+//     an element of an enclosing tuple can match only that tuple, so it
+//     becomes a filter over an existence check on the same index, and the
+//     elements of its own tuple under it are replaced by the pattern. DRed's
+//     head-scan rederive round (a deleted head re-proved through the rule
+//     body) searches its last body atom this way;
 //   - filter fusion: chains of nested filters collapse into one filter with
 //     a conjunction, removing interpreter dispatches per level;
 //   - choice conversion: a scan whose bound tuple is referenced only by the
 //     immediately following filters — not by the projection or any deeper
 //     operation — only needs *one* witness, so it becomes a choice over the
-//     same search that stops at the first match.
+//     same search that stops at the first match. A search whose full-key
+//     body search became an existence check qualifies in turn: the rederive
+//     round stops at the first proof.
 //
-// All three are peephole rewrites of every entry point: Main, and the
+// All four are peephole rewrites of every entry point: Main, and the
 // incremental Update and Delete programs a resident database runs once per
-// applied batch, where a statement's fixed cost weighs most. None adds or
-// removes a search, unbinds a pattern position or drops a range bound, so
-// the index orders and IndexIDs the translator's index selection
-// (indexselect.Assign) wrote stay valid; the
+// applied batch, where a statement's fixed cost weighs most. None adds a
+// search, unbinds a pattern position or drops a range bound, and the one
+// search it removes becomes an existence check with the same pattern on the
+// same index, so the index orders and IndexIDs the translator's index
+// selection (indexselect.Assign) wrote stay valid; the
 // armed verifier's index-id and index-prefix rules catch a pass that breaks
 // that. Every pass keeps every relation queryable after the run
 // (sti.Result, Explain, Database observe all of them), so there is one pass
@@ -56,10 +65,13 @@ type pass struct {
 	run  func(*ram.Program, *symtab.Table)
 }
 
-// passes is the pipeline, in order. The three peephole rewrites share one
-// tree walk (optimizer) parameterized by the rewrite it applies.
+// passes is the pipeline, in order. The peephole rewrites share one tree
+// walk (optimizer) parameterized by the rewrite it applies. Existence checks
+// run before fusion, so that the filter a full-key search leaves joins the
+// filters around it, and before choices, which then see that filter.
 var passes = []pass{
 	{name: "fold-constants", run: optimizer{foldConstants: true}.run},
+	{name: "existence-checks", run: optimizer{existence: true}.run},
 	{name: "fuse-filters", run: optimizer{fuseFilters: true}.run},
 	{name: "choices", run: optimizer{choices: true}.run},
 }
@@ -115,8 +127,11 @@ func countStmts(p *ram.Program) int {
 // optimizer is the shared peephole walk; exactly one rewrite is enabled per
 // pass.
 type optimizer struct {
-	st                                  *symtab.Table
-	foldConstants, fuseFilters, choices bool
+	st                                             *symtab.Table
+	foldConstants, existence, fuseFilters, choices bool
+	// subst maps the tuple of a full-key search being rewritten to its
+	// pattern, which replaces the tuple's elements (existence pass).
+	subst map[int][]ram.Expr
 }
 
 // run applies the rewrite to every entry point (Main, Update, Delete; an
@@ -153,7 +168,13 @@ func (o *optimizer) op(op ram.Operation) ram.Operation {
 	case *ram.Scan:
 		o.foldPattern(op.Pattern)
 		o.foldBound(op.Bound)
+		full := o.fullKey(op.TupleID, op.Pattern, op.Bound)
 		op.Nested = o.op(op.Nested)
+		if full {
+			delete(o.subst, op.TupleID)
+			exists := &ram.ExistenceCheck{Rel: op.Rel, IndexID: op.IndexID, Pattern: op.Pattern}
+			return &ram.Filter{Cond: exists, Nested: op.Nested}
+		}
 		if o.choices {
 			if cond, inner, ok := o.choiceBody(op.TupleID, op.Nested); ok {
 				return &ram.Choice{
@@ -166,8 +187,14 @@ func (o *optimizer) op(op ram.Operation) ram.Operation {
 	case *ram.Choice:
 		o.foldPattern(op.Pattern)
 		o.foldBound(op.Bound)
+		full := o.fullKey(op.TupleID, op.Pattern, op.Bound)
 		op.Cond = o.cond(op.Cond)
 		op.Nested = o.op(op.Nested)
+		if full {
+			delete(o.subst, op.TupleID)
+			exists := &ram.ExistenceCheck{Rel: op.Rel, IndexID: op.IndexID, Pattern: op.Pattern}
+			return &ram.Filter{Cond: ram.Conj(exists, op.Cond), Nested: op.Nested}
+		}
 		return op
 	case *ram.Filter:
 		op.Cond = o.cond(op.Cond)
@@ -199,6 +226,28 @@ func (o *optimizer) op(op ram.Operation) ram.Operation {
 	default:
 		return op
 	}
+}
+
+// fullKey reports whether the existence pass rewrites the search binding
+// tid: its pattern binds every column to an element of an enclosing tuple,
+// and it has no range bound. Such a search matches at most one tuple, the
+// pattern itself. When it does, the pattern is recorded to replace tid's
+// elements in the search's condition and nested operation (expr copies
+// each element, so the existence check keeps the pattern's own nodes).
+func (o *optimizer) fullKey(tid int, pattern []ram.Expr, b *ram.Bound) bool {
+	if !o.existence || b != nil || len(pattern) == 0 {
+		return false
+	}
+	for _, e := range pattern {
+		if _, ok := e.(*ram.TupleElement); !ok {
+			return false
+		}
+	}
+	if o.subst == nil {
+		o.subst = map[int][]ram.Expr{}
+	}
+	o.subst[tid] = pattern
+	return true
 }
 
 // choiceBody recognizes the choice-convertible shape under a scan binding
@@ -286,6 +335,13 @@ func (o *optimizer) cond(c ram.Condition) ram.Condition {
 // (division, modulo, to_number) are never folded so that runtime errors
 // keep their runtime semantics.
 func (o *optimizer) expr(e ram.Expr) ram.Expr {
+	if te, ok := e.(*ram.TupleElement); ok {
+		if p, ok := o.subst[te.TupleID]; ok {
+			src := *p[te.Elem].(*ram.TupleElement)
+			return &src
+		}
+		return e
+	}
 	in, ok := e.(*ram.Intrinsic)
 	if !ok {
 		return e

@@ -138,8 +138,9 @@ out(x) :- node(x), e(x, y), y > 10.
 // its nested operation reads no element of its tuple (its condition may). In
 // Main, out(x, y) projects e's tuple, so e stays a scan. The Delete
 // program's rederive round scans the overdeleted heads ([head<-@del_out])
-// and only tests that e still holds each one: there the e search, keyed on
-// e's whole tuple, is a choice.
+// and only tests that e still holds each one: the e search there is keyed
+// on e's whole tuple by the head's, so it becomes an existence check on e
+// with that pattern, and no search of e is left.
 func TestNoChoiceWhenTupleUsed(t *testing.T) {
 	src := `
 .decl e(x:number, y:number)
@@ -172,22 +173,70 @@ out(x, y) :- e(x, y), y > 10.
 	if !mainScan {
 		t.Fatalf("Main has no scan of e whose body reads its tuple:\n%s", rp.String())
 	}
-	headChoice := false
+	headCheck, headSearch := false, false
 	ram.Inspect(rp.Delete, func(n any) bool {
 		q, ok := n.(*ram.Query)
 		if !ok || !strings.HasSuffix(q.Label, "[head<-@del_out]") {
 			return true
 		}
 		ram.Inspect(q.Root, func(n any) bool {
-			if c, ok := n.(*ram.Choice); ok && c.Rel.Name == "e" && !slices.Contains(c.Pattern, nil) {
-				headChoice = true
+			switch n := n.(type) {
+			case *ram.ExistenceCheck:
+				headCheck = headCheck || n.Rel.Name == "e" && !slices.Contains(n.Pattern, nil)
+			case *ram.Scan:
+				headSearch = headSearch || n.Rel.Name == "e"
+			case *ram.Choice:
+				headSearch = headSearch || n.Rel.Name == "e"
 			}
 			return true
 		})
 		return false
 	})
-	if !headChoice {
-		t.Fatalf("Delete's head-scan rederive has no full-key CHOICE on e:\n%s", rp.String())
+	if !headCheck || headSearch {
+		t.Fatalf("Delete's head-scan rederive does not test e by a full-key existence check alone:\n%s", rp.String())
+	}
+}
+
+// The rederive round of a recursive rule re-proves each overdeleted head
+// through the rule body. Its last atom, edge(y, z), is keyed on its whole
+// tuple by the head and the first atom: it becomes an existence check, and
+// the path search above it, whose tuple the projection does not read, a
+// choice that stops at the first proof.
+func TestRederiveStopsAtFirstProof(t *testing.T) {
+	src := `
+.decl edge(x:number, y:number)
+.decl path(x:number, y:number)
+.input edge
+path(x, y) :- edge(x, y).
+path(x, z) :- path(x, y), edge(y, z).
+`
+	rp, _ := build(t, src, true)
+	if rp.Delete == nil {
+		t.Fatalf("program has no Delete entry point: %s", rp.NoDeleteReason)
+	}
+	var edgeCheck, edgeSearch, pathChoice bool
+	ram.Inspect(rp.Delete, func(n any) bool {
+		q, ok := n.(*ram.Query)
+		if !ok || !strings.HasSuffix(q.Label, "path(x, y), edge(y, z). [head<-@del_path]") {
+			return true
+		}
+		ram.Inspect(q.Root, func(n any) bool {
+			switch n := n.(type) {
+			case *ram.ExistenceCheck:
+				edgeCheck = edgeCheck || n.Rel.Name == "edge" && !slices.Contains(n.Pattern, nil)
+			case *ram.Scan:
+				edgeSearch = edgeSearch || n.Rel.Name == "edge"
+			case *ram.Choice:
+				edgeSearch = edgeSearch || n.Rel.Name == "edge"
+				pathChoice = pathChoice || n.Rel.Name == "path"
+			}
+			return true
+		})
+		return false
+	})
+	if !edgeCheck || edgeSearch || !pathChoice {
+		t.Fatalf("rederive round: edge existence check %v, edge search %v, path choice %v:\n%s",
+			edgeCheck, edgeSearch, pathChoice, rp.String())
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"sti/internal/tuple"
 	"sti/internal/value"
@@ -219,6 +220,58 @@ func TestLegacyRemoveDrainsSequential(t *testing.T) {
 		}
 		if a.Size() != 0 {
 			t.Fatalf("desc=%v: index not drained (size=%d)", desc, a.Size())
+		}
+	}
+}
+
+// TestLegacyKeySortsByItsCmp: a legacyKey is two strings, as wide as a Tup8
+// but no word key, so the tree compares it by its Cmp at every site. An
+// arity-8 index in a reversed order, with words across the signed boundary,
+// scans in that order and answers prefix scans and lookups as a model does.
+func TestLegacyKeySortsByItsCmp(t *testing.T) {
+	if unsafe.Sizeof(legacyKey{}) != unsafe.Sizeof(Tup8{}) {
+		t.Fatalf("legacyKey is %d bytes, Tup8 %d", unsafe.Sizeof(legacyKey{}), unsafe.Sizeof(Tup8{}))
+	}
+	order := tuple.Order{7, 6, 5, 4, 3, 2, 1, 0}
+	a := newLegacyAdapter(order)
+	rng := rand.New(rand.NewSource(8))
+	word := func() value.Value { return 0x7ffffffe + value.Value(rng.Intn(4)) }
+	model := map[[8]value.Value]bool{}
+	for i := 0; i < 5000; i++ {
+		var k [8]value.Value
+		for j := range k {
+			k[j] = word()
+		}
+		if a.Insert(k[:]) == model[k] {
+			t.Fatalf("Insert(%x) disagrees with the model", k)
+		}
+		model[k] = true
+	}
+	enc := drain(a.Scan())
+	checkAscending(t, enc)
+	if len(enc) != len(model) {
+		t.Fatalf("scan: %d tuples, want %d", len(enc), len(model))
+	}
+	for p := 0; p < 50; p++ {
+		var k [8]value.Value
+		for j := range k {
+			k[j] = word()
+		}
+		if a.Contains(k[:]) != model[k] {
+			t.Fatalf("Contains(%x) disagrees with the model", k)
+		}
+		var pattern [8]value.Value
+		order.Encode(pattern[:], k[:])
+		want := 0
+		for _, e := range enc {
+			if e[0] == pattern[0] && e[1] == pattern[1] {
+				want++
+			}
+		}
+		got := drain(a.PrefixScan(pattern[:], 2))
+		checkAscending(t, got)
+		if len(got) != want {
+			t.Fatalf("prefix %x: %d tuples, want %d", pattern[:2], len(got), want)
 		}
 	}
 }
